@@ -29,7 +29,9 @@ pub use insert_ethers::{DhcpRequest, InsertEthers};
 pub use ip::Ipv4;
 pub use schema::{Membership, NodeRecord, DEFAULT_MEMBERSHIPS};
 
-use rocks_sql::{Database, DurableDatabase, DurableError, RecoveryReport, SqlError, Value, Vfs};
+use rocks_sql::{
+    Database, DurableDatabase, DurableError, RecoveryReport, Savepoint, SqlError, Value, Vfs,
+};
 use rocks_trace::{Registry, Tracer};
 
 /// Errors from cluster-database operations.
@@ -96,6 +98,9 @@ pub type Result<T> = std::result::Result<T, DbError>;
 /// [`revision`]: Self::revision
 /// [`sql`]: Self::sql
 #[derive(Debug)]
+// One `Store` per `ClusterDb`, and `Memory` is the variant every hot read
+// goes through: keep it inline rather than behind a pointer.
+#[allow(clippy::large_enum_variant)]
 enum Store {
     /// The default volatile engine.
     Memory(Database),
@@ -109,9 +114,9 @@ enum Store {
 pub struct ClusterDb {
     store: Store,
     revision: u64,
-    /// Memory-mode transaction state: the image and revision saved at
-    /// `begin_txn`. (Durable mode keeps its own inside the engine.)
-    mem_txn: Option<(Database, u64)>,
+    /// Memory-mode transaction state: where `begin_txn` stood. (Durable
+    /// mode keeps its own inside the engine.)
+    mem_txn: Option<Savepoint>,
 }
 
 impl Clone for ClusterDb {
@@ -232,7 +237,7 @@ impl ClusterDb {
                         "transaction already open".into(),
                     )));
                 }
-                self.mem_txn = Some((db.clone(), self.revision));
+                self.mem_txn = Some(db.savepoint());
                 Ok(())
             }
             Store::Durable(d) => Ok(d.begin()?),
@@ -242,10 +247,11 @@ impl ClusterDb {
     /// Commit the open transaction.
     pub fn commit_txn(&mut self) -> Result<()> {
         match &mut self.store {
-            Store::Memory(_) => {
-                self.mem_txn.take().ok_or_else(|| {
+            Store::Memory(db) => {
+                let begun = self.mem_txn.take().ok_or_else(|| {
                     DbError::Storage(DurableError::Txn("no open transaction".into()))
                 })?;
+                db.release(begun);
                 Ok(())
             }
             Store::Durable(d) => Ok(d.commit()?),
@@ -261,10 +267,10 @@ impl ClusterDb {
     pub fn rollback_txn(&mut self) -> Result<()> {
         match &mut self.store {
             Store::Memory(db) => {
-                let (saved, _) = self.mem_txn.take().ok_or_else(|| {
+                let begun = self.mem_txn.take().ok_or_else(|| {
                     DbError::Storage(DurableError::Txn("no open transaction".into()))
                 })?;
-                *db = saved;
+                db.rollback_to(begun);
             }
             Store::Durable(d) => {
                 d.rollback()?;
@@ -779,6 +785,37 @@ mod tests {
             vec![("compute-0-0", "compute", "Compute"), ("frontend-0", "frontend", "Frontend"),]
         );
         assert_eq!(targets[0].ip, "10.255.255.254");
+    }
+
+    /// Memory mode rolls back through the same savepoint as durable mode:
+    /// contents return, the revision only moves forward, and the store
+    /// is the same store (its counters stay bound where they were).
+    #[test]
+    fn memory_rollback_restores_contents_and_keeps_the_store() {
+        let mut db = ClusterDb::new();
+        let registry = Registry::new();
+        db.bind_stats_registry(&registry);
+        db.set_global("k", "before").unwrap();
+        assert!(matches!(db.commit_txn(), Err(DbError::Storage(_))), "nothing to commit");
+
+        db.begin_txn().unwrap();
+        assert!(matches!(db.begin_txn(), Err(DbError::Storage(_))), "no nesting");
+        db.set_global("k", "provisional").unwrap();
+        db.sql().execute("create table scratch (x int)").unwrap();
+        let provisional = db.revision();
+        db.rollback_txn().unwrap();
+        assert!(!db.in_txn());
+        assert_eq!(db.global("k").unwrap().as_deref(), Some("before"));
+        assert!(db.sql_ref().table("scratch").is_none());
+        assert!(db.revision() > provisional);
+        let lookups = registry.counter("sql.lookup_eq").get();
+        db.global("k").unwrap();
+        assert_eq!(registry.counter("sql.lookup_eq").get(), lookups + 1);
+
+        db.begin_txn().unwrap();
+        db.set_global("k", "after").unwrap();
+        db.commit_txn().unwrap();
+        assert_eq!(db.global("k").unwrap().as_deref(), Some("after"));
     }
 
     #[test]

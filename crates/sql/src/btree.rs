@@ -188,13 +188,14 @@ impl BTreeBuilder {
     }
 }
 
-/// Decoded page view used by the read path.
-enum PageView {
-    Leaf(Vec<(Vec<u8>, Vec<u8>)>),
-    Internal { keys: Vec<Vec<u8>>, children: Vec<u32> },
+/// Decoded page view used by the read path; keys and values are slices
+/// of the page's payload.
+enum PageView<'p> {
+    Leaf(Vec<(&'p [u8], &'p [u8])>),
+    Internal { keys: Vec<&'p [u8]>, children: Vec<u32> },
 }
 
-fn decode_page(payload: &[u8], page: u32) -> Result<PageView, RecoveryError> {
+fn decode_page(payload: &[u8], page: u32) -> Result<PageView<'_>, RecoveryError> {
     let corrupt =
         |what: &str| RecoveryError::Corrupt(format!("b-tree page {page}: malformed node ({what})"));
     if payload.len() < NODE_HEADER {
@@ -219,8 +220,8 @@ fn decode_page(payload: &[u8], page: u32) -> Result<PageView, RecoveryError> {
                     u16::from_le_bytes(take(&mut pos, 2)?.try_into().expect("2 bytes")) as usize;
                 let vlen =
                     u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")) as usize;
-                let k = take(&mut pos, klen)?.to_vec();
-                let v = take(&mut pos, vlen)?.to_vec();
+                let k = take(&mut pos, klen)?;
+                let v = take(&mut pos, vlen)?;
                 cells.push((k, v));
             }
             Ok(PageView::Leaf(cells))
@@ -232,7 +233,7 @@ fn decode_page(payload: &[u8], page: u32) -> Result<PageView, RecoveryError> {
             for _ in 0..n {
                 let klen =
                     u16::from_le_bytes(take(&mut pos, 2)?.try_into().expect("2 bytes")) as usize;
-                keys.push(take(&mut pos, klen)?.to_vec());
+                keys.push(take(&mut pos, klen)?);
                 children.push(u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")));
             }
             Ok(PageView::Internal { keys, children })
@@ -269,13 +270,10 @@ impl<'a> DiskBTree<'a> {
             }
             match decode_page(&self.pager.read_page(self.meta, page)?, page)? {
                 PageView::Leaf(cells) => {
-                    return Ok(cells
-                        .into_iter()
-                        .find(|(k, _)| k.as_slice() == key)
-                        .map(|(_, v)| v));
+                    return Ok(cells.into_iter().find(|(k, _)| *k == key).map(|(_, v)| v.to_vec()));
                 }
                 PageView::Internal { keys, children } => {
-                    let slot = keys.partition_point(|k| k.as_slice() <= key);
+                    let slot = keys.partition_point(|k| *k <= key);
                     page = children[slot];
                 }
             }
@@ -293,7 +291,7 @@ impl<'a> DiskBTree<'a> {
         }
         match decode_page(&self.pager.read_page(self.meta, page)?, page)? {
             PageView::Leaf(cells) => {
-                for (k, v) in &cells {
+                for (k, v) in cells {
                     f(k, v)?;
                 }
                 Ok(())

@@ -16,6 +16,12 @@
 //! hit by a bit flip — the classic torn-write / corrupted-sector
 //! outcomes. [`MemVfs::survivor`] then yields the disk a rebooted
 //! machine would find.
+//!
+//! An image is a run of fixed-size blocks shared copy-on-write, so
+//! `stable`, `view` and a survivor's copies of both hold one block
+//! between them until a write separates them: `sync` and `survivor` cost
+//! a pointer per block, a write copies the blocks it lands on, and the
+//! disk never asks the allocator for a buffer the size of a file.
 
 use crate::codec::fnv1a;
 use std::collections::BTreeMap;
@@ -104,26 +110,80 @@ enum PendingOp {
     Truncate { len: u64 },
 }
 
+/// Bytes in one block of an [`Image`].
+const BLOCK: usize = 4096;
+
+/// A file's content. Cloning shares every block; writing to a shared
+/// block copies it first. Bytes of the last block past `len` are zero.
+#[derive(Debug, Clone, Default)]
+struct Image {
+    blocks: Vec<Arc<[u8; BLOCK]>>,
+    len: usize,
+}
+
+impl Image {
+    /// Cut to `len` bytes, or extend to it with zeroes.
+    fn resize(&mut self, len: usize) {
+        let blocks = len.div_ceil(BLOCK);
+        if len < self.len {
+            self.blocks.truncate(blocks);
+            if !len.is_multiple_of(BLOCK) {
+                Arc::make_mut(&mut self.blocks[blocks - 1])[len % BLOCK..].fill(0);
+            }
+        } else {
+            self.blocks.resize_with(blocks, || Arc::new([0; BLOCK]));
+        }
+        self.len = len;
+    }
+
+    fn write(&mut self, offset: usize, mut data: &[u8]) {
+        if self.len < offset + data.len() {
+            self.resize(offset + data.len());
+        }
+        let mut at = offset;
+        while !data.is_empty() {
+            let start = at % BLOCK;
+            let (head, rest) = data.split_at(data.len().min(BLOCK - start));
+            Arc::make_mut(&mut self.blocks[at / BLOCK])[start..start + head.len()]
+                .copy_from_slice(head);
+            at += head.len();
+            data = rest;
+        }
+    }
+
+    /// Fill `buf` from `offset`; the caller has checked the bounds.
+    fn read(&self, offset: usize, mut buf: &mut [u8]) {
+        let mut at = offset;
+        while !buf.is_empty() {
+            let start = at % BLOCK;
+            let (head, rest) = buf.split_at_mut(buf.len().min(BLOCK - start));
+            head.copy_from_slice(&self.blocks[at / BLOCK][start..start + head.len()]);
+            at += head.len();
+            buf = rest;
+        }
+    }
+
+    fn to_vec(&self) -> Vec<u8> {
+        let mut out = vec![0; self.len];
+        self.read(0, &mut out);
+        out
+    }
+}
+
 #[derive(Debug, Clone, Default)]
 struct MemFileState {
     /// What survived the last sync.
-    stable: Vec<u8>,
+    stable: Image,
     /// What the process sees (stable + buffered ops applied).
-    view: Vec<u8>,
+    view: Image,
     /// Buffered ops since the last sync, in issue order.
     pending: Vec<PendingOp>,
 }
 
-fn apply_op(image: &mut Vec<u8>, op: &PendingOp) {
+fn apply_op(image: &mut Image, op: &PendingOp) {
     match op {
-        PendingOp::Write { offset, data } => {
-            let end = *offset as usize + data.len();
-            if image.len() < end {
-                image.resize(end, 0);
-            }
-            image[*offset as usize..end].copy_from_slice(data);
-        }
-        PendingOp::Truncate { len } => image.resize(*len as usize, 0),
+        PendingOp::Write { offset, data } => image.write(*offset as usize, data),
+        PendingOp::Truncate { len } => image.resize(*len as usize),
     }
 }
 
@@ -273,7 +333,7 @@ impl MemVfs {
 
     /// Raw stable bytes of a file (test introspection).
     pub fn stable_bytes(&self, name: &str) -> Option<Vec<u8>> {
-        self.state.lock().expect("vfs lock").files.get(name).map(|f| f.stable.clone())
+        self.state.lock().expect("vfs lock").files.get(name).map(|f| f.stable.to_vec())
     }
 }
 
@@ -299,7 +359,7 @@ impl DiskFile for MemFile {
         if s.crashed {
             return Err(DiskError::Crashed);
         }
-        Ok(s.files[&self.name].view.len() as u64)
+        Ok(s.files[&self.name].view.len as u64)
     }
 
     fn read_exact_at(&self, offset: u64, buf: &mut [u8]) -> DiskResult<()> {
@@ -309,14 +369,14 @@ impl DiskFile for MemFile {
         }
         let view = &s.files[&self.name].view;
         let end = offset as usize + buf.len();
-        if end > view.len() {
+        if end > view.len {
             return Err(DiskError::OutOfBounds {
                 offset,
                 len: buf.len() as u64,
-                file_len: view.len() as u64,
+                file_len: view.len as u64,
             });
         }
-        buf.copy_from_slice(&view[offset as usize..end]);
+        view.read(offset as usize, buf);
         Ok(())
     }
 
@@ -329,8 +389,7 @@ impl DiskFile for MemFile {
         s.files.get_mut(&self.name).expect("open file").pending.push(op);
         s.tick()?;
         let file = s.files.get_mut(&self.name).expect("open file");
-        let op = file.pending.last().expect("just pushed").clone();
-        apply_op(&mut file.view, &op);
+        apply_op(&mut file.view, file.pending.last().expect("just pushed"));
         Ok(())
     }
 
@@ -479,6 +538,59 @@ mod tests {
         f.read_exact_at(0, &mut buf).unwrap();
         assert_eq!(&buf, b"hello world");
         assert!(matches!(f.read_exact_at(8, &mut [0u8; 8]), Err(DiskError::OutOfBounds { .. })));
+    }
+
+    #[test]
+    fn image_matches_a_flat_buffer() {
+        // Writes and cuts of every alignment against the model the image
+        // replaced, a clone taken at each step standing in for `stable`:
+        // neither side of a shared block may see the other's writes.
+        let (mut image, mut flat) = (Image::default(), Vec::<u8>::new());
+        let mut kept: Vec<(Image, Vec<u8>)> = Vec::new();
+        let mut r = 0x9E37_79B9_7F4A_7C15u64;
+        for step in 0..400u64 {
+            r = VfsState::roll(r, step);
+            let at = (r >> 8) as usize % (3 * BLOCK);
+            if r.is_multiple_of(5) {
+                image.resize(at);
+                flat.resize(at, 0);
+            } else {
+                let data = vec![step as u8 | 1; (r >> 32) as usize % (2 * BLOCK + 1)];
+                image.write(at, &data);
+                if flat.len() < at + data.len() {
+                    flat.resize(at + data.len(), 0);
+                }
+                flat[at..at + data.len()].copy_from_slice(&data);
+            }
+            assert_eq!(image.to_vec(), flat, "step {step}");
+            kept.push((image.clone(), flat.clone()));
+        }
+        for (step, (image, flat)) in kept.iter().enumerate() {
+            assert_eq!(&image.to_vec(), flat, "the clone taken at step {step} changed");
+        }
+        let mut mid = vec![0u8; flat.len() / 2];
+        image.read(flat.len() / 4, &mut mid);
+        assert_eq!(mid, flat[flat.len() / 4..][..mid.len()]);
+    }
+
+    #[test]
+    fn survivor_and_disk_do_not_see_each_other() {
+        let vfs = MemVfs::new();
+        let mut f = vfs.open("data").unwrap();
+        f.write_at(0, &[1; 3 * BLOCK]).unwrap();
+        f.sync().unwrap();
+        let survivor = vfs.survivor();
+        let mut g = survivor.open("data").unwrap();
+        f.write_at(BLOCK as u64, &[2; 8]).unwrap();
+        f.sync().unwrap();
+        g.write_at(2 * BLOCK as u64, &[3; 8]).unwrap();
+        g.sync().unwrap();
+        let mut flat = vec![1u8; 3 * BLOCK];
+        flat[BLOCK..BLOCK + 8].fill(2);
+        assert_eq!(vfs.stable_bytes("data").unwrap(), flat);
+        flat[BLOCK..BLOCK + 8].fill(1);
+        flat[2 * BLOCK..2 * BLOCK + 8].fill(3);
+        assert_eq!(survivor.stable_bytes("data").unwrap(), flat);
     }
 
     #[test]

@@ -16,10 +16,12 @@
 //! ```
 //!
 //! The single fsync *after* the commit frame is the durability point.
-//! Rollback truncates the WAL back to the transaction's start and
-//! restores the memory image saved at `begin` — which also restores a
-//! cold plan cache, so a statement cached during the transaction can
-//! never serve rolled-back rows.
+//! `begin` takes a [`Savepoint`] on the memory engine, which from then
+//! on logs what reverses each statement; neither `begin` nor `commit`
+//! touches a row the transaction did not. Rollback truncates the WAL
+//! back to the transaction's start and undoes the statements newest
+//! first — leaving a cold plan cache, so a statement cached during the
+//! transaction can never serve rolled-back rows.
 
 use crate::disk::{DiskError, Vfs};
 use crate::exec::ExecOutcome;
@@ -27,7 +29,7 @@ use crate::pager::{Pager, SnapshotWriter, PAGE_PAYLOAD};
 use crate::recovery::{self, CatalogTable, RecoveryError, RecoveryReport};
 use crate::wal::{self, WalRecord, WalWriter};
 use crate::{btree::BTreeBuilder, codec};
-use crate::{Database, SqlError};
+use crate::{Database, Savepoint, SqlError};
 use rocks_trace::{Counter, Registry, Tracer};
 
 /// Checkpoint policy: fold the WAL into a snapshot once it exceeds this
@@ -95,6 +97,7 @@ pub struct DurableStats {
     checkpoint_pages: Counter,
     recovery_replayed: Counter,
     recovery_anomalies: Counter,
+    undo_rows: Counter,
 }
 
 impl DurableStats {
@@ -108,6 +111,7 @@ impl DurableStats {
             checkpoint_pages: registry.counter("db.checkpoint.pages"),
             recovery_replayed: registry.counter("db.recovery.commits_replayed"),
             recovery_anomalies: registry.counter("db.recovery.anomalies"),
+            undo_rows: registry.counter("db.txn.undo_rows"),
             registry,
         }
     }
@@ -156,6 +160,13 @@ impl DurableStats {
     pub fn recovery_anomalies(&self) -> u64 {
         self.recovery_anomalies.get()
     }
+
+    /// Rows that finished transactions (committed or rolled back) had
+    /// saved for undo: what they displaced, never what they appended —
+    /// see [`Database::undo_rows`].
+    pub fn undo_rows(&self) -> u64 {
+        self.undo_rows.get()
+    }
 }
 
 impl Default for DurableStats {
@@ -164,17 +175,12 @@ impl Default for DurableStats {
     }
 }
 
-/// Memory image saved at `begin`, restored on rollback.
+/// Where `begin` stood, in memory and in the log.
+#[derive(Debug)]
 struct TxnState {
-    saved_mem: Database,
+    savepoint: Savepoint,
     wal_start: u64,
     seq: u64,
-}
-
-impl std::fmt::Debug for TxnState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TxnState").field("seq", &self.seq).finish()
-    }
 }
 
 /// A [`Database`] that survives restarts. See the module docs.
@@ -326,7 +332,7 @@ impl DurableDatabase {
         let seq = self.seq + 1;
         let wal_start = self.wal.len();
         self.append(&WalRecord::Begin { seq })?;
-        self.txn = Some(TxnState { saved_mem: self.mem.clone(), wal_start, seq });
+        self.txn = Some(TxnState { savepoint: self.mem.savepoint(), wal_start, seq });
         Ok(())
     }
 
@@ -334,6 +340,8 @@ impl DurableDatabase {
     pub fn commit(&mut self) -> DurableResult<()> {
         let txn = self.txn.take().ok_or_else(|| DurableError::Txn("no open transaction".into()))?;
         let _span = self.tracer.span("db.commit");
+        self.stats.undo_rows.add(self.mem.undo_rows());
+        self.mem.release(txn.savepoint);
         // On append/fsync failure durability is unknown; keep the memory
         // image (the statements did execute) and surface the error — the
         // next open() decides from the bytes on disk.
@@ -354,16 +362,14 @@ impl DurableDatabase {
         Ok(())
     }
 
-    /// Abandon the open transaction: truncate the WAL back to its start
-    /// and restore the memory image saved at `begin`. The restored image
-    /// carries a cold plan cache (see `Database::clone`), which is what
-    /// makes "a cached plan serves rolled-back rows" impossible; the
-    /// statement counters keep flowing into the same registry.
+    /// Abandon the open transaction: undo its statements in memory (see
+    /// [`Database::rollback_to`], which also clears the plan cache — that
+    /// is what makes "a cached plan serves rolled-back rows" impossible)
+    /// and truncate the WAL back to its start.
     pub fn rollback(&mut self) -> DurableResult<()> {
         let txn = self.txn.take().ok_or_else(|| DurableError::Txn("no open transaction".into()))?;
-        let registry = self.mem.stats().registry().clone();
-        self.mem = txn.saved_mem;
-        self.mem.bind_stats_registry(&registry);
+        self.stats.undo_rows.add(self.mem.undo_rows());
+        self.mem.rollback_to(txn.savepoint);
         self.wal.truncate_to(txn.wal_start)?;
         self.wal.sync()?;
         self.stats.fsyncs.incr();
@@ -379,9 +385,14 @@ impl DurableDatabase {
         // run first, journal on success. The in-memory engine guarantees
         // failed statements change nothing (statement atomicity).
         if self.txn.is_some() {
+            let before = self.mem.savepoint();
             let outcome = self.mem.execute(sql)?;
             if written(&outcome) {
-                self.append(&WalRecord::Stmt { sql: sql.to_string() })?;
+                if let Err(e) = self.append(&WalRecord::Stmt { sql: sql.to_string() }) {
+                    // Not journaled, so it must not have happened.
+                    self.mem.rollback_to(before);
+                    return Err(e);
+                }
             }
             return Ok(outcome);
         }

@@ -696,76 +696,65 @@ fn extreme(members: &[Vec<Value>], idx: usize, is_min: bool) -> Value {
     best.cloned().unwrap_or(Value::Null)
 }
 
+/// Does `row` of the statement's one table satisfy its WHERE clause?
+fn where_hits(where_clause: Option<&Expr>, env: &RowEnv<'_>) -> Result<bool> {
+    Ok(match where_clause {
+        Some(expr) => eval(expr, env)?.is_truthy(),
+        None => true,
+    })
+}
+
+// UPDATE and DELETE evaluate against the table where it stands and
+// collect only what changes; the table is first touched after the last
+// row has evaluated, so a statement that errors midway changes nothing.
+
 fn update(
     db: &mut Database,
     table: &str,
     sets: &[(String, Expr)],
     where_clause: Option<&Expr>,
 ) -> Result<ExecOutcome> {
-    // Evaluate per-row so SET expressions may reference columns.
     let t = db.table(table).ok_or_else(|| SqlError::NoSuchTable(table.to_string()))?;
-    let name = t.name().to_string();
     let set_indices: Vec<usize> = sets
         .iter()
         .map(|(col, _)| {
-            t.column_index(col).ok_or_else(|| SqlError::NoSuchColumn(format!("{name}.{col}")))
+            t.column_index(col).ok_or_else(|| SqlError::NoSuchColumn(format!("{}.{col}", t.name())))
         })
         .collect::<Result<_>>()?;
-    let columns = t.columns().to_vec();
-
-    let snapshot: Vec<Vec<Value>> = t.rows().to_vec();
-    let mut new_rows = Vec::with_capacity(snapshot.len());
-    let mut affected = 0usize;
-    {
-        let t_ref = db.table(table).unwrap();
-        let tables = [(t_ref.name(), t_ref)];
-        let offsets = [0usize];
-        for row in &snapshot {
-            let env = RowEnv { tables: &tables, offsets: &offsets, row };
-            let hit = match where_clause {
-                Some(expr) => eval(expr, &env)?.is_truthy(),
-                None => true,
-            };
-            if hit {
-                let mut updated = row.clone();
-                for ((_, expr), &idx) in sets.iter().zip(&set_indices) {
-                    let value = eval(expr, &env)?;
-                    updated[idx] = Table::coerce(&columns[idx], value)?;
-                }
-                new_rows.push(updated);
-                affected += 1;
-            } else {
-                new_rows.push(row.clone());
-            }
+    let tables = [(t.name(), t)];
+    let offsets = [0usize];
+    let mut updated_rows = Vec::new();
+    for (pos, row) in t.rows().iter().enumerate() {
+        // SET expressions see the row as it was, whatever their order.
+        let env = RowEnv { tables: &tables, offsets: &offsets, row };
+        if !where_hits(where_clause, &env)? {
+            continue;
         }
+        let mut updated = row.clone();
+        for ((_, expr), &idx) in sets.iter().zip(&set_indices) {
+            updated[idx] = Table::coerce(&t.columns()[idx], eval(expr, &env)?)?;
+        }
+        updated_rows.push((pos, updated));
     }
-    *db.table_mut(table).unwrap().rows_mut() = new_rows;
+    let affected = updated_rows.len();
+    let name = t.name().to_string();
+    db.replace_rows(&name, updated_rows);
     Ok(ExecOutcome::Written { affected })
 }
 
 fn delete(db: &mut Database, table: &str, where_clause: Option<&Expr>) -> Result<ExecOutcome> {
     let t = db.table(table).ok_or_else(|| SqlError::NoSuchTable(table.to_string()))?;
-    let snapshot: Vec<Vec<Value>> = t.rows().to_vec();
-    let mut keep = Vec::with_capacity(snapshot.len());
-    let mut affected = 0usize;
-    {
-        let tables = [(t.name(), t)];
-        let offsets = [0usize];
-        for row in &snapshot {
-            let env = RowEnv { tables: &tables, offsets: &offsets, row };
-            let hit = match where_clause {
-                Some(expr) => eval(expr, &env)?.is_truthy(),
-                None => true,
-            };
-            if hit {
-                affected += 1;
-            } else {
-                keep.push(row.clone());
-            }
+    let tables = [(t.name(), t)];
+    let offsets = [0usize];
+    let mut doomed = Vec::new();
+    for (pos, row) in t.rows().iter().enumerate() {
+        if where_hits(where_clause, &RowEnv { tables: &tables, offsets: &offsets, row })? {
+            doomed.push(pos);
         }
     }
-    *db.table_mut(table).unwrap().rows_mut() = keep;
-    Ok(ExecOutcome::Written { affected })
+    let name = t.name().to_string();
+    db.remove_rows(&name, &doomed);
+    Ok(ExecOutcome::Written { affected: doomed.len() })
 }
 
 #[cfg(test)]

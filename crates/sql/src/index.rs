@@ -16,7 +16,9 @@
 //! text (`'5' = '05'` is false). Probes mirror the same rule.
 
 use crate::value::Value;
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// A hash index over one column of a table. Build with [`HashIndex::build`],
 /// keep current with [`HashIndex::add`] as rows are appended, and look up
@@ -54,6 +56,23 @@ impl HashIndex {
         }
     }
 
+    /// Take back the newest [`add`](Self::add): `row` must be the highest
+    /// row registered under `value`, which holds when appended rows are
+    /// removed newest first. Emptied buckets go too, so the index equals
+    /// one built from the remaining rows.
+    pub(crate) fn remove_last(&mut self, value: &Value, row: u32) {
+        match value {
+            Value::Null => {}
+            Value::Int(n) => pop_row(&mut self.num, n, row),
+            Value::Text(s) => {
+                pop_row(&mut self.text, s.as_str(), row);
+                if let Ok(n) = s.trim().parse::<i64>() {
+                    pop_row(&mut self.num, &n, row);
+                }
+            }
+        }
+    }
+
     /// Candidate rows whose value *may* equal `value`, ascending. The
     /// result is complete (every truly equal row is present) but may
     /// contain false positives — e.g. probing `'5'` returns rows storing
@@ -83,6 +102,20 @@ impl HashIndex {
     /// Number of distinct keys (for tests and EXPLAIN sizing).
     pub fn keys(&self) -> usize {
         self.num.len() + self.text.len()
+    }
+}
+
+/// Pop `row` off the end of `key`'s bucket, and the bucket with it if
+/// that empties it.
+fn pop_row<K, Q>(buckets: &mut HashMap<K, Vec<u32>>, key: &Q, row: u32)
+where
+    K: Borrow<Q> + Hash + Eq,
+    Q: Hash + Eq + ?Sized,
+{
+    let bucket = buckets.get_mut(key).expect("removed rows were indexed");
+    assert_eq!(bucket.pop(), Some(row), "index entries are removed newest first");
+    if bucket.is_empty() {
+        buckets.remove(key);
     }
 }
 

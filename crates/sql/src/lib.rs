@@ -54,6 +54,7 @@ pub mod plan;
 pub mod recovery;
 pub mod stats;
 pub mod table;
+mod undo;
 pub mod value;
 pub mod wal;
 
@@ -66,6 +67,7 @@ pub use plan::{JoinAlgo, PlannerConfig, PlannerMode, SelectPlan};
 pub use recovery::{RecoveryError, RecoveryReport};
 pub use stats::TableStats;
 pub use table::{Column, ColumnType, Table};
+pub use undo::Savepoint;
 pub use value::Value;
 
 use rocks_trace::{Counter, Histogram, Registry};
@@ -300,17 +302,23 @@ pub struct Database {
     schema_gen: u64,
     cache: Mutex<PlanCache>,
     stats: QueryStats,
+    /// What reverses the open transaction's statements; `None` outside
+    /// a [`Savepoint`].
+    undo: Option<undo::UndoLog>,
 }
 
 impl Clone for Database {
     fn clone(&self) -> Self {
         // The cache is pure acceleration state; a clone starts cold —
-        // and with fresh counters, so clones never double-count.
+        // and with fresh counters, so clones never double-count. It is
+        // a detached copy of the current contents: an open savepoint
+        // stays with the original.
         Database {
             tables: self.tables.clone(),
             schema_gen: self.schema_gen,
             cache: Mutex::new(PlanCache::default()),
             stats: QueryStats::default(),
+            undo: None,
         }
     }
 }
@@ -523,9 +531,13 @@ impl Database {
         self.tables.get(&name.to_ascii_lowercase())
     }
 
-    /// Mutable table lookup.
+    /// Mutable table lookup. The public surface of `&mut Table` can only
+    /// append, so under a [`Savepoint`] noting the length here is enough
+    /// to take back whatever the caller does with it.
     pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
-        self.tables.get_mut(&name.to_ascii_lowercase())
+        let key = name.to_ascii_lowercase();
+        self.log_append_point(&key);
+        self.tables.get_mut(&key)
     }
 
     /// Register a table built programmatically.
@@ -534,6 +546,7 @@ impl Database {
         if self.tables.contains_key(&key) {
             return Err(SqlError::TableExists(table.name().to_string()));
         }
+        self.log_created(&key);
         self.tables.insert(key, table);
         self.schema_gen += 1;
         Ok(())
@@ -541,11 +554,12 @@ impl Database {
 
     /// Remove a table (no-op if absent). Returns whether it existed.
     pub fn remove_table(&mut self, name: &str) -> bool {
-        let removed = self.tables.remove(&name.to_ascii_lowercase()).is_some();
-        if removed {
-            self.schema_gen += 1;
-        }
-        removed
+        let Some(table) = self.tables.remove(&name.to_ascii_lowercase()) else {
+            return false;
+        };
+        self.log_dropped(table);
+        self.schema_gen += 1;
+        true
     }
 
     /// Names of all tables, sorted.

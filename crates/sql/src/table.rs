@@ -2,10 +2,11 @@
 //!
 //! Indexes are built lazily the first time a column is probed for
 //! equality (see [`Table::eq_index`]), kept current incrementally as rows
-//! are appended, and dropped wholesale whenever rows are mutated in place
-//! (UPDATE/DELETE go through [`Table::rows_mut`]) — the next probe
-//! rebuilds. They are pure acceleration state: `Clone` shares them
-//! copy-on-write via `Arc`, and `PartialEq`/`Debug` ignore them.
+//! are appended (and as a rollback takes appended rows away again), and
+//! dropped wholesale whenever rows are mutated in place (UPDATE/DELETE)
+//! — the next probe rebuilds. They are pure acceleration state: `Clone`
+//! shares them copy-on-write via `Arc`, and `PartialEq`/`Debug` ignore
+//! them.
 
 use crate::index::HashIndex;
 use crate::stats::TableStats;
@@ -126,14 +127,77 @@ impl Table {
         &self.rows
     }
 
-    /// Mutable rows (used by UPDATE/DELETE execution). In-place mutation
+    /// Mutable rows, for UPDATE/DELETE and their undo. In-place mutation
     /// invalidates every index and the statistics; the next probe or
     /// plan rebuilds lazily.
-    pub(crate) fn rows_mut(&mut self) -> &mut Vec<Vec<Value>> {
+    fn rows_mut(&mut self) -> &mut Vec<Vec<Value>> {
         self.indexes.get_mut().expect("index lock").clear();
         *self.stats.get_mut().expect("stats lock") = None;
         self.stats_gen += 1;
         &mut self.rows
+    }
+
+    /// Put each `(position, row)` in place of the row now there and
+    /// return the displaced rows under the same positions — UPDATE's
+    /// apply step, and (fed its own result) its undo.
+    pub(crate) fn replace_rows(
+        &mut self,
+        mut rows: Vec<(usize, Vec<Value>)>,
+    ) -> Vec<(usize, Vec<Value>)> {
+        let stored = self.rows_mut();
+        for (pos, row) in &mut rows {
+            std::mem::swap(&mut stored[*pos], row);
+        }
+        rows
+    }
+
+    /// Remove the rows at `positions` (ascending), keeping the order of
+    /// the rest, and return them with the positions they held.
+    pub(crate) fn remove_rows(&mut self, positions: &[usize]) -> Vec<(usize, Vec<Value>)> {
+        let mut removed = Vec::with_capacity(positions.len());
+        let mut doomed = positions.iter().copied().peekable();
+        let mut pos = 0;
+        self.rows_mut().retain_mut(|row| {
+            let hit = doomed.next_if_eq(&pos).is_some();
+            if hit {
+                removed.push((pos, std::mem::take(row)));
+            }
+            pos += 1;
+            !hit
+        });
+        removed
+    }
+
+    /// Undo of [`remove_rows`](Self::remove_rows): every row is back at
+    /// the position it was removed from.
+    pub(crate) fn reinsert_rows(&mut self, removed: Vec<(usize, Vec<Value>)>) {
+        let stored = self.rows_mut();
+        let mut kept = std::mem::take(stored).into_iter();
+        stored.reserve(kept.len() + removed.len());
+        for (pos, row) in removed {
+            stored.extend(kept.by_ref().take(pos - stored.len()));
+            stored.push(row);
+        }
+        stored.extend(kept);
+    }
+
+    /// Undo of appends: drop every row from position `len` on. Built
+    /// indexes give up exactly the entries those rows added; statistics
+    /// cannot un-fold a row and are dropped.
+    pub(crate) fn truncate_rows(&mut self, len: usize) {
+        if len >= self.rows.len() {
+            return;
+        }
+        let indexes = self.indexes.get_mut().expect("index lock");
+        for (&column, index) in indexes.iter_mut() {
+            let index = Arc::make_mut(index);
+            for row in (len..self.rows.len()).rev() {
+                index.remove_last(&self.rows[row][column], row as u32);
+            }
+        }
+        self.rows.truncate(len);
+        *self.stats.get_mut().expect("stats lock") = None;
+        self.stats_gen += 1;
     }
 
     /// Hash index for `column`, building it on first use. Returns a cheap
@@ -413,6 +477,41 @@ mod tests {
         // Rebuild sees the mutated value.
         assert_eq!(probe_all(&table, 0, &Value::Int(9)), vec![0]);
         assert!(probe_all(&table, 0, &Value::Int(1)).is_empty());
+    }
+
+    #[test]
+    fn truncate_leaves_the_indexes_a_rebuild_would_give() {
+        let rows = [(1, "5"), (2, "x"), (1, "05"), (5, "5"), (2, "x")];
+        let mut table = t();
+        for (id, name) in rows {
+            table.insert_row(vec![Value::Int(id), Value::Text(name.into())]).unwrap();
+        }
+        let (_, _, _) = (table.eq_index(0), table.eq_index(1), table.stats());
+        table.truncate_rows(2);
+        let mut fresh = t();
+        for (id, name) in &rows[..2] {
+            fresh.insert_row(vec![Value::Int(*id), Value::Text((*name).into())]).unwrap();
+        }
+        assert_eq!(table, fresh);
+        assert_eq!(table.indexed_columns(), 2, "indexes stay warm");
+        assert_eq!(*table.eq_index(0), *fresh.eq_index(0));
+        assert_eq!(*table.eq_index(1), *fresh.eq_index(1));
+        assert!(table.stats_if_warm().is_none(), "statistics cannot un-fold a row");
+    }
+
+    #[test]
+    fn removed_rows_go_back_where_they_were() {
+        let mut table = t();
+        for id in 0..6 {
+            table.insert_row(vec![Value::Int(id), Value::Null]).unwrap();
+        }
+        let before = table.clone();
+        let removed = table.remove_rows(&[0, 2, 5]);
+        let ids: Vec<_> = table.rows().iter().map(|r| r[0].clone()).collect();
+        assert_eq!(ids, [Value::Int(1), Value::Int(3), Value::Int(4)]);
+        assert_eq!(removed.iter().map(|(pos, _)| *pos).collect::<Vec<_>>(), [0, 2, 5]);
+        table.reinsert_rows(removed);
+        assert_eq!(table, before);
     }
 
     #[test]
