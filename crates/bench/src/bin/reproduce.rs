@@ -24,91 +24,65 @@
 
 use rocks_bench::*;
 
+type Experiment = (&'static str, fn(quick: bool) -> String);
+
+/// Every experiment, in paper order. The measured sweeps take `quick`
+/// (`--quick`): sizes that finish in seconds under a debug build.
+const EXPERIMENTS: &[Experiment] = &[
+    ("table1", |_| table1()),
+    ("table2", |_| table2()),
+    ("table3", |_| table3()),
+    ("fig1", |_| fig1()),
+    ("fig2", |_| fig2()),
+    ("fig3", |_| fig3()),
+    ("fig4", |_| fig4()),
+    ("fig5", |_| fig5()),
+    ("fig6", |_| fig6()),
+    ("fig7", |_| fig7()),
+    ("micro", |_| micro_benchmark()),
+    ("range", |_| reinstall_range()),
+    ("cabinets", |_| cabinet_topology()),
+    ("utilization", |_| utilization_timeline()),
+    ("gige", |_| gige_scaling()),
+    ("replicas", |_| replica_scaling()),
+    ("updates", |_| update_tracking()),
+    ("ablation", |_| ablation()),
+    // 10k/50k rows instead of 10k/100k/1M.
+    ("sqlbench", sql_engine_sweep),
+    // A sweep small enough for the CI debug build.
+    ("netsim-scale", netsim_scale),
+    // 200 seeded scenarios instead of 1000.
+    ("chaos", chaos),
+    // 512 nodes instead of 8192.
+    ("trace", trace_overhead),
+    // 10k rows only, 2 crash seeds.
+    ("db", db_durability),
+    // 32 nodes, 500 invariant seeds.
+    ("rollout", rollout),
+    // Shorter horizons, 200 seeds.
+    ("serve", serve),
+];
+
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
     let quick = std::env::args().any(|a| a == "--quick");
-    type Experiment = (&'static str, fn() -> String);
-    let experiments: Vec<Experiment> = vec![
-        ("table1", table1),
-        ("table2", table2),
-        ("table3", table3),
-        ("fig1", fig1),
-        ("fig2", fig2),
-        ("fig3", fig3),
-        ("fig4", fig4),
-        ("fig5", fig5),
-        ("fig6", fig6),
-        ("fig7", fig7),
-        ("micro", micro_benchmark),
-        ("range", reinstall_range),
-        ("cabinets", cabinet_topology),
-        ("utilization", utilization_timeline),
-        ("gige", gige_scaling),
-        ("replicas", replica_scaling),
-        ("updates", update_tracking),
-        ("ablation", ablation),
-        ("sqlbench", sql_engine_bench),
-        ("netsim-scale", netsim_scale_full),
-        ("chaos", chaos_full),
-        ("trace", trace_overhead_full),
-        ("db", db_durability_full),
-        ("rollout", rollout_full),
-        ("serve", serve_full),
-    ];
-
-    // `netsim-scale --quick` shrinks the sweep so the CI debug build
-    // finishes in seconds.
-    if arg == "netsim-scale" && quick {
-        println!("{}", netsim_scale(true));
-        return;
-    }
-    // `sqlbench --quick` sweeps 10k/50k rows instead of 10k/100k/1M.
-    if arg == "sqlbench" && quick {
-        println!("{}", sql_engine_sweep(true));
-        return;
-    }
-    // `chaos --quick` runs 200 seeded scenarios instead of 1000.
-    if arg == "chaos" && quick {
-        println!("{}", chaos(true));
-        return;
-    }
-    // `trace --quick` measures at 512 nodes instead of 8192.
-    if arg == "trace" && quick {
-        println!("{}", trace_overhead(true));
-        return;
-    }
-    // `db --quick` samples 10k rows only and sweeps 2 crash seeds.
-    if arg == "db" && quick {
-        println!("{}", db_durability(true));
-        return;
-    }
-    // `rollout --quick` rolls 32 nodes and sweeps 500 invariant seeds.
-    if arg == "rollout" && quick {
-        println!("{}", rollout(true));
-        return;
-    }
-    // `serve --quick` shortens the horizons and sweeps 200 seeds.
-    if arg == "serve" && quick {
-        println!("{}", serve(true));
-        return;
-    }
-
     match arg.as_str() {
+        // Everything at full size, whatever the flags.
         "all" => {
-            for (name, f) in &experiments {
+            for (name, f) in EXPERIMENTS {
                 println!("==== {name} ====");
-                println!("{}", f());
+                println!("{}", f(false));
             }
             println!("==== bring-up ====");
             println!("{}", bringup_summary());
         }
         "list" => {
-            for (name, _) in &experiments {
+            for (name, _) in EXPERIMENTS {
                 println!("{name}");
             }
         }
-        other => match experiments.iter().find(|(name, _)| *name == other) {
-            Some((_, f)) => println!("{}", f()),
+        other => match EXPERIMENTS.iter().find(|(name, _)| *name == other) {
+            Some((_, f)) => println!("{}", f(quick)),
             None => {
                 eprintln!("unknown experiment {other:?}; try `reproduce list`");
                 std::process::exit(2);

@@ -763,6 +763,15 @@ pub fn cost_model_json() -> String {
     )
 }
 
+/// Write a `BENCH_*.json` snapshot into the working directory and say
+/// whether that worked.
+fn write_snapshot(file: &str, json: &str) -> String {
+    match std::fs::write(file, json) {
+        Ok(()) => format!("snapshot written to {file}"),
+        Err(e) => format!("snapshot NOT written: {e}"),
+    }
+}
+
 /// Minimum per-call nanoseconds of `f` over `reps` timed batches of
 /// `iters` calls each.
 fn min_ns_per_call(iters: usize, reps: usize, mut f: impl FnMut()) -> f64 {
@@ -896,10 +905,7 @@ pub fn sql_engine_sweep(quick: bool) -> String {
         cost_model_json(),
         snaps.iter().map(|s| s.to_json()).collect::<Vec<_>>().join(",\n  "),
     );
-    let written = match std::fs::write("BENCH_sql_engine.json", &json) {
-        Ok(()) => "snapshot written to BENCH_sql_engine.json".to_string(),
-        Err(e) => format!("snapshot NOT written: {e}"),
-    };
+    let written = write_snapshot("BENCH_sql_engine.json", &json);
 
     let mut out = String::from("SQL engine: cost-based planner vs scan / heuristic\n");
     for s in &snaps {
@@ -920,11 +926,6 @@ pub fn sql_engine_sweep(quick: bool) -> String {
     out.push_str(&written);
     out.push('\n');
     out
-}
-
-/// Full-size sqlbench entry point for `reproduce`.
-pub fn sql_engine_bench() -> String {
-    sql_engine_sweep(false)
 }
 
 /// One row of the large-n reinstall sweep (fast scheduler).
@@ -1220,10 +1221,7 @@ pub fn measure_netsim_scale(quick: bool) -> NetsimScaleSnapshot {
 pub fn netsim_scale(quick: bool) -> String {
     let snap = measure_netsim_scale(quick);
     let json = snap.to_json();
-    let written = match std::fs::write("BENCH_netsim.json", &json) {
-        Ok(()) => "snapshot written to BENCH_netsim.json".to_string(),
-        Err(e) => format!("snapshot NOT written: {e}"),
-    };
+    let written = write_snapshot("BENCH_netsim.json", &json);
     let mut out = format!(
         "netsim engine scaling: heap + class-aggregated max-min vs reference\n\
          event drain ({} one-class flows): fast {:>9.0} ev/s | ref {:>9.0} ev/s | {:>6.1}x\n\
@@ -1268,11 +1266,6 @@ pub fn netsim_scale(quick: bool) -> String {
     out.push_str(&written);
     out.push('\n');
     out
-}
-
-/// `reproduce netsim-scale` without `--quick`: the full release sweep.
-pub fn netsim_scale_full() -> String {
-    netsim_scale(false)
 }
 
 // ---------------------------------------------------------------------
@@ -1360,10 +1353,7 @@ pub fn chaos(quick: bool) -> String {
     let count = if quick { 200 } else { 1000 };
     let snap = measure_chaos(0, count);
     let json = snap.to_json();
-    let written = match std::fs::write("BENCH_chaos.json", &json) {
-        Ok(()) => "snapshot written to BENCH_chaos.json".to_string(),
-        Err(e) => format!("snapshot NOT written: {e}"),
-    };
+    let written = write_snapshot("BENCH_chaos.json", &json);
     let verdict = if snap.invariant_violations == 0 {
         "all invariants held".to_string()
     } else {
@@ -1391,11 +1381,6 @@ pub fn chaos(quick: bool) -> String {
         snap.scenarios_per_sec(),
         written,
     )
-}
-
-/// `reproduce chaos` without `--quick`: the full 1000-seed sweep.
-pub fn chaos_full() -> String {
-    chaos(false)
 }
 
 // ---------------------------------------------------------------------
@@ -1505,10 +1490,7 @@ pub fn measure_trace(quick: bool) -> TraceSnapshot {
 pub fn trace_overhead(quick: bool) -> String {
     let snap = measure_trace(quick);
     let json = snap.to_json();
-    let written = match std::fs::write("BENCH_trace.json", &json) {
-        Ok(()) => "snapshot written to BENCH_trace.json".to_string(),
-        Err(e) => format!("snapshot NOT written: {e}"),
-    };
+    let written = write_snapshot("BENCH_trace.json", &json);
     format!(
         "telemetry overhead: rocks-trace on the {}-node reinstall sweep\n\
          disabled tracer: {:>8.1} ms (min of 5)\n\
@@ -1525,11 +1507,6 @@ pub fn trace_overhead(quick: bool) -> String {
         snap.golden_repeatable,
         written,
     )
-}
-
-/// `reproduce trace` without `--quick`: the full 8192-node measurement.
-pub fn trace_overhead_full() -> String {
-    trace_overhead(false)
 }
 
 // ---------------------------------------------------------------------
@@ -1710,10 +1687,7 @@ pub fn measure_db_durability(quick: bool) -> DbDurabilitySnapshot {
 pub fn db_durability(quick: bool) -> String {
     let snap = measure_db_durability(quick);
     let json = snap.to_json();
-    let written = match std::fs::write("BENCH_db.json", &json) {
-        Ok(()) => "snapshot written to BENCH_db.json".to_string(),
-        Err(e) => format!("snapshot NOT written: {e}"),
-    };
+    let written = write_snapshot("BENCH_db.json", &json);
     let verdict = if snap.sweep_violations == 0 {
         "all recovery invariants held".to_string()
     } else {
@@ -1743,11 +1717,6 @@ pub fn db_durability(quick: bool) -> String {
         snap.sweep_crash_points,
         verdict,
     )
-}
-
-/// `reproduce db` without flags: the full three-scale measurement.
-pub fn db_durability_full() -> String {
-    db_durability(false)
 }
 
 // ---------------------------------------------------------------------
@@ -2036,10 +2005,7 @@ pub fn measure_rollout(quick: bool) -> RolloutSnapshot {
 pub fn rollout(quick: bool) -> String {
     let snap = measure_rollout(quick);
     let json = snap.to_json();
-    let written = match std::fs::write("BENCH_rollout.json", &json) {
-        Ok(()) => "snapshot written to BENCH_rollout.json".to_string(),
-        Err(e) => format!("snapshot NOT written: {e}"),
-    };
+    let written = write_snapshot("BENCH_rollout.json", &json);
     let verdict = if snap.invariant_violations == 0 {
         "all invariants held".to_string()
     } else {
@@ -2085,11 +2051,6 @@ pub fn rollout(quick: bool) -> String {
         snap.wall_ms,
         written,
     )
-}
-
-/// `reproduce rollout` without `--quick`: the full 128-node measurement.
-pub fn rollout_full() -> String {
-    rollout(false)
 }
 
 // ---------------------------------------------------------------------
@@ -2494,10 +2455,7 @@ pub fn measure_serve(quick: bool) -> ServeSnapshot {
 pub fn serve(quick: bool) -> String {
     let snap = measure_serve(quick);
     let json = snap.to_json();
-    let written = match std::fs::write("BENCH_serve.json", &json) {
-        Ok(()) => "snapshot written to BENCH_serve.json".to_string(),
-        Err(e) => format!("snapshot NOT written: {e}"),
-    };
+    let written = write_snapshot("BENCH_serve.json", &json);
     let verdict = if snap.sweep_violations == 0 {
         "all invariants held".to_string()
     } else {
@@ -2560,11 +2518,6 @@ pub fn serve(quick: bool) -> String {
         snap.wall_ms,
         written,
     )
-}
-
-/// `reproduce serve` without `--quick`: the full-horizon measurement.
-pub fn serve_full() -> String {
-    serve(false)
 }
 
 #[cfg(test)]

@@ -4,11 +4,19 @@
 //! micro-benchmark (§6.3), full-speed concurrency searches (the Gigabit
 //! and replication projections), and failure injection (§4's common-mode
 //! failure scenarios).
+//!
+//! [`ClusterSim`] drives the crate's one cabinet simulator, [`Shard`],
+//! as a single proxy-less shard holding every node. Event dispatch,
+//! faults and link state are the shard's; here is only what the flat
+//! driver alone has: tracer marks, utilization samples, staggered and
+//! subset power-on, and the choice of [`EngineMode`] that keeps the
+//! reference scheduler available as an oracle.
 
 use crate::config::SimConfig;
-use crate::engine::{micros, seconds, Engine, EngineMode, SimError, SimTime, Wakeup};
-use crate::node::{NodeEvent, NodeState, SimNode};
+use crate::engine::{seconds, Engine, EngineMode, SimError, SimTime, Wakeup};
+use crate::node::{NodeState, SimNode};
 use crate::reinstall::ReinstallError;
+use crate::shard::{Shard, Stepped};
 use rocks_trace::{Counter, Gauge, Tracer};
 
 /// Control events injected into a run at absolute virtual times.
@@ -38,9 +46,8 @@ pub enum Fault {
     },
 }
 
-/// Engine tags at or above this value address control events, not nodes.
-/// Shared with the federated driver so flat and federated runs dispatch
-/// faults through the same tag space.
+/// Engine tags at or above this value address control events (indices
+/// into a shard's fault table), not nodes.
 pub(crate) const CONTROL_TAG_BASE: usize = 1 << 32;
 
 /// Outcome of one whole-cluster reinstallation.
@@ -65,6 +72,23 @@ pub struct ReinstallResult {
 }
 
 impl ReinstallResult {
+    /// The outcome of a run over `shards` (in cabinet order). The
+    /// cluster is done when the last node came up, which the shard
+    /// clocks bound (tier engines can idle slightly behind — their last
+    /// fill predates its delivery timer by the latency).
+    pub(crate) fn of(shards: &[Shard], server_bytes: Vec<f64>) -> ReinstallResult {
+        let nodes = || shards.iter().flat_map(|s| &s.nodes);
+        let ended_at = shards.iter().map(|s| s.engine.now()).max().unwrap_or(0);
+        ReinstallResult {
+            per_node_seconds: nodes().map(SimNode::last_install_seconds).collect(),
+            total_seconds: seconds(ended_at),
+            server_bytes,
+            per_node_attempts: nodes().map(|n| n.fetch_attempts).collect(),
+            per_node_failovers: nodes().map(|n| n.failovers).collect(),
+            per_node_backoff_seconds: nodes().map(|n| n.backoff_seconds).collect(),
+        }
+    }
+
     /// Total time in minutes — Table I's unit.
     pub fn total_minutes(&self) -> f64 {
         self.total_seconds / 60.0
@@ -111,57 +135,26 @@ impl ReinstallResult {
 /// Alias kept for API clarity at call sites that only care about success.
 pub type ReinstallOutcome = ReinstallResult;
 
-/// Build the flat (non-federated) topology: one engine holding the
-/// server links plus optional cabinet uplinks, and the node array wired
-/// round-robin across servers. Shared by [`ClusterSim`] and the
-/// federated driver's single-shard flat mode, so the two construct
-/// byte-identical simulations by definition.
-pub(crate) fn build_flat_topology(
-    cfg: &SimConfig,
-    n_nodes: usize,
-    mode: EngineMode,
-) -> (Engine, Vec<SimNode>, Vec<f64>) {
-    let mut engine = Engine::new_with_mode(vec![cfg.server_capacity_bps; cfg.n_servers], mode);
-    let mut link_base = vec![cfg.server_capacity_bps; cfg.n_servers];
-    let mut cabinet_links = Vec::new();
-    if let Some(k) = cfg.cabinet_size {
-        let n_cabinets = n_nodes.div_ceil(k);
-        for _ in 0..n_cabinets {
-            cabinet_links.push(engine.add_link(cfg.cabinet_uplink_bps));
-            link_base.push(cfg.cabinet_uplink_bps);
-        }
+/// Post-quiescence check: a node the retrying install protocol gave up
+/// on is a typed error, not a silent `None` in `per_node_seconds`.
+pub(crate) fn check_none_failed<'a>(
+    mut nodes: impl Iterator<Item = &'a SimNode>,
+) -> Result<(), ReinstallError> {
+    match nodes.find(|n| n.state == NodeState::Failed) {
+        Some(node) => Err(ReinstallError::AllServersDown {
+            node: node.name.clone(),
+            attempts: node.target_attempts,
+        }),
+        None => Ok(()),
     }
-    let nodes = (0..n_nodes)
-        .map(|i| {
-            // Home server first, then the remaining replicas in ring
-            // order — the failover rotation the retrying install
-            // protocol walks.
-            let servers: Vec<usize> = (0..cfg.n_servers).map(|s| (i + s) % cfg.n_servers).collect();
-            let mut extra = Vec::new();
-            if let Some(k) = cfg.cabinet_size {
-                extra.push(cabinet_links[i / k]);
-            }
-            let cabinet = cfg.cabinet_size.map_or(0, |k| i / k);
-            let mut node = SimNode::with_failover(
-                i,
-                &format!("compute-{cabinet}-{i}"),
-                servers,
-                extra,
-                cfg.seed,
-            );
-            node.set_quiet(!cfg.node_logs);
-            node
-        })
-        .collect();
-    (engine, nodes, link_base)
 }
 
 /// Pre-resolved metric handles, built once in
 /// [`ClusterSim::set_tracer`]. The hot path (`step_once`) only bumps
-/// plain integers; totals are published into these handles at
-/// [`ClusterSim::collect_result`], as deltas since the previous flush so
-/// collecting twice (or sharing a registry across sequential sims) never
-/// double-counts.
+/// the shard's plain integers; totals are published into these handles
+/// at [`ClusterSim::collect_result`], as deltas since the previous flush
+/// so collecting twice (or sharing a registry across sequential sims)
+/// never double-counts.
 #[derive(Debug)]
 struct NetsimTelemetry {
     flow_completions: Counter,
@@ -192,23 +185,15 @@ struct EventTally {
     installs_completed: u64,
 }
 
-/// A simulated cluster: engine + nodes + the configured package set.
+/// A simulated cluster: one shard (engine + nodes + faults + links)
+/// over the flat topology, plus the configured package set.
 #[derive(Debug)]
 pub struct ClusterSim {
     cfg: SimConfig,
-    engine: Engine,
-    nodes: Vec<SimNode>,
-    faults: Vec<Fault>,
+    shard: Shard,
     /// (virtual seconds, cumulative server bytes) sampled at every event,
     /// for utilization timelines.
     samples: Vec<(f64, f64)>,
-    /// Base (healthy, undegraded) capacity per engine link.
-    link_base: Vec<f64>,
-    /// Degradation factor per link (1.0 = healthy).
-    link_factor: Vec<f64>,
-    /// Whether each link's server is currently down. Only ever set for
-    /// server links; cabinet links are degraded, not downed.
-    link_down: Vec<bool>,
     /// Telemetry destination; disabled by default (zero cost per event).
     trace: Tracer,
     /// Cached `trace.records_events()`: the per-event path tests one
@@ -218,9 +203,6 @@ pub struct ClusterSim {
     /// Metric handles resolved once when a tracer with a registry is
     /// attached; `None` keeps the hot path untouched.
     telemetry: Option<NetsimTelemetry>,
-    /// Scheduler-event counts (flows drained, timers fired, faults
-    /// dispatched); plain integers so counting costs nothing.
-    events: EventTally,
 }
 
 impl ClusterSim {
@@ -235,21 +217,13 @@ impl ClusterSim {
     /// differential tests and the fast-vs-reference benchmark drive the
     /// same cluster through both paths.
     pub fn new_with_mode(cfg: SimConfig, n_nodes: usize, mode: EngineMode) -> ClusterSim {
-        let (engine, nodes, link_base) = build_flat_topology(&cfg, n_nodes, mode);
-        let n_links = link_base.len();
         ClusterSim {
+            shard: Shard::flat(&cfg, n_nodes, mode),
             cfg,
-            engine,
-            nodes,
-            faults: Vec::new(),
             samples: Vec::new(),
-            link_base,
-            link_factor: vec![1.0; n_links],
-            link_down: vec![false; n_links],
             trace: Tracer::disabled(),
             trace_events: false,
             telemetry: None,
-            events: EventTally::default(),
         }
     }
 
@@ -267,7 +241,7 @@ impl ClusterSim {
             installs_completed: reg.counter("netsim.installs.completed"),
             faults: reg.counter("netsim.faults"),
             backoff_seconds: reg.gauge("netsim.backoff_seconds"),
-            link_bytes: (0..self.link_base.len())
+            link_bytes: (0..self.shard.link_base.len())
                 .map(|i| reg.gauge(&format!("netsim.link.bytes.{i}")))
                 .collect(),
             flushed: std::cell::Cell::new(EventTally::default()),
@@ -285,31 +259,29 @@ impl ClusterSim {
     /// Schedule a fault at an absolute virtual time (seconds). Must be
     /// called before [`run_reinstall`](Self::run_reinstall).
     pub fn inject_fault_at(&mut self, at_seconds: f64, fault: Fault) {
-        let idx = self.faults.len();
-        self.faults.push(fault);
-        self.engine.start_timer(CONTROL_TAG_BASE + idx, micros(at_seconds));
+        self.shard.schedule_fault(at_seconds, fault);
     }
 
     /// Access a node (eKV tails read the log through this).
     pub fn node(&self, id: usize) -> &SimNode {
-        &self.nodes[id]
+        &self.shard.nodes[id]
     }
 
     /// All nodes.
     pub fn nodes(&self) -> &[SimNode] {
-        &self.nodes
+        &self.shard.nodes
     }
 
     /// Current virtual time in seconds.
     pub fn now_seconds(&self) -> f64 {
-        seconds(self.engine.now())
+        seconds(self.shard.engine.now())
     }
 
     /// Engine wakeups processed so far (flow completions, timers, and
     /// control events) — the denominator of events/second comparisons
     /// against the federated engine.
     pub fn events(&self) -> u64 {
-        self.events.flows + self.events.timers + self.events.faults
+        self.shard.flow_events + self.shard.timer_events + self.shard.fault_events
     }
 
     /// Power on every node simultaneously and run until the cluster
@@ -331,8 +303,7 @@ impl ClusterSim {
     pub fn try_run_reinstall(&mut self) -> Result<ReinstallResult, ReinstallError> {
         let _run = self.trace.span("netsim.run");
         self.begin_reinstall();
-        self.run_to_quiescence()?;
-        self.finish()
+        self.run_to_quiescence()
     }
 
     /// Power on every node with a fixed gap between machines — the
@@ -350,18 +321,14 @@ impl ClusterSim {
     ) -> Result<ReinstallResult, ReinstallError> {
         let _run = self.trace.span("netsim.run");
         // Reuse the fault timer mechanism for delayed power-ons.
-        for i in 0..self.nodes.len() {
+        for i in 0..self.shard.nodes.len() {
             if i == 0 {
-                self.trace.mark("node.power_on", 0);
-                self.nodes[0].power_on(&mut self.engine, &self.cfg);
+                self.power_on(0);
             } else {
-                let idx = self.faults.len();
-                self.faults.push(Fault::PowerCycle(i));
-                self.engine.start_timer(CONTROL_TAG_BASE + idx, micros(gap_seconds * i as f64));
+                self.shard.schedule_fault(gap_seconds * i as f64, Fault::PowerCycle(i));
             }
         }
-        self.run_to_quiescence()?;
-        self.finish()
+        self.run_to_quiescence()
     }
 
     /// Power on a subset of nodes (rolling upgrades reinstall in waves).
@@ -376,22 +343,24 @@ impl ClusterSim {
     ) -> Result<ReinstallResult, ReinstallError> {
         let _run = self.trace.span("netsim.run");
         for &id in ids {
-            self.trace.mark("node.power_on", id as u64);
-            self.nodes[id].power_on(&mut self.engine, &self.cfg);
+            self.power_on(id);
         }
-        self.run_to_quiescence()?;
-        self.finish()
+        self.run_to_quiescence()
     }
 
     /// Power on every node simultaneously without running the simulation
     /// — callers that want to observe the run event by event (the chaos
     /// harness) follow with [`step_once`](Self::step_once).
     pub fn begin_reinstall(&mut self) {
-        self.trace.set_time(self.engine.now());
-        for i in 0..self.nodes.len() {
-            self.trace.mark("node.power_on", i as u64);
-            self.nodes[i].power_on(&mut self.engine, &self.cfg);
+        self.trace.set_time(self.shard.engine.now());
+        for id in 0..self.shard.nodes.len() {
+            self.power_on(id);
         }
+    }
+
+    fn power_on(&mut self, id: usize) {
+        self.trace.mark("node.power_on", id as u64);
+        self.shard.nodes[id].power_on(&mut self.shard.engine, &self.cfg);
     }
 
     /// Process exactly one simulation event. Returns `Ok(true)` if an
@@ -399,74 +368,52 @@ impl ClusterSim {
     /// once the simulation is quiescent, and [`SimError::Stalled`] if the
     /// engine is idle while flows are still active — wedged, not done.
     pub fn step_once(&mut self) -> Result<bool, SimError> {
-        let (tag, event) = match self.engine.step() {
-            Wakeup::Idle => {
-                // Idle with flows still active means every remaining
-                // flow is starved (rate 0) and no timer will ever
-                // change that — the simulated cluster is wedged, not
-                // finished. Surface it instead of letting drivers
-                // spin on Idle forever.
-                let active = self.engine.active_flows();
-                if active > 0 {
-                    return Err(SimError::Stalled { active_flows: active, shard: None });
-                }
-                return Ok(false);
-            }
-            Wakeup::FlowDone { tag } => (tag, NodeEvent::FlowDone),
-            Wakeup::TimerFired { tag } => (tag, NodeEvent::TimerFired),
-        };
-        // Telemetry on the hot path is plain-integer tallies; everything
-        // that touches the tracer (clock store, marks, state diffing) is
-        // gated on one cached bool, so with events off — disabled tracer
-        // or no-op sink — the path is identical to uninstrumented code.
-        // Counters hit the registry once, at collection.
+        let stepped = self.shard.step(&self.cfg, SimTime::MAX);
+        if let Stepped::Quiet(_) = stepped {
+            // Idle with flows still active means every remaining flow is
+            // starved (rate 0) and no timer will ever change that — the
+            // simulated cluster is wedged, not finished. Surface it
+            // instead of letting drivers spin on Idle forever.
+            return match self.shard.wedged_work() {
+                0 => Ok(false),
+                active => Err(SimError::Stalled { active_flows: active, shard: None }),
+            };
+        }
+        // Telemetry on the hot path is the shard's plain-integer
+        // tallies; everything that touches the tracer (clock store,
+        // marks, state diffing) is gated on one cached bool, so with
+        // events off — disabled tracer or no-op sink — the path is
+        // identical to uninstrumented code. Counters hit the registry
+        // once, at collection.
         if self.trace_events {
-            self.trace.set_time(self.engine.now());
-        }
-        match event {
-            NodeEvent::FlowDone => self.events.flows += 1,
-            NodeEvent::TimerFired => self.events.timers += 1,
-        }
-        if tag >= CONTROL_TAG_BASE {
-            let idx = tag - CONTROL_TAG_BASE;
-            self.events.faults += 1;
-            if self.trace_events {
-                self.trace.mark("netsim.fault", idx as u64);
-            }
-            self.apply_fault(idx);
-        } else if self.trace_events {
-            let before = self.nodes[tag].state;
-            self.nodes[tag].on_wakeup(&mut self.engine, &self.cfg, event);
-            let after = self.nodes[tag].state;
-            if after != before {
-                match after {
-                    NodeState::Up => self.trace.mark("node.up", tag as u64),
-                    NodeState::Hung => self.trace.mark("node.hung", tag as u64),
-                    _ => {}
+            self.trace.set_time(self.shard.engine.now());
+            let nodes = &self.shard.nodes;
+            let mark = |name, id: usize| self.trace.mark(name, id as u64);
+            match stepped {
+                Stepped::Fault(idx) => {
+                    mark("netsim.fault", idx);
+                    match self.shard.faults[idx] {
+                        Fault::NodeHang(id) if id < nodes.len() => mark("node.hung", id),
+                        Fault::PowerCycle(id) if id < nodes.len() => mark("node.power_on", id),
+                        _ => {}
+                    }
                 }
+                Stepped::Node { id, was } if nodes[id].state != was => match nodes[id].state {
+                    NodeState::Up => mark("node.up", id),
+                    NodeState::Hung => mark("node.hung", id),
+                    _ => {}
+                },
+                _ => {}
             }
-        } else {
-            self.nodes[tag].on_wakeup(&mut self.engine, &self.cfg, event);
         }
-        let delivered: f64 = self.engine.link_bytes()[..self.cfg.n_servers].iter().sum();
-        self.samples.push((seconds(self.engine.now()), delivered));
+        let delivered: f64 = self.shard.engine.link_bytes()[..self.cfg.n_servers].iter().sum();
+        self.samples.push((seconds(self.shard.engine.now()), delivered));
         Ok(true)
     }
 
-    fn run_to_quiescence(&mut self) -> Result<(), SimError> {
+    fn run_to_quiescence(&mut self) -> Result<ReinstallResult, ReinstallError> {
         while self.step_once()? {}
-        Ok(())
-    }
-
-    /// Post-quiescence check: a node the retrying install protocol gave
-    /// up on is a typed error, not a silent `None` in `per_node_seconds`.
-    fn finish(&self) -> Result<ReinstallResult, ReinstallError> {
-        if let Some(node) = self.nodes.iter().find(|n| n.state == NodeState::Failed) {
-            return Err(ReinstallError::AllServersDown {
-                node: node.name.clone(),
-                attempts: node.target_attempts,
-            });
-        }
+        check_none_failed(self.shard.nodes.iter())?;
         Ok(self.collect_result())
     }
 
@@ -494,75 +441,27 @@ impl ClusterSim {
         per_bucket.into_iter().map(|bytes| (bytes / (bucket_s * capacity)).min(1.0)).collect()
     }
 
-    /// Push `link`'s effective capacity (base × degradation, zero while
-    /// its server is down) into the engine.
-    fn refresh_link(&mut self, link: usize) {
-        let bps =
-            if self.link_down[link] { 0.0 } else { self.link_base[link] * self.link_factor[link] };
-        self.engine.set_link_capacity(link, bps);
-    }
-
-    fn apply_fault(&mut self, idx: usize) {
-        match self.faults[idx].clone() {
-            Fault::ServerDown(id) => {
-                // Only a known, currently-up server can go down; anything
-                // else (a cabinet link, a repeated down) is a no-op.
-                if id < self.cfg.n_servers && !self.link_down[id] {
-                    self.link_down[id] = true;
-                    self.refresh_link(id);
-                }
-            }
-            Fault::ServerUp(id) => {
-                // Reviving a server that was never taken down is a no-op
-                // — it must not clobber the link's (possibly degraded)
-                // capacity, and ids beyond the server range must not
-                // touch cabinet uplinks.
-                if id < self.cfg.n_servers && self.link_down[id] {
-                    self.link_down[id] = false;
-                    self.refresh_link(id);
-                }
-            }
-            Fault::NodeHang(id) => {
-                self.trace.mark("node.hung", id as u64);
-                self.nodes[id].hang(&mut self.engine);
-            }
-            Fault::PowerCycle(id) => {
-                self.trace.mark("node.power_on", id as u64);
-                self.nodes[id].power_on(&mut self.engine, &self.cfg);
-            }
-            Fault::LinkDegrade { link, factor } => {
-                if link < self.link_base.len() {
-                    self.link_factor[link] = factor.clamp(0.0, 1.0);
-                    self.refresh_link(link);
-                }
-            }
-        }
-    }
-
     /// Snapshot the per-node outcome of the run so far. The chaos
     /// harness uses this directly (it wants accounting even when a node
     /// failed); [`try_run_reinstall`](Self::try_run_reinstall) wraps it
     /// behind the typed-error check.
     pub fn collect_result(&self) -> ReinstallResult {
+        let (engine, nodes) = (&self.shard.engine, &self.shard.nodes);
         if let Some(t) = &self.telemetry {
-            // Publish cumulative totals — scheduler tallies plus the
-            // nodes' own FSM counters, so the registry can never disagree
-            // with the result it is collected alongside. Counters receive
-            // the delta since the previous flush (collecting twice adds
-            // nothing); gauges are set idempotently and mirror the
-            // engine's settled-byte ledger bit for bit.
+            // Publish cumulative totals — the shard's scheduler tallies
+            // plus the nodes' own FSM counters, so the registry can never
+            // disagree with the result it is collected alongside.
+            // Counters receive the delta since the previous flush
+            // (collecting twice adds nothing); gauges are set idempotently
+            // and mirror the engine's settled-byte ledger bit for bit.
             let now = EventTally {
-                flows: self.events.flows,
-                timers: self.events.timers,
-                faults: self.events.faults,
-                fetch_attempts: self.nodes.iter().map(|n| u64::from(n.fetch_attempts)).sum(),
-                failovers: self.nodes.iter().map(|n| u64::from(n.failovers)).sum(),
-                kickstart_requests: self
-                    .nodes
-                    .iter()
-                    .map(|n| u64::from(n.kickstart_requests))
-                    .sum(),
-                installs_completed: self.nodes.iter().map(|n| n.installs_completed as u64).sum(),
+                flows: self.shard.flow_events,
+                timers: self.shard.timer_events,
+                faults: self.shard.fault_events,
+                fetch_attempts: nodes.iter().map(|n| u64::from(n.fetch_attempts)).sum(),
+                failovers: nodes.iter().map(|n| u64::from(n.failovers)).sum(),
+                kickstart_requests: nodes.iter().map(|n| u64::from(n.kickstart_requests)).sum(),
+                installs_completed: nodes.iter().map(|n| n.installs_completed as u64).sum(),
             };
             let prev = t.flushed.replace(now);
             t.flow_completions.add(now.flows - prev.flows);
@@ -572,21 +471,13 @@ impl ClusterSim {
             t.failovers.add(now.failovers - prev.failovers);
             t.kickstart_requests.add(now.kickstart_requests - prev.kickstart_requests);
             t.installs_completed.add(now.installs_completed - prev.installs_completed);
-            for (gauge, &bytes) in t.link_bytes.iter().zip(self.engine.link_bytes()) {
+            for (gauge, &bytes) in t.link_bytes.iter().zip(engine.link_bytes()) {
                 gauge.set(bytes);
             }
-            t.backoff_seconds.set(self.nodes.iter().map(|n| n.backoff_seconds).sum());
+            t.backoff_seconds.set(nodes.iter().map(|n| n.backoff_seconds).sum());
         }
-        let per_node_seconds: Vec<Option<f64>> =
-            self.nodes.iter().map(|n| n.last_install_seconds()).collect();
-        ReinstallResult {
-            per_node_seconds,
-            total_seconds: seconds(self.engine.now()),
-            server_bytes: self.engine.link_bytes()[..self.cfg.n_servers].to_vec(),
-            per_node_attempts: self.nodes.iter().map(|n| n.fetch_attempts).collect(),
-            per_node_failovers: self.nodes.iter().map(|n| n.failovers).collect(),
-            per_node_backoff_seconds: self.nodes.iter().map(|n| n.backoff_seconds).collect(),
-        }
+        let server_bytes = engine.link_bytes()[..self.cfg.n_servers].to_vec();
+        ReinstallResult::of(std::slice::from_ref(&self.shard), server_bytes)
     }
 
     /// The configuration this cluster was built with.
@@ -597,12 +488,12 @@ impl ClusterSim {
     /// Bytes delivered so far per engine link (servers first, then
     /// cabinet uplinks).
     pub fn link_bytes(&self) -> &[f64] {
-        self.engine.link_bytes()
+        self.shard.engine.link_bytes()
     }
 
     /// Base (healthy) capacity per engine link.
     pub fn link_base_capacities(&self) -> &[f64] {
-        &self.link_base
+        &self.shard.link_base
     }
 }
 

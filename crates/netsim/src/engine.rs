@@ -165,6 +165,15 @@ pub struct Engine {
     dirty: bool,
 }
 
+/// The earlier of two optional event times.
+fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    match (a, b) {
+        (Some(x), Some(y)) => Some(x.min(y)),
+        (x, None) => x,
+        (None, y) => y,
+    }
+}
+
 impl Engine {
     /// Create an engine with the given per-link capacities (servers
     /// first, by convention), running the fast scheduler.
@@ -496,7 +505,15 @@ impl Engine {
     /// completion, per-flow byte debit on every event.
     fn step_ref(&mut self) -> Wakeup {
         let (flow_done, timer) = self.next_ref();
+        self.commit_ref(flow_done, timer)
+    }
 
+    /// Execute the event `next_ref` selected.
+    fn commit_ref(
+        &mut self,
+        flow_done: Option<(SimTime, FlowId)>,
+        timer: Option<(SimTime, u64, usize)>,
+    ) -> Wakeup {
         let (advance_to, is_timer) = match (flow_done, timer) {
             (Some((ft, _)), Some((tt, _, _))) => {
                 if tt <= ft {
@@ -608,12 +625,7 @@ impl Engine {
                 (f.map(|(at, _)| at), t.map(|(at, _, _)| at))
             }
         };
-        match (flow_at, timer_at) {
-            (Some(f), Some(t)) => Some(f.min(t)),
-            (Some(f), None) => Some(f),
-            (None, Some(t)) => Some(t),
-            (None, None) => None,
-        }
+        earlier(flow_at, timer_at)
     }
 
     /// Execute the next event only if it occurs strictly before `end`:
@@ -626,22 +638,20 @@ impl Engine {
         match self.mode {
             EngineMode::Fast => {
                 let (flow_done, timer) = self.next_fast();
-                let at = match (flow_done, timer) {
-                    (None, None) => return Err(None),
-                    (Some((ft, _, _)), None) => ft,
-                    (None, Some((tt, _, _))) => tt,
-                    (Some((ft, _, _)), Some((tt, _, _))) => ft.min(tt),
-                };
-                if at >= end {
-                    return Err(Some(at));
+                match earlier(flow_done.map(|f| f.0), timer.map(|t| t.0)) {
+                    None => Err(None),
+                    Some(at) if at >= end => Err(Some(at)),
+                    Some(_) => Ok(self.commit_fast(flow_done, timer)),
                 }
-                Ok(self.commit_fast(flow_done, timer))
             }
-            EngineMode::Reference => match self.peek_next_at() {
-                None => Err(None),
-                Some(at) if at >= end => Err(Some(at)),
-                Some(_) => Ok(self.step()),
-            },
+            EngineMode::Reference => {
+                let (flow_done, timer) = self.next_ref();
+                match earlier(flow_done.map(|f| f.0), timer.map(|t| t.0)) {
+                    None => Err(None),
+                    Some(at) if at >= end => Err(Some(at)),
+                    Some(_) => Ok(self.commit_ref(flow_done, timer)),
+                }
+            }
         }
     }
 

@@ -22,6 +22,9 @@
 //! * [`cluster`] — the experiment driver: concurrent reinstallations,
 //!   serial-download micro-benchmark, server replication, Gigabit uplink,
 //!   power-distribution-unit control, and failure injection,
+//! * [`shard`] — the one cabinet simulator both drivers step, and the
+//!   federated driver that runs one per cabinet under the caching
+//!   [`tier`]s, in conservative windows across worker threads,
 //! * [`chaos`] — the seeded chaos harness: randomized fault schedules
 //!   over randomized topologies, checked against pluggable invariants
 //!   (byte conservation, eventual completion, monotone phases,

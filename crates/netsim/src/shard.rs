@@ -1,13 +1,15 @@
-//! The federated simulation engine: one sub-simulator per cabinet.
+//! The cabinet simulator and the federated engine built from it.
 //!
-//! A flat [`ClusterSim`](crate::cluster::ClusterSim) runs every node in
-//! one engine; past ~10⁴ nodes the single event loop (and the single
-//! thread driving it) becomes the bottleneck. This module shards the
-//! cluster at cabinet granularity: each cabinet's nodes, serve link,
-//! and caching proxy live in their own [`Engine`] (a *shard*), and the
-//! shards couple to the campus/root tiers of [`crate::tier`] only
-//! through cache-miss requests flowing up and fill completions flowing
-//! down.
+//! A [`Shard`] is the one unit that steps a cabinet: an [`Engine`], the
+//! nodes wired to it, a fault table, per-link base/degradation/down
+//! state, and optionally a caching proxy. [`Shard::step`] runs one event
+//! — a node wakeup, a fault, or a proxy fill — and says which. Two
+//! drivers step it: [`ClusterSim`](crate::cluster::ClusterSim) holds one
+//! proxy-less shard over the flat topology; [`FederatedSim`] holds one
+//! shard per cabinet, because past ~10⁴ nodes a single event loop (and
+//! the single thread driving it) is the bottleneck. Its shards couple to
+//! the campus/root tiers of [`crate::tier`] only through cache-miss
+//! requests flowing up and fill completions flowing down.
 //!
 //! Synchronization is conservative windowing. Every upward request is
 //! answered no earlier than one store-and-forward latency `W`
@@ -16,20 +18,19 @@
 //! `end` as long as every fill the tier completed before `end − W` has
 //! already been delivered. The driver therefore repeats: pick `end =
 //! (t_all / W + 1) · W` where `t_all` is the earliest pending event
-//! anywhere (shards, tiers, undelivered fills); run every shard to
-//! `end`; inject the batched miss requests into the tier; advance the
-//! tier to `end`; deliver completed fills back into shards as timers at
-//! `fill time + W`. The window sequence — and hence every engine's
-//! event sequence — is a pure function of the configuration, so runs
-//! are bit-identical regardless of worker thread count, and a
-//! single-shard flat federation is byte-identical to `ClusterSim`.
+//! anywhere (shards, tiers, undelivered fills); deliver completed fills
+//! into shards as timers at `fill time + W` and run every shard to
+//! `end` ([`Chunk::run_window`]); inject the batched miss requests into
+//! the tier and advance it to `end`. That loop is [`run_windows`], used
+//! by the serial and the threaded driver alike, and the window sequence
+//! — hence every engine's event sequence — is a pure function of the
+//! configuration, so runs are bit-identical regardless of worker thread
+//! count.
 
-use crate::cluster::{build_flat_topology, Fault, ReinstallResult, CONTROL_TAG_BASE};
+use crate::cluster::{check_none_failed, Fault, ReinstallResult, CONTROL_TAG_BASE};
 use crate::config::{SimConfig, TierConfig};
-use crate::engine::{micros, seconds, Engine, EngineMode, SimError, SimTime, Wakeup};
-use crate::node::{
-    DirectFetch, FetchBackend, FetchStart, FetchTarget, NodeEvent, NodeState, SimNode,
-};
+use crate::engine::{micros, Engine, EngineMode, SimError, SimTime, Wakeup};
+use crate::node::{FetchBackend, FetchStart, FetchTarget, NodeEvent, NodeState, SimNode};
 use crate::reinstall::ReinstallError;
 use crate::tier::{FillDone, MissRequest, ProxyCache, TierNet, TierReport};
 use rocks_trace::{Counter, Gauge, Tracer};
@@ -95,110 +96,218 @@ impl FetchBackend for ProxyBroker<'_> {
     }
 }
 
-/// One cabinet's sub-simulator: its engine, nodes, proxy cache, and
-/// fault table.
+/// What one [`Shard::step`] ran, so a driver can trace it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Stepped {
+    /// Node `id` (global) was woken; `was` is its state beforehand.
+    Node { id: usize, was: NodeState },
+    /// Entry `idx` of the fault table was applied.
+    Fault(usize),
+    /// A fill landed at the proxy.
+    Fill,
+    /// Nothing ran: the next event (if any) is at or past the horizon.
+    Quiet(Option<SimTime>),
+}
+
+/// One cabinet's simulator: its engine, nodes, fault table, link state
+/// and — under the tiered fabric — its proxy cache.
 #[derive(Debug)]
-struct Shard {
+pub(crate) struct Shard {
     /// Cabinet index (global).
     id: usize,
     /// Global node id of this shard's first node.
     base: usize,
-    engine: Engine,
-    nodes: Vec<SimNode>,
-    /// `Some` in tiered mode; `None` for the flat single-shard mode.
+    pub(crate) engine: Engine,
+    pub(crate) nodes: Vec<SimNode>,
+    /// The cabinet's caching proxy; `None` when nodes fetch straight
+    /// from the install servers.
     proxy: Option<ProxyCache>,
     /// Misses accumulated during the current window.
     outbox: Vec<MissRequest>,
-    /// Cached earliest pending event; refreshed by
-    /// [`run_window`](Shard::run_window) and lowered by fill delivery.
-    next_at: Option<SimTime>,
-    /// Events processed (flow completions + timers).
-    events: u64,
+    /// Flow completions, timers (node, fault and fill-delivery) and
+    /// faults stepped; a fault also counts as the timer that carried it.
+    pub(crate) flow_events: u64,
+    pub(crate) timer_events: u64,
+    pub(crate) fault_events: u64,
     /// Control events scheduled into this shard.
-    faults: Vec<Fault>,
-    /// Server links local to this shard (flat mode: `cfg.n_servers`;
-    /// tiered: 0, so server faults are no-ops).
-    n_servers: usize,
-    link_base: Vec<f64>,
+    pub(crate) faults: Vec<Fault>,
+    /// Base (healthy, undegraded) capacity per engine link.
+    pub(crate) link_base: Vec<f64>,
+    /// Degradation factor per link (1.0 = healthy).
     link_factor: Vec<f64>,
+    /// Whether each link's server is currently down. Only ever set for
+    /// server links; cabinet links are degraded, not downed.
     link_down: Vec<bool>,
-    /// Bytes per fill target (tiered mode only).
-    target_bytes: Vec<u64>,
-    kick_id: usize,
+}
+
+/// Node `i`, named by its cabinet, fetching from `servers` in failover
+/// order over `extra` shared links.
+fn new_node(
+    cfg: &SimConfig,
+    i: usize,
+    cabinet: usize,
+    servers: Vec<usize>,
+    extra: Vec<usize>,
+) -> SimNode {
+    let mut node =
+        SimNode::with_failover(i, &format!("compute-{cabinet}-{i}"), servers, extra, cfg.seed);
+    node.set_quiet(!cfg.node_logs);
+    node
 }
 
 impl Shard {
+    fn new(
+        id: usize,
+        base: usize,
+        engine: Engine,
+        nodes: Vec<SimNode>,
+        proxy: Option<ProxyCache>,
+    ) -> Shard {
+        let n_links = engine.link_bytes().len();
+        Shard {
+            id,
+            base,
+            link_base: (0..n_links).map(|link| engine.link_capacity(link)).collect(),
+            link_factor: vec![1.0; n_links],
+            link_down: vec![false; n_links],
+            engine,
+            nodes,
+            proxy,
+            outbox: Vec::new(),
+            flow_events: 0,
+            timer_events: 0,
+            fault_events: 0,
+            faults: Vec::new(),
+        }
+    }
+
+    /// The flat topology as one proxy-less shard: the server links plus
+    /// optional cabinet uplinks in one engine, and `n_nodes` nodes wired
+    /// round-robin across the servers.
+    pub(crate) fn flat(cfg: &SimConfig, n_nodes: usize, mode: EngineMode) -> Shard {
+        let mut engine = Engine::new_with_mode(vec![cfg.server_capacity_bps; cfg.n_servers], mode);
+        let cabinet_links: Vec<usize> = match cfg.cabinet_size {
+            Some(k) => {
+                (0..n_nodes.div_ceil(k)).map(|_| engine.add_link(cfg.cabinet_uplink_bps)).collect()
+            }
+            None => Vec::new(),
+        };
+        let nodes = (0..n_nodes)
+            .map(|i| {
+                // Home server first, then the remaining replicas in ring
+                // order — the failover rotation the retrying install
+                // protocol walks.
+                let servers = (0..cfg.n_servers).map(|s| (i + s) % cfg.n_servers).collect();
+                let cabinet = cfg.cabinet_size.map_or(0, |k| i / k);
+                let extra = cabinet_links.get(cabinet).copied().into_iter().collect();
+                new_node(cfg, i, cabinet, servers, extra)
+            })
+            .collect();
+        Shard::new(0, 0, engine, nodes, None)
+    }
+
+    /// Cabinet `c` of the tiered topology: its share of `n_nodes` behind
+    /// a cold proxy whose serve link is the engine's only link.
+    fn cabinet(cfg: &SimConfig, tiers: &TierConfig, c: usize, n_nodes: usize) -> Shard {
+        let base = c * tiers.cabinet_size;
+        let top = ((c + 1) * tiers.cabinet_size).min(n_nodes);
+        let nodes = (base..top).map(|i| new_node(cfg, i, c, vec![0], Vec::new())).collect();
+        let engine = Engine::new(vec![tiers.proxy_serve_bps]);
+        let proxy = ProxyCache::new(cfg.packages.len() + 1);
+        Shard::new(c, base, engine, nodes, Some(proxy))
+    }
+
+    /// Schedule `fault` at an absolute virtual time (seconds).
+    pub(crate) fn schedule_fault(&mut self, at_seconds: f64, fault: Fault) {
+        let idx = self.faults.len();
+        self.faults.push(fault);
+        self.engine.start_timer(CONTROL_TAG_BASE + idx, micros(at_seconds));
+    }
+
+    /// Run the next event if it occurs strictly before `horizon`, and
+    /// report what it was: the one place engine wakeups are dispatched
+    /// to fills, faults and node FSMs.
+    #[inline]
+    pub(crate) fn step(&mut self, cfg: &SimConfig, horizon: SimTime) -> Stepped {
+        let (tag, event) = match self.engine.step_if_before(horizon) {
+            Err(next) => return Stepped::Quiet(next),
+            Ok(Wakeup::Idle) => return Stepped::Quiet(None),
+            Ok(Wakeup::FlowDone { tag }) => {
+                self.flow_events += 1;
+                (tag, NodeEvent::FlowDone)
+            }
+            Ok(Wakeup::TimerFired { tag }) => {
+                self.timer_events += 1;
+                (tag, NodeEvent::TimerFired)
+            }
+        };
+        if tag >= FILL_TAG_BASE {
+            self.on_fill(cfg, tag - FILL_TAG_BASE);
+            Stepped::Fill
+        } else if tag >= CONTROL_TAG_BASE {
+            self.fault_events += 1;
+            self.apply_fault(cfg, tag - CONTROL_TAG_BASE);
+            Stepped::Fault(tag - CONTROL_TAG_BASE)
+        } else {
+            let local = tag - self.base;
+            let was = self.nodes[local].state;
+            match self.proxy.as_mut() {
+                Some(proxy) => {
+                    let mut broker = ProxyBroker {
+                        proxy,
+                        outbox: &mut self.outbox,
+                        cabinet: self.id,
+                        kick_id: cfg.packages.len(),
+                    };
+                    self.nodes[local].on_wakeup_with(&mut self.engine, cfg, event, &mut broker);
+                }
+                None => self.nodes[local].on_wakeup(&mut self.engine, cfg, event),
+            }
+            Stepped::Node { id: tag, was }
+        }
+    }
+
     /// Whether this shard can run ahead of the global window: nothing is
     /// parked on its proxy, so no tier event can ever reach it until it
     /// emits a miss of its own (fills only answer this cabinet's own
-    /// requests). Flat shards have no upstream at all.
+    /// requests).
     fn can_run_ahead(&self) -> bool {
         self.proxy.as_ref().is_none_or(|p| p.parked() == 0)
     }
 
     /// Run this shard's engine up to (but excluding) `horizon`, appending
-    /// emitted miss requests to `out`. Leaves `next_at` holding the
-    /// earliest remaining event (or `None` when drained). A
-    /// `SimTime::MAX` horizon means the shard is running ahead of the
-    /// window (see [`can_run_ahead`](Shard::can_run_ahead)); it then
-    /// stops at the first miss it emits, because the response time of
-    /// that miss depends on tier contention it cannot know locally.
-    fn run_window(&mut self, cfg: &SimConfig, horizon: SimTime, out: &mut Vec<MissRequest>) {
-        loop {
+    /// emitted miss requests to `out`, and return the earliest remaining
+    /// event (`None` when drained). A `SimTime::MAX` horizon means the
+    /// shard is running ahead of the window (see
+    /// [`can_run_ahead`](Shard::can_run_ahead)); it then stops at the
+    /// first miss it emits, because the response time of that miss
+    /// depends on tier contention it cannot know locally.
+    fn run_window(
+        &mut self,
+        cfg: &SimConfig,
+        horizon: SimTime,
+        out: &mut Vec<MissRequest>,
+    ) -> Option<SimTime> {
+        let next = loop {
             if horizon == SimTime::MAX && !self.outbox.is_empty() {
-                self.next_at = self.engine.peek_next_at();
-                break;
+                break self.engine.peek_next_at();
             }
-            let (tag, event) = match self.engine.step_if_before(horizon) {
-                Err(next) => {
-                    self.next_at = next;
-                    break;
-                }
-                Ok(Wakeup::Idle) => {
-                    self.next_at = None;
-                    break;
-                }
-                Ok(Wakeup::FlowDone { tag }) => (tag, NodeEvent::FlowDone),
-                Ok(Wakeup::TimerFired { tag }) => (tag, NodeEvent::TimerFired),
-            };
-            self.events += 1;
-            if tag >= FILL_TAG_BASE {
-                self.on_fill(cfg, tag - FILL_TAG_BASE);
-            } else if tag >= CONTROL_TAG_BASE {
-                self.apply_fault(cfg, tag - CONTROL_TAG_BASE);
-            } else {
-                let local = tag - self.base;
-                match self.proxy.as_mut() {
-                    Some(proxy) => {
-                        let mut broker = ProxyBroker {
-                            proxy,
-                            outbox: &mut self.outbox,
-                            cabinet: self.id,
-                            kick_id: self.kick_id,
-                        };
-                        self.nodes[local].on_wakeup_with(&mut self.engine, cfg, event, &mut broker);
-                    }
-                    None => self.nodes[local].on_wakeup_with(
-                        &mut self.engine,
-                        cfg,
-                        event,
-                        &mut DirectFetch,
-                    ),
-                }
+            if let Stepped::Quiet(next) = self.step(cfg, horizon) {
+                break next;
             }
-        }
+        };
         out.append(&mut self.outbox);
+        next
     }
 
     /// A fill landed at the proxy: start serve flows for the released
-    /// waiters.
+    /// waiters. Target `packages.len()` is the kickstart.
     fn on_fill(&mut self, cfg: &SimConfig, target: usize) {
-        let bytes = self.target_bytes[target];
-        let kick_id = self.kick_id;
-        let proxy = self.proxy.as_mut().expect("fill timers only exist in tiered mode");
+        let bytes = cfg.packages.get(target).map_or(cfg.kickstart_bytes, |p| p.transfer_bytes);
+        let proxy = self.proxy.as_mut().expect("only a proxy's misses are answered by fills");
         proxy.fills += 1;
         proxy.fill_bytes += bytes;
-        let released = proxy.fill_landed(target, kick_id);
+        let released = proxy.fill_landed(target, cfg.packages.len());
         for tag in released {
             let route = &self.nodes[tag - self.base].route;
             self.engine.start_flow_routed(route, tag, bytes, cfg.per_stream_bps);
@@ -206,47 +315,53 @@ impl Shard {
     }
 
     /// Arm the delivery timer for a completed fill: it becomes visible
-    /// to this shard one store-and-forward latency after it finished.
-    fn deliver_fill(&mut self, fill: &FillDone, window: SimTime) {
-        let t_eff = fill.at + window;
-        let delay = t_eff.saturating_sub(self.engine.now());
-        self.engine.start_timer(FILL_TAG_BASE + fill.target, delay);
-        self.next_at = Some(self.next_at.map_or(t_eff, |t| t.min(t_eff)));
+    /// to this shard at `at`, one store-and-forward latency after it
+    /// finished.
+    fn deliver_fill(&mut self, target: usize, at: SimTime) {
+        let delay = at.saturating_sub(self.engine.now());
+        self.engine.start_timer(FILL_TAG_BASE + target, delay);
     }
 
+    /// Push `link`'s effective capacity (base × degradation, zero while
+    /// its server is down) into the engine.
     fn refresh_link(&mut self, link: usize) {
         let bps =
             if self.link_down[link] { 0.0 } else { self.link_base[link] * self.link_factor[link] };
         self.engine.set_link_capacity(link, bps);
     }
 
-    /// Mirror of `ClusterSim::apply_fault`, against this shard's local
-    /// links and nodes (node ids in faults are global).
+    /// Apply fault `idx` to this shard's links and nodes (node ids in
+    /// faults are global). A fault naming a server, link or node the
+    /// shard does not hold is a no-op. Links `..cfg.n_servers` are the
+    /// servers — the federated router never forwards a server fault to
+    /// a cabinet, whose one link is its proxy.
     fn apply_fault(&mut self, cfg: &SimConfig, idx: usize) {
-        match self.faults[idx].clone() {
-            Fault::ServerDown(id) => {
-                if id < self.n_servers && !self.link_down[id] {
-                    self.link_down[id] = true;
+        match self.faults[idx] {
+            // Only a known server whose state actually changes is
+            // touched: a repeated down, or reviving a server that was
+            // never taken down, must not clobber the link's (possibly
+            // degraded) capacity, and ids beyond the server range must
+            // not touch cabinet uplinks.
+            Fault::ServerDown(id) | Fault::ServerUp(id) => {
+                let down = matches!(self.faults[idx], Fault::ServerDown(_));
+                if id < cfg.n_servers && self.link_down[id] != down {
+                    self.link_down[id] = down;
                     self.refresh_link(id);
                 }
             }
-            Fault::ServerUp(id) => {
-                if id < self.n_servers && self.link_down[id] {
-                    self.link_down[id] = false;
-                    self.refresh_link(id);
-                }
-            }
-            Fault::NodeHang(id) => {
+            Fault::NodeHang(id) | Fault::PowerCycle(id) => {
+                let Some(node) = id.checked_sub(self.base).and_then(|i| self.nodes.get_mut(i))
+                else {
+                    return;
+                };
                 if let Some(proxy) = self.proxy.as_mut() {
                     proxy.unpark(id);
                 }
-                self.nodes[id - self.base].hang(&mut self.engine);
-            }
-            Fault::PowerCycle(id) => {
-                if let Some(proxy) = self.proxy.as_mut() {
-                    proxy.unpark(id);
+                if matches!(self.faults[idx], Fault::NodeHang(_)) {
+                    node.hang(&mut self.engine);
+                } else {
+                    node.power_on(&mut self.engine, cfg);
                 }
-                self.nodes[id - self.base].power_on(&mut self.engine, cfg);
             }
             Fault::LinkDegrade { link, factor } => {
                 if link < self.link_base.len() {
@@ -259,16 +374,101 @@ impl Shard {
 
     /// Work that can never finish on its own: live flows (possibly
     /// starved) plus requests parked on the proxy.
-    fn wedged_work(&self) -> usize {
+    pub(crate) fn wedged_work(&self) -> usize {
         self.engine.active_flows() + self.proxy.as_ref().map_or(0, ProxyCache::parked)
     }
 }
 
-fn min_opt(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, None) => x,
-        (None, y) => y,
+/// A contiguous run of shards stepped by one thread, with dense mirrors
+/// of each shard's earliest pending event and run-ahead eligibility: the
+/// per-window scans touch these cache-resident arrays instead of 16k
+/// scattered shard structs.
+struct Chunk<'a> {
+    shards: &'a mut [Shard],
+    next: Vec<Option<SimTime>>,
+    ahead: Vec<bool>,
+}
+
+impl<'a> Chunk<'a> {
+    fn new(shards: &'a mut [Shard]) -> Chunk<'a> {
+        let next = shards.iter_mut().map(|s| s.engine.peek_next_at()).collect();
+        let ahead = shards.iter().map(Shard::can_run_ahead).collect();
+        Chunk { shards, next, ahead }
+    }
+
+    /// Earliest pending event in any of the shards.
+    fn next_at(&self) -> Option<SimTime> {
+        self.next.iter().copied().flatten().min()
+    }
+
+    /// The shard half of one window: deliver the `fills` the tier
+    /// completed last window to their cabinets (all in this chunk),
+    /// then run every shard with an event before `end` up to `end` — a
+    /// shard with nothing parked runs ahead until it emits a miss —
+    /// and return the earliest event left. Delivering now rather than
+    /// when the fill completed is equivalent: a delivery timer never
+    /// lands inside a window that already ran.
+    fn run_window(
+        &mut self,
+        cfg: &SimConfig,
+        window: SimTime,
+        end: SimTime,
+        fills: &[FillDone],
+        out: &mut Vec<MissRequest>,
+    ) -> Option<SimTime> {
+        let first = self.shards.first().map_or(0, |s| s.id);
+        for fill in fills {
+            let (i, at) = (fill.cabinet - first, fill.at + window);
+            self.shards[i].deliver_fill(fill.target, at);
+            self.next[i] = Some(self.next[i].map_or(at, |t| t.min(at)));
+        }
+        for (i, shard) in self.shards.iter_mut().enumerate() {
+            let (next, ahead) = (self.next[i], self.ahead[i]);
+            let run = if ahead { next.is_some() } else { next.is_some_and(|at| at < end) };
+            if run {
+                let horizon = if ahead { SimTime::MAX } else { end };
+                self.next[i] = shard.run_window(cfg, horizon, out);
+                self.ahead[i] = shard.can_run_ahead();
+            }
+        }
+        self.next_at()
+    }
+}
+
+/// The window loop, written once for both drivers. Each round picks
+/// `end`, the first window boundary past the earliest pending event
+/// anywhere (shards, pooled requests, tier, undelivered fills); has
+/// `run_shards(end, fills, pool)` run the shard half — every chunk's
+/// [`Chunk::run_window`], misses appended to the pool in shard order,
+/// earliest shard event left returned; then injects the pooled requests
+/// below `end` into the tier and advances it to `end`. Requests from
+/// run-ahead shards beyond `end` stay pooled: the tier must ingest
+/// misses in global time order. The sort is stable, so ingestion order
+/// does not depend on how shards were spread over threads.
+fn run_windows(
+    tier: &mut TierNet,
+    window: SimTime,
+    mut shards_next: Option<SimTime>,
+    mut run_shards: impl FnMut(SimTime, &[FillDone], &mut Vec<MissRequest>) -> Option<SimTime>,
+) {
+    let mut pool: Vec<MissRequest> = Vec::new();
+    let mut fills: Vec<FillDone> = Vec::new();
+    loop {
+        let t_all = shards_next
+            .into_iter()
+            .chain(pool.first().map(|r| r.at))
+            .chain(tier.next_event_at())
+            .chain(fills.iter().map(|fill| fill.at + window))
+            .min();
+        let Some(t) = t_all else { break };
+        let end = (t / window + 1) * window;
+        shards_next = run_shards(end, &fills, &mut pool);
+        pool.sort_by_key(|r| (r.at, r.cabinet));
+        let cut = pool.partition_point(|r| r.at < end);
+        tier.inject(&pool[..cut]);
+        pool.drain(..cut);
+        fills.clear();
+        tier.advance_to(end, &mut fills);
     }
 }
 
@@ -296,11 +496,10 @@ struct FederatedTelemetry {
 #[derive(Debug)]
 pub struct FederatedSim {
     cfg: SimConfig,
-    tiers: Option<TierConfig>,
+    tiers: TierConfig,
     shards: Vec<Shard>,
-    tier: Option<TierNet>,
-    /// Conservative lookahead window, µs (= the tier fill latency in
-    /// tiered mode).
+    tier: TierNet,
+    /// Conservative lookahead window, µs (= the tier fill latency).
     window: SimTime,
     threads: usize,
     trace: Tracer,
@@ -308,44 +507,6 @@ pub struct FederatedSim {
 }
 
 impl FederatedSim {
-    /// A single-shard federation over the flat topology — the same
-    /// engine, node wiring, and event sequence as
-    /// [`ClusterSim`](crate::cluster::ClusterSim) running the fast
-    /// scheduler, just driven through the windowed loop. Byte-identical
-    /// results to `ClusterSim` by construction (the window only
-    /// partitions the identical step sequence).
-    pub fn new_flat(cfg: SimConfig, n_nodes: usize) -> FederatedSim {
-        let (engine, nodes, link_base) = build_flat_topology(&cfg, n_nodes, EngineMode::Fast);
-        let n_links = link_base.len();
-        let shard = Shard {
-            id: 0,
-            base: 0,
-            engine,
-            nodes,
-            proxy: None,
-            outbox: Vec::new(),
-            next_at: None,
-            events: 0,
-            faults: Vec::new(),
-            n_servers: cfg.n_servers,
-            link_base,
-            link_factor: vec![1.0; n_links],
-            link_down: vec![false; n_links],
-            target_bytes: Vec::new(),
-            kick_id: 0,
-        };
-        FederatedSim {
-            cfg,
-            tiers: None,
-            shards: vec![shard],
-            tier: None,
-            window: 1 << 20, // ~1 s; any positive window partitions the same sequence
-            threads: 1,
-            trace: Tracer::disabled(),
-            telemetry: None,
-        }
-    }
-
     /// Build the tiered federation: `n_nodes` nodes in cabinets of
     /// [`TierConfig::cabinet_size`], each cabinet a shard behind its
     /// caching proxy, cabinets grouped under campus servers fed from
@@ -356,52 +517,14 @@ impl FederatedSim {
         assert!(tiers.fill_latency_s > 0.0, "the fill latency is the sync window; it must be > 0");
         let window = micros(tiers.fill_latency_s);
         assert!(window > 0, "fill latency must round to at least 1 µs");
-        let mut target_bytes: Vec<u64> = cfg.packages.iter().map(|p| p.transfer_bytes).collect();
-        let kick_id = target_bytes.len();
-        target_bytes.push(cfg.kickstart_bytes);
         let n_cabinets = tiers.n_cabinets(n_nodes);
         let tier = TierNet::new(&cfg, tiers, n_cabinets);
-        let shards = (0..n_cabinets)
-            .map(|c| {
-                let base = c * tiers.cabinet_size;
-                let top = ((c + 1) * tiers.cabinet_size).min(n_nodes);
-                let nodes = (base..top)
-                    .map(|i| {
-                        let mut node = SimNode::with_failover(
-                            i,
-                            &format!("compute-{c}-{i}"),
-                            vec![0],
-                            Vec::new(),
-                            cfg.seed,
-                        );
-                        node.set_quiet(!cfg.node_logs);
-                        node
-                    })
-                    .collect();
-                Shard {
-                    id: c,
-                    base,
-                    engine: Engine::new(vec![tiers.proxy_serve_bps]),
-                    nodes,
-                    proxy: Some(ProxyCache::new(target_bytes.len())),
-                    outbox: Vec::new(),
-                    next_at: None,
-                    events: 0,
-                    faults: Vec::new(),
-                    n_servers: 0,
-                    link_base: vec![tiers.proxy_serve_bps],
-                    link_factor: vec![1.0],
-                    link_down: vec![false],
-                    target_bytes: target_bytes.clone(),
-                    kick_id,
-                }
-            })
-            .collect();
+        let shards = (0..n_cabinets).map(|c| Shard::cabinet(&cfg, &tiers, c, n_nodes)).collect();
         FederatedSim {
             cfg,
-            tiers: Some(tiers),
+            tiers,
             shards,
-            tier: Some(tier),
+            tier,
             window,
             threads: 1,
             trace: Tracer::disabled(),
@@ -435,28 +558,20 @@ impl FederatedSim {
     }
 
     /// Schedule a fault at an absolute virtual time (seconds), routed
-    /// to the owning shard. In tiered mode `NodeHang`/`PowerCycle`
-    /// address global node ids and `LinkDegrade`'s `link` is a cabinet
-    /// index (degrading that cabinet's serve link); `ServerDown`/`Up`
-    /// have no tiered counterpart and are ignored.
+    /// to the owning shard. `NodeHang`/`PowerCycle` address global node
+    /// ids and `LinkDegrade`'s `link` is a cabinet index (degrading
+    /// that cabinet's serve link); a node or cabinet that does not
+    /// exist makes the fault a no-op. `ServerDown`/`Up` have no tiered
+    /// counterpart and are ignored.
     pub fn inject_fault_at(&mut self, at_seconds: f64, fault: Fault) {
-        let (shard_idx, fault) = match (&self.tiers, fault) {
-            (None, f) => (0, f),
-            (Some(t), f @ (Fault::NodeHang(id) | Fault::PowerCycle(id))) => {
-                (id / t.cabinet_size, f)
-            }
-            (Some(_), Fault::LinkDegrade { link, factor }) => {
-                if link >= self.shards.len() {
-                    return;
-                }
-                (link, Fault::LinkDegrade { link: 0, factor })
-            }
-            (Some(_), Fault::ServerDown(_) | Fault::ServerUp(_)) => return,
+        let (cabinet, fault) = match fault {
+            Fault::NodeHang(id) | Fault::PowerCycle(id) => (id / self.tiers.cabinet_size, fault),
+            Fault::LinkDegrade { link, factor } => (link, Fault::LinkDegrade { link: 0, factor }),
+            Fault::ServerDown(_) | Fault::ServerUp(_) => return,
         };
-        let shard = &mut self.shards[shard_idx];
-        let idx = shard.faults.len();
-        shard.faults.push(fault);
-        shard.engine.start_timer(CONTROL_TAG_BASE + idx, micros(at_seconds));
+        if let Some(shard) = self.shards.get_mut(cabinet) {
+            shard.schedule_fault(at_seconds, fault);
+        }
     }
 
     /// Total nodes across all shards.
@@ -464,26 +579,20 @@ impl FederatedSim {
         self.shards.iter().map(|s| s.nodes.len()).sum()
     }
 
-    /// Number of shards (cabinets; 1 in flat mode).
+    /// Number of shards (cabinets).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
     /// Events processed across shard engines and tier engines.
     pub fn events(&self) -> u64 {
-        self.shards.iter().map(|s| s.events).sum::<u64>()
-            + self.tier.as_ref().map_or(0, |t| t.events)
+        self.shards.iter().map(|s| s.flow_events + s.timer_events).sum::<u64>() + self.tier.events
     }
 
     /// A node by global id.
     pub fn node(&self, id: usize) -> &SimNode {
-        match &self.tiers {
-            None => &self.shards[0].nodes[id],
-            Some(t) => {
-                let shard = &self.shards[id / t.cabinet_size];
-                &shard.nodes[id - shard.base]
-            }
-        }
+        let shard = &self.shards[id / self.tiers.cabinet_size];
+        &shard.nodes[id - shard.base]
     }
 
     /// All nodes in global id order.
@@ -491,9 +600,7 @@ impl FederatedSim {
         self.shards.iter().flat_map(|s| s.nodes.iter())
     }
 
-    /// Per-shard engine byte ledgers (link 0 is the serve link of a
-    /// tiered shard; flat mode exposes the usual servers-then-cabinets
-    /// layout of its single shard).
+    /// Per-shard engine byte ledgers (link 0 is the shard's serve link).
     pub fn shard_link_bytes(&self) -> Vec<Vec<f64>> {
         self.shards.iter().map(|s| s.engine.link_bytes().to_vec()).collect()
     }
@@ -507,10 +614,9 @@ impl FederatedSim {
     pub fn try_run_reinstall(&mut self) -> Result<ReinstallResult, ReinstallError> {
         let _run = self.trace.span("netsim.run");
         for shard in &mut self.shards {
-            for i in 0..shard.nodes.len() {
-                shard.nodes[i].power_on(&mut shard.engine, &self.cfg);
+            for node in &mut shard.nodes {
+                node.power_on(&mut shard.engine, &self.cfg);
             }
-            shard.next_at = shard.engine.peek_next_at();
         }
         let threads = self.threads.min(self.shards.len());
         if threads <= 1 {
@@ -527,15 +633,10 @@ impl FederatedSim {
                 shard: Some(shard.id),
             }));
         }
-        if self.tier.as_ref().is_some_and(TierNet::busy) {
+        if self.tier.busy() {
             return Err(ReinstallError::Sim(SimError::Stalled { active_flows: 0, shard: None }));
         }
-        if let Some(node) = self.nodes().find(|n| n.state == NodeState::Failed) {
-            return Err(ReinstallError::AllServersDown {
-                node: node.name.clone(),
-                attempts: node.target_attempts,
-            });
-        }
+        check_none_failed(self.nodes())?;
         Ok(self.collect_result())
     }
 
@@ -545,201 +646,99 @@ impl FederatedSim {
         self.try_run_reinstall().unwrap_or_else(|e| panic!("{e}"))
     }
 
+    /// The window loop on the calling thread: every shard in one chunk,
+    /// no channel traffic.
     fn run_serial(&mut self) {
-        let window = self.window;
-        // Requests emitted by run-ahead shards beyond the current window
-        // wait here; the tier must ingest misses in global time order,
-        // so only the prefix below each window boundary is injected.
-        let mut pool: Vec<MissRequest> = Vec::new();
-        let mut fills: Vec<FillDone> = Vec::new();
-        // Dense mirrors of each shard's horizon and run-ahead
-        // eligibility: the per-round scans touch these cache-resident
-        // arrays instead of 16k scattered shard structs.
-        let mut next: Vec<Option<SimTime>> = self.shards.iter().map(|s| s.next_at).collect();
-        let mut ahead: Vec<bool> = self.shards.iter().map(Shard::can_run_ahead).collect();
-        loop {
-            let mut t_all: Option<SimTime> = None;
-            for &at in &next {
-                t_all = min_opt(t_all, at);
-            }
-            t_all = min_opt(t_all, pool.first().map(|r| r.at));
-            if let Some(tier) = self.tier.as_mut() {
-                t_all = min_opt(t_all, tier.next_event_at());
-            }
-            let Some(t) = t_all else { break };
-            let end = (t / window + 1) * window;
-            for i in 0..self.shards.len() {
-                let run =
-                    if ahead[i] { next[i].is_some() } else { next[i].is_some_and(|at| at < end) };
-                if run {
-                    let shard = &mut self.shards[i];
-                    let horizon = if ahead[i] { SimTime::MAX } else { end };
-                    shard.run_window(&self.cfg, horizon, &mut pool);
-                    next[i] = shard.next_at;
-                    ahead[i] = shard.can_run_ahead();
-                }
-            }
-            if let Some(tier) = self.tier.as_mut() {
-                pool.sort_by_key(|r| (r.at, r.cabinet));
-                let cut = pool.partition_point(|r| r.at < end);
-                tier.inject(&pool[..cut]);
-                pool.drain(..cut);
-                fills.clear();
-                tier.advance_to(end, &mut fills);
-                for fill in &fills {
-                    let shard = &mut self.shards[fill.cabinet];
-                    shard.deliver_fill(fill, window);
-                    next[fill.cabinet] = shard.next_at;
-                    ahead[fill.cabinet] = shard.can_run_ahead();
-                }
-            } else {
-                debug_assert!(pool.is_empty(), "flat shards fetch directly");
-            }
-        }
+        let (cfg, window) = (&self.cfg, self.window);
+        let mut chunk = Chunk::new(&mut self.shards);
+        run_windows(&mut self.tier, window, chunk.next_at(), |end, fills, pool| {
+            chunk.run_window(cfg, window, end, fills, pool)
+        });
     }
 
     /// The same window loop with shards partitioned into contiguous
     /// chunks across persistent worker threads. The coordinator owns
     /// the tier; fills complete on its side of the barrier and are
-    /// delivered by the owning worker at the start of the next window,
-    /// which is equivalent to the serial ordering because a delivery
-    /// timer never lands inside an already-executed window. On stall
-    /// the global event horizon simply empties — workers are released
-    /// by dropping their command channels, never blocked on a barrier —
-    /// so the error surfaces through
+    /// delivered by the owning worker at the start of the next window.
+    /// On stall the global event horizon simply empties — workers are
+    /// released by dropping their command channels, never blocked on a
+    /// barrier — so the error surfaces through
     /// [`try_run_reinstall`](Self::try_run_reinstall) like any other.
     fn run_parallel(&mut self, threads: usize) {
-        let window = self.window;
+        let (cfg, window) = (&self.cfg, self.window);
         let chunk_size = self.shards.len().div_ceil(threads);
-        let cfg = &self.cfg;
-        let tier = self.tier.as_mut().expect("multiple shards imply the tiered topology");
-        let mut worker_next: Vec<Option<SimTime>> = self
-            .shards
-            .chunks(chunk_size)
-            .map(|chunk| chunk.iter().filter_map(|s| s.next_at).min())
-            .collect();
-        let n_workers = worker_next.len();
         std::thread::scope(|scope| {
             let (res_tx, res_rx) = mpsc::channel::<(usize, Vec<MissRequest>, Option<SimTime>)>();
-            let mut cmd_txs = Vec::with_capacity(n_workers);
-            for (w, chunk) in self.shards.chunks_mut(chunk_size).enumerate() {
+            let mut cmd_txs = Vec::new();
+            let mut worker_next: Vec<Option<SimTime>> = Vec::new();
+            for (w, shards) in self.shards.chunks_mut(chunk_size).enumerate() {
                 let (cmd_tx, cmd_rx) = mpsc::channel::<(SimTime, Vec<FillDone>)>();
                 cmd_txs.push(cmd_tx);
                 let res_tx = res_tx.clone();
+                let mut chunk = Chunk::new(shards);
+                worker_next.push(chunk.next_at());
                 scope.spawn(move || {
-                    // Same dense horizon/eligibility mirrors as the
-                    // serial loop, scoped to this worker's chunk.
-                    let mut next: Vec<Option<SimTime>> = chunk.iter().map(|s| s.next_at).collect();
-                    let mut ahead: Vec<bool> = chunk.iter().map(Shard::can_run_ahead).collect();
                     while let Ok((end, fills)) = cmd_rx.recv() {
-                        for fill in &fills {
-                            let i = fill.cabinet - w * chunk_size;
-                            chunk[i].deliver_fill(fill, window);
-                            next[i] = chunk[i].next_at;
-                            ahead[i] = chunk[i].can_run_ahead();
-                        }
                         let mut requests = Vec::new();
-                        for i in 0..chunk.len() {
-                            let run = if ahead[i] {
-                                next[i].is_some()
-                            } else {
-                                next[i].is_some_and(|at| at < end)
-                            };
-                            if run {
-                                let horizon = if ahead[i] { SimTime::MAX } else { end };
-                                chunk[i].run_window(cfg, horizon, &mut requests);
-                                next[i] = chunk[i].next_at;
-                                ahead[i] = chunk[i].can_run_ahead();
-                            }
-                        }
-                        let min_next = next.iter().copied().flatten().min();
-                        if res_tx.send((w, requests, min_next)).is_err() {
+                        let next = chunk.run_window(cfg, window, end, &fills, &mut requests);
+                        if res_tx.send((w, requests, next)).is_err() {
                             break;
                         }
                     }
                 });
             }
             drop(res_tx);
-            let mut pending: Vec<Vec<FillDone>> = vec![Vec::new(); n_workers];
-            // Run-ahead requests past the window boundary, exactly as in
-            // the serial loop.
-            let mut pool: Vec<MissRequest> = Vec::new();
-            loop {
-                let mut t_all: Option<SimTime> = None;
-                for &next in &worker_next {
-                    t_all = min_opt(t_all, next);
+            let first = worker_next.iter().copied().flatten().min();
+            run_windows(&mut self.tier, window, first, |end, fills, pool| {
+                let mut inbox: Vec<Vec<FillDone>> = vec![Vec::new(); cmd_txs.len()];
+                for fill in fills {
+                    inbox[fill.cabinet / chunk_size].push(*fill);
                 }
-                t_all = min_opt(t_all, pool.first().map(|r| r.at));
-                t_all = min_opt(t_all, tier.next_event_at());
-                for fills in &pending {
-                    for fill in fills {
-                        t_all = min_opt(t_all, Some(fill.at + window));
-                    }
+                for (cmd_tx, fills) in cmd_txs.iter().zip(inbox) {
+                    let _ = cmd_tx.send((end, fills));
                 }
-                let Some(t) = t_all else { break };
-                let end = (t / window + 1) * window;
-                for (w, cmd_tx) in cmd_txs.iter().enumerate() {
-                    let _ = cmd_tx.send((end, std::mem::take(&mut pending[w])));
-                }
-                let mut gathered: Vec<Vec<MissRequest>> = vec![Vec::new(); n_workers];
-                for _ in 0..n_workers {
+                let mut gathered: Vec<Vec<MissRequest>> = vec![Vec::new(); cmd_txs.len()];
+                for _ in 0..cmd_txs.len() {
                     let (w, requests, next) = res_rx.recv().expect("a shard worker exited mid-run");
                     gathered[w] = requests;
                     worker_next[w] = next;
                 }
                 // Concatenating in worker order is shard order (chunks
-                // are contiguous); the stable sort then matches the
-                // serial path exactly.
+                // are contiguous), exactly what the serial path pools.
                 pool.extend(gathered.into_iter().flatten());
-                pool.sort_by_key(|r| (r.at, r.cabinet));
-                let cut = pool.partition_point(|r| r.at < end);
-                tier.inject(&pool[..cut]);
-                pool.drain(..cut);
-                let mut fills = Vec::new();
-                tier.advance_to(end, &mut fills);
-                for fill in fills {
-                    pending[fill.cabinet / chunk_size].push(fill);
-                }
-            }
+                worker_next.iter().copied().flatten().min()
+            });
             drop(cmd_txs); // releases the workers; scope joins them
         });
     }
 
-    /// Aggregate cache behaviour across the tiers (tiered mode only).
+    /// Aggregate cache behaviour across the tiers. Always `Some`; the
+    /// `Option` is the signature the benchmark ledger and `reproduce`
+    /// call.
     pub fn tier_report(&self) -> Option<TierReport> {
-        let tier = self.tier.as_ref()?;
-        let mut report = TierReport {
+        let proxies =
+            || self.shards.iter().map(|s| s.proxy.as_ref().expect("tiered shards carry proxies"));
+        Some(TierReport {
             n_cabinets: self.shards.len(),
-            n_campuses: tier.n_campuses(),
-            proxy_hits: 0,
-            proxy_misses: 0,
-            proxy_hit_bytes: 0,
-            proxy_miss_bytes: 0,
-            proxy_fills: 0,
-            proxy_fill_bytes: 0,
-            proxy_serve_bytes: 0.0,
-            campus_hits: tier.campus_hits,
-            campus_misses: tier.campus_misses,
-            cabinet_fill_bytes: tier.cabinet_fill_bytes(),
-            root_fill_bytes: tier.root_fill_bytes(),
-        };
-        for shard in &self.shards {
-            let proxy = shard.proxy.as_ref().expect("tiered shards carry proxies");
-            report.proxy_hits += proxy.hits;
-            report.proxy_misses += proxy.misses;
-            report.proxy_hit_bytes += proxy.hit_bytes;
-            report.proxy_miss_bytes += proxy.miss_bytes;
-            report.proxy_fills += proxy.fills;
-            report.proxy_fill_bytes += proxy.fill_bytes;
-            report.proxy_serve_bytes += shard.engine.link_bytes()[0];
-        }
-        Some(report)
+            n_campuses: self.tier.n_campuses(),
+            proxy_hits: proxies().map(|p| p.hits).sum(),
+            proxy_misses: proxies().map(|p| p.misses).sum(),
+            proxy_hit_bytes: proxies().map(|p| p.hit_bytes).sum(),
+            proxy_miss_bytes: proxies().map(|p| p.miss_bytes).sum(),
+            proxy_fills: proxies().map(|p| p.fills).sum(),
+            proxy_fill_bytes: proxies().map(|p| p.fill_bytes).sum(),
+            proxy_serve_bytes: self.shards.iter().map(|s| s.engine.link_bytes()[0]).sum(),
+            campus_hits: self.tier.campus_hits,
+            campus_misses: self.tier.campus_misses,
+            cabinet_fill_bytes: self.tier.cabinet_fill_bytes(),
+            root_fill_bytes: self.tier.root_fill_bytes(),
+        })
     }
 
     /// Snapshot the run outcome (same shape as
     /// [`ClusterSim::collect_result`](crate::cluster::ClusterSim::collect_result)).
-    /// In tiered mode `server_bytes` holds the root mirror's delivered
-    /// bytes; per-tier ledgers live in [`tier_report`](Self::tier_report).
+    /// `server_bytes` holds the root mirror's delivered bytes; per-tier
+    /// ledgers live in [`tier_report`](Self::tier_report).
     pub fn collect_result(&self) -> ReinstallResult {
         if let (Some(t), Some(report)) = (&self.telemetry, self.tier_report()) {
             let now =
@@ -755,30 +754,13 @@ impl FederatedSim {
             t.cabinet_fill_bytes.set(report.cabinet_fill_bytes);
             t.root_fill_bytes.set(report.root_fill_bytes);
         }
-        // The cluster is done when the last node came up, which the
-        // shard clocks bound (tier engines can idle slightly behind —
-        // their last fill predates its delivery timer by the latency).
-        let total_at: SimTime = self.shards.iter().map(|s| s.engine.now()).max().unwrap_or(0);
-        let server_bytes = match &self.tier {
-            None => self.shards[0].engine.link_bytes()[..self.cfg.n_servers].to_vec(),
-            Some(tier) => vec![tier.root_fill_bytes()],
-        };
-        ReinstallResult {
-            per_node_seconds: self.nodes().map(|n| n.last_install_seconds()).collect(),
-            total_seconds: seconds(total_at),
-            server_bytes,
-            per_node_attempts: self.nodes().map(|n| n.fetch_attempts).collect(),
-            per_node_failovers: self.nodes().map(|n| n.failovers).collect(),
-            per_node_backoff_seconds: self.nodes().map(|n| n.backoff_seconds).collect(),
-        }
+        ReinstallResult::of(&self.shards, vec![self.tier.root_fill_bytes()])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::ClusterSim;
-    use crate::engine::SimTime;
 
     fn small_cfg(seed: u64) -> SimConfig {
         SimConfig::paper_testbed(seed).bundled(12)
@@ -790,33 +772,6 @@ mod tests {
 
     fn logs_of<'a>(nodes: impl Iterator<Item = &'a SimNode>) -> Vec<(SimTime, String)> {
         nodes.flat_map(|n| n.log.iter().map(|l| (l.at, l.text.clone()))).collect()
-    }
-
-    #[test]
-    fn flat_federation_is_byte_identical_to_cluster_sim() {
-        let mut cfg = small_cfg(5);
-        cfg.n_servers = 2;
-        let mut flat = ClusterSim::new(cfg.clone(), 12);
-        flat.inject_fault_at(100.0, Fault::ServerDown(1));
-        flat.inject_fault_at(260.0, Fault::ServerUp(1));
-        flat.inject_fault_at(150.0, Fault::PowerCycle(3));
-        let expect = flat.try_run_reinstall().expect("flat completes");
-
-        let mut fed = FederatedSim::new_flat(cfg, 12);
-        fed.inject_fault_at(100.0, Fault::ServerDown(1));
-        fed.inject_fault_at(260.0, Fault::ServerUp(1));
-        fed.inject_fault_at(150.0, Fault::PowerCycle(3));
-        let got = fed.try_run_reinstall().expect("federated completes");
-
-        // Byte-identical: the exact same event sequence ran, so even the
-        // floating-point ledgers match bit for bit.
-        assert_eq!(got.total_seconds.to_bits(), expect.total_seconds.to_bits());
-        assert_eq!(got.per_node_seconds, expect.per_node_seconds);
-        let got_bits: Vec<u64> = got.server_bytes.iter().map(|b| b.to_bits()).collect();
-        let expect_bits: Vec<u64> = expect.server_bytes.iter().map(|b| b.to_bits()).collect();
-        assert_eq!(got_bits, expect_bits);
-        assert_eq!(got.per_node_attempts, expect.per_node_attempts);
-        assert_eq!(logs_of(fed.nodes()), logs_of(flat.nodes().iter()));
     }
 
     #[test]

@@ -300,33 +300,4 @@ proptest! {
             prop_assert_eq!(&threaded, &serial, "{} workers diverged from serial", threads);
         }
     }
-
-    /// A single-shard flat federation is the fast engine driven through
-    /// the windowed loop: results must match `ClusterSim` bit for bit.
-    #[test]
-    fn flat_federation_equals_cluster_sim(
-        seed in 0u64..1000,
-        n in 1usize..16,
-        down_at in 40.0f64..200.0,
-    ) {
-        let cfg = {
-            let mut cfg = SimConfig::paper_testbed(seed).bundled(6);
-            cfg.n_servers = 2;
-            cfg
-        };
-        let mut flat = ClusterSim::new(cfg.clone(), n);
-        flat.inject_fault_at(down_at, Fault::ServerDown(1));
-        flat.inject_fault_at(down_at + 30.0, Fault::ServerUp(1));
-        let expect = flat.try_run_reinstall().expect("replica carries the load");
-        let mut fed = FederatedSim::new_flat(cfg, n);
-        fed.inject_fault_at(down_at, Fault::ServerDown(1));
-        fed.inject_fault_at(down_at + 30.0, Fault::ServerUp(1));
-        let got = fed.try_run_reinstall().expect("federated flat run completes");
-        prop_assert_eq!(got.total_seconds.to_bits(), expect.total_seconds.to_bits());
-        prop_assert_eq!(got.per_node_seconds, expect.per_node_seconds);
-        prop_assert_eq!(got.per_node_attempts, expect.per_node_attempts);
-        let got_bits: Vec<u64> = got.server_bytes.iter().map(|b| b.to_bits()).collect();
-        let expect_bits: Vec<u64> = expect.server_bytes.iter().map(|b| b.to_bits()).collect();
-        prop_assert_eq!(got_bits, expect_bits);
-    }
 }
