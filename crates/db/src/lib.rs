@@ -8,7 +8,10 @@
 //! /etc/dhcpd.conf, and PBS configuration files."
 //!
 //! This crate layers the Rocks schema and tooling over the [`rocks_sql`]
-//! engine:
+//! engine. There is one store: a [`rocks_sql::DurableDatabase`] whose
+//! journal is optional. [`ClusterDb::new`] builds it without one,
+//! [`ClusterDb::open_durable`] with one, and transactions, statement
+//! execution and the revision counter are the engine's in both.
 //!
 //! * [`schema`] — creates and seeds the `nodes`, `memberships`,
 //!   `appliances`, and `app_globals` tables (Tables II and III),
@@ -29,9 +32,7 @@ pub use insert_ethers::{DhcpRequest, InsertEthers};
 pub use ip::Ipv4;
 pub use schema::{Membership, NodeRecord, DEFAULT_MEMBERSHIPS};
 
-use rocks_sql::{
-    Database, DurableDatabase, DurableError, RecoveryReport, Savepoint, SqlError, Value, Vfs,
-};
+use rocks_sql::{Database, DurableDatabase, DurableError, RecoveryReport, SqlError, Value, Vfs};
 use rocks_trace::{Registry, Tracer};
 
 /// Errors from cluster-database operations.
@@ -39,8 +40,8 @@ use rocks_trace::{Registry, Tracer};
 pub enum DbError {
     /// Underlying SQL failure.
     Sql(SqlError),
-    /// Storage-engine failure (durable mode only): disk, recovery, or
-    /// transaction misuse.
+    /// Storage-engine failure: transaction misuse, or (durable mode
+    /// only) disk and recovery.
     Storage(DurableError),
     /// Unknown membership id or name.
     NoSuchMembership(String),
@@ -86,37 +87,20 @@ impl std::error::Error for DbError {}
 /// Result alias.
 pub type Result<T> = std::result::Result<T, DbError>;
 
-/// The cluster database: a [`rocks_sql::Database`] holding the Rocks
-/// schema, plus typed accessors.
+/// The cluster database: the Rocks schema in a [`DurableDatabase`]
+/// engine (journaled or not), plus typed accessors.
 ///
 /// Every mutation bumps a monotonically increasing [`revision`]
 /// counter. Caches layered above the database (notably the Kickstart
 /// generation service's profile cache) key their entries on this
 /// revision, so a `nodes`/`memberships` write — or any statement issued
-/// through the raw [`sql`] handle — invalidates them automatically.
+/// through [`execute_raw`] — invalidates them automatically.
 ///
 /// [`revision`]: Self::revision
-/// [`sql`]: Self::sql
-#[derive(Debug)]
-// One `Store` per `ClusterDb`, and `Memory` is the variant every hot read
-// goes through: keep it inline rather than behind a pointer.
-#[allow(clippy::large_enum_variant)]
-enum Store {
-    /// The default volatile engine.
-    Memory(Database),
-    /// WAL + checkpoint storage: state survives a restart (or crash) of
-    /// the frontend.
-    Durable(Box<DurableDatabase>),
-}
-
-/// See the [crate docs](crate) and [`Store`].
+/// [`execute_raw`]: Self::execute_raw
 #[derive(Debug)]
 pub struct ClusterDb {
-    store: Store,
-    revision: u64,
-    /// Memory-mode transaction state: where `begin_txn` stood. (Durable
-    /// mode keeps its own inside the engine.)
-    mem_txn: Option<Savepoint>,
+    db: DurableDatabase,
 }
 
 impl Clone for ClusterDb {
@@ -124,11 +108,7 @@ impl Clone for ClusterDb {
     /// same contents and revision: simulation fan-out wants cheap
     /// independent copies, never two writers of one WAL.
     fn clone(&self) -> Self {
-        ClusterDb {
-            store: Store::Memory(self.sql_ref().clone()),
-            revision: self.revision,
-            mem_txn: None,
-        }
+        ClusterDb { db: DurableDatabase::in_memory(self.sql_ref().clone(), self.revision()) }
     }
 }
 
@@ -144,7 +124,7 @@ impl ClusterDb {
     pub fn new() -> Self {
         let mut db = Database::new();
         schema::create_schema(&mut db);
-        ClusterDb { store: Store::Memory(db), revision: 0, mem_txn: None }
+        ClusterDb { db: DurableDatabase::in_memory(db, 0) }
     }
 
     /// Open (or create) a durable cluster database on `vfs`. A fresh
@@ -158,71 +138,59 @@ impl ClusterDb {
     /// [`open_durable`](Self::open_durable) with storage telemetry
     /// flowing into `tracer`.
     pub fn open_durable_with_tracer(vfs: &dyn Vfs, tracer: Tracer) -> Result<Self> {
-        let mut d = DurableDatabase::open_with_tracer(vfs, tracer).map_err(DbError::from)?;
-        let fresh = d.seq() == 0 && d.reader().table_names().is_empty();
-        if fresh {
-            d.set_revision(0);
-            d.begin().map_err(DbError::from)?;
-            for stmt in schema::schema_statements() {
-                d.execute(&stmt).map_err(DbError::from)?;
-            }
-            d.commit().map_err(DbError::from)?;
+        let mut cluster = ClusterDb { db: DurableDatabase::open_with_tracer(vfs, tracer)? };
+        if cluster.db.seq() == 0 && cluster.sql_ref().table_names().is_empty() {
+            cluster.atomically(&schema::schema_statements())?;
         }
-        let revision = d.revision();
-        Ok(ClusterDb { store: Store::Durable(Box::new(d)), revision, mem_txn: None })
+        Ok(cluster)
     }
 
-    /// True when backed by the durable engine.
+    /// True when backed by a journal: state survives a restart (or
+    /// crash) of the frontend.
     pub fn is_durable(&self) -> bool {
-        matches!(self.store, Store::Durable(_))
+        self.db.is_journaled()
     }
 
     /// What open-time recovery found and did (durable mode only).
     pub fn recovery_report(&self) -> Option<&RecoveryReport> {
-        match &self.store {
-            Store::Memory(_) => None,
-            Store::Durable(d) => Some(d.recovery_report()),
-        }
+        self.is_durable().then(|| self.db.recovery_report())
     }
 
-    /// Force a checkpoint (durable mode; a no-op in memory mode).
+    /// Force a checkpoint (durable mode; nothing to do in memory mode).
+    /// Refused inside a transaction.
     pub fn checkpoint(&mut self) -> Result<()> {
-        match &mut self.store {
-            Store::Memory(_) => Ok(()),
-            Store::Durable(d) => Ok(d.checkpoint()?),
-        }
+        Ok(self.db.checkpoint()?)
     }
 
     /// Route all query/storage counters into `registry`. Not a write:
     /// the revision is untouched.
     pub fn bind_stats_registry(&mut self, registry: &Registry) {
-        match &mut self.store {
-            Store::Memory(db) => db.bind_stats_registry(registry),
-            Store::Durable(d) => d.bind_stats_registry(registry),
-        }
+        self.db.bind_stats_registry(registry);
     }
 
-    /// Execute one raw SQL write in whichever store backs this database,
-    /// bumping the revision. This is the mode-agnostic form of
-    /// [`sql`](Self::sql) for tools that issue statement text.
+    /// Execute one raw SQL write, bumping the revision — first, so a
+    /// durable commit journals the post-write revision. For tools that
+    /// issue statement text.
     pub fn execute_raw(&mut self, sql: &str) -> Result<()> {
-        self.exec(sql)
+        self.db.bump_revision();
+        self.db.execute(sql)?;
+        Ok(())
     }
 
-    /// Run `sql` against the store, bumping the revision first so a
-    /// durable commit journals the post-write revision.
-    fn exec(&mut self, sql: &str) -> Result<()> {
-        self.revision += 1;
-        match &mut self.store {
-            Store::Memory(db) => {
-                db.execute(sql)?;
-            }
-            Store::Durable(d) => {
-                d.set_revision(self.revision);
-                d.execute(sql)?;
-            }
+    /// Run `stmts` as one unit: inside the open transaction if there is
+    /// one, else inside its own, rolled back if any of them fails.
+    fn atomically(&mut self, stmts: &[String]) -> Result<()> {
+        let own = !self.db.in_txn();
+        if own {
+            self.db.begin()?;
         }
-        Ok(())
+        let done = stmts.iter().try_for_each(|stmt| self.db.execute(stmt).map(drop));
+        if own && done.is_ok() {
+            self.db.commit()?;
+        } else if own {
+            self.db.rollback()?;
+        }
+        Ok(done?)
     }
 
     /// Open an explicit transaction. Writes until
@@ -230,32 +198,12 @@ impl ClusterDb {
     /// become durable) together; [`rollback_txn`](Self::rollback_txn)
     /// undoes all of them.
     pub fn begin_txn(&mut self) -> Result<()> {
-        match &mut self.store {
-            Store::Memory(db) => {
-                if self.mem_txn.is_some() {
-                    return Err(DbError::Storage(DurableError::Txn(
-                        "transaction already open".into(),
-                    )));
-                }
-                self.mem_txn = Some(db.savepoint());
-                Ok(())
-            }
-            Store::Durable(d) => Ok(d.begin()?),
-        }
+        Ok(self.db.begin()?)
     }
 
     /// Commit the open transaction.
     pub fn commit_txn(&mut self) -> Result<()> {
-        match &mut self.store {
-            Store::Memory(db) => {
-                let begun = self.mem_txn.take().ok_or_else(|| {
-                    DbError::Storage(DurableError::Txn("no open transaction".into()))
-                })?;
-                db.release(begun);
-                Ok(())
-            }
-            Store::Durable(d) => Ok(d.commit()?),
-        }
+        Ok(self.db.commit()?)
     }
 
     /// Roll the open transaction back. The database contents return to
@@ -265,71 +213,28 @@ impl ClusterDb {
     /// against rolled-back contents, and a revision that never repeats is
     /// what keeps such entries unreachable forever.
     pub fn rollback_txn(&mut self) -> Result<()> {
-        match &mut self.store {
-            Store::Memory(db) => {
-                let begun = self.mem_txn.take().ok_or_else(|| {
-                    DbError::Storage(DurableError::Txn("no open transaction".into()))
-                })?;
-                db.rollback_to(begun);
-            }
-            Store::Durable(d) => {
-                d.rollback()?;
-            }
-        }
-        self.revision += 1;
-        if let Store::Durable(d) = &mut self.store {
-            d.set_revision(self.revision);
-        }
+        self.db.rollback()?;
+        self.db.bump_revision();
         Ok(())
     }
 
     /// True while an explicit transaction is open.
     pub fn in_txn(&self) -> bool {
-        match &self.store {
-            Store::Memory(_) => self.mem_txn.is_some(),
-            Store::Durable(d) => d.in_txn(),
-        }
+        self.db.in_txn()
     }
 
     /// The mutation counter. Strictly increases on every write (typed or
     /// raw); equal revisions guarantee identical database contents, which
     /// is the invalidation contract the generation-service cache relies on.
     pub fn revision(&self) -> u64 {
-        self.revision
-    }
-
-    /// Raw SQL access — the paper deliberately exposes this to
-    /// administrators (`cluster-kill --query="select ..."`).
-    ///
-    /// Handing out `&mut Database` means any statement — including
-    /// writes — may run, so the revision is bumped conservatively. Use
-    /// [`sql_ref`](Self::sql_ref) for queries that must not invalidate
-    /// caches.
-    ///
-    /// # Panics
-    ///
-    /// In durable mode: statements that bypass the journal would be
-    /// silently lost on restart. Use [`execute_raw`](Self::execute_raw)
-    /// for writes and [`sql_ref`](Self::sql_ref) for queries instead.
-    pub fn sql(&mut self) -> &mut Database {
-        self.revision += 1;
-        match &mut self.store {
-            Store::Memory(db) => db,
-            Store::Durable(_) => panic!(
-                "ClusterDb::sql() bypasses the write-ahead log; durable mode requires \
-                 execute_raw() for writes or sql_ref() for queries"
-            ),
-        }
+        self.db.revision()
     }
 
     /// Shared read-only SQL access: `SELECT` only, callable from any
     /// number of threads at once, never bumps the revision. This is the
     /// read path the parallel Kickstart generation workers use.
     pub fn sql_ref(&self) -> &Database {
-        match &self.store {
-            Store::Memory(db) => db,
-            Store::Durable(d) => d.reader(),
-        }
+        self.db.reader()
     }
 
     /// Run a query and return the first column as strings: the exact
@@ -341,7 +246,7 @@ impl ClusterDb {
 
     /// Register a membership (appliance class) and return its id.
     pub fn add_membership(&mut self, m: &Membership) -> Result<()> {
-        self.exec(&format!(
+        self.execute_raw(&format!(
             "insert into memberships values ({}, '{}', {}, '{}', '{}')",
             m.id,
             sql_escape(&m.name),
@@ -387,7 +292,7 @@ impl ClusterDb {
             Some(c) => format!("'{}'", sql_escape(c)),
             None => "NULL".to_string(),
         };
-        self.exec(&format!(
+        self.execute_raw(&format!(
             "insert into nodes values ({}, '{}', '{}', {}, {}, {}, '{}', {})",
             node.id,
             sql_escape(&node.mac),
@@ -475,9 +380,9 @@ impl ClusterDb {
     }
 
     /// Set a site-global key (the "site-specific configuration table").
-    /// The delete + insert pair is one logical write: in durable mode it
-    /// runs inside a transaction so a crash between the two statements
-    /// cannot resurrect a key half-set.
+    /// The delete + insert pair is one logical write: it runs inside a
+    /// transaction (its own when none is open), so neither a crash nor a
+    /// failing insert can leave the key half-set.
     pub fn set_global(&mut self, key: &str, value: &str) -> Result<()> {
         let delete = format!("delete from app_globals where name = '{}'", sql_escape(key));
         let insert = format!(
@@ -485,26 +390,8 @@ impl ClusterDb {
             sql_escape(key),
             sql_escape(value)
         );
-        self.revision += 1;
-        match &mut self.store {
-            Store::Memory(db) => {
-                db.execute(&delete)?;
-                db.execute(&insert)?;
-            }
-            Store::Durable(d) => {
-                d.set_revision(self.revision);
-                let wrap = !d.in_txn();
-                if wrap {
-                    d.begin()?;
-                }
-                d.execute(&delete)?;
-                d.execute(&insert)?;
-                if wrap {
-                    d.commit()?;
-                }
-            }
-        }
-        Ok(())
+        self.db.bump_revision();
+        self.atomically(&[delete, insert])
     }
 
     /// Read a site-global key. Read-only indexed lookup.
@@ -698,8 +585,9 @@ mod tests {
         .unwrap();
         let r2 = db.revision();
         assert!(r2 > r1);
-        // Raw &mut SQL access may write anything: bumped conservatively.
-        let _ = db.sql();
+        // Raw statement text may write anything: bumped conservatively,
+        // even for a SELECT.
+        db.execute_raw("select name from nodes").unwrap();
         assert!(db.revision() > r2);
     }
 
@@ -787,7 +675,7 @@ mod tests {
         assert_eq!(targets[0].ip, "10.255.255.254");
     }
 
-    /// Memory mode rolls back through the same savepoint as durable mode:
+    /// Memory mode rolls back through the same engine as durable mode:
     /// contents return, the revision only moves forward, and the store
     /// is the same store (its counters stay bound where they were).
     #[test]
@@ -801,7 +689,7 @@ mod tests {
         db.begin_txn().unwrap();
         assert!(matches!(db.begin_txn(), Err(DbError::Storage(_))), "no nesting");
         db.set_global("k", "provisional").unwrap();
-        db.sql().execute("create table scratch (x int)").unwrap();
+        db.execute_raw("create table scratch (x int)").unwrap();
         let provisional = db.revision();
         db.rollback_txn().unwrap();
         assert!(!db.in_txn());

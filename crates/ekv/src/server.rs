@@ -1,10 +1,10 @@
 //! The node-side eKV broadcaster.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -36,7 +36,7 @@ impl EkvServer {
         let clients: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
         let backlog: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
         let shutdown = Arc::new(AtomicBool::new(false));
-        let (input_tx, input_rx) = unbounded::<String>();
+        let (input_tx, input_rx) = channel::<String>();
 
         let accept_clients = Arc::clone(&clients);
         let accept_backlog = Arc::clone(&backlog);
@@ -174,7 +174,7 @@ impl LocalFeed {
 
     /// Subscribe; the returned receiver first sees the whole backlog.
     pub fn subscribe(&self) -> Receiver<String> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let mut inner = self.inner.lock();
         for line in &inner.backlog {
             let _ = tx.send(line.clone());

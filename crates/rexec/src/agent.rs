@@ -1,9 +1,9 @@
 //! Per-node agents: a thread with a small command interpreter and a
 //! process table.
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -55,7 +55,7 @@ pub struct NodeAgent {
 impl NodeAgent {
     /// Start an agent named `name` (the node's hostname).
     pub fn start(name: &str) -> NodeAgent {
-        let (tx, rx) = unbounded::<ExecRequest>();
+        let (tx, rx) = channel::<ExecRequest>();
         let procs: Arc<Mutex<BTreeMap<u32, String>>> = Arc::new(Mutex::new(BTreeMap::new()));
         let next_pid = Arc::new(Mutex::new(1000u32));
         let worker_name = name.to_string();
@@ -99,7 +99,7 @@ impl NodeAgent {
 impl Drop for NodeAgent {
     fn drop(&mut self) {
         // Close the request channel, then join the worker.
-        let (tx, _rx) = unbounded();
+        let (tx, _rx) = channel();
         self.tx = tx;
         if let Some(handle) = self.worker.take() {
             let _ = handle.join();
@@ -229,10 +229,10 @@ mod tests {
         command: &str,
         env: BTreeMap<String, String>,
     ) -> AgentCommandOutcome {
-        let (out_tx, out_rx) = unbounded();
-        let (err_tx, err_rx) = unbounded();
-        let (_sig_tx, sig_rx) = unbounded();
-        let (done_tx, done_rx) = unbounded();
+        let (out_tx, out_rx) = channel();
+        let (err_tx, err_rx) = channel();
+        let (_sig_tx, sig_rx) = channel();
+        let (done_tx, done_rx) = channel();
         agent.submit(ExecRequest {
             command: command.to_string(),
             env,
@@ -300,10 +300,10 @@ mod tests {
     #[test]
     fn sleep_interrupted_by_signal() {
         let agent = NodeAgent::start("n");
-        let (out_tx, _out_rx) = unbounded();
-        let (err_tx, err_rx) = unbounded();
-        let (sig_tx, sig_rx) = unbounded();
-        let (done_tx, done_rx) = unbounded();
+        let (out_tx, _out_rx) = channel();
+        let (err_tx, err_rx) = channel();
+        let (sig_tx, sig_rx) = channel();
+        let (done_tx, done_rx) = channel();
         agent.submit(ExecRequest {
             command: "sleep 10000".into(),
             env: BTreeMap::new(),

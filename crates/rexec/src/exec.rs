@@ -2,8 +2,8 @@
 //! forwarding.
 
 use crate::agent::{ExecRequest, NodeAgent, Signal};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::BTreeMap;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Duration;
 
 /// Which stream a line came from.
@@ -134,15 +134,15 @@ impl<'a> Rexec<'a> {
     /// Dispatch `command` on every node, propagating `env`. Returns a
     /// handle for signalling and collection.
     pub fn dispatch(&self, command: &str, env: &ExecEnv) -> RunningJob {
-        let (output_tx, output_rx) = unbounded::<NodeOutput>();
+        let (output_tx, output_rx) = channel::<NodeOutput>();
         let mut signal_txs = Vec::new();
         let mut done_rxs = Vec::new();
         for agent in &self.nodes {
-            let (sig_tx, sig_rx) = unbounded();
-            let (done_tx, done_rx) = unbounded();
+            let (sig_tx, sig_rx) = channel();
+            let (done_tx, done_rx) = channel();
             // Adapter channels that label lines with the node name.
-            let (out_tx, out_rx) = unbounded::<String>();
-            let (err_tx, err_rx) = unbounded::<String>();
+            let (out_tx, out_rx) = channel::<String>();
+            let (err_tx, err_rx) = channel::<String>();
             let node = agent.name().to_string();
             // One forwarder thread per stream; each drains its channel
             // until the agent closes it. Per-stream line order is

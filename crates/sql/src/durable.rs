@@ -1,12 +1,18 @@
-//! The durable engine: an in-memory [`Database`] fronted by a
-//! write-ahead log and checkpointed through the pager.
+//! The transactional engine: an in-memory [`Database`] plus the
+//! begin / commit / rollback state machine and the revision counter,
+//! with an *optional* journal — a write-ahead log checkpointed through
+//! the pager — that makes it survive restarts.
 //!
-//! The in-memory engine stays the single execution path — every
-//! statement runs against `mem` exactly as in the volatile mode — while
-//! this wrapper journals the statement text of each successful write and
-//! periodically folds the whole state into a B-tree snapshot. Opening an
-//! existing directory replays: live snapshot first, then every committed
-//! WAL transaction beyond it (see [`crate::recovery`]).
+//! There is one engine, not a volatile one and a durable one. Every
+//! statement runs against `mem`; with a journal
+//! ([`DurableDatabase::open`]) the statement text of each successful
+//! write is also logged and the whole state is periodically folded into
+//! a B-tree snapshot, without one ([`DurableDatabase::in_memory`]) those
+//! steps are skipped and nothing else differs. Only the journal steps —
+//! appending a frame, the commit fsync, truncating the log on rollback,
+//! `checkpoint` — look at whether there is one. Opening an existing
+//! directory replays: live snapshot first, then every committed WAL
+//! transaction beyond it (see [`crate::recovery`]).
 //!
 //! Commit protocol (auto-commit shown; explicit transactions just spread
 //! the same frames out):
@@ -183,24 +189,47 @@ struct TxnState {
     seq: u64,
 }
 
-/// A [`Database`] that survives restarts. See the module docs.
+/// What makes an engine survive restarts, and the telemetry of doing so.
 #[derive(Debug)]
-pub struct DurableDatabase {
-    mem: Database,
+struct Journal {
     wal: WalWriter,
     pager: Pager,
-    /// Last committed transaction sequence number.
-    seq: u64,
-    /// Revision metadata journaled with the next commit (the `ClusterDb`
-    /// counter; plain `0` for standalone use).
-    revision: u64,
-    txn: Option<TxnState>,
-    report: RecoveryReport,
     stats: DurableStats,
     tracer: Tracer,
 }
 
+impl Journal {
+    fn append(&mut self, rec: &WalRecord) -> DurableResult<()> {
+        let bytes = self.wal.append(rec)?;
+        self.stats.wal_appends.incr();
+        self.stats.wal_bytes.add(bytes);
+        Ok(())
+    }
+}
+
+/// A transactional [`Database`] that, given a journal, survives
+/// restarts. See the module docs.
+#[derive(Debug)]
+pub struct DurableDatabase {
+    mem: Database,
+    journal: Option<Journal>,
+    /// Last journaled transaction sequence number.
+    seq: u64,
+    /// The mutation counter the cluster layer keys caches on; rides every
+    /// commit record so recovery hands the committed value back.
+    revision: u64,
+    txn: Option<TxnState>,
+    report: RecoveryReport,
+}
+
 impl DurableDatabase {
+    /// An engine without a journal around `mem`: same transactions, same
+    /// revision counter, nothing written anywhere.
+    pub fn in_memory(mem: Database, revision: u64) -> Self {
+        let report = RecoveryReport::default();
+        DurableDatabase { mem, journal: None, seq: 0, revision, txn: None, report }
+    }
+
     /// Open (or create) the database stored in `vfs`, replaying as
     /// needed.
     pub fn open(vfs: &dyn Vfs) -> DurableResult<Self> {
@@ -275,10 +304,18 @@ impl DurableDatabase {
         stats.recovery_anomalies.add(report.anomalies.len() as u64);
         tracer.mark("db.recovery.commits", report.commits_replayed);
 
-        Ok(DurableDatabase { mem, wal, pager, seq, revision, txn: None, report, stats, tracer })
+        let journal = Some(Journal { wal, pager, stats, tracer });
+        Ok(DurableDatabase { mem, journal, seq, revision, txn: None, report })
     }
 
-    /// What open-time recovery found and did.
+    /// True when writes are journaled (the engine came from
+    /// [`open`](Self::open)).
+    pub fn is_journaled(&self) -> bool {
+        self.journal.is_some()
+    }
+
+    /// What open-time recovery found and did (nothing, without a
+    /// journal).
     pub fn recovery_report(&self) -> &RecoveryReport {
         &self.report
     }
@@ -289,32 +326,34 @@ impl DurableDatabase {
         &self.mem
     }
 
-    /// Storage telemetry.
-    pub fn stats(&self) -> &DurableStats {
-        &self.stats
+    /// Storage telemetry; all zeros without a journal.
+    pub fn stats(&self) -> DurableStats {
+        self.journal.as_ref().map_or_else(DurableStats::default, |j| j.stats.clone())
     }
 
     /// Rebind storage *and* SQL counters to an external registry.
     pub fn bind_stats_registry(&mut self, registry: &Registry) {
-        self.stats = DurableStats::bound_to(registry.clone());
+        if let Some(journal) = &mut self.journal {
+            journal.stats = DurableStats::bound_to(registry.clone());
+        }
         self.mem.bind_stats_registry(registry);
     }
 
-    /// Last committed transaction sequence number.
+    /// Last journaled transaction sequence number.
     pub fn seq(&self) -> u64 {
         self.seq
     }
 
-    /// Revision metadata that will ride the next commit record.
+    /// The mutation counter; its current value rides the next commit
+    /// record.
     pub fn revision(&self) -> u64 {
         self.revision
     }
 
-    /// Set the revision metadata journaled with the next commit. The
-    /// cluster layer calls this with its own counter so recovery can
-    /// hand the exact committed revision back.
-    pub fn set_revision(&mut self, revision: u64) {
-        self.revision = revision;
+    /// Move the revision forward by one. The engine never does this
+    /// itself: what counts as a mutation is the caller's contract.
+    pub fn bump_revision(&mut self) {
+        self.revision += 1;
     }
 
     /// True while an explicit transaction is open.
@@ -323,42 +362,58 @@ impl DurableDatabase {
     }
 
     /// Open an explicit transaction. Statements executed until
-    /// [`commit`](Self::commit) become durable together;
+    /// [`commit`](Self::commit) apply (and become durable) together;
     /// [`rollback`](Self::rollback) (or a crash) undoes all of them.
     pub fn begin(&mut self) -> DurableResult<()> {
         if self.txn.is_some() {
             return Err(DurableError::Txn("transaction already open".into()));
         }
         let seq = self.seq + 1;
-        let wal_start = self.wal.len();
-        self.append(&WalRecord::Begin { seq })?;
+        let mut wal_start = 0;
+        if let Some(journal) = &mut self.journal {
+            wal_start = journal.wal.len();
+            journal.append(&WalRecord::Begin { seq })?;
+        }
         self.txn = Some(TxnState { savepoint: self.mem.savepoint(), wal_start, seq });
         Ok(())
     }
 
+    /// Take the open transaction, counting what its undo log held.
+    fn take_txn(&mut self) -> DurableResult<TxnState> {
+        let txn = self.txn.take().ok_or_else(|| DurableError::Txn("no open transaction".into()))?;
+        if let Some(journal) = &self.journal {
+            journal.stats.undo_rows.add(self.mem.undo_rows());
+        }
+        Ok(txn)
+    }
+
     /// Commit the open transaction: write the commit record and fsync.
     pub fn commit(&mut self) -> DurableResult<()> {
-        let txn = self.txn.take().ok_or_else(|| DurableError::Txn("no open transaction".into()))?;
-        let _span = self.tracer.span("db.commit");
-        self.stats.undo_rows.add(self.mem.undo_rows());
+        let txn = self.take_txn()?;
+        let _span = self.journal.as_ref().map(|j| j.tracer.span("db.commit"));
         self.mem.release(txn.savepoint);
         // On append/fsync failure durability is unknown; keep the memory
         // image (the statements did execute) and surface the error — the
         // next open() decides from the bytes on disk.
-        self.commit_frames(txn.seq)?;
-        self.seq = txn.seq;
-        self.maybe_checkpoint()
+        self.commit_frames(txn.seq)
     }
 
+    /// Journal the commit record of transaction `seq`, fsync, and fold
+    /// the log into a snapshot once it has grown past the threshold.
     fn commit_frames(&mut self, seq: u64) -> DurableResult<()> {
-        self.append(&WalRecord::Commit {
+        let Some(journal) = &mut self.journal else { return Ok(()) };
+        journal.append(&WalRecord::Commit {
             seq,
             revision: self.revision,
             schema_gen: self.mem.schema_generation(),
         })?;
-        self.wal.sync()?;
-        self.stats.fsyncs.incr();
-        self.stats.commits.incr();
+        journal.wal.sync()?;
+        journal.stats.fsyncs.incr();
+        journal.stats.commits.incr();
+        self.seq = seq;
+        if journal.wal.len() >= CHECKPOINT_WAL_BYTES {
+            self.checkpoint()?;
+        }
         Ok(())
     }
 
@@ -367,20 +422,21 @@ impl DurableDatabase {
     /// is what makes "a cached plan serves rolled-back rows" impossible)
     /// and truncate the WAL back to its start.
     pub fn rollback(&mut self) -> DurableResult<()> {
-        let txn = self.txn.take().ok_or_else(|| DurableError::Txn("no open transaction".into()))?;
-        self.stats.undo_rows.add(self.mem.undo_rows());
+        let txn = self.take_txn()?;
         self.mem.rollback_to(txn.savepoint);
-        self.wal.truncate_to(txn.wal_start)?;
-        self.wal.sync()?;
-        self.stats.fsyncs.incr();
+        let Some(journal) = &mut self.journal else { return Ok(()) };
+        journal.wal.truncate_to(txn.wal_start)?;
+        journal.wal.sync()?;
+        journal.stats.fsyncs.incr();
         Ok(())
     }
 
-    /// Execute one statement. Outside a transaction this auto-commits
-    /// (Begin + Stmt + Commit + fsync); inside one it only journals the
-    /// statement. Failed statements have no effect anywhere — memory,
-    /// journal, or disk.
+    /// Execute one statement. Outside a transaction a journaled write
+    /// auto-commits (Begin + Stmt + Commit + fsync); inside one it only
+    /// journals the statement. Failed statements have no effect anywhere
+    /// — memory, journal, or disk.
     pub fn execute(&mut self, sql: &str) -> DurableResult<ExecOutcome> {
+        let Some(journal) = &mut self.journal else { return Ok(self.mem.execute(sql)?) };
         // Writes must not slip through the read-only classification:
         // run first, journal on success. The in-memory engine guarantees
         // failed statements change nothing (statement atomicity).
@@ -388,7 +444,7 @@ impl DurableDatabase {
             let before = self.mem.savepoint();
             let outcome = self.mem.execute(sql)?;
             if written(&outcome) {
-                if let Err(e) = self.append(&WalRecord::Stmt { sql: sql.to_string() }) {
+                if let Err(e) = journal.append(&WalRecord::Stmt { sql: sql.to_string() }) {
                     // Not journaled, so it must not have happened.
                     self.mem.rollback_to(before);
                     return Err(e);
@@ -397,40 +453,25 @@ impl DurableDatabase {
             return Ok(outcome);
         }
         let outcome = self.mem.execute(sql)?;
-        if !written(&outcome) {
-            return Ok(outcome);
+        if written(&outcome) {
+            let seq = self.seq + 1;
+            let _span = journal.tracer.span("db.commit");
+            journal.append(&WalRecord::Begin { seq })?;
+            journal.append(&WalRecord::Stmt { sql: sql.to_string() })?;
+            self.commit_frames(seq)?;
         }
-        let seq = self.seq + 1;
-        let _span = self.tracer.span("db.commit");
-        self.append(&WalRecord::Begin { seq })?;
-        self.append(&WalRecord::Stmt { sql: sql.to_string() })?;
-        self.commit_frames(seq)?;
-        self.seq = seq;
-        self.maybe_checkpoint()?;
         Ok(outcome)
-    }
-
-    fn append(&mut self, rec: &WalRecord) -> DurableResult<()> {
-        let bytes = self.wal.append(rec)?;
-        self.stats.wal_appends.incr();
-        self.stats.wal_bytes.add(bytes);
-        Ok(())
-    }
-
-    fn maybe_checkpoint(&mut self) -> DurableResult<()> {
-        if self.wal.len() >= CHECKPOINT_WAL_BYTES {
-            self.checkpoint()?;
-        }
-        Ok(())
     }
 
     /// Fold the current state into a fresh snapshot and truncate the
     /// WAL. Safe at any commit boundary; refuses inside a transaction.
+    /// Nothing to fold without a journal.
     pub fn checkpoint(&mut self) -> DurableResult<()> {
         if self.txn.is_some() {
             return Err(DurableError::Txn("cannot checkpoint inside a transaction".into()));
         }
-        let _span = self.tracer.span("db.checkpoint");
+        let Some(journal) = &mut self.journal else { return Ok(()) };
+        let _span = journal.tracer.span("db.checkpoint");
         let mut writer = SnapshotWriter::new();
         let mut catalog = Vec::new();
         // `table_names` is sorted; the catalog inherits that order.
@@ -481,7 +522,7 @@ impl DurableDatabase {
             writer.push_page(chunk.to_vec());
         }
         let pages = writer.page_count() as u64;
-        self.pager.write_snapshot(
+        journal.pager.write_snapshot(
             writer,
             catalog_page,
             catalog_bytes.len() as u32,
@@ -490,11 +531,11 @@ impl DurableDatabase {
             self.mem.schema_generation(),
         )?;
         // The WAL's content is now folded into the snapshot.
-        self.wal.truncate_to(0)?;
-        self.wal.sync()?;
-        self.stats.fsyncs.add(3); // two data barriers + the wal truncate
-        self.stats.checkpoints.incr();
-        self.stats.checkpoint_pages.add(pages);
+        journal.wal.truncate_to(0)?;
+        journal.wal.sync()?;
+        journal.stats.fsyncs.add(3); // two data barriers + the wal truncate
+        journal.stats.checkpoints.incr();
+        journal.stats.checkpoint_pages.add(pages);
         Ok(())
     }
 
@@ -540,6 +581,10 @@ mod tests {
 
     fn mkdb(vfs: &MemVfs) -> DurableDatabase {
         DurableDatabase::open(vfs).unwrap()
+    }
+
+    fn wal_len(db: &DurableDatabase) -> u64 {
+        db.journal.as_ref().expect("opened on a vfs").wal.len()
     }
 
     #[test]
@@ -598,14 +643,14 @@ mod tests {
         db.execute("create table t (x int)").unwrap();
         db.execute("insert into t values (1)").unwrap();
         let fp = db.state_fingerprint();
-        let wal_len = db.wal.len();
+        let before = wal_len(&db);
         db.begin().unwrap();
         db.execute("insert into t values (2)").unwrap();
         db.execute("create table ghost (y int)").unwrap();
         assert_eq!(db.reader().table("t").unwrap().len(), 2);
         db.rollback().unwrap();
         assert_eq!(db.state_fingerprint(), fp);
-        assert_eq!(db.wal.len(), wal_len);
+        assert_eq!(wal_len(&db), before);
         assert!(db.reader().table("ghost").is_none());
         // And a reopen agrees: the rolled-back work never existed.
         drop(db);
@@ -650,7 +695,7 @@ mod tests {
             }
         }
         assert!(db.stats().checkpoints() > 0, "WAL never hit the checkpoint threshold");
-        assert!(db.wal.len() < CHECKPOINT_WAL_BYTES);
+        assert!(wal_len(&db) < CHECKPOINT_WAL_BYTES);
         let fp = db.state_fingerprint();
         drop(db);
         assert_eq!(mkdb(&vfs).state_fingerprint(), fp);
@@ -660,21 +705,21 @@ mod tests {
     fn revision_and_schema_gen_survive_recovery() {
         let vfs = MemVfs::new();
         let mut db = mkdb(&vfs);
-        db.set_revision(41);
+        db.bump_revision();
         db.execute("create table t (x int)").unwrap();
-        db.set_revision(42);
+        db.bump_revision();
         db.execute("insert into t values (1)").unwrap();
         let gen = db.reader().schema_generation();
         drop(db);
         let db2 = mkdb(&vfs);
-        assert_eq!(db2.revision(), 42);
+        assert_eq!(db2.revision(), 2);
         assert_eq!(db2.reader().schema_generation(), gen);
         // Also across a checkpoint boundary.
         let mut db2 = db2;
         db2.checkpoint().unwrap();
         drop(db2);
         let db3 = mkdb(&vfs);
-        assert_eq!(db3.revision(), 42);
+        assert_eq!(db3.revision(), 2);
         assert_eq!(db3.reader().schema_generation(), gen);
     }
 }
