@@ -447,10 +447,10 @@ impl Cluster {
         Ok(out)
     }
 
-    /// The generated service configuration files (regenerated from the
-    /// database on demand, §6.4).
-    pub fn reports(&mut self) -> Result<reports::GeneratedReports> {
-        Ok(reports::generate_all(&mut self.db)?)
+    /// The generated service configuration files (a function of the
+    /// database, brought up to date on demand, §6.4).
+    pub fn reports(&mut self) -> Result<&reports::GeneratedReports> {
+        Ok(self.db.reports()?)
     }
 
     /// Rebuild the distribution from new update/contrib repositories,

@@ -9,8 +9,7 @@
 //! services." Nodes are booted *sequentially* so rack/rank follow
 //! physical position.
 
-use crate::ip::{alloc_descending, Ipv4};
-use crate::reports;
+use crate::ip::Ipv4;
 use crate::schema::NodeRecord;
 use crate::{ClusterDb, DbError, Result};
 
@@ -31,9 +30,6 @@ pub struct InsertEthers<'a> {
     rack: i64,
     /// Rank for the next node; advances as nodes are integrated.
     next_rank: i64,
-    /// Reports regenerated after each insertion (the paper's "rebuilds
-    /// service-specific configuration files").
-    pub last_reports: Option<reports::GeneratedReports>,
 }
 
 impl<'a> InsertEthers<'a> {
@@ -43,11 +39,12 @@ impl<'a> InsertEthers<'a> {
     pub fn start(db: &'a mut ClusterDb, membership_name: &str, rack: i64) -> Result<Self> {
         let membership = db.membership_by_name(membership_name)?;
         let next_rank = db.max_rank(membership.id, rack)?.map_or(0, |r| r + 1);
-        Ok(InsertEthers { db, membership_id: membership.id, rack, next_rank, last_reports: None })
+        Ok(InsertEthers { db, membership_id: membership.id, rack, next_rank })
     }
 
     /// Handle one DHCP request: name the node, allocate an address,
-    /// insert the row, regenerate reports. Returns the new record.
+    /// insert the row, bring [`ClusterDb::reports`] up to date. Returns
+    /// the new record.
     ///
     /// A request from an already-known MAC is *not* an error — booting an
     /// installed node re-DHCPs — it is simply ignored (returns `Ok(None)`).
@@ -59,11 +56,9 @@ impl<'a> InsertEthers<'a> {
         }
 
         let membership = self.db.membership(self.membership_id)?;
-        let id = self.db.next_node_id()?;
+        let (id, ip) = self.db.next_identity()?;
         let rank = self.next_rank;
         let name = format!("{}-{}-{}", membership.basename, self.rack, rank);
-        let used = self.db.used_ips()?;
-        let ip = alloc_descending(Ipv4::ALLOC_TOP, &used).ok_or(DbError::NoFreeAddress)?;
 
         let record = NodeRecord {
             id,
@@ -78,8 +73,9 @@ impl<'a> InsertEthers<'a> {
         self.db.add_node(&record)?;
         self.next_rank += 1;
 
-        // Rebuild the generated configuration files from the database.
-        self.last_reports = Some(reports::generate_all(self.db)?);
+        // "Rebuilds service-specific configuration files": the append
+        // above extended them, so this only confirms they are current.
+        self.db.reports()?;
         Ok(Some(record))
     }
 
@@ -114,7 +110,6 @@ pub fn replace_node(db: &mut ClusterDb, name: &str, new_mac: &str) -> Result<Nod
         crate::sql_escape(new_mac),
         crate::sql_escape(name)
     ))?;
-    reports::generate_all(db)?;
     db.node_by_name(name)
 }
 
@@ -218,7 +213,7 @@ mod tests {
         register_frontend(&mut db, "00:30:c1:d8:ac:80", "frontend-0").unwrap();
         let mut s = InsertEthers::start(&mut db, "Compute", 0).unwrap();
         s.observe(&DhcpRequest { mac: mac(1) }).unwrap();
-        let reports = s.last_reports.as_ref().unwrap();
+        let reports = db.reports().unwrap();
         assert!(reports.hosts.contains("compute-0-0"));
         assert!(reports.dhcpd_conf.contains(&mac(1)));
         assert!(reports.pbs_nodes.contains("compute-0-0"));
@@ -243,6 +238,29 @@ mod tests {
             .query_ref(&format!("select name from nodes where mac = '{}'", mac(1)))
             .unwrap();
         assert!(rows.rows.is_empty());
+
+        // The UPDATE left the reports stale; the next read rebuilds them.
+        let from_rows = crate::reports::build(&db).unwrap();
+        let reports = db.reports().unwrap();
+        assert!(reports.dhcpd_conf.contains(&mac(99)));
+        assert!(!reports.dhcpd_conf.contains(&mac(1)));
+        assert_eq!(*reports, from_rows);
+    }
+
+    #[test]
+    fn a_hole_left_by_a_delete_is_reused_first() {
+        let mut db = ClusterDb::new();
+        let mut s = InsertEthers::start(&mut db, "Compute", 0).unwrap();
+        for i in 1..=4 {
+            s.observe(&DhcpRequest { mac: mac(i) }).unwrap();
+        }
+        db.execute_raw("delete from nodes where rank = 1").unwrap();
+        let mut s = InsertEthers::start(&mut db, "Compute", 0).unwrap();
+        let filled = s.observe(&DhcpRequest { mac: mac(5) }).unwrap().unwrap();
+        let below = s.observe(&DhcpRequest { mac: mac(6) }).unwrap().unwrap();
+        assert_eq!(filled.ip, Ipv4::new(10, 255, 255, 253), "first fit from the top");
+        assert_eq!(below.ip, Ipv4::new(10, 255, 255, 250));
+        assert_eq!((filled.id, below.id), (5, 6), "ids are never reused");
     }
 
     #[test]

@@ -76,6 +76,9 @@ impl fmt::Display for Ipv4 {
 /// staying inside the cluster network. This matches insert-ethers'
 /// "determines the next *free* IP address" with the descending convention
 /// visible in Table II.
+///
+/// The rule over a plain list, kept as the oracle tests hold
+/// [`ClusterDb::next_identity`](crate::ClusterDb::next_identity) to.
 pub fn alloc_descending(top: Ipv4, used: &[Ipv4]) -> Option<Ipv4> {
     let mut candidate = top;
     loop {

@@ -32,6 +32,9 @@ pub use insert_ethers::{DhcpRequest, InsertEthers};
 pub use ip::Ipv4;
 pub use schema::{Membership, NodeRecord, DEFAULT_MEMBERSHIPS};
 
+use std::sync::Arc;
+
+use reports::GeneratedReports;
 use rocks_sql::{Database, DurableDatabase, DurableError, RecoveryReport, SqlError, Value, Vfs};
 use rocks_trace::{Registry, Tracer};
 
@@ -101,6 +104,23 @@ pub type Result<T> = std::result::Result<T, DbError>;
 #[derive(Debug)]
 pub struct ClusterDb {
     db: DurableDatabase,
+    /// Built on first read, folded by an appending
+    /// [`add_node`](Self::add_node), stale after any other write.
+    derived: Option<Derived>,
+}
+
+/// What insert-ethers needs from the rows, stamped with the revision it
+/// reflects: equal revisions guarantee identical contents, so an equal
+/// stamp means current and anything else means rebuild.
+#[derive(Debug, Clone)]
+struct Derived {
+    revision: u64,
+    /// Shared between clones until one of them folds.
+    reports: Arc<GeneratedReports>,
+    /// Highest node id, 0 without nodes.
+    last_id: i64,
+    /// Highest free address at or below [`Ipv4::ALLOC_TOP`].
+    free_ip: Option<Ipv4>,
 }
 
 impl Clone for ClusterDb {
@@ -108,7 +128,10 @@ impl Clone for ClusterDb {
     /// same contents and revision: simulation fan-out wants cheap
     /// independent copies, never two writers of one WAL.
     fn clone(&self) -> Self {
-        ClusterDb { db: DurableDatabase::in_memory(self.sql_ref().clone(), self.revision()) }
+        ClusterDb {
+            db: DurableDatabase::in_memory(self.sql_ref().clone(), self.revision()),
+            derived: self.derived.clone(),
+        }
     }
 }
 
@@ -124,7 +147,7 @@ impl ClusterDb {
     pub fn new() -> Self {
         let mut db = Database::new();
         schema::create_schema(&mut db);
-        ClusterDb { db: DurableDatabase::in_memory(db, 0) }
+        ClusterDb { db: DurableDatabase::in_memory(db, 0), derived: None }
     }
 
     /// Open (or create) a durable cluster database on `vfs`. A fresh
@@ -138,7 +161,8 @@ impl ClusterDb {
     /// [`open_durable`](Self::open_durable) with storage telemetry
     /// flowing into `tracer`.
     pub fn open_durable_with_tracer(vfs: &dyn Vfs, tracer: Tracer) -> Result<Self> {
-        let mut cluster = ClusterDb { db: DurableDatabase::open_with_tracer(vfs, tracer)? };
+        let mut cluster =
+            ClusterDb { db: DurableDatabase::open_with_tracer(vfs, tracer)?, derived: None };
         if cluster.db.seq() == 0 && cluster.sql_ref().table_names().is_empty() {
             cluster.atomically(&schema::schema_statements())?;
         }
@@ -284,10 +308,15 @@ impl ClusterDb {
 
     /// Insert a node row exactly as given (used by insert-ethers and by
     /// the Table II reproduction). Rejects duplicate MACs.
+    ///
+    /// Derived state that is current and sees the row land after every
+    /// other one is folded forward: an append costs the row, not the table.
     pub fn add_node(&mut self, node: &NodeRecord) -> Result<()> {
         if self.node_by_mac(&node.mac)?.is_some() {
             return Err(DbError::DuplicateMac(node.mac.clone()));
         }
+        let revision = self.revision();
+        let fold = self.derived.take().filter(|d| d.revision == revision && node.id > d.last_id);
         let comment = match &node.comment {
             Some(c) => format!("'{}'", sql_escape(c)),
             None => "NULL".to_string(),
@@ -303,7 +332,58 @@ impl ClusterDb {
             node.ip,
             comment,
         ))?;
+        if let Some(mut d) = fold {
+            let compute = self.membership(node.membership).is_ok_and(|m| m.compute);
+            Arc::make_mut(&mut d.reports).push_node(node, compute);
+            d.last_id = node.id;
+            d.free_ip = self.free_ip_from(d.free_ip)?;
+            d.revision = self.revision();
+            self.derived = Some(d);
+        }
         Ok(())
+    }
+
+    /// The derived state, rebuilt whole from the rows unless its stamp
+    /// is the current revision.
+    fn derived(&mut self) -> Result<&Derived> {
+        let revision = self.revision();
+        if self.derived.as_ref().is_none_or(|d| d.revision != revision) {
+            self.derived = Some(Derived {
+                revision,
+                reports: Arc::new(reports::build(self)?),
+                last_id: self.next_node_id()? - 1,
+                free_ip: self.free_ip_from(Some(Ipv4::ALLOC_TOP))?,
+            });
+        }
+        Ok(self.derived.as_ref().expect("current or just rebuilt"))
+    }
+
+    /// The highest address at or below `top` that is neither held (a
+    /// probe of the `nodes.ip` index) nor the frontend's; `None` once the
+    /// walk leaves the cluster network.
+    fn free_ip_from(&self, top: Option<Ipv4>) -> Result<Option<Ipv4>> {
+        let mut candidate = top;
+        while let Some(ip) = candidate.filter(|ip| ip.in_network(Ipv4::NETWORK, Ipv4::PREFIX_LEN)) {
+            let held = self.sql_ref().lookup_eq("nodes", "ip", &Value::Text(ip.to_string()))?;
+            if held.rows.is_empty() && ip != Ipv4::FRONTEND {
+                return Ok(Some(ip));
+            }
+            candidate = Some(ip.prev());
+        }
+        Ok(None)
+    }
+
+    /// The generated service configuration files (§6.4), brought up to
+    /// date: no SQL runs when only appends happened since the last call.
+    pub fn reports(&mut self) -> Result<&GeneratedReports> {
+        Ok(&self.derived()?.reports)
+    }
+
+    /// The id and address insert-ethers gives the next discovered node:
+    /// one past the highest id, and the highest free address.
+    pub fn next_identity(&mut self) -> Result<(i64, Ipv4)> {
+        let d = self.derived()?;
+        Ok((d.last_id + 1, d.free_ip.ok_or(DbError::NoFreeAddress)?))
     }
 
     /// All nodes ordered by id. Read-only.
@@ -400,12 +480,6 @@ impl ClusterDb {
             self.sql_ref().lookup_eq("app_globals", "name", &Value::Text(key.to_string()))?;
         // Column 1 is `value`.
         Ok(result.rows.first().map(|r| r[1].render()))
-    }
-
-    /// All IPs currently assigned. Read-only.
-    pub fn used_ips(&self) -> Result<Vec<Ipv4>> {
-        let result = self.sql_ref().query_ref("select ip from nodes")?;
-        Ok(result.rows.iter().filter_map(|r| r[0].as_text().and_then(Ipv4::parse)).collect())
     }
 
     /// Every kickstartable node, fully resolved for mass generation and
@@ -673,6 +747,40 @@ mod tests {
             vec![("compute-0-0", "compute", "Compute"), ("frontend-0", "frontend", "Frontend"),]
         );
         assert_eq!(targets[0].ip, "10.255.255.254");
+    }
+
+    /// A database whose free-address cursor stands at `top`, as if every
+    /// address above it were held.
+    fn with_cursor_at(top: Ipv4) -> ClusterDb {
+        let mut db = ClusterDb::new();
+        db.reports().unwrap();
+        db.derived.as_mut().unwrap().free_ip = Some(top);
+        db
+    }
+
+    fn observe(db: &mut ClusterDb, n: u8) -> Result<Ipv4> {
+        let request = DhcpRequest { mac: format!("aa:00:00:00:00:{n:02x}") };
+        let record = InsertEthers::start(db, "Compute", 0)?.observe(&request)?;
+        Ok(record.expect("a new MAC").ip)
+    }
+
+    #[test]
+    fn free_address_cursor_skips_the_frontend() {
+        // Whether or not the frontend has a row yet.
+        let mut db = with_cursor_at(Ipv4::FRONTEND.next());
+        assert_eq!(observe(&mut db, 1).unwrap(), Ipv4::new(10, 1, 1, 2));
+        assert_eq!(observe(&mut db, 2).unwrap(), Ipv4::new(10, 1, 1, 0));
+        assert_eq!(db.free_ip_from(Some(Ipv4::FRONTEND)).unwrap(), Some(Ipv4::new(10, 1, 0, 255)));
+    }
+
+    #[test]
+    fn exhausted_network_is_an_error_not_a_wrap() {
+        let mut db = with_cursor_at(Ipv4::new(10, 0, 0, 1));
+        assert_eq!(observe(&mut db, 1).unwrap(), Ipv4::new(10, 0, 0, 1));
+        assert_eq!(observe(&mut db, 2).unwrap(), Ipv4::NETWORK);
+        assert_eq!(observe(&mut db, 3), Err(DbError::NoFreeAddress));
+        assert_eq!(observe(&mut db, 3), Err(DbError::NoFreeAddress), "and stays one");
+        assert_eq!(db.nodes().unwrap().len(), 2);
     }
 
     /// Memory mode rolls back through the same engine as durable mode:
