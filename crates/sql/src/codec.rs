@@ -133,23 +133,6 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Order-preserving key encoding for B-tree secondary indexes:
-/// NULL < every Int < every Text, Ints in numeric order.
-pub(crate) fn put_index_key(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => put_u8(out, 0),
-        Value::Int(n) => {
-            put_u8(out, 1);
-            // Sign-flip makes the big-endian byte order the numeric order.
-            out.extend_from_slice(&((*n as u64) ^ (1 << 63)).to_be_bytes());
-        }
-        Value::Text(s) => {
-            put_u8(out, 2);
-            out.extend_from_slice(s.as_bytes());
-        }
-    }
-}
-
 /// FNV-1a 64-bit — the canonical-state fingerprint the crash harness
 /// compares across recoveries. Not cryptographic; collision resistance at
 /// test scale is all that is needed.
@@ -185,23 +168,5 @@ mod tests {
             let mut r = Reader::new(&buf[..cut]);
             assert!(r.str().is_err(), "cut at {cut} must fail cleanly");
         }
-    }
-
-    #[test]
-    fn index_key_orders_ints_numerically() {
-        let enc = |n: i64| {
-            let mut b = Vec::new();
-            put_index_key(&mut b, &Value::Int(n));
-            b
-        };
-        assert!(enc(-5) < enc(0));
-        assert!(enc(0) < enc(7));
-        assert!(enc(i64::MIN) < enc(i64::MAX));
-        let mut null = Vec::new();
-        put_index_key(&mut null, &Value::Null);
-        let mut text = Vec::new();
-        put_index_key(&mut text, &Value::Text("a".into()));
-        assert!(null < enc(i64::MIN));
-        assert!(enc(i64::MAX) < text);
     }
 }

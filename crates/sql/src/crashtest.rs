@@ -15,8 +15,10 @@
 //!    reopen.
 //! 3. **Check.** The recovered fingerprint must be *some* golden
 //!    commit's fingerprint (recovered ≡ committed prefix), the
-//!    recovered seq must meet the durability floor for `at_op`, and
-//!    opening the survivor twice must agree (replay idempotence).
+//!    recovered seq must meet the durability floor for `at_op`,
+//!    opening the survivor twice must agree (replay idempotence), and a
+//!    checkpoint of the recovered survivor must reopen to the same
+//!    state (the free pages recovery derived really are free).
 //!
 //! Every violation is recorded as a human-readable string rather than
 //! panicking, so one sweep reports all damage at once.
@@ -43,10 +45,26 @@ pub enum Step {
 
 /// A deterministic workload: cluster-flavoured DDL and DML mixing
 /// auto-commits, explicit transactions, rollbacks, and checkpoints.
+///
+/// Odd seeds pad every `nodes` row to about a kilobyte, insert three at
+/// a time, checkpoint every few transactions and add what only shows on
+/// a tree of many leaves: rows that outgrow their leaf, DELETEs in the
+/// middle and at the tail. Their checkpoints rewrite a few leaves of a
+/// dozen and land on pages an earlier checkpoint freed.
 pub fn workload(seed: u64) -> Vec<Step> {
     let mut rng = StdRng::seed_from_u64(seed);
+    let padded = seed % 2 == 1;
+    // Even seeds draw nothing for it: their workloads are what they
+    // were before there were padded ones.
+    let pad = |rng: &mut StdRng| match padded {
+        true => format!(", '{}'", "p".repeat(rng.gen_range(700usize..1100))),
+        false => String::new(),
+    };
     let mut steps = vec![
-        Step::Stmt("create table nodes (id int, name text, rack int)".into()),
+        Step::Stmt(format!(
+            "create table nodes (id int, name text, rack int{})",
+            if padded { ", pad text" } else { "" }
+        )),
         Step::Stmt("create table ethers (node int, mac text)".into()),
     ];
     let mut next_id = 0i64;
@@ -57,15 +75,20 @@ pub fn workload(seed: u64) -> Vec<Step> {
             steps.push(Step::Begin);
         }
         for _ in 0..rng.gen_range(1usize..4) {
-            let stmt = match rng.gen_range(0u8..5) {
+            let some_id = |rng: &mut StdRng| rng.gen_range(1i64..(next_id + 1).max(2));
+            let stmt = match rng.gen_range(0u8..if padded { 8 } else { 5 }) {
                 0..=2 => {
-                    next_id += 1;
-                    format!(
-                        "insert into nodes values ({next_id}, 'compute-{}-{}', {})",
-                        t,
-                        next_id,
-                        rng.gen_range(0i64..8)
-                    )
+                    let rows: Vec<String> = (0..if padded { 3 } else { 1 })
+                        .map(|_| {
+                            next_id += 1;
+                            format!(
+                                "({next_id}, 'compute-{t}-{next_id}', {}{})",
+                                rng.gen_range(0i64..8),
+                                pad(&mut rng)
+                            )
+                        })
+                        .collect();
+                    format!("insert into nodes values {}", rows.join(", "))
                 }
                 3 => {
                     next_id += 1;
@@ -75,11 +98,18 @@ pub fn workload(seed: u64) -> Vec<Step> {
                         next_id % 100
                     )
                 }
-                _ => format!(
+                4 => format!(
                     "update nodes set rack = {} where id = {}",
                     rng.gen_range(0i64..8),
-                    rng.gen_range(1i64..(next_id + 1).max(2))
+                    some_id(&mut rng)
                 ),
+                5 => format!(
+                    "update nodes set pad = '{}' where id = {}",
+                    "g".repeat(rng.gen_range(1500usize..2500)),
+                    some_id(&mut rng)
+                ),
+                6 => format!("delete from nodes where id = {}", some_id(&mut rng)),
+                _ => format!("delete from nodes where id > {}", next_id - 2),
             };
             steps.push(Step::Stmt(stmt));
         }
@@ -92,7 +122,7 @@ pub fn workload(seed: u64) -> Vec<Step> {
                 steps.push(Step::Commit);
             }
         }
-        if rng.gen_range(0u8..8) == 0 {
+        if rng.gen_range(0u8..if padded { 3 } else { 8 }) == 0 {
             steps.push(Step::Checkpoint);
         }
     }
@@ -282,24 +312,41 @@ fn check_survivor(
     }
     // Idempotence: the first open repaired the tail; a second open of
     // the same (now-clean) image must land on the identical state.
-    match DurableDatabase::open(&survivor) {
-        Ok(db2) => {
-            if db2.state_fingerprint() != fp {
-                report.violations.push(format!(
-                    "seed {seed} at_op {at_op}: second recovery diverged from first"
-                ));
-            }
-            if !db2.recovery_report().anomalies.is_empty() {
-                report.violations.push(format!(
-                    "seed {seed} at_op {at_op}: anomalies persisted past the repair truncation"
-                ));
-            }
-        }
+    drop(db);
+    let mut db2 = match DurableDatabase::open(&survivor) {
+        Ok(db2) => db2,
         Err(e) => {
             report
                 .violations
                 .push(format!("seed {seed} at_op {at_op}: second recovery failed: {e}"));
+            return;
         }
+    };
+    if db2.state_fingerprint() != fp {
+        report
+            .violations
+            .push(format!("seed {seed} at_op {at_op}: second recovery diverged from first"));
+    }
+    if !db2.recovery_report().anomalies.is_empty() {
+        report.violations.push(format!(
+            "seed {seed} at_op {at_op}: anomalies persisted past the repair truncation"
+        ));
+    }
+    // The survivor goes on living: its next checkpoint writes into the
+    // pages recovery found unreachable (among them whatever the killed
+    // checkpoint left behind) and must not damage one that is reachable.
+    let reopened = db2.checkpoint().and_then(|()| {
+        drop(db2);
+        DurableDatabase::open(&survivor)
+    });
+    match reopened {
+        Ok(db3) if db3.state_fingerprint() == fp => {}
+        Ok(_) => report.violations.push(format!(
+            "seed {seed} at_op {at_op}: a checkpoint of the survivor reopened to another state"
+        )),
+        Err(e) => report.violations.push(format!(
+            "seed {seed} at_op {at_op}: checkpoint and reopen of the survivor failed: {e}"
+        )),
     }
 }
 
@@ -334,9 +381,38 @@ mod tests {
 
     #[test]
     fn single_seed_sweep_is_clean() {
-        let report = sweep_seed(1);
-        assert!(report.crash_points > 50, "workload too small: {report:?}");
-        assert!(report.violations.is_empty(), "violations: {:#?}", report.violations);
-        assert!(report.recovered_commits > 0);
+        for seed in [1, 2] {
+            let report = sweep_seed(seed);
+            assert!(report.crash_points > 50, "workload too small: {report:?}");
+            assert!(report.violations.is_empty(), "violations: {:#?}", report.violations);
+            assert!(report.recovered_commits > 0);
+        }
+    }
+
+    /// The padded workloads are there to put checkpoints on trees of
+    /// many leaves and into freed pages; hold them to it.
+    #[test]
+    fn padded_workloads_span_leaves_and_reuse_freed_pages() {
+        use crate::pager::PAGE_SIZE;
+        for seed in (1..16).step_by(2) {
+            let vfs = MemVfs::new();
+            let mut db = DurableDatabase::open(&vfs).unwrap();
+            let data_pages = || vfs.stable_bytes("data").map_or(0, |b| b.len() / PAGE_SIZE);
+            let (mut most_pages, mut into_freed, mut partial) = (0, 0, 0);
+            for step in workload(seed) {
+                let before = (data_pages(), db.stats().checkpoint_pages());
+                run_steps(&mut db, std::slice::from_ref(&step), |_| {}).unwrap();
+                let written = (db.stats().checkpoint_pages() - before.1) as usize;
+                if written == 0 {
+                    continue;
+                }
+                most_pages = most_pages.max(data_pages());
+                into_freed += usize::from(data_pages() < before.0 + written);
+                partial += usize::from(written + 2 < data_pages());
+            }
+            assert!(most_pages >= 8 + 2, "seed {seed}: only {most_pages} pages");
+            assert!(into_freed >= 3, "seed {seed}: {into_freed} checkpoints into freed pages");
+            assert!(partial >= 3, "seed {seed}: {partial} checkpoints that kept most pages");
+        }
     }
 }

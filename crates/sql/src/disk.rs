@@ -19,9 +19,10 @@
 //!
 //! An image is a run of fixed-size blocks shared copy-on-write, so
 //! `stable`, `view` and a survivor's copies of both hold one block
-//! between them until a write separates them: `sync` and `survivor` cost
-//! a pointer per block, a write copies the blocks it lands on, and the
-//! disk never asks the allocator for a buffer the size of a file.
+//! between them until a write separates them: `sync` costs a pointer per
+//! block written since the last one, `survivor` a pointer per block, a
+//! write copies the blocks it lands on, and the disk never asks the
+//! allocator for a buffer the size of a file.
 
 use crate::codec::fnv1a;
 use std::collections::BTreeMap;
@@ -46,6 +47,9 @@ pub enum DiskError {
     },
     /// An OS-level I/O failure (real files only).
     Io(String),
+    /// A write aimed at a page the live snapshot header reaches. The
+    /// pager refuses it: such a page may only change by being freed.
+    LivePage(u32),
 }
 
 impl std::fmt::Display for DiskError {
@@ -56,6 +60,9 @@ impl std::fmt::Display for DiskError {
                 write!(f, "read [{offset}, {offset}+{len}) past end of {file_len}-byte file")
             }
             DiskError::Io(e) => write!(f, "io error: {e}"),
+            DiskError::LivePage(page) => {
+                write!(f, "refused to overwrite page {page}, which the live snapshot reaches")
+            }
         }
     }
 }
@@ -167,6 +174,31 @@ impl Image {
         let mut out = vec![0; self.len];
         self.read(0, &mut out);
         out
+    }
+
+    /// Become `view`, which is this image with `pending` applied, by
+    /// taking over only the blocks those ops can have changed: the ones
+    /// a write landed on, and everything from the lowest point the file
+    /// was cut to, or this image ended at, upwards.
+    fn catch_up(&mut self, view: &Image, pending: &[PendingOp]) {
+        let mut low = self.len / BLOCK;
+        for op in pending {
+            if let PendingOp::Truncate { len } = op {
+                low = low.min(*len as usize / BLOCK);
+            }
+        }
+        low = low.min(view.blocks.len());
+        for op in pending {
+            if let PendingOp::Write { offset, data } = op {
+                let end = (*offset as usize + data.len()).div_ceil(BLOCK);
+                for block in *offset as usize / BLOCK..end.min(low) {
+                    self.blocks[block] = Arc::clone(&view.blocks[block]);
+                }
+            }
+        }
+        self.blocks.truncate(low);
+        self.blocks.extend_from_slice(&view.blocks[low..]);
+        self.len = view.len;
     }
 }
 
@@ -410,7 +442,7 @@ impl DiskFile for MemFile {
         // A sync that crashes has NOT flushed: tick first.
         s.tick()?;
         let file = s.files.get_mut(&self.name).expect("open file");
-        file.stable = file.view.clone();
+        file.stable.catch_up(&file.view, &file.pending);
         file.pending.clear();
         Ok(())
     }
@@ -490,28 +522,56 @@ impl DiskFile for OsFile {
     }
 }
 
-/// CRC-32 (IEEE 802.3), table-driven. Every on-disk frame and page
-/// carries one; recovery treats a mismatch as a typed error rather than
-/// undefined behaviour.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table of CRC-32 (IEEE
+/// 802.3); `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k`
+/// zero bytes, which lets eight input bytes fold in one step.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            k += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-                k += 1;
-            }
-            table[i] = c;
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        table
-    };
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3), slice-by-8. Every on-disk frame and page carries
+/// one; recovery treats a mismatch as a typed error rather than
+/// undefined behaviour.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -525,6 +585,49 @@ mod tests {
         // The classic check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-at-a-time CRC-32 the engine shipped with, table and all:
+    /// the reference the sliced version must agree with on every input.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        const TABLE: [u32; 256] = {
+            let mut table = [0u32; 256];
+            let mut i = 0;
+            while i < 256 {
+                let mut c = i as u32;
+                let mut k = 0;
+                while k < 8 {
+                    c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+                    k += 1;
+                }
+                table[i] = c;
+                i += 1;
+            }
+            table
+        };
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_reference() {
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        let mut r = 0x5EED_C2C3u64;
+        // Every head/tail alignment of the eight-byte step, and a page.
+        for len in (0..=70).chain([4092]) {
+            for _ in 0..8 {
+                let bytes: Vec<u8> = (0..len)
+                    .map(|i| {
+                        r = VfsState::roll(r, i as u64);
+                        r as u8
+                    })
+                    .collect();
+                assert_eq!(crc32(&bytes), crc32_bytewise(&bytes), "len {len}: {bytes:?}");
+            }
+        }
     }
 
     #[test]
@@ -571,6 +674,33 @@ mod tests {
         let mut mid = vec![0u8; flat.len() / 2];
         image.read(flat.len() / 4, &mut mid);
         assert_eq!(mid, flat[flat.len() / 4..][..mid.len()]);
+    }
+
+    #[test]
+    fn sync_makes_stable_what_the_process_sees() {
+        // Writes, cuts and extensions of every alignment between syncs:
+        // `sync` moves over only the blocks it takes to have changed, and
+        // must end on exactly the bytes the process reads back.
+        let vfs = MemVfs::new();
+        let mut f = vfs.open("data").unwrap();
+        let mut r = 0xD15C_5EEDu64;
+        for step in 0..600u64 {
+            r = VfsState::roll(r, step);
+            let at = (r >> 8) % (5 * BLOCK as u64);
+            match r % 7 {
+                0 => f.truncate(at).unwrap(),
+                1 | 2 => {
+                    f.sync().unwrap();
+                    let mut seen = vec![0u8; f.len().unwrap() as usize];
+                    f.read_exact_at(0, &mut seen).unwrap();
+                    assert_eq!(vfs.stable_bytes("data").unwrap(), seen, "step {step}");
+                }
+                _ => {
+                    let data = vec![step as u8 | 1; (r >> 32) as usize % (2 * BLOCK + 1)];
+                    f.write_at(at, &data).unwrap();
+                }
+            }
+        }
     }
 
     #[test]

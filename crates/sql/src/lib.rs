@@ -305,6 +305,11 @@ pub struct Database {
     /// What reverses the open transaction's statements; `None` outside
     /// a [`Savepoint`].
     undo: Option<undo::UndoLog>,
+    /// Per table, where the journal's live snapshot keeps it and which
+    /// rows have changed since, so that a checkpoint writes those alone;
+    /// `None` without a journal. A table the snapshot does not hold has
+    /// no entry.
+    pub(crate) images: Option<BTreeMap<String, btree::TreeImage>>,
 }
 
 impl Clone for Database {
@@ -312,13 +317,14 @@ impl Clone for Database {
         // The cache is pure acceleration state; a clone starts cold —
         // and with fresh counters, so clones never double-count. It is
         // a detached copy of the current contents: an open savepoint
-        // stays with the original.
+        // and the journal's snapshot stay with the original.
         Database {
             tables: self.tables.clone(),
             schema_gen: self.schema_gen,
             cache: Mutex::new(PlanCache::default()),
             stats: QueryStats::default(),
             undo: None,
+            images: None,
         }
     }
 }

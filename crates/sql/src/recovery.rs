@@ -3,16 +3,18 @@
 //!
 //! Recovery is a pure function of the bytes on disk: open the data
 //! file, pick the live snapshot (highest valid header generation),
-//! rebuild the in-memory tables from its B-trees, then re-execute every
-//! WAL transaction with `seq > checkpoint_seq`. Damage in the WAL tail
+//! rebuild the in-memory tables from its B-trees — noting where every
+//! page of them lies, which is what the next checkpoint reuses and what
+//! tells the pager which pages are free — then re-execute every WAL
+//! transaction with `seq > checkpoint_seq`. Damage in the WAL tail
 //! is *expected* (that is what a crash leaves behind) and is reported as
 //! typed anomalies rather than errors; damage to the snapshot region or
 //! replay divergence is a hard error, because it means the committed
 //! prefix itself cannot be reconstructed.
 
-use crate::btree::DiskBTree;
+use crate::btree;
 use crate::codec::{self, Reader};
-use crate::pager::{Pager, SnapshotMeta};
+use crate::pager::{self, Pager};
 use crate::table::{ColumnType, Table};
 use crate::wal::WalScan;
 use crate::Database;
@@ -66,8 +68,6 @@ pub struct RecoveryReport {
     /// Bytes of damaged/uncommitted WAL tail discarded by the repair
     /// truncation.
     pub wal_tail_discarded: u64,
-    /// Secondary-index entries verified against the recovered rows.
-    pub index_entries_verified: u64,
 }
 
 impl RecoveryReport {
@@ -91,13 +91,13 @@ pub(crate) struct CatalogTable {
     pub columns: Vec<(String, ColumnType)>,
     pub rows: u64,
     pub root: u32,
-    /// `(column index, secondary-tree root)`.
-    pub indexes: Vec<(u32, u32)>,
-    /// Whether the table had warm planner statistics at checkpoint time.
-    /// Stats are derived state — cheap to rebuild from the recovered
-    /// rows — so only this flag is persisted, and recovery re-warms
-    /// flagged tables so the first post-restart planning pass costs the
-    /// same as it did before the crash.
+    /// Columns that had a warm hash index at checkpoint time, and
+    /// whether the table had warm planner statistics. Both are derived
+    /// state — rebuilt from the recovered rows — so only that they were
+    /// warm is persisted: recovery re-warms them, and the first kickstart
+    /// burst and planning pass after a restart cost what they did before
+    /// the crash.
+    pub warm_indexes: Vec<u32>,
     pub stats_warm: bool,
 }
 
@@ -119,10 +119,9 @@ pub(crate) fn encode_catalog(tables: &[CatalogTable]) -> Vec<u8> {
         }
         codec::put_u64(&mut out, t.rows);
         codec::put_u32(&mut out, t.root);
-        codec::put_u32(&mut out, t.indexes.len() as u32);
-        for (col, root) in &t.indexes {
+        codec::put_u32(&mut out, t.warm_indexes.len() as u32);
+        for col in &t.warm_indexes {
             codec::put_u32(&mut out, *col);
-            codec::put_u32(&mut out, *root);
         }
         codec::put_u8(&mut out, u8::from(t.stats_warm));
     }
@@ -137,7 +136,7 @@ fn decode_catalog(bytes: &[u8]) -> Result<Vec<CatalogTable>, RecoveryError> {
     for _ in 0..n {
         let name = r.str().map_err(|e| bad(e.0))?;
         let ncols = r.u32().map_err(|e| bad(e.0))?;
-        let mut columns = Vec::with_capacity(ncols as usize);
+        let mut columns = Vec::new();
         for _ in 0..ncols {
             let cname = r.str().map_err(|e| bad(e.0))?;
             let ty = match r.u8().map_err(|e| bad(e.0))? {
@@ -150,128 +149,90 @@ fn decode_catalog(bytes: &[u8]) -> Result<Vec<CatalogTable>, RecoveryError> {
         let rows = r.u64().map_err(|e| bad(e.0))?;
         let root = r.u32().map_err(|e| bad(e.0))?;
         let nix = r.u32().map_err(|e| bad(e.0))?;
-        let mut indexes = Vec::with_capacity(nix as usize);
+        let mut warm_indexes = Vec::new();
         for _ in 0..nix {
-            let col = r.u32().map_err(|e| bad(e.0))?;
-            let iroot = r.u32().map_err(|e| bad(e.0))?;
-            indexes.push((col, iroot));
+            warm_indexes.push(r.u32().map_err(|e| bad(e.0))?);
         }
         let stats_warm = match r.u8().map_err(|e| bad(e.0))? {
             0 => false,
             1 => true,
             v => return Err(bad(format!("bad stats-warm flag {v}"))),
         };
-        tables.push(CatalogTable { name, columns, rows, root, indexes, stats_warm });
+        tables.push(CatalogTable { name, columns, rows, root, warm_indexes, stats_warm });
     }
     Ok(tables)
 }
 
-/// Rebuild the in-memory database from the live snapshot. Returns the
-/// database (schema generation realigned with the snapshot's record) and
-/// the count of secondary-index entries verified.
-pub(crate) fn load_snapshot(
-    pager: &Pager,
-    meta: &SnapshotMeta,
-) -> Result<(Database, u64), RecoveryError> {
-    let catalog = decode_catalog(&pager.read_catalog(meta)?)?;
+/// Rebuild the in-memory database from the live snapshot: the tables,
+/// the image of each one's tree (the database tracks changes against
+/// them from here on) and the schema generation the header recorded.
+/// Every page reached is read exactly once — one reached twice, or one
+/// past the header's page count, is corruption — and the pager learns
+/// which pages that left free. Returns the database and the catalog's
+/// pages.
+pub(crate) fn load_snapshot(pager: &mut Pager) -> Result<(Database, Vec<u32>), RecoveryError> {
+    let meta = *pager.live().expect("a live snapshot to load");
+    let mut reached = vec![false; meta.pages as usize];
+    let reader = &*pager;
+    let mut read = |page: u32| {
+        let payload = reader.read_page(page)?;
+        if std::mem::replace(&mut reached[page as usize], true) {
+            return Err(RecoveryError::Corrupt(format!("page {page} is reached twice")));
+        }
+        Ok(payload)
+    };
+    let (catalog, catalog_pages) =
+        pager::read_chain(&mut read, meta.catalog_page, meta.catalog_len as usize)?;
     let mut db = Database::new();
-    let mut verified = 0u64;
-    for entry in &catalog {
+    let mut images = std::collections::BTreeMap::new();
+    for entry in decode_catalog(&catalog)? {
         let mut table = Table::new(entry.name.clone(), entry.columns.clone());
-        let tree = DiskBTree::new(pager, meta, entry.root);
-        let mut expect_rowid = 0u64;
-        tree.for_each(&mut |key, value| {
-            let rowid = u64::from_be_bytes(key.try_into().map_err(|_| {
-                RecoveryError::Corrupt(format!("table {}: non-u64 rowid key", entry.name))
-            })?);
-            if rowid != expect_rowid {
-                return Err(RecoveryError::Corrupt(format!(
-                    "table {}: rowid gap (expected {expect_rowid}, found {rowid})",
-                    entry.name
-                )));
-            }
-            expect_rowid += 1;
+        let image = btree::load(&mut read, entry.root, &mut |rowid, value| {
             let row = Reader::new(value).row().map_err(|e| {
                 RecoveryError::Corrupt(format!("table {} row {rowid}: {}", entry.name, e.0))
             })?;
             // Rows were coerced before the checkpoint; re-inserting them
             // through the public path re-validates for free.
-            if let Err(e) = table.insert_row(row) {
-                return Err(RecoveryError::Corrupt(format!(
+            table.insert_row(row).map_err(|e| {
+                RecoveryError::Corrupt(format!(
                     "table {} row {rowid} rejected on reload: {e}",
                     entry.name
-                )));
-            }
-            Ok(())
+                ))
+            })
         })?;
-        if expect_rowid != entry.rows {
+        if table.len() as u64 != entry.rows {
             return Err(RecoveryError::Corrupt(format!(
-                "table {}: catalog claims {} rows, tree held {expect_rowid}",
-                entry.name, entry.rows
+                "table {}: catalog claims {} rows, tree held {}",
+                entry.name,
+                entry.rows,
+                table.len()
             )));
         }
-        // Verify every secondary-index entry against the recovered rows,
-        // then warm the in-memory hash index for the same column — a
-        // recovered frontend answers its first kickstart burst at full
-        // speed.
-        for &(col, iroot) in &entry.indexes {
-            let col = col as usize;
-            if col >= table.columns().len() {
+        // Re-warm what was warm: hash indexes, so a recovered frontend
+        // answers its first kickstart burst at full speed, and planner
+        // statistics. Both are pure functions of the recovered rows, so
+        // rebuilding here is consistent whatever instant the crash hit.
+        for &col in &entry.warm_indexes {
+            if col as usize >= table.columns().len() {
                 return Err(RecoveryError::Corrupt(format!(
                     "table {}: index on out-of-range column {col}",
                     entry.name
                 )));
             }
-            let itree = DiskBTree::new(pager, meta, iroot);
-            let mut entries = 0u64;
-            itree.for_each(&mut |key, _| {
-                entries += 1;
-                if key.len() < 8 {
-                    return Err(RecoveryError::Corrupt(format!(
-                        "table {} index {col}: key shorter than a rowid",
-                        entry.name
-                    )));
-                }
-                let (val_part, rowid_part) = key.split_at(key.len() - 8);
-                let rowid = u64::from_be_bytes(rowid_part.try_into().expect("8 bytes")) as usize;
-                let row = table.rows().get(rowid).ok_or_else(|| {
-                    RecoveryError::Corrupt(format!(
-                        "table {} index {col}: rowid {rowid} out of range",
-                        entry.name
-                    ))
-                })?;
-                let mut expect = Vec::new();
-                codec::put_index_key(&mut expect, &row[col]);
-                if expect != val_part {
-                    return Err(RecoveryError::Corrupt(format!(
-                        "table {} index {col}: entry for row {rowid} does not match the row",
-                        entry.name
-                    )));
-                }
-                Ok(())
-            })?;
-            if entries != table.len() as u64 {
-                return Err(RecoveryError::Corrupt(format!(
-                    "table {} index {col}: {entries} entries for {} rows",
-                    entry.name,
-                    table.len()
-                )));
-            }
-            verified += entries;
-            let _ = table.eq_index(col);
+            let _ = table.eq_index(col as usize);
         }
-        // Re-warm planner statistics for tables that had them: they are
-        // a pure function of the recovered rows, so rebuilding here is
-        // always consistent, whatever instant the crash hit.
         if entry.stats_warm {
             let _ = table.stats();
         }
+        images.insert(table.name().to_string(), image);
         db.add_table(table).map_err(|e| {
             RecoveryError::Corrupt(format!("duplicate table {} in catalog: {e}", entry.name))
         })?;
     }
     db.set_schema_generation(meta.schema_gen);
-    Ok((db, verified))
+    db.images = Some(images);
+    pager.free_unreached(&reached);
+    Ok((db, catalog_pages))
 }
 
 /// Re-execute committed WAL transactions on top of `db`. Transactions at

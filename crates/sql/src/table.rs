@@ -385,7 +385,7 @@ impl Table {
     }
 
     /// Column positions currently carrying a built hash index, sorted.
-    /// The durable engine checkpoints a secondary B-tree for each so a
+    /// The durable engine's checkpoint lists them in the catalog so a
     /// recovered process starts with the same columns warmed.
     pub fn indexed_column_ids(&self) -> Vec<usize> {
         let mut ids: Vec<usize> =

@@ -9,15 +9,25 @@
 //! with what the transaction changed, never with what the database
 //! holds. Rolling back pops the log newest first.
 //!
+//! The same entry points are where a journaled database notes which rows
+//! no longer match the snapshot on disk ([`TreeImage`]): the position a
+//! DELETE or a dropped table changes rows from, the rows an UPDATE
+//! overwrites. An append needs no note — rows past the snapshot's count
+//! are new by position. A rollback notes nothing and clears nothing: what
+//! it restores was flagged when it changed, and a flag too many costs a
+//! page at the next checkpoint, never a row.
+//!
 //! Acceleration state never outlives the rows it was built from: a
 //! truncated table's hash indexes are repaired entry by entry, its
 //! statistics are dropped, and a rollback clears the plan cache, because
 //! the schema generation it restores can be reached again by different
 //! DDL.
 
+use crate::btree::TreeImage;
 use crate::table::Table;
 use crate::value::Value;
 use crate::Database;
+use std::collections::BTreeMap;
 
 /// One reversible effect.
 #[derive(Debug)]
@@ -134,6 +144,11 @@ impl Database {
     }
 
     pub(crate) fn log_dropped(&mut self, table: Table) {
+        // A table that comes back under the name, by CREATE or by
+        // rollback, finds nothing of the snapshot's to keep.
+        if let Some(image) = image(&mut self.images, table.name()) {
+            image.dirty_from(0);
+        }
         if let Some(log) = &mut self.undo {
             log.saved_rows += table.len() as u64;
             log.records.push(Undo::Dropped(table));
@@ -145,6 +160,9 @@ impl Database {
     pub(crate) fn replace_rows(&mut self, table: &str, rows: Vec<(usize, Vec<Value>)>) {
         if rows.is_empty() {
             return;
+        }
+        if let Some(image) = image(&mut self.images, table) {
+            rows.iter().for_each(|(position, _)| image.touch(*position));
         }
         let old = live(&mut self.tables, table).replace_rows(rows);
         if let Some(log) = &mut self.undo {
@@ -159,6 +177,9 @@ impl Database {
         if positions.is_empty() {
             return;
         }
+        if let Some(image) = image(&mut self.images, table) {
+            image.dirty_from(positions[0]);
+        }
         let old = live(&mut self.tables, table).remove_rows(positions);
         if let Some(log) = &mut self.undo {
             log.saved_rows += old.len() as u64;
@@ -167,8 +188,17 @@ impl Database {
     }
 }
 
-fn live<'a>(tables: &'a mut std::collections::BTreeMap<String, Table>, key: &str) -> &'a mut Table {
+fn live<'a>(tables: &'a mut BTreeMap<String, Table>, key: &str) -> &'a mut Table {
     tables.get_mut(key).expect("statements and undo records name live tables")
+}
+
+/// The snapshot's image of the table under `key`, where there is a
+/// journal and its snapshot holds one.
+fn image<'a>(
+    images: &'a mut Option<BTreeMap<String, TreeImage>>,
+    key: &str,
+) -> Option<&'a mut TreeImage> {
+    images.as_mut()?.get_mut(key)
 }
 
 #[cfg(test)]

@@ -23,6 +23,32 @@ fn populated(vfs: &MemVfs) -> DurableDatabase {
     db
 }
 
+/// A `nodes` table of about ten leaves, two checkpoints behind it (so
+/// the data file has freed pages below its end), and since the last one
+/// every kind of change a checkpoint folds: an overwrite in place, a row
+/// that outgrows its leaf, a DELETE in the middle, appends, a new table.
+fn populated_over_many_leaves(vfs: &MemVfs) -> DurableDatabase {
+    let mut db = DurableDatabase::open(vfs).unwrap();
+    db.execute("create table nodes (id int, name text, rack int, pad text)").unwrap();
+    let insert = |db: &mut DurableDatabase, id: usize| {
+        let pad = "p".repeat(900 + id % 7 * 30);
+        db.execute(&format!("insert into nodes values ({id}, 'compute-0-{id}', 0, '{pad}')"))
+            .unwrap();
+    };
+    (0..40).for_each(|id| insert(&mut db, id));
+    db.checkpoint().unwrap();
+    db.execute("update nodes set rack = 1 where id = 17").unwrap();
+    db.execute("delete from nodes where id = 30").unwrap();
+    db.checkpoint().unwrap();
+    db.execute("update nodes set rack = 2 where id = 1").unwrap();
+    db.execute(&format!("update nodes set pad = '{}' where id = 9", "g".repeat(3000))).unwrap();
+    db.execute("delete from nodes where id = 20").unwrap();
+    (40..46).for_each(|id| insert(&mut db, id));
+    db.execute("create table ethers (node int, mac text)").unwrap();
+    db.execute("insert into ethers values (1, 'aa:bb:00:00:00:01')").unwrap();
+    db
+}
+
 fn wal_image(vfs: &MemVfs) -> Vec<u8> {
     use rocks_sql::Vfs;
     let file = vfs.open("wal").unwrap();
@@ -149,52 +175,67 @@ fn sequence_gap_is_corruption() {
     assert!(matches!(err, DurableError::Recovery(_)), "got {err:?}");
 }
 
-/// Kill the engine at every disk operation inside checkpoint().
-/// Whatever the kill point, the survivor must recover the full
-/// pre-checkpoint state, and a second recovery must be a no-op.
+/// Kill the engine at every disk operation inside checkpoint(): a first
+/// checkpoint of a small table, and one that folds changes into a tree
+/// of many leaves through pages earlier checkpoints freed. Whatever the
+/// kill point, the survivor must recover the full pre-checkpoint state,
+/// and a second recovery must be a no-op.
 #[test]
 fn checkpoint_interrupted_at_every_write_recovers() {
-    // Golden state the interrupted checkpoint must never lose.
-    let golden_vfs = MemVfs::new();
-    let golden = populated(&golden_vfs);
-    let golden_fp = golden.state_fingerprint();
+    type Fixture = fn(&MemVfs) -> DurableDatabase;
+    for (fixture, least_ops) in [(populated as Fixture, 5), (populated_over_many_leaves, 12)] {
+        // Golden state the interrupted checkpoint must never lose.
+        let golden_vfs = MemVfs::new();
+        let golden = fixture(&golden_vfs);
+        let golden_fp = golden.state_fingerprint();
 
-    let mut kill_points = 0;
-    for at in 1..200u64 {
-        let vfs = MemVfs::new();
-        let mut db = populated(&vfs);
-        // arm() restarts the op counter, so `at` counts mutating disk
-        // ops from the start of the checkpoint itself.
-        vfs.arm(CrashPlan { at_op: at, seed: 0xBAD_5EED ^ at });
-        match db.checkpoint() {
-            Err(DurableError::Disk(rocks_sql::DiskError::Crashed)) => kill_points += 1,
-            Ok(()) => {
-                assert!(!vfs.crashed(), "checkpoint returned Ok after the crash fired");
-                break; // armed past the last checkpoint op: sweep complete
+        let mut kill_points = 0;
+        for at in 1..200u64 {
+            let vfs = MemVfs::new();
+            let mut db = fixture(&vfs);
+            // arm() restarts the op counter, so `at` counts mutating disk
+            // ops from the start of the checkpoint itself.
+            vfs.arm(CrashPlan { at_op: at, seed: 0xBAD_5EED ^ at });
+            match db.checkpoint() {
+                Err(DurableError::Disk(rocks_sql::DiskError::Crashed)) => kill_points += 1,
+                Ok(()) => {
+                    assert!(!vfs.crashed(), "checkpoint returned Ok after the crash fired");
+                    break; // armed past the last checkpoint op: sweep complete
+                }
+                Err(other) => panic!("checkpoint failed without a crash: {other}"),
             }
-            Err(other) => panic!("checkpoint failed without a crash: {other}"),
-        }
-        drop(db);
+            drop(db);
 
-        let survivor = vfs.survivor();
-        let recovered = DurableDatabase::open(&survivor).unwrap();
-        assert_eq!(
-            recovered.state_fingerprint(),
-            golden_fp,
-            "state lost when checkpoint died at relative op {at}"
-        );
-        drop(recovered);
-        // Idempotence: recovery already repaired the disk; a second open
-        // must see a clean database and change nothing.
-        let again = DurableDatabase::open(&survivor).unwrap();
-        assert_eq!(again.state_fingerprint(), golden_fp);
+            let survivor = vfs.survivor();
+            let recovered = DurableDatabase::open(&survivor).unwrap();
+            assert_eq!(
+                recovered.state_fingerprint(),
+                golden_fp,
+                "state lost when checkpoint died at relative op {at}"
+            );
+            drop(recovered);
+            // Idempotence: recovery already repaired the disk; a second
+            // open must see a clean database and change nothing.
+            let mut again = DurableDatabase::open(&survivor).unwrap();
+            assert_eq!(again.state_fingerprint(), golden_fp);
+            assert!(
+                again.recovery_report().anomalies.is_empty(),
+                "second recovery still sees damage at relative op {at}: {:?}",
+                again.recovery_report().anomalies
+            );
+            // And the checkpoint that died can be taken now, over
+            // whatever it left in the pages it was writing.
+            again.checkpoint().unwrap();
+            drop(again);
+            let after = DurableDatabase::open(&survivor).unwrap();
+            assert_eq!(after.state_fingerprint(), golden_fp, "relative op {at}");
+            assert_eq!(after.recovery_report().commits_replayed, 0);
+        }
         assert!(
-            again.recovery_report().anomalies.is_empty(),
-            "second recovery still sees damage at relative op {at}: {:?}",
-            again.recovery_report().anomalies
+            kill_points >= least_ops,
+            "checkpoint performed only {kill_points} interruptible ops"
         );
     }
-    assert!(kill_points >= 5, "checkpoint performed only {kill_points} interruptible ops");
 }
 
 /// Recovery is idempotent after mid-commit crashes too: opening the
