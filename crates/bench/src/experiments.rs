@@ -763,6 +763,16 @@ pub fn cost_model_json() -> String {
     )
 }
 
+/// Refuse to record an unclean run: panic with the field and its value
+/// before the snapshot is written, so `reproduce <experiment>` exits
+/// non-zero and the committed `BENCH_*.json` stays as it was.
+fn require_clean<T: PartialEq + std::fmt::Debug>(experiment: &str, field: &str, got: T, want: T) {
+    assert!(
+        got == want,
+        "reproduce {experiment}: {field} is {got:?}, must be {want:?}; snapshot not written"
+    );
+}
+
 /// Write a `BENCH_*.json` snapshot into the working directory and say
 /// whether that worked.
 fn write_snapshot(file: &str, json: &str) -> String {
@@ -899,6 +909,10 @@ pub fn sql_engine_sweep(quick: bool) -> String {
         if quick { (&[10_000, 50_000], 2) } else { (&[10_000, 100_000, 1_000_000], 3) };
     let snaps: Vec<SqlEngineSnapshot> =
         sizes.iter().map(|&rows| measure_sql_engine(rows, reps)).collect();
+    for s in &snaps {
+        require_clean("sqlbench", "broad_plan", s.broad_plan, "scan");
+        require_clean("sqlbench", "selective_plan", s.selective_plan, "index");
+    }
 
     let json = format!(
         "{{\n  \"experiment\": \"sql_engine\",\n  \"cost_model\": {},\n  \"sizes\": [\n  {}\n  ]\n}}\n",
@@ -1347,21 +1361,16 @@ pub fn measure_chaos(first_seed: u64, count: usize) -> ChaosSnapshot {
 
 /// Chaos experiment for `reproduce`: sweeps 200 seeds under `--quick`
 /// (1000 otherwise), writes `BENCH_chaos.json`, and reports the tally.
-/// A non-zero violation count is rendered loudly — it means some seed
-/// broke a global correctness property and can be replayed exactly.
+/// A non-zero violation count panics instead — it means some seed broke
+/// a global correctness property and can be replayed exactly.
 pub fn chaos(quick: bool) -> String {
     let count = if quick { 200 } else { 1000 };
     let snap = measure_chaos(0, count);
-    let json = snap.to_json();
-    let written = write_snapshot("BENCH_chaos.json", &json);
-    let verdict = if snap.invariant_violations == 0 {
-        "all invariants held".to_string()
-    } else {
-        format!("*** {} INVARIANT VIOLATION(S) ***", snap.invariant_violations)
-    };
+    require_clean("chaos", "invariant_violations", snap.invariant_violations, 0);
+    let written = write_snapshot("BENCH_chaos.json", &snap.to_json());
     format!(
         "chaos harness: seeded fault schedules vs the retrying install protocol\n\
-         scenarios: {} (seeds {}..{}), {} faults scheduled — {}\n\
+         scenarios: {} (seeds {}..{}), {} faults scheduled — all invariants held\n\
          nodes: {} completed, {} unrecoverable by schedule (hung, never cycled)\n\
          protocol: {} fetch attempts, {} failovers across the sweep\n\
          engines: {} plans replayed on the reference scheduler, all agreeing\n\
@@ -1371,7 +1380,6 @@ pub fn chaos(quick: bool) -> String {
         snap.first_seed,
         snap.first_seed + snap.seeds_run as u64,
         snap.total_faults,
-        verdict,
         snap.completed_nodes,
         snap.unrecoverable_nodes,
         snap.total_attempts,
@@ -1489,8 +1497,8 @@ pub fn measure_trace(quick: bool) -> TraceSnapshot {
 /// `BENCH_trace.json` snapshot, and reports the numbers.
 pub fn trace_overhead(quick: bool) -> String {
     let snap = measure_trace(quick);
-    let json = snap.to_json();
-    let written = write_snapshot("BENCH_trace.json", &json);
+    require_clean("trace", "golden_repeatable", snap.golden_repeatable, true);
+    let written = write_snapshot("BENCH_trace.json", &snap.to_json());
     format!(
         "telemetry overhead: rocks-trace on the {}-node reinstall sweep\n\
          disabled tracer: {:>8.1} ms (min of 5)\n\
@@ -1688,17 +1696,12 @@ pub fn measure_db_durability(quick: bool) -> DbDurabilitySnapshot {
 }
 
 /// Durability experiment for `reproduce`: writes `BENCH_db.json` and
-/// reports the table. Violations render loudly — each one names its
-/// seed and kill point for exact replay.
+/// reports the table. A crash-sweep violation panics instead (`cargo
+/// test -p rocks-sql --test crash_points` names its seed and kill point).
 pub fn db_durability(quick: bool) -> String {
     let snap = measure_db_durability(quick);
-    let json = snap.to_json();
-    let written = write_snapshot("BENCH_db.json", &json);
-    let verdict = if snap.sweep_violations == 0 {
-        "all recovery invariants held".to_string()
-    } else {
-        format!("*** {} RECOVERY VIOLATION(S) ***", snap.sweep_violations)
-    };
+    require_clean("db", "crash_sweep.violations", snap.sweep_violations, 0);
+    let written = write_snapshot("BENCH_db.json", &snap.to_json());
     let mut rows = String::new();
     for s in &snap.samples {
         rows.push_str(&format!(
@@ -1717,12 +1720,11 @@ pub fn db_durability(quick: bool) -> String {
          rows     | commits/sec  | reopen ms (tail replay) | chkpt ms (written)  | snap-only ms\n\
          {rows}\
          commit scaling (largest / smallest table): {:.2}\n\
-         crash sweep: {} seeds, {} kill points — {}\n\
+         crash sweep: {} seeds, {} kill points — all recovery invariants held\n\
          {written}\n",
         snap.commit_scaling(),
         snap.sweep_seeds,
         snap.sweep_crash_points,
-        verdict,
     )
 }
 
@@ -2011,13 +2013,8 @@ pub fn measure_rollout(quick: bool) -> RolloutSnapshot {
 /// `BENCH_rollout.json`.
 pub fn rollout(quick: bool) -> String {
     let snap = measure_rollout(quick);
-    let json = snap.to_json();
-    let written = write_snapshot("BENCH_rollout.json", &json);
-    let verdict = if snap.invariant_violations == 0 {
-        "all invariants held".to_string()
-    } else {
-        format!("*** {} INVARIANT VIOLATION(S) ***", snap.invariant_violations)
-    };
+    require_clean("rollout", "invariant_violations", snap.invariant_violations, 0);
+    let written = write_snapshot("BENCH_rollout.json", &snap.to_json());
     let sweep = snap
         .capacity_sweep
         .iter()
@@ -2039,7 +2036,7 @@ pub fn rollout(quick: bool) -> String {
          retention ratio rolling/naive: {:.2}x (release gate: >= 1.5x)\n\
          tiered engine (cap 7): {:.1} min makespan\n\
          capacity sweep (knee at {}):\n{}\n\
-         invariant sweep: {} seeds — {}\n\
+         invariant sweep: {} seeds — all invariants held\n\
          wall: {:.0} ms\n\
          {}\n",
         snap.nodes,
@@ -2054,7 +2051,6 @@ pub fn rollout(quick: bool) -> String {
         snap.knee_capacity,
         sweep,
         snap.invariant_seeds,
-        verdict,
         snap.wall_ms,
         written,
     )
@@ -2159,7 +2155,7 @@ pub struct ServeSnapshot {
     /// OS threads in the wall-clock saturation run.
     pub saturation_threads: usize,
     /// Real kickstart generations per wall-clock second across those
-    /// threads (sharded skeleton cache under true contention).
+    /// threads (one shared skeleton cache under true contention).
     pub saturation_ks_per_s: f64,
     /// Seeds in the folded-in invariant sweep.
     pub sweep_seeds: usize,
@@ -2293,13 +2289,13 @@ fn serve_generation_service() -> rocks_kickstart::GenerationService {
 
 /// Wall-clock saturation of the real generation path: `threads` OS
 /// threads hammer `generate_for_request` against one shared service and
-/// database, exercising the sharded skeleton cache under true
+/// database, exercising the shared skeleton cache under true
 /// contention. Returns kickstarts per wall-clock second.
 fn serve_real_saturation(threads: usize, iters_per_thread: usize) -> f64 {
     // `ClusterDb` cannot cross threads, so each worker builds its own
     // identical copy in-thread (deterministic construction — every copy
     // carries the same revision) and all of them contend on the *shared*
-    // service's sharded skeleton cache, the serving hot path. A barrier
+    // service's one skeleton cache, the serving hot path. A barrier
     // keeps construction and warmup out of the timed region.
     let setup_db = serve_cluster_db(64);
     let svc = serve_generation_service();
@@ -2461,13 +2457,8 @@ pub fn measure_serve(quick: bool) -> ServeSnapshot {
 /// end-to-end run, and the invariant sweep, writing `BENCH_serve.json`.
 pub fn serve(quick: bool) -> String {
     let snap = measure_serve(quick);
-    let json = snap.to_json();
-    let written = write_snapshot("BENCH_serve.json", &json);
-    let verdict = if snap.sweep_violations == 0 {
-        "all invariants held".to_string()
-    } else {
-        format!("*** {} INVARIANT VIOLATION(S) ***", snap.sweep_violations)
-    };
+    require_clean("serve", "violations", snap.sweep_violations, 0);
+    let written = write_snapshot("BENCH_serve.json", &snap.to_json());
     let sweep = snap
         .shard_sweep
         .iter()
@@ -2497,7 +2488,7 @@ pub fn serve(quick: bool) -> String {
          cache storm: {} misses vs {} calm, p99 {} µs vs {} µs\n\
          real backend end-to-end: {:.0} rps (schedule matches the timing model)\n\
          wall-clock saturation: {:.0} kickstarts/s on {} threads\n\
-         invariant sweep: {} seeds — {}\n\
+         invariant sweep: {} seeds — all invariants held\n\
          wall: {:.0} ms\n\
          {}\n",
         h.rps,
@@ -2521,7 +2512,6 @@ pub fn serve(quick: bool) -> String {
         snap.saturation_ks_per_s,
         snap.saturation_threads,
         snap.sweep_seeds,
-        verdict,
         snap.wall_ms,
         written,
     )
@@ -2961,6 +2951,12 @@ mod tests {
             noop <= disabled * 1.5 + 0.01,
             "no-op telemetry cost blew past noise: disabled {disabled:.4}s vs noop {noop:.4}s"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "reproduce chaos: invariant_violations is 3, must be 0")]
+    fn unclean_run_panics_with_field_and_value_before_the_snapshot() {
+        require_clean("chaos", "invariant_violations", 3, 0);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 #![warn(missing_docs)]
 
-//! Experiment implementations shared by the `reproduce` binary and the
-//! Criterion benches.
+//! Experiment implementations behind the `reproduce` binary.
 //!
 //! One public function per table/figure/claim in the paper's evaluation;
 //! each returns both the data and a rendered text block so `reproduce`

@@ -16,7 +16,9 @@
 //!   [`tools::cluster_kill`] with raw `--query` strings,
 //! * **continuous upgrades** (§5): [`upgrade::upgrade_cluster`] — mirror
 //!   vendor updates, rebuild the distribution, validate on a test node,
-//!   then roll the production cluster through PBS without disturbing
+//!   then submit the "reinstall cluster" job — one
+//!   [`rocks_pbs::run_rollout`] in [`rocks_pbs::RolloutConfig::mass`] —
+//!   so the production cluster rolls through PBS without disturbing
 //!   running jobs,
 //! * **the consistency ablation** ([`consistency`]): reinstall versus
 //!   cfengine-style verify-and-repair.

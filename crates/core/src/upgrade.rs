@@ -10,9 +10,9 @@
 
 use crate::cluster::Cluster;
 use crate::{Result, RocksError};
-use rocks_pbs::reinstall::roll_cluster;
-use rocks_pbs::PbsServer;
+use rocks_pbs::{run_rollout, FixedInstall, PbsServer, RolloutConfig};
 use rocks_rpm::Repository;
+use rocks_trace::Tracer;
 
 /// What an upgrade did.
 #[derive(Debug, Clone)]
@@ -35,9 +35,11 @@ pub struct UpgradeReport {
 /// 1. fold `updates` into the distribution (rocks-dist rebuild,
 ///    newest-wins),
 /// 2. reinstall one *test node* and verify it comes up consistent,
-/// 3. submit the reinstall-cluster job to the batch system and roll every
-///    remaining node as it drains, never interrupting `running_jobs`
-///    (name, nodes, walltime) already in the queue.
+/// 3. submit the reinstall-cluster job to the batch system
+///    ([`run_rollout`] in [`RolloutConfig::mass`], each leg priced from
+///    the validation reinstall) and roll every remaining node as it
+///    drains, never interrupting `running_jobs` (name, nodes, walltime)
+///    already in the queue.
 pub fn upgrade_cluster(
     cluster: &mut Cluster,
     updates: &Repository,
@@ -72,16 +74,30 @@ pub fn upgrade_cluster(
         pbs.add_node(name);
     }
     for (job_name, nodes, walltime) in running_jobs {
-        let id = pbs.qsub(job_name, *nodes, *walltime)?;
+        pbs.qsub(job_name, *nodes, *walltime)?;
+        // A job that cannot start right away stays queued and starts on
+        // reinstalled nodes as the roll returns them.
         rocks_pbs::scheduler::schedule(&mut pbs);
-        // Jobs that could not start right away stay queued and are
-        // simply cancelled by the roll model — the paper's scenario is
-        // about *running* applications.
-        let _ = id;
     }
-    // Reinstall duration per node from the validation measurement.
+    // Reinstall duration per node from the validation measurement. A
+    // cluster whose only compute node was the test node has nothing left
+    // to roll.
     let reinstall_seconds = validation.total_minutes * 60.0;
-    let roll_seconds = roll_cluster(&mut pbs, reinstall_seconds)?;
+    let roll_seconds = if remaining.is_empty() {
+        0.0
+    } else {
+        run_rollout(
+            &mut pbs,
+            &mut FixedInstall { seconds: reinstall_seconds, bytes: 0 },
+            &RolloutConfig::mass(remaining.len()),
+            &[],
+            &[],
+            &mut [],
+            &Tracer::disabled(),
+        )?
+        .report
+        .makespan_seconds
+    };
 
     // Reflect the roll in the cluster's images.
     cluster.shoot_nodes(&remaining)?;
@@ -160,6 +176,15 @@ mod tests {
             report.roll_seconds,
             one
         );
+    }
+
+    #[test]
+    fn one_node_cluster_validates_and_has_nothing_to_roll() {
+        let mut cluster = cluster_with_nodes(1);
+        let report = upgrade_cluster(&mut cluster, &security_update(), &[]).unwrap();
+        assert_eq!(report.roll_seconds, 0.0);
+        assert_eq!(report.nodes_rolled, 0);
+        assert!(cluster.inconsistent_nodes().unwrap().is_empty());
     }
 
     #[test]

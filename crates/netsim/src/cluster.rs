@@ -132,9 +132,6 @@ impl ReinstallResult {
     }
 }
 
-/// Alias kept for API clarity at call sites that only care about success.
-pub type ReinstallOutcome = ReinstallResult;
-
 /// Post-quiescence check: a node the retrying install protocol gave up
 /// on is a typed error, not a silent `None` in `per_node_seconds`.
 pub(crate) fn check_none_failed<'a>(

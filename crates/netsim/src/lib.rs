@@ -50,7 +50,7 @@ pub use chaos::{
     run_chaos, run_plan, standard_invariants, ChaosPlan, ChaosRecord, ChaosReport, Invariant,
     Violation,
 };
-pub use cluster::{ClusterSim, ReinstallOutcome, ReinstallResult};
+pub use cluster::{ClusterSim, ReinstallResult};
 pub use config::{PackageWork, RetryPolicy, SimConfig, TierConfig};
 pub use engine::{micros, seconds, EngineMode, SimError, SimTime};
 pub use node::{

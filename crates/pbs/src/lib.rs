@@ -14,19 +14,19 @@
 //! * queues, jobs, and node states ([`server::PbsServer`]),
 //! * FIFO-with-backfill scheduling and head-of-queue reservations
 //!   ([`scheduler`]),
-//! * the drain-and-reinstall system job ([`reinstall::ReinstallJob`])
-//!   that rolls a cluster onto a new distribution without killing
-//!   running work.
+//! * the drain-and-reinstall system job ([`rollout::run_rollout`]) that
+//!   rolls a cluster onto a new distribution without killing running
+//!   work; [`RolloutConfig::mass`] is the paper's job as written, a
+//!   smaller capacity rolls in waves while the batch system keeps
+//!   flowing.
 //!
 //! Time is a caller-advanced `f64` seconds clock so the workload manager
 //! composes with the `rocks-netsim` virtual clock.
 
-pub mod reinstall;
 pub mod rollout;
 pub mod scheduler;
 pub mod server;
 
-pub use reinstall::ReinstallJob;
 pub use rollout::{
     run_rollout, standard_rollout_invariants, FixedInstall, InstallBackend, InstallLeg, JobArrival,
     RolloutConfig, RolloutFault, RolloutInvariant, RolloutOutcome, RolloutPlan, RolloutRecord,

@@ -69,9 +69,10 @@ impl RolloutConfig {
         RolloutConfig { capacity, drain_ahead: capacity, drain_timeout_s: None }
     }
 
-    /// The naive comparator: drain the whole cluster at once and install
-    /// everything concurrently — maximum install-server contention, zero
-    /// job throughput while it runs.
+    /// The §5 "reinstall cluster" job as the paper submits it: drain the
+    /// whole cluster at once and install every node the moment it comes
+    /// free — maximum install-server contention, zero job throughput
+    /// while it runs. Rolling configurations are measured against it.
     pub fn mass(n_nodes: usize) -> RolloutConfig {
         RolloutConfig { capacity: n_nodes.max(1), drain_ahead: n_nodes, drain_timeout_s: None }
     }
@@ -96,8 +97,8 @@ pub trait InstallBackend {
     fn begin_install(&mut self, node: &str, concurrent: usize) -> InstallLeg;
 }
 
-/// Constant-cost backend matching [`crate::reinstall::roll_cluster`]'s
-/// model: every leg takes the same time regardless of concurrency.
+/// Constant-cost backend: every leg takes the same time regardless of
+/// concurrency.
 #[derive(Debug, Clone, Copy)]
 pub struct FixedInstall {
     /// Seconds per leg.
@@ -955,7 +956,6 @@ pub fn run_rollout_sweep(seeds: std::ops::Range<u64>) -> Vec<SeededViolation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reinstall::roll_cluster;
     use crate::scheduler::schedule;
 
     fn server(n: usize) -> PbsServer {
@@ -999,26 +999,86 @@ mod tests {
     }
 
     #[test]
-    fn zero_job_rollout_matches_roll_cluster_mass_path() {
-        // Differential: with no competing jobs and full capacity, the
-        // orchestrator must reproduce the legacy mass path exactly —
-        // same node set, same per-node outcome, same end time.
+    fn zero_job_mass_rollout_ends_after_exactly_one_leg() {
+        // With no competing jobs and full capacity the §5 job is one
+        // install leg: every node starts at once, each leg takes the
+        // backend's time, the roll ends when they do. 600.0 is also what
+        // the drain-and-reinstall loop this orchestrator replaced
+        // returned for the same cluster.
+        const ONE_LEG_END: f64 = 600.0;
         let n = 8;
-        let mut legacy = server(n);
-        let legacy_end = roll_cluster(&mut legacy, 600.0).unwrap();
-
         let mut s = server(n);
         let out = run_simple(&mut s, &RolloutConfig::mass(n), &[], &[]);
         assert!(out.violations.is_empty(), "{:?}", out.violations);
-        assert!((out.report.makespan_seconds - legacy_end).abs() < 1e-6);
+        assert!((out.report.makespan_seconds - ONE_LEG_END).abs() < 1e-6);
         let mut rolled = out.report.reinstalled.clone();
         rolled.sort();
-        assert_eq!(rolled, legacy.node_names());
+        assert_eq!(rolled, s.node_names());
         assert!(out
             .report
             .per_node_install_seconds
             .values()
             .all(|secs| (secs - 600.0).abs() < 1e-6));
+        assert_eq!(s.nodes_in_state(NodeState::Free).len(), n);
+    }
+
+    #[test]
+    fn mass_rollout_never_disturbs_a_running_job() {
+        // A drain deadline the job beats (800 s > 500 s) changes nothing.
+        for drain_timeout_s in [None, Some(800.0)] {
+            let mut s = server(4);
+            let job = s.qsub("science", 2, 500.0).unwrap();
+            schedule(&mut s);
+            let cfg = RolloutConfig { drain_timeout_s, ..RolloutConfig::mass(4) };
+            let out = run_simple(&mut s, &cfg, &[], &[]);
+            assert!(out.violations.is_empty(), "{:?}", out.violations);
+            // The job ran its full walltime...
+            assert_eq!(s.job(job).unwrap().state, JobState::Done { finished_at: 500.0 });
+            // ...the idle pair installed meanwhile, the job's pair after
+            // it: 500 s of job + 600 s of reinstall.
+            assert!((out.report.makespan_seconds - 1100.0).abs() < 1e-6);
+            let mut drains: Vec<f64> =
+                out.report.per_node_drain_seconds.values().copied().collect();
+            drains.sort_by(f64::total_cmp);
+            assert_eq!(drains, vec![0.0, 0.0, 500.0, 500.0]);
+            assert_eq!(s.nodes_in_state(NodeState::Free).len(), 4);
+        }
+    }
+
+    #[test]
+    fn queued_work_starts_the_instant_its_nodes_return() {
+        let mut s = server(4);
+        s.qsub("running", 2, 500.0).unwrap();
+        schedule(&mut s);
+        // Submitted as the drain begins: every node is already draining.
+        let pair = s.qsub("pair", 2, 300.0).unwrap();
+        let whole = s.qsub("whole", 4, 50.0).unwrap();
+        let out = run_simple(&mut s, &RolloutConfig::mass(4), &[], &[]);
+        assert!(out.violations.is_empty(), "{:?}", out.violations);
+        assert!((out.report.makespan_seconds - 1100.0).abs() < 1e-6);
+        // The idle pair is back at 600 s and `pair` starts on it then,
+        // not at the next job or install event.
+        assert_eq!(s.job(pair).unwrap().state, JobState::Done { finished_at: 900.0 });
+        // The last nodes return at 1,100 s and `whole` is already placed
+        // when the rollout hands the cluster back.
+        assert!(matches!(
+            &s.job(whole).unwrap().state,
+            JobState::Running { started_at, .. } if (started_at - 1100.0).abs() < 1e-6
+        ));
+        assert!(s.queued().is_empty());
+        assert_eq!(out.report.jobs_started_during, 2);
+    }
+
+    #[test]
+    fn node_down_at_the_start_is_reinstalled_and_returned() {
+        // A node in an unknown state gets the paper's answer: reinstall.
+        let mut s = server(4);
+        s.set_node_state("compute-0-3", NodeState::Down).unwrap();
+        let out = run_simple(&mut s, &RolloutConfig::mass(4), &[], &[]);
+        assert!(out.violations.is_empty(), "{:?}", out.violations);
+        assert!((out.report.makespan_seconds - 600.0).abs() < 1e-6);
+        assert_eq!(out.report.install_counts["compute-0-3"], 1);
+        assert_eq!(s.nodes_in_state(NodeState::Free).len(), 4);
     }
 
     #[test]
@@ -1097,6 +1157,9 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, PbsError::DrainTimeout { node: occupied });
+        // The deadline is an event: the clock advanced to it rather than
+        // erroring at t=0 or waiting out the job.
+        assert!((s.now() - 900.0).abs() < 1e-6, "now {}", s.now());
     }
 
     #[test]

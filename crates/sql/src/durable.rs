@@ -470,26 +470,31 @@ impl DurableDatabase {
     pub fn execute(&mut self, sql: &str) -> DurableResult<ExecOutcome> {
         let Some(journal) = &mut self.journal else { return Ok(self.mem.execute(sql)?) };
         // Writes must not slip through the read-only classification:
-        // run first, journal on success. The in-memory engine guarantees
-        // failed statements change nothing (statement atomicity).
-        if self.txn.is_some() {
-            let before = self.mem.savepoint();
-            let outcome = self.mem.execute(sql)?;
-            if written(&outcome) {
-                if let Err(e) = journal.append(&WalRecord::Stmt { sql: sql.to_string() }) {
-                    // Not journaled, so it must not have happened.
-                    self.mem.rollback_to(before);
-                    return Err(e);
-                }
+        // run first, under a savepoint, and journal on success. The
+        // in-memory engine guarantees failed statements change nothing
+        // (statement atomicity), so those, like reads, leave nothing to
+        // undo.
+        let auto_commit = self.txn.is_none();
+        let before = self.mem.savepoint();
+        let outcome = match self.mem.execute(sql) {
+            Ok(outcome) if written(&outcome) => outcome,
+            other => {
+                self.mem.release(before);
+                return Ok(other?);
             }
-            return Ok(outcome);
+        };
+        let seq = self.seq + 1;
+        let _span = auto_commit.then(|| journal.tracer.span("db.commit"));
+        let begun = if auto_commit { journal.append(&WalRecord::Begin { seq }) } else { Ok(()) };
+        if let Err(e) = begun.and_then(|()| journal.append(&WalRecord::Stmt { sql: sql.into() })) {
+            // Not journaled, so it must not have happened.
+            self.mem.rollback_to(before);
+            return Err(e);
         }
-        let outcome = self.mem.execute(sql)?;
-        if written(&outcome) {
-            let seq = self.seq + 1;
-            let _span = journal.tracer.span("db.commit");
-            journal.append(&WalRecord::Begin { seq })?;
-            journal.append(&WalRecord::Stmt { sql: sql.to_string() })?;
+        self.mem.release(before);
+        if auto_commit {
+            // As in `commit`: from here on durability is unknown on
+            // failure, so the memory image stays.
             self.commit_frames(seq)?;
         }
         Ok(outcome)

@@ -128,18 +128,14 @@ pub fn execute(db: &mut Database, stmt: Statement) -> Result<ExecOutcome> {
 }
 
 /// Execute a parsed statement against a shared (read-only) database
-/// reference. Only `SELECT` is possible without mutation; write
-/// statements are rejected. This is the entry point for the concurrent
-/// Kickstart-generation read path, where many worker threads query one
-/// database snapshot without locking each other out.
-pub fn execute_readonly(db: &Database, stmt: Statement) -> Result<QueryResult> {
-    execute_readonly_with(db, &stmt, PlanChoice::Auto)
-}
-
-/// Read-only execution with an explicit planning mode. `Prepared` carries
-/// a plan built at prepare time (`Database::query_ref`'s statement
-/// cache); `ForceScan` is the differential baseline used by
-/// `Database::query_ref_scan`, benchmarks, and the proptest suite.
+/// reference with an explicit planning mode. Only `SELECT` is possible
+/// without mutation; write statements are rejected. This is the entry
+/// point for the concurrent Kickstart-generation read path, where many
+/// worker threads query one database snapshot without locking each other
+/// out. `Prepared` carries a plan built at prepare time
+/// (`Database::query_ref`'s statement cache); `ForceScan` is the
+/// differential baseline used by `Database::query_ref_scan`, benchmarks,
+/// and the proptest suite.
 pub(crate) fn execute_readonly_with(
     db: &Database,
     stmt: &Statement,

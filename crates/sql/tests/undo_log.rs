@@ -80,6 +80,46 @@ fn statement_whose_journal_append_fails_is_undone_in_memory() {
     assert_eq!(db.reader().schema_generation(), gen);
 }
 
+/// The same outside a transaction: an auto-commit whose `Begin` or
+/// `Stmt` frame cannot be appended is undone in memory, so the engine
+/// never shows a row a restart would forget.
+#[test]
+fn auto_commit_the_journal_refuses_is_undone_in_memory() {
+    let ghost_row = "insert into nodes values (99, 'ghost', 0)";
+    let ghost_table = "create table ghost (x int)";
+    // Mutating disk ops of an auto-commit: Begin, Stmt, Commit, fsync.
+    for (refused, at_op, sql) in
+        [("Begin", 1, ghost_row), ("Stmt", 2, ghost_row), ("Stmt", 2, ghost_table)]
+    {
+        let vfs = MemVfs::new();
+        let mut db = loaded(&vfs, 10);
+        let (fp, gen) = (db.state_fingerprint(), db.reader().schema_generation());
+        vfs.arm(CrashPlan { at_op, seed: 7 });
+        let err = db.execute(sql).unwrap_err();
+        assert_eq!(err, DurableError::Disk(DiskError::Crashed), "{refused} refused: {sql}");
+        assert_eq!(db.state_fingerprint(), fp, "{refused} refused: {sql} stayed in memory");
+        assert_eq!(db.reader().schema_generation(), gen, "{refused} refused: {sql}");
+        assert_eq!(db.reader().prepared_statements(), 0, "{refused} refused: a plan outlived it");
+        assert!(!db.in_txn());
+        let reopened = DurableDatabase::open(&vfs.survivor()).unwrap();
+        assert_eq!(reopened.state_fingerprint(), fp, "{refused} refused: memory and disk agree");
+    }
+}
+
+/// Once the `Commit` frame is on its way durability is unknown, and the
+/// memory image stays — exactly as `commit()` treats the same failure.
+#[test]
+fn auto_commit_that_fails_at_the_commit_point_keeps_the_row() {
+    for (point, at_op) in [("Commit frame", 3), ("fsync", 4)] {
+        let vfs = MemVfs::new();
+        let mut db = loaded(&vfs, 10);
+        vfs.arm(CrashPlan { at_op, seed: 7 });
+        let err = db.execute("insert into nodes values (99, 'kept', 0)").unwrap_err();
+        assert_eq!(err, DurableError::Disk(DiskError::Crashed), "{point}");
+        assert_eq!(db.reader().table("nodes").unwrap().len(), 11, "{point}: row kept");
+    }
+}
+
 /// (c) Rolled-back DDL, then different DDL that reaches the same schema
 /// generation: a plan prepared against the rolled-back table would
 /// resolve `a` to the wrong column of its namesake.
