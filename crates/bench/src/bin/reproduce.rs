@@ -24,29 +24,12 @@
 
 use rocks_bench::*;
 
-type Experiment = (&'static str, fn(quick: bool) -> String);
+type Sweep = (&'static str, fn(quick: bool) -> String);
 
-/// Every experiment, in paper order. The measured sweeps take `quick`
-/// (`--quick`): sizes that finish in seconds under a debug build.
-const EXPERIMENTS: &[Experiment] = &[
-    ("table1", |_| table1()),
-    ("table2", |_| table2()),
-    ("table3", |_| table3()),
-    ("fig1", |_| fig1()),
-    ("fig2", |_| fig2()),
-    ("fig3", |_| fig3()),
-    ("fig4", |_| fig4()),
-    ("fig5", |_| fig5()),
-    ("fig6", |_| fig6()),
-    ("fig7", |_| fig7()),
-    ("micro", |_| micro_benchmark()),
-    ("range", |_| reinstall_range()),
-    ("cabinets", |_| cabinet_topology()),
-    ("utilization", |_| utilization_timeline()),
-    ("gige", |_| gige_scaling()),
-    ("replicas", |_| replica_scaling()),
-    ("updates", |_| update_tracking()),
-    ("ablation", |_| ablation()),
+/// The measured sweeps, after the paper's experiments ([`PAPER`]). They
+/// take `quick` (`--quick`): sizes that finish in seconds under a debug
+/// build.
+const SWEEPS: &[Sweep] = &[
     // 10k/50k rows instead of 10k/100k/1M.
     ("sqlbench", sql_engine_sweep),
     // A sweep small enough for the CI debug build.
@@ -69,7 +52,11 @@ fn main() {
     match arg.as_str() {
         // Everything at full size, whatever the flags.
         "all" => {
-            for (name, f) in EXPERIMENTS {
+            for (name, f) in PAPER {
+                println!("==== {name} ====");
+                println!("{}", f());
+            }
+            for (name, f) in SWEEPS {
                 println!("==== {name} ====");
                 println!("{}", f(false));
             }
@@ -77,16 +64,19 @@ fn main() {
             println!("{}", bringup_summary());
         }
         "list" => {
-            for (name, _) in EXPERIMENTS {
+            for name in PAPER.iter().map(|(n, _)| n).chain(SWEEPS.iter().map(|(n, _)| n)) {
                 println!("{name}");
             }
         }
-        other => match EXPERIMENTS.iter().find(|(name, _)| *name == other) {
-            Some((_, f)) => println!("{}", f(quick)),
-            None => {
+        other => {
+            if let Some((_, f)) = PAPER.iter().find(|(name, _)| *name == other) {
+                println!("{}", f());
+            } else if let Some((_, f)) = SWEEPS.iter().find(|(name, _)| *name == other) {
+                println!("{}", f(quick));
+            } else {
                 eprintln!("unknown experiment {other:?}; try `reproduce list`");
                 std::process::exit(2);
             }
-        },
+        }
     }
 }

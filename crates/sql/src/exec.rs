@@ -1,4 +1,15 @@
 //! Statement execution against a [`Database`].
+//!
+//! A SELECT carries row ids, not rows, from access to projection. The
+//! scan path (`scan_rows`) and the planner (`plan::execute_plan`) both
+//! return one flat `Vec<u32>` of tuples: one row id per FROM table, in
+//! FROM order, the table count as stride. WHERE, residuals and join keys
+//! evaluate against borrowed rows (`RowEnv` binds one `&[Value]` per
+//! table); ORDER BY sorts tuple positions by borrowed cells; GROUP BY
+//! keys groups by borrowed cells and folds the aggregates over member
+//! positions; LIMIT truncates tuples. The only values cloned are the
+//! projected cells of the tuples that survive — a `count(*)` reads no
+//! cell at all.
 
 use crate::ast::*;
 use crate::plan::{self, PlannerConfig, SelectPlan};
@@ -6,6 +17,7 @@ use crate::table::Table;
 use crate::value::Value;
 use crate::{Database, Result, SqlError};
 use std::cmp::Ordering;
+use std::collections::HashMap;
 
 /// Rows returned by a SELECT.
 #[derive(Debug, Clone, PartialEq)]
@@ -196,35 +208,42 @@ fn explain(db: &Database, stmt: Statement) -> Result<QueryResult> {
     })
 }
 
-/// Binding environment for expression evaluation over a (possibly joined)
-/// row: for each FROM table, its name, column names, and the slice of the
-/// joined row holding its values. Shared with the planner (`plan.rs`),
-/// which evaluates pushed-down filters against single-table environments.
+/// Binding environment for expression evaluation over one tuple: for
+/// each FROM table, its name and columns, and the row the tuple borrows
+/// from it. Shared with the planner (`plan.rs`), which evaluates
+/// pushed-down filters against single-table environments and residuals
+/// against execution-order prefixes.
 pub(crate) struct RowEnv<'a> {
     pub(crate) tables: &'a [(&'a str, &'a Table)],
-    /// Offsets of each table's columns within the joined row.
-    pub(crate) offsets: &'a [usize],
-    pub(crate) row: &'a [Value],
+    /// One row per table, in `tables` order.
+    pub(crate) rows: &'a [&'a [Value]],
 }
 
 impl<'a> RowEnv<'a> {
     fn resolve(&self, col: &ColumnRef) -> Result<&'a Value> {
-        let mut found: Option<&'a Value> = None;
-        for ((name, table), offset) in self.tables.iter().zip(self.offsets) {
-            if let Some(t) = &col.table {
-                if !t.eq_ignore_ascii_case(name) {
-                    continue;
-                }
-            }
-            if let Some(idx) = table.column_index(&col.column) {
-                if found.is_some() {
-                    return Err(SqlError::AmbiguousColumn(col.to_string()));
-                }
-                found = Some(&self.row[offset + idx]);
+        let (t, c) = resolve_column(self.tables, col)?;
+        Ok(&self.rows[t][c])
+    }
+}
+
+/// Resolve a column reference to `(table position, column index)`: it
+/// must name exactly one column of the tables in scope.
+pub(crate) fn resolve_column(tables: &[(&str, &Table)], col: &ColumnRef) -> Result<(usize, usize)> {
+    let mut found = None;
+    for (pos, (name, table)) in tables.iter().enumerate() {
+        if let Some(t) = &col.table {
+            if !t.eq_ignore_ascii_case(name) {
+                continue;
             }
         }
-        found.ok_or_else(|| SqlError::NoSuchColumn(col.to_string()))
+        if let Some(idx) = table.column_index(&col.column) {
+            if found.is_some() {
+                return Err(SqlError::AmbiguousColumn(col.to_string()));
+            }
+            found = Some((pos, idx));
+        }
     }
+    found.ok_or_else(|| SqlError::NoSuchColumn(col.to_string()))
 }
 
 pub(crate) fn eval(expr: &Expr, env: &RowEnv<'_>) -> Result<Value> {
@@ -298,48 +317,63 @@ fn resolve_from<'d>(db: &'d Database, from: &[String]) -> Result<Vec<(&'d str, &
         .collect()
 }
 
+/// The cell at `(table position, column index)` of one tuple.
+fn cell<'d>(tables: &[(&str, &'d Table)], tuple: &[u32], (t, c): (usize, usize)) -> &'d Value {
+    &tables[t].1.rows()[tuple[t] as usize][c]
+}
+
+/// The `width`-wide tuples of `ids` at the positions `order` lists, in
+/// that order.
+pub(crate) fn gather(ids: &[u32], width: usize, order: &[u32]) -> Vec<u32> {
+    order.iter().flat_map(|&i| &ids[i as usize * width..][..width]).copied().collect()
+}
+
+/// ORDER BY's comparison: NULL before every value, values by `sql_cmp`.
+/// A column holds one type (`Table::coerce`), so this is a total order —
+/// the sort needs one, and `sql_cmp` alone calls NULL equal to everything.
+fn sort_cmp(a: &Value, b: &Value) -> Ordering {
+    a.sql_cmp(b).unwrap_or_else(|| b.is_null().cmp(&a.is_null()))
+}
+
 /// The naive path: enumerate the cross product of all FROM tables with an
-/// odometer and evaluate the whole WHERE per assembled row. This is the
-/// semantic reference the planner must match byte-for-byte, and the
-/// fallback whenever planning declines.
+/// odometer and evaluate the whole WHERE per tuple. This is the semantic
+/// reference the planner must match byte-for-byte, and the fallback
+/// whenever planning declines. Returns the surviving tuples, one row id
+/// per FROM table in FROM order.
 fn scan_rows(
     tables: &[(&str, &Table)],
-    offsets: &[usize],
-    total_width: usize,
     where_clause: Option<&Expr>,
     examined: &mut u64,
-) -> Result<Vec<Vec<Value>>> {
-    let mut joined: Vec<Vec<Value>> = Vec::new();
-    let mut indices = vec![0usize; tables.len()];
-    if tables.iter().all(|(_, t)| !t.is_empty()) {
-        'outer: loop {
-            *examined += 1;
-            let mut row = Vec::with_capacity(total_width);
-            for ((_, t), &idx) in tables.iter().zip(indices.iter()) {
-                row.extend_from_slice(&t.rows()[idx]);
+) -> Result<Vec<u32>> {
+    let mut out = Vec::new();
+    if tables.iter().any(|(_, t)| t.is_empty()) {
+        return Ok(out);
+    }
+    let mut ids = vec![0u32; tables.len()];
+    let mut rows: Vec<&[Value]> = tables.iter().map(|(_, t)| t.rows()[0].as_slice()).collect();
+    loop {
+        *examined += 1;
+        if where_hits(where_clause, &RowEnv { tables, rows: &rows })? {
+            out.extend_from_slice(&ids);
+        }
+        // Odometer increment.
+        let mut pos = tables.len();
+        loop {
+            if pos == 0 {
+                return Ok(out);
             }
-            let keep = match where_clause {
-                Some(expr) => {
-                    let env = RowEnv { tables, offsets, row: &row };
-                    eval(expr, &env)?.is_truthy()
-                }
-                None => true,
-            };
-            if keep {
-                joined.push(row);
+            pos -= 1;
+            let t = tables[pos].1;
+            ids[pos] += 1;
+            if ids[pos] as usize == t.len() {
+                ids[pos] = 0;
             }
-            // Odometer increment.
-            for pos in (0..tables.len()).rev() {
-                indices[pos] += 1;
-                if indices[pos] < tables[pos].1.len() {
-                    continue 'outer;
-                }
-                indices[pos] = 0;
+            rows[pos] = &t.rows()[ids[pos] as usize];
+            if ids[pos] != 0 {
+                break;
             }
-            break;
         }
     }
-    Ok(joined)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -354,21 +388,15 @@ fn select(
     mode: PlanChoice<'_>,
 ) -> Result<QueryResult> {
     let tables = resolve_from(db, from)?;
+    let width = tables.len();
 
-    let mut offsets = Vec::with_capacity(tables.len());
-    let mut total_width = 0usize;
-    for (_, t) in &tables {
-        offsets.push(total_width);
-        total_width += t.columns().len();
-    }
-
-    // Produce the filtered, joined row set — through the planner when a
-    // WHERE clause planned successfully, through the scan path otherwise.
+    // Produce the surviving tuples — through the planner when a WHERE
+    // clause planned successfully, through the scan path otherwise.
     // `examined` and `used_index` feed the database's QueryStats.
     let mut examined = 0u64;
     let mut used_index = false;
     let mut est_rows: Option<f64> = None;
-    let mut joined: Vec<Vec<Value>> = match (where_clause, mode) {
+    let mut tuples: Vec<u32> = match (where_clause, mode) {
         (Some(expr), PlanChoice::Auto | PlanChoice::Config(_)) => {
             let config = match mode {
                 PlanChoice::Config(c) => *c,
@@ -381,9 +409,9 @@ fn select(
                     if p.costed {
                         est_rows = Some(p.est_rows);
                     }
-                    plan::execute_plan(&p, &tables, &offsets, total_width, &mut examined)?
+                    plan::execute_plan(&p, &tables, &mut examined)?
                 }
-                None => scan_rows(&tables, &offsets, total_width, where_clause, &mut examined)?,
+                None => scan_rows(&tables, where_clause, &mut examined)?,
             }
         }
         (Some(_), PlanChoice::Prepared(Some(p))) => {
@@ -391,195 +419,130 @@ fn select(
             if p.costed {
                 est_rows = Some(p.est_rows);
             }
-            plan::execute_plan(p, &tables, &offsets, total_width, &mut examined)?
+            plan::execute_plan(p, &tables, &mut examined)?
         }
-        _ => scan_rows(&tables, &offsets, total_width, where_clause, &mut examined)?,
+        _ => scan_rows(&tables, where_clause, &mut examined)?,
     };
+    let count = tuples.len() / width;
     // Feed the estimated-vs-actual ratio histogram on the pre-projection
-    // joined-row count — the quantity the planner actually estimated.
+    // tuple count — the quantity the planner actually estimated.
     if let Some(est) = est_rows {
-        db.stats().record_estimate(est, joined.len() as u64);
+        db.stats().record_estimate(est, count as u64);
     }
 
     let has_aggregate = items.iter().any(SelectItem::is_aggregate);
 
-    // ORDER BY before projection so sort keys need not be projected.
+    // ORDER BY before projection so sort keys need not be projected. The
+    // sort permutes tuple positions by borrowed cells: stable, ties by
+    // position.
     if !order_by.is_empty() {
-        // Resolve sort-key positions once, against an arbitrary row shape.
-        let key_indices: Vec<(usize, bool)> = order_by
+        let keys: Vec<((usize, usize), bool)> = order_by
             .iter()
-            .map(|key| resolve_position(&tables, &offsets, &key.column).map(|idx| (idx, key.desc)))
+            .map(|key| resolve_column(&tables, &key.column).map(|col| (col, key.desc)))
             .collect::<Result<_>>()?;
-        // Top-k fast path: when a LIMIT smaller than the row count
-        // follows the sort (and rows flow straight to projection, not
-        // into grouping), keep a bounded heap instead of sorting
-        // everything — O(n log k) versus O(n log n).
-        let top_k = match limit {
-            Some(k) if !has_aggregate && group_by.is_empty() && k < joined.len() => Some(k),
-            _ => None,
-        };
-        match top_k {
-            Some(k) => joined = top_k_rows(joined, k, &key_indices),
-            None => joined.sort_by(|a, b| {
-                for &(idx, desc) in &key_indices {
-                    let ord = a[idx].sql_cmp(&b[idx]).unwrap_or(Ordering::Equal);
-                    let ord = if desc { ord.reverse() } else { ord };
-                    if ord != Ordering::Equal {
-                        return ord;
-                    }
+        let cmp = |a: &u32, b: &u32| -> Ordering {
+            let (a, b) = (&tuples[*a as usize * width..], &tuples[*b as usize * width..]);
+            for &(col, desc) in &keys {
+                let ord = sort_cmp(cell(&tables, a, col), cell(&tables, b, col));
+                let ord = if desc { ord.reverse() } else { ord };
+                if ord != Ordering::Equal {
+                    return ord;
                 }
-                Ordering::Equal
-            }),
+            }
+            Ordering::Equal
+        };
+        let mut order: Vec<u32> = (0..count as u32).collect();
+        match limit {
+            // Top-k: when a LIMIT smaller than the row count follows the
+            // sort (and tuples flow straight to projection, not into
+            // grouping), select the k first under the order made total by
+            // position — exactly "stable sort, then truncate(k)" — and sort
+            // only those.
+            Some(k) if !has_aggregate && group_by.is_empty() && k < count => {
+                let total = |a: &u32, b: &u32| cmp(a, b).then(a.cmp(b));
+                if k > 0 {
+                    order.select_nth_unstable_by(k - 1, total);
+                }
+                order.truncate(k);
+                order.sort_unstable_by(total);
+            }
+            _ => order.sort_by(cmp),
         }
+        tuples = gather(&tuples, width, &order);
     }
 
     // Grouped / aggregate path.
     if has_aggregate || !group_by.is_empty() {
-        let result = grouped_select(items, group_by, &tables, &offsets, joined, limit)?;
+        let result = grouped_select(items, group_by, &tables, &tuples, limit)?;
         db.stats().record_select(examined, result.rows.len() as u64, used_index);
         return Ok(result);
     }
 
     if let Some(n) = limit {
-        joined.truncate(n);
+        tuples.truncate(n.saturating_mul(width));
     }
 
     let mut out_columns: Vec<String> = Vec::new();
-    let mut positions: Vec<usize> = Vec::new();
+    let mut cols: Vec<(usize, usize)> = Vec::new();
     for item in items {
         match item {
             SelectItem::Wildcard => {
-                for ((name, t), offset) in tables.iter().zip(&offsets) {
-                    for (i, c) in t.columns().iter().enumerate() {
-                        out_columns.push(if tables.len() > 1 {
-                            format!("{name}.{}", c.name)
+                for (t, (name, table)) in tables.iter().enumerate() {
+                    for (c, column) in table.columns().iter().enumerate() {
+                        out_columns.push(if width > 1 {
+                            format!("{name}.{}", column.name)
                         } else {
-                            c.name.clone()
+                            column.name.clone()
                         });
-                        positions.push(offset + i);
+                        cols.push((t, c));
                     }
                 }
             }
             SelectItem::Column(col) => {
                 out_columns.push(col.to_string());
-                positions.push(resolve_position(&tables, &offsets, col)?);
+                cols.push(resolve_column(&tables, col)?);
             }
             _ => unreachable!("aggregates handled above"),
         }
     }
 
-    let rows: Vec<Vec<Value>> =
-        joined.into_iter().map(|row| positions.iter().map(|&i| row[i].clone()).collect()).collect();
+    // The only clones of the read: the projected cells of surviving tuples.
+    let rows: Vec<_> = tuples
+        .chunks_exact(width)
+        .map(|tuple| cols.iter().map(|&col| cell(&tables, tuple, col).clone()).collect())
+        .collect();
     db.stats().record_select(examined, rows.len() as u64, used_index);
     Ok(QueryResult { columns: out_columns, rows })
 }
 
-/// Resolve a column reference to a joined-row index, checking ambiguity.
-fn resolve_position(
-    tables: &[(&str, &Table)],
-    offsets: &[usize],
-    col: &ColumnRef,
-) -> Result<usize> {
-    let mut found = None;
-    for ((name, table), offset) in tables.iter().zip(offsets) {
-        if let Some(t) = &col.table {
-            if !t.eq_ignore_ascii_case(name) {
-                continue;
-            }
-        }
-        if let Some(idx) = table.column_index(&col.column) {
-            if found.is_some() {
-                return Err(SqlError::AmbiguousColumn(col.to_string()));
-            }
-            found = Some(offset + idx);
-        }
-    }
-    found.ok_or_else(|| SqlError::NoSuchColumn(col.to_string()))
-}
-
-/// Partial selection for `ORDER BY ... LIMIT k`: return the k first rows
-/// of the stable sort without sorting everything. Stability is preserved
-/// by totalizing the comparison with each row's original position — under
-/// that total order, "k smallest, ascending" is exactly "stable sort,
-/// then truncate(k)". Implemented as a bounded binary max-heap (the root
-/// is the worst row kept; a better row replaces it).
-fn top_k_rows(rows: Vec<Vec<Value>>, k: usize, keys: &[(usize, bool)]) -> Vec<Vec<Value>> {
-    if k == 0 {
-        return Vec::new();
-    }
-    let cmp = |a: &(Vec<Value>, usize), b: &(Vec<Value>, usize)| -> Ordering {
-        for &(idx, desc) in keys {
-            let ord = a.0[idx].sql_cmp(&b.0[idx]).unwrap_or(Ordering::Equal);
-            let ord = if desc { ord.reverse() } else { ord };
-            if ord != Ordering::Equal {
-                return ord;
-            }
-        }
-        a.1.cmp(&b.1)
-    };
-    // std's BinaryHeap orders by Ord, not a closure, so keep a small
-    // hand-rolled sift-up/sift-down heap instead.
-    let mut heap: Vec<(Vec<Value>, usize)> = Vec::with_capacity(k);
-    for (pos, row) in rows.into_iter().enumerate() {
-        let item = (row, pos);
-        if heap.len() < k {
-            heap.push(item);
-            // Sift up.
-            let mut i = heap.len() - 1;
-            while i > 0 {
-                let parent = (i - 1) / 2;
-                if cmp(&heap[i], &heap[parent]) == Ordering::Greater {
-                    heap.swap(i, parent);
-                    i = parent;
-                } else {
-                    break;
-                }
-            }
-        } else if cmp(&item, &heap[0]) == Ordering::Less {
-            heap[0] = item;
-            // Sift down.
-            let mut i = 0;
-            loop {
-                let (l, r) = (2 * i + 1, 2 * i + 2);
-                let mut largest = i;
-                if l < heap.len() && cmp(&heap[l], &heap[largest]) == Ordering::Greater {
-                    largest = l;
-                }
-                if r < heap.len() && cmp(&heap[r], &heap[largest]) == Ordering::Greater {
-                    largest = r;
-                }
-                if largest == i {
-                    break;
-                }
-                heap.swap(i, largest);
-                i = largest;
-            }
-        }
-    }
-    heap.sort_by(&cmp);
-    heap.into_iter().map(|(row, _)| row).collect()
-}
-
 /// Evaluate the grouped/aggregate SELECT path. With an empty `group_by`
-/// the whole (already sorted) row set forms a single group — the plain
-/// `SELECT COUNT(*) ...` case. Group order follows first appearance,
-/// which is the WHERE/ORDER BY-processed row order.
+/// the whole (already sorted) tuple set forms a single group — the plain
+/// `SELECT COUNT(*) ...` case. Groups are keyed by borrowed cells in
+/// first-seen order, which is the WHERE/ORDER BY-processed tuple order;
+/// each keeps its member positions, and aggregates fold over those.
 fn grouped_select(
     items: &[SelectItem],
     group_by: &[ColumnRef],
     tables: &[(&str, &Table)],
-    offsets: &[usize],
-    joined: Vec<Vec<Value>>,
+    tuples: &[u32],
     limit: Option<usize>,
 ) -> Result<QueryResult> {
-    // Validate projection: non-aggregates must appear in GROUP BY.
+    let width = tables.len();
+    let keys: Vec<Result<(usize, usize)>> =
+        group_by.iter().map(|g| resolve_column(tables, g)).collect();
+    // Validate projection: a plain column must be a GROUP BY column. It is
+    // one when it resolves to the same column as a key, however either is
+    // spelled, or when it is spelled like a key (then, if it does not
+    // resolve, its resolution error is what the statement returns).
     for item in items {
         match item {
             SelectItem::Column(col) => {
-                let grouped = group_by
+                let spelled = group_by
                     .iter()
                     .any(|g| g.column == col.column && (g.table.is_none() || g.table == col.table));
-                if !grouped {
+                let same = resolve_column(tables, col)
+                    .is_ok_and(|c| keys.iter().any(|k| k.as_ref().ok() == Some(&c)));
+                if !spelled && !same {
                     return Err(SqlError::Unsupported(format!(
                         "column {col} must appear in GROUP BY or an aggregate"
                     )));
@@ -593,106 +556,105 @@ fn grouped_select(
             _ => {}
         }
     }
+    let keys: Vec<(usize, usize)> = keys.into_iter().collect::<Result<_>>()?;
 
-    let key_positions: Vec<usize> =
-        group_by.iter().map(|col| resolve_position(tables, offsets, col)).collect::<Result<_>>()?;
-
-    // Partition rows into groups, preserving first-seen order.
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut groups: std::collections::HashMap<Vec<Value>, Vec<Vec<Value>>> = Default::default();
-    for row in joined {
-        let key: Vec<Value> = key_positions.iter().map(|&i| row[i].clone()).collect();
-        if !groups.contains_key(&key) {
-            order.push(key.clone());
-        }
-        groups.entry(key).or_default().push(row);
-    }
-    // With no GROUP BY, aggregates run over everything as one group.
-    if group_by.is_empty() && order.is_empty() {
-        order.push(Vec::new());
-        groups.insert(Vec::new(), Vec::new());
-    }
-
-    let mut columns = Vec::new();
-    for item in items {
-        columns.push(match item {
+    let columns: Vec<String> = items
+        .iter()
+        .map(|item| match item {
             SelectItem::CountStar => "count(*)".to_string(),
             SelectItem::Min(col) => format!("min({col})"),
             SelectItem::Max(col) => format!("max({col})"),
             SelectItem::Sum(col) => format!("sum({col})"),
             SelectItem::Column(col) => col.to_string(),
             SelectItem::Wildcard => unreachable!("rejected above"),
-        });
+        })
+        .collect();
+
+    // Partition tuple positions into groups, preserving first-seen order.
+    // With no GROUP BY, aggregates run over everything as one group.
+    let mut groups: Vec<Vec<u32>> = Vec::new();
+    if group_by.is_empty() {
+        groups.push((0..(tuples.len() / width) as u32).collect());
+    } else {
+        let mut seen: HashMap<Vec<&Value>, usize> = HashMap::new();
+        let mut key: Vec<&Value> = Vec::with_capacity(keys.len());
+        for (pos, tuple) in tuples.chunks_exact(width).enumerate() {
+            key.clear();
+            key.extend(keys.iter().map(|&col| cell(tables, tuple, col)));
+            let g = match seen.get(key.as_slice()) {
+                Some(&g) => g,
+                None => {
+                    seen.insert(key.clone(), groups.len());
+                    groups.push(Vec::new());
+                    groups.len() - 1
+                }
+            };
+            groups[g].push(pos as u32);
+        }
+    }
+    // Item columns resolve when the first group is emitted: a statement
+    // with no group reports no resolution error, one with LIMIT 0 does.
+    let item_cols: Vec<Option<(usize, usize)>> = if groups.is_empty() {
+        Vec::new()
+    } else {
+        items
+            .iter()
+            .map(|item| match item {
+                SelectItem::Min(c)
+                | SelectItem::Max(c)
+                | SelectItem::Sum(c)
+                | SelectItem::Column(c) => resolve_column(tables, c).map(Some),
+                _ => Ok(None),
+            })
+            .collect::<Result<_>>()?
+    };
+    if let Some(n) = limit {
+        groups.truncate(n);
     }
 
-    let mut rows = Vec::new();
-    for key in order {
-        let members = &groups[&key];
-        let mut row = Vec::new();
-        for item in items {
-            row.push(match item {
-                SelectItem::CountStar => Value::Int(members.len() as i64),
-                SelectItem::Min(col) => {
-                    extreme(members, resolve_position(tables, offsets, col)?, true)
-                }
-                SelectItem::Max(col) => {
-                    extreme(members, resolve_position(tables, offsets, col)?, false)
-                }
-                SelectItem::Sum(col) => {
-                    let idx = resolve_position(tables, offsets, col)?;
-                    let mut any = false;
-                    let mut total = 0i64;
-                    for member in members {
-                        if let Some(n) = member[idx].as_int() {
-                            total += n;
-                            any = true;
+    let rows = groups
+        .iter()
+        .map(|members| {
+            let cells = move |col: Option<(usize, usize)>| {
+                let col = col.expect("column items resolved");
+                members.iter().map(move |&m| cell(tables, &tuples[m as usize * width..], col))
+            };
+            items
+                .iter()
+                .zip(&item_cols)
+                .map(|(item, &col)| match item {
+                    SelectItem::CountStar => Value::Int(members.len() as i64),
+                    SelectItem::Min(_) => extreme(cells(col), Ordering::Less),
+                    SelectItem::Max(_) => extreme(cells(col), Ordering::Greater),
+                    SelectItem::Sum(_) => {
+                        let mut ints = cells(col).filter_map(Value::as_int).peekable();
+                        match ints.peek() {
+                            Some(_) => Value::Int(ints.sum()),
+                            None => Value::Null,
                         }
                     }
-                    if any {
-                        Value::Int(total)
-                    } else {
-                        Value::Null
-                    }
-                }
-                SelectItem::Column(col) => {
-                    let idx = resolve_position(tables, offsets, col)?;
-                    members.first().map(|m| m[idx].clone()).unwrap_or(Value::Null)
-                }
-                SelectItem::Wildcard => unreachable!("rejected above"),
-            });
-        }
-        rows.push(row);
-    }
-    if let Some(n) = limit {
-        rows.truncate(n);
-    }
+                    SelectItem::Column(_) => cells(col).next().cloned().unwrap_or(Value::Null),
+                    SelectItem::Wildcard => unreachable!("rejected above"),
+                })
+                .collect()
+        })
+        .collect();
     Ok(QueryResult { columns, rows })
 }
 
-/// MIN/MAX over a group, skipping NULLs (SQL semantics).
-fn extreme(members: &[Vec<Value>], idx: usize, is_min: bool) -> Value {
+/// MIN (`wins` = `Less`) or MAX (`Greater`) over a group's cells,
+/// skipping NULLs (SQL semantics); the first of equal extremes is kept.
+fn extreme<'d>(cells: impl Iterator<Item = &'d Value>, wins: Ordering) -> Value {
     let mut best: Option<&Value> = None;
-    for member in members {
-        let v = &member[idx];
-        if v.is_null() {
-            continue;
+    for v in cells.filter(|v| !v.is_null()) {
+        if best.is_none_or(|b| v.sql_cmp(b) == Some(wins)) {
+            best = Some(v);
         }
-        best = Some(match best {
-            None => v,
-            Some(b) => {
-                let ord = v.sql_cmp(b).unwrap_or(Ordering::Equal);
-                if (is_min && ord == Ordering::Less) || (!is_min && ord == Ordering::Greater) {
-                    v
-                } else {
-                    b
-                }
-            }
-        });
     }
     best.cloned().unwrap_or(Value::Null)
 }
 
-/// Does `row` of the statement's one table satisfy its WHERE clause?
+/// Do the rows `env` binds satisfy the WHERE clause?
 fn where_hits(where_clause: Option<&Expr>, env: &RowEnv<'_>) -> Result<bool> {
     Ok(match where_clause {
         Some(expr) => eval(expr, env)?.is_truthy(),
@@ -718,11 +680,10 @@ fn update(
         })
         .collect::<Result<_>>()?;
     let tables = [(t.name(), t)];
-    let offsets = [0usize];
     let mut updated_rows = Vec::new();
     for (pos, row) in t.rows().iter().enumerate() {
         // SET expressions see the row as it was, whatever their order.
-        let env = RowEnv { tables: &tables, offsets: &offsets, row };
+        let env = RowEnv { tables: &tables, rows: &[row.as_slice()] };
         if !where_hits(where_clause, &env)? {
             continue;
         }
@@ -741,10 +702,9 @@ fn update(
 fn delete(db: &mut Database, table: &str, where_clause: Option<&Expr>) -> Result<ExecOutcome> {
     let t = db.table(table).ok_or_else(|| SqlError::NoSuchTable(table.to_string()))?;
     let tables = [(t.name(), t)];
-    let offsets = [0usize];
     let mut doomed = Vec::new();
     for (pos, row) in t.rows().iter().enumerate() {
-        if where_hits(where_clause, &RowEnv { tables: &tables, offsets: &offsets, row })? {
+        if where_hits(where_clause, &RowEnv { tables: &tables, rows: &[row.as_slice()] })? {
             doomed.push(pos);
         }
     }
@@ -911,6 +871,94 @@ mod tests {
         assert!(matches!(err, SqlError::Unsupported(_)));
         let err = db.query("select *, count(*) from nodes").unwrap_err();
         assert!(matches!(err, SqlError::Unsupported(_)));
+    }
+
+    #[test]
+    fn group_by_membership_is_by_column_not_spelling() {
+        let mut db = sample_db();
+        let reference = db.query("select rack, count(*) from nodes group by rack").unwrap();
+        // The parent rejected the first two with "column rack must appear
+        // in GROUP BY" while accepting the last two.
+        for sql in [
+            "select rack, count(*) from nodes group by nodes.rack",
+            "select rack, count(*) from nodes group by NODES.RACK",
+            "select nodes.rack, count(*) from nodes group by rack",
+            "select RACK, count(*) from nodes group by rack",
+        ] {
+            let r = db.query(sql).unwrap();
+            assert_eq!(r.rows, reference.rows, "{sql}");
+        }
+        let joined = db
+            .query(
+                "select name, count(*) from nodes, memberships \
+                 where nodes.membership = memberships.id group by memberships.name",
+            )
+            .unwrap_err();
+        assert!(matches!(joined, SqlError::Unsupported(_)), "bare `name` is ambiguous: {joined}");
+        let r = db
+            .query(
+                "select membership, count(*) from nodes, memberships \
+                 where nodes.membership = memberships.id group by nodes.membership",
+            )
+            .unwrap();
+        assert_eq!(r.rows.len(), 4);
+        // A different column is still not grouped, however it is spelled.
+        let err = db.query("select nodes.rank, count(*) from nodes group by rack").unwrap_err();
+        assert!(matches!(err, SqlError::Unsupported(_)));
+    }
+
+    #[test]
+    fn order_by_null_keys_sort_first_and_never_panic() {
+        let mut db = Database::new();
+        db.execute("create table t (id int, k int, s text)").unwrap();
+        // The parent compared NULL as equal to everything, which is no
+        // order at all: this table made its sort panic.
+        for i in 0..40 {
+            let (k, s) = match i % 3 {
+                0 => ("NULL".to_string(), "NULL".to_string()),
+                _ => (((i * 7) % 11).to_string(), format!("'s{}'", (i * 5) % 7)),
+            };
+            db.execute(&format!("insert into t values ({i}, {k}, {s})")).unwrap();
+        }
+        let ks = |r: &QueryResult| -> Vec<Option<i64>> {
+            r.rows.iter().map(|row| row[1].as_int()).collect()
+        };
+        let asc = db.query("select id, k from t order by k").unwrap();
+        let keys = ks(&asc);
+        assert_eq!(keys.iter().take_while(|k| k.is_none()).count(), 14, "NULLs first: {keys:?}");
+        assert!(keys.windows(2).all(|w| w[0] <= w[1]), "ascending: {keys:?}");
+        // Stable: equal keys keep table order.
+        assert!(asc
+            .rows
+            .windows(2)
+            .all(|w| w[0][1] != w[1][1] || w[0][0].as_int() < w[1][0].as_int()));
+        let desc = db.query("select id, k from t order by k desc").unwrap();
+        assert_eq!(ks(&desc).iter().rev().take_while(|k| k.is_none()).count(), 14);
+        for sql in
+            ["select id, k, s from t order by s, k desc", "select id, k from t order by k desc, id"]
+        {
+            let full = db.query(sql).unwrap();
+            for limit in [0, 1, 5, 14, 15, 39, 40, 41] {
+                let top = db.query(&format!("{sql} limit {limit}")).unwrap();
+                assert_eq!(top.rows, full.rows[..limit.min(40)], "top-{limit} of {sql}");
+                assert_eq!(top, db.query_ref_scan(&format!("{sql} limit {limit}")).unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn query_column_renders_like_value_render() {
+        let mut db = Database::new();
+        db.execute("create table t (s text, n int)").unwrap();
+        db.execute("insert into t values ('a', 1), (NULL, NULL), ('', -3)").unwrap();
+        let rendered = |col: &str| -> Vec<String> {
+            let r = db.query_ref(&format!("select {col} from t")).unwrap();
+            r.rows.iter().map(|row| row[0].render()).collect()
+        };
+        let (s, n) = (rendered("s"), rendered("n"));
+        assert_eq!(db.query_column_ref("select s from t").unwrap(), s);
+        assert_eq!(db.query_column("select n from t").unwrap(), n);
+        assert_eq!(n, ["1", "NULL", "-3"]);
     }
 
     #[test]

@@ -94,6 +94,11 @@ pub enum SqlError {
     TypeMismatch(String),
     /// Anything else (e.g. aggregate misuse).
     Unsupported(String),
+    /// An expression nested deeper than the parser accepts.
+    TooDeep {
+        /// The deepest expression the parser builds.
+        limit: usize,
+    },
 }
 
 impl std::fmt::Display for SqlError {
@@ -107,6 +112,10 @@ impl std::fmt::Display for SqlError {
             SqlError::TableExists(t) => write!(f, "table already exists: {t}"),
             SqlError::TypeMismatch(m) => write!(f, "type mismatch: {m}"),
             SqlError::Unsupported(m) => write!(f, "unsupported: {m}"),
+            SqlError::TooDeep { limit } => write!(
+                f,
+                "expression nested deeper than {limit} levels (a long OR list is written IN (...))"
+            ),
         }
     }
 }
@@ -356,8 +365,7 @@ impl Database {
     /// rendered as text. This is exactly how `cluster-kill --query=...`
     /// consumes results (paper §6.4): a list of node names.
     pub fn query_column(&mut self, sql: &str) -> Result<Vec<String>> {
-        let result = self.query(sql)?;
-        Ok(result.rows.iter().filter_map(|row| row.first()).map(|v| v.render()).collect())
+        self.query(sql).map(first_column)
     }
 
     /// Run a `SELECT` against a shared reference. Because nothing is
@@ -528,8 +536,7 @@ impl Database {
     /// [`query_ref`](Self::query_ref) returning the first column rendered
     /// as text — the read-only twin of [`query_column`](Self::query_column).
     pub fn query_column_ref(&self, sql: &str) -> Result<Vec<String>> {
-        let result = self.query_ref(sql)?;
-        Ok(result.rows.iter().filter_map(|row| row.first()).map(|v| v.render()).collect())
+        self.query_ref(sql).map(first_column)
     }
 
     /// Look up a table by (case-insensitive) name.
@@ -586,6 +593,18 @@ impl Database {
     pub(crate) fn set_schema_generation(&mut self, schema_gen: u64) {
         self.schema_gen = schema_gen;
     }
+}
+
+/// The first cell of every row, rendered as [`Value::render`] does; text
+/// is moved out of the result rather than copied.
+fn first_column(result: QueryResult) -> Vec<String> {
+    let first = result.rows.into_iter().filter_map(|row| row.into_iter().next());
+    first
+        .map(|v| match v {
+            Value::Text(s) => s,
+            other => other.render(),
+        })
+        .collect()
 }
 
 #[cfg(test)]

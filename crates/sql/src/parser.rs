@@ -6,10 +6,35 @@ use crate::table::ColumnType;
 use crate::value::Value;
 use crate::{Result, SqlError};
 
+/// The deepest expression the parser builds. Every node counts one level
+/// over its deepest child, and so does a pair of parentheses, so nested
+/// parentheses, chained NOTs and AND/OR chains (built in a loop) all
+/// count alike. Parsing, planning, evaluation, EXPLAIN and drop recurse
+/// on the tree: past some depth a `--query=` would overflow the stack
+/// and abort the process. At this depth every stage runs on a 2 MiB
+/// debug-build thread; one level more is [`SqlError::TooDeep`].
+pub(crate) const MAX_EXPR_DEPTH: usize = 256;
+
+/// An expression and its depth.
+type Node = (Expr, usize);
+
+/// `expr` at `depth`, or the depth error.
+fn node(expr: Expr, depth: usize) -> Result<Node> {
+    if depth > MAX_EXPR_DEPTH {
+        return Err(SqlError::TooDeep { limit: MAX_EXPR_DEPTH });
+    }
+    Ok((expr, depth))
+}
+
+/// `lhs op rhs` one level over the deeper operand.
+fn binary(op: BinOp, (lhs, l): Node, (rhs, r): Node) -> Result<Node> {
+    node(Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }, 1 + l.max(r))
+}
+
 /// Parse one statement (a trailing semicolon is allowed).
 pub fn parse(sql: &str) -> Result<Statement> {
     let tokens = lex(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, nesting: 0 };
     let stmt = p.statement()?;
     p.eat_optional_semicolon();
     if p.pos != p.tokens.len() {
@@ -24,6 +49,9 @@ pub fn parse(sql: &str) -> Result<Statement> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Parentheses, NOTs and EXPLAINs open around the current token: the
+    /// parser's own recursion, bounded before it descends.
+    nesting: usize,
 }
 
 impl Parser {
@@ -75,6 +103,19 @@ impl Parser {
         }
     }
 
+    /// Run `f` one nesting level down. An expression inside more levels
+    /// than [`MAX_EXPR_DEPTH`] is deeper than that, so this refuses it
+    /// before the recursion does.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.nesting += 1;
+        if self.nesting > MAX_EXPR_DEPTH {
+            return Err(SqlError::TooDeep { limit: MAX_EXPR_DEPTH });
+        }
+        let out = f(self);
+        self.nesting -= 1;
+        out
+    }
+
     fn eat_optional_semicolon(&mut self) {
         while self.eat_tok(&Token::Semicolon) {}
     }
@@ -102,7 +143,7 @@ impl Parser {
             let name = self.identifier("table name")?;
             Ok(Statement::DropTable { name })
         } else if self.eat_kw("explain") {
-            Ok(Statement::Explain(Box::new(self.statement()?)))
+            Ok(Statement::Explain(Box::new(self.nested(Self::statement)?)))
         } else {
             Err(SqlError::Parse(format!("expected a statement, found {:?}", self.peek())))
         }
@@ -203,7 +244,7 @@ impl Parser {
                 break;
             }
         }
-        let where_clause = if self.eat_kw("where") { Some(self.expr()?) } else { None };
+        let where_clause = self.where_clause()?;
         let mut group_by = Vec::new();
         if self.eat_kw("group") {
             self.expect_kw("by")?;
@@ -289,20 +330,24 @@ impl Parser {
         loop {
             let col = self.identifier("column name")?;
             self.expect_tok(Token::Eq)?;
-            sets.push((col, self.primary_expr()?));
+            sets.push((col, self.primary_expr()?.0));
             if !self.eat_tok(&Token::Comma) {
                 break;
             }
         }
-        let where_clause = if self.eat_kw("where") { Some(self.expr()?) } else { None };
+        let where_clause = self.where_clause()?;
         Ok(Statement::Update { table, sets, where_clause })
     }
 
     fn delete(&mut self) -> Result<Statement> {
         self.expect_kw("from")?;
         let table = self.identifier("table name")?;
-        let where_clause = if self.eat_kw("where") { Some(self.expr()?) } else { None };
+        let where_clause = self.where_clause()?;
         Ok(Statement::Delete { table, where_clause })
+    }
+
+    fn where_clause(&mut self) -> Result<Option<Expr>> {
+        Ok(if self.eat_kw("where") { Some(self.expr()?.0) } else { None })
     }
 
     // Expression grammar, lowest to highest precedence:
@@ -314,34 +359,34 @@ impl Parser {
     //                          | IS [NOT] NULL
     //                          | [NOT] IN (lit, ...))?
     //   primary  := literal | column | '(' expr ')'
-    fn expr(&mut self) -> Result<Expr> {
+    // Each returns its expression's depth (see `MAX_EXPR_DEPTH`).
+    fn expr(&mut self) -> Result<Node> {
         let mut lhs = self.and_expr()?;
         while self.eat_kw("or") {
-            let rhs = self.and_expr()?;
-            lhs = Expr::Binary { op: BinOp::Or, lhs: Box::new(lhs), rhs: Box::new(rhs) };
+            lhs = binary(BinOp::Or, lhs, self.and_expr()?)?;
         }
         Ok(lhs)
     }
 
-    fn and_expr(&mut self) -> Result<Expr> {
+    fn and_expr(&mut self) -> Result<Node> {
         let mut lhs = self.not_expr()?;
         while self.eat_kw("and") {
-            let rhs = self.not_expr()?;
-            lhs = Expr::Binary { op: BinOp::And, lhs: Box::new(lhs), rhs: Box::new(rhs) };
+            lhs = binary(BinOp::And, lhs, self.not_expr()?)?;
         }
         Ok(lhs)
     }
 
-    fn not_expr(&mut self) -> Result<Expr> {
+    fn not_expr(&mut self) -> Result<Node> {
         if self.eat_kw("not") {
-            Ok(Expr::Not(Box::new(self.not_expr()?)))
+            let (inner, depth) = self.nested(Self::not_expr)?;
+            node(Expr::Not(Box::new(inner)), depth + 1)
         } else {
             self.comparison()
         }
     }
 
-    fn comparison(&mut self) -> Result<Expr> {
-        let lhs = self.primary_expr()?;
+    fn comparison(&mut self) -> Result<Node> {
+        let (lhs, depth) = self.primary_expr()?;
 
         let op = match self.peek() {
             Some(Token::Eq) => Some(BinOp::Eq),
@@ -354,8 +399,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.pos += 1;
-            let rhs = self.primary_expr()?;
-            return Ok(Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) });
+            return binary(op, (lhs, depth), self.primary_expr()?);
         }
 
         // Postfix predicates.
@@ -385,7 +429,7 @@ impl Parser {
         if self.eat_kw("like") {
             match self.next() {
                 Some(Token::Str(pattern)) => {
-                    return Ok(Expr::Like { expr: Box::new(lhs), pattern, negated })
+                    return node(Expr::Like { expr: Box::new(lhs), pattern, negated }, depth + 1)
                 }
                 other => {
                     return Err(SqlError::Parse(format!(
@@ -404,7 +448,7 @@ impl Parser {
                 }
             }
             self.expect_tok(Token::RParen)?;
-            return Ok(Expr::InList { expr: Box::new(lhs), list, negated });
+            return node(Expr::InList { expr: Box::new(lhs), list, negated }, depth + 1);
         }
         if negated {
             return Err(SqlError::Parse("dangling NOT before non-predicate".into()));
@@ -412,25 +456,25 @@ impl Parser {
         if self.eat_kw("is") {
             let negated = self.eat_kw("not");
             self.expect_kw("null")?;
-            return Ok(Expr::IsNull { expr: Box::new(lhs), negated });
+            return node(Expr::IsNull { expr: Box::new(lhs), negated }, depth + 1);
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn primary_expr(&mut self) -> Result<Expr> {
+    fn primary_expr(&mut self) -> Result<Node> {
         match self.peek() {
             Some(Token::LParen) => {
                 self.pos += 1;
-                let inner = self.expr()?;
+                let (inner, depth) = self.nested(Self::expr)?;
                 self.expect_tok(Token::RParen)?;
-                Ok(inner)
+                node(inner, depth + 1)
             }
-            Some(Token::Int(_)) | Some(Token::Str(_)) => Ok(Expr::Literal(self.literal()?)),
+            Some(Token::Int(_)) | Some(Token::Str(_)) => Ok((Expr::Literal(self.literal()?), 0)),
             Some(Token::Word(w)) if w.eq_ignore_ascii_case("null") => {
                 self.pos += 1;
-                Ok(Expr::Literal(Value::Null))
+                Ok((Expr::Literal(Value::Null), 0))
             }
-            Some(Token::Word(_)) => Ok(Expr::Column(self.column_ref()?)),
+            Some(Token::Word(_)) => Ok((Expr::Column(self.column_ref()?), 0)),
             other => Err(SqlError::Parse(format!("expected an expression, found {other:?}"))),
         }
     }
@@ -580,6 +624,64 @@ mod tests {
         assert!(parse("insert into t values").is_err());
         assert!(parse("create table t ()").is_err());
         assert!(parse("select a from t where a like 5").is_err());
+    }
+
+    /// A WHERE clause `depth` levels deep, in one of the three shapes
+    /// that used to overflow the stack, and the ids it selects from 1..=3.
+    fn deep_where(shape: &str, depth: usize) -> (String, Vec<i64>) {
+        match shape {
+            "parens" => {
+                let n = depth - 1; // `id = 2` is one level
+                (format!("{}id = 2{}", "(".repeat(n), ")".repeat(n)), vec![2])
+            }
+            "not" => {
+                let n = depth - 1;
+                (
+                    format!("{}id = 2", "not ".repeat(n)),
+                    if n.is_multiple_of(2) { vec![2] } else { vec![1, 3] },
+                )
+            }
+            _ => {
+                let terms: Vec<String> = (0..depth).map(|i| format!("id = {}", i + 3)).collect();
+                (terms.join(" or "), vec![3])
+            }
+        }
+    }
+
+    #[test]
+    fn expressions_at_the_depth_limit_run_and_one_deeper_is_a_typed_error() {
+        let mut db = crate::Database::new();
+        db.execute("create table t (id int, name text)").unwrap();
+        db.execute("insert into t values (1, 'a'), (2, 'b'), (3, 'c')").unwrap();
+        let too_deep = SqlError::TooDeep { limit: MAX_EXPR_DEPTH };
+        for shape in ["parens", "not", "or"] {
+            // Parse, plan, evaluate (planned and scanned), EXPLAIN, drop.
+            let (cond, ids) = deep_where(shape, MAX_EXPR_DEPTH);
+            let sql = format!("select id from t where {cond}");
+            let want: Vec<Vec<Value>> = ids.into_iter().map(|i| vec![Value::Int(i)]).collect();
+            assert_eq!(db.query_ref(&sql).unwrap().rows, want, "{shape} at the limit");
+            assert_eq!(db.query_ref_scan(&sql).unwrap().rows, want, "{shape} scanned");
+            assert!(!db.query(&format!("explain {sql}")).unwrap().rows.is_empty());
+            let update = db.execute(&format!("update t set name = name where {cond}")).unwrap();
+            assert_eq!(update, crate::ExecOutcome::Written { affected: want.len() });
+
+            let (cond, _) = deep_where(shape, MAX_EXPR_DEPTH + 1);
+            let sql = format!("select id from t where {cond}");
+            assert_eq!(db.query_ref(&sql).unwrap_err(), too_deep, "{shape} past the limit");
+        }
+        // The three statements that aborted the process at the parent.
+        let parens =
+            format!("select id from t where {}id = 1{}", "(".repeat(10_000), ")".repeat(10_000));
+        let nots = format!("select id from t where {}id = 1", "not ".repeat(100_000));
+        let ors = deep_where("or", 100_000).0;
+        for sql in [parens, nots, format!("select id from t where {ors}")] {
+            assert_eq!(db.query_ref(&sql).unwrap_err(), too_deep);
+        }
+        assert!(too_deep.to_string().contains(&MAX_EXPR_DEPTH.to_string()));
+        // Long OR lists have a flat spelling.
+        let list: Vec<String> = (0..100_000).map(|i| (i + 3).to_string()).collect();
+        let sql = format!("select id from t where id in ({})", list.join(", "));
+        assert_eq!(db.query_ref(&sql).unwrap().rows, vec![vec![Value::Int(3)]]);
     }
 
     #[test]

@@ -31,19 +31,22 @@
 //!   with hash joins only reproduces that order for free (ascending
 //!   candidates, accumulator-order extension); any plan that reorders
 //!   tables or merge-joins sets [`SelectPlan::restore_order`], and the
-//!   executor sorts surviving tuples by their FROM-order row indices
-//!   (tuples are distinct, so the order is total and deterministic)
-//!   before materializing;
+//!   pipeline sorts surviving tuples by their FROM-order row ids (tuples
+//!   are distinct, so the order is total and deterministic) before the
+//!   executor sees them;
 //! * **errors are preserved** — the planner refuses (returns `None`, the
 //!   executor falls back to the scan path) unless every column reference
 //!   in the WHERE clause resolves uniquely.
 //!
-//! Tuples are carried as row *indices* per executed step and
-//! materialized into value rows only at the end.
+//! Tuples are carried as row ids — one `u32` per executed step, in one
+//! flat buffer whose stride grows by one per step — and handed to the
+//! executor as FROM-order tuples of the same shape. Nothing here clones
+//! a value: filters and residuals evaluate against borrowed rows, and the
+//! executor clones only the projected cells of the tuples that survive.
 
 use crate::ast::{BinOp, ColumnRef, Expr};
 use crate::cost;
-use crate::exec::{eval, RowEnv};
+use crate::exec::{eval, gather, resolve_column, RowEnv};
 use crate::stats::{KeyRef, TableStats};
 use crate::table::Table;
 use crate::value::Value;
@@ -209,23 +212,9 @@ fn walk_columns<'e>(expr: &'e Expr, f: &mut impl FnMut(&'e ColumnRef)) {
 }
 
 /// Resolve a column reference to `(from_position, column_index)`,
-/// requiring a unique match (mirrors the scan path's resolution rules).
+/// requiring a unique match (the scan path's resolution rules).
 fn resolve_ref(tables: &[(&str, &Table)], col: &ColumnRef) -> Option<(usize, usize)> {
-    let mut found = None;
-    for (pos, (name, table)) in tables.iter().enumerate() {
-        if let Some(t) = &col.table {
-            if !t.eq_ignore_ascii_case(name) {
-                continue;
-            }
-        }
-        if let Some(idx) = table.column_index(&col.column) {
-            if found.is_some() {
-                return None; // ambiguous
-            }
-            found = Some((pos, idx));
-        }
-    }
-    found
+    resolve_column(tables, col).ok()
 }
 
 /// Recognize `col = literal` (either side), resolved against `tables`.
@@ -762,15 +751,6 @@ fn plan_cost_based(
     (plan, info)
 }
 
-/// Assemble the value row for a tuple of per-step row indices, in
-/// execution order.
-fn assemble(exec_tables: &[(&str, &Table)], tuple: &[u32], out: &mut Vec<Value>) {
-    out.clear();
-    for (pos, &row) in tuple.iter().enumerate() {
-        out.extend_from_slice(&exec_tables[pos].1.rows()[row as usize]);
-    }
-}
-
 /// Evaluate a step's pushed-down filters against one row of its table,
 /// memoizing per row index (0 = unknown, 1 = pass, 2 = fail) so hash
 /// joins never re-evaluate a filter for a repeatedly probed row.
@@ -787,8 +767,7 @@ fn step_filter(
         1 => Ok(true),
         2 => Ok(false),
         _ => {
-            let env =
-                RowEnv { tables: single, offsets: &[0], row: &single[0].1.rows()[row as usize] };
+            let env = RowEnv { tables: single, rows: &[&single[0].1.rows()[row as usize]] };
             let mut pass = true;
             for f in filters {
                 if !eval(f, &env)?.is_truthy() {
@@ -803,26 +782,26 @@ fn step_filter(
 }
 
 /// Sort-merge join: sort the (filtered) right rows and the accumulated
-/// tuples by normalized key, merge equal-key runs, and re-verify every
-/// pair with `sql_cmp` (group keys are supersets — see `stats.rs`).
+/// `width`-wide tuples by normalized key, merge equal-key runs, and
+/// re-verify every pair with `sql_cmp` (group keys are supersets — see
+/// `stats.rs`). Returns the joined tuples, one wider.
 #[allow(clippy::too_many_arguments)]
 fn merge_join(
-    acc: &[Vec<u32>],
+    acc: &[u32],
+    width: usize,
     left_table: &Table,
-    left_step: usize,
-    left_col: usize,
+    key: &JoinKey,
     right: &Table,
-    right_col: usize,
     filters: &[Expr],
     single: &[(&str, &Table)],
     memo: &mut [u8],
     examined: &mut u64,
-) -> Result<Vec<Vec<u32>>> {
+) -> Result<Vec<u32>> {
     let right_rows = right.rows();
     *examined += right_rows.len() as u64;
     let mut rkeys: Vec<(KeyRef<'_>, u32)> = Vec::new();
     for (i, row) in right_rows.iter().enumerate() {
-        if let Some(k) = KeyRef::of(&row[right_col]) {
+        if let Some(k) = KeyRef::of(&row[key.right_col]) {
             if step_filter(filters, single, i as u32, memo)? {
                 rkeys.push((k, i as u32));
             }
@@ -831,10 +810,11 @@ fn merge_join(
     rkeys.sort_unstable();
 
     let left_rows = left_table.rows();
+    let left_val =
+        |tuple: usize| &left_rows[acc[tuple * width + key.left_step] as usize][key.left_col];
     let mut lkeys: Vec<(KeyRef<'_>, u32)> = Vec::new();
-    for (i, tuple) in acc.iter().enumerate() {
-        let v = &left_rows[tuple[left_step] as usize][left_col];
-        if let Some(k) = KeyRef::of(v) {
+    for i in 0..acc.len() / width {
+        if let Some(k) = KeyRef::of(left_val(i)) {
             lkeys.push((k, i as u32)); // NULL keys join nothing
         }
     }
@@ -847,27 +827,24 @@ fn merge_join(
             Ordering::Less => i += 1,
             Ordering::Greater => j += 1,
             Ordering::Equal => {
-                let key = lkeys[i].0;
+                let k = lkeys[i].0;
                 let (i0, j0) = (i, j);
-                while i < lkeys.len() && lkeys[i].0 == key {
+                while i < lkeys.len() && lkeys[i].0 == k {
                     i += 1;
                 }
-                while j < rkeys.len() && rkeys[j].0 == key {
+                while j < rkeys.len() && rkeys[j].0 == k {
                     j += 1;
                 }
-                for &(_, acc_idx) in &lkeys[i0..i] {
-                    let tuple = &acc[acc_idx as usize];
-                    let lval = &left_rows[tuple[left_step] as usize][left_col];
+                for &(_, tuple) in &lkeys[i0..i] {
+                    let lval = left_val(tuple as usize);
                     for &(_, r) in &rkeys[j0..j] {
                         *examined += 1;
-                        let rval = &right_rows[r as usize][right_col];
+                        let rval = &right_rows[r as usize][key.right_col];
                         if lval.sql_cmp(rval) != Some(Ordering::Equal) {
                             continue; // group key was a superset
                         }
-                        let mut extended = Vec::with_capacity(tuple.len() + 1);
-                        extended.extend_from_slice(tuple);
-                        extended.push(r);
-                        out.push(extended);
+                        out.extend_from_slice(&acc[tuple as usize * width..][..width]);
+                        out.push(r);
                     }
                 }
             }
@@ -876,44 +853,33 @@ fn merge_join(
     Ok(out)
 }
 
-/// Execute a plan, returning joined rows identical (values and order) to
-/// the scan path's filtered cross product. `examined` tallies every row
-/// enumerated or index candidate probed (the telemetry behind
-/// `sql.rows.examined`).
-pub fn execute_plan(
+/// Execute a plan, returning the surviving tuples — one row id per FROM
+/// table, in FROM order — identical (ids and order) to the scan path's
+/// filtered cross product. `examined` tallies every row enumerated or
+/// index candidate probed (the telemetry behind `sql.rows.examined`).
+pub(crate) fn execute_plan(
     plan: &SelectPlan,
     tables: &[(&str, &Table)],
-    offsets: &[usize],
-    total_width: usize,
     examined: &mut u64,
-) -> Result<Vec<Vec<Value>>> {
-    let _ = offsets;
+) -> Result<Vec<u32>> {
     let n = tables.len();
     debug_assert_eq!(plan.steps.len(), n);
 
-    // Tables in execution order, with execution-order row offsets for
-    // residual evaluation environments.
+    // Tables in execution order, for residual evaluation environments.
     let exec_tables: Vec<(&str, &Table)> = plan.steps.iter().map(|s| tables[s.table]).collect();
-    let mut exec_offsets = Vec::with_capacity(n);
-    {
-        let mut w = 0usize;
-        for (_, t) in &exec_tables {
-            exec_offsets.push(w);
-            w += t.columns().len();
-        }
-    }
 
-    // Tuples of per-step row indices joined so far.
-    let mut acc: Vec<Vec<u32>> = Vec::new();
-    let mut scratch_row: Vec<Value> = Vec::new();
+    // Tuples of per-step row ids joined so far: after step k, each is
+    // k + 1 wide.
+    let mut acc: Vec<u32> = Vec::new();
     let mut probe_scratch: Vec<u32> = Vec::new();
+    let mut env_rows: Vec<&[Value]> = Vec::with_capacity(n);
 
     for (k, step) in plan.steps.iter().enumerate() {
         let t = tables[step.table].1;
         let single = [(tables[step.table].0, t)];
         let mut memo = vec![0u8; t.len()];
 
-        match &step.join {
+        acc = match &step.join {
             // Step 0 or an explicit cross join: enumerate this table's
             // (filtered) rows once, then extend every tuple.
             None => {
@@ -939,34 +905,29 @@ pub fn execute_plan(
                     }
                 }
                 if k == 0 {
-                    acc = right.into_iter().map(|r| vec![r]).collect();
+                    right
                 } else {
-                    let mut next = Vec::with_capacity(acc.len() * right.len());
-                    for tuple in &acc {
+                    let mut next = Vec::new();
+                    for tuple in acc.chunks_exact(k) {
                         for &r in &right {
-                            let mut extended = Vec::with_capacity(k + 1);
-                            extended.extend_from_slice(tuple);
-                            extended.push(r);
-                            next.push(extended);
+                            next.extend_from_slice(tuple);
+                            next.push(r);
                         }
                     }
-                    acc = next;
+                    next
                 }
             }
-            Some(key) if key.algo == JoinAlgo::SortMerge => {
-                acc = merge_join(
-                    &acc,
-                    exec_tables[key.left_step].1,
-                    key.left_step,
-                    key.left_col,
-                    t,
-                    key.right_col,
-                    &step.filter,
-                    &single,
-                    &mut memo,
-                    examined,
-                )?;
-            }
+            Some(key) if key.algo == JoinAlgo::SortMerge => merge_join(
+                &acc,
+                k,
+                exec_tables[key.left_step].1,
+                key,
+                t,
+                &step.filter,
+                &single,
+                &mut memo,
+                examined,
+            )?,
             // Hash join: probe this table's index with each accumulated
             // tuple's key value. Ascending buckets + accumulator order
             // reproduce the cross product's lexicographic order (when
@@ -975,7 +936,7 @@ pub fn execute_plan(
                 let index = t.eq_index(key.right_col);
                 let left_rows = exec_tables[key.left_step].1.rows();
                 let mut next = Vec::new();
-                for tuple in &acc {
+                for tuple in acc.chunks_exact(k) {
                     let lval = &left_rows[tuple[key.left_step] as usize][key.left_col];
                     if lval.is_null() {
                         continue; // NULL joins nothing
@@ -990,25 +951,24 @@ pub fn execute_plan(
                         if !step_filter(&step.filter, &single, r, &mut memo)? {
                             continue;
                         }
-                        let mut extended = Vec::with_capacity(k + 1);
-                        extended.extend_from_slice(tuple);
-                        extended.push(r);
-                        next.push(extended);
+                        next.extend_from_slice(tuple);
+                        next.push(r);
                     }
                 }
-                acc = next;
+                next
             }
-        }
+        };
 
-        // Residuals that became evaluable once step k executed.
+        // Residuals that became evaluable once step k executed, against
+        // the tuple's borrowed rows.
         if plan.residual.iter().any(|(ready, _)| *ready == k) {
-            let prefix_tables = &exec_tables[..=k];
-            let prefix_offsets = &exec_offsets[..=k];
+            let prefix = &exec_tables[..=k];
             let mut kept = Vec::with_capacity(acc.len());
-            for tuple in acc {
-                assemble(prefix_tables, &tuple, &mut scratch_row);
-                let env =
-                    RowEnv { tables: prefix_tables, offsets: prefix_offsets, row: &scratch_row };
+            for tuple in acc.chunks_exact(k + 1) {
+                env_rows.clear();
+                env_rows
+                    .extend(prefix.iter().zip(tuple).map(|((_, t), &r)| &t.rows()[r as usize][..]));
+                let env = RowEnv { tables: prefix, rows: &env_rows };
                 let mut pass = true;
                 for (ready, expr) in &plan.residual {
                     if *ready == k && !eval(expr, &env)?.is_truthy() {
@@ -1017,49 +977,35 @@ pub fn execute_plan(
                     }
                 }
                 if pass {
-                    kept.push(tuple);
+                    kept.extend_from_slice(tuple);
                 }
             }
             acc = kept;
         }
 
         if acc.is_empty() {
-            return Ok(Vec::new());
+            return Ok(acc);
         }
     }
 
-    // Map FROM position -> execution step slot, for order restoration
-    // and FROM-order materialization.
+    // Execution order -> FROM order: the FROM position of each step slot.
     let mut slot_of = vec![0usize; n];
     for (slot, s) in plan.steps.iter().enumerate() {
         slot_of[s.table] = slot;
     }
+    if slot_of.iter().enumerate().any(|(pos, &slot)| pos != slot) {
+        acc = acc.chunks_exact(n).flat_map(|tuple| slot_of.iter().map(|&s| tuple[s])).collect();
+    }
 
     // Reordered/merged pipelines emit tuples out of cross-product order;
-    // restore it by sorting on FROM-order row indices. Tuples are
-    // distinct combinations, so the order is total — no tie to break.
+    // restore it by sorting on FROM-order row ids. Tuples are distinct
+    // combinations, so the order is total — no tie to break.
     if plan.restore_order {
-        acc.sort_unstable_by(|a, b| {
-            for p in 0..n {
-                match a[slot_of[p]].cmp(&b[slot_of[p]]) {
-                    Ordering::Equal => continue,
-                    other => return other,
-                }
-            }
-            Ordering::Equal
-        });
+        let mut order: Vec<u32> = (0..(acc.len() / n) as u32).collect();
+        order.sort_unstable_by_key(|&i| &acc[i as usize * n..][..n]);
+        acc = gather(&acc, n, &order);
     }
-
-    // Materialize value rows only for surviving tuples, in FROM order.
-    let mut joined = Vec::with_capacity(acc.len());
-    for tuple in acc {
-        let mut row = Vec::with_capacity(total_width);
-        for (pos, (_, t)) in tables.iter().enumerate() {
-            row.extend_from_slice(&t.rows()[tuple[slot_of[pos]] as usize]);
-        }
-        joined.push(row);
-    }
-    Ok(joined)
+    Ok(acc)
 }
 
 /// Render a plan (or the scan fallback) as EXPLAIN output lines, in

@@ -170,6 +170,18 @@ fn query_strategy() -> impl Strategy<Value = String> {
         // Aggregates and grouping downstream of the planned row set.
         lit.clone().prop_map(|n| format!("select count(*) from nodes where membership = {n}")),
         Just("select rack, count(*) from nodes where membership = 2 group by rack".to_string()),
+        Just(
+            "select memberships.name, count(*), max(nodes.id) from nodes, memberships where \
+             nodes.membership = memberships.id group by memberships.name"
+                .to_string()
+        ),
+        (0usize..8).prop_map(|k| {
+            format!(
+                "select nodes.id, memberships.id, apps.aid from nodes, memberships, apps where \
+                 nodes.membership = memberships.id and nodes.tag = apps.tag \
+                 order by apps.aid desc, memberships.id, nodes.id limit {k}"
+            )
+        }),
         // Error cases: both paths must fail identically.
         Just("select id from nodes, memberships where name = 'x'".to_string()),
         Just("select id from nodes where ghost = 1".to_string()),
