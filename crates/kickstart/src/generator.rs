@@ -8,7 +8,7 @@
 //! it, parsing all the node files based on the appliance type."
 
 use crate::graph::ProfileSet;
-use crate::kickstart::{base_commands, KickstartFile};
+use crate::kickstart::{base_commands, KickstartFile, Localization};
 use crate::{KsError, Result};
 use rocks_db::ClusterDb;
 use rocks_rpm::Arch;
@@ -79,7 +79,9 @@ impl KickstartGenerator {
 
     /// The full CGI flow: resolve the requesting IP through the cluster
     /// database (node → membership → appliance → graph root), apply
-    /// per-node localization, traverse, and render.
+    /// per-node localization, traverse, and render. Nothing is cached:
+    /// this is the oracle the generation service's bodies are checked
+    /// against.
     ///
     /// Takes `&ClusterDb` — the lookups are pure reads, so any number of
     /// requests may be served concurrently against one shared database
@@ -126,9 +128,10 @@ impl KickstartGenerator {
 
     /// Localization half of the CGI flow: node identity plus site globals
     /// become a `%post` environment block exported to every script, and
-    /// the node's hostname lands in the `network` directive. Applied to a
-    /// freshly traversed skeleton *or* to a cached copy of one — the two
-    /// paths must stay byte-identical.
+    /// the node's hostname lands in the `network` directive, both written
+    /// by [`KickstartFile::render`]. The generation service splices the
+    /// same fields into a template of the skeleton instead; the two paths
+    /// are byte-identical.
     pub fn localize(
         &self,
         ks: &mut KickstartFile,
@@ -136,36 +139,18 @@ impl KickstartGenerator {
         node_name: &str,
         membership_name: &str,
     ) -> Result<()> {
-        let public = db.global("Kickstart_PublicHostname")?;
-        self.localize_resolved(ks, node_name, membership_name, public.as_deref());
+        ks.localization = Some(Localization {
+            node: node_name.to_string(),
+            membership: membership_name.to_string(),
+            public_hostname: public_hostname(db)?,
+        });
         Ok(())
     }
+}
 
-    /// [`localize`](Self::localize) with the site globals already fetched
-    /// — the hot inner loop of mass generation, where one SQL lookup
-    /// serves every node instead of one per node.
-    pub fn localize_resolved(
-        &self,
-        ks: &mut KickstartFile,
-        node_name: &str,
-        membership_name: &str,
-        public_hostname: Option<&str>,
-    ) {
-        let mut localization = format!(
-            "# Node localization from the cluster database\nexport NODE_NAME={node_name}\nexport NODE_MEMBERSHIP='{membership_name}'\n"
-        );
-        if let Some(public) = public_hostname {
-            localization.push_str(&format!("export PUBLIC_HOSTNAME={public}\n"));
-        }
-        ks.posts.insert(
-            0,
-            crate::kickstart::PostScript {
-                script: localization,
-                origin: "sql-localization".into(),
-            },
-        );
-        ks.add_command("network", &format!("--bootproto dhcp --hostname {node_name}"));
-    }
+/// The site's public hostname, which localization exports to `%post`.
+pub(crate) fn public_hostname(db: &ClusterDb) -> Result<Option<String>> {
+    Ok(db.global("Kickstart_PublicHostname")?)
 }
 
 #[cfg(test)]
@@ -252,6 +237,50 @@ mod tests {
         db.set_global("Kickstart_PublicHostname", "meteor.sdsc.edu").unwrap();
         let ks = generator().generate_for_request(&db, "10.255.255.254", Arch::I686).unwrap();
         assert!(ks.render().contains("export PUBLIC_HOSTNAME=meteor.sdsc.edu"));
+    }
+
+    /// Regression: the exports reached the `%post` shell unquoted, so a
+    /// membership named `O'Brien` was a syntax error and a node renamed
+    /// to `x;reboot` ran `reboot`.
+    #[test]
+    fn localization_values_are_quoted_for_the_post_shell() {
+        let mut db = populated_db();
+        db.add_membership(&rocks_db::Membership {
+            id: 10,
+            name: "O'Brien".into(),
+            appliance: 2,
+            compute: true,
+            basename: "obrien".into(),
+        })
+        .unwrap();
+        let ip = rocks_db::Ipv4::new(10, 255, 0, 50);
+        db.add_node(&rocks_db::NodeRecord::new(
+            50,
+            "00:50:8b:e0:00:50",
+            "obrien-0-0",
+            10,
+            0,
+            0,
+            ip,
+        ))
+        .unwrap();
+        let text =
+            generator().generate_for_request(&db, &ip.to_string(), Arch::I686).unwrap().render();
+        assert!(
+            text.contains("\nexport NODE_NAME=obrien-0-0\nexport NODE_MEMBERSHIP='O'\\''Brien'\n")
+        );
+
+        db.execute_raw("update nodes set name = 'x;reboot' where name = 'compute-0-0'").unwrap();
+        db.set_global("Kickstart_PublicHostname", "meteor.sdsc.edu").unwrap();
+        let text =
+            generator().generate_for_request(&db, "10.255.255.254", Arch::I686).unwrap().render();
+        assert!(text.contains(
+            "\nexport NODE_NAME='x;reboot'\nexport NODE_MEMBERSHIP='Compute'\n\
+             export PUBLIC_HOSTNAME=meteor.sdsc.edu\n"
+        ));
+        // A Kickstart directive has no quoting: such names are for the
+        // database to refuse.
+        assert!(text.contains("\nnetwork --bootproto dhcp --hostname x;reboot\n"));
     }
 
     #[test]

@@ -23,8 +23,10 @@
 //! implements the §7 web form that builds the frontend's own Kickstart.
 //!
 //! For mass reinstalls, [`service::GenerationService`] wraps the
-//! generator in a thread-safe memoizing layer: appliance skeletons are
-//! cached against the cluster-DB revision and rocks-dist epoch, and
+//! generator in a thread-safe memoizing layer: each appliance skeleton is
+//! rendered once into a template, cached against the cluster-DB revision
+//! and rocks-dist epoch, and every request splices its node's fields into
+//! that template ([`kickstart::Kickstart`] is the result);
 //! [`service::GenerationService::generate_all`] fans per-node generation
 //! out across a worker pool.
 
@@ -40,7 +42,7 @@ pub mod service;
 pub use form::FrontendForm;
 pub use generator::KickstartGenerator;
 pub use graph::{Edge, Graph, ProfileSet};
-pub use kickstart::{KickstartFile, PostScript};
+pub use kickstart::{Kickstart, KickstartFile, PostScript};
 pub use nodefile::NodeFile;
 pub use service::{GeneratedProfile, GenerationService, Stats};
 

@@ -130,7 +130,7 @@ pub fn mass_reinstall(
     // Size the simulated kickstart fetch from the real rendered profile
     // instead of the calibration constant.
     if let Some(profile) = compute_profiles.first() {
-        cfg.kickstart_bytes = profile.kickstart.render().len() as u64;
+        cfg.kickstart_bytes = profile.kickstart.as_str().len() as u64;
     }
 
     // The simulation reports into the service's tracer (disabled by
@@ -282,7 +282,7 @@ mod tests {
             .iter()
             .find(|p| p.node == "compute-0-0")
             .expect("compute profile present");
-        let rendered = compute.kickstart.render().len() as f64;
+        let rendered = compute.kickstart.as_str().len() as f64;
         // The simulated transfer must include at least those bytes.
         let delivered: f64 = report.result.server_bytes.iter().sum();
         assert!(delivered > rendered * 2.0);

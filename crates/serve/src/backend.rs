@@ -122,7 +122,7 @@ impl ServeBackend for RealBackend<'_> {
             .svc
             .generate_for_request(self.db, &target.ip, self.arch)
             .expect("kickstart generation for a resolved target cannot fail");
-        BackendResult { hit, body: Some(ks.render()) }
+        BackendResult { hit, body: Some(ks.into_string()) }
     }
 
     fn report(&mut self, key: usize) -> BackendResult {

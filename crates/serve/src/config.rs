@@ -51,8 +51,9 @@ pub struct ServeConfig {
     /// report.
     pub report_every: u64,
     /// Keep response bodies in the request log (differential tests);
-    /// off for big sweeps — bodies are hashed into the fingerprint and
-    /// dropped.
+    /// off for big sweeps. Either way each body is hashed a word at a
+    /// time ([`fnv64`](crate::fnv64)) into the fingerprint; off, it is
+    /// then dropped.
     pub keep_bodies: bool,
     /// The virtual-time service-cost model.
     pub costs: CostModel,

@@ -202,9 +202,18 @@ fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a over a whole byte string (used for response bodies).
+/// The response-body hash: FNV-1a over little-endian 64-bit words, the
+/// tail bytes one at a time. Below 8 bytes it is FNV-1a. Each step (xor,
+/// then multiply by an odd prime) is a bijection of the state, so bodies
+/// of one length that differ in one word always hash differently.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    fnv_bytes(FNV_OFFSET, bytes)
+    let words = bytes.chunks_exact(8);
+    let tail = words.remainder();
+    let h = words.fold(FNV_OFFSET, |h, word| {
+        let word = u64::from_le_bytes(word.try_into().expect("chunks_exact yields 8 bytes"));
+        (h ^ word).wrapping_mul(FNV_PRIME)
+    });
+    fnv_bytes(h, tail)
 }
 
 fn req_hash(r: &ReqLog) -> u64 {

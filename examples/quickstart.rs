@@ -45,10 +45,13 @@ fn main() {
         .kickstart
         .generate_for_request(&cluster.db, &record.ip.to_string(), Arch::I686)
         .expect("kickstart");
+    let appliance =
+        cluster.kickstart.appliance_profile(&cluster.db, "compute", Arch::I686).expect("profile");
     println!(
-        "kickstart for compute-0-0: {} packages, {} post sections",
-        ks.package_count(),
-        ks.posts.len()
+        "kickstart for compute-0-0: {} bytes; compute appliance: {} packages, {} post sections",
+        ks.as_str().len(),
+        appliance.package_count(),
+        appliance.posts.len()
     );
 
     // 5. Reinstallation is the management primitive: restore the whole

@@ -34,9 +34,10 @@ fn frontend_plus_sixteen_nodes() {
             .kickstart
             .generate_for_request(&cluster.db, &record.ip.to_string(), Arch::I686)
             .unwrap();
-        let text = ks.render();
+        let text = ks.as_str();
         assert!(text.contains(&format!("--hostname {}", record.name)));
-        assert_eq!(ks.package_count(), rocks::rpm::synth::COMPUTE_PACKAGE_COUNT);
+        let packages = text.split("\n%packages\n").nth(1).unwrap().split("\n\n").next().unwrap();
+        assert_eq!(packages.lines().count(), rocks::rpm::synth::COMPUTE_PACKAGE_COUNT);
     }
 }
 
