@@ -2294,8 +2294,8 @@ fn serve_generation_service() -> rocks_kickstart::GenerationService {
 fn serve_real_saturation(threads: usize, iters_per_thread: usize) -> f64 {
     // `ClusterDb` cannot cross threads, so each worker builds its own
     // identical copy in-thread (deterministic construction — every copy
-    // carries the same revision) and all of them contend on the *shared*
-    // service's one skeleton cache, the serving hot path. A barrier
+    // resolves every target alike) and all of them contend on the
+    // *shared* service's one skeleton cache, the serving hot path. A barrier
     // keeps construction and warmup out of the timed region.
     let setup_db = serve_cluster_db(64);
     let svc = serve_generation_service();

@@ -44,8 +44,8 @@ pub struct Cluster {
     /// The cluster database (§6.4).
     pub db: ClusterDb,
     /// The Kickstart generation service (§6.1): the CGI generator behind
-    /// a thread-safe skeleton cache invalidated by database writes and
-    /// [`Self::rebuild_distribution`].
+    /// a thread-safe skeleton cache that database writes leave warm and
+    /// [`Self::rebuild_distribution`] invalidates.
     pub kickstart: GenerationService,
     /// The current distribution (§6.2).
     pub distribution: Distribution,
@@ -211,10 +211,8 @@ impl Cluster {
     /// The package identities a compute node of `arch` installs from the
     /// current distribution.
     pub fn compute_image(&self, arch: Arch) -> BTreeSet<String> {
-        let ks = self
-            .kickstart
-            .appliance_profile(&self.db, "compute", arch)
-            .expect("default profiles are closed");
+        let ks =
+            self.kickstart.appliance_profile("compute", arch).expect("default profiles are closed");
         ks.packages
             .iter()
             .filter_map(|name| self.distribution.repo().best_for(name, arch))
@@ -258,10 +256,8 @@ impl Cluster {
     }
 
     fn compute_package_list(&self, arch: Arch) -> Vec<rocks_rpm::Package> {
-        let ks = self
-            .kickstart
-            .appliance_profile(&self.db, "compute", arch)
-            .expect("default profiles are closed");
+        let ks =
+            self.kickstart.appliance_profile("compute", arch).expect("default profiles are closed");
         ks.packages
             .iter()
             .filter_map(|name| self.distribution.repo().best_for(name, arch))

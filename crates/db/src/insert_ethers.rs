@@ -50,7 +50,7 @@ impl<'a> InsertEthers<'a> {
     /// installed node re-DHCPs — it is simply ignored (returns `Ok(None)`).
     pub fn observe(&mut self, request: &DhcpRequest) -> Result<Option<NodeRecord>> {
         // Indexed read-only probe: a re-DHCPing installed node must not
-        // bump the revision (and so must not invalidate profile caches).
+        // bump the revision (and so must not stale the derived reports).
         if self.db.node_by_mac(&request.mac)?.is_some() {
             return Ok(None);
         }

@@ -94,10 +94,12 @@ pub type Result<T> = std::result::Result<T, DbError>;
 /// engine (journaled or not), plus typed accessors.
 ///
 /// Every mutation bumps a monotonically increasing [`revision`]
-/// counter. Caches layered above the database (notably the Kickstart
-/// generation service's profile cache) key their entries on this
-/// revision, so a `nodes`/`memberships` write — or any statement issued
-/// through [`execute_raw`] — invalidates them automatically.
+/// counter. The state insert-ethers derives from the rows (reports, last
+/// node id, free-address cursor) is stamped with it, so a
+/// `nodes`/`memberships` write — or any statement issued through
+/// [`execute_raw`] — stales that state automatically. (The Kickstart
+/// generation service caches nothing read from the database, so it
+/// ignores the revision.)
 ///
 /// [`revision`]: Self::revision
 /// [`execute_raw`]: Self::execute_raw
@@ -233,9 +235,9 @@ impl ClusterDb {
     /// Roll the open transaction back. The database contents return to
     /// their pre-transaction state, but the revision moves strictly
     /// *forward* past every provisional value handed out inside the
-    /// transaction — caches may have keyed entries on those revisions
-    /// against rolled-back contents, and a revision that never repeats is
-    /// what keeps such entries unreachable forever.
+    /// transaction — derived state may have been stamped with those
+    /// revisions against rolled-back contents, and a revision that never
+    /// repeats is what keeps such stamps stale forever.
     pub fn rollback_txn(&mut self) -> Result<()> {
         self.db.rollback()?;
         self.db.bump_revision();
@@ -249,7 +251,7 @@ impl ClusterDb {
 
     /// The mutation counter. Strictly increases on every write (typed or
     /// raw); equal revisions guarantee identical database contents, which
-    /// is the invalidation contract the generation-service cache relies on.
+    /// is the contract insert-ethers' derived state relies on.
     pub fn revision(&self) -> u64 {
         self.db.revision()
     }
@@ -413,7 +415,7 @@ impl ClusterDb {
     /// A node by MAC address, or `None` when the MAC is unknown.
     /// Read-only — this is the insert-ethers "have we seen this host?"
     /// probe, which must not bump the revision (a rebooting installed
-    /// node would otherwise invalidate every cached profile).
+    /// node would otherwise stale the derived reports).
     pub fn node_by_mac(&self, mac: &str) -> Result<Option<NodeRecord>> {
         let result = self.sql_ref().lookup_eq("nodes", "mac", &Value::Text(mac.to_string()))?;
         Ok(result.rows.first().map(|r| NodeRecord::from_row(r)))

@@ -24,8 +24,9 @@
 //!
 //! For mass reinstalls, [`service::GenerationService`] wraps the
 //! generator in a thread-safe memoizing layer: each appliance skeleton is
-//! rendered once into a template, cached against the cluster-DB revision
-//! and rocks-dist epoch, and every request splices its node's fields into
+//! rendered once into a template, cached per `(graph root, arch)` against
+//! the rocks-dist epoch (database writes leave it warm: it reads nothing
+//! from the database), and every request splices its node's fields into
 //! that template ([`kickstart::Kickstart`] is the result);
 //! [`service::GenerationService::generate_all`] fans per-node generation
 //! out across a worker pool.

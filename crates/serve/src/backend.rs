@@ -10,11 +10,12 @@
 //!   plan caches for real.
 //! - [`ModelBackend`] mirrors only the *cache behaviour* (which request
 //!   is a hit, which pays a build) without doing the work — the
-//!   timing-model mode the 500-seed invariant sweep runs in. Because the
-//!   frontend charges virtual-time costs from the same hit/miss signal,
-//!   a model run and a real run of the same workload produce identical
-//!   schedules (asserted by `model_matches_real_backend_timing` in the
-//!   invariant suite).
+//!   timing-model mode the 500-seed invariant sweep runs in. Its warm set
+//!   follows the real skeleton cache by construction (see its doc), and
+//!   the frontend charges virtual-time costs from the same hit/miss
+//!   signal, so a model run and a real run of the same workload produce
+//!   identical schedules (asserted by `model_matches_real_backend_timing`
+//!   in the invariant suite).
 //!
 //! [`GenerationService`]: rocks_kickstart::GenerationService
 
@@ -117,7 +118,7 @@ impl ServeBackend for RealBackend<'_> {
         let target = &self.targets[key % self.targets.len()];
         // Probe before generating: the probe answers "would this request
         // find a warm skeleton", which is what the cost model charges.
-        let hit = self.svc.probe_cached(self.db, &target.root, self.arch);
+        let hit = self.svc.probe_cached(&target.root, self.arch);
         let ks = self
             .svc
             .generate_for_request(self.db, &target.ip, self.arch)
@@ -147,7 +148,14 @@ impl ServeBackend for RealBackend<'_> {
     }
 }
 
-/// Timing-model backend: tracks warm state only.
+/// Timing-model backend: tracks warm state only. A root is warm from its
+/// first install until [`invalidate`](ServeBackend::invalidate), which is
+/// exactly the life of a [`GenerationService`] slot under one arch: the
+/// service's slots are keyed on the root and stamped with the dist epoch
+/// alone, so nothing else — no database write — cools them. Real and
+/// model agree by construction.
+///
+/// [`GenerationService`]: rocks_kickstart::GenerationService
 #[derive(Debug, Clone)]
 pub struct ModelBackend {
     /// Root id per target (targets sharing a root share a skeleton).

@@ -3,6 +3,12 @@
 use crate::pull::{Event, Parser};
 use crate::{Result, XmlError};
 
+/// The deepest element nesting [`Document::parse`] accepts: the root is
+/// level 1. Rocks node and graph files nest three or four levels; the
+/// limit keeps the recursive walks over a parsed tree (`text`, drop,
+/// the writer) within any thread's stack.
+pub const MAX_DEPTH: usize = 256;
+
 /// A node in the document tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Node {
@@ -164,10 +170,17 @@ impl Document {
         let mut stack: Vec<Element> = Vec::new();
         let mut root: Option<Element> = None;
 
-        while let Some(event) = parser.next()? {
+        loop {
+            // Inside the root every byte belongs to some event, so this is
+            // where a start tag's `<` sits.
+            let pos = parser.position();
+            let Some(event) = parser.next()? else { break };
             match event {
                 Event::Declaration { attrs } => declaration = Some(attrs),
                 Event::StartTag { name, attrs, self_closing } => {
+                    if stack.len() == MAX_DEPTH {
+                        return Err(XmlError::TooDeep { pos, limit: MAX_DEPTH });
+                    }
                     let mut el = Element::new(name);
                     el.attrs = attrs;
                     if self_closing {

@@ -36,7 +36,7 @@ pub mod escape;
 pub mod pull;
 pub mod writer;
 
-pub use dom::{Document, Element, Node};
+pub use dom::{Document, Element, Node, MAX_DEPTH};
 pub use pull::{Event, Parser};
 pub use writer::{write_document, write_element, WriteStyle};
 
@@ -114,6 +114,15 @@ pub enum XmlError {
         /// Where it appeared.
         pos: Pos,
     },
+    /// An element opened deeper than [`dom::MAX_DEPTH`]. Refused before
+    /// the tree grows, so nothing that walks a parsed tree recursively
+    /// can exhaust the stack.
+    TooDeep {
+        /// Position of the element's start tag.
+        pos: Pos,
+        /// The nesting limit.
+        limit: usize,
+    },
 }
 
 impl std::fmt::Display for XmlError {
@@ -140,6 +149,9 @@ impl std::fmt::Display for XmlError {
             XmlError::NoRootElement => write!(f, "document has no root element"),
             XmlError::TrailingContent { pos } => {
                 write!(f, "{pos}: content after the root element")
+            }
+            XmlError::TooDeep { pos, limit } => {
+                write!(f, "{pos}: element nested deeper than {limit} levels")
             }
         }
     }

@@ -45,8 +45,7 @@ fn main() {
         .kickstart
         .generate_for_request(&cluster.db, &record.ip.to_string(), Arch::I686)
         .expect("kickstart");
-    let appliance =
-        cluster.kickstart.appliance_profile(&cluster.db, "compute", Arch::I686).expect("profile");
+    let appliance = cluster.kickstart.appliance_profile("compute", Arch::I686).expect("profile");
     println!(
         "kickstart for compute-0-0: {} bytes; compute appliance: {} packages, {} post sections",
         ks.as_str().len(),

@@ -149,8 +149,8 @@ fn power_cycle_race_restarts_mid_fetch_cleanly() {
 // durable `ClusterDb` mid-transaction during a mass-reinstall wave, the
 // same way the netsim corpus above pins retry counts. Beyond the pins,
 // every seed asserts the *consistency* story: transactions are atomic
-// (a node is never half-marked), and after recovery the kickstart
-// skeleton cache and the report generators all observe one single
+// (a node is never half-marked), and after recovery serving kickstarts
+// and generating reports are reads: they all observe one single
 // database revision.
 // ---------------------------------------------------------------------------
 
@@ -234,8 +234,8 @@ fn durable_db_killed_mid_reinstall_recovers_one_consistent_revision() {
         assert_eq!(marked, want_marked, "seed {seed}: committed prefix drifted");
         assert_eq!(db.revision(), want_revision, "seed {seed}: revision drifted");
 
-        // Post-recovery consistency: kickstart cache and report
-        // generators all observe this one revision.
+        // Post-recovery consistency: kickstart serving and report
+        // generation all observe this one revision.
         let rev = db.revision();
         let service = GenerationService::new(KickstartGenerator::new(
             profiles::default_profiles(),
