@@ -32,6 +32,7 @@ pub use insert_ethers::{DhcpRequest, InsertEthers};
 pub use ip::Ipv4;
 pub use schema::{Membership, NodeRecord, DEFAULT_MEMBERSHIPS};
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use reports::GeneratedReports;
@@ -284,11 +285,55 @@ impl ClusterDb {
     }
 
     /// Look up a membership by id. Read-only: an indexed point lookup
-    /// through [`rocks_sql::Database::lookup_eq`], no SQL text involved.
+    /// through [`rocks_sql::Database::lookup_eq`], no SQL text involved;
+    /// the one row it borrows is rendered into the record once.
     pub fn membership(&self, id: i64) -> Result<Membership> {
-        let result = self.sql_ref().lookup_eq("memberships", "id", &Value::Int(id))?;
-        let row = result.rows.first().ok_or(DbError::NoSuchMembership(id.to_string()))?;
-        Ok(Membership::from_row(row))
+        self.membership_row(id).map(Membership::from_row)
+    }
+
+    /// The first `table` row whose `column` equals `key`, borrowed.
+    fn first_row(&self, table: &str, column: &str, key: &Value) -> Result<Option<&[Value]>> {
+        Ok(self.sql_ref().lookup_eq(table, column, key)?.first().copied())
+    }
+
+    /// The `memberships` row with `id`, borrowed.
+    fn membership_row(&self, id: i64) -> Result<&[Value]> {
+        self.first_row("memberships", "id", &Value::Int(id))?
+            .ok_or_else(|| DbError::NoSuchMembership(id.to_string()))
+    }
+
+    /// The `nodes` row holding `ip`, borrowed.
+    fn node_row_by_ip(&self, ip: &str) -> Result<&[Value]> {
+        self.first_row("nodes", "ip", &Value::Text(ip.to_string()))?
+            .ok_or_else(|| DbError::NoSuchNode(ip.to_string()))
+    }
+
+    /// The graph root of `appliance`, borrowed; `None` when the appliance
+    /// is unknown or its `graph_node` is empty.
+    fn graph_root(&self, appliance: i64) -> Result<Option<Cow<'_, str>>> {
+        let row = self.first_row("appliances", "id", &Value::Int(appliance))?;
+        // Column 2 is `graph_node`; empty means "tracked, not kickstartable".
+        Ok(row.map(|r| r[2].rendered()).filter(|root| !root.is_empty()))
+    }
+
+    /// What the §6.1 CGI resolves for the node at `ip` — node →
+    /// membership → appliance — borrowed from the tables: names are
+    /// rendered exactly as [`node_by_ip`](Self::node_by_ip),
+    /// [`membership`](Self::membership) and
+    /// [`appliance_root`](Self::appliance_root) render them, text cells
+    /// without a copy. Three index probes; the same errors as that chain
+    /// (`NoSuchNode`, then `NoSuchMembership`). Read-only.
+    pub fn requester(&self, ip: &str) -> Result<Requester<'_>> {
+        let node = self.node_row_by_ip(ip)?;
+        // Column 3 is `membership`, as `NodeRecord::from_row` reads it.
+        let membership = self.membership_row(node[3].as_int().unwrap_or(0))?;
+        let appliance = membership[2].as_int().unwrap_or(0);
+        Ok(Requester {
+            name: node[2].rendered(),
+            membership: membership[1].rendered(),
+            appliance,
+            root: self.graph_root(appliance)?,
+        })
     }
 
     /// Look up a membership by (case-insensitive) name. Read-only.
@@ -366,8 +411,8 @@ impl ClusterDb {
     fn free_ip_from(&self, top: Option<Ipv4>) -> Result<Option<Ipv4>> {
         let mut candidate = top;
         while let Some(ip) = candidate.filter(|ip| ip.in_network(Ipv4::NETWORK, Ipv4::PREFIX_LEN)) {
-            let held = self.sql_ref().lookup_eq("nodes", "ip", &Value::Text(ip.to_string()))?;
-            if held.rows.is_empty() && ip != Ipv4::FRONTEND {
+            let held = self.first_row("nodes", "ip", &Value::Text(ip.to_string()))?;
+            if held.is_none() && ip != Ipv4::FRONTEND {
                 return Ok(Some(ip));
             }
             candidate = Some(ip.prev());
@@ -394,22 +439,21 @@ impl ClusterDb {
         Ok(result.rows.iter().map(|r| NodeRecord::from_row(r)).collect())
     }
 
-    /// A node by name. Read-only indexed lookup.
+    /// A node by name. Read-only indexed lookup: the borrowed row is
+    /// rendered into the record once.
     pub fn node_by_name(&self, name: &str) -> Result<NodeRecord> {
-        let result = self.sql_ref().lookup_eq("nodes", "name", &Value::Text(name.to_string()))?;
-        let row = result.rows.first().ok_or_else(|| DbError::NoSuchNode(name.to_string()))?;
-        Ok(NodeRecord::from_row(row))
+        let row = self.first_row("nodes", "name", &Value::Text(name.to_string()))?;
+        row.map(NodeRecord::from_row).ok_or_else(|| DbError::NoSuchNode(name.to_string()))
     }
 
     /// A node by its cluster-internal IP address — the lookup that keys
     /// the §6.1 CGI flow ("uses the requesting node's IP address").
     /// Read-only: generation workers resolve requesters concurrently, and
     /// the hash index on `nodes.ip` makes each probe O(1) instead of a
-    /// table scan per request.
+    /// table scan per request. The kickstart request path itself reads
+    /// its three names through [`requester`](Self::requester) instead.
     pub fn node_by_ip(&self, ip: &str) -> Result<NodeRecord> {
-        let result = self.sql_ref().lookup_eq("nodes", "ip", &Value::Text(ip.to_string()))?;
-        let row = result.rows.first().ok_or_else(|| DbError::NoSuchNode(ip.to_string()))?;
-        Ok(NodeRecord::from_row(row))
+        self.node_row_by_ip(ip).map(NodeRecord::from_row)
     }
 
     /// A node by MAC address, or `None` when the MAC is unknown.
@@ -417,17 +461,15 @@ impl ClusterDb {
     /// probe, which must not bump the revision (a rebooting installed
     /// node would otherwise stale the derived reports).
     pub fn node_by_mac(&self, mac: &str) -> Result<Option<NodeRecord>> {
-        let result = self.sql_ref().lookup_eq("nodes", "mac", &Value::Text(mac.to_string()))?;
-        Ok(result.rows.first().map(|r| NodeRecord::from_row(r)))
+        Ok(self.first_row("nodes", "mac", &Value::Text(mac.to_string()))?.map(NodeRecord::from_row))
     }
 
     /// The graph root (appliance name) that kickstarts `appliance`, or
     /// `None` when the appliance is tracked but not kickstartable
-    /// (switches, PDUs). Read-only.
+    /// (switches, PDUs). Read-only; an owned copy of what
+    /// [`requester`](Self::requester) borrows.
     pub fn appliance_root(&self, appliance: i64) -> Result<Option<String>> {
-        let result = self.sql_ref().lookup_eq("appliances", "id", &Value::Int(appliance))?;
-        // Column 2 is `graph_node`; empty means "tracked, not kickstartable".
-        Ok(result.rows.first().map(|r| r[2].render()).filter(|r| !r.is_empty()))
+        Ok(self.graph_root(appliance)?.map(Cow::into_owned))
     }
 
     /// Nodes whose membership is flagged `compute = 'yes'` — the join the
@@ -476,19 +518,21 @@ impl ClusterDb {
         self.atomically(&[delete, insert])
     }
 
-    /// Read a site-global key. Read-only indexed lookup.
+    /// Read a site-global key. Read-only indexed lookup: only the value
+    /// cell is copied out.
     pub fn global(&self, key: &str) -> Result<Option<String>> {
-        let result =
-            self.sql_ref().lookup_eq("app_globals", "name", &Value::Text(key.to_string()))?;
+        let row = self.first_row("app_globals", "name", &Value::Text(key.to_string()))?;
         // Column 1 is `value`.
-        Ok(result.rows.first().map(|r| r[1].render()))
+        Ok(row.map(|r| r[1].render()))
     }
 
     /// Every kickstartable node, fully resolved for mass generation and
     /// sorted by name: the bulk form of the three per-node queries the
     /// §6.1 CGI path would issue. Nodes whose appliance has no graph root
     /// (switches, PDUs) are skipped — they never request a kickstart.
-    /// Read-only.
+    /// Read-only. Projects only the three node columns a target needs and
+    /// moves their cells into it; the address is normalized as
+    /// [`NodeRecord::ip`] reads it.
     pub fn kickstart_targets(&self) -> Result<Vec<KickstartTarget>> {
         let mut roots: std::collections::HashMap<i64, (String, Option<String>)> =
             std::collections::HashMap::new();
@@ -496,14 +540,17 @@ impl ClusterDb {
             let root = self.appliance_root(membership.appliance)?;
             roots.insert(membership.id, (membership.name, root));
         }
-        let mut targets = Vec::new();
-        for node in self.nodes()? {
-            let Some((membership, Some(root))) = roots.get(&node.membership) else {
+        let nodes = self.sql_ref().query_ref("select name, ip, membership from nodes")?;
+        let mut targets = Vec::with_capacity(nodes.rows.len());
+        for row in nodes.rows {
+            let [name, ip, membership_id] = <[Value; 3]>::try_from(row).expect("three columns");
+            let Some((membership, Some(root))) = roots.get(&membership_id.as_int().unwrap_or(0))
+            else {
                 continue;
             };
             targets.push(KickstartTarget {
-                name: node.name,
-                ip: node.ip.to_string(),
+                name: name.into_rendered(),
+                ip: ip.as_text().and_then(Ipv4::parse).unwrap_or(Ipv4::NETWORK).to_string(),
                 root: root.clone(),
                 membership: membership.clone(),
             });
@@ -511,6 +558,23 @@ impl ClusterDb {
         targets.sort();
         Ok(targets)
     }
+}
+
+/// What the §6.1 CGI resolves for one requesting address, borrowed from
+/// the cluster database by [`ClusterDb::requester`]. A name is a
+/// [`Cow`] because it is rendered as [`Value::render`] would: a text cell
+/// is borrowed, anything else (a NULL renders `NULL`) is owned.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Requester<'a> {
+    /// The node's name (`compute-0-0`, ...).
+    pub name: Cow<'a, str>,
+    /// The name of the node's membership.
+    pub membership: Cow<'a, str>,
+    /// The membership's appliance id.
+    pub appliance: i64,
+    /// The appliance's graph root; `None` when the appliance is unknown or
+    /// not kickstartable.
+    pub root: Option<Cow<'a, str>>,
 }
 
 /// One kickstartable node as resolved by
@@ -684,6 +748,16 @@ mod tests {
         assert!(matches!(db.node_by_ip("10.9.9.9"), Err(DbError::NoSuchNode(_))));
         assert_eq!(db.appliance_root(2).unwrap().as_deref(), Some("compute"));
         assert_eq!(db.appliance_root(4).unwrap(), None);
+        assert_eq!(
+            db.requester("10.255.255.254").unwrap(),
+            Requester {
+                name: Cow::Borrowed("compute-0-0"),
+                membership: Cow::Borrowed("Compute"),
+                appliance: 2,
+                root: Some(Cow::Borrowed("compute")),
+            }
+        );
+        assert_eq!(db.requester("10.9.9.9"), Err(DbError::NoSuchNode("10.9.9.9".into())));
     }
 
     #[test]

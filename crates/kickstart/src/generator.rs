@@ -10,7 +10,7 @@
 use crate::graph::ProfileSet;
 use crate::kickstart::{base_commands, KickstartFile, Localization};
 use crate::{KsError, Result};
-use rocks_db::ClusterDb;
+use rocks_db::{ClusterDb, Requester};
 use rocks_rpm::Arch;
 
 /// The generator: profile set plus the frontend parameters baked into
@@ -93,37 +93,37 @@ impl KickstartGenerator {
         requester_ip: &str,
         arch: Arch,
     ) -> Result<KickstartFile> {
-        let (root, node, membership) = self.resolve_request(db, requester_ip)?;
-        let mut ks = self.generate_for_appliance(&root, arch)?;
-        self.localize(&mut ks, db, &node.name, &membership.name)?;
+        let node = self.resolve_request(db, requester_ip)?;
+        let mut ks = self.generate_for_appliance(graph_root(&node), arch)?;
+        self.localize(&mut ks, db, &node.name, &node.membership)?;
         Ok(ks)
     }
 
     /// SQL resolution half of the CGI flow: requesting IP → node row →
-    /// membership → appliance graph root. Split out so the generation
-    /// service can run it separately from (cacheable) graph traversal.
-    pub fn resolve_request(
+    /// membership → appliance graph root, through
+    /// [`ClusterDb::requester`]. Split out so the generation service can
+    /// run it separately from (cacheable) graph traversal; both
+    /// `generate_for_request`s resolve here. The view borrows its names
+    /// from the database's tables, and its `root` is always `Some`: a node
+    /// whose appliance has no graph root is an error.
+    pub fn resolve_request<'db>(
         &self,
-        db: &ClusterDb,
+        db: &'db ClusterDb,
         requester_ip: &str,
-    ) -> Result<(String, rocks_db::NodeRecord, rocks_db::Membership)> {
-        // SQL query 1: which node is this? (keyed on IP, as the paper says)
-        let node = db.node_by_ip(requester_ip).map_err(|e| match e {
+    ) -> Result<Requester<'db>> {
+        // The three SQL queries of §6.1, keyed on the requesting IP:
+        // node, membership → appliance, appliance → graph root.
+        let node = db.requester(requester_ip).map_err(|e| match e {
             rocks_db::DbError::NoSuchNode(_) => KsError::UnknownAddress(requester_ip.to_string()),
             other => KsError::Db(other.to_string()),
         })?;
-
-        // SQL query 2: membership → appliance.
-        let membership = db.membership(node.membership)?;
-
-        // SQL query 3: appliance → graph root.
-        let root = db.appliance_root(membership.appliance)?.ok_or_else(|| {
-            KsError::Db(format!(
+        if node.root.is_none() {
+            return Err(KsError::Db(format!(
                 "appliance {} has no kickstartable graph root",
-                membership.appliance
-            ))
-        })?;
-        Ok((root, node, membership))
+                node.appliance
+            )));
+        }
+        Ok(node)
     }
 
     /// Localization half of the CGI flow: node identity plus site globals
@@ -146,6 +146,12 @@ impl KickstartGenerator {
         });
         Ok(())
     }
+}
+
+/// The graph root of a node [`KickstartGenerator::resolve_request`]
+/// returned.
+pub(crate) fn graph_root<'a>(node: &'a Requester<'_>) -> &'a str {
+    node.root.as_deref().expect("resolve_request returns only rooted nodes")
 }
 
 /// The site's public hostname, which localization exports to `%post`.

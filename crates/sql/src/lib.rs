@@ -506,13 +506,14 @@ impl Database {
         self.stats = QueryStats::bound_to(registry.clone());
     }
 
-    /// Prepared point lookup: all rows of `table` whose `column` equals
-    /// `value` under SQL semantics, as a [`QueryResult`] shaped exactly
-    /// like `SELECT * FROM table WHERE column = <value>`. Bypasses SQL
-    /// text entirely — no parse, no plan, no per-call `format!` — so the
-    /// hot rocks-db accessors (`node_by_ip`, `membership`, ...) resolve
-    /// in one index probe.
-    pub fn lookup_eq(&self, table: &str, column: &str, value: &Value) -> Result<QueryResult> {
+    /// Prepared point lookup: the rows of `table` whose `column` equals
+    /// `value` under SQL semantics — the rows `SELECT * FROM table WHERE
+    /// column = <value>` returns, in row order — borrowed from the table.
+    /// Bypasses SQL text entirely — no parse, no plan, no per-call
+    /// `format!` — and copies no cell, so the hot rocks-db accessors
+    /// (`node_by_ip`, `membership`, ...) cost one index probe and read
+    /// only the fields they keep.
+    pub fn lookup_eq(&self, table: &str, column: &str, value: &Value) -> Result<Vec<&[Value]>> {
         let t = self.table(table).ok_or_else(|| SqlError::NoSuchTable(table.to_string()))?;
         let col = t
             .column_index(column)
@@ -522,15 +523,14 @@ impl Database {
         let candidates = index.probe(value, &mut scratch);
         self.stats.lookups.incr();
         self.stats.rows_examined.add(candidates.len() as u64);
-        let rows: Vec<Vec<Value>> = candidates
+        let rows: Vec<&[Value]> = candidates
             .iter()
-            .map(|&r| &t.rows()[r as usize])
+            .map(|&r| t.rows()[r as usize].as_slice())
             // Candidates are a superset; keep only true equality.
             .filter(|row| row[col].sql_cmp(value) == Some(Ordering::Equal))
-            .cloned()
             .collect();
         self.stats.rows_returned.add(rows.len() as u64);
-        Ok(QueryResult { columns: t.columns().iter().map(|c| c.name.clone()).collect(), rows })
+        Ok(rows)
     }
 
     /// [`query_ref`](Self::query_ref) returning the first column rendered
@@ -539,9 +539,15 @@ impl Database {
         self.query_ref(sql).map(first_column)
     }
 
-    /// Look up a table by (case-insensitive) name.
+    /// Look up a table by (case-insensitive) name. A name without ASCII
+    /// uppercase — every name the typed accessors pass — is the key as
+    /// given, so the lookup allocates nothing.
     pub fn table(&self, name: &str) -> Option<&Table> {
-        self.tables.get(&name.to_ascii_lowercase())
+        if name.bytes().any(|b| b.is_ascii_uppercase()) {
+            self.tables.get(&name.to_ascii_lowercase())
+        } else {
+            self.tables.get(name)
+        }
     }
 
     /// Mutable table lookup. The public surface of `&mut Table` can only
@@ -599,12 +605,7 @@ impl Database {
 /// is moved out of the result rather than copied.
 fn first_column(result: QueryResult) -> Vec<String> {
     let first = result.rows.into_iter().filter_map(|row| row.into_iter().next());
-    first
-        .map(|v| match v {
-            Value::Text(s) => s,
-            other => other.render(),
-        })
-        .collect()
+    first.map(Value::into_rendered).collect()
 }
 
 #[cfg(test)]
@@ -762,27 +763,93 @@ mod tests {
         assert_eq!(snap.counter("sql.rows.examined"), s.rows_examined());
     }
 
+    /// `lookup_eq` borrows exactly the rows of the equivalent `SELECT *`.
+    fn assert_lookup_is_select(db: &Database, table: &str, column: &str, value: Value, sql: &str) {
+        let direct = db.lookup_eq(table, column, &value).unwrap();
+        let via_sql =
+            db.query_ref(&format!("select * from {table} where {column} = {sql}")).unwrap();
+        let via_sql: Vec<&[Value]> = via_sql.rows.iter().map(Vec::as_slice).collect();
+        assert_eq!(direct, via_sql, "{table}.{column} = {sql}");
+    }
+
+    /// Integer-shaped text spelled three ways in a TEXT column, and an INT
+    /// column holding the same number, so probes cross the coercion.
+    fn coercion_db() -> Database {
+        let mut db = two_table_db();
+        db.execute("create table t (id int, c text, n int)").unwrap();
+        db.execute(
+            "insert into t values (1, '5', 5), (2, '05', 5), (3, ' 5', NULL), (4, 'x', 6), \
+             (5, NULL, 5), (6, '5', 7)",
+        )
+        .unwrap();
+        db
+    }
+
     #[test]
     fn lookup_eq_matches_sql() {
-        let db = two_table_db();
-        let direct = db.lookup_eq("nodes", "ip", &Value::Text("10.1.1.2".into())).unwrap();
-        let via_sql = db.query_ref("select * from nodes where ip = '10.1.1.2'").unwrap();
-        assert_eq!(direct, via_sql);
+        let db = coercion_db();
+        assert_lookup_is_select(&db, "nodes", "ip", Value::Text("10.1.1.2".into()), "'10.1.1.2'");
         // Int keys, multiple hits, preserving row order.
-        let direct = db.lookup_eq("nodes", "membership", &Value::Int(2)).unwrap();
-        let via_sql = db.query_ref("select * from nodes where membership = 2").unwrap();
-        assert_eq!(direct, via_sql);
+        assert_lookup_is_select(&db, "nodes", "membership", Value::Int(2), "2");
+        // Int ↔ Text coercion: `5` meets every spelling of five, each
+        // spelling as text only itself.
+        for (value, sql) in [
+            (Value::Int(5), "5"),
+            (Value::Text("5".into()), "'5'"),
+            (Value::Text("05".into()), "'05'"),
+            (Value::Text(" 5".into()), "' 5'"),
+        ] {
+            assert_lookup_is_select(&db, "t", "c", value.clone(), sql);
+            assert_lookup_is_select(&db, "t", "n", value, sql);
+        }
+        assert_eq!(db.lookup_eq("t", "c", &Value::Int(5)).unwrap().len(), 4);
         // Misses and NULL probes return empty, not errors.
-        assert!(db.lookup_eq("nodes", "ip", &Value::Text("none".into())).unwrap().rows.is_empty());
-        assert!(db.lookup_eq("nodes", "ip", &Value::Null).unwrap().rows.is_empty());
+        assert!(db.lookup_eq("nodes", "ip", &Value::Text("none".into())).unwrap().is_empty());
+        assert!(db.lookup_eq("nodes", "ip", &Value::Null).unwrap().is_empty());
+        assert!(db.lookup_eq("t", "c", &Value::Null).unwrap().is_empty());
+        // Table and column names are case-insensitive.
+        let ip = Value::Text("10.1.1.3".into());
+        assert_eq!(db.lookup_eq("NODES", "IP", &ip), db.lookup_eq("nodes", "ip", &ip));
+        assert_eq!(
+            db.lookup_eq("Nodes", "Ip", &ip).unwrap()[0][1],
+            Value::Text("compute-0-1".into())
+        );
         // Errors mirror SQL's.
-        assert!(matches!(
+        assert_eq!(
             db.lookup_eq("ghost", "x", &Value::Int(1)),
-            Err(SqlError::NoSuchTable(_))
-        ));
-        assert!(matches!(
-            db.lookup_eq("nodes", "ghost", &Value::Int(1)),
-            Err(SqlError::NoSuchColumn(_))
-        ));
+            Err(SqlError::NoSuchTable("ghost".into()))
+        );
+        assert_eq!(
+            db.lookup_eq("NODES", "ghost", &Value::Int(1)),
+            Err(SqlError::NoSuchColumn("nodes.ghost".into()))
+        );
+    }
+
+    /// The counters a fixed probe list moves: pinned where `lookup_eq`
+    /// still cloned its rows into a `QueryResult`, so borrowing them moved
+    /// none of the three.
+    #[test]
+    fn lookup_eq_counters_over_a_fixed_probe_list() {
+        let db = coercion_db();
+        let probes = [
+            ("nodes", "ip", Value::Text("10.1.1.2".into())),
+            ("nodes", "membership", Value::Int(2)),
+            ("NODES", "IP", Value::Text("10.1.1.9".into())),
+            ("t", "c", Value::Int(5)),
+            ("t", "c", Value::Text("5".into())),
+            ("t", "c", Value::Text("05".into())),
+            ("t", "n", Value::Text(" 5".into())),
+            ("t", "c", Value::Null),
+            ("ghost", "x", Value::Int(1)),
+            ("t", "ghost", Value::Int(1)),
+        ];
+        let s = db.stats();
+        let before = [s.lookups(), s.rows_examined(), s.rows_returned()];
+        for (table, column, value) in &probes {
+            let _ = db.lookup_eq(table, column, value);
+        }
+        let after = [s.lookups(), s.rows_examined(), s.rows_returned()];
+        let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+        assert_eq!(delta, [8, 18, 13], "[lookups, rows examined, rows returned]");
     }
 }

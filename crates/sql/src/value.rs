@@ -1,5 +1,6 @@
 //! Runtime values and their comparison semantics.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -43,6 +44,22 @@ impl Value {
             Value::Null => "NULL".to_string(),
             Value::Int(n) => n.to_string(),
             Value::Text(s) => s.clone(),
+        }
+    }
+
+    /// [`render`](Self::render), borrowing text instead of copying it.
+    pub fn rendered(&self) -> Cow<'_, str> {
+        match self {
+            Value::Text(s) => Cow::Borrowed(s),
+            other => Cow::Owned(other.render()),
+        }
+    }
+
+    /// [`render`](Self::render), moving text out instead of copying it.
+    pub fn into_rendered(self) -> String {
+        match self {
+            Value::Text(s) => s,
+            other => other.render(),
         }
     }
 

@@ -118,7 +118,7 @@ fn incremental_checkpoints_match_a_fresh_store() {
                 }
                 _ => {
                     let ip = Value::Text(format!("10.0.0.{}", rng.gen_range(0i64..256)));
-                    let probe = db.reader().lookup_eq("nodes", "ip", &ip).unwrap();
+                    let probe = db.reader().lookup_eq("nodes", "ip", &ip).unwrap().concat();
                     let warm = db.reader().table("nodes").unwrap().indexed_column_ids();
                     assert_eq!(warm, [1]);
                     db.checkpoint().unwrap();
@@ -130,7 +130,10 @@ fn incremental_checkpoints_match_a_fresh_store() {
                     assert_eq!(reopened.state_fingerprint(), db.state_fingerprint(), "{at}");
                     let nodes = reopened.reader().table("nodes").unwrap();
                     assert_eq!(nodes.indexed_column_ids(), warm, "{at}: warm columns");
-                    assert_eq!(reopened.reader().lookup_eq("nodes", "ip", &ip).unwrap(), probe);
+                    assert_eq!(
+                        reopened.reader().lookup_eq("nodes", "ip", &ip).unwrap().concat(),
+                        probe
+                    );
 
                     let fresh_vfs = MemVfs::new();
                     let mut fresh = DurableDatabase::open(&fresh_vfs).unwrap();

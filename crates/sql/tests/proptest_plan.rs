@@ -295,13 +295,14 @@ proptest! {
         probe in 0i64..12,
     ) {
         let db = build_db(&nodes, &memberships, &[]);
-        let direct = db.lookup_eq("nodes", "id", &rocks_sql::Value::Int(probe)).unwrap();
-        let sql = db.query_ref_scan(&format!("select * from nodes where id = {probe}")).unwrap();
-        prop_assert_eq!(direct, sql);
-        let direct = db
-            .lookup_eq("nodes", "tag", &rocks_sql::Value::Text("5".into()))
-            .unwrap();
-        let sql = db.query_ref_scan("select * from nodes where tag = '5'").unwrap();
-        prop_assert_eq!(direct, sql);
+        for (column, value, literal) in [
+            ("id", rocks_sql::Value::Int(probe), probe.to_string()),
+            ("tag", rocks_sql::Value::Text("5".into()), "'5'".to_string()),
+        ] {
+            let direct = db.lookup_eq("nodes", column, &value).unwrap();
+            let sql = db.query_ref_scan(&format!("select * from nodes where {column} = {literal}"));
+            let sql = sql.unwrap();
+            prop_assert_eq!(direct, sql.rows.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        }
     }
 }

@@ -231,9 +231,10 @@ fn assert_acceleration_agrees(db: &DurableDatabase) {
         [("tag", Value::Text("5".into()), "'5'"), ("rack", Value::Int(1), "1")]
     {
         let sql = format!("select * from nodes where {column} = {literal}");
+        let scan = r.query_ref_scan(&sql).ok();
         assert_eq!(
             r.lookup_eq("nodes", column, &value).ok(),
-            r.query_ref_scan(&sql).ok(),
+            scan.as_ref().map(|scan| scan.rows.iter().map(Vec::as_slice).collect()),
             "hash index on nodes.{column} vs scan"
         );
     }
