@@ -13,33 +13,22 @@
 //! reproduce replicas   # §6.3 replicated-server projection
 //! reproduce updates    # §6.2.1 update-tracking experiment
 //! reproduce ablation   # §1/§3 reinstall-vs-verify ablation
-//! reproduce sqlbench [--quick]      # cost-based planner sweep (writes BENCH_sql_engine.json)
-//! reproduce netsim-scale [--quick]  # engine scaling sweep (writes BENCH_netsim.json)
-//! reproduce chaos [--quick]         # seeded chaos sweep (writes BENCH_chaos.json)
-//! reproduce trace [--quick]         # telemetry overhead (writes BENCH_trace.json)
-//! reproduce db [--quick]            # durable DB: WAL throughput, recovery, crash sweep (writes BENCH_db.json)
-//! reproduce rollout [--quick]       # rolling reinstall under batch load (writes BENCH_rollout.json)
-//! reproduce serve [--quick]         # kickstart serving frontend at saturation (writes BENCH_serve.json)
+//! reproduce chaos [--quick]    # seeded chaos sweep (writes BENCH_chaos.json)
+//! reproduce rollout [--quick]  # rolling reinstall under batch load (writes BENCH_rollout.json)
+//! reproduce serve [--quick]    # kickstart serving frontend at saturation (writes BENCH_serve.json)
 //! ```
 
 use rocks_bench::*;
 
 type Sweep = (&'static str, fn(quick: bool) -> String);
 
-/// The measured sweeps, after the paper's experiments ([`PAPER`]). They
+/// The seeded sweeps, after the paper's experiments ([`PAPER`]): virtual
+/// time, so each snapshot they write is a function of code and seed. They
 /// take `quick` (`--quick`): sizes that finish in seconds under a debug
 /// build.
 const SWEEPS: &[Sweep] = &[
-    // 10k/50k rows instead of 10k/100k/1M.
-    ("sqlbench", sql_engine_sweep),
-    // A sweep small enough for the CI debug build.
-    ("netsim-scale", netsim_scale),
     // 200 seeded scenarios instead of 1000.
     ("chaos", chaos),
-    // 512 nodes instead of 8192.
-    ("trace", trace_overhead),
-    // 10k rows only, 2 crash seeds.
-    ("db", db_durability),
     // 32 nodes, 500 invariant seeds.
     ("rollout", rollout),
     // Shorter horizons, 200 seeds.

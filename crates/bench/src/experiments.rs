@@ -5,8 +5,6 @@ use rocks_kickstart::profiles;
 use rocks_netsim::cluster::{
     max_full_speed_concurrency, serial_download_benchmark, table1_sweep, ClusterSim,
 };
-use rocks_netsim::engine::{Engine, EngineMode, Wakeup};
-use rocks_netsim::shard::FederatedSim;
 use rocks_netsim::{NetsimInstallBackend, SimConfig, TierConfig};
 use rocks_pbs::rollout::run_rollout_sweep;
 use rocks_pbs::scheduler::schedule;
@@ -545,224 +543,6 @@ pub fn bringup_summary() -> String {
     )
 }
 
-/// Node-state sanity helper used by benches.
-pub fn assert_all_up(sim: &ClusterSim) {
-    assert!(sim.nodes().iter().all(|n| n.state == rocks_netsim::NodeState::Up));
-}
-
-/// A synthetic cluster database shaped like the paper's schema, sized
-/// for planner benchmarking: `rows` nodes across four memberships (only
-/// `Compute` is flagged `compute = 'yes'`, each mapped to an appliance),
-/// unique MACs and IPs, and a skewed `arch` column (15/16 `x86_64`,
-/// 1/16 `ia64`) so the same column carries both a broad and a selective
-/// predicate. Nodes are built programmatically through
-/// `Table::insert_row` — SQL parsing at 1M rows would dominate the
-/// benchmark's setup time.
-pub fn planner_database(rows: usize) -> rocks_sql::Database {
-    use rocks_sql::{ColumnType, Table, Value};
-    let col = |name: &str, ty: ColumnType| (name.to_string(), ty);
-    let mut nodes = Table::new(
-        "nodes",
-        vec![
-            col("id", ColumnType::Int),
-            col("mac", ColumnType::Text),
-            col("name", ColumnType::Text),
-            col("membership", ColumnType::Int),
-            col("rack", ColumnType::Int),
-            col("rank", ColumnType::Int),
-            col("ip", ColumnType::Text),
-            col("arch", ColumnType::Text),
-        ],
-    );
-    for i in 0..rows {
-        let (a, b, c) = (i >> 16, (i >> 8) & 0xff, i & 0xff);
-        nodes
-            .insert_row(vec![
-                Value::Int(i as i64),
-                Value::Text(format!("00:50:8b:{a:02x}:{b:02x}:{c:02x}")),
-                Value::Text(format!("node-{i}")),
-                Value::Int(((i % 4) + 1) as i64),
-                Value::Int((i / 64) as i64),
-                Value::Int((i % 64) as i64),
-                Value::Text(format!("10.{a}.{b}.{c}")),
-                Value::Text(if i % 16 == 0 { "ia64" } else { "x86_64" }.to_string()),
-            ])
-            .expect("node row");
-    }
-    let mut db = rocks_sql::Database::new();
-    db.add_table(nodes).expect("nodes table");
-    db.execute("create table memberships (id int, name text, compute text, appliance int)")
-        .expect("memberships table");
-    db.execute(
-        "insert into memberships values (1, 'Frontend', 'no', 1), (2, 'Compute', 'yes', 2), \
-         (3, 'External', 'no', 3), (4, 'Ethernet Switches', 'no', 4)",
-    )
-    .expect("memberships rows");
-    db.execute("create table appliances (id int, name text)").expect("appliances table");
-    db.execute(
-        "insert into appliances values (1, 'frontend'), (2, 'compute'), (3, 'nas'), \
-         (4, 'power')",
-    )
-    .expect("appliances rows");
-    db
-}
-
-/// The point-lookup query [`measure_sql_engine`] times: resolves one
-/// node by IP, the §6.1 CGI lookup pattern.
-pub fn planner_point_query(rows: usize) -> String {
-    let i = rows / 2;
-    format!("select * from nodes where ip = '10.{}.{}.{}'", i >> 16, (i >> 8) & 0xff, i & 0xff)
-}
-
-/// The equi-join query [`measure_sql_engine`] times: the paper's §6.4
-/// compute-nodes join.
-pub const PLANNER_JOIN_QUERY: &str = "select nodes.name from nodes, memberships where \
-     nodes.membership = memberships.id and memberships.compute = 'yes'";
-
-/// Broad predicate on the skewed `arch` column: matches 15/16 of the
-/// table, past the scan↔index crossover — the planner must scan.
-pub const BROAD_ARCH_QUERY: &str = "select name from nodes where arch = 'x86_64'";
-
-/// Selective predicate on the same column (1/16): an index probe wins.
-pub const SELECTIVE_ARCH_QUERY: &str = "select name from nodes where arch = 'ia64'";
-
-/// Low-NDV join with a selective filter on the big side, measured under
-/// both forced join algorithms: hash pays per raw index candidate
-/// (`rows/4` per membership), merge scans-and-prefilters the node table
-/// once.
-pub const ALGO_JOIN_QUERY: &str = "select count(*) from memberships, nodes where \
-     nodes.membership = memberships.id and nodes.rank < 1";
-
-/// Three-table join written in a deliberately bad syntactic order: the
-/// heuristic planner takes FROM order and starts by scanning the 1M-row
-/// node table (and cross-joins appliances, which connects to nothing
-/// placed yet); the cost-based planner reorders to appliances →
-/// memberships → nodes so only `rows/4` index candidates are touched.
-pub const THREE_TABLE_QUERY: &str = "select nodes.name from nodes, appliances, memberships \
-     where nodes.membership = memberships.id and memberships.appliance = appliances.id \
-     and appliances.name = 'compute' and nodes.rank < 8";
-
-/// The matching-row count at which a text-column index probe stops
-/// paying off against a filtered scan, from the cost model's closed
-/// form: `build/32 + PROBE + m·(CANDIDATE + FILTER_EVAL)` crosses
-/// `rows·(SCAN_ROW + FILTER_EVAL)`. Grows linearly with table size —
-/// the crossover the sweep demonstrates.
-pub fn scan_index_crossover_rows(table_rows: f64) -> f64 {
-    use rocks_sql::cost;
-    let build = cost::index_build_cost(table_rows, rocks_sql::ColumnType::Text, false);
-    ((cost::scan_access_cost(table_rows, 1) - build - cost::PROBE)
-        / (cost::CANDIDATE + cost::FILTER_EVAL))
-        .max(0.0)
-}
-
-/// Timings from one indexed-vs-scan comparison at a single table size.
-/// All `_ns` values are per-query nanoseconds (minimum over the
-/// measured repetitions).
-#[derive(Debug, Clone, Copy)]
-pub struct SqlEngineSnapshot {
-    /// Node-table cardinality the measurement ran against.
-    pub rows: usize,
-    /// Point query through the forced full-scan path.
-    pub point_scan_ns: f64,
-    /// Point query through the planner (hash-index probe, cached plan).
-    pub point_indexed_ns: f64,
-    /// Point query re-planned per call by the cost-based planner.
-    pub point_cost_ns: f64,
-    /// Point query re-planned per call by the PR2-era heuristic.
-    pub point_heuristic_ns: f64,
-    /// Equi-join through the forced full-scan path (nested loops).
-    pub join_scan_ns: f64,
-    /// Equi-join through the planner (hash join, cached plan).
-    pub join_indexed_ns: f64,
-    /// Cost-model crossover: matching rows above which a scan beats an
-    /// index probe at this table size.
-    pub crossover_rows: f64,
-    /// Access the planner chose for the broad `arch` predicate
-    /// (`"scan"` expected — 15/16 of the table matches).
-    pub broad_plan: PlanChoice,
-    /// Access chosen for the selective `arch` predicate (`"index"`).
-    pub selective_plan: PlanChoice,
-    /// Join algorithm the planner chose for [`ALGO_JOIN_QUERY`].
-    pub algo_chosen: PlanChoice,
-    /// [`ALGO_JOIN_QUERY`] with the join forced to hash.
-    pub join_hash_ns: f64,
-    /// [`ALGO_JOIN_QUERY`] with the join forced to sort-merge.
-    pub join_merge_ns: f64,
-    /// [`THREE_TABLE_QUERY`] planned by the syntactic-order heuristic.
-    pub three_table_heuristic_ns: f64,
-    /// [`THREE_TABLE_QUERY`] planned by the cost-based planner.
-    pub three_table_cost_ns: f64,
-}
-
-/// A plan-shape label extracted from EXPLAIN output ("scan", "index",
-/// "hash", "merge").
-pub type PlanChoice = &'static str;
-
-impl SqlEngineSnapshot {
-    /// Scan-to-indexed ratio for the point query.
-    pub fn point_speedup(&self) -> f64 {
-        self.point_scan_ns / self.point_indexed_ns
-    }
-
-    /// Scan-to-indexed ratio for the equi-join.
-    pub fn join_speedup(&self) -> f64 {
-        self.join_scan_ns / self.join_indexed_ns
-    }
-
-    /// Heuristic-to-cost-based ratio for the three-table join — the
-    /// payoff of join-order enumeration.
-    pub fn three_table_speedup(&self) -> f64 {
-        self.three_table_heuristic_ns / self.three_table_cost_ns
-    }
-
-    /// Render as one JSON object (an element of the `sizes` array in
-    /// `BENCH_sql_engine.json`).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n    \"rows\": {},\n    \"point_query\": {{\"scan_ns\": {:.0}, \"indexed_ns\": {:.0}, \"cost_replan_ns\": {:.0}, \"heuristic_replan_ns\": {:.0}, \"speedup\": {:.1}}},\n    \"equi_join\": {{\"scan_ns\": {:.0}, \"indexed_ns\": {:.0}, \"speedup\": {:.1}}},\n    \"crossover\": {{\"scan_vs_index_match_rows\": {:.0}, \"broad_plan\": \"{}\", \"selective_plan\": \"{}\"}},\n    \"join_algo\": {{\"chosen\": \"{}\", \"hash_ns\": {:.0}, \"merge_ns\": {:.0}}},\n    \"three_table_join\": {{\"heuristic_ns\": {:.0}, \"cost_based_ns\": {:.0}, \"speedup\": {:.1}}}\n  }}",
-            self.rows,
-            self.point_scan_ns,
-            self.point_indexed_ns,
-            self.point_cost_ns,
-            self.point_heuristic_ns,
-            self.point_speedup(),
-            self.join_scan_ns,
-            self.join_indexed_ns,
-            self.join_speedup(),
-            self.crossover_rows,
-            self.broad_plan,
-            self.selective_plan,
-            self.algo_chosen,
-            self.join_hash_ns,
-            self.join_merge_ns,
-            self.three_table_heuristic_ns,
-            self.three_table_cost_ns,
-            self.three_table_speedup(),
-        )
-    }
-}
-
-/// The `cost_model` block of `BENCH_sql_engine.json`: the constants the
-/// planner priced the sweep with, so a trajectory diff shows *why* a
-/// crossover moved.
-pub fn cost_model_json() -> String {
-    use rocks_sql::cost;
-    format!(
-        "{{\"scan_row\": {}, \"filter_eval\": {}, \"probe\": {}, \"candidate\": {}, \
-         \"hash_build_int\": {}, \"hash_build_text\": {}, \"build_amortize\": {}, \
-         \"merge_base\": {}, \"sort_per_elem_level\": {}}}",
-        cost::SCAN_ROW,
-        cost::FILTER_EVAL,
-        cost::PROBE,
-        cost::CANDIDATE,
-        cost::HASH_BUILD_INT,
-        cost::HASH_BUILD_TEXT,
-        cost::BUILD_AMORTIZE,
-        cost::MERGE_BASE,
-        cost::SORT_PER_ELEM_LEVEL,
-    )
-}
-
 /// Refuse to record an unclean run: panic with the field and its value
 /// before the snapshot is written, so `reproduce <experiment>` exits
 /// non-zero and the committed `BENCH_*.json` stays as it was.
@@ -780,506 +560,6 @@ fn write_snapshot(file: &str, json: &str) -> String {
         Ok(()) => format!("snapshot written to {file}"),
         Err(e) => format!("snapshot NOT written: {e}"),
     }
-}
-
-/// Minimum per-call nanoseconds of `f` over `reps` timed batches of
-/// `iters` calls each.
-fn min_ns_per_call(iters: usize, reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let start = std::time::Instant::now();
-        for _ in 0..iters.max(1) {
-            f();
-        }
-        best = best.min(start.elapsed().as_nanos() as f64 / iters.max(1) as f64);
-    }
-    best
-}
-
-/// EXPLAIN a query and return the rendered plan text.
-fn plan_text(db: &rocks_sql::Database, sql: &str) -> String {
-    let result = db.query_ref(&format!("explain {sql}")).expect("explain");
-    result.rows.iter().map(|row| row[0].render()).collect::<Vec<_>>().join("\n")
-}
-
-fn access_choice(plan: &str) -> PlanChoice {
-    if plan.contains("index(") {
-        "index"
-    } else {
-        "scan"
-    }
-}
-
-fn join_choice(plan: &str) -> PlanChoice {
-    if plan.contains("merge join") {
-        "merge"
-    } else {
-        "hash"
-    }
-}
-
-/// The PR's tentpole measurement at one table size: point lookup and
-/// compute join through forced-scan vs planned paths; the same point
-/// lookup re-planned per call by the cost-based planner and the PR2
-/// heuristic; the broad/selective `arch` predicates' access choices;
-/// the low-NDV join under both forced join algorithms; and the
-/// three-table join under heuristic vs cost-based ordering. Every
-/// planned path is verified against the scan path before timing.
-pub fn measure_sql_engine(rows: usize, reps: usize) -> SqlEngineSnapshot {
-    use rocks_sql::{JoinAlgo, PlannerConfig, PlannerMode};
-    let db = planner_database(rows);
-    let point = planner_point_query(rows);
-
-    let cost_cfg = PlannerConfig::default();
-    let heuristic_cfg = PlannerConfig { mode: PlannerMode::Heuristic, force_join: None };
-    let hash_cfg = PlannerConfig { mode: PlannerMode::CostBased, force_join: Some(JoinAlgo::Hash) };
-    let merge_cfg =
-        PlannerConfig { mode: PlannerMode::CostBased, force_join: Some(JoinAlgo::SortMerge) };
-
-    // Correctness first — every path must agree with the forced scan —
-    // and this also warms the indexes + plan cache.
-    for sql in [
-        point.as_str(),
-        PLANNER_JOIN_QUERY,
-        BROAD_ARCH_QUERY,
-        SELECTIVE_ARCH_QUERY,
-        ALGO_JOIN_QUERY,
-        THREE_TABLE_QUERY,
-    ] {
-        let scanned = db.query_ref_scan(sql).expect("scan path");
-        assert_eq!(db.query_ref(sql).expect("planned path"), scanned, "planned != scan: {sql}");
-        for cfg in [&heuristic_cfg, &hash_cfg, &merge_cfg] {
-            assert_eq!(
-                db.query_ref_config(sql, cfg).expect("configured path"),
-                scanned,
-                "configured plan != scan: {sql}"
-            );
-        }
-    }
-
-    // Scans are O(rows) per call; keep their batches small so the debug
-    // test stays quick. The indexed paths are cheap — batch harder so
-    // timer overhead vanishes.
-    SqlEngineSnapshot {
-        rows,
-        point_scan_ns: min_ns_per_call(5, reps, || {
-            db.query_ref_scan(&point).expect("scanned point");
-        }),
-        point_indexed_ns: min_ns_per_call(200, reps, || {
-            db.query_ref(&point).expect("planned point");
-        }),
-        point_cost_ns: min_ns_per_call(100, reps, || {
-            db.query_ref_config(&point, &cost_cfg).expect("cost point");
-        }),
-        point_heuristic_ns: min_ns_per_call(100, reps, || {
-            db.query_ref_config(&point, &heuristic_cfg).expect("heuristic point");
-        }),
-        join_scan_ns: min_ns_per_call(2, reps, || {
-            db.query_ref_scan(PLANNER_JOIN_QUERY).expect("scanned join");
-        }),
-        join_indexed_ns: min_ns_per_call(20, reps, || {
-            db.query_ref(PLANNER_JOIN_QUERY).expect("planned join");
-        }),
-        crossover_rows: scan_index_crossover_rows(rows as f64),
-        broad_plan: access_choice(&plan_text(&db, BROAD_ARCH_QUERY)),
-        selective_plan: access_choice(&plan_text(&db, SELECTIVE_ARCH_QUERY)),
-        algo_chosen: join_choice(&plan_text(&db, ALGO_JOIN_QUERY)),
-        join_hash_ns: min_ns_per_call(2, reps, || {
-            db.query_ref_config(ALGO_JOIN_QUERY, &hash_cfg).expect("hash join");
-        }),
-        join_merge_ns: min_ns_per_call(2, reps, || {
-            db.query_ref_config(ALGO_JOIN_QUERY, &merge_cfg).expect("merge join");
-        }),
-        three_table_heuristic_ns: min_ns_per_call(2, reps, || {
-            db.query_ref_config(THREE_TABLE_QUERY, &heuristic_cfg).expect("heuristic 3-table");
-        }),
-        three_table_cost_ns: min_ns_per_call(2, reps, || {
-            db.query_ref_config(THREE_TABLE_QUERY, &cost_cfg).expect("cost 3-table");
-        }),
-    }
-}
-
-/// Sweep [`measure_sql_engine`] over increasing table sizes, write
-/// `BENCH_sql_engine.json` (cost-model constants + per-size snapshots),
-/// and report the table. `quick` shrinks the sweep so debug/CI runs
-/// finish in seconds; the full sweep reaches 1M rows and is meant for
-/// release builds.
-pub fn sql_engine_sweep(quick: bool) -> String {
-    let (sizes, reps): (&[usize], usize) =
-        if quick { (&[10_000, 50_000], 2) } else { (&[10_000, 100_000, 1_000_000], 3) };
-    let snaps: Vec<SqlEngineSnapshot> =
-        sizes.iter().map(|&rows| measure_sql_engine(rows, reps)).collect();
-    for s in &snaps {
-        require_clean("sqlbench", "broad_plan", s.broad_plan, "scan");
-        require_clean("sqlbench", "selective_plan", s.selective_plan, "index");
-    }
-
-    let json = format!(
-        "{{\n  \"experiment\": \"sql_engine\",\n  \"cost_model\": {},\n  \"sizes\": [\n  {}\n  ]\n}}\n",
-        cost_model_json(),
-        snaps.iter().map(|s| s.to_json()).collect::<Vec<_>>().join(",\n  "),
-    );
-    let written = write_snapshot("BENCH_sql_engine.json", &json);
-
-    let mut out = String::from("SQL engine: cost-based planner vs scan / heuristic\n");
-    for s in &snaps {
-        out.push_str(&format!(
-            "{} rows: point {:.1}x vs scan | arch plans {}→{} (crossover ≈ {} rows) | \
-             algo join {} (hash {:.2}ms, merge {:.2}ms) | 3-table reorder {:.1}x vs heuristic\n",
-            s.rows,
-            s.point_speedup(),
-            s.broad_plan,
-            s.selective_plan,
-            s.crossover_rows as u64,
-            s.algo_chosen,
-            s.join_hash_ns / 1e6,
-            s.join_merge_ns / 1e6,
-            s.three_table_speedup(),
-        ));
-    }
-    out.push_str(&written);
-    out.push('\n');
-    out
-}
-
-/// One row of the large-n reinstall sweep (fast scheduler).
-#[derive(Debug, Clone)]
-pub struct SweepRow {
-    /// Topology variant: `"fast-ethernet"`, `"gige"`, or `"replica-4"`.
-    pub variant: &'static str,
-    /// Concurrent node count.
-    pub nodes: usize,
-    /// Simulated reinstall time in minutes (Table I's unit).
-    pub virtual_minutes: f64,
-    /// Host wall-clock milliseconds the simulation took.
-    pub wall_ms: f64,
-}
-
-/// One row of the federated (sharded multi-tier) scaling sweep.
-#[derive(Debug, Clone)]
-pub struct FederationRow {
-    /// Concurrent node count.
-    pub nodes: usize,
-    /// Cabinet sub-simulators the run sharded into.
-    pub shards: usize,
-    /// Worker threads driving the shards.
-    pub threads: usize,
-    /// Simulated whole-cluster reinstall time in minutes.
-    pub virtual_minutes: f64,
-    /// Host wall-clock milliseconds.
-    pub wall_ms: f64,
-    /// Events processed across shard + tier engines.
-    pub events: u64,
-    /// Events per wall-clock second.
-    pub events_per_sec: f64,
-    /// Bytes served straight from cabinet proxy caches.
-    pub proxy_hit_bytes: u64,
-    /// Bytes that waited on (or joined) a cabinet fill.
-    pub proxy_miss_bytes: u64,
-    /// Bytes delivered campus → cabinet (each package once per cabinet).
-    pub cabinet_fill_bytes: f64,
-    /// Bytes delivered root → campus (each package once per campus).
-    pub root_fill_bytes: f64,
-}
-
-/// Measurements from the engine-scaling experiment: event throughput of
-/// the heap + class-aggregated scheduler against the reference per-flow
-/// scan, a fast-vs-reference wall-clock comparison of one large
-/// reinstall, and the large-n sweep itself.
-#[derive(Debug, Clone)]
-pub struct NetsimScaleSnapshot {
-    /// Same-class flow count used for the event-throughput drain.
-    pub throughput_flows: usize,
-    /// Events/second through the fast scheduler.
-    pub fast_events_per_sec: f64,
-    /// Events/second through the reference scheduler.
-    pub ref_events_per_sec: f64,
-    /// Node count of the fast-vs-reference reinstall comparison.
-    pub reinstall_nodes: usize,
-    /// Wall seconds for the fast scheduler at `reinstall_nodes`.
-    pub reinstall_fast_s: f64,
-    /// Wall seconds for the reference scheduler at `reinstall_nodes`.
-    pub reinstall_ref_s: f64,
-    /// Large-n sweep rows (fast scheduler only — the reference path is
-    /// intractable at 8192 nodes, which is the point of the PR).
-    pub sweep: Vec<SweepRow>,
-    /// Federated (sharded multi-tier) sweep rows: 65k nodes in quick
-    /// runs, up to ~1M in the release sweep.
-    pub tiers: Vec<FederationRow>,
-    /// Parallel efficiency of the sharded engine at the smallest
-    /// federated point: `t_serial / (threads × t_threaded)`. 1.0 on a
-    /// single-core host (the serial path *is* the threaded path).
-    pub shard_efficiency: f64,
-    /// Worker threads the federated rows ran with
-    /// (`min(8, available cores)`).
-    pub federation_threads: usize,
-    /// Flat (single-engine) fast-scheduler events/second at the smallest
-    /// federated node count — the baseline the federation is measured
-    /// against.
-    pub flat_events_per_sec: f64,
-}
-
-impl NetsimScaleSnapshot {
-    /// Federated-to-flat events/second ratio at the comparison point.
-    pub fn federated_speedup(&self) -> f64 {
-        self.tiers.first().map_or(0.0, |row| row.events_per_sec / self.flat_events_per_sec)
-    }
-}
-
-impl NetsimScaleSnapshot {
-    /// Fast-to-reference ratio for the event drain.
-    pub fn event_speedup(&self) -> f64 {
-        self.fast_events_per_sec / self.ref_events_per_sec
-    }
-
-    /// Reference-to-fast wall-clock ratio for the reinstall comparison.
-    pub fn reinstall_speedup(&self) -> f64 {
-        self.reinstall_ref_s / self.reinstall_fast_s
-    }
-
-    /// Render as the `BENCH_netsim.json` trajectory document.
-    pub fn to_json(&self) -> String {
-        let mut sweep = String::new();
-        for (i, row) in self.sweep.iter().enumerate() {
-            if i > 0 {
-                sweep.push_str(",\n");
-            }
-            sweep.push_str(&format!(
-                "    {{\"variant\": \"{}\", \"nodes\": {}, \"virtual_minutes\": {:.1}, \"wall_ms\": {:.1}}}",
-                row.variant, row.nodes, row.virtual_minutes, row.wall_ms,
-            ));
-        }
-        let mut tiers = String::new();
-        for (i, row) in self.tiers.iter().enumerate() {
-            if i > 0 {
-                tiers.push_str(",\n");
-            }
-            tiers.push_str(&format!(
-                "    {{\"nodes\": {}, \"shards\": {}, \"threads\": {}, \"virtual_minutes\": {:.1}, \"wall_ms\": {:.1}, \"events\": {}, \"events_per_sec\": {:.0}, \"proxy_hit_bytes\": {}, \"proxy_miss_bytes\": {}, \"cabinet_fill_bytes\": {:.0}, \"root_fill_bytes\": {:.0}}}",
-                row.nodes,
-                row.shards,
-                row.threads,
-                row.virtual_minutes,
-                row.wall_ms,
-                row.events,
-                row.events_per_sec,
-                row.proxy_hit_bytes,
-                row.proxy_miss_bytes,
-                row.cabinet_fill_bytes,
-                row.root_fill_bytes,
-            ));
-        }
-        format!(
-            "{{\n  \"experiment\": \"netsim_scale\",\n  \"throughput_flows\": {},\n  \"fast_events_per_sec\": {:.0},\n  \"ref_events_per_sec\": {:.0},\n  \"speedup\": {:.1},\n  \"reinstall\": {{\"nodes\": {}, \"fast_s\": {:.3}, \"ref_s\": {:.3}, \"speedup\": {:.1}}},\n  \"sweep\": [\n{sweep}\n  ],\n  \"tiers\": [\n{tiers}\n  ],\n  \"federation_threads\": {},\n  \"shard_efficiency\": {:.3},\n  \"flat_events_per_sec\": {:.0},\n  \"federated_speedup\": {:.2}\n}}\n",
-            self.throughput_flows,
-            self.fast_events_per_sec,
-            self.ref_events_per_sec,
-            self.event_speedup(),
-            self.reinstall_nodes,
-            self.reinstall_fast_s,
-            self.reinstall_ref_s,
-            self.reinstall_speedup(),
-            self.federation_threads,
-            self.shard_efficiency,
-            self.flat_events_per_sec,
-            self.federated_speedup(),
-        )
-    }
-}
-
-/// Drain `flows` identical single-link flows — one equivalence class —
-/// and report scheduler events per wall-clock second.
-pub fn measure_engine_throughput(flows: usize, mode: EngineMode) -> f64 {
-    measure_engine_throughput_bounded(flows, mode, flows)
-}
-
-/// [`measure_engine_throughput`] over at most `max_events` events. The
-/// reference scheduler is O(F²) per completion (progressive filling
-/// freezes one flow per round) — the pathology this PR removes — so it
-/// can only be sampled over a bounded prefix at large F; per-event cost
-/// is flat across the drain, so the prefix rate is representative.
-pub fn measure_engine_throughput_bounded(flows: usize, mode: EngineMode, max_events: usize) -> f64 {
-    let mut engine = Engine::new_with_mode(vec![100.0 * 11.0e6], mode);
-    for i in 0..flows {
-        // Staggered sizes spread the completions out; the identical
-        // (route, demand) key keeps every flow in one class.
-        engine.start_flow(0, i, 1_000_000 + 64 * i as u64, 1.0e6);
-    }
-    let start = std::time::Instant::now();
-    let mut events = 0usize;
-    while events < max_events && engine.step() != Wakeup::Idle {
-        events += 1;
-    }
-    events as f64 / start.elapsed().as_secs_f64().max(1e-9)
-}
-
-/// Run one full reinstall of `nodes` machines under `mode` and return
-/// (wall seconds, simulated minutes).
-pub fn timed_reinstall(cfg: SimConfig, nodes: usize, mode: EngineMode) -> (f64, f64) {
-    let mut sim = ClusterSim::new_with_mode(cfg, nodes, mode);
-    let start = std::time::Instant::now();
-    let result = sim.run_reinstall();
-    (start.elapsed().as_secs_f64(), result.total_minutes())
-}
-
-/// Worker threads the federated sweep runs with: one per core, capped
-/// at 8 (the efficiency point the acceptance floor is stated at).
-pub fn federation_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).min(8)
-}
-
-/// Run one federated (sharded multi-tier) reinstall of `nodes` machines
-/// across `threads` workers and report the row.
-pub fn timed_federated(nodes: usize, threads: usize) -> FederationRow {
-    let cfg = SimConfig::paper_testbed(1).bundled(12).without_node_logs();
-    let tiers = TierConfig::standard();
-    let mut sim = FederatedSim::new_tiered(cfg, tiers, nodes);
-    sim.set_threads(threads);
-    let start = std::time::Instant::now();
-    let result = sim.run_reinstall();
-    let wall_s = start.elapsed().as_secs_f64();
-    let report = sim.tier_report().expect("tiered run always has a tier report");
-    FederationRow {
-        nodes,
-        shards: sim.shard_count(),
-        threads,
-        virtual_minutes: result.total_minutes(),
-        wall_ms: wall_s * 1e3,
-        events: sim.events(),
-        events_per_sec: sim.events() as f64 / wall_s.max(1e-9),
-        proxy_hit_bytes: report.proxy_hit_bytes,
-        proxy_miss_bytes: report.proxy_miss_bytes,
-        cabinet_fill_bytes: report.cabinet_fill_bytes,
-        root_fill_bytes: report.root_fill_bytes,
-    }
-}
-
-/// Collect the full snapshot. `quick` shrinks every dimension so the CI
-/// debug build finishes in seconds; the release run covers the full
-/// n ∈ {64, 512, 2048, 8192} sweep.
-pub fn measure_netsim_scale(quick: bool) -> NetsimScaleSnapshot {
-    // 2048 one-class flows is the steady state of the 2048-node sweep —
-    // the node count the acceptance floor is stated at.
-    let throughput_flows = if quick { 512 } else { 2048 };
-    let fast_events_per_sec = measure_engine_throughput(throughput_flows, EngineMode::Fast);
-    let ref_events_per_sec =
-        measure_engine_throughput_bounded(throughput_flows, EngineMode::Reference, 32);
-
-    // Full fast-vs-reference reinstall runs. 256 nodes keeps the cubic
-    // reference path affordable even in quick/debug runs; the release
-    // sweep compares at 512 (the reference needs minutes beyond that —
-    // which is the result, and the bounded event-rate above captures it
-    // at full scale).
-    let reinstall_nodes = if quick { 256 } else { 512 };
-    let cmp_cfg = SimConfig::paper_testbed(1).bundled(2);
-    let (reinstall_fast_s, _) = timed_reinstall(cmp_cfg.clone(), reinstall_nodes, EngineMode::Fast);
-    let (reinstall_ref_s, _) = timed_reinstall(cmp_cfg, reinstall_nodes, EngineMode::Reference);
-
-    let ns: &[usize] = if quick { &[64, 512] } else { &[64, 512, 2048, 8192] };
-    let mut sweep = Vec::new();
-    for &n in ns {
-        let variants: [(&'static str, SimConfig); 3] = [
-            ("fast-ethernet", SimConfig::paper_testbed(1).bundled(12)),
-            ("gige", SimConfig::gige(1).bundled(12)),
-            ("replica-4", SimConfig::replicated(4, 1).bundled(12)),
-        ];
-        for (variant, cfg) in variants {
-            let (wall_s, virtual_minutes) = timed_reinstall(cfg, n, EngineMode::Fast);
-            sweep.push(SweepRow { variant, nodes: n, virtual_minutes, wall_ms: wall_s * 1e3 });
-        }
-    }
-
-    // The federated sweep: 65k nodes in quick/debug runs, up to ~1M in
-    // the release sweep (8192 is where the flat engine tops out — the
-    // federation carries the remaining two orders of magnitude).
-    let threads = federation_threads();
-    let fed_ns: &[usize] = if quick { &[65_536] } else { &[65_536, 262_144, 1_048_576] };
-    let tiers: Vec<FederationRow> = fed_ns.iter().map(|&n| timed_federated(n, threads)).collect();
-
-    // Parallel efficiency at the smallest point. On a single-core host
-    // the threaded run *is* the serial run, so the ratio is 1 by
-    // definition and we skip the duplicate measurement.
-    let shard_efficiency = if threads > 1 {
-        let serial = timed_federated(fed_ns[0], 1);
-        (serial.wall_ms / tiers[0].wall_ms) / threads as f64
-    } else {
-        1.0
-    };
-
-    // Flat-engine baseline at the same node count and package load.
-    let flat_events_per_sec = {
-        let cfg = SimConfig::paper_testbed(1).bundled(12).without_node_logs();
-        let mut sim = ClusterSim::new_with_mode(cfg, fed_ns[0], EngineMode::Fast);
-        let start = std::time::Instant::now();
-        sim.run_reinstall();
-        sim.events() as f64 / start.elapsed().as_secs_f64().max(1e-9)
-    };
-
-    NetsimScaleSnapshot {
-        throughput_flows,
-        fast_events_per_sec,
-        ref_events_per_sec,
-        reinstall_nodes,
-        reinstall_fast_s,
-        reinstall_ref_s,
-        sweep,
-        tiers,
-        shard_efficiency,
-        federation_threads: threads,
-        flat_events_per_sec,
-    }
-}
-
-/// Engine-scaling experiment for `reproduce`: measures, writes the
-/// `BENCH_netsim.json` snapshot, and reports the table.
-pub fn netsim_scale(quick: bool) -> String {
-    let snap = measure_netsim_scale(quick);
-    let json = snap.to_json();
-    let written = write_snapshot("BENCH_netsim.json", &json);
-    let mut out = format!(
-        "netsim engine scaling: heap + class-aggregated max-min vs reference\n\
-         event drain ({} one-class flows): fast {:>9.0} ev/s | ref {:>9.0} ev/s | {:>6.1}x\n\
-         reinstall at {} nodes:            fast {:>8.3} s  | ref {:>8.3} s  | {:>6.1}x\n\
-         sweep (fast scheduler):\n\
-         variant       | nodes | virtual min |  wall ms\n",
-        snap.throughput_flows,
-        snap.fast_events_per_sec,
-        snap.ref_events_per_sec,
-        snap.event_speedup(),
-        snap.reinstall_nodes,
-        snap.reinstall_fast_s,
-        snap.reinstall_ref_s,
-        snap.reinstall_speedup(),
-    );
-    for row in &snap.sweep {
-        out.push_str(&format!(
-            "{:<13} | {:>5} | {:>11.1} | {:>8.1}\n",
-            row.variant, row.nodes, row.virtual_minutes, row.wall_ms,
-        ));
-    }
-    out.push_str(&format!(
-        "federated sweep ({} threads, shard efficiency {:.2}, {:.1}x flat at {} nodes):\n\
-         nodes    | shards | virtual min |  wall ms |      ev/s | root MB | cabinet MB\n",
-        snap.federation_threads,
-        snap.shard_efficiency,
-        snap.federated_speedup(),
-        snap.tiers.first().map_or(0, |r| r.nodes),
-    ));
-    for row in &snap.tiers {
-        out.push_str(&format!(
-            "{:>8} | {:>6} | {:>11.1} | {:>8.1} | {:>9.0} | {:>7.1} | {:>10.1}\n",
-            row.nodes,
-            row.shards,
-            row.virtual_minutes,
-            row.wall_ms,
-            row.events_per_sec,
-            row.root_fill_bytes / 1e6,
-            row.cabinet_fill_bytes / 1e6,
-        ));
-    }
-    out.push_str(&written);
-    out.push('\n');
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -1307,20 +587,13 @@ pub struct ChaosSnapshot {
     pub total_failovers: u64,
     /// Plans replayed on the reference engine for the agreement check.
     pub diff_checked: usize,
-    /// Wall-clock milliseconds for the whole sweep.
-    pub wall_ms: f64,
 }
 
 impl ChaosSnapshot {
-    /// Scenarios per wall-clock second.
-    pub fn scenarios_per_sec(&self) -> f64 {
-        self.seeds_run as f64 / (self.wall_ms / 1e3).max(1e-9)
-    }
-
     /// Render as the `BENCH_chaos.json` document.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\n  \"experiment\": \"chaos\",\n  \"first_seed\": {},\n  \"seeds_run\": {},\n  \"invariant_violations\": {},\n  \"total_faults\": {},\n  \"completed_nodes\": {},\n  \"unrecoverable_nodes\": {},\n  \"total_attempts\": {},\n  \"total_failovers\": {},\n  \"diff_checked\": {},\n  \"wall_ms\": {:.1},\n  \"scenarios_per_sec\": {:.1}\n}}\n",
+            "{{\n  \"experiment\": \"chaos\",\n  \"first_seed\": {},\n  \"seeds_run\": {},\n  \"invariant_violations\": {},\n  \"total_faults\": {},\n  \"completed_nodes\": {},\n  \"unrecoverable_nodes\": {},\n  \"total_attempts\": {},\n  \"total_failovers\": {},\n  \"diff_checked\": {}\n}}\n",
             self.first_seed,
             self.seeds_run,
             self.invariant_violations,
@@ -1330,8 +603,6 @@ impl ChaosSnapshot {
             self.total_attempts,
             self.total_failovers,
             self.diff_checked,
-            self.wall_ms,
-            self.scenarios_per_sec(),
         )
     }
 }
@@ -1342,9 +613,7 @@ impl ChaosSnapshot {
 /// conservation, eventual completion, monotone phases) with every
 /// seventh small plan replayed on the reference engine.
 pub fn measure_chaos(first_seed: u64, count: usize) -> ChaosSnapshot {
-    let start = std::time::Instant::now();
     let report = rocks_netsim::chaos::run_chaos(first_seed, count);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     ChaosSnapshot {
         first_seed,
         seeds_run: report.seeds_run,
@@ -1355,7 +624,6 @@ pub fn measure_chaos(first_seed: u64, count: usize) -> ChaosSnapshot {
         total_attempts: report.total_attempts,
         total_failovers: report.total_failovers,
         diff_checked: report.diff_checked,
-        wall_ms,
     }
 }
 
@@ -1374,7 +642,6 @@ pub fn chaos(quick: bool) -> String {
          nodes: {} completed, {} unrecoverable by schedule (hung, never cycled)\n\
          protocol: {} fetch attempts, {} failovers across the sweep\n\
          engines: {} plans replayed on the reference scheduler, all agreeing\n\
-         wall: {:.0} ms ({:.0} scenarios/s)\n\
          {}\n",
         snap.seeds_run,
         snap.first_seed,
@@ -1385,346 +652,7 @@ pub fn chaos(quick: bool) -> String {
         snap.total_attempts,
         snap.total_failovers,
         snap.diff_checked,
-        snap.wall_ms,
-        snap.scenarios_per_sec(),
         written,
-    )
-}
-
-// ---------------------------------------------------------------------
-// Telemetry overhead (`reproduce trace`, BENCH_trace.json)
-// ---------------------------------------------------------------------
-
-/// What one telemetry-overhead run measured, renderable as
-/// `BENCH_trace.json`.
-#[derive(Debug, Clone)]
-pub struct TraceSnapshot {
-    /// Node count of the timed sweep.
-    pub nodes: usize,
-    /// Min-of-k wall ms with the tracer disabled (`Tracer::disabled`).
-    pub baseline_ms: f64,
-    /// Min-of-k wall ms with the no-op sink (full metric pipeline, events
-    /// discarded) — the honest upper bound on always-on telemetry cost.
-    pub noop_ms: f64,
-    /// Events a ring tracer captured during one instrumented run.
-    pub events: usize,
-    /// Distinct counters the run recorded.
-    pub counters: usize,
-    /// Whether two consecutive same-seed runs produced byte-identical
-    /// normalized trace dumps.
-    pub golden_repeatable: bool,
-}
-
-impl TraceSnapshot {
-    /// No-op-sink overhead over the disabled baseline, in percent
-    /// (clamped at zero: timing jitter can make the noop run faster).
-    pub fn overhead_pct(&self) -> f64 {
-        ((self.noop_ms - self.baseline_ms) / self.baseline_ms * 100.0).max(0.0)
-    }
-
-    /// Render as the `BENCH_trace.json` document.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"experiment\": \"trace\",\n  \"nodes\": {},\n  \"baseline_ms\": {:.1},\n  \"noop_ms\": {:.1},\n  \"overhead_pct\": {:.2},\n  \"events\": {},\n  \"counters\": {},\n  \"golden_repeatable\": {}\n}}\n",
-            self.nodes,
-            self.baseline_ms,
-            self.noop_ms,
-            self.overhead_pct(),
-            self.events,
-            self.counters,
-            self.golden_repeatable,
-        )
-    }
-}
-
-/// One full reinstall of `nodes` machines reporting through `tracer`;
-/// returns wall seconds.
-fn timed_traced_reinstall(cfg: SimConfig, nodes: usize, tracer: rocks_trace::Tracer) -> f64 {
-    let mut sim = ClusterSim::new(cfg, nodes);
-    sim.set_tracer(tracer);
-    let start = std::time::Instant::now();
-    sim.run_reinstall();
-    start.elapsed().as_secs_f64()
-}
-
-/// Measure telemetry overhead on the engine-scaling sweep's headline
-/// configuration: the disabled tracer (compile-time no-op) vs the no-op
-/// sink (every counter live, events discarded). Each variant is timed
-/// min-of-k to shed scheduler noise. A third, ring-buffered run counts
-/// what a fully-recording tracer captures and checks that two
-/// consecutive same-seed runs dump byte-identical normalized traces.
-pub fn measure_trace(quick: bool) -> TraceSnapshot {
-    let nodes = if quick { 512 } else { 8192 };
-    let reps = 5;
-    let cfg = || SimConfig::paper_testbed(1).bundled(12);
-
-    // Interleave the variants so slow drift in machine load (or a cold
-    // first run) biases neither side of the comparison.
-    let mut baseline_s = f64::INFINITY;
-    let mut noop_s = f64::INFINITY;
-    for _ in 0..reps {
-        baseline_s =
-            baseline_s.min(timed_traced_reinstall(cfg(), nodes, rocks_trace::Tracer::disabled()));
-        noop_s = noop_s.min(timed_traced_reinstall(cfg(), nodes, rocks_trace::Tracer::noop()));
-    }
-    let baseline_ms = baseline_s * 1e3;
-    let noop_ms = noop_s * 1e3;
-
-    // Recording run (smaller: the ring run exists to count and to prove
-    // determinism, not to race the sweep).
-    let ring_nodes = nodes.min(512);
-    let dump_of = || {
-        let mut sim = ClusterSim::new(cfg(), ring_nodes);
-        sim.set_tracer(rocks_trace::Tracer::ring_sim(1 << 20));
-        sim.run_reinstall();
-        sim.tracer().dump()
-    };
-    let first = dump_of();
-    let second = dump_of();
-    let golden_repeatable = first.normalized(1000) == second.normalized(1000);
-
-    TraceSnapshot {
-        nodes,
-        baseline_ms,
-        noop_ms,
-        events: first.events.len(),
-        counters: first.metrics.counters.len(),
-        golden_repeatable,
-    }
-}
-
-/// Telemetry-overhead experiment for `reproduce`: measures, writes the
-/// `BENCH_trace.json` snapshot, and reports the numbers.
-pub fn trace_overhead(quick: bool) -> String {
-    let snap = measure_trace(quick);
-    require_clean("trace", "golden_repeatable", snap.golden_repeatable, true);
-    let written = write_snapshot("BENCH_trace.json", &snap.to_json());
-    format!(
-        "telemetry overhead: rocks-trace on the {}-node reinstall sweep\n\
-         disabled tracer: {:>8.1} ms (min of 5)\n\
-         no-op sink:      {:>8.1} ms (min of 5) — {:.2}% overhead\n\
-         recording run:   {} events, {} counters captured\n\
-         determinism:     same seed, same trace = {}\n\
-         {}\n",
-        snap.nodes,
-        snap.baseline_ms,
-        snap.noop_ms,
-        snap.overhead_pct(),
-        snap.events,
-        snap.counters,
-        snap.golden_repeatable,
-        written,
-    )
-}
-
-// ---------------------------------------------------------------------
-// Durable cluster database (`reproduce db`, BENCH_db.json)
-// ---------------------------------------------------------------------
-
-/// One scale point of the durability benchmark.
-#[derive(Debug, Clone)]
-pub struct DbDurabilitySample {
-    /// Rows the table holds before the timed transactions start.
-    pub rows: usize,
-    /// Timed transactions: 16-row inserts, begin to commit, starting from
-    /// an empty log and few enough that no checkpoint falls among them.
-    pub commits: u64,
-    /// Those transactions per wall-clock second, from the median one.
-    pub commits_per_sec: f64,
-    /// Reopen time after a plain shutdown: snapshot load plus replay of
-    /// the timed transactions from the WAL.
-    pub replay_ms: f64,
-    /// Commits the reopen actually replayed from the WAL tail.
-    pub replayed_commits: u64,
-    /// Time of the checkpoint that folds the timed transactions (after
-    /// the reopen): what they changed, not what the table holds.
-    pub checkpoint_ms: f64,
-    /// Pages that checkpoint wrote.
-    pub checkpoint_pages: u64,
-    /// Reopen time when the log is empty (pure snapshot load).
-    pub replay_after_checkpoint_ms: f64,
-}
-
-/// Everything `reproduce db` measured, renderable as `BENCH_db.json`.
-#[derive(Debug, Clone)]
-pub struct DbDurabilitySnapshot {
-    /// Whether the quick (CI-sized) variant ran.
-    pub quick: bool,
-    /// One sample per row scale.
-    pub samples: Vec<DbDurabilitySample>,
-    /// Seeded workloads swept by the crash-point injector.
-    pub sweep_seeds: u64,
-    /// Distinct kill points exercised (each one a full recovery).
-    pub sweep_crash_points: u64,
-    /// Recovery-invariant violations across the sweep (must be 0).
-    pub sweep_violations: usize,
-}
-
-impl DbDurabilitySnapshot {
-    /// Commits per second at the largest table size over the smallest:
-    /// 1.0 when a transaction costs what it changes, towards 0 when it
-    /// costs what the table holds.
-    pub fn commit_scaling(&self) -> f64 {
-        let (small, large) = (&self.samples[0], &self.samples[self.samples.len() - 1]);
-        large.commits_per_sec / small.commits_per_sec
-    }
-
-    /// Render as the `BENCH_db.json` document.
-    pub fn to_json(&self) -> String {
-        let samples = self
-            .samples
-            .iter()
-            .map(|s| {
-                format!(
-                    "    {{\"rows\": {}, \"commits\": {}, \"commits_per_sec\": {:.0}, \"replay_ms\": {:.2}, \"replayed_commits\": {}, \"checkpoint_ms\": {:.2}, \"checkpoint_pages\": {}, \"replay_after_checkpoint_ms\": {:.2}}}",
-                    s.rows,
-                    s.commits,
-                    s.commits_per_sec,
-                    s.replay_ms,
-                    s.replayed_commits,
-                    s.checkpoint_ms,
-                    s.checkpoint_pages,
-                    s.replay_after_checkpoint_ms,
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            "{{\n  \"experiment\": \"db_durability\",\n  \"quick\": {},\n  \"samples\": [\n{samples}\n  ],\n  \"commit_scaling\": {:.2},\n  \"crash_sweep\": {{\"seeds\": {}, \"crash_points\": {}, \"violations\": {}}}\n}}\n",
-            self.quick,
-            self.commit_scaling(),
-            self.sweep_seeds,
-            self.sweep_crash_points,
-            self.sweep_violations,
-        )
-    }
-}
-
-/// Load `rows` rows into a fresh durable engine, then measure what small
-/// transactions cost against a table of that size, reopen (recovery)
-/// time, and checkpoint cost. The recovered state is verified against
-/// the pre-shutdown fingerprint before any number is reported.
-pub fn measure_db_scale(rows: usize) -> DbDurabilitySample {
-    use rocks_sql::durable::DurableDatabase;
-    use rocks_sql::MemVfs;
-
-    /// 100 x 16 rows is ~100 KiB of log: under the 256 KiB checkpoint
-    /// threshold, so the window times commits and nothing else.
-    const COMMITS: usize = 100;
-    const BATCH: usize = 16;
-    let insert = |id: usize| {
-        format!("insert into nodes values ({id}, 'node-{id}', {}, {})", id % 5, id % 32)
-    };
-
-    let vfs = MemVfs::new();
-    let mut db = DurableDatabase::open(&vfs).expect("fresh open");
-    db.execute("create table nodes (id int, name text, membership int, rack int)").expect("schema");
-    db.begin().expect("begin load");
-    for id in 0..rows {
-        db.execute(&insert(id)).expect("load");
-    }
-    db.commit().expect("commit load");
-    // A load this size checkpoints on commit by the engine's own policy;
-    // a smaller one is folded here, so every size starts on an empty log.
-    if db.stats().checkpoints() == 0 {
-        db.checkpoint().expect("checkpoint load");
-    }
-
-    let mut commit_ns = Vec::with_capacity(COMMITS);
-    for c in 0..COMMITS {
-        let batch: Vec<String> = (0..BATCH).map(|i| insert(rows + c * BATCH + i)).collect();
-        let t = std::time::Instant::now();
-        db.begin().expect("begin");
-        for sql in &batch {
-            db.execute(sql).expect("insert");
-        }
-        db.commit().expect("commit");
-        commit_ns.push(t.elapsed().as_nanos() as f64);
-    }
-    assert_eq!(db.stats().checkpoints(), 1, "a checkpoint fell inside the timed window");
-    commit_ns.sort_by(f64::total_cmp);
-    let commits = COMMITS as u64;
-    let commits_per_sec = 1e9 / commit_ns[COMMITS / 2].max(1.0);
-    let fingerprint = db.state_fingerprint();
-    drop(db);
-
-    let t = std::time::Instant::now();
-    let mut db = DurableDatabase::open(&vfs).expect("reopen");
-    let replay_ms = t.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(db.state_fingerprint(), fingerprint, "recovery lost state at {rows} rows");
-    let replayed_commits = db.recovery_report().commits_replayed;
-
-    let t = std::time::Instant::now();
-    db.checkpoint().expect("checkpoint");
-    let checkpoint_ms = t.elapsed().as_secs_f64() * 1e3;
-    let checkpoint_pages = db.stats().checkpoint_pages();
-    drop(db);
-
-    let t = std::time::Instant::now();
-    let db = DurableDatabase::open(&vfs).expect("reopen after checkpoint");
-    let replay_after_checkpoint_ms = t.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(db.state_fingerprint(), fingerprint);
-    assert_eq!(db.recovery_report().commits_replayed, 0, "checkpoint left WAL work behind");
-
-    DbDurabilitySample {
-        rows,
-        commits,
-        commits_per_sec,
-        replay_ms,
-        replayed_commits,
-        checkpoint_ms,
-        checkpoint_pages,
-        replay_after_checkpoint_ms,
-    }
-}
-
-/// The full measurement: throughput/recovery samples at each scale plus
-/// a crash-point sweep (every mutating disk op of each seeded workload
-/// is a kill point; each survivor is recovered and checked).
-pub fn measure_db_durability(quick: bool) -> DbDurabilitySnapshot {
-    let scales: &[usize] = if quick { &[10_000] } else { &[10_000, 100_000, 1_000_000] };
-    let samples = scales.iter().map(|&rows| measure_db_scale(rows)).collect();
-    let seeds = if quick { 2 } else { 6 };
-    let sweep = rocks_sql::crashtest::sweep(0xD0_0DAD, seeds);
-    DbDurabilitySnapshot {
-        quick,
-        samples,
-        sweep_seeds: sweep.seeds,
-        sweep_crash_points: sweep.crash_points,
-        sweep_violations: sweep.violations.len(),
-    }
-}
-
-/// Durability experiment for `reproduce`: writes `BENCH_db.json` and
-/// reports the table. A crash-sweep violation panics instead (`cargo
-/// test -p rocks-sql --test crash_points` names its seed and kill point).
-pub fn db_durability(quick: bool) -> String {
-    let snap = measure_db_durability(quick);
-    require_clean("db", "crash_sweep.violations", snap.sweep_violations, 0);
-    let written = write_snapshot("BENCH_db.json", &snap.to_json());
-    let mut rows = String::new();
-    for s in &snap.samples {
-        rows.push_str(&format!(
-            "{:>8} | {:>12.0} | {:>9.2} ({:>3} commits) | {:>7.2} ({:>3} pages) | {:>13.2}\n",
-            s.rows,
-            s.commits_per_sec,
-            s.replay_ms,
-            s.replayed_commits,
-            s.checkpoint_ms,
-            s.checkpoint_pages,
-            s.replay_after_checkpoint_ms,
-        ));
-    }
-    format!(
-        "durable cluster database: WAL commit throughput and recovery\n\
-         rows     | commits/sec  | reopen ms (tail replay) | chkpt ms (written)  | snap-only ms\n\
-         {rows}\
-         commit scaling (largest / smallest table): {:.2}\n\
-         crash sweep: {} seeds, {} kill points — all recovery invariants held\n\
-         {written}\n",
-        snap.commit_scaling(),
-        snap.sweep_seeds,
-        snap.sweep_crash_points,
     )
 }
 
@@ -1795,8 +723,6 @@ pub struct RolloutSnapshot {
     pub invariant_seeds: usize,
     /// Violations across that sweep (must be 0).
     pub invariant_violations: usize,
-    /// Wall-clock milliseconds for the whole benchmark.
-    pub wall_ms: f64,
 }
 
 impl RolloutSnapshot {
@@ -1819,7 +745,7 @@ impl RolloutSnapshot {
              \"rolling\": {},\n  \"naive\": {},\n  \"retention_ratio\": {:.3},\n  \
              \"tiered_makespan_minutes\": {:.2},\n  \"capacity_sweep\": [\n{}\n  ],\n  \
              \"knee_capacity\": {},\n  \"invariant_seeds\": {},\n  \
-             \"invariant_violations\": {},\n  \"wall_ms\": {:.1}\n}}\n",
+             \"invariant_violations\": {}\n}}\n",
             self.quick,
             self.nodes,
             self.rolling.to_json(),
@@ -1830,7 +756,6 @@ impl RolloutSnapshot {
             self.knee_capacity,
             self.invariant_seeds,
             self.invariant_violations,
-            self.wall_ms,
         )
     }
 }
@@ -1944,7 +869,6 @@ fn measure_rollout_run(
 /// Measure the rolling-vs-naive comparison, the 1/4/7/16 capacity sweep,
 /// the tiered-engine variant, and the invariant sweep at one scale.
 pub fn measure_rollout(quick: bool) -> RolloutSnapshot {
-    let start = std::time::Instant::now();
     let n = if quick || cfg!(debug_assertions) { 32 } else { 128 };
     let horizon = n as f64 * 700.0 + 3600.0;
     let (initial, arrivals) = rollout_workload(n, horizon);
@@ -2004,7 +928,6 @@ pub fn measure_rollout(quick: bool) -> RolloutSnapshot {
         knee_capacity,
         invariant_seeds,
         invariant_violations: violations.len(),
-        wall_ms: start.elapsed().as_secs_f64() * 1e3,
     }
 }
 
@@ -2037,7 +960,6 @@ pub fn rollout(quick: bool) -> String {
          tiered engine (cap 7): {:.1} min makespan\n\
          capacity sweep (knee at {}):\n{}\n\
          invariant sweep: {} seeds — all invariants held\n\
-         wall: {:.0} ms\n\
          {}\n",
         snap.nodes,
         snap.rolling.makespan_minutes,
@@ -2051,7 +973,6 @@ pub fn rollout(quick: bool) -> String {
         snap.knee_capacity,
         sweep,
         snap.invariant_seeds,
-        snap.wall_ms,
         written,
     )
 }
@@ -2152,17 +1073,10 @@ pub struct ServeSnapshot {
     /// End-to-end throughput against the real generation service + SQL
     /// reports (virtual time; schedule proven identical to the model).
     pub real_rps: f64,
-    /// OS threads in the wall-clock saturation run.
-    pub saturation_threads: usize,
-    /// Real kickstart generations per wall-clock second across those
-    /// threads (one shared skeleton cache under true contention).
-    pub saturation_ks_per_s: f64,
     /// Seeds in the folded-in invariant sweep.
     pub sweep_seeds: usize,
     /// Violations across that sweep (must be 0).
     pub sweep_violations: usize,
-    /// Wall-clock milliseconds for the whole benchmark.
-    pub wall_ms: f64,
 }
 
 impl ServeSnapshot {
@@ -2191,8 +1105,7 @@ impl ServeSnapshot {
              \"storm\": {{ \"misses\": {}, \"calm_misses\": {}, \"p99_us\": {}, \
              \"calm_p99_us\": {} }},\n  \
              \"real_backend_rps\": {:.0},\n  \
-             \"saturation\": {{ \"threads\": {}, \"kickstarts_per_s\": {:.0} }},\n  \
-             \"sweep_seeds\": {},\n  \"violations\": {},\n  \"wall_ms\": {:.1}\n}}\n",
+             \"sweep_seeds\": {},\n  \"violations\": {}\n}}\n",
             self.quick,
             h.rps,
             h.p99_us,
@@ -2212,11 +1125,8 @@ impl ServeSnapshot {
             self.storm_p99_us,
             self.calm_p99_us,
             self.real_rps,
-            self.saturation_threads,
-            self.saturation_ks_per_s,
             self.sweep_seeds,
             self.sweep_violations,
-            self.wall_ms,
         )
     }
 }
@@ -2287,51 +1197,9 @@ fn serve_generation_service() -> rocks_kickstart::GenerationService {
     ))
 }
 
-/// Wall-clock saturation of the real generation path: `threads` OS
-/// threads hammer `generate_for_request` against one shared service and
-/// database, exercising the shared skeleton cache under true
-/// contention. Returns kickstarts per wall-clock second.
-fn serve_real_saturation(threads: usize, iters_per_thread: usize) -> f64 {
-    // `ClusterDb` cannot cross threads, so each worker builds its own
-    // identical copy in-thread (deterministic construction — every copy
-    // resolves every target alike) and all of them contend on the
-    // *shared* service's one skeleton cache, the serving hot path. A barrier
-    // keeps construction and warmup out of the timed region.
-    let setup_db = serve_cluster_db(64);
-    let svc = serve_generation_service();
-    let targets = setup_db.kickstart_targets().unwrap();
-    // Warm every root once so the measurement is the steady state.
-    for t in &targets {
-        svc.generate_for_request(&setup_db, &t.ip, rocks_rpm::Arch::I686).unwrap();
-    }
-    let barrier = std::sync::Barrier::new(threads + 1);
-    let mut start = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for tid in 0..threads {
-            let svc = &svc;
-            let targets = &targets;
-            let barrier = &barrier;
-            scope.spawn(move || {
-                let db = serve_cluster_db(64);
-                barrier.wait();
-                for i in 0..iters_per_thread {
-                    let t = &targets[(tid * 7 + i) % targets.len()];
-                    svc.generate_for_request(&db, &t.ip, rocks_rpm::Arch::I686).unwrap();
-                }
-            });
-        }
-        barrier.wait();
-        // The clock runs from barrier release to the scope-exit join.
-        start = std::time::Instant::now();
-    });
-    (threads * iters_per_thread) as f64 / start.elapsed().as_secs_f64().max(1e-9)
-}
-
 /// Measure the shard sweep, the burst/priority/storm scenarios, the
-/// end-to-end real-backend run, the wall-clock saturation, and the
-/// folded-in invariant sweep.
+/// end-to-end real-backend run, and the folded-in invariant sweep.
 pub fn measure_serve(quick: bool) -> ServeSnapshot {
-    let start = std::time::Instant::now();
     let horizon = if quick { 50_000 } else { 500_000 };
 
     // Saturation capacity at 1/2/4/8 shards, 4 workers each.
@@ -2423,10 +1291,6 @@ pub fn measure_serve(quick: bool) -> ServeSnapshot {
     shadow_cmp.fingerprint = 0;
     assert_eq!(real_cmp, shadow_cmp, "timing model diverged from the real backend");
 
-    let saturation_threads = 8;
-    let saturation_ks_per_s =
-        serve_real_saturation(saturation_threads, if quick { 500 } else { 5_000 });
-
     let sweep_seeds = if quick { 200 } else { 500 };
     let sweep = run_serve_sweep(0, sweep_seeds);
 
@@ -2444,11 +1308,8 @@ pub fn measure_serve(quick: bool) -> ServeSnapshot {
         storm_p99_us: storm.latency.p99_us,
         calm_p99_us: calm.latency.p99_us,
         real_rps: real_report.rps(),
-        saturation_threads,
-        saturation_ks_per_s,
         sweep_seeds: sweep_seeds as usize,
         sweep_violations: sweep.violations.len(),
-        wall_ms: start.elapsed().as_secs_f64() * 1e3,
     }
 }
 
@@ -2487,9 +1348,7 @@ pub fn serve(quick: bool) -> String {
          longest install run {} (aging window {})\n\
          cache storm: {} misses vs {} calm, p99 {} µs vs {} µs\n\
          real backend end-to-end: {:.0} rps (schedule matches the timing model)\n\
-         wall-clock saturation: {:.0} kickstarts/s on {} threads\n\
          invariant sweep: {} seeds — all invariants held\n\
-         wall: {:.0} ms\n\
          {}\n",
         h.rps,
         h.p99_us,
@@ -2509,10 +1368,7 @@ pub fn serve(quick: bool) -> String {
         snap.storm_p99_us,
         snap.calm_p99_us,
         snap.real_rps,
-        snap.saturation_ks_per_s,
-        snap.saturation_threads,
         snap.sweep_seeds,
-        snap.wall_ms,
         written,
     )
 }
@@ -2655,302 +1511,10 @@ mod tests {
     }
 
     #[test]
-    fn sql_planner_beats_scan_at_10k_rows() {
-        let snap = measure_sql_engine(10_000, 2);
-        assert!(
-            snap.point_speedup() >= 10.0,
-            "point query only {:.1}x faster ({}ns -> {}ns)",
-            snap.point_speedup(),
-            snap.point_scan_ns,
-            snap.point_indexed_ns,
-        );
-        assert!(
-            snap.join_speedup() >= 5.0,
-            "equi-join only {:.1}x faster ({}ns -> {}ns)",
-            snap.join_speedup(),
-            snap.join_scan_ns,
-            snap.join_indexed_ns,
-        );
-        // The skewed arch column demonstrates the scan↔index crossover:
-        // broad predicate scans, selective predicate probes.
-        assert_eq!(snap.broad_plan, "scan");
-        assert_eq!(snap.selective_plan, "index");
-        assert!(
-            snap.crossover_rows > 1000.0 && snap.crossover_rows < 10_000.0,
-            "crossover {} out of range for 10k rows",
-            snap.crossover_rows
-        );
-    }
-
-    /// The release floor the CI sweep enforces: cost-based plans must be
-    /// at least as fast as the PR2 heuristic on the point lookup and the
-    /// three-table join. Debug builds measure at 10k rows so the tier-1
-    /// run stays quick; release CI measures the full 1M-row case.
-    #[test]
-    fn sql_cost_model_floor() {
-        let rows = if cfg!(debug_assertions) { 10_000 } else { 1_000_000 };
-        let snap = measure_sql_engine(rows, 3);
-        // Both planners pick the same index probe here; the assertion
-        // exists to catch the cost model regressing to a scan (which
-        // would be orders of magnitude slower), so the tolerance only
-        // needs to absorb planning overhead and timer noise.
-        assert!(
-            snap.point_cost_ns <= snap.point_heuristic_ns * 2.0,
-            "cost-based point lookup regressed: {:.0}ns vs heuristic {:.0}ns at {rows} rows",
-            snap.point_cost_ns,
-            snap.point_heuristic_ns,
-        );
-        let floor = if cfg!(debug_assertions) { 1.0 } else { 2.0 };
-        assert!(
-            snap.three_table_speedup() >= floor,
-            "three-table reorder only {:.2}x vs heuristic at {rows} rows \
-             ({:.0}ns vs {:.0}ns, floor {floor}x)",
-            snap.three_table_speedup(),
-            snap.three_table_cost_ns,
-            snap.three_table_heuristic_ns,
-        );
-    }
-
-    #[test]
-    fn sql_snapshot_json_is_well_formed() {
-        let snap = SqlEngineSnapshot {
-            rows: 10,
-            point_scan_ns: 1000.0,
-            point_indexed_ns: 50.0,
-            point_cost_ns: 100.0,
-            point_heuristic_ns: 100.0,
-            join_scan_ns: 2000.0,
-            join_indexed_ns: 200.0,
-            crossover_rows: 7.0,
-            broad_plan: "scan",
-            selective_plan: "index",
-            algo_chosen: "hash",
-            join_hash_ns: 500.0,
-            join_merge_ns: 700.0,
-            three_table_heuristic_ns: 900.0,
-            three_table_cost_ns: 300.0,
-        };
-        let json = snap.to_json();
-        assert!(json.contains("\"rows\": 10"));
-        assert!(json.contains("\"speedup\": 20.0"));
-        assert!(json.contains("\"speedup\": 10.0"));
-        assert!(json.contains("\"crossover\""));
-        assert!(json.contains("\"scan_vs_index_match_rows\": 7"));
-        assert!(json.contains("\"broad_plan\": \"scan\""));
-        assert!(json.contains("\"join_algo\""));
-        assert!(json.contains("\"three_table_join\""));
-        assert!(json.contains("\"speedup\": 3.0"));
-        let model = cost_model_json();
-        assert!(model.contains("\"build_amortize\": 32"));
-        assert!(model.contains("\"merge_base\": 64"));
-    }
-
-    #[test]
     fn bringup_summary_reports_consistency() {
         let text = bringup_summary();
         assert!(text.contains("0 inconsistent"), "{text}");
         assert!(text.contains("8 PBS nodes"), "{text}");
-    }
-
-    #[test]
-    fn netsim_snapshot_json_has_required_keys() {
-        let snap = NetsimScaleSnapshot {
-            throughput_flows: 8,
-            fast_events_per_sec: 100.0,
-            ref_events_per_sec: 10.0,
-            reinstall_nodes: 4,
-            reinstall_fast_s: 0.1,
-            reinstall_ref_s: 1.0,
-            sweep: vec![SweepRow {
-                variant: "gige",
-                nodes: 64,
-                virtual_minutes: 10.0,
-                wall_ms: 5.0,
-            }],
-            tiers: vec![FederationRow {
-                nodes: 65_536,
-                shards: 1024,
-                threads: 8,
-                virtual_minutes: 12.0,
-                wall_ms: 900.0,
-                events: 2_000_000,
-                events_per_sec: 2.2e6,
-                proxy_hit_bytes: 111,
-                proxy_miss_bytes: 222,
-                cabinet_fill_bytes: 333.0,
-                root_fill_bytes: 444.0,
-            }],
-            shard_efficiency: 0.75,
-            federation_threads: 8,
-            flat_events_per_sec: 0.5e6,
-        };
-        let json = snap.to_json();
-        for key in [
-            "\"experiment\": \"netsim_scale\"",
-            "\"fast_events_per_sec\"",
-            "\"ref_events_per_sec\"",
-            "\"speedup\": 10.0",
-            "\"reinstall\"",
-            "\"sweep\"",
-            "\"variant\": \"gige\"",
-            "\"nodes\": 64",
-            "\"virtual_minutes\": 10.0",
-            "\"wall_ms\": 5.0",
-            "\"tiers\"",
-            "\"nodes\": 65536",
-            "\"shards\": 1024",
-            "\"proxy_hit_bytes\": 111",
-            "\"proxy_miss_bytes\": 222",
-            "\"cabinet_fill_bytes\": 333",
-            "\"root_fill_bytes\": 444",
-            "\"shard_efficiency\": 0.750",
-            "\"federation_threads\": 8",
-            "\"federated_speedup\": 4.40",
-        ] {
-            assert!(json.contains(key), "missing {key} in\n{json}");
-        }
-    }
-
-    #[test]
-    fn engine_throughput_measures_both_schedulers() {
-        let fast = measure_engine_throughput(64, EngineMode::Fast);
-        let reference = measure_engine_throughput(64, EngineMode::Reference);
-        assert!(fast > 0.0 && reference > 0.0, "fast {fast} ref {reference}");
-    }
-
-    #[test]
-    fn fast_scheduler_is_50x_faster_at_2048_nodes() {
-        // The PR's acceptance floor, measured at the 2048-node sweep's
-        // steady state: 2048 live flows in one (route, demand) class.
-        // The fast side drains all 2048 completions; the reference side
-        // is O(F²) per event (progressive filling freezes one flow per
-        // round), so eight events suffice — and a full reference drain
-        // would take minutes, which is exactly the pathology under test.
-        // Debug-build wall clocks; the release numbers recorded in
-        // BENCH_netsim.json are much larger.
-        let fast = measure_engine_throughput(2048, EngineMode::Fast);
-        let reference = measure_engine_throughput_bounded(2048, EngineMode::Reference, 8);
-        assert!(
-            fast >= reference * 50.0,
-            "only {:.1}x faster (fast {fast:.0} ev/s, ref {reference:.1} ev/s)",
-            fast / reference
-        );
-    }
-
-    #[test]
-    fn netsim_scale_quick_measurement_is_coherent() {
-        let snap = measure_netsim_scale(true);
-        assert_eq!(snap.sweep.len(), 6, "2 node counts x 3 variants");
-        assert!(snap.sweep.iter().all(|r| r.virtual_minutes > 0.0 && r.wall_ms >= 0.0));
-        // One Fast-Ethernet server at 512 nodes is far past the knee;
-        // GigE and 4 replicas must both pull the curve back down.
-        let minutes = |variant: &str, nodes: usize| {
-            snap.sweep
-                .iter()
-                .find(|r| r.variant == variant && r.nodes == nodes)
-                .expect("sweep row")
-                .virtual_minutes
-        };
-        assert!(minutes("gige", 512) < minutes("fast-ethernet", 512));
-        assert!(minutes("replica-4", 512) < minutes("fast-ethernet", 512));
-        // The federated point: every cabinet's packages crossed the
-        // campus uplinks once, so cabinet fills stay a small multiple of
-        // (but strictly above) the root's one-per-campus deliveries.
-        assert_eq!(snap.tiers.len(), 1, "quick sweep runs the 65k point");
-        let fed = &snap.tiers[0];
-        assert_eq!(fed.nodes, 65_536);
-        assert_eq!(fed.shards, 1024);
-        assert!(fed.virtual_minutes > 0.0 && fed.events > 0);
-        assert!(fed.proxy_hit_bytes > 0, "later fetchers must hit the proxy cache");
-        assert!(fed.cabinet_fill_bytes > fed.root_fill_bytes);
-        assert!(snap.shard_efficiency > 0.0);
-        assert!(snap.flat_events_per_sec > 0.0);
-    }
-
-    /// The release floor the CI sweep enforces for the federated engine:
-    /// at 65k nodes the sharded run must beat the flat engine's
-    /// events/second — 4x with 8+ worker cores, scaled down on smaller
-    /// hosts (on one core the only win is smaller per-shard schedulers,
-    /// so the floor just guards against regression). Debug builds
-    /// measure at 8k nodes so the tier-1 run stays quick.
-    #[test]
-    fn netsim_federation_floor() {
-        let nodes = if cfg!(debug_assertions) { 8_192 } else { 65_536 };
-        let threads = federation_threads();
-        let fed = timed_federated(nodes, threads);
-        let flat_events_per_sec = {
-            let cfg = SimConfig::paper_testbed(1).bundled(12).without_node_logs();
-            let mut sim = ClusterSim::new_with_mode(cfg, nodes, EngineMode::Fast);
-            let start = std::time::Instant::now();
-            sim.run_reinstall();
-            sim.events() as f64 / start.elapsed().as_secs_f64().max(1e-9)
-        };
-        let speedup = fed.events_per_sec / flat_events_per_sec;
-        let floor = match threads {
-            8.. => 4.0,
-            4..=7 => 2.0,
-            _ => 0.5,
-        };
-        assert!(
-            speedup >= floor,
-            "federated only {speedup:.2}x flat at {nodes} nodes with {threads} threads \
-             (fed {:.0} ev/s, flat {flat_events_per_sec:.0} ev/s, floor {floor}x)",
-            fed.events_per_sec,
-        );
-        if threads > 1 {
-            let serial = timed_federated(nodes, 1);
-            let efficiency = (serial.wall_ms / fed.wall_ms) / threads as f64;
-            assert!(
-                efficiency >= 0.6,
-                "shard efficiency {efficiency:.2} below 0.6 at {threads} threads \
-                 (serial {:.0} ms, threaded {:.0} ms)",
-                serial.wall_ms,
-                fed.wall_ms,
-            );
-        }
-    }
-
-    #[test]
-    fn trace_snapshot_json_has_the_contract_keys_and_is_repeatable() {
-        let snap = measure_trace(true);
-        assert!(snap.baseline_ms > 0.0);
-        assert!(snap.events > 0);
-        assert!(snap.counters > 0);
-        assert!(snap.golden_repeatable, "same seed must dump the same trace");
-        let json = snap.to_json();
-        for key in [
-            "\"experiment\": \"trace\"",
-            "\"nodes\"",
-            "\"baseline_ms\"",
-            "\"noop_ms\"",
-            "\"overhead_pct\"",
-            "\"events\"",
-            "\"counters\"",
-            "\"golden_repeatable\": true",
-        ] {
-            assert!(json.contains(key), "missing {key} in\n{json}");
-        }
-    }
-
-    #[test]
-    fn disabled_telemetry_sweep_stays_within_noise() {
-        // The PR-3 scaling result must survive the instrumentation: a
-        // disabled tracer compiles to an early return, so the sweep with
-        // telemetry machinery present must track the no-op-sink run
-        // within a generous debug-build noise factor.
-        let nodes = 256;
-        let cfg = || SimConfig::paper_testbed(1).bundled(12);
-        let min_wall = |tracer: fn() -> rocks_trace::Tracer| {
-            (0..3)
-                .map(|_| timed_traced_reinstall(cfg(), nodes, tracer()))
-                .fold(f64::INFINITY, f64::min)
-        };
-        let disabled = min_wall(rocks_trace::Tracer::disabled);
-        let noop = min_wall(rocks_trace::Tracer::noop);
-        assert!(
-            noop <= disabled * 1.5 + 0.01,
-            "no-op telemetry cost blew past noise: disabled {disabled:.4}s vs noop {noop:.4}s"
-        );
     }
 
     #[test]
@@ -2978,73 +1542,9 @@ mod tests {
             "\"total_attempts\"",
             "\"total_failovers\"",
             "\"diff_checked\"",
-            "\"wall_ms\"",
-            "\"scenarios_per_sec\"",
         ] {
             assert!(json.contains(key), "missing {key} in\n{json}");
         }
-    }
-
-    #[test]
-    fn db_durability_quick_snapshot_has_schema() {
-        let snap = measure_db_durability(true);
-        assert_eq!(snap.sweep_violations, 0, "crash sweep violated recovery invariants");
-        assert!(snap.sweep_crash_points > 100);
-        assert_eq!(snap.samples.len(), 1);
-        assert!(snap.samples[0].commits_per_sec > 0.0);
-        let json = snap.to_json();
-        for key in [
-            "\"experiment\": \"db_durability\"",
-            "\"quick\": true",
-            "\"samples\"",
-            "\"rows\": 10000",
-            "\"commits\": 100",
-            "\"commits_per_sec\"",
-            "\"replay_ms\"",
-            "\"replayed_commits\"",
-            "\"checkpoint_ms\"",
-            "\"checkpoint_pages\"",
-            "\"replay_after_checkpoint_ms\"",
-            "\"commit_scaling\"",
-            "\"crash_sweep\"",
-            "\"crash_points\"",
-            "\"violations\": 0",
-        ] {
-            assert!(json.contains(key), "missing {key} in\n{json}");
-        }
-    }
-
-    /// The ROADMAP gate for a write path that costs O(change): commits
-    /// per second on a 1M-row table within 2x of a 10k-row table, and the
-    /// checkpoint that folds the same 100 x 16-row commits writing the
-    /// same pages (give or take the taller tree's extra levels) in at
-    /// most twice the time. Debug builds stop at 50k rows so the workspace
-    /// test run stays quick; release CI measures the full span.
-    #[test]
-    fn db_commit_scaling_floor() {
-        let rows = if cfg!(debug_assertions) { 50_000 } else { 1_000_000 };
-        // The checkpoint is timed once per load, in hundreds of
-        // microseconds: take each size's best of three.
-        let measure = |rows| {
-            let samples: Vec<DbDurabilitySample> = (0..3).map(|_| measure_db_scale(rows)).collect();
-            let commits = samples.iter().map(|s| s.commits_per_sec).fold(0.0, f64::max);
-            let ms = samples.iter().map(|s| s.checkpoint_ms).fold(f64::INFINITY, f64::min);
-            (commits, ms, samples[0].checkpoint_pages)
-        };
-        let (small, small_ms, small_pages) = measure(10_000);
-        let (large, large_ms, large_pages) = measure(rows);
-        assert!(
-            large / small >= 0.5,
-            "commits/s fell {small:.0} -> {large:.0} from 10k to {rows} rows (floor: half)"
-        );
-        assert!(
-            large_pages.abs_diff(small_pages) <= 3,
-            "the checkpoint wrote {small_pages} pages at 10k rows, {large_pages} at {rows}"
-        );
-        assert!(
-            large_ms <= 2.0 * small_ms,
-            "the checkpoint took {small_ms:.3} ms at 10k rows, {large_ms:.3} ms at {rows}"
-        );
     }
 
     /// The release gate for the rollout benchmark: a capacity-7 rolling
@@ -3136,7 +1636,7 @@ mod tests {
         assert!(snap.burst.shed_rate > snap.steady.shed_rate);
         assert!(snap.storm_misses > snap.calm_misses);
         assert!(snap.max_consecutive_installs <= snap.report_every);
-        assert!(snap.real_rps > 0.0 && snap.saturation_ks_per_s > 0.0);
+        assert!(snap.real_rps > 0.0);
         let json = snap.to_json();
         for key in [
             "\"experiment\": \"serve\"",
@@ -3150,7 +1650,6 @@ mod tests {
             "\"priority\"",
             "\"storm\"",
             "\"real_backend_rps\"",
-            "\"saturation\"",
             "\"violations\": 0",
         ] {
             assert!(json.contains(key), "missing {key} in\n{json}");

@@ -713,8 +713,8 @@ impl FederatedSim {
     }
 
     /// Aggregate cache behaviour across the tiers. Always `Some`; the
-    /// `Option` is the signature the benchmark ledger and `reproduce`
-    /// call.
+    /// `Option` is the signature the benchmark ledger calls (its
+    /// `sim-reinstall` workload).
     pub fn tier_report(&self) -> Option<TierReport> {
         let proxies =
             || self.shards.iter().map(|s| s.proxy.as_ref().expect("tiered shards carry proxies"));

@@ -5,9 +5,9 @@
 //! The planner (`plan.rs`) uses these to compare *relative* plan costs —
 //! scan vs. index probe for access, hash vs. sort-merge for joins, and
 //! alternative join orders. Absolute accuracy does not matter; ordering
-//! accuracy does, and the crossover sweep in `crates/bench`
-//! (`reproduce sqlbench`) checks the model's choices against measured
-//! wall-clock at 10k/100k/1M rows.
+//! accuracy does. The choices are pinned as exact `rows_examined` counts
+//! at 2k/10k/50k rows (`tests/stats_estimator.rs`); their wall-clock cost
+//! is the benchmark ledger's `sql.exec.*` metrics on `admin-query`.
 //!
 //! Three modelling decisions worth calling out:
 //!
@@ -137,8 +137,7 @@ mod tests {
         assert!(index < scan, "selective point lookup should probe: {index} vs {scan}");
         let warm = index_access_cost(100.0, 1, 0.0);
         assert!(warm < index, "a cold build is still not free");
-        // The flip point in matched rows scales with table size — the
-        // crossover the bench sweep measures at 10k/100k/1M.
+        // The flip point in matched rows scales with table size.
         for n in [10_000.0, 100_000.0, 1_000_000.0] {
             let scan = scan_access_cost(n, 1);
             let build = index_build_cost(n, ColumnType::Text, false);

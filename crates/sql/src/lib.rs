@@ -399,8 +399,8 @@ impl Database {
     /// [`query_ref`](Self::query_ref) with an explicit planner
     /// configuration — the heuristic baseline or a forced join
     /// algorithm. Parses and plans on every call and bypasses the
-    /// statement cache: this is the benchmark's measurement path, not a
-    /// fast path.
+    /// statement cache: the differential suites' path, not a fast
+    /// path.
     pub fn query_ref_config(&self, sql: &str, config: &PlannerConfig) -> Result<QueryResult> {
         let stmt = parser::parse(sql)?;
         exec::execute_readonly_with(self, &stmt, exec::PlanChoice::Config(config))

@@ -165,13 +165,13 @@ pub enum PlannerMode {
 }
 
 /// Planner configuration, threaded through `Database::query_ref_config`
-/// so benchmarks can pin the baseline or a join algorithm.
+/// so tests can pin the baseline or a join algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlannerConfig {
     /// Strategy.
     pub mode: PlannerMode,
-    /// Force every join step onto one algorithm (benchmark crossover
-    /// measurements); `None` lets the cost model choose.
+    /// Force every join step onto one algorithm (the differential
+    /// suites' forced paths); `None` lets the cost model choose.
     pub force_join: Option<JoinAlgo>,
 }
 

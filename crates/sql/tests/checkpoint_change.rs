@@ -1,6 +1,7 @@
 //! Checkpoints that cost what changed: a seeded differential of
 //! incremental checkpoints against a store built from scratch, the gate
-//! that counts the pages a checkpoint writes at three table sizes, and
+//! that counts the pages a checkpoint writes (and the syncs, log appends
+//! and disk writes a commit makes) at three table sizes, and
 //! the edges the page heap added — a database the pages cannot hold,
 //! the sync count, a data file that lies.
 
@@ -186,6 +187,7 @@ fn checkpoint_pages_follow_the_change_not_the_table() {
         (14 + 4 + 2 * 9 + texts) as u64
     };
     let mut appended_pages = Vec::new();
+    let mut commit_bytes = Vec::new();
     for &rows in sizes {
         let vfs = MemVfs::new();
         let mut db = DurableDatabase::open(&vfs).unwrap();
@@ -212,8 +214,24 @@ fn checkpoint_pages_follow_the_change_not_the_table() {
             (db.stats().checkpoint_pages() - before.0, vfs.write_count() - before.1)
         };
 
-        // 128 rows appended, in eight commits.
-        for commit in 0..8 {
+        // 128 rows appended, in eight commits. The first is an explicit
+        // transaction of 16 single-row inserts, and what it costs is a
+        // count that does not see the table: one sync, one log append per
+        // record, one disk write per append, nothing to undo.
+        let counts = |db: &DurableDatabase| {
+            let s = db.stats();
+            [s.fsyncs(), s.wal_appends(), vfs.write_count(), s.undo_rows(), s.wal_bytes()]
+        };
+        let before = counts(&db);
+        db.begin().unwrap();
+        for id in rows..rows + 16 {
+            db.execute(&format!("insert into nodes values {}", row(id))).unwrap();
+        }
+        db.commit().unwrap();
+        let cost: Vec<u64> = counts(&db).iter().zip(before).map(|(a, b)| a - b).collect();
+        assert_eq!(cost[..4], [1, 18, 18, 0], "{rows} rows: fsyncs, appends, writes, undo rows");
+        commit_bytes.push((rows, cost[4]));
+        for commit in 1..8 {
             let values: Vec<String> = (0..16).map(|i| row(rows + commit * 16 + i)).collect();
             db.execute(&format!("insert into nodes values {}", values.join(", "))).unwrap();
         }
@@ -257,6 +275,11 @@ fn checkpoint_pages_follow_the_change_not_the_table() {
         most.0 - least.0 <= tallest,
         "pages for the same 128 rows by table size: {appended_pages:?}"
     );
+    // The transaction's log bytes: its 16 statements framed, plus a begin
+    // and a commit frame. They move with the table only by the digits of
+    // the ids and the addresses derived from them.
+    let logged = [(2_000, 1_300), (20_000, 1_332), (200_000, 1_364)];
+    assert_eq!(commit_bytes, logged[..sizes.len()]);
 }
 
 /// A checkpoint the engine cannot encode must not fail the commit that

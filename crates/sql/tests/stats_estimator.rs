@@ -2,14 +2,128 @@
 //! cost-based planning could silently go wrong — empty tables, all-NULL
 //! and single-value columns, Int↔Text coercion keys, tables that grow
 //! 100x under a cached plan, and a crash landing mid-checkpoint while
-//! statistics were warm.
+//! statistics were warm — and what the planner saves, as the rows each
+//! plan examines.
 
 use rocks_sql::disk::{CrashPlan, DiskError, MemVfs};
 use rocks_sql::durable::{DurableDatabase, DurableError};
-use rocks_sql::{Database, JoinAlgo, PlannerConfig, PlannerMode, Value};
+use rocks_sql::{
+    ColumnType, Database, JoinAlgo, PlannerConfig, PlannerMode, QueryResult, Table, Value,
+};
 
 fn explain_text(db: &mut Database, sql: &str) -> Vec<String> {
     db.query(&format!("explain {sql}")).unwrap().rows.iter().map(|row| row[0].render()).collect()
+}
+
+/// A cluster database shaped like the paper's schema: `rows` nodes
+/// across four memberships (only `Compute` has `compute = 'yes'`), one
+/// appliance per membership, unique MACs and IPs, and a skewed `arch`
+/// (15/16 `x86_64`, 1/16 `ia64`) so one column carries a broad and a
+/// selective predicate.
+fn planner_database(rows: usize) -> Database {
+    let col = |name: &str, ty: ColumnType| (name.to_string(), ty);
+    let mut nodes = Table::new(
+        "nodes",
+        vec![
+            col("id", ColumnType::Int),
+            col("mac", ColumnType::Text),
+            col("name", ColumnType::Text),
+            col("membership", ColumnType::Int),
+            col("rack", ColumnType::Int),
+            col("rank", ColumnType::Int),
+            col("ip", ColumnType::Text),
+            col("arch", ColumnType::Text),
+        ],
+    );
+    for i in 0..rows {
+        let (a, b, c) = (i >> 16, (i >> 8) & 0xff, i & 0xff);
+        nodes
+            .insert_row(vec![
+                Value::Int(i as i64),
+                Value::Text(format!("00:50:8b:{a:02x}:{b:02x}:{c:02x}")),
+                Value::Text(format!("node-{i}")),
+                Value::Int(((i % 4) + 1) as i64),
+                Value::Int((i / 64) as i64),
+                Value::Int((i % 64) as i64),
+                Value::Text(format!("10.{a}.{b}.{c}")),
+                Value::Text(if i % 16 == 0 { "ia64" } else { "x86_64" }.to_string()),
+            ])
+            .unwrap();
+    }
+    let mut db = Database::new();
+    db.add_table(nodes).unwrap();
+    db.execute("create table memberships (id int, name text, compute text, appliance int)")
+        .unwrap();
+    db.execute(
+        "insert into memberships values (1, 'Frontend', 'no', 1), (2, 'Compute', 'yes', 2), \
+         (3, 'External', 'no', 3), (4, 'Ethernet Switches', 'no', 4)",
+    )
+    .unwrap();
+    db.execute("create table appliances (id int, name text)").unwrap();
+    db.execute(
+        "insert into appliances values (1, 'frontend'), (2, 'compute'), (3, 'nas'), \
+         (4, 'power')",
+    )
+    .unwrap();
+    db
+}
+
+/// What the planner saves, as exact `rows_examined` counts rather than
+/// wall-clock ratios: the §6.1 point lookup and the §6.4 compute join
+/// against the forced scan and the syntactic-order heuristic, the
+/// scan↔index choice on one skewed column, and a three-table join
+/// written in the worst FROM order, which only join reordering rescues.
+#[test]
+fn planned_reads_examine_pinned_row_counts() {
+    const JOIN: &str = "select nodes.name from nodes, memberships where \
+         nodes.membership = memberships.id and memberships.compute = 'yes'";
+    const BROAD: &str = "select name from nodes where arch = 'x86_64'";
+    const SELECTIVE: &str = "select name from nodes where arch = 'ia64'";
+    const THREE_TABLE: &str = "select nodes.name from nodes, appliances, memberships \
+         where nodes.membership = memberships.id and memberships.appliance = appliances.id \
+         and appliances.name = 'compute' and nodes.rank < 8";
+    // (rows, three-table cost-based, three-table heuristic).
+    let sizes: &[(usize, u64, u64)] = if cfg!(debug_assertions) {
+        &[(2_000, 502, 2_257), (10_000, 2_502, 11_257)]
+    } else {
+        &[(2_000, 502, 2_257), (10_000, 2_502, 11_257), (50_000, 12_502, 56_257)]
+    };
+    let heuristic = PlannerConfig { mode: PlannerMode::Heuristic, force_join: None };
+    for &(n, three_cost, three_heuristic) in sizes {
+        let mut db = planner_database(n);
+        let mid = n / 2;
+        let (a, b, c) = (mid >> 16, (mid >> 8) & 0xff, mid & 0xff);
+        let point = format!("select * from nodes where ip = '10.{a}.{b}.{c}'");
+        for sql in [point.as_str(), JOIN, BROAD, SELECTIVE, THREE_TABLE] {
+            let scanned = db.query_ref_scan(sql).unwrap();
+            assert_eq!(db.query_ref(sql).unwrap(), scanned, "planned ≠ scan at {n} rows: {sql}");
+            assert_eq!(db.query_ref_config(sql, &heuristic).unwrap(), scanned, "{sql}");
+        }
+        let examined = |run: &dyn Fn() -> rocks_sql::Result<QueryResult>| {
+            let before = db.stats().rows_examined();
+            run().unwrap();
+            db.stats().rows_examined() - before
+        };
+        let n64 = n as u64;
+        let at = |what: &str| format!("{what} at {n} rows");
+        assert_eq!(examined(&|| db.query_ref(&point)), 1, "{}", at("planned point"));
+        assert_eq!(examined(&|| db.query_ref_scan(&point)), n64, "{}", at("scanned point"));
+        assert_eq!(examined(&|| db.query_ref(JOIN)), n64 / 4 + 1, "{}", at("planned join"));
+        assert_eq!(examined(&|| db.query_ref_scan(JOIN)), 4 * n64, "{}", at("scanned join"));
+        let got = examined(&|| db.query_ref_config(JOIN, &heuristic));
+        assert_eq!(got, 2 * n64, "{}", at("heuristic join"));
+        assert_eq!(examined(&|| db.query_ref(BROAD)), n64, "{}", at("broad arch"));
+        assert_eq!(examined(&|| db.query_ref(SELECTIVE)), n64 / 16, "{}", at("selective arch"));
+        let got = examined(&|| db.query_ref(THREE_TABLE));
+        assert_eq!(got, three_cost, "{}", at("cost-based three-table join"));
+        let got = examined(&|| db.query_ref_config(THREE_TABLE, &heuristic));
+        assert_eq!(got, three_heuristic, "{}", at("heuristic three-table join"));
+
+        let broad = explain_text(&mut db, BROAD).join("\n");
+        assert!(broad.contains("nodes: scan"), "{broad}");
+        let selective = explain_text(&mut db, SELECTIVE).join("\n");
+        assert!(selective.contains("index(arch = 'ia64')"), "{selective}");
+    }
 }
 
 #[test]

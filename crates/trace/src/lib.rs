@@ -115,8 +115,8 @@ impl Tracer {
     }
 
     /// Enabled but discarding: events are stamped and dropped, metrics
-    /// still accumulate. Used by `reproduce trace` to measure the
-    /// enabled-pipeline overhead without paying for storage.
+    /// still accumulate: the enabled pipeline's overhead without the
+    /// cost of storage.
     pub fn noop() -> Tracer {
         Tracer::build(Sink::Noop, false)
     }
