@@ -5,19 +5,28 @@
 //! return one flat `Vec<u32>` of tuples: one row id per FROM table, in
 //! FROM order, the table count as stride. WHERE, residuals and join keys
 //! evaluate against borrowed rows (`RowEnv` binds one `&[Value]` per
-//! table); ORDER BY sorts tuple positions by borrowed cells; GROUP BY
-//! keys groups by borrowed cells and folds the aggregates over member
-//! positions; LIMIT truncates tuples. The only values cloned are the
-//! projected cells of the tuples that survive — a `count(*)` reads no
-//! cell at all.
+//! table), and `eval` hands back column and literal operands borrowed,
+//! so a comparison copies neither side; ORDER BY sorts tuple positions by
+//! borrowed cells; GROUP BY keys groups by borrowed cells and folds the
+//! aggregates over member positions; LIMIT truncates tuples.
+//!
+//! One projection loop feeds a `Sink`: a [`QueryResult`] clones the
+//! projected cells of the tuples that survive, the string list of
+//! `query_column[_ref]` renders the first of them straight into its
+//! `String`, and neither builds the other. A single-table `count(*)`
+//! with no WHERE, GROUP BY or ORDER BY is answered from the table's
+//! length and examines no row; the scan path (`query_ref_scan`) still
+//! counts tuples, so it stays the oracle for that answer too.
 
 use crate::ast::*;
 use crate::plan::{self, PlannerConfig, SelectPlan};
 use crate::table::Table;
 use crate::value::Value;
 use crate::{Database, Result, SqlError};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::iter;
 
 /// Rows returned by a SELECT.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,6 +81,51 @@ impl QueryResult {
     }
 }
 
+/// Where a SELECT's projected rows go. The same projection loop fills a
+/// [`QueryResult`] (labels and every cell) or the `Vec<String>` that
+/// `query_column[_ref]` returns (the first cell of each row, rendered as
+/// [`Value::render`] does).
+pub(crate) trait Sink {
+    /// An empty sink for `rows` rows.
+    fn with_capacity(rows: usize) -> Self;
+    /// Append an output column label; a sink that keeps none never
+    /// builds it.
+    fn label(&mut self, label: impl FnOnce() -> String);
+    /// Append one output row, its cells in select-item order.
+    fn row<'v>(&mut self, cells: impl Iterator<Item = Cow<'v, Value>>);
+}
+
+impl Sink for QueryResult {
+    fn with_capacity(rows: usize) -> Self {
+        QueryResult { columns: Vec::new(), rows: Vec::with_capacity(rows) }
+    }
+
+    fn label(&mut self, label: impl FnOnce() -> String) {
+        self.columns.push(label());
+    }
+
+    fn row<'v>(&mut self, cells: impl Iterator<Item = Cow<'v, Value>>) {
+        self.rows.push(cells.map(Cow::into_owned).collect());
+    }
+}
+
+impl Sink for Vec<String> {
+    fn with_capacity(rows: usize) -> Self {
+        Vec::with_capacity(rows)
+    }
+
+    fn label(&mut self, _: impl FnOnce() -> String) {}
+
+    fn row<'v>(&mut self, mut cells: impl Iterator<Item = Cow<'v, Value>>) {
+        if let Some(first) = cells.next() {
+            self.push(match first {
+                Cow::Borrowed(v) => v.render(),
+                Cow::Owned(v) => v.into_rendered(),
+            });
+        }
+    }
+}
+
 /// Outcome of executing any statement.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecOutcome {
@@ -120,44 +174,36 @@ pub fn execute(db: &mut Database, stmt: Statement) -> Result<ExecOutcome> {
             }
             Ok(ExecOutcome::Written { affected })
         }
-        Statement::Select { items, from, where_clause, group_by, order_by, limit } => select(
-            db,
-            &items,
-            &from,
-            where_clause.as_ref(),
-            &group_by,
-            &order_by,
-            limit,
-            PlanChoice::Auto,
-        )
-        .map(ExecOutcome::Rows),
         Statement::Update { table, sets, where_clause } => {
             update(db, &table, &sets, where_clause.as_ref())
         }
         Statement::Delete { table, where_clause } => delete(db, &table, where_clause.as_ref()),
-        Statement::Explain(inner) => explain(db, *inner).map(ExecOutcome::Rows),
+        read @ (Statement::Select { .. } | Statement::Explain(_)) => {
+            execute_readonly_with(db, &read, PlanChoice::Auto).map(ExecOutcome::Rows)
+        }
     }
 }
 
 /// Execute a parsed statement against a shared (read-only) database
-/// reference with an explicit planning mode. Only `SELECT` is possible
-/// without mutation; write statements are rejected. This is the entry
+/// reference with an explicit planning mode, into the sink `S`. Only
+/// `SELECT` is possible without mutation; write statements are
+/// rejected. This is the entry
 /// point for the concurrent Kickstart-generation read path, where many
 /// worker threads query one database snapshot without locking each other
 /// out. `Prepared` carries a plan built at prepare time
 /// (`Database::query_ref`'s statement cache); `ForceScan` is the
 /// differential baseline used by `Database::query_ref_scan`, benchmarks,
 /// and the proptest suite.
-pub(crate) fn execute_readonly_with(
+pub(crate) fn execute_readonly_with<S: Sink>(
     db: &Database,
     stmt: &Statement,
     mode: PlanChoice<'_>,
-) -> Result<QueryResult> {
+) -> Result<S> {
     match stmt {
         Statement::Select { items, from, where_clause, group_by, order_by, limit } => {
             select(db, items, from, where_clause.as_ref(), group_by, order_by, *limit, mode)
         }
-        Statement::Explain(inner) => explain(db, (**inner).clone()),
+        Statement::Explain(inner) => explain(db, inner),
         _ => Err(SqlError::Unsupported(
             "only SELECT may run on a read-only database reference".into(),
         )),
@@ -180,13 +226,19 @@ pub(crate) enum PlanChoice<'a> {
 
 /// `EXPLAIN <stmt>`: render the plan the SELECT would run with. Writes
 /// cannot be explained — the planner only applies to SELECT.
-fn explain(db: &Database, stmt: Statement) -> Result<QueryResult> {
+fn explain<S: Sink>(db: &Database, stmt: &Statement) -> Result<S> {
     let Statement::Select { from, where_clause, order_by, limit, items, group_by } = stmt else {
         return Err(SqlError::Unsupported("EXPLAIN supports only SELECT".into()));
     };
-    let tables = resolve_from(db, &from)?;
-    let planned = where_clause.as_ref().and_then(|w| plan::plan_select(&tables, w));
-    let mut lines = plan::render_plan(&tables, planned.as_ref(), where_clause.as_ref());
+    let tables = resolve_from(db, from)?;
+    let mut lines = if counts_from_length(items, &tables, where_clause.as_ref(), group_by, order_by)
+    {
+        let name = tables[0].0;
+        vec![format!("select from {name}"), format!("  {name}: count(*) from the table length")]
+    } else {
+        let planned = where_clause.as_ref().and_then(|w| plan::plan_select(&tables, w));
+        plan::render_plan(&tables, planned.as_ref(), where_clause.as_ref())
+    };
     if !order_by.is_empty() {
         let keys: Vec<String> = order_by
             .iter()
@@ -202,10 +254,28 @@ fn explain(db: &Database, stmt: Statement) -> Result<QueryResult> {
     if let Some(k) = limit {
         lines.push(format!("  limit: {k}"));
     }
-    Ok(QueryResult {
-        columns: vec!["plan".to_string()],
-        rows: lines.into_iter().map(|l| vec![Value::Text(l)]).collect(),
-    })
+    let mut sink = S::with_capacity(lines.len());
+    sink.label(|| "plan".to_string());
+    for line in lines {
+        sink.row(iter::once(Cow::Owned(Value::Text(line))));
+    }
+    Ok(sink)
+}
+
+/// A single-table `count(*)` with no WHERE, GROUP BY or ORDER BY: the
+/// answer is the table's length, and no row need be examined.
+fn counts_from_length(
+    items: &[SelectItem],
+    tables: &[(&str, &Table)],
+    where_clause: Option<&Expr>,
+    group_by: &[ColumnRef],
+    order_by: &[OrderKey],
+) -> bool {
+    matches!(items, [SelectItem::CountStar])
+        && tables.len() == 1
+        && where_clause.is_none()
+        && group_by.is_empty()
+        && order_by.is_empty()
 }
 
 /// Binding environment for expression evaluation over one tuple: for
@@ -246,35 +316,23 @@ pub(crate) fn resolve_column(tables: &[(&str, &Table)], col: &ColumnRef) -> Resu
     found.ok_or_else(|| SqlError::NoSuchColumn(col.to_string()))
 }
 
-pub(crate) fn eval(expr: &Expr, env: &RowEnv<'_>) -> Result<Value> {
-    match expr {
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Column(c) => env.resolve(c).cloned(),
-        Expr::Not(inner) => {
-            let v = eval(inner, env)?;
-            Ok(Value::Int(if v.is_truthy() { 0 } else { 1 }))
-        }
+/// Evaluate an expression over one tuple. Column and literal operands
+/// come back borrowed, so a comparison copies neither side; every other
+/// expression yields an owned truth value (`Int` 0 or 1).
+pub(crate) fn eval<'v>(expr: &'v Expr, env: &RowEnv<'v>) -> Result<Cow<'v, Value>> {
+    let truth = |t: bool| Cow::Owned(Value::Int(t as i64));
+    Ok(match expr {
+        Expr::Literal(v) => Cow::Borrowed(v),
+        Expr::Column(c) => Cow::Borrowed(env.resolve(c)?),
+        Expr::Not(inner) => truth(!eval(inner, env)?.is_truthy()),
         Expr::Binary { op, lhs, rhs } => {
             let l = eval(lhs, env)?;
             match op {
-                BinOp::And => {
-                    if !l.is_truthy() {
-                        return Ok(Value::Int(0));
-                    }
-                    let r = eval(rhs, env)?;
-                    Ok(Value::Int(r.is_truthy() as i64))
-                }
-                BinOp::Or => {
-                    if l.is_truthy() {
-                        return Ok(Value::Int(1));
-                    }
-                    let r = eval(rhs, env)?;
-                    Ok(Value::Int(r.is_truthy() as i64))
-                }
+                BinOp::And => truth(l.is_truthy() && eval(rhs, env)?.is_truthy()),
+                BinOp::Or => truth(l.is_truthy() || eval(rhs, env)?.is_truthy()),
                 cmp => {
                     let r = eval(rhs, env)?;
-                    let ord = l.sql_cmp(&r);
-                    let truth = match (cmp, ord) {
+                    truth(match (cmp, l.sql_cmp(&r)) {
                         (_, None) => false, // NULL never compares
                         (BinOp::Eq, Some(o)) => o == Ordering::Equal,
                         (BinOp::NotEq, Some(o)) => o != Ordering::Equal,
@@ -283,29 +341,20 @@ pub(crate) fn eval(expr: &Expr, env: &RowEnv<'_>) -> Result<Value> {
                         (BinOp::Gt, Some(o)) => o == Ordering::Greater,
                         (BinOp::GtEq, Some(o)) => o != Ordering::Less,
                         (BinOp::And | BinOp::Or, _) => unreachable!(),
-                    };
-                    Ok(Value::Int(truth as i64))
+                    })
                 }
             }
         }
-        Expr::Like { expr, pattern, negated } => {
-            let v = eval(expr, env)?;
-            let hit = v.like(pattern);
-            Ok(Value::Int((hit != *negated) as i64))
-        }
-        Expr::IsNull { expr, negated } => {
-            let v = eval(expr, env)?;
-            Ok(Value::Int((v.is_null() != *negated) as i64))
-        }
+        Expr::Like { expr, pattern, negated } => truth(eval(expr, env)?.like(pattern) != *negated),
+        Expr::IsNull { expr, negated } => truth(eval(expr, env)?.is_null() != *negated),
         Expr::InList { expr, list, negated } => {
             let v = eval(expr, env)?;
             if v.is_null() {
-                return Ok(Value::Int(0));
+                return Ok(truth(false));
             }
-            let hit = list.iter().any(|item| v.sql_cmp(item) == Some(Ordering::Equal));
-            Ok(Value::Int((hit != *negated) as i64))
+            truth(list.iter().any(|item| v.sql_cmp(item) == Some(Ordering::Equal)) != *negated)
         }
-    }
+    })
 }
 
 /// Resolve FROM table names against the database, in FROM order.
@@ -377,7 +426,7 @@ fn scan_rows(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn select(
+fn select<S: Sink>(
     db: &Database,
     items: &[SelectItem],
     from: &[String],
@@ -386,9 +435,22 @@ fn select(
     order_by: &[OrderKey],
     limit: Option<usize>,
     mode: PlanChoice<'_>,
-) -> Result<QueryResult> {
+) -> Result<S> {
     let tables = resolve_from(db, from)?;
     let width = tables.len();
+
+    if !matches!(mode, PlanChoice::ForceScan)
+        && counts_from_length(items, &tables, where_clause, group_by, order_by)
+    {
+        let rows = usize::from(limit != Some(0));
+        let mut sink = S::with_capacity(rows);
+        sink.label(|| "count(*)".to_string());
+        if rows == 1 {
+            sink.row(iter::once(Cow::Owned(Value::Int(tables[0].1.len() as i64))));
+        }
+        db.stats().record_select(0, rows as u64, false);
+        return Ok(sink);
+    }
 
     // Produce the surviving tuples — through the planner when a WHERE
     // clause planned successfully, through the scan path otherwise.
@@ -473,46 +535,51 @@ fn select(
 
     // Grouped / aggregate path.
     if has_aggregate || !group_by.is_empty() {
-        let result = grouped_select(items, group_by, &tables, &tuples, limit)?;
-        db.stats().record_select(examined, result.rows.len() as u64, used_index);
-        return Ok(result);
+        let (sink, rows) = grouped_select(items, group_by, &tables, &tuples, limit)?;
+        db.stats().record_select(examined, rows as u64, used_index);
+        return Ok(sink);
     }
 
     if let Some(n) = limit {
         tuples.truncate(n.saturating_mul(width));
     }
+    let rows = tuples.len() / width;
 
-    let mut out_columns: Vec<String> = Vec::new();
+    // Every item resolves before the first row is projected, whatever
+    // the sink keeps, so both sinks report the same errors.
+    let mut sink = S::with_capacity(rows);
     let mut cols: Vec<(usize, usize)> = Vec::new();
     for item in items {
         match item {
             SelectItem::Wildcard => {
                 for (t, (name, table)) in tables.iter().enumerate() {
                     for (c, column) in table.columns().iter().enumerate() {
-                        out_columns.push(if width > 1 {
-                            format!("{name}.{}", column.name)
-                        } else {
-                            column.name.clone()
+                        sink.label(|| {
+                            if width > 1 {
+                                format!("{name}.{}", column.name)
+                            } else {
+                                column.name.clone()
+                            }
                         });
                         cols.push((t, c));
                     }
                 }
             }
             SelectItem::Column(col) => {
-                out_columns.push(col.to_string());
+                sink.label(|| col.to_string());
                 cols.push(resolve_column(&tables, col)?);
             }
             _ => unreachable!("aggregates handled above"),
         }
     }
 
-    // The only clones of the read: the projected cells of surviving tuples.
-    let rows: Vec<_> = tuples
-        .chunks_exact(width)
-        .map(|tuple| cols.iter().map(|&col| cell(&tables, tuple, col).clone()).collect())
-        .collect();
-    db.stats().record_select(examined, rows.len() as u64, used_index);
-    Ok(QueryResult { columns: out_columns, rows })
+    // The only copies of the read: the projected cells of surviving
+    // tuples, as the sink keeps them.
+    for tuple in tuples.chunks_exact(width) {
+        sink.row(cols.iter().map(|&col| Cow::Borrowed(cell(&tables, tuple, col))));
+    }
+    db.stats().record_select(examined, rows as u64, used_index);
+    Ok(sink)
 }
 
 /// Evaluate the grouped/aggregate SELECT path. With an empty `group_by`
@@ -520,13 +587,14 @@ fn select(
 /// `SELECT COUNT(*) ...` case. Groups are keyed by borrowed cells in
 /// first-seen order, which is the WHERE/ORDER BY-processed tuple order;
 /// each keeps its member positions, and aggregates fold over those.
-fn grouped_select(
+/// Returns the filled sink and its row count.
+fn grouped_select<S: Sink>(
     items: &[SelectItem],
     group_by: &[ColumnRef],
     tables: &[(&str, &Table)],
     tuples: &[u32],
     limit: Option<usize>,
-) -> Result<QueryResult> {
+) -> Result<(S, usize)> {
     let width = tables.len();
     let keys: Vec<Result<(usize, usize)>> =
         group_by.iter().map(|g| resolve_column(tables, g)).collect();
@@ -557,18 +625,6 @@ fn grouped_select(
         }
     }
     let keys: Vec<(usize, usize)> = keys.into_iter().collect::<Result<_>>()?;
-
-    let columns: Vec<String> = items
-        .iter()
-        .map(|item| match item {
-            SelectItem::CountStar => "count(*)".to_string(),
-            SelectItem::Min(col) => format!("min({col})"),
-            SelectItem::Max(col) => format!("max({col})"),
-            SelectItem::Sum(col) => format!("sum({col})"),
-            SelectItem::Column(col) => col.to_string(),
-            SelectItem::Wildcard => unreachable!("rejected above"),
-        })
-        .collect();
 
     // Partition tuple positions into groups, preserving first-seen order.
     // With no GROUP BY, aggregates run over everything as one group.
@@ -612,46 +668,56 @@ fn grouped_select(
         groups.truncate(n);
     }
 
-    let rows = groups
-        .iter()
-        .map(|members| {
-            let cells = move |col: Option<(usize, usize)>| {
-                let col = col.expect("column items resolved");
-                members.iter().map(move |&m| cell(tables, &tuples[m as usize * width..], col))
-            };
-            items
-                .iter()
-                .zip(&item_cols)
-                .map(|(item, &col)| match item {
-                    SelectItem::CountStar => Value::Int(members.len() as i64),
-                    SelectItem::Min(_) => extreme(cells(col), Ordering::Less),
-                    SelectItem::Max(_) => extreme(cells(col), Ordering::Greater),
-                    SelectItem::Sum(_) => {
-                        let mut ints = cells(col).filter_map(Value::as_int).peekable();
-                        match ints.peek() {
-                            Some(_) => Value::Int(ints.sum()),
-                            None => Value::Null,
-                        }
-                    }
-                    SelectItem::Column(_) => cells(col).next().cloned().unwrap_or(Value::Null),
-                    SelectItem::Wildcard => unreachable!("rejected above"),
+    let mut sink = S::with_capacity(groups.len());
+    for item in items {
+        sink.label(|| match item {
+            SelectItem::CountStar => "count(*)".to_string(),
+            SelectItem::Min(col) => format!("min({col})"),
+            SelectItem::Max(col) => format!("max({col})"),
+            SelectItem::Sum(col) => format!("sum({col})"),
+            SelectItem::Column(col) => col.to_string(),
+            SelectItem::Wildcard => unreachable!("rejected above"),
+        });
+    }
+    // Cells fold lazily: a sink that keeps the first item computes only it.
+    for members in &groups {
+        let cells = move |col: Option<(usize, usize)>| {
+            let col = col.expect("column items resolved");
+            members.iter().map(move |&m| cell(tables, &tuples[m as usize * width..], col))
+        };
+        sink.row(items.iter().zip(&item_cols).map(|(item, &col)| match item {
+            SelectItem::CountStar => Cow::Owned(Value::Int(members.len() as i64)),
+            SelectItem::Min(_) => extreme(cells(col), Ordering::Less),
+            SelectItem::Max(_) => extreme(cells(col), Ordering::Greater),
+            SelectItem::Sum(_) => {
+                let mut ints = cells(col).filter_map(Value::as_int).peekable();
+                Cow::Owned(match ints.peek() {
+                    Some(_) => Value::Int(ints.sum()),
+                    None => Value::Null,
                 })
-                .collect()
-        })
-        .collect();
-    Ok(QueryResult { columns, rows })
+            }
+            SelectItem::Column(_) => or_null(cells(col).next()),
+            SelectItem::Wildcard => unreachable!("rejected above"),
+        }));
+    }
+    Ok((sink, groups.len()))
+}
+
+/// A borrowed cell, or NULL where there is none.
+fn or_null(cell: Option<&Value>) -> Cow<'_, Value> {
+    cell.map_or(Cow::Owned(Value::Null), Cow::Borrowed)
 }
 
 /// MIN (`wins` = `Less`) or MAX (`Greater`) over a group's cells,
 /// skipping NULLs (SQL semantics); the first of equal extremes is kept.
-fn extreme<'d>(cells: impl Iterator<Item = &'d Value>, wins: Ordering) -> Value {
+fn extreme<'d>(cells: impl Iterator<Item = &'d Value>, wins: Ordering) -> Cow<'d, Value> {
     let mut best: Option<&Value> = None;
     for v in cells.filter(|v| !v.is_null()) {
         if best.is_none_or(|b| v.sql_cmp(b) == Some(wins)) {
             best = Some(v);
         }
     }
-    best.cloned().unwrap_or(Value::Null)
+    or_null(best)
 }
 
 /// Do the rows `env` binds satisfy the WHERE clause?
@@ -689,7 +755,7 @@ fn update(
         }
         let mut updated = row.clone();
         for ((_, expr), &idx) in sets.iter().zip(&set_indices) {
-            updated[idx] = Table::coerce(&t.columns()[idx], eval(expr, &env)?)?;
+            updated[idx] = Table::coerce(&t.columns()[idx], eval(expr, &env)?.into_owned())?;
         }
         updated_rows.push((pos, updated));
     }
@@ -1166,6 +1232,34 @@ mod tests {
             db.query("explain select nodes.name from nodes, memberships where name = 'x'").unwrap();
         let text: Vec<String> = r.rows.iter().map(|row| row[0].render()).collect();
         assert!(text.iter().any(|l| l.contains("cross product")), "plan was {text:?}");
+    }
+
+    #[test]
+    fn count_star_comes_from_the_table_length() {
+        let mut db = sample_db();
+        let plan = |db: &mut Database, sql: &str| -> Vec<String> {
+            db.query_column(&format!("explain {sql}")).unwrap()
+        };
+        assert_eq!(
+            plan(&mut db, "select count(*) from nodes limit 3"),
+            ["select from nodes", "  nodes: count(*) from the table length", "  limit: 3"]
+        );
+        for sql in [
+            "select count(*) from nodes where rack = 0",
+            "select count(*) from nodes, memberships",
+            "select count(*), max(rank) from nodes",
+        ] {
+            assert!(!plan(&mut db, sql).iter().any(|l| l.contains("table length")), "{sql}");
+        }
+        for (sql, want) in [
+            ("select count(*) from nodes", vec![vec![Value::Int(6)]]),
+            ("select count(*) from nodes limit 0", vec![]),
+        ] {
+            let examined = db.stats().rows_examined();
+            assert_eq!(db.query_ref(sql).unwrap().rows, want, "{sql}");
+            assert_eq!(db.stats().rows_examined(), examined, "{sql} examines no row");
+            assert_eq!(db.query_ref(sql), db.query_ref_scan(sql), "{sql}");
+        }
     }
 
     #[test]

@@ -137,10 +137,20 @@ struct Prepared {
     plan: Option<SelectPlan>,
 }
 
-/// Statements cached beyond this point flush the whole cache; mass
-/// generation uses a handful of distinct statements, so in practice the
-/// cap only guards against unbounded `format!`-built SQL.
+/// A statement prepared with the cache at this size first sweeps it:
+/// entries not looked up since the previous sweep go, the rest stay with
+/// their hit bits cleared, and only when every entry was hit does the
+/// whole cache go. Never-repeated `format!`-built SQL therefore cycles
+/// through the free slots without flushing the statements in use.
 const PLAN_CACHE_CAP: usize = 512;
+
+/// One statement-cache entry.
+#[derive(Debug)]
+struct Cached {
+    prepared: Arc<Prepared>,
+    /// Looked up since the last sweep.
+    hit: bool,
+}
 
 /// Interior-mutable statement cache. Lives behind a `Mutex` so the
 /// read-only [`Database::query_ref`] path can fill it concurrently; the
@@ -156,7 +166,7 @@ struct PlanCache {
     /// trickle writes keep their cached plans, while a table growing
     /// 100x crosses several bands and forces a re-cost.
     stats_epoch: u64,
-    entries: HashMap<String, Arc<Prepared>>,
+    entries: HashMap<String, Cached>,
 }
 
 /// Planner/executor telemetry, backed by [`rocks_trace`] counter handles
@@ -353,19 +363,26 @@ impl Database {
     /// Execute a statement expected to produce rows (a `SELECT`); errors
     /// if the statement was a write.
     pub fn query(&mut self, sql: &str) -> Result<QueryResult> {
-        match self.execute(sql)? {
-            ExecOutcome::Rows(result) => Ok(result),
-            ExecOutcome::Written { .. } => {
-                Err(SqlError::Unsupported("statement did not return rows".into()))
-            }
-        }
+        self.read_mut(sql)
     }
 
     /// Convenience: run a query and return the first column of every row
     /// rendered as text. This is exactly how `cluster-kill --query=...`
-    /// consumes results (paper §6.4): a list of node names.
+    /// consumes results (paper §6.4): a list of node names. Each name is
+    /// rendered straight from its cell; no result rows are built.
     pub fn query_column(&mut self, sql: &str) -> Result<Vec<String>> {
-        self.query(sql).map(first_column)
+        self.read_mut(sql)
+    }
+
+    /// Run a statement expected to produce rows into the sink `S`. A
+    /// write still runs, then reports that it returned none.
+    fn read_mut<S: exec::Sink>(&mut self, sql: &str) -> Result<S> {
+        let stmt = parser::parse(sql)?;
+        if let Statement::Select { .. } | Statement::Explain(_) = stmt {
+            return exec::execute_readonly_with(self, &stmt, exec::PlanChoice::Auto);
+        }
+        exec::execute(self, stmt)?;
+        Err(SqlError::Unsupported("statement did not return rows".into()))
     }
 
     /// Run a `SELECT` against a shared reference. Because nothing is
@@ -379,6 +396,11 @@ impl Database {
     /// whenever the schema generation changes and is capped at
     /// [`PLAN_CACHE_CAP`] entries.
     pub fn query_ref(&self, sql: &str) -> Result<QueryResult> {
+        self.read_ref(sql)
+    }
+
+    /// [`query_ref`](Self::query_ref) into the sink `S`.
+    fn read_ref<S: exec::Sink>(&self, sql: &str) -> Result<S> {
         let prepared = self.prepare(sql)?;
         exec::execute_readonly_with(
             self,
@@ -435,9 +457,10 @@ impl Database {
                 cache.schema_gen = self.schema_gen;
                 cache.stats_epoch = stats_epoch;
             }
-            if let Some(hit) = cache.entries.get(sql) {
+            if let Some(entry) = cache.entries.get_mut(sql) {
+                entry.hit = true;
                 self.stats.plan_cache_hits.incr();
-                return Ok(Arc::clone(hit));
+                return Ok(Arc::clone(&entry.prepared));
             }
         }
         self.stats.plan_cache_misses.incr();
@@ -466,9 +489,13 @@ impl Database {
         let mut cache = self.cache.lock().expect("plan cache lock");
         if cache.schema_gen == self.schema_gen && cache.stats_epoch == stats_epoch {
             if cache.entries.len() >= PLAN_CACHE_CAP {
-                cache.entries.clear();
+                cache.entries.retain(|_, entry| std::mem::take(&mut entry.hit));
+                if cache.entries.len() >= PLAN_CACHE_CAP {
+                    cache.entries.clear();
+                }
             }
-            cache.entries.insert(sql.to_string(), Arc::clone(&prepared));
+            let entry = Cached { prepared: Arc::clone(&prepared), hit: false };
+            cache.entries.insert(sql.to_string(), entry);
         }
         Ok(prepared)
     }
@@ -536,7 +563,7 @@ impl Database {
     /// [`query_ref`](Self::query_ref) returning the first column rendered
     /// as text — the read-only twin of [`query_column`](Self::query_column).
     pub fn query_column_ref(&self, sql: &str) -> Result<Vec<String>> {
-        self.query_ref(sql).map(first_column)
+        self.read_ref(sql)
     }
 
     /// Look up a table by (case-insensitive) name. A name without ASCII
@@ -599,13 +626,6 @@ impl Database {
     pub(crate) fn set_schema_generation(&mut self, schema_gen: u64) {
         self.schema_gen = schema_gen;
     }
-}
-
-/// The first cell of every row, rendered as [`Value::render`] does; text
-/// is moved out of the result rather than copied.
-fn first_column(result: QueryResult) -> Vec<String> {
-    let first = result.rows.into_iter().filter_map(|row| row.into_iter().next());
-    first.map(Value::into_rendered).collect()
 }
 
 #[cfg(test)]
@@ -711,6 +731,47 @@ mod tests {
         let r = db.query_ref("select name from nodes where id = 1").unwrap();
         assert_eq!(r.rows[0][0].as_text(), Some("frontend-0"));
         assert_eq!(db.prepared_statements(), 1);
+    }
+
+    /// One-off statements past the cap cycle through the free slots; the
+    /// statements in use stay. When a full cache flushed every entry,
+    /// each 128 one-offs on top of 384 pooled texts cost 384 re-plans.
+    #[test]
+    fn a_full_plan_cache_keeps_the_statements_in_use() {
+        let db = two_table_db();
+        let pooled: Vec<String> =
+            (0..384).map(|i| format!("select name from nodes where id = {i}")).collect();
+        for sql in &pooled {
+            db.query_ref(sql).unwrap();
+        }
+        let mut pooled_misses = 0;
+        for block in 0..100 {
+            for i in 0..100 {
+                db.query_ref(&format!("select name from nodes where ip = '10.0.{block}.{i}'"))
+                    .unwrap();
+            }
+            let misses = db.stats().plan_cache_misses();
+            for sql in &pooled {
+                db.query_ref(sql).unwrap();
+            }
+            pooled_misses += db.stats().plan_cache_misses() - misses;
+            assert!(db.prepared_statements() <= PLAN_CACHE_CAP);
+        }
+        assert_eq!(pooled_misses, 0, "pooled statements re-planned past the 10,000 one-offs");
+        assert_eq!(db.stats().plan_cache_misses(), 384 + 10_000);
+    }
+
+    #[test]
+    fn a_full_plan_cache_all_in_use_starts_over() {
+        let db = two_table_db();
+        let sql = |i: usize| format!("select name from nodes where id = {i}");
+        for i in 0..PLAN_CACHE_CAP {
+            db.query_ref(&sql(i)).unwrap();
+            db.query_ref(&sql(i)).unwrap();
+        }
+        assert_eq!(db.prepared_statements(), PLAN_CACHE_CAP);
+        db.query_ref(&sql(PLAN_CACHE_CAP)).unwrap();
+        assert_eq!(db.prepared_statements(), 1, "nothing to drop: the sweep clears all");
     }
 
     #[test]

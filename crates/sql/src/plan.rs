@@ -751,58 +751,36 @@ fn plan_cost_based(
     (plan, info)
 }
 
-/// Evaluate a step's pushed-down filters against one row of its table,
-/// memoizing per row index (0 = unknown, 1 = pass, 2 = fail) so hash
-/// joins never re-evaluate a filter for a repeatedly probed row.
-fn step_filter(
-    filters: &[Expr],
-    single: &[(&str, &Table)],
-    row: u32,
-    memo: &mut [u8],
-) -> Result<bool> {
-    if filters.is_empty() {
-        return Ok(true);
-    }
-    match memo[row as usize] {
-        1 => Ok(true),
-        2 => Ok(false),
-        _ => {
-            let env = RowEnv { tables: single, rows: &[&single[0].1.rows()[row as usize]] };
-            let mut pass = true;
-            for f in filters {
-                if !eval(f, &env)?.is_truthy() {
-                    pass = false;
-                    break;
-                }
-            }
-            memo[row as usize] = if pass { 1 } else { 2 };
-            Ok(pass)
+/// Do a step's pushed-down filters pass one row of its table?
+fn step_filter(filters: &[Expr], single: &[(&str, &Table)], row: u32) -> Result<bool> {
+    let env = RowEnv { tables: single, rows: &[&single[0].1.rows()[row as usize]] };
+    for f in filters {
+        if !eval(f, &env)?.is_truthy() {
+            return Ok(false);
         }
     }
+    Ok(true)
 }
 
 /// Sort-merge join: sort the (filtered) right rows and the accumulated
 /// `width`-wide tuples by normalized key, merge equal-key runs, and
 /// re-verify every pair with `sql_cmp` (group keys are supersets — see
 /// `stats.rs`). Returns the joined tuples, one wider.
-#[allow(clippy::too_many_arguments)]
 fn merge_join(
     acc: &[u32],
     width: usize,
     left_table: &Table,
     key: &JoinKey,
-    right: &Table,
     filters: &[Expr],
     single: &[(&str, &Table)],
-    memo: &mut [u8],
     examined: &mut u64,
 ) -> Result<Vec<u32>> {
-    let right_rows = right.rows();
+    let right_rows = single[0].1.rows();
     *examined += right_rows.len() as u64;
     let mut rkeys: Vec<(KeyRef<'_>, u32)> = Vec::new();
     for (i, row) in right_rows.iter().enumerate() {
         if let Some(k) = KeyRef::of(&row[key.right_col]) {
-            if step_filter(filters, single, i as u32, memo)? {
+            if step_filter(filters, single, i as u32)? {
                 rkeys.push((k, i as u32));
             }
         }
@@ -872,12 +850,11 @@ pub(crate) fn execute_plan(
     // k + 1 wide.
     let mut acc: Vec<u32> = Vec::new();
     let mut probe_scratch: Vec<u32> = Vec::new();
-    let mut env_rows: Vec<&[Value]> = Vec::with_capacity(n);
+    let mut env_rows: Vec<&[Value]> = Vec::new();
 
     for (k, step) in plan.steps.iter().enumerate() {
         let t = tables[step.table].1;
         let single = [(tables[step.table].0, t)];
-        let mut memo = vec![0u8; t.len()];
 
         acc = match &step.join {
             // Step 0 or an explicit cross join: enumerate this table's
@@ -888,7 +865,7 @@ pub(crate) fn execute_plan(
                     Access::Scan => {
                         *examined += t.len() as u64;
                         for row in 0..t.len() as u32 {
-                            if step_filter(&step.filter, &single, row, &mut memo)? {
+                            if step_filter(&step.filter, &single, row)? {
                                 right.push(row);
                             }
                         }
@@ -897,8 +874,9 @@ pub(crate) fn execute_plan(
                         let index = t.eq_index(*column);
                         let candidates = index.probe(literal, &mut probe_scratch);
                         *examined += candidates.len() as u64;
+                        right.reserve_exact(candidates.len());
                         for &row in candidates {
-                            if step_filter(&step.filter, &single, row, &mut memo)? {
+                            if step_filter(&step.filter, &single, row)? {
                                 right.push(row);
                             }
                         }
@@ -922,10 +900,8 @@ pub(crate) fn execute_plan(
                 k,
                 exec_tables[key.left_step].1,
                 key,
-                t,
                 &step.filter,
                 &single,
-                &mut memo,
                 examined,
             )?,
             // Hash join: probe this table's index with each accumulated
@@ -935,6 +911,10 @@ pub(crate) fn execute_plan(
             Some(key) => {
                 let index = t.eq_index(key.right_col);
                 let left_rows = exec_tables[key.left_step].1.rows();
+                // Many tuples may probe one row, so with filters to pass
+                // each row's verdict is kept (0 unknown, 1 pass, 2 fail);
+                // the other step kinds meet a row once and keep none.
+                let mut memo = vec![0u8; if step.filter.is_empty() { 0 } else { t.len() }];
                 let mut next = Vec::new();
                 for tuple in acc.chunks_exact(k) {
                     let lval = &left_rows[tuple[key.left_step] as usize][key.left_col];
@@ -948,8 +928,15 @@ pub(crate) fn execute_plan(
                         if lval.sql_cmp(rval) != Some(Ordering::Equal) {
                             continue; // candidate false positive
                         }
-                        if !step_filter(&step.filter, &single, r, &mut memo)? {
-                            continue;
+                        if !step.filter.is_empty() {
+                            let verdict = &mut memo[r as usize];
+                            if *verdict == 0 {
+                                *verdict =
+                                    if step_filter(&step.filter, &single, r)? { 1 } else { 2 };
+                            }
+                            if *verdict == 2 {
+                                continue;
+                            }
                         }
                         next.extend_from_slice(tuple);
                         next.push(r);

@@ -9,9 +9,12 @@
 //! at full joined width, before the row-id tuple pipeline replaced it, so
 //! it pins the replacement's rows, errors and counters to the code it
 //! replaced; the only lines regenerated since are the 23 the GROUP BY
-//! membership fix turned (CHANGES.md, PR 21). Every statement is also
-//! diffed across `query_ref`, `query_ref_scan` and `query_ref_config`
-//! (heuristic, forced hash, forced merge).
+//! membership fix turned, and the two WHERE-less `count(*) from nodes`
+//! lines, whose `rows_examined` went 300 → 0 when the count came from the
+//! table length (same rows, same hash). Every statement is also diffed
+//! across `query_ref`, `query_ref_scan` and `query_ref_config`
+//! (heuristic, forced hash, forced merge), and `query_column_ref` against
+//! the rendered first column of `query_ref_scan`.
 //!
 //! The fixture has NULLs in every column ORDER BY does not draw its keys
 //! from (the parent's sort panicked on NULL keys, see `exec.rs`'s
@@ -31,7 +34,7 @@
 //! UPDATE_GOLDEN=1 cargo test -p rocks-sql --test select_corpus
 //! ```
 
-use rocks_sql::{Database, JoinAlgo, PlannerConfig, PlannerMode};
+use rocks_sql::{Database, JoinAlgo, PlannerConfig, PlannerMode, Value};
 use std::path::PathBuf;
 
 /// splitmix64: the corpus must not depend on any RNG crate's stream.
@@ -532,4 +535,17 @@ fn select_corpus_matches_golden() {
         );
     }
     assert_eq!(expected.lines().count(), lines.lines().count(), "corpus length changed");
+}
+
+/// The string list `query_column_ref` renders straight from the cells is
+/// the first column of the scan's rows, rendered; errors included.
+#[test]
+fn query_column_ref_is_the_first_column_of_the_scan() {
+    let db = fixture();
+    for sql in corpus() {
+        let scanned = db.query_ref_scan(&sql).map(|r| {
+            r.rows.iter().filter_map(|row| row.first()).map(Value::render).collect::<Vec<_>>()
+        });
+        assert_eq!(db.query_column_ref(&sql), scanned, "{sql}");
+    }
 }
