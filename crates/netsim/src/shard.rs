@@ -579,11 +579,6 @@ impl FederatedSim {
         self.shards.iter().map(|s| s.nodes.len()).sum()
     }
 
-    /// Number of shards (cabinets).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Events processed across shard engines and tier engines.
     pub fn events(&self) -> u64 {
         self.shards.iter().map(|s| s.flow_events + s.timer_events).sum::<u64>() + self.tier.events

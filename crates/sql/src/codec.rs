@@ -120,16 +120,23 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// A row: its cell count, then each cell. The cells go into a `Vec`
+    /// of exactly that capacity — the row's one allocation besides its
+    /// strings — which a count past the bytes left cannot size: every
+    /// cell takes at least its tag byte, so such a count is refused first.
     pub(crate) fn row(&mut self) -> CodecResult<Vec<Value>> {
         let n = self.u32()? as usize;
-        // Guard against a corrupt length claiming billions of cells.
         if n > self.remaining() {
             return Err(CodecError(format!(
                 "row claims {n} cells, only {} bytes",
                 self.remaining()
             )));
         }
-        (0..n).map(|_| self.value()).collect()
+        let mut row = Vec::with_capacity(n);
+        for _ in 0..n {
+            row.push(self.value()?);
+        }
+        Ok(row)
     }
 }
 

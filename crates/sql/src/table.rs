@@ -309,11 +309,12 @@ impl Table {
         }
     }
 
-    /// Validate and coerce a full-width row without storing it. Staging
-    /// separately from appending lets multi-row INSERT check every row
-    /// before touching the table, so a failed statement has no effect —
+    /// Validate and coerce a full-width row without storing it, each
+    /// cell within the `Vec` it is given, which becomes the stored row.
+    /// Staging separately from appending lets multi-row INSERT check every
+    /// row before touching the table, so a failed statement has no effect —
     /// the atomicity the durable engine's statement-level WAL relies on.
-    pub(crate) fn stage_row(&self, values: Vec<Value>) -> Result<Vec<Value>> {
+    pub(crate) fn stage_row(&self, mut values: Vec<Value>) -> Result<Vec<Value>> {
         if values.len() != self.columns.len() {
             return Err(SqlError::TypeMismatch(format!(
                 "table {} has {} columns but {} values were supplied",
@@ -322,11 +323,16 @@ impl Table {
                 values.len()
             )));
         }
-        self.columns.iter().zip(values).map(|(col, v)| Self::coerce(col, v)).collect()
+        for (col, cell) in self.columns.iter().zip(&mut values) {
+            *cell = Self::coerce(col, std::mem::replace(cell, Value::Null))?;
+        }
+        Ok(values)
     }
 
-    /// Validate and coerce a named-subset row without storing it; unnamed
-    /// columns get NULL.
+    /// Validate and coerce a named-subset row without storing it. The
+    /// `Vec` it is given is as wide as `names`, not the table, so each
+    /// value is coerced as it moves out of it into the full-width row
+    /// built here; unnamed columns get NULL.
     pub(crate) fn stage_named(&self, names: &[String], values: Vec<Value>) -> Result<Vec<Value>> {
         if names.len() != values.len() {
             return Err(SqlError::TypeMismatch(format!(
@@ -425,6 +431,18 @@ mod tests {
         let mut table = t();
         let err = table.insert_row(vec![Value::Text("abc".into()), Value::Null]).unwrap_err();
         assert!(matches!(err, SqlError::TypeMismatch(_)));
+        // The first INT cell coerces in place, the second does not: the
+        // error names the second column and the table stays as it was.
+        let mut table = Table::new(
+            "nodes",
+            vec![("id".into(), ColumnType::Int), ("rack".into(), ColumnType::Int)],
+        );
+        table.insert_row(vec![Value::Int(1), Value::Int(2)]).unwrap();
+        let before = table.clone();
+        let err =
+            table.insert_row(vec![Value::Text(" 7 ".into()), Value::Text("x".into())]).unwrap_err();
+        assert_eq!(err, SqlError::TypeMismatch("cannot store \"x\" in INT column rack".into()));
+        assert_eq!(table, before);
     }
 
     #[test]

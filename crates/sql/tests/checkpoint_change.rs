@@ -416,8 +416,9 @@ fn set_header_u32(data: &mut [u8], at: usize, value: u32) {
 /// Snapshot bytes that lie, under valid checksums, are
 /// `RecoveryError::Corrupt` — never a panic, a loop or a quietly
 /// different table: a page reached twice, a child or a catalog page past
-/// the header's page count, leaves that repeat or skip rowids, a header
-/// an older engine wrote.
+/// the header's page count, leaves that repeat or skip rowids, a row
+/// claiming more cells than it has bytes, a cell its column refuses, a
+/// header an older engine wrote.
 #[test]
 fn hostile_snapshot_bytes_are_corrupt_never_a_panic() {
     let valid = valid_data_file();
@@ -500,6 +501,31 @@ fn hostile_snapshot_bytes_are_corrupt_never_a_panic() {
             Err(other) => panic!("round {round}: {other:?}"),
         }
     }
+
+    // The first row of the first leaf, resealed, so what refuses it is the
+    // row's decode. Its cell count sits past the leaf header (kind, count)
+    // and the cell's key length, value length and key; then the INT id,
+    // tag and 8 bytes.
+    let first_row = payload(child(&valid, 0)).start + 3 + 2 + 4 + 8;
+    let refused = |data: &[u8], what: &str, reason: &str| match open_data(data) {
+        Err(DurableError::Recovery(RecoveryError::Corrupt(e))) if e.contains(reason) => {}
+        Err(other) => panic!("{what}: {other:?}, not Corrupt for {reason:?}"),
+        Ok(_) => panic!("{what}: opened"),
+    };
+    // A cell count of u32::MAX: refused by the bytes left, before anything
+    // is sized by it.
+    let mut data = valid.clone();
+    data[first_row..first_row + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    reseal(&mut data, child(&valid, 0));
+    refused(&data, "a row of u32::MAX cells", "row claims");
+    // The INT id as a TEXT cell of the same 9 bytes: it decodes, and the
+    // insert path the row is staged through still refuses it.
+    let mut data = valid.clone();
+    let id = first_row + 4;
+    assert_eq!(data[id], 1, "the first cell is an INT");
+    data[id..id + 9].copy_from_slice(&[2, 4, 0, 0, 0, b'a', b'b', b'c', b'd']);
+    reseal(&mut data, child(&valid, 0));
+    refused(&data, "a TEXT cell in the INT column", "rejected on reload");
 
     // A header count past the end of the file.
     let mut data = valid.clone();
