@@ -1,11 +1,10 @@
 //! The node-side eKV broadcaster.
 
-use parking_lot::Mutex;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// A telnet-compatible broadcaster: every line published is written to
@@ -51,7 +50,7 @@ impl EkvServer {
                         // so no line can land in the gap between replay
                         // and registration (it would otherwise be lost to
                         // this watcher).
-                        let history = accept_backlog.lock();
+                        let history = accept_backlog.lock().expect("backlog lock");
                         let mut ok = true;
                         for line in history.iter() {
                             if writeln!(stream, "{line}").is_err() {
@@ -79,7 +78,7 @@ impl EkvServer {
                                     }
                                 });
                             }
-                            accept_clients.lock().push(stream);
+                            accept_clients.lock().expect("clients lock").push(stream);
                         }
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -118,15 +117,15 @@ impl EkvServer {
 
     /// Publish one line of installer output to all watchers.
     pub fn publish(&self, line: &str) {
-        self.backlog.lock().push(line.to_string());
-        let mut clients = self.clients.lock();
+        self.backlog.lock().expect("backlog lock").push(line.to_string());
+        let mut clients = self.clients.lock().expect("clients lock");
         clients
             .retain_mut(|stream| writeln!(stream, "{line}").and_then(|_| stream.flush()).is_ok());
     }
 
     /// Number of currently-connected watchers.
     pub fn watcher_count(&self) -> usize {
-        self.clients.lock().len()
+        self.clients.lock().expect("clients lock").len()
     }
 
     /// Stop accepting and drop all watchers.
@@ -135,7 +134,7 @@ impl EkvServer {
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
         }
-        self.clients.lock().clear();
+        self.clients.lock().expect("clients lock").clear();
     }
 }
 
@@ -167,7 +166,7 @@ impl LocalFeed {
 
     /// Publish a line to all subscribers (and the backlog).
     pub fn publish(&self, line: &str) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect("feed lock");
         inner.backlog.push(line.to_string());
         inner.subscribers.retain(|tx| tx.send(line.to_string()).is_ok());
     }
@@ -175,7 +174,7 @@ impl LocalFeed {
     /// Subscribe; the returned receiver first sees the whole backlog.
     pub fn subscribe(&self) -> Receiver<String> {
         let (tx, rx) = channel();
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().expect("feed lock");
         for line in &inner.backlog {
             let _ = tx.send(line.clone());
         }
@@ -185,7 +184,7 @@ impl LocalFeed {
 
     /// Lines published so far.
     pub fn backlog(&self) -> Vec<String> {
-        self.inner.lock().backlog.clone()
+        self.inner.lock().expect("feed lock").backlog.clone()
     }
 }
 

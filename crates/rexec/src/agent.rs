@@ -1,10 +1,9 @@
 //! Per-node agents: a thread with a small command interpreter and a
 //! process table.
 
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -83,16 +82,16 @@ impl NodeAgent {
     /// Directly spawn a background "process" (test setup for
     /// cluster-kill scenarios).
     pub fn spawn_process(&self, name: &str) -> u32 {
-        let mut pid_slot = self.next_pid.lock();
+        let mut pid_slot = self.next_pid.lock().expect("pid lock");
         *pid_slot += 1;
         let pid = *pid_slot;
-        self.procs.lock().insert(pid, name.to_string());
+        self.procs.lock().expect("process table lock").insert(pid, name.to_string());
         pid
     }
 
     /// Names of processes currently on the node.
     pub fn process_names(&self) -> Vec<String> {
-        self.procs.lock().values().cloned().collect()
+        self.procs.lock().expect("process table lock").values().cloned().collect()
     }
 }
 
@@ -153,17 +152,17 @@ fn interpret(
             }
         },
         "ps" => {
-            for (pid, name) in procs.lock().iter() {
+            for (pid, name) in procs.lock().expect("process table lock").iter() {
                 let _ = request.stdout.send(format!("{pid} {name}"));
             }
             0
         }
         "start" => match args.first() {
             Some(name) => {
-                let mut pid_slot = next_pid.lock();
+                let mut pid_slot = next_pid.lock().expect("pid lock");
                 *pid_slot += 1;
                 let pid = *pid_slot;
-                procs.lock().insert(pid, name.to_string());
+                procs.lock().expect("process table lock").insert(pid, name.to_string());
                 let _ = request.stdout.send(format!("{pid}"));
                 0
             }
@@ -174,7 +173,7 @@ fn interpret(
         },
         "pkill" => match args.first() {
             Some(name) => {
-                let mut table = procs.lock();
+                let mut table = procs.lock().expect("process table lock");
                 let victims: Vec<u32> =
                     table.iter().filter(|(_, n)| n == name).map(|(pid, _)| *pid).collect();
                 for pid in &victims {

@@ -3,7 +3,7 @@
 //! enumerated row costs 1.0.
 //!
 //! The planner (`plan.rs`) uses these to compare *relative* plan costs —
-//! scan vs. index probe for access, hash vs. sort-merge for joins, and
+//! scan vs. index probe for access, one join key against another, and
 //! alternative join orders. Absolute accuracy does not matter; ordering
 //! accuracy does. The choices are pinned as exact `rows_examined` counts
 //! at 2k/10k/50k rows (`tests/stats_estimator.rs`); their wall-clock cost
@@ -21,13 +21,12 @@
 //!   [`crate::index::HashIndex`] over text clones each string and
 //!   inserts integer-shaped text under two buckets; ints are a single
 //!   cheap insert.
-//! * **Merge pre-filters, hash doesn't.** The hash-join side probes the
+//! * **A join pays for raw candidates.** The hash-join side probes the
 //!   table's *unfiltered* per-table index, so every probe drags in raw
-//!   candidates that pushed filters then discard one by one. Sort-merge
-//!   scans the right side once, applies the pushed filters, and sorts
-//!   only survivors (borrowed keys, no clones). That is why merge wins
-//!   low-NDV join keys with selective right-side filters, while hash
-//!   wins everything warm or high-NDV.
+//!   candidates that pushed filters then discard one by one. Among
+//!   several connecting equalities the planner therefore joins on the
+//!   one whose probes fetch the fewest raw candidates (rows / NDV of the
+//!   probed column), plus its amortized build if the index is cold.
 
 use crate::table::ColumnType;
 
@@ -46,23 +45,9 @@ pub const HASH_BUILD_INT: f64 = 1.5;
 /// Insert one text cell into a cold hash index (clone + up to two
 /// bucket inserts).
 pub const HASH_BUILD_TEXT: f64 = 6.0;
-/// Per element, per log2 level, of sorting borrowed keys.
-pub const SORT_PER_ELEM_LEVEL: f64 = 0.5;
-/// Advance one merge cursor / emit one group pair.
-pub const MERGE_STEP: f64 = 1.0;
-/// Fixed sort-merge setup overhead — keeps tiny joins on the hash path.
-pub const MERGE_BASE: f64 = 64.0;
 /// Expected executions sharing one cold build (indexes are cached on
 /// the table, plans in the statement cache).
 pub const BUILD_AMORTIZE: f64 = 32.0;
-
-/// `n·log2(n)` with a floor so 0- and 1-element sorts cost ~0.
-pub fn sort_cost(n: f64) -> f64 {
-    if n <= 1.0 {
-        return 0.0;
-    }
-    n * n.log2() * SORT_PER_ELEM_LEVEL
-}
 
 /// Amortized cost of building a hash index over `rows` cells of
 /// declared type `ty`, or 0 when it is already built.
@@ -96,25 +81,6 @@ pub fn hash_join_cost(left_tuples: f64, candidates_total: f64, filters: usize, b
     build + left_tuples * PROBE + candidates_total * (CANDIDATE + filters as f64 * FILTER_EVAL)
 }
 
-/// Cost of sort-merge joining `left_tuples` against a table of
-/// `right_rows` rows (of which `right_kept` pass the pushed filters):
-/// scan + filter the right side, sort both keyed sides, merge, verify
-/// each group pair.
-pub fn merge_join_cost(
-    left_tuples: f64,
-    right_rows: f64,
-    right_kept: f64,
-    filters: usize,
-    pairs: f64,
-) -> f64 {
-    MERGE_BASE
-        + scan_access_cost(right_rows, filters)
-        + sort_cost(right_kept)
-        + sort_cost(left_tuples)
-        + (left_tuples + right_kept) * MERGE_STEP
-        + pairs * CANDIDATE
-}
-
 /// Cost of producing `n` output tuples from any operator.
 pub fn emit_cost(n: f64) -> f64 {
     n * TUPLE
@@ -144,32 +110,5 @@ mod tests {
             assert!(index_access_cost(0.5 * n, 1, build) < scan, "50% match probes at n={n}");
             assert!(index_access_cost(0.9 * n, 1, build) > scan, "90% match scans at n={n}");
         }
-    }
-
-    #[test]
-    fn merge_wins_when_prefiltering_beats_probe_explosion() {
-        // Right table 100k rows, low-NDV text key (1k distinct values),
-        // pushed filter keeps ~100 rows. Hash probes the unfiltered
-        // index: 1k left tuples × 100 raw candidates each. Merge scans +
-        // filters once and sorts only the 100 survivors.
-        let l = 1_000.0;
-        let n = 100_000.0;
-        let ndv = 1_000.0;
-        let raw_candidates = l * n / ndv;
-        let hash =
-            hash_join_cost(l, raw_candidates, 1, index_build_cost(n, ColumnType::Text, false));
-        let kept = 100.0;
-        let merge = merge_join_cost(l, n, kept, 1, l * kept / ndv);
-        assert!(merge < hash, "filtered low-NDV join: merge {merge} vs hash {hash}");
-        // High-NDV warm join: hash wins at any size.
-        let hash_warm = hash_join_cost(n, n, 0, 0.0);
-        let merge_big = merge_join_cost(n, n, n, 0, n);
-        assert!(hash_warm < merge_big);
-        // Tiny joins stay on hash (MERGE_BASE).
-        let small = 8.0;
-        let hash_small =
-            hash_join_cost(small, small, 0, index_build_cost(small, ColumnType::Text, false));
-        let merge_small = merge_join_cost(small, small, small, 0, small);
-        assert!(hash_small < merge_small);
     }
 }

@@ -19,7 +19,7 @@
 //! counts tuples, so it stays the oracle for that answer too.
 
 use crate::ast::*;
-use crate::plan::{self, PlannerConfig, SelectPlan};
+use crate::plan::{self, SelectPlan};
 use crate::table::Table;
 use crate::value::Value;
 use crate::{Database, Result, SqlError};
@@ -192,8 +192,7 @@ pub fn execute(db: &mut Database, stmt: Statement) -> Result<ExecOutcome> {
 /// worker threads query one database snapshot without locking each other
 /// out. `Prepared` carries a plan built at prepare time
 /// (`Database::query_ref`'s statement cache); `ForceScan` is the
-/// differential baseline used by `Database::query_ref_scan`, benchmarks,
-/// and the proptest suite.
+/// differential baseline behind `Database::query_ref_scan`.
 pub(crate) fn execute_readonly_with<S: Sink>(
     db: &Database,
     stmt: &Statement,
@@ -219,9 +218,6 @@ pub(crate) enum PlanChoice<'a> {
     ForceScan,
     /// A plan (or a recorded planning refusal) from the statement cache.
     Prepared(Option<&'a SelectPlan>),
-    /// Plan now with an explicit planner configuration, bypassing the
-    /// statement cache (benchmark baselines and forced join algorithms).
-    Config(&'a PlannerConfig),
 }
 
 /// `EXPLAIN <stmt>`: render the plan the SELECT would run with. Writes
@@ -237,7 +233,7 @@ fn explain<S: Sink>(db: &Database, stmt: &Statement) -> Result<S> {
         vec![format!("select from {name}"), format!("  {name}: count(*) from the table length")]
     } else {
         let planned = where_clause.as_ref().and_then(|w| plan::plan_select(&tables, w));
-        plan::render_plan(&tables, planned.as_ref(), where_clause.as_ref())
+        plan::render_plan(&tables, planned.as_ref().map(|(p, _)| p), where_clause.as_ref())
     };
     if !order_by.is_empty() {
         let keys: Vec<String> = order_by
@@ -459,28 +455,18 @@ fn select<S: Sink>(
     let mut used_index = false;
     let mut est_rows: Option<f64> = None;
     let mut tuples: Vec<u32> = match (where_clause, mode) {
-        (Some(expr), PlanChoice::Auto | PlanChoice::Config(_)) => {
-            let config = match mode {
-                PlanChoice::Config(c) => *c,
-                _ => PlannerConfig::default(),
-            };
-            match plan::plan_select_with(&tables, expr, &config) {
-                Some((p, info)) => {
-                    db.stats().record_planning(&info, p.reordered);
-                    used_index = p.uses_index();
-                    if p.costed {
-                        est_rows = Some(p.est_rows);
-                    }
-                    plan::execute_plan(&p, &tables, &mut examined)?
-                }
-                None => scan_rows(&tables, where_clause, &mut examined)?,
+        (Some(expr), PlanChoice::Auto) => match plan::plan_select(&tables, expr) {
+            Some((p, info)) => {
+                db.stats().record_planning(&info, p.reordered);
+                used_index = p.uses_index();
+                est_rows = Some(p.est_rows);
+                plan::execute_plan(&p, &tables, &mut examined)?
             }
-        }
+            None => scan_rows(&tables, where_clause, &mut examined)?,
+        },
         (Some(_), PlanChoice::Prepared(Some(p))) => {
             used_index = p.uses_index();
-            if p.costed {
-                est_rows = Some(p.est_rows);
-            }
+            est_rows = Some(p.est_rows);
             plan::execute_plan(p, &tables, &mut examined)?
         }
         _ => scan_rows(&tables, where_clause, &mut examined)?,

@@ -63,7 +63,7 @@ pub use disk::{CrashPlan, DiskError, DiskFile, FileVfs, MemVfs, Vfs};
 pub use durable::{DurableDatabase, DurableError};
 pub use exec::{ExecOutcome, QueryResult};
 pub use index::HashIndex;
-pub use plan::{JoinAlgo, PlannerConfig, PlannerMode, SelectPlan};
+pub use plan::SelectPlan;
 pub use recovery::{RecoveryError, RecoveryReport};
 pub use stats::TableStats;
 pub use table::{Column, ColumnType, Table};
@@ -288,9 +288,7 @@ impl QueryStats {
     }
 
     pub(crate) fn record_planning(&self, info: &plan::PlanInfo, reordered: bool) {
-        if info.costed {
-            self.plans_costed.incr();
-        }
+        self.plans_costed.incr();
         self.stats_builds.add(info.stats_builds);
         if reordered {
             self.join_reorders.incr();
@@ -410,22 +408,13 @@ impl Database {
     }
 
     /// [`query_ref`](Self::query_ref) with the planner disabled: parse
-    /// and run the naive scan path. This is the differential baseline the
-    /// planner is verified against (see `tests/proptest_plan.rs`) and the
-    /// "before" side of the benchmark suite.
+    /// and run the naive scan path. This is the oracle the differential
+    /// suites hold the planner to (see `tests/proptest_plan.rs` and
+    /// `tests/select_corpus.rs`), and the benchmark ledger's
+    /// `verify_pool` checks its query pool against it.
     pub fn query_ref_scan(&self, sql: &str) -> Result<QueryResult> {
         let stmt = parser::parse(sql)?;
         exec::execute_readonly_with(self, &stmt, exec::PlanChoice::ForceScan)
-    }
-
-    /// [`query_ref`](Self::query_ref) with an explicit planner
-    /// configuration — the heuristic baseline or a forced join
-    /// algorithm. Parses and plans on every call and bypasses the
-    /// statement cache: the differential suites' path, not a fast
-    /// path.
-    pub fn query_ref_config(&self, sql: &str, config: &PlannerConfig) -> Result<QueryResult> {
-        let stmt = parser::parse(sql)?;
-        exec::execute_readonly_with(self, &stmt, exec::PlanChoice::Config(config))
     }
 
     /// Hash of every table's name and size *band* (power-of-two bucket
@@ -475,12 +464,10 @@ impl Database {
                 let tables: Option<Vec<(&str, &Table)>> =
                     from.iter().map(|name| self.table(name).map(|t| (t.name(), t))).collect();
                 tables.and_then(|tables| {
-                    plan::plan_select_with(&tables, w, &PlannerConfig::default()).map(
-                        |(p, info)| {
-                            self.stats.record_planning(&info, p.reordered);
-                            p
-                        },
-                    )
+                    plan::plan_select(&tables, w).map(|(p, info)| {
+                        self.stats.record_planning(&info, p.reordered);
+                        p
+                    })
                 })
             }
             _ => None,

@@ -1,10 +1,8 @@
 //! Cost-based query planning: index point lookups, predicate pushdown,
-//! hash and sort-merge joins, and join-order enumeration.
+//! hash joins, and join-order enumeration.
 //!
 //! The planner lowers a `SELECT ... WHERE ...` into a left-deep pipeline
-//! of per-table steps. Unlike the original heuristic planner (kept as
-//! [`PlannerMode::Heuristic`] — the benchmark baseline), the default
-//! [`PlannerMode::CostBased`] planner:
+//! of per-table steps. It:
 //!
 //! * estimates per-predicate selectivity from per-column
 //!   [`TableStats`] (row counts, NDV, min/max, equi-depth histograms —
@@ -12,9 +10,8 @@
 //! * prices **scan vs. index point lookup** per table with the model in
 //!   `cost.rs`, so a broad predicate (`arch = 'x86_64'` matching 90% of
 //!   rows) scans while a selective one probes;
-//! * prices **hash vs. sort-merge** per join — warm hash indexes always
-//!   win, but a large *cold* text-keyed join is cheaper to sort (borrowed
-//!   keys, no string clones) than to hash (clone every string);
+//! * hash-joins on the cheapest connecting equality, probing the joined
+//!   table's cached hash index;
 //! * **enumerates join orders** — exact dynamic programming over subsets
 //!   for ≤ [`DP_TABLE_LIMIT`] tables, greedy above — instead of taking
 //!   FROM order.
@@ -22,18 +19,17 @@
 //! Byte-identical-to-scan guarantees (checked by the differential
 //! proptest in `tests/proptest_plan.rs`):
 //!
-//! * **candidates are supersets** — index probes and merge-join key
-//!   groups may contain rows not equal under [`Value::sql_cmp`]'s
-//!   Int↔Text coercion, so the originating conjunct stays in the step
-//!   filter / every group pair is re-verified with `sql_cmp`;
+//! * **candidates are supersets** — index probes may return rows not
+//!   equal under [`Value::sql_cmp`]'s Int↔Text coercion, so the
+//!   originating conjunct stays in the step filter and every join
+//!   candidate is re-verified with `sql_cmp`;
 //! * **order is preserved** — the scan path enumerates the cross product
 //!   lexicographically in FROM order. A plan that executes in FROM order
-//!   with hash joins only reproduces that order for free (ascending
-//!   candidates, accumulator-order extension); any plan that reorders
-//!   tables or merge-joins sets [`SelectPlan::restore_order`], and the
-//!   pipeline sorts surviving tuples by their FROM-order row ids (tuples
-//!   are distinct, so the order is total and deterministic) before the
-//!   executor sees them;
+//!   reproduces that order for free (ascending candidates,
+//!   accumulator-order extension); a plan that reorders tables sets
+//!   [`SelectPlan::reordered`], and the pipeline sorts surviving tuples
+//!   by their FROM-order row ids (tuples are distinct, so the order is
+//!   total and deterministic) before the executor sees them;
 //! * **errors are preserved** — the planner refuses (returns `None`, the
 //!   executor falls back to the scan path) unless every column reference
 //!   in the WHERE clause resolves uniquely.
@@ -47,7 +43,7 @@
 use crate::ast::{BinOp, ColumnRef, Expr};
 use crate::cost;
 use crate::exec::{eval, gather, resolve_column, RowEnv};
-use crate::stats::{KeyRef, TableStats};
+use crate::stats::TableStats;
 use crate::table::Table;
 use crate::value::Value;
 use crate::Result;
@@ -73,17 +69,9 @@ pub enum Access {
     },
 }
 
-/// Physical join algorithm for one step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinAlgo {
-    /// Probe the right table's hash index with each accumulated tuple.
-    Hash,
-    /// Sort both sides by normalized key and merge equal-key runs.
-    SortMerge,
-}
-
-/// Join linkage: equality between a column of an earlier *executed* step
-/// and a column of this step's table.
+/// Hash-join linkage: equality between a column of an earlier *executed*
+/// step and a column of this step's table, whose hash index each
+/// accumulated tuple probes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinKey {
     /// Execution-step index of the earlier step supplying probe values.
@@ -92,8 +80,6 @@ pub struct JoinKey {
     pub left_col: usize,
     /// Column index within this step's table.
     pub right_col: usize,
-    /// Physical algorithm.
-    pub algo: JoinAlgo,
 }
 
 /// One per-table step of the pipeline, in execution order.
@@ -101,16 +87,16 @@ pub struct JoinKey {
 pub struct Step {
     /// FROM position of the table this step enumerates.
     pub table: usize,
-    /// Row enumeration strategy (ignored for hash joins, which probe).
+    /// Row enumeration strategy (ignored for joins, which probe).
     pub access: Access,
     /// Join against the accumulated prefix (`None` for step 0 and for
     /// genuine cross joins).
     pub join: Option<JoinKey>,
     /// Pushed-down single-table conjuncts; a row must satisfy all.
     pub filter: Vec<Expr>,
-    /// Estimated tuples alive after this step (0 when not costed).
+    /// Estimated tuples alive after this step.
     pub est_rows: f64,
-    /// Estimated cumulative cost through this step (0 when not costed).
+    /// Estimated cumulative cost through this step.
     pub est_cost: f64,
 }
 
@@ -125,14 +111,10 @@ pub struct SelectPlan {
     /// Conjuncts not consumed above: `(ready_after, expr)` — evaluated on
     /// the accumulated row right after execution step `ready_after`.
     pub residual: Vec<(usize, Expr)>,
-    /// Executor must re-sort surviving tuples into FROM-order
-    /// lexicographic order (set when reordered or merge-joined).
-    pub restore_order: bool,
-    /// Execution order differs from FROM order (telemetry:
+    /// Execution order differs from FROM order, so the executor re-sorts
+    /// surviving tuples into FROM-order lexicographic order (telemetry:
     /// `sql.opt.join_reorders`).
     pub reordered: bool,
-    /// Whether cost estimation ran (false for heuristic plans).
-    pub costed: bool,
     /// Estimated joined-row count before residual/projection (feeds the
     /// estimated-vs-actual telemetry histogram).
     pub est_rows: f64,
@@ -142,37 +124,11 @@ pub struct SelectPlan {
 
 impl SelectPlan {
     /// Whether executing this plan touches a hash index anywhere — a
-    /// point lookup or a hash join. Telemetry classifies executions as
+    /// point lookup or a join. Telemetry classifies executions as
     /// "indexed" vs "scan" with this.
     pub fn uses_index(&self) -> bool {
-        self.steps.iter().any(|s| {
-            matches!(s.access, Access::IndexEq { .. })
-                || matches!(&s.join, Some(k) if k.algo == JoinAlgo::Hash)
-        })
+        self.steps.iter().any(|s| matches!(s.access, Access::IndexEq { .. }) || s.join.is_some())
     }
-}
-
-/// Planner strategy selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlannerMode {
-    /// Statistics-driven costing and join reordering (the default).
-    #[default]
-    CostBased,
-    /// The original fixed-heuristic planner: FROM order, first
-    /// `col = literal` becomes the index access, first connecting equi
-    /// becomes a hash join. Kept as the benchmark/regression baseline.
-    Heuristic,
-}
-
-/// Planner configuration, threaded through `Database::query_ref_config`
-/// so tests can pin the baseline or a join algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PlannerConfig {
-    /// Strategy.
-    pub mode: PlannerMode,
-    /// Force every join step onto one algorithm (the differential
-    /// suites' forced paths); `None` lets the cost model choose.
-    pub force_join: Option<JoinAlgo>,
 }
 
 /// What planning did — telemetry inputs for `QueryStats`.
@@ -180,8 +136,6 @@ pub struct PlannerConfig {
 pub struct PlanInfo {
     /// Table-statistics (re)builds triggered by this planning pass.
     pub stats_builds: u64,
-    /// Whether cost estimation ran.
-    pub costed: bool,
 }
 
 /// Split an expression into its top-level AND conjuncts.
@@ -249,8 +203,7 @@ fn column_eq(expr: &Expr, tables: &[(&str, &Table)]) -> Option<((usize, usize), 
 /// Cross-table equality conjunct: `((ta, ca), (tb, cb), expr)`.
 type EquiConjunct = ((usize, usize), (usize, usize), Expr);
 
-/// The WHERE clause, classified per table — shared by both planner
-/// modes.
+/// The WHERE clause, classified per table.
 struct Analysis {
     /// Pushed-down single-table conjuncts, per FROM position.
     filters: Vec<Vec<Expr>>,
@@ -404,8 +357,8 @@ fn conjunct_selectivity(expr: &Expr, tables: &[(&str, &Table)], stats: &TableSta
 struct Extension {
     table: usize,
     access: Access,
-    /// `(index into Analysis::equis, algorithm)` when joined.
-    join: Option<(usize, JoinAlgo)>,
+    /// Index into `Analysis::equis` of the hash-join key, when joined.
+    join: Option<usize>,
 }
 
 /// Per-table planning facts gathered once.
@@ -418,96 +371,20 @@ struct TableFacts {
     access_cost: f64,
 }
 
-/// Build a plan for a WHERE clause over the given FROM tables with the
-/// default (cost-based) configuration, or `None` when any column
-/// reference fails unique resolution.
-pub fn plan_select(tables: &[(&str, &Table)], where_clause: &Expr) -> Option<SelectPlan> {
-    plan_select_with(tables, where_clause, &PlannerConfig::default()).map(|(p, _)| p)
-}
-
-/// [`plan_select`] with an explicit configuration, also reporting what
-/// planning did (for telemetry).
-pub fn plan_select_with(
+/// Plan a WHERE clause over the given FROM tables — per-table facts,
+/// then join-order enumeration — also reporting what planning did (for
+/// telemetry). `None` when any column reference fails unique resolution
+/// or there are more than 32 tables; the executor then scans.
+pub fn plan_select(
     tables: &[(&str, &Table)],
     where_clause: &Expr,
-    config: &PlannerConfig,
 ) -> Option<(SelectPlan, PlanInfo)> {
     if tables.is_empty() || tables.len() > 32 {
         return None; // join-set masks are u32; the scan path handles it
     }
     let analysis = analyze(tables, where_clause)?;
-    match config.mode {
-        PlannerMode::Heuristic => Some(plan_heuristic(tables, analysis, config)),
-        PlannerMode::CostBased => Some(plan_cost_based(tables, analysis, config)),
-    }
-}
-
-/// The original PR-2 planner: FROM order, first literal-eq as access,
-/// first connecting equi as a hash join.
-fn plan_heuristic(
-    tables: &[(&str, &Table)],
-    analysis: Analysis,
-    config: &PlannerConfig,
-) -> (SelectPlan, PlanInfo) {
     let n = tables.len();
-    let algo = config.force_join.unwrap_or(JoinAlgo::Hash);
-    let mut steps: Vec<Step> = (0..n)
-        .map(|t| Step {
-            table: t,
-            access: match analysis.literal_eqs[t].first() {
-                Some((col, lit)) => Access::IndexEq { column: *col, literal: lit.clone() },
-                None => Access::Scan,
-            },
-            join: None,
-            filter: analysis.filters[t].clone(),
-            est_rows: 0.0,
-            est_cost: 0.0,
-        })
-        .collect();
-    let mut used = vec![false; analysis.equis.len()];
-    for (k, step) in steps.iter_mut().enumerate().skip(1) {
-        for (i, (ra, rb, _)) in analysis.equis.iter().enumerate() {
-            let (lo, hi) = if ra.0 < rb.0 { (ra, rb) } else { (rb, ra) };
-            if !used[i] && hi.0 == k {
-                step.join =
-                    Some(JoinKey { left_step: lo.0, left_col: lo.1, right_col: hi.1, algo });
-                used[i] = true;
-                break;
-            }
-        }
-    }
-    let mut residual: Vec<(usize, Expr)> = Vec::new();
-    for (i, (ra, rb, expr)) in analysis.equis.iter().enumerate() {
-        if !used[i] {
-            residual.push((ra.0.max(rb.0), expr.clone()));
-        }
-    }
-    for (touched, expr) in &analysis.other {
-        residual.push((touched.iter().copied().max().unwrap_or(0), expr.clone()));
-    }
-    let restore_order = algo == JoinAlgo::SortMerge && n > 1;
-    (
-        SelectPlan {
-            steps,
-            residual,
-            restore_order,
-            reordered: false,
-            costed: false,
-            est_rows: 0.0,
-            est_cost: 0.0,
-        },
-        PlanInfo::default(),
-    )
-}
-
-/// The cost-based planner: per-table facts, then join-order enumeration.
-fn plan_cost_based(
-    tables: &[(&str, &Table)],
-    analysis: Analysis,
-    config: &PlannerConfig,
-) -> (SelectPlan, PlanInfo) {
-    let n = tables.len();
-    let mut info = PlanInfo { stats_builds: 0, costed: true };
+    let mut info = PlanInfo::default();
 
     // Gather stats and per-table access choices.
     let facts: Vec<TableFacts> = (0..n)
@@ -575,39 +452,28 @@ fn plan_cost_based(
         // selectivity (the first is the physical join key, the rest are
         // verified as residuals).
         let mut out = cur_rows * f.base_est;
-        for &(i, (lpos, lcol), rcol) in &connecting {
-            let _ = i;
+        for &(_, (lpos, lcol), rcol) in &connecting {
             let ndv_l = facts[lpos].stats.ndv(lcol);
             let ndv_r = f.stats.ndv(rcol);
             out /= ndv_l.max(ndv_r).max(1.0);
         }
-        // Pick the physical join key + algorithm by cost.
-        let mut best: Option<(f64, usize, JoinAlgo)> = None;
-        for &(i, (_lpos, _lcol), rcol) in &connecting {
-            let ndv_r = f.stats.ndv(rcol).max(1.0);
-            let raw_candidates = cur_rows * rows_t / ndv_r;
-            let filtered_pairs = cur_rows * (f.base_est / ndv_r).max(0.0);
+        // Hash-join on the connecting equi whose probes cost least.
+        let mut best: Option<(f64, usize)> = None;
+        for &(i, _, rcol) in &connecting {
+            let raw_candidates = cur_rows * rows_t / f.stats.ndv(rcol).max(1.0);
             let build = cost::index_build_cost(
                 rows_t,
                 tables[t].1.columns()[rcol].ty,
                 tables[t].1.has_eq_index(rcol),
             );
-            let hash = cost::hash_join_cost(cur_rows, raw_candidates, nf, build);
-            let merge = cost::merge_join_cost(cur_rows, rows_t, f.base_est, nf, filtered_pairs);
-            let choices: &[(JoinAlgo, f64)] = match config.force_join {
-                Some(JoinAlgo::Hash) => &[(JoinAlgo::Hash, hash)],
-                Some(JoinAlgo::SortMerge) => &[(JoinAlgo::SortMerge, merge)],
-                None => &[(JoinAlgo::Hash, hash), (JoinAlgo::SortMerge, merge)],
-            };
-            for &(algo, c) in choices {
-                if best.as_ref().is_none_or(|(bc, _, _)| c < *bc) {
-                    best = Some((c, i, algo));
-                }
+            let c = cost::hash_join_cost(cur_rows, raw_candidates, nf, build);
+            if best.is_none_or(|(bc, _)| c < bc) {
+                best = Some((c, i));
             }
         }
-        let (join_cost, equi_idx, algo) = best.expect("connecting is non-empty");
+        let (join_cost, equi_idx) = best.expect("connecting is non-empty");
         let added = join_cost + cost::emit_cost(out);
-        (added, out, Extension { table: t, access: Access::Scan, join: Some((equi_idx, algo)) })
+        (added, out, Extension { table: t, access: Access::Scan, join: Some(equi_idx) })
     };
 
     // Enumerate the join order: exact DP over subsets when small, greedy
@@ -707,11 +573,11 @@ fn plan_cost_based(
         cum_cost += added;
         cur_rows = out;
         mask |= 1 << t;
-        let join = ext.join.map(|(equi_idx, algo)| {
+        let join = ext.join.map(|equi_idx| {
             used[equi_idx] = true;
             let (ra, rb, _) = &analysis.equis[equi_idx];
             let (left, right_col) = if ra.0 == t { (*rb, ra.1) } else { (*ra, rb.1) };
-            JoinKey { left_step: exec_pos[left.0], left_col: left.1, right_col, algo }
+            JoinKey { left_step: exec_pos[left.0], left_col: left.1, right_col }
         });
         steps.push(Step {
             table: t,
@@ -736,19 +602,14 @@ fn plan_cost_based(
         residual.push((ready_for(touched), expr.clone()));
     }
 
-    let reordered = order.iter().enumerate().any(|(k, ext)| ext.table != k);
-    let merge_used =
-        steps.iter().any(|s| matches!(&s.join, Some(k) if k.algo == JoinAlgo::SortMerge));
     let plan = SelectPlan {
-        restore_order: (reordered || merge_used) && n > 0,
-        reordered,
-        costed: true,
+        reordered: order.iter().enumerate().any(|(k, ext)| ext.table != k),
         est_rows: cur_rows,
         est_cost: cum_cost,
         steps,
         residual,
     };
-    (plan, info)
+    Some((plan, info))
 }
 
 /// Do a step's pushed-down filters pass one row of its table?
@@ -760,75 +621,6 @@ fn step_filter(filters: &[Expr], single: &[(&str, &Table)], row: u32) -> Result<
         }
     }
     Ok(true)
-}
-
-/// Sort-merge join: sort the (filtered) right rows and the accumulated
-/// `width`-wide tuples by normalized key, merge equal-key runs, and
-/// re-verify every pair with `sql_cmp` (group keys are supersets — see
-/// `stats.rs`). Returns the joined tuples, one wider.
-fn merge_join(
-    acc: &[u32],
-    width: usize,
-    left_table: &Table,
-    key: &JoinKey,
-    filters: &[Expr],
-    single: &[(&str, &Table)],
-    examined: &mut u64,
-) -> Result<Vec<u32>> {
-    let right_rows = single[0].1.rows();
-    *examined += right_rows.len() as u64;
-    let mut rkeys: Vec<(KeyRef<'_>, u32)> = Vec::new();
-    for (i, row) in right_rows.iter().enumerate() {
-        if let Some(k) = KeyRef::of(&row[key.right_col]) {
-            if step_filter(filters, single, i as u32)? {
-                rkeys.push((k, i as u32));
-            }
-        }
-    }
-    rkeys.sort_unstable();
-
-    let left_rows = left_table.rows();
-    let left_val =
-        |tuple: usize| &left_rows[acc[tuple * width + key.left_step] as usize][key.left_col];
-    let mut lkeys: Vec<(KeyRef<'_>, u32)> = Vec::new();
-    for i in 0..acc.len() / width {
-        if let Some(k) = KeyRef::of(left_val(i)) {
-            lkeys.push((k, i as u32)); // NULL keys join nothing
-        }
-    }
-    lkeys.sort_unstable();
-
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < lkeys.len() && j < rkeys.len() {
-        match lkeys[i].0.cmp(&rkeys[j].0) {
-            Ordering::Less => i += 1,
-            Ordering::Greater => j += 1,
-            Ordering::Equal => {
-                let k = lkeys[i].0;
-                let (i0, j0) = (i, j);
-                while i < lkeys.len() && lkeys[i].0 == k {
-                    i += 1;
-                }
-                while j < rkeys.len() && rkeys[j].0 == k {
-                    j += 1;
-                }
-                for &(_, tuple) in &lkeys[i0..i] {
-                    let lval = left_val(tuple as usize);
-                    for &(_, r) in &rkeys[j0..j] {
-                        *examined += 1;
-                        let rval = &right_rows[r as usize][key.right_col];
-                        if lval.sql_cmp(rval) != Some(Ordering::Equal) {
-                            continue; // group key was a superset
-                        }
-                        out.extend_from_slice(&acc[tuple as usize * width..][..width]);
-                        out.push(r);
-                    }
-                }
-            }
-        }
-    }
-    Ok(out)
 }
 
 /// Execute a plan, returning the surviving tuples — one row id per FROM
@@ -895,15 +687,6 @@ pub(crate) fn execute_plan(
                     next
                 }
             }
-            Some(key) if key.algo == JoinAlgo::SortMerge => merge_join(
-                &acc,
-                k,
-                exec_tables[key.left_step].1,
-                key,
-                &step.filter,
-                &single,
-                examined,
-            )?,
             // Hash join: probe this table's index with each accumulated
             // tuple's key value. Ascending buckets + accumulator order
             // reproduce the cross product's lexicographic order (when
@@ -975,19 +758,16 @@ pub(crate) fn execute_plan(
         }
     }
 
-    // Execution order -> FROM order: the FROM position of each step slot.
-    let mut slot_of = vec![0usize; n];
-    for (slot, s) in plan.steps.iter().enumerate() {
-        slot_of[s.table] = slot;
-    }
-    if slot_of.iter().enumerate().any(|(pos, &slot)| pos != slot) {
+    // A reordered pipeline holds its tuples in execution order and out of
+    // cross-product order: permute each into FROM order, then sort on
+    // FROM-order row ids. Tuples are distinct combinations, so the order
+    // is total — no tie to break.
+    if plan.reordered {
+        let mut slot_of = vec![0usize; n];
+        for (slot, s) in plan.steps.iter().enumerate() {
+            slot_of[s.table] = slot;
+        }
         acc = acc.chunks_exact(n).flat_map(|tuple| slot_of.iter().map(|&s| tuple[s])).collect();
-    }
-
-    // Reordered/merged pipelines emit tuples out of cross-product order;
-    // restore it by sorting on FROM-order row ids. Tuples are distinct
-    // combinations, so the order is total — no tie to break.
-    if plan.restore_order {
         let mut order: Vec<u32> = (0..(acc.len() / n) as u32).collect();
         order.sort_unstable_by_key(|&i| &acc[i as usize * n..][..n]);
         acc = gather(&acc, n, &order);
@@ -996,8 +776,8 @@ pub(crate) fn execute_plan(
 }
 
 /// Render a plan (or the scan fallback) as EXPLAIN output lines, in
-/// execution order. Costed plans annotate each step with estimated rows
-/// and cumulative cost.
+/// execution order. A plan annotates each step with estimated rows and
+/// cumulative cost.
 pub fn render_plan(
     tables: &[(&str, &Table)],
     plan: Option<&SelectPlan>,
@@ -1013,12 +793,8 @@ pub fn render_plan(
                 match &step.join {
                     Some(key) => {
                         let left_from = plan.steps[key.left_step].table;
-                        let algo = match key.algo {
-                            JoinAlgo::Hash => "hash join",
-                            JoinAlgo::SortMerge => "merge join",
-                        };
                         line.push_str(&format!(
-                            "{algo}({}.{} = {}.{})",
+                            "hash join({}.{} = {}.{}), ",
                             names[left_from],
                             tables[left_from].1.columns()[key.left_col].name,
                             names[step.table],
@@ -1027,9 +803,6 @@ pub fn render_plan(
                     }
                     None if k == 0 => {}
                     None => line.push_str("nested loop, "),
-                }
-                if step.join.is_some() {
-                    line.push_str(", ");
                 }
                 match &step.access {
                     Access::Scan => line.push_str("scan"),
@@ -1045,13 +818,11 @@ pub fn render_plan(
                     let fs: Vec<String> = step.filter.iter().map(|f| f.to_string()).collect();
                     line.push_str(&format!(" filter({})", fs.join(" and ")));
                 }
-                if plan.costed {
-                    line.push_str(&format!(
-                        " [est {} rows, cost {}]",
-                        step.est_rows.round() as u64,
-                        step.est_cost.round() as u64
-                    ));
-                }
+                line.push_str(&format!(
+                    " [est {} rows, cost {}]",
+                    step.est_rows.round() as u64,
+                    step.est_cost.round() as u64
+                ));
                 lines.push(line);
             }
             for (ready, expr) in &plan.residual {
@@ -1062,13 +833,11 @@ pub fn render_plan(
                 let order: Vec<&str> = plan.steps.iter().map(|s| names[s.table]).collect();
                 lines.push(format!("  join order: {} (cost-based)", order.join(", ")));
             }
-            if plan.costed {
-                lines.push(format!(
-                    "  estimated: {} rows, total cost {}",
-                    plan.est_rows.round() as u64,
-                    plan.est_cost.round() as u64
-                ));
-            }
+            lines.push(format!(
+                "  estimated: {} rows, total cost {}",
+                plan.est_rows.round() as u64,
+                plan.est_cost.round() as u64
+            ));
         }
         None => {
             for (k, name) in names.iter().enumerate() {

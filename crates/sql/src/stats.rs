@@ -1,7 +1,7 @@
 //! Incremental per-column table statistics for the cost-based optimizer.
 //!
-//! The planner (see `plan.rs`) prices scans, index probes, and join
-//! algorithms with per-column statistics: exact row/NULL counts, an NDV
+//! The planner (see `plan.rs`) prices scans, index probes, and joins
+//! with per-column statistics: exact row/NULL counts, an NDV
 //! (number-of-distinct-values) estimate, min/max bounds, and a small
 //! equi-depth histogram. Statistics are:
 //!
@@ -20,9 +20,8 @@
 //! # The key space and `sql_cmp`
 //!
 //! SQL equality here is *non-transitive* over raw values: `5 = '5'` and
-//! `5 = '05'` are both true while `'5' = '05'` is false. Histograms (and
-//! the sort-merge join in `plan.rs`) therefore operate on a *normalized*
-//! key space, [`StatKey`]: any text that parses as an `i64` maps to its
+//! `5 = '05'` are both true while `'5' = '05'` is false. Histograms
+//! therefore operate on a *normalized* key space, [`StatKey`]: any text that parses as an `i64` maps to its
 //! numeric key, everything else stays text, and `Num(_) < Text(_)`. Two
 //! values that compare equal under [`Value::sql_cmp`] always share a
 //! group key (the numeric interpretation wins for both, or neither
@@ -47,8 +46,7 @@ pub const SAMPLE_CAP: usize = 4096;
 /// cannot reshape the histogram).
 const DRIFT_REBUILD_FRACTION: f64 = 0.5;
 
-/// Owned normalized key: the total order statistics and merge joins run
-/// on. Integer-shaped text collapses onto its numeric value.
+/// Owned normalized key: the total order statistics run on. Integer-shaped text collapses onto its numeric value.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum StatKey {
     /// `Int` cells and text that parses as `i64`.
@@ -72,8 +70,8 @@ impl StatKey {
     }
 }
 
-/// Borrowed normalized key — what sorts and merges use, so no string is
-/// cloned per row.
+/// Borrowed normalized key — what a statistics build sorts, so no string
+/// is cloned per row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum KeyRef<'a> {
     Num(i64),
@@ -400,7 +398,7 @@ mod tests {
 
     #[test]
     fn sql_cmp_equal_values_share_a_stat_key() {
-        // The superset property the merge join relies on: sql_cmp-equal
+        // The superset property the histograms rely on: sql_cmp-equal
         // values always normalize to the same key.
         let tricky = [
             Value::Int(5),

@@ -95,8 +95,9 @@ const COUNT: &str = "select count(*) from nodes";
 
 /// Allocations of the warm rack lookup: its 32 names, the returned list,
 /// the resolved FROM tables, the projected columns, and the plan's
-/// execution-order tables, index hits and slot map.
-const RACK_ALLOCATIONS: u64 = 32 + 6;
+/// execution-order tables and index hits. A plan that keeps FROM order
+/// builds no slot map.
+const RACK_ALLOCATIONS: u64 = 32 + 5;
 
 /// ... and of the `count(*)`: the resolved FROM table, the result's
 /// label list and label, its row list and its one row.

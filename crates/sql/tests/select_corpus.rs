@@ -12,9 +12,8 @@
 //! membership fix turned, and the two WHERE-less `count(*) from nodes`
 //! lines, whose `rows_examined` went 300 → 0 when the count came from the
 //! table length (same rows, same hash). Every statement is also diffed
-//! across `query_ref`, `query_ref_scan` and `query_ref_config`
-//! (heuristic, forced hash, forced merge), and `query_column_ref` against
-//! the rendered first column of `query_ref_scan`.
+//! between `query_ref` and `query_ref_scan`, and `query_column_ref`
+//! against the rendered first column of `query_ref_scan`.
 //!
 //! The fixture has NULLs in every column ORDER BY does not draw its keys
 //! from (the parent's sort panicked on NULL keys, see `exec.rs`'s
@@ -34,7 +33,7 @@
 //! UPDATE_GOLDEN=1 cargo test -p rocks-sql --test select_corpus
 //! ```
 
-use rocks_sql::{Database, JoinAlgo, PlannerConfig, PlannerMode, Value};
+use rocks_sql::{Database, Value};
 use std::path::PathBuf;
 
 /// splitmix64: the corpus must not depend on any RNG crate's stream.
@@ -487,19 +486,6 @@ fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Every planner configuration `query_ref_config` accepts.
-const CONFIGS: [(&str, PlannerConfig); 3] = [
-    ("heuristic", PlannerConfig { mode: PlannerMode::Heuristic, force_join: None }),
-    (
-        "force-hash",
-        PlannerConfig { mode: PlannerMode::CostBased, force_join: Some(JoinAlgo::Hash) },
-    ),
-    (
-        "force-merge",
-        PlannerConfig { mode: PlannerMode::CostBased, force_join: Some(JoinAlgo::SortMerge) },
-    ),
-];
-
 #[test]
 fn select_corpus_matches_golden() {
     let db = fixture();
@@ -514,9 +500,6 @@ fn select_corpus_matches_golden() {
         lines.push_str(&format!("{sql}\t{hash:016x}\t{examined}\t{returned}\n"));
 
         assert_eq!(result, db.query_ref_scan(&sql), "scan diverged for {sql}");
-        for (label, config) in &CONFIGS {
-            assert_eq!(result, db.query_ref_config(&sql, config), "{label} diverged for {sql}");
-        }
     }
 
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/select_corpus.txt");

@@ -7,9 +7,7 @@
 
 use rocks_sql::disk::{CrashPlan, DiskError, MemVfs};
 use rocks_sql::durable::{DurableDatabase, DurableError};
-use rocks_sql::{
-    ColumnType, Database, JoinAlgo, PlannerConfig, PlannerMode, QueryResult, Table, Value,
-};
+use rocks_sql::{ColumnType, Database, QueryResult, Table, Value};
 
 fn explain_text(db: &mut Database, sql: &str) -> Vec<String> {
     db.query(&format!("explain {sql}")).unwrap().rows.iter().map(|row| row[0].render()).collect()
@@ -70,9 +68,9 @@ fn planner_database(rows: usize) -> Database {
 
 /// What the planner saves, as exact `rows_examined` counts rather than
 /// wall-clock ratios: the §6.1 point lookup and the §6.4 compute join
-/// against the forced scan and the syntactic-order heuristic, the
-/// scan↔index choice on one skewed column, and a three-table join
-/// written in the worst FROM order, which only join reordering rescues.
+/// against the forced scan, the scan↔index choice on one skewed column,
+/// and a three-table join written in the worst FROM order, which only
+/// join reordering rescues.
 #[test]
 fn planned_reads_examine_pinned_row_counts() {
     const JOIN: &str = "select nodes.name from nodes, memberships where \
@@ -82,14 +80,13 @@ fn planned_reads_examine_pinned_row_counts() {
     const THREE_TABLE: &str = "select nodes.name from nodes, appliances, memberships \
          where nodes.membership = memberships.id and memberships.appliance = appliances.id \
          and appliances.name = 'compute' and nodes.rank < 8";
-    // (rows, three-table cost-based, three-table heuristic).
-    let sizes: &[(usize, u64, u64)] = if cfg!(debug_assertions) {
-        &[(2_000, 502, 2_257), (10_000, 2_502, 11_257)]
+    // (rows, three-table rows examined).
+    let sizes: &[(usize, u64)] = if cfg!(debug_assertions) {
+        &[(2_000, 502), (10_000, 2_502)]
     } else {
-        &[(2_000, 502, 2_257), (10_000, 2_502, 11_257), (50_000, 12_502, 56_257)]
+        &[(2_000, 502), (10_000, 2_502), (50_000, 12_502)]
     };
-    let heuristic = PlannerConfig { mode: PlannerMode::Heuristic, force_join: None };
-    for &(n, three_cost, three_heuristic) in sizes {
+    for &(n, three_table) in sizes {
         let mut db = planner_database(n);
         let mid = n / 2;
         let (a, b, c) = (mid >> 16, (mid >> 8) & 0xff, mid & 0xff);
@@ -97,7 +94,6 @@ fn planned_reads_examine_pinned_row_counts() {
         for sql in [point.as_str(), JOIN, BROAD, SELECTIVE, THREE_TABLE] {
             let scanned = db.query_ref_scan(sql).unwrap();
             assert_eq!(db.query_ref(sql).unwrap(), scanned, "planned ≠ scan at {n} rows: {sql}");
-            assert_eq!(db.query_ref_config(sql, &heuristic).unwrap(), scanned, "{sql}");
         }
         let examined = |run: &dyn Fn() -> rocks_sql::Result<QueryResult>| {
             let before = db.stats().rows_examined();
@@ -110,14 +106,10 @@ fn planned_reads_examine_pinned_row_counts() {
         assert_eq!(examined(&|| db.query_ref_scan(&point)), n64, "{}", at("scanned point"));
         assert_eq!(examined(&|| db.query_ref(JOIN)), n64 / 4 + 1, "{}", at("planned join"));
         assert_eq!(examined(&|| db.query_ref_scan(JOIN)), 4 * n64, "{}", at("scanned join"));
-        let got = examined(&|| db.query_ref_config(JOIN, &heuristic));
-        assert_eq!(got, 2 * n64, "{}", at("heuristic join"));
         assert_eq!(examined(&|| db.query_ref(BROAD)), n64, "{}", at("broad arch"));
         assert_eq!(examined(&|| db.query_ref(SELECTIVE)), n64 / 16, "{}", at("selective arch"));
         let got = examined(&|| db.query_ref(THREE_TABLE));
-        assert_eq!(got, three_cost, "{}", at("cost-based three-table join"));
-        let got = examined(&|| db.query_ref_config(THREE_TABLE, &heuristic));
-        assert_eq!(got, three_heuristic, "{}", at("heuristic three-table join"));
+        assert_eq!(got, three_table, "{}", at("three-table join"));
 
         let broad = explain_text(&mut db, BROAD).join("\n");
         assert!(broad.contains("nodes: scan"), "{broad}");
@@ -183,33 +175,25 @@ fn single_value_column_scans_while_selective_column_probes() {
 }
 
 #[test]
-fn int_text_coercion_keys_stay_exact_under_all_join_algorithms() {
+fn int_text_coercion_keys_stay_exact_on_either_join_side() {
     // '5' = 5 = '05' under sql_cmp, but '5' ≠ '05' — the histogram's
     // normalized keys group them together, and execution must re-verify.
-    let mut db = Database::new();
-    db.execute("create table l (id int, tag text)").unwrap();
-    db.execute("create table r (id int, tag text)").unwrap();
-    let spellings = ["'5'", "'05'", "' 5'", "'x'", "NULL", "'6'", "'007'"];
-    for (i, tag) in spellings.iter().enumerate() {
-        db.execute(&format!("insert into l values ({i}, {tag})")).unwrap();
-        db.execute(&format!("insert into r values ({}, {tag})", 10 + i)).unwrap();
-    }
-    db.execute("insert into l values (100, '7')").unwrap();
-    let sql = "select l.id, r.id from l, r where l.tag = r.tag";
-    let scanned = db.query_ref_scan(sql).unwrap();
-    for (label, config) in [
-        ("cost-based", PlannerConfig::default()),
-        (
-            "forced merge",
-            PlannerConfig { mode: PlannerMode::CostBased, force_join: Some(JoinAlgo::SortMerge) },
-        ),
-        (
-            "forced hash",
-            PlannerConfig { mode: PlannerMode::CostBased, force_join: Some(JoinAlgo::Hash) },
-        ),
-        ("heuristic", PlannerConfig { mode: PlannerMode::Heuristic, force_join: None }),
-    ] {
-        assert_eq!(db.query_ref_config(sql, &config).unwrap(), scanned, "{label} diverged");
+    // Both tables hold the same tags and start with no index, so neither
+    // order is cheaper and each FROM order keeps its own: the hash index
+    // is built on `r` in one and on `l` in the other.
+    for (from, probed) in [("l, r", "r"), ("r, l", "l")] {
+        let mut db = Database::new();
+        db.execute("create table l (id int, tag text)").unwrap();
+        db.execute("create table r (id int, tag text)").unwrap();
+        let spellings = ["'5'", "'05'", "' 5'", "'x'", "NULL", "'6'", "'007'", "'7'"];
+        for (i, tag) in spellings.iter().enumerate() {
+            db.execute(&format!("insert into l values ({i}, {tag})")).unwrap();
+            db.execute(&format!("insert into r values ({}, {tag})", 10 + i)).unwrap();
+        }
+        let sql = format!("select l.id, r.id from {from} where l.tag = r.tag");
+        assert_eq!(db.query_ref(&sql).unwrap(), db.query_ref_scan(&sql).unwrap(), "from {from}");
+        let plan = explain_text(&mut db, &sql).join("\n");
+        assert!(plan.contains(&format!("= {probed}.tag), scan")), "from {from}: {plan}");
     }
 }
 
