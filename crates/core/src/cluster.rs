@@ -151,11 +151,7 @@ impl Cluster {
         // staggered rather than as a simultaneous storm.
         let names: Vec<String> = records.iter().map(|r| r.name.clone()).collect();
         if !names.is_empty() {
-            let cfg = self.sim_config();
-            let mut sim = ClusterSim::new(cfg, names.len());
-            sim.set_tracer(self.kickstart.tracer().clone());
-            let outcome = sim.try_run_reinstall_staggered(20.0)?;
-            self.apply_install_outcome(&names, &outcome)?;
+            self.install_wave(&names, Some(20.0))?;
         }
         Ok(records)
     }
@@ -190,22 +186,6 @@ impl Cluster {
     /// pre-generation a frontend performs ahead of a reinstall wave.
     pub fn generate_kickstarts(&self, threads: usize) -> Result<Vec<GeneratedProfile>> {
         Ok(self.kickstart.generate_all(&self.db, Arch::I686, threads)?)
-    }
-
-    /// Drive a serving workload against this cluster's *live* kickstart
-    /// service and database through the rocks-serve frontend: every
-    /// dispatched request produces a real response (a rendered Kickstart
-    /// file or SQL report), the skeleton and plan caches see the churn,
-    /// and latency/shed metrics land in the cluster's tracer registry.
-    pub fn serve_load(
-        &self,
-        cfg: &rocks_serve::ServeConfig,
-        workload: &rocks_serve::Workload,
-    ) -> Result<rocks_serve::ServeReport> {
-        let mut backend = rocks_serve::RealBackend::new(&self.kickstart, &self.db, Arch::I686)
-            .map_err(RocksError::Db)?;
-        let (report, _log) = rocks_serve::run_serve(cfg, workload, &mut backend, self.tracer());
-        Ok(report)
     }
 
     /// The package identities a compute node of `arch` installs from the
@@ -274,21 +254,26 @@ impl Cluster {
             // Validate all names before touching anything.
             self.db.node_by_name(name)?;
         }
-        let cfg = self.sim_config();
-        let mut sim = ClusterSim::new(cfg, names.len());
-        sim.set_tracer(self.kickstart.tracer().clone());
-        let outcome = sim.try_run_reinstall()?;
-        self.apply_install_outcome(names, &outcome)
+        Ok(self.install_wave(names, None)?.0)
     }
 
-    /// Fold a simulated install wave into cluster state: fresh images,
-    /// fresh agents, rebound services. Shared by [`Self::shoot_nodes`]
-    /// and [`Self::shoot_nodes_monitored`].
-    fn apply_install_outcome(
+    /// Simulate one install wave of `names` and fold it into cluster
+    /// state: fresh images, fresh agents, rebound services. With
+    /// `stagger`, node `i` powers on `i × gap` seconds in (§6.4's
+    /// sequential integration walk); without, all at once, as
+    /// `shoot-node` does. The simulator comes back too: its node logs
+    /// are the installer transcripts.
+    fn install_wave(
         &mut self,
         names: &[String],
-        outcome: &rocks_netsim::ReinstallResult,
-    ) -> Result<ReinstallReport> {
+        stagger: Option<f64>,
+    ) -> Result<(ReinstallReport, ClusterSim)> {
+        let mut sim = ClusterSim::new(self.sim_config(), names.len());
+        sim.set_tracer(self.kickstart.tracer().clone());
+        let outcome = match stagger {
+            Some(gap) => sim.try_run_reinstall_staggered(gap)?,
+            None => sim.try_run_reinstall()?,
+        };
         let image_packages = self.compute_image(Arch::I686);
         let mut per_node_minutes = Vec::new();
         for (i, name) in names.iter().enumerate() {
@@ -314,11 +299,12 @@ impl Cluster {
             let _ = self.nfs.mount(&record.ip.to_string(), "/export/home");
         }
 
-        Ok(ReinstallReport {
+        let report = ReinstallReport {
             nodes: names.to_vec(),
             per_node_minutes,
             total_minutes: outcome.total_minutes(),
-        })
+        };
+        Ok((report, sim))
     }
 
     /// Reinstall every compute node ("we simply reinstall by sending a
@@ -340,10 +326,7 @@ impl Cluster {
         for name in names {
             self.db.node_by_name(name)?;
         }
-        let cfg = self.sim_config();
-        let mut sim = ClusterSim::new(cfg, names.len());
-        sim.set_tracer(self.kickstart.tracer().clone());
-        let outcome = sim.try_run_reinstall()?;
+        let (report, sim) = self.install_wave(names, None)?;
 
         let mut feeds = Vec::new();
         for (i, name) in names.iter().enumerate() {
@@ -359,9 +342,6 @@ impl Cluster {
             }
             feeds.push((name.clone(), feed));
         }
-
-        // Apply the same state updates as shoot_nodes.
-        let report = self.apply_install_outcome(names, &outcome)?;
         Ok((report, feeds))
     }
 

@@ -80,10 +80,7 @@ impl From<rocks_netsim::SimError> for RocksError {
 
 impl From<rocks_netsim::ReinstallError> for RocksError {
     fn from(e: rocks_netsim::ReinstallError) -> Self {
-        match e {
-            rocks_netsim::ReinstallError::Generation(k) => RocksError::Kickstart(k),
-            other => RocksError::Simulation(other.to_string()),
-        }
+        RocksError::Simulation(e.to_string())
     }
 }
 

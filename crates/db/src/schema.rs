@@ -173,7 +173,7 @@ mod tests {
     fn membership_round_trip_via_rows() {
         let mut db = Database::new();
         create_schema(&mut db);
-        let result = db.query("select * from memberships where id = 2").unwrap();
+        let result = db.query_ref("select * from memberships where id = 2").unwrap();
         let m = Membership::from_row(&result.rows[0]);
         assert_eq!(m.name, "Compute");
         assert!(m.compute);
@@ -189,7 +189,7 @@ mod tests {
              '10.255.255.245', 'Compute node')",
         )
         .unwrap();
-        let result = db.query("select * from nodes").unwrap();
+        let result = db.query_ref("select * from nodes").unwrap();
         let n = NodeRecord::from_row(&result.rows[0]);
         assert_eq!(n.name, "compute-0-0");
         assert_eq!(n.ip, Ipv4::new(10, 255, 255, 245));

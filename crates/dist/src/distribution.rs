@@ -1,6 +1,6 @@
 //! A built distribution: package repository + file tree + profile sources.
 
-use crate::tree::{DistTree, Entry};
+use crate::tree::DistTree;
 use rocks_rpm::{Arch, Package, Repository};
 use std::collections::BTreeMap;
 
@@ -60,17 +60,6 @@ impl Distribution {
     /// Byte size of the package set a node of `arch` can draw from.
     pub fn bytes_for_arch(&self, arch: Arch) -> u64 {
         self.repo.iter_for_arch(arch).map(|p| p.size_bytes).sum()
-    }
-
-    /// Sizes of every real file, used by children to compute logical size.
-    pub fn file_sizes(&self) -> BTreeMap<String, u64> {
-        let mut out = BTreeMap::new();
-        for (path, entry) in self.tree.under("") {
-            if let Entry::File { bytes } = entry {
-                out.insert(path.to_string(), *bytes);
-            }
-        }
-        out
     }
 
     /// Store a profile XML file under `build/`.

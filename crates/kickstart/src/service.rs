@@ -101,10 +101,6 @@ pub struct Stats {
     skeleton_ns: Counter,
     /// Nanoseconds spent on per-node localization.
     localize_ns: Counter,
-    /// Kickstart requests beyond the first per node in a mass reinstall —
-    /// the extra CGI load generated by install-protocol retries (reported
-    /// by the reinstall driver via [`Stats::record_kickstart_refetches`]).
-    kickstart_refetches: Counter,
     /// Per-node localize latency distribution (wall ns).
     localize_latency: Histogram,
 }
@@ -119,7 +115,6 @@ impl Stats {
             lookup_ns: registry.counter("kickstart.lookup_ns"),
             skeleton_ns: registry.counter("kickstart.skeleton_ns"),
             localize_ns: registry.counter("kickstart.localize_ns"),
-            kickstart_refetches: registry.counter("kickstart.refetches"),
             localize_latency: registry
                 .histogram("kickstart.localize_latency_ns", LOCALIZE_LATENCY_BOUNDS),
         }
@@ -160,20 +155,9 @@ impl Stats {
         self.localize_ns.get()
     }
 
-    /// Kickstart refetches absorbed from install-protocol retries.
-    pub fn kickstart_refetches(&self) -> u64 {
-        self.kickstart_refetches.get()
-    }
-
     /// Per-node localize latency distribution (wall ns).
     pub fn localize_latency(&self) -> &Histogram {
         &self.localize_latency
-    }
-
-    /// Record `n` kickstart refetches (install-protocol retry accounting,
-    /// called by the mass-reinstall driver after a simulated run).
-    pub fn record_kickstart_refetches(&self, n: u64) {
-        self.kickstart_refetches.add(n);
     }
 
     fn record_hit(&self) {
@@ -196,7 +180,6 @@ impl Stats {
             &self.lookup_ns,
             &self.skeleton_ns,
             &self.localize_ns,
-            &self.kickstart_refetches,
         ] {
             counter.reset();
         }
@@ -223,12 +206,10 @@ impl std::fmt::Display for Stats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "hits={} misses={} invalidations={} refetches={} lookup={}us skeleton={}us \
-             localize={}us",
+            "hits={} misses={} invalidations={} lookup={}us skeleton={}us localize={}us",
             self.hits(),
             self.misses(),
             self.invalidations(),
-            self.kickstart_refetches(),
             self.lookup_ns() / 1_000,
             self.skeleton_ns() / 1_000,
             self.localize_ns() / 1_000,

@@ -8,16 +8,53 @@
 //! [`ClusterSim`] drives the crate's one cabinet simulator, [`Shard`],
 //! as a single proxy-less shard holding every node. Event dispatch,
 //! faults and link state are the shard's; here is only what the flat
-//! driver alone has: tracer marks, utilization samples, staggered and
-//! subset power-on, and the choice of [`EngineMode`] that keeps the
-//! reference scheduler available as an oracle.
+//! driver alone has: tracer marks, utilization samples, staggered
+//! power-on, and the choice of [`EngineMode`] that keeps the reference
+//! scheduler available as an oracle.
 
 use crate::config::SimConfig;
 use crate::engine::{seconds, Engine, EngineMode, SimError, SimTime, Wakeup};
 use crate::node::{NodeState, SimNode};
-use crate::reinstall::ReinstallError;
 use crate::shard::{Shard, Stepped};
 use rocks_trace::{Counter, Gauge, Tracer};
+use std::fmt;
+
+/// Why a reinstall could not produce a result: the simulated cluster
+/// wedged mid-install, or a node gave up on every install server.
+#[derive(Debug)]
+pub enum ReinstallError {
+    /// The network simulation stalled (see [`SimError::Stalled`]).
+    Sim(SimError),
+    /// A node burnt its whole retry budget across every configured
+    /// install server and gave up (retrying install protocol).
+    AllServersDown {
+        /// Hostname of the node that gave up.
+        node: String,
+        /// Fetch attempts it made on the target that exhausted the
+        /// budget (`attempts_per_server × n_servers`).
+        attempts: u32,
+    },
+}
+
+impl fmt::Display for ReinstallError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReinstallError::Sim(e) => write!(f, "{e}"),
+            ReinstallError::AllServersDown { node, attempts } => write!(
+                f,
+                "{node}: all install servers down — gave up after {attempts} fetch attempts"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ReinstallError {}
+
+impl From<SimError> for ReinstallError {
+    fn from(e: SimError) -> Self {
+        ReinstallError::Sim(e)
+    }
+}
 
 /// Control events injected into a run at absolute virtual times.
 #[derive(Debug, Clone, PartialEq)]
@@ -269,11 +306,6 @@ impl ClusterSim {
         &self.shard.nodes
     }
 
-    /// Current virtual time in seconds.
-    pub fn now_seconds(&self) -> f64 {
-        seconds(self.shard.engine.now())
-    }
-
     /// Engine wakeups processed so far (flow completions, timers, and
     /// control events) — the denominator of events/second comparisons
     /// against the federated engine.
@@ -306,12 +338,8 @@ impl ClusterSim {
     /// Power on every node with a fixed gap between machines — the
     /// §6.4 integration procedure, where "nodes are booted sequentially
     /// in order for insert-ethers to bind hostnames to physical
-    /// locations". Node `i` powers on at `i × gap_seconds`.
-    pub fn run_reinstall_staggered(&mut self, gap_seconds: f64) -> ReinstallResult {
-        self.try_run_reinstall_staggered(gap_seconds).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`run_reinstall_staggered`](Self::run_reinstall_staggered).
+    /// locations". Node `i` powers on at `i × gap_seconds`. Fails as
+    /// [`try_run_reinstall`](Self::try_run_reinstall) does.
     pub fn try_run_reinstall_staggered(
         &mut self,
         gap_seconds: f64,
@@ -324,23 +352,6 @@ impl ClusterSim {
             } else {
                 self.shard.schedule_fault(gap_seconds * i as f64, Fault::PowerCycle(i));
             }
-        }
-        self.run_to_quiescence()
-    }
-
-    /// Power on a subset of nodes (rolling upgrades reinstall in waves).
-    pub fn reinstall_subset(&mut self, ids: &[usize]) -> ReinstallResult {
-        self.try_reinstall_subset(ids).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`reinstall_subset`](Self::reinstall_subset).
-    pub fn try_reinstall_subset(
-        &mut self,
-        ids: &[usize],
-    ) -> Result<ReinstallResult, ReinstallError> {
-        let _run = self.trace.span("netsim.run");
-        for &id in ids {
-            self.power_on(id);
         }
         self.run_to_quiescence()
     }
@@ -562,9 +573,6 @@ pub fn max_full_speed_concurrency(
     lo
 }
 
-/// Timestamp type re-export for callers inspecting node logs.
-pub type LogTime = SimTime;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -694,16 +702,6 @@ mod tests {
     }
 
     #[test]
-    fn subset_reinstall_leaves_others_untouched() {
-        let mut sim = ClusterSim::new(small_cfg(1), 4);
-        let result = sim.reinstall_subset(&[0, 2]);
-        assert!(result.per_node_seconds[0].is_some());
-        assert!(result.per_node_seconds[1].is_none());
-        assert_eq!(sim.node(1).state, NodeState::Off);
-        assert_eq!(sim.node(3).installs_completed, 0);
-    }
-
-    #[test]
     fn full_speed_search_finds_the_knee() {
         let make = |seed| small_cfg(seed);
         let knee = max_full_speed_concurrency(&make, 0.05, 32);
@@ -717,7 +715,7 @@ mod tests {
         let n = 16;
         let simultaneous = ClusterSim::new(small_cfg(1), n).run_reinstall();
         let mut sim = ClusterSim::new(small_cfg(1), n);
-        let staggered = sim.run_reinstall_staggered(30.0);
+        let staggered = sim.try_run_reinstall_staggered(30.0).expect("staggered boot completes");
         assert_eq!(staggered.completed(), n);
         // The wall clock stretches by roughly the boot ramp...
         assert!(staggered.total_seconds > simultaneous.total_seconds);
@@ -893,6 +891,33 @@ mod tests {
                 assert_eq!(attempts, cfg.retry.unwrap().max_attempts(1));
             }
             other => panic!("expected AllServersDown, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn failover_counters_match_result_under_server_fault() {
+        let mut cfg = SimConfig::paper_testbed(11).bundled(12);
+        cfg.n_servers = 2;
+        cfg.retry = Some(crate::config::RetryPolicy::standard());
+        let tracer = rocks_trace::Tracer::ring_sim(1 << 12);
+        let mut sim = ClusterSim::new(cfg, 6);
+        sim.set_tracer(tracer.clone());
+        sim.inject_fault_at(5.0, crate::cluster::Fault::ServerDown(0));
+        let result = sim
+            .try_run_reinstall()
+            .expect("failover scenario: second replica must carry the cluster to completion");
+        let snap = tracer
+            .registry()
+            .expect("failover scenario: ring_sim tracer is built with a registry")
+            .snapshot();
+        assert!(result.total_failovers() > 0, "fault must force failovers");
+        assert_eq!(snap.counter("netsim.failovers"), result.total_failovers());
+        assert_eq!(snap.counter("netsim.fetch.attempts"), result.total_attempts());
+        assert_eq!(snap.counter("netsim.faults"), 1);
+        // Per-link byte gauges mirror the engine ledger bit-for-bit.
+        for (i, &bytes) in sim.link_bytes().iter().enumerate() {
+            let name = format!("netsim.link.bytes.{i}");
+            assert_eq!(snap.gauge(&name).to_bits(), bytes.to_bits(), "{name}");
         }
     }
 

@@ -41,7 +41,6 @@ pub mod engine;
 mod hash;
 pub mod node;
 mod queue;
-pub mod reinstall;
 pub mod rollout_backend;
 pub mod shard;
 pub mod tier;
@@ -50,13 +49,12 @@ pub use chaos::{
     run_chaos, run_plan, standard_invariants, ChaosPlan, ChaosRecord, ChaosReport, Invariant,
     Violation,
 };
-pub use cluster::{ClusterSim, ReinstallResult};
+pub use cluster::{ClusterSim, ReinstallError, ReinstallResult};
 pub use config::{PackageWork, RetryPolicy, SimConfig, TierConfig};
 pub use engine::{micros, seconds, EngineMode, SimError, SimTime};
 pub use node::{
     DirectFetch, FetchBackend, FetchStart, FetchTarget, NodeEvent, NodeLogLine, NodeState,
 };
-pub use reinstall::{mass_reinstall, provision_cluster, MassReinstallReport, ReinstallError};
 pub use rollout_backend::NetsimInstallBackend;
 pub use shard::FederatedSim;
 pub use tier::{FillDone, MissRequest, ProxyCache, TierNet, TierReport};

@@ -27,11 +27,10 @@
 //! configuration, so runs are bit-identical regardless of worker thread
 //! count.
 
-use crate::cluster::{check_none_failed, Fault, ReinstallResult, CONTROL_TAG_BASE};
+use crate::cluster::{check_none_failed, Fault, ReinstallError, ReinstallResult, CONTROL_TAG_BASE};
 use crate::config::{SimConfig, TierConfig};
 use crate::engine::{micros, Engine, EngineMode, SimError, SimTime, Wakeup};
 use crate::node::{FetchBackend, FetchStart, FetchTarget, NodeEvent, NodeState, SimNode};
-use crate::reinstall::ReinstallError;
 use crate::tier::{FillDone, MissRequest, ProxyCache, TierNet, TierReport};
 use rocks_trace::{Counter, Gauge, Tracer};
 use std::sync::mpsc;

@@ -306,11 +306,6 @@ impl TierNet {
         self.campus.iter().map(|e| e.link_bytes()[0]).sum()
     }
 
-    /// Bytes a single campus server has delivered to its cabinets.
-    pub fn campus_link_bytes(&self, campus: usize) -> f64 {
-        self.campus[campus].link_bytes()[0]
-    }
-
     /// Earliest pending event across the tier engines, if any.
     pub fn next_event_at(&mut self) -> Option<SimTime> {
         self.refresh_caches();

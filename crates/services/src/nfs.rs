@@ -55,11 +55,6 @@ impl NfsServer {
         self.exports.insert(path.to_string(), client_prefix.to_string());
     }
 
-    /// Whether the daemon is up.
-    pub fn is_up(&self) -> bool {
-        self.up
-    }
-
     /// Kill the daemon (common-mode failure injection).
     pub fn crash(&mut self) {
         self.up = false;

@@ -12,7 +12,7 @@
 //!
 //! One projection loop feeds a `Sink`: a [`QueryResult`] clones the
 //! projected cells of the tuples that survive, the string list of
-//! `query_column[_ref]` renders the first of them straight into its
+//! `query_column_ref` renders the first of them straight into its
 //! `String`, and neither builds the other. A single-table `count(*)`
 //! with no WHERE, GROUP BY or ORDER BY is answered from the table's
 //! length and examines no row; the scan path (`query_ref_scan`) still
@@ -83,7 +83,7 @@ impl QueryResult {
 
 /// Where a SELECT's projected rows go. The same projection loop fills a
 /// [`QueryResult`] (labels and every cell) or the `Vec<String>` that
-/// `query_column[_ref]` returns (the first cell of each row, rendered as
+/// `query_column_ref` returns (the first cell of each row, rendered as
 /// [`Value::render`] does).
 pub(crate) trait Sink {
     /// An empty sink for `rows` rows.
@@ -798,16 +798,16 @@ mod tests {
 
     #[test]
     fn where_filters_rows() {
-        let mut db = sample_db();
-        let names = db.query_column("select name from nodes where rack=1").unwrap();
+        let db = sample_db();
+        let names = db.query_column_ref("select name from nodes where rack=1").unwrap();
         assert_eq!(names, vec!["web-1-0"]);
     }
 
     #[test]
     fn join_with_membership() {
-        let mut db = sample_db();
+        let db = sample_db();
         let names = db
-            .query_column(
+            .query_column_ref(
                 "select nodes.name from nodes,memberships where \
                  nodes.membership = memberships.id and memberships.compute = 'yes'",
             )
@@ -817,12 +817,12 @@ mod tests {
 
     #[test]
     fn wildcard_projection_and_labels() {
-        let mut db = sample_db();
-        let result = db.query("select * from memberships where id = 1").unwrap();
+        let db = sample_db();
+        let result = db.query_ref("select * from memberships where id = 1").unwrap();
         assert_eq!(result.columns, vec!["id", "name", "appliance", "compute"]);
         assert_eq!(result.rows.len(), 1);
         let joined = db
-            .query("select * from nodes, memberships where nodes.membership = memberships.id")
+            .query_ref("select * from nodes, memberships where nodes.membership = memberships.id")
             .unwrap();
         assert!(joined.columns.contains(&"nodes.name".to_string()));
         assert!(joined.columns.contains(&"memberships.name".to_string()));
@@ -830,53 +830,55 @@ mod tests {
 
     #[test]
     fn ambiguous_column_is_an_error() {
-        let mut db = sample_db();
+        let db = sample_db();
         let err = db
-            .query("select name from nodes, memberships where nodes.membership = memberships.id")
+            .query_ref(
+                "select name from nodes, memberships where nodes.membership = memberships.id",
+            )
             .unwrap_err();
         assert!(matches!(err, SqlError::AmbiguousColumn(_)));
         let err =
-            db.query("select nodes.name from nodes, memberships where name = 'x'").unwrap_err();
+            db.query_ref("select nodes.name from nodes, memberships where name = 'x'").unwrap_err();
         assert!(matches!(err, SqlError::AmbiguousColumn(_)));
     }
 
     #[test]
     fn order_by_multi_key() {
-        let mut db = sample_db();
+        let db = sample_db();
         let result =
-            db.query("select name from nodes where membership = 2 order by rank desc").unwrap();
+            db.query_ref("select name from nodes where membership = 2 order by rank desc").unwrap();
         let names: Vec<_> = result.rows.iter().map(|r| r[0].render()).collect();
         assert_eq!(names, vec!["compute-0-2", "compute-0-1", "compute-0-0"]);
     }
 
     #[test]
     fn limit_truncates() {
-        let mut db = sample_db();
-        let result = db.query("select name from nodes order by id limit 2").unwrap();
+        let db = sample_db();
+        let result = db.query_ref("select name from nodes order by id limit 2").unwrap();
         assert_eq!(result.rows.len(), 2);
     }
 
     #[test]
     fn aggregates_count_min_max() {
-        let mut db = sample_db();
+        let db = sample_db();
         let result = db
-            .query("select count(*), min(rank), max(rank) from nodes where membership = 2")
+            .query_ref("select count(*), min(rank), max(rank) from nodes where membership = 2")
             .unwrap();
         assert_eq!(result.rows[0], vec![Value::Int(3), Value::Int(0), Value::Int(2)]);
     }
 
     #[test]
     fn aggregates_on_empty_set() {
-        let mut db = sample_db();
-        let result = db.query("select count(*), max(rank) from nodes where rack = 99").unwrap();
+        let db = sample_db();
+        let result = db.query_ref("select count(*), max(rank) from nodes where rack = 99").unwrap();
         assert_eq!(result.rows[0], vec![Value::Int(0), Value::Null]);
     }
 
     #[test]
     fn group_by_counts_per_rack() {
-        let mut db = sample_db();
+        let db = sample_db();
         let result =
-            db.query("select rack, count(*) from nodes group by rack order by rack").unwrap();
+            db.query_ref("select rack, count(*) from nodes group by rack order by rack").unwrap();
         assert_eq!(result.columns, vec!["rack", "count(*)"]);
         assert_eq!(
             result.rows,
@@ -886,9 +888,9 @@ mod tests {
 
     #[test]
     fn group_by_with_min_max_sum() {
-        let mut db = sample_db();
+        let db = sample_db();
         let result = db
-            .query(
+            .query_ref(
                 "select membership, count(*), min(rank), max(rank), sum(rank)                  from nodes group by membership order by membership",
             )
             .unwrap();
@@ -902,9 +904,9 @@ mod tests {
 
     #[test]
     fn group_by_join_counts_by_membership_name() {
-        let mut db = sample_db();
+        let db = sample_db();
         let result = db
-            .query(
+            .query_ref(
                 "select memberships.name, count(*) from nodes, memberships                  where nodes.membership = memberships.id                  group by memberships.name order by memberships.name",
             )
             .unwrap();
@@ -916,19 +918,19 @@ mod tests {
 
     #[test]
     fn ungrouped_column_with_aggregate_is_rejected() {
-        let mut db = sample_db();
-        let err = db.query("select name, count(*) from nodes").unwrap_err();
+        let db = sample_db();
+        let err = db.query_ref("select name, count(*) from nodes").unwrap_err();
         assert!(matches!(err, SqlError::Unsupported(_)));
-        let err = db.query("select name, count(*) from nodes group by rack").unwrap_err();
+        let err = db.query_ref("select name, count(*) from nodes group by rack").unwrap_err();
         assert!(matches!(err, SqlError::Unsupported(_)));
-        let err = db.query("select *, count(*) from nodes").unwrap_err();
+        let err = db.query_ref("select *, count(*) from nodes").unwrap_err();
         assert!(matches!(err, SqlError::Unsupported(_)));
     }
 
     #[test]
     fn group_by_membership_is_by_column_not_spelling() {
-        let mut db = sample_db();
-        let reference = db.query("select rack, count(*) from nodes group by rack").unwrap();
+        let db = sample_db();
+        let reference = db.query_ref("select rack, count(*) from nodes group by rack").unwrap();
         // The parent rejected the first two with "column rack must appear
         // in GROUP BY" while accepting the last two.
         for sql in [
@@ -937,25 +939,25 @@ mod tests {
             "select nodes.rack, count(*) from nodes group by rack",
             "select RACK, count(*) from nodes group by rack",
         ] {
-            let r = db.query(sql).unwrap();
+            let r = db.query_ref(sql).unwrap();
             assert_eq!(r.rows, reference.rows, "{sql}");
         }
         let joined = db
-            .query(
+            .query_ref(
                 "select name, count(*) from nodes, memberships \
                  where nodes.membership = memberships.id group by memberships.name",
             )
             .unwrap_err();
         assert!(matches!(joined, SqlError::Unsupported(_)), "bare `name` is ambiguous: {joined}");
         let r = db
-            .query(
+            .query_ref(
                 "select membership, count(*) from nodes, memberships \
                  where nodes.membership = memberships.id group by nodes.membership",
             )
             .unwrap();
         assert_eq!(r.rows.len(), 4);
         // A different column is still not grouped, however it is spelled.
-        let err = db.query("select nodes.rank, count(*) from nodes group by rack").unwrap_err();
+        let err = db.query_ref("select nodes.rank, count(*) from nodes group by rack").unwrap_err();
         assert!(matches!(err, SqlError::Unsupported(_)));
     }
 
@@ -975,7 +977,7 @@ mod tests {
         let ks = |r: &QueryResult| -> Vec<Option<i64>> {
             r.rows.iter().map(|row| row[1].as_int()).collect()
         };
-        let asc = db.query("select id, k from t order by k").unwrap();
+        let asc = db.query_ref("select id, k from t order by k").unwrap();
         let keys = ks(&asc);
         assert_eq!(keys.iter().take_while(|k| k.is_none()).count(), 14, "NULLs first: {keys:?}");
         assert!(keys.windows(2).all(|w| w[0] <= w[1]), "ascending: {keys:?}");
@@ -984,14 +986,14 @@ mod tests {
             .rows
             .windows(2)
             .all(|w| w[0][1] != w[1][1] || w[0][0].as_int() < w[1][0].as_int()));
-        let desc = db.query("select id, k from t order by k desc").unwrap();
+        let desc = db.query_ref("select id, k from t order by k desc").unwrap();
         assert_eq!(ks(&desc).iter().rev().take_while(|k| k.is_none()).count(), 14);
         for sql in
             ["select id, k, s from t order by s, k desc", "select id, k from t order by k desc, id"]
         {
-            let full = db.query(sql).unwrap();
+            let full = db.query_ref(sql).unwrap();
             for limit in [0, 1, 5, 14, 15, 39, 40, 41] {
-                let top = db.query(&format!("{sql} limit {limit}")).unwrap();
+                let top = db.query_ref(&format!("{sql} limit {limit}")).unwrap();
                 assert_eq!(top.rows, full.rows[..limit.min(40)], "top-{limit} of {sql}");
                 assert_eq!(top, db.query_ref_scan(&format!("{sql} limit {limit}")).unwrap());
             }
@@ -1009,7 +1011,7 @@ mod tests {
         };
         let (s, n) = (rendered("s"), rendered("n"));
         assert_eq!(db.query_column_ref("select s from t").unwrap(), s);
-        assert_eq!(db.query_column("select n from t").unwrap(), n);
+        assert_eq!(db.query_column_ref("select n from t").unwrap(), n);
         assert_eq!(n, ["1", "NULL", "-3"]);
     }
 
@@ -1017,10 +1019,10 @@ mod tests {
     fn group_by_empty_table_yields_no_groups() {
         let mut db = sample_db();
         db.execute("delete from nodes").unwrap();
-        let result = db.query("select rack, count(*) from nodes group by rack").unwrap();
+        let result = db.query_ref("select rack, count(*) from nodes group by rack").unwrap();
         assert!(result.rows.is_empty());
         // ...but a global aggregate still yields one row.
-        let result = db.query("select count(*) from nodes").unwrap();
+        let result = db.query_ref("select count(*) from nodes").unwrap();
         assert_eq!(result.rows, vec![vec![Value::Int(0)]]);
     }
 
@@ -1029,20 +1031,21 @@ mod tests {
         let mut db = Database::new();
         db.execute("create table t (v int)").unwrap();
         db.execute("insert into t values (1), (NULL), (2)").unwrap();
-        let result = db.query("select sum(v), count(*) from t").unwrap();
+        let result = db.query_ref("select sum(v), count(*) from t").unwrap();
         assert_eq!(result.rows[0], vec![Value::Int(3), Value::Int(3)]);
     }
 
     #[test]
     fn like_and_in_predicates() {
-        let mut db = sample_db();
-        let names = db.query_column("select name from nodes where name like 'compute-%'").unwrap();
+        let db = sample_db();
+        let names =
+            db.query_column_ref("select name from nodes where name like 'compute-%'").unwrap();
         assert_eq!(names.len(), 3);
         let names =
-            db.query_column("select name from nodes where id in (1, 8) order by id").unwrap();
+            db.query_column_ref("select name from nodes where id in (1, 8) order by id").unwrap();
         assert_eq!(names, vec!["frontend-0", "web-1-0"]);
         let names = db
-            .query_column(
+            .query_column_ref(
                 "select name from nodes where name not like 'compute-%' and rack = 0 order by id",
             )
             .unwrap();
@@ -1051,14 +1054,16 @@ mod tests {
 
     #[test]
     fn null_semantics() {
-        let mut db = sample_db();
+        let db = sample_db();
         // comment = NULL row never matches equality...
-        let n = db.query_column("select name from nodes where comment = 'Compute node'").unwrap();
+        let n =
+            db.query_column_ref("select name from nodes where comment = 'Compute node'").unwrap();
         assert_eq!(n.len(), 2);
         // ...but IS NULL finds it.
-        let n = db.query_column("select name from nodes where comment is null").unwrap();
+        let n = db.query_column_ref("select name from nodes where comment is null").unwrap();
         assert_eq!(n, vec!["compute-0-2"]);
-        let n = db.query_column("select count(*) from nodes where comment is not null").unwrap();
+        let n =
+            db.query_column_ref("select count(*) from nodes where comment is not null").unwrap();
         assert_eq!(n, vec!["5"]);
     }
 
@@ -1067,7 +1072,7 @@ mod tests {
         let mut db = sample_db();
         let outcome = db.execute("update nodes set rack = 7 where membership = 2").unwrap();
         assert_eq!(outcome, ExecOutcome::Written { affected: 3 });
-        let n = db.query_column("select count(*) from nodes where rack = 7").unwrap();
+        let n = db.query_column_ref("select count(*) from nodes where rack = 7").unwrap();
         assert_eq!(n, vec!["3"]);
     }
 
@@ -1075,7 +1080,7 @@ mod tests {
     fn update_set_from_column() {
         let mut db = sample_db();
         db.execute("update nodes set rank = id where name = 'web-1-0'").unwrap();
-        let v = db.query_column("select rank from nodes where name = 'web-1-0'").unwrap();
+        let v = db.query_column_ref("select rank from nodes where name = 'web-1-0'").unwrap();
         assert_eq!(v, vec!["8"]);
     }
 
@@ -1101,14 +1106,14 @@ mod tests {
     fn empty_join_short_circuits() {
         let mut db = sample_db();
         db.execute("create table empty (x int)").unwrap();
-        let result = db.query("select * from nodes, empty").unwrap();
+        let result = db.query_ref("select * from nodes, empty").unwrap();
         assert!(result.rows.is_empty());
     }
 
     #[test]
     fn render_ascii_looks_like_mysql() {
-        let mut db = sample_db();
-        let result = db.query("select id, name from memberships order by id limit 2").unwrap();
+        let db = sample_db();
+        let result = db.query_ref("select id, name from memberships order by id limit 2").unwrap();
         let text = result.render_ascii();
         assert!(text.starts_with("+"));
         assert!(text.contains("| id | name"));
@@ -1117,9 +1122,9 @@ mod tests {
 
     #[test]
     fn unknown_table_and_column_errors() {
-        let mut db = sample_db();
-        assert!(matches!(db.query("select x from ghost"), Err(SqlError::NoSuchTable(_))));
-        assert!(matches!(db.query("select ghost from nodes"), Err(SqlError::NoSuchColumn(_))));
+        let db = sample_db();
+        assert!(matches!(db.query_ref("select x from ghost"), Err(SqlError::NoSuchTable(_))));
+        assert!(matches!(db.query_ref("select ghost from nodes"), Err(SqlError::NoSuchColumn(_))));
     }
 
     #[test]
@@ -1179,8 +1184,8 @@ mod tests {
 
     #[test]
     fn explain_point_query_shows_index() {
-        let mut db = sample_db();
-        let r = db.query("explain select name from nodes where ip = '10.1.1.1'").unwrap();
+        let db = sample_db();
+        let r = db.query_ref("explain select name from nodes where ip = '10.1.1.1'").unwrap();
         assert_eq!(r.columns, vec!["plan"]);
         let text: Vec<String> = r.rows.iter().map(|row| row[0].render()).collect();
         assert!(text.iter().any(|l| l.contains("index(ip = '10.1.1.1')")), "plan was {text:?}");
@@ -1188,9 +1193,9 @@ mod tests {
 
     #[test]
     fn explain_join_shows_hash_join_and_pushdown() {
-        let mut db = sample_db();
+        let db = sample_db();
         let r = db
-            .query(
+            .query_ref(
                 "explain select nodes.name from nodes, memberships where \
                  nodes.membership = memberships.id and memberships.compute = 'yes' \
                  order by nodes.name limit 2",
@@ -1212,22 +1217,22 @@ mod tests {
 
     #[test]
     fn explain_fallback_mentions_cross_product() {
-        let mut db = sample_db();
+        let db = sample_db();
         // `name` is ambiguous across the two tables: planning declines.
-        let r =
-            db.query("explain select nodes.name from nodes, memberships where name = 'x'").unwrap();
+        let r = db
+            .query_ref("explain select nodes.name from nodes, memberships where name = 'x'")
+            .unwrap();
         let text: Vec<String> = r.rows.iter().map(|row| row[0].render()).collect();
         assert!(text.iter().any(|l| l.contains("cross product")), "plan was {text:?}");
     }
 
     #[test]
     fn count_star_comes_from_the_table_length() {
-        let mut db = sample_db();
-        let plan = |db: &mut Database, sql: &str| -> Vec<String> {
-            db.query_column(&format!("explain {sql}")).unwrap()
-        };
+        let db = sample_db();
+        let plan =
+            |sql: &str| -> Vec<String> { db.query_column_ref(&format!("explain {sql}")).unwrap() };
         assert_eq!(
-            plan(&mut db, "select count(*) from nodes limit 3"),
+            plan("select count(*) from nodes limit 3"),
             ["select from nodes", "  nodes: count(*) from the table length", "  limit: 3"]
         );
         for sql in [
@@ -1235,7 +1240,7 @@ mod tests {
             "select count(*) from nodes, memberships",
             "select count(*), max(rank) from nodes",
         ] {
-            assert!(!plan(&mut db, sql).iter().any(|l| l.contains("table length")), "{sql}");
+            assert!(!plan(sql).iter().any(|l| l.contains("table length")), "{sql}");
         }
         for (sql, want) in [
             ("select count(*) from nodes", vec![vec![Value::Int(6)]]),
@@ -1271,15 +1276,15 @@ mod tests {
             db.execute(&format!("insert into t values ({}, 'row-{i}')", i % 5)).unwrap();
         }
         for k in [0, 1, 3, 7, 39, 40, 100] {
-            let fast = db.query(&format!("select a, b from t order by a limit {k}")).unwrap();
+            let fast = db.query_ref(&format!("select a, b from t order by a limit {k}")).unwrap();
             // Reference: full sort (no limit), truncated by hand.
-            let mut full = db.query("select a, b from t order by a").unwrap();
+            let mut full = db.query_ref("select a, b from t order by a").unwrap();
             full.rows.truncate(k);
             assert_eq!(fast.rows, full.rows, "top-k diverged for k={k}");
         }
         // Descending with a secondary key.
-        let fast = db.query("select a, b from t order by a desc, b limit 5").unwrap();
-        let mut full = db.query("select a, b from t order by a desc, b").unwrap();
+        let fast = db.query_ref("select a, b from t order by a desc, b limit 5").unwrap();
+        let mut full = db.query_ref("select a, b from t order by a desc, b").unwrap();
         full.rows.truncate(5);
         assert_eq!(fast.rows, full.rows);
     }
@@ -1290,7 +1295,7 @@ mod tests {
         db.execute("create table t (name text, comment text)").unwrap();
         db.execute("insert into t values ('köln-0', 'ascii row')").unwrap();
         db.execute("insert into t values ('plain', 'Grüße aus München ☀')").unwrap();
-        let text = db.query("select name, comment from t").unwrap().render_ascii();
+        let text = db.query_ref("select name, comment from t").unwrap().render_ascii();
         let widths: Vec<usize> = text.lines().map(|l| l.chars().count()).collect();
         assert!(
             widths.windows(2).all(|w| w[0] == w[1]),

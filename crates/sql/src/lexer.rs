@@ -39,16 +39,6 @@ pub enum Token {
     Semicolon,
 }
 
-impl Token {
-    /// The identifier inside, if this is a word.
-    pub fn as_word(&self) -> Option<&str> {
-        match self {
-            Token::Word(w) => Some(w),
-            _ => None,
-        }
-    }
-}
-
 /// Tokenize a statement. Comments (`-- ...`) run to end of line.
 pub fn lex(input: &str) -> Result<Vec<Token>> {
     let bytes = input.as_bytes();

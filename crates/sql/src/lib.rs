@@ -31,7 +31,7 @@
 //! db.execute("insert into nodes values ('compute-0-0', 2)").unwrap();
 //! db.execute("insert into memberships values (2, 'Compute')").unwrap();
 //!
-//! let rows = db.query(
+//! let rows = db.query_ref(
 //!     "select nodes.name from nodes,memberships where \
 //!      nodes.membership = memberships.id and memberships.name = 'Compute'",
 //! ).unwrap();
@@ -358,31 +358,6 @@ impl Database {
         exec::execute(self, stmt)
     }
 
-    /// Execute a statement expected to produce rows (a `SELECT`); errors
-    /// if the statement was a write.
-    pub fn query(&mut self, sql: &str) -> Result<QueryResult> {
-        self.read_mut(sql)
-    }
-
-    /// Convenience: run a query and return the first column of every row
-    /// rendered as text. This is exactly how `cluster-kill --query=...`
-    /// consumes results (paper §6.4): a list of node names. Each name is
-    /// rendered straight from its cell; no result rows are built.
-    pub fn query_column(&mut self, sql: &str) -> Result<Vec<String>> {
-        self.read_mut(sql)
-    }
-
-    /// Run a statement expected to produce rows into the sink `S`. A
-    /// write still runs, then reports that it returned none.
-    fn read_mut<S: exec::Sink>(&mut self, sql: &str) -> Result<S> {
-        let stmt = parser::parse(sql)?;
-        if let Statement::Select { .. } | Statement::Explain(_) = stmt {
-            return exec::execute_readonly_with(self, &stmt, exec::PlanChoice::Auto);
-        }
-        exec::execute(self, stmt)?;
-        Err(SqlError::Unsupported("statement did not return rows".into()))
-    }
-
     /// Run a `SELECT` against a shared reference. Because nothing is
     /// mutated, any number of threads may call this concurrently on one
     /// database — the read path of the parallel Kickstart generation
@@ -547,8 +522,10 @@ impl Database {
         Ok(rows)
     }
 
-    /// [`query_ref`](Self::query_ref) returning the first column rendered
-    /// as text — the read-only twin of [`query_column`](Self::query_column).
+    /// [`query_ref`](Self::query_ref) returning the first column of every
+    /// row rendered as text. This is exactly how `cluster-kill --query=...`
+    /// consumes results (paper §6.4): a list of node names. Each name is
+    /// rendered straight from its cell; no result rows are built.
     pub fn query_column_ref(&self, sql: &str) -> Result<Vec<String>> {
         self.read_ref(sql)
     }
@@ -633,7 +610,7 @@ mod tests {
 
         // The exact query from §6.4's cluster-kill example.
         let names = db
-            .query_column(
+            .query_column_ref(
                 "select nodes.name from nodes,memberships where \
                  nodes.membership = memberships.id and \
                  memberships.name = 'Compute'",
@@ -642,7 +619,7 @@ mod tests {
         assert_eq!(names, vec!["compute-0-0", "compute-0-1"]);
 
         // And the simpler rack-targeted form.
-        let names = db.query_column("select name from nodes where rack=0 and rank=1").unwrap();
+        let names = db.query_column_ref("select name from nodes where rack=0 and rank=1").unwrap();
         assert_eq!(names, vec!["compute-0-1"]);
     }
 
@@ -650,7 +627,12 @@ mod tests {
     fn query_on_write_statement_errors() {
         let mut db = Database::new();
         db.execute("create table t (x int)").unwrap();
-        assert!(db.query("insert into t values (1)").is_err());
+        assert!(matches!(db.query_ref("insert into t values (1)"), Err(SqlError::Unsupported(_))));
+        assert!(db.query_column_ref("delete from t").is_err());
+        assert_eq!(db.table("t").unwrap().len(), 0, "a refused write must not run");
+        db.execute("insert into t values (1)").unwrap();
+        assert!(db.query_ref("delete from t").is_err());
+        assert_eq!(db.query_column_ref("select x from t").unwrap(), ["1"]);
     }
 
     fn two_table_db() -> Database {

@@ -661,7 +661,7 @@ mod tests {
             let want: Vec<Vec<Value>> = ids.into_iter().map(|i| vec![Value::Int(i)]).collect();
             assert_eq!(db.query_ref(&sql).unwrap().rows, want, "{shape} at the limit");
             assert_eq!(db.query_ref_scan(&sql).unwrap().rows, want, "{shape} scanned");
-            assert!(!db.query(&format!("explain {sql}")).unwrap().rows.is_empty());
+            assert!(!db.query_ref(&format!("explain {sql}")).unwrap().rows.is_empty());
             let update = db.execute(&format!("update t set name = name where {cond}")).unwrap();
             assert_eq!(update, crate::ExecOutcome::Written { affected: want.len() });
 

@@ -256,11 +256,6 @@ impl Table {
         (ts.generation == self.stats_gen).then(|| Arc::clone(ts))
     }
 
-    /// The stats-generation counter: bumped on every row change.
-    pub fn stats_generation(&self) -> u64 {
-        self.stats_gen
-    }
-
     /// Size band for plan-cache hysteresis: `floor(log2(rows)) + 1` (0
     /// for an empty table). Single-row inserts only cross a band at
     /// powers of two, so cached plans survive steady-state trickle

@@ -228,7 +228,7 @@ mod tests {
         assert_eq!(lens(&db), [4, usize::MAX]);
         db.rollback_to(inner);
         assert_eq!(lens(&db), [2, 0]);
-        assert_eq!(db.query_column("select x from a").unwrap(), ["1", "2"]);
+        assert_eq!(db.query_column_ref("select x from a").unwrap(), ["1", "2"]);
         // The outer savepoint is still open and still logging.
         db.execute("insert into b values (2)").unwrap();
         db.rollback_to(outer);

@@ -216,7 +216,7 @@ fn greedy_join_orders_and_the_table_limit_match_the_scan() {
         }
         // Up to 32 tables the chain runs out of FROM order; at 33 EXPLAIN
         // prints the scan.
-        let plan = db.query_column(&format!("explain {chain}")).unwrap();
+        let plan = db.query_column_ref(&format!("explain {chain}")).unwrap();
         assert_eq!(plan.iter().any(|l| l.contains("join order:")), n <= 32, "{plan:?}");
         if n == 33 {
             assert_eq!(plan[1], "  t33: scan", "{plan:?}");

@@ -51,8 +51,8 @@ proptest! {
     fn insert_then_count_matches(
         rows in proptest::collection::vec((0i64..1000, "[a-z]{1,8}", 0i64..8), 0..20)
     ) {
-        let mut db = seeded_db(&rows);
-        let count = db.query_column("select count(*) from nodes").unwrap();
+        let db = seeded_db(&rows);
+        let count = db.query_column_ref("select count(*) from nodes").unwrap();
         prop_assert_eq!(count, vec![rows.len().to_string()]);
     }
 
@@ -61,9 +61,9 @@ proptest! {
         rows in proptest::collection::vec((0i64..1000, "[a-z]{1,8}", 0i64..8), 0..20),
         pivot in 0i64..8,
     ) {
-        let mut db = seeded_db(&rows);
-        let lo = db.query(&format!("select id from nodes where rack < {pivot}")).unwrap();
-        let hi = db.query(&format!("select id from nodes where rack >= {pivot}")).unwrap();
+        let db = seeded_db(&rows);
+        let lo = db.query_ref(&format!("select id from nodes where rack < {pivot}")).unwrap();
+        let hi = db.query_ref(&format!("select id from nodes where rack >= {pivot}")).unwrap();
         prop_assert_eq!(lo.rows.len() + hi.rows.len(), rows.len());
     }
 
@@ -71,8 +71,8 @@ proptest! {
     fn order_by_sorts(
         rows in proptest::collection::vec((0i64..1000, "[a-z]{1,8}", 0i64..8), 0..20)
     ) {
-        let mut db = seeded_db(&rows);
-        let result = db.query("select id from nodes order by id").unwrap();
+        let db = seeded_db(&rows);
+        let result = db.query_ref("select id from nodes order by id").unwrap();
         let ids: Vec<i64> = result.rows.iter().map(|r| r[0].as_int().unwrap()).collect();
         let mut sorted = ids.clone();
         sorted.sort_unstable();
@@ -104,7 +104,7 @@ proptest! {
         db.execute("create table r (k int)").unwrap();
         for k in &left { db.execute(&format!("insert into l values ({k})")).unwrap(); }
         for k in &right { db.execute(&format!("insert into r values ({k})")).unwrap(); }
-        let joined = db.query("select l.k from l, r where l.k = r.k").unwrap();
+        let joined = db.query_ref("select l.k from l, r where l.k = r.k").unwrap();
         let expected: usize = left
             .iter()
             .map(|lk| right.iter().filter(|rk| *rk == lk).count())
@@ -118,7 +118,7 @@ proptest! {
         db.execute("create table t (s text)").unwrap();
         let escaped = name.replace('\'', "''");
         db.execute(&format!("insert into t values ('{escaped}')")).unwrap();
-        let rows = db.query("select s from t").unwrap();
+        let rows = db.query_ref("select s from t").unwrap();
         prop_assert_eq!(rows.rows[0][0].clone(), Value::Text(name));
     }
 }

@@ -42,6 +42,8 @@ proptest! {
         prop_assert_eq!(snap.counter("netsim.fetch.attempts"), result.total_attempts());
         prop_assert_eq!(snap.counter("netsim.failovers"), result.total_failovers());
         prop_assert_eq!(snap.counter("netsim.installs.completed"), result.completed() as u64);
+        let requests: u64 = sim.nodes().iter().map(|n| u64::from(n.kickstart_requests)).sum();
+        prop_assert_eq!(snap.counter("netsim.kickstart.requests"), requests);
         for (i, &bytes) in sim.link_bytes().iter().enumerate() {
             let gauge = snap.gauge(&format!("netsim.link.bytes.{i}"));
             prop_assert_eq!(gauge.to_bits(), bytes.to_bits());

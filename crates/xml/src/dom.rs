@@ -85,11 +85,6 @@ impl Element {
         &self.children
     }
 
-    /// Mutable access to children (used by builders).
-    pub fn children_mut(&mut self) -> &mut Vec<Node> {
-        &mut self.children
-    }
-
     /// Append a child node.
     pub fn push(&mut self, node: Node) {
         self.children.push(node);

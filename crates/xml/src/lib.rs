@@ -38,7 +38,7 @@ pub mod writer;
 
 pub use dom::{Document, Element, Node, MAX_DEPTH};
 pub use pull::{Event, Parser};
-pub use writer::{write_document, write_element, WriteStyle};
+pub use writer::{write_document, WriteStyle};
 
 /// Byte offset plus human-oriented line/column position within a source
 /// document, used in error reporting.

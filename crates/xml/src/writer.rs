@@ -1,4 +1,4 @@
-//! Serialization of [`Document`]s and [`Element`]s back to XML text.
+//! Serialization of [`Document`]s back to XML text.
 
 use crate::dom::{Document, Element, Node};
 use crate::escape::{escape_attr, escape_text};
@@ -36,13 +36,6 @@ pub fn write_document(doc: &Document, style: WriteStyle) -> String {
     if style == WriteStyle::Pretty && !out.ends_with('\n') {
         out.push('\n');
     }
-    out
-}
-
-/// Serialize a single element subtree.
-pub fn write_element(el: &Element, style: WriteStyle) -> String {
-    let mut out = String::new();
-    write_element_into(&mut out, el, style, 0);
     out
 }
 
