@@ -555,8 +555,14 @@ const CRC_TABLES: [[u32; 256]; 8] = {
 /// one; recovery treats a mismatch as a typed error rather than
 /// undefined behaviour.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_extend(0, bytes)
+}
+
+/// The chained form of [`crc32`]: given `crc = crc32(a)`, the CRC of
+/// `a ‖ bytes`, so a checksum over pieces needs no contiguous copy.
+pub(crate) fn crc32_extend(crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
+    let mut c = !crc;
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
         let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
@@ -626,6 +632,30 @@ mod tests {
                     })
                     .collect();
                 assert_eq!(crc32(&bytes), crc32_bytewise(&bytes), "len {len}: {bytes:?}");
+            }
+        }
+    }
+
+    /// Chaining over any split of the input is the CRC of the whole.
+    #[test]
+    fn chained_crc32_matches_the_bytewise_reference_over_every_split() {
+        let mut r = 0xC4A1_17EDu64;
+        for len in (0..=40).chain([257]) {
+            let bytes: Vec<u8> = (0..len)
+                .map(|i| {
+                    r = VfsState::roll(r, i as u64);
+                    r as u8
+                })
+                .collect();
+            let want = crc32_bytewise(&bytes);
+            for split in 0..=len {
+                let (head, tail) = bytes.split_at(split);
+                assert_eq!(crc32_extend(crc32(head), tail), want, "len {len}, split {split}");
+                for cut in split..=len {
+                    let (mid, tail) = tail.split_at(cut - split);
+                    let chained = crc32_extend(crc32_extend(crc32(head), mid), tail);
+                    assert_eq!(chained, want, "len {len}, splits {split} and {cut}");
+                }
             }
         }
     }

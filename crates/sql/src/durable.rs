@@ -220,7 +220,7 @@ struct Journal {
 }
 
 impl Journal {
-    fn append(&mut self, rec: &WalRecord) -> DurableResult<()> {
+    fn append(&mut self, rec: &WalRecord<'_>) -> DurableResult<()> {
         let bytes = self.wal.append(rec)?;
         self.stats.wal_appends.incr();
         self.stats.wal_bytes.add(bytes);
@@ -486,7 +486,7 @@ impl DurableDatabase {
         let seq = self.seq + 1;
         let _span = auto_commit.then(|| journal.tracer.span("db.commit"));
         let begun = if auto_commit { journal.append(&WalRecord::Begin { seq }) } else { Ok(()) };
-        if let Err(e) = begun.and_then(|()| journal.append(&WalRecord::Stmt { sql: sql.into() })) {
+        if let Err(e) = begun.and_then(|()| journal.append(&WalRecord::Stmt { sql })) {
             // Not journaled, so it must not have happened.
             self.mem.rollback_to(before);
             return Err(e);

@@ -1295,7 +1295,12 @@ mod tests {
         db.execute("create table t (name text, comment text)").unwrap();
         db.execute("insert into t values ('köln-0', 'ascii row')").unwrap();
         db.execute("insert into t values ('plain', 'Grüße aus München ☀')").unwrap();
-        let text = db.query_ref("select name, comment from t").unwrap().render_ascii();
+        // Stored as written, not byte by byte as Latin-1: mangled text
+        // lines up too, so alignment alone would not show it.
+        let rows = db.query_ref("select name, comment from t").unwrap();
+        assert_eq!(rows.rows[0][0], Value::Text("köln-0".into()));
+        assert_eq!(rows.rows[1][1], Value::Text("Grüße aus München ☀".into()));
+        let text = rows.render_ascii();
         let widths: Vec<usize> = text.lines().map(|l| l.chars().count()).collect();
         assert!(
             widths.windows(2).all(|w| w[0] == w[1]),

@@ -1,18 +1,26 @@
 //! SQL tokenizer.
+//!
+//! Tokens borrow from the statement text: a word is a slice of it, and so
+//! is a string literal's body unless it contains a doubled quote, the one
+//! case that needs an unescaped copy. Lexing a statement allocates the
+//! token list and nothing else; the parser then copies out only what the
+//! AST keeps (see [`crate::parser`]).
 
 use crate::{Result, SqlError};
+use std::borrow::Cow;
 
 /// A lexical token. Keywords are recognized case-insensitively at parse
 /// time; the lexer only distinguishes shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Token {
+pub enum Token<'a> {
     /// Identifier or keyword (bare word).
-    Word(String),
+    Word(&'a str),
     /// Integer literal.
     Int(i64),
     /// Single- or double-quoted string literal (quotes removed, doubled
-    /// quotes unescaped).
-    Str(String),
+    /// quotes unescaped). Borrowed from the statement unless it had a
+    /// doubled quote.
+    Str(Cow<'a, str>),
     /// `,`
     Comma,
     /// `.`
@@ -40,10 +48,11 @@ pub enum Token {
 }
 
 /// Tokenize a statement. Comments (`-- ...`) run to end of line.
-pub fn lex(input: &str) -> Result<Vec<Token>> {
+pub fn lex(input: &str) -> Result<Vec<Token<'_>>> {
     let bytes = input.as_bytes();
     let mut i = 0;
-    let mut out = Vec::new();
+    // Every token takes at least one byte, so the list never regrows.
+    let mut out = Vec::with_capacity(input.len());
 
     while i < bytes.len() {
         let c = bytes[i];
@@ -108,33 +117,9 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
                 }
             }
             b'\'' | b'"' => {
-                let quote = c;
-                i += 1;
-                let mut s = String::new();
-                loop {
-                    match bytes.get(i) {
-                        Some(&b) if b == quote => {
-                            // Doubled quote = escaped quote.
-                            if bytes.get(i + 1) == Some(&quote) {
-                                s.push(quote as char);
-                                i += 2;
-                            } else {
-                                i += 1;
-                                break;
-                            }
-                        }
-                        Some(&b) => {
-                            s.push(b as char);
-                            i += 1;
-                        }
-                        None => {
-                            return Err(SqlError::Lex(format!(
-                                "unterminated string literal starting with {s:?}"
-                            )))
-                        }
-                    }
-                }
-                out.push(Token::Str(s));
+                let (lit, end) = string_literal(input, i)?;
+                out.push(Token::Str(lit));
+                i = end;
             }
             b'0'..=b'9' => {
                 let start = i;
@@ -166,17 +151,63 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
                 while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     i += 1;
                 }
-                out.push(Token::Word(input[start..i].to_string()));
+                out.push(Token::Word(&input[start..i]));
             }
-            other => {
-                return Err(SqlError::Lex(format!(
-                    "unexpected character {:?} at byte {i}",
-                    other as char
-                )))
+            _ => {
+                // Every arm above stops on an ASCII byte or at the end, so
+                // `i` is on a character boundary.
+                let c = input[i..].chars().next().expect("a character at a boundary");
+                return Err(SqlError::Lex(format!("unexpected character {c:?} at byte {i}")));
             }
         }
     }
     Ok(out)
+}
+
+/// The string literal whose opening quote is at byte `open`, and the byte
+/// just past its closing quote. The body is a slice of `input` unless it
+/// holds a doubled quote.
+fn string_literal(input: &str, open: usize) -> Result<(Cow<'_, str>, usize)> {
+    let bytes = input.as_bytes();
+    let quote = bytes[open];
+    let body = open + 1;
+    let mut end = body;
+    let mut doubled = false;
+    loop {
+        match bytes[end..].iter().position(|&b| b == quote) {
+            Some(k) if bytes.get(end + k + 1) == Some(&quote) => {
+                doubled = true;
+                end += k + 2;
+            }
+            Some(k) => {
+                end += k;
+                break;
+            }
+            None => {
+                return Err(SqlError::Lex(format!(
+                    "unterminated string literal starting with {:?}",
+                    unescape(&input[body..], quote)
+                )))
+            }
+        }
+    }
+    // Quotes are ASCII, so `body` and `end` are character boundaries.
+    let text = &input[body..end];
+    let lit = if doubled { Cow::Owned(unescape(text, quote)) } else { Cow::Borrowed(text) };
+    Ok((lit, end + 1))
+}
+
+/// `text` with each doubled `quote` made single, in one allocation.
+fn unescape(text: &str, quote: u8) -> String {
+    let doubled = if quote == b'\'' { "''" } else { "\"\"" };
+    let mut out = String::with_capacity(text.len());
+    for (k, part) in text.split(doubled).enumerate() {
+        if k > 0 {
+            out.push(quote as char);
+        }
+        out.push_str(part);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -188,8 +219,8 @@ mod tests {
         let toks = lex("select nodes.name from nodes,memberships where \
                         nodes.membership = memberships.id")
         .unwrap();
-        assert_eq!(toks[0], Token::Word("select".into()));
-        assert_eq!(toks[1], Token::Word("nodes".into()));
+        assert_eq!(toks[0], Token::Word("select"));
+        assert_eq!(toks[1], Token::Word("nodes"));
         assert_eq!(toks[2], Token::Dot);
         assert!(toks.contains(&Token::Comma));
         assert!(toks.contains(&Token::Eq));
@@ -207,10 +238,7 @@ mod tests {
     fn numbers_including_negative() {
         assert_eq!(lex("42").unwrap(), vec![Token::Int(42)]);
         assert_eq!(lex("-7").unwrap(), vec![Token::Int(-7)]);
-        assert_eq!(
-            lex("rack=-1").unwrap(),
-            vec![Token::Word("rack".into()), Token::Eq, Token::Int(-1)]
-        );
+        assert_eq!(lex("rack=-1").unwrap(), vec![Token::Word("rack"), Token::Eq, Token::Int(-1)]);
     }
 
     #[test]
@@ -218,19 +246,19 @@ mod tests {
         assert_eq!(
             lex("a <= b >= c != d <> e < f > g").unwrap(),
             vec![
-                Token::Word("a".into()),
+                Token::Word("a"),
                 Token::LtEq,
-                Token::Word("b".into()),
+                Token::Word("b"),
                 Token::GtEq,
-                Token::Word("c".into()),
+                Token::Word("c"),
                 Token::NotEq,
-                Token::Word("d".into()),
+                Token::Word("d"),
                 Token::NotEq,
-                Token::Word("e".into()),
+                Token::Word("e"),
                 Token::Lt,
-                Token::Word("f".into()),
+                Token::Word("f"),
                 Token::Gt,
-                Token::Word("g".into()),
+                Token::Word("g"),
             ]
         );
     }
@@ -238,10 +266,7 @@ mod tests {
     #[test]
     fn comments_are_skipped() {
         let toks = lex("select 1 -- trailing comment\n, 2").unwrap();
-        assert_eq!(
-            toks,
-            vec![Token::Word("select".into()), Token::Int(1), Token::Comma, Token::Int(2)]
-        );
+        assert_eq!(toks, vec![Token::Word("select"), Token::Int(1), Token::Comma, Token::Int(2)]);
     }
 
     #[test]

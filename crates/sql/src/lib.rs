@@ -71,6 +71,7 @@ pub use undo::Savepoint;
 pub use value::Value;
 
 use rocks_trace::{Counter, Histogram, Registry};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
@@ -534,20 +535,18 @@ impl Database {
     /// uppercase — every name the typed accessors pass — is the key as
     /// given, so the lookup allocates nothing.
     pub fn table(&self, name: &str) -> Option<&Table> {
-        if name.bytes().any(|b| b.is_ascii_uppercase()) {
-            self.tables.get(&name.to_ascii_lowercase())
-        } else {
-            self.tables.get(name)
-        }
+        self.tables.get(&*table_key(name))
     }
 
     /// Mutable table lookup. The public surface of `&mut Table` can only
     /// append, so under a [`Savepoint`] noting the length here is enough
-    /// to take back whatever the caller does with it.
+    /// to take back whatever the caller does with it. Like [`table`]
+    /// (Self::table), it copies the name only when it has uppercase: the
+    /// parser's names never do.
     pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
-        let key = name.to_ascii_lowercase();
+        let key = table_key(name);
         self.log_append_point(&key);
-        self.tables.get_mut(&key)
+        self.tables.get_mut(&*key)
     }
 
     /// Register a table built programmatically.
@@ -589,6 +588,17 @@ impl Database {
     /// the counter from zero, and this realigns it with the journal).
     pub(crate) fn set_schema_generation(&mut self, schema_gen: u64) {
         self.schema_gen = schema_gen;
+    }
+}
+
+/// The key `name` is stored under: a copy only when it has ASCII
+/// uppercase, so the lowercase names the typed accessors and the parser
+/// pass cost nothing.
+fn table_key(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
     }
 }
 

@@ -1,4 +1,12 @@
 //! Recursive-descent parser for the supported SQL subset.
+//!
+//! The parser walks the lexer's borrowed tokens and copies out only what
+//! the AST keeps: each identifier once, as the lowercase name the AST
+//! holds, and each string literal once, as its `Value::Text` (moved when
+//! the lexer already had to unescape it). Keywords are matched in place.
+//! Parsing the one-row `nodes` INSERT of `insert-ethers` therefore
+//! allocates the token list, the table name, one `String` per text
+//! literal, the row and the row list.
 
 use crate::ast::*;
 use crate::lexer::{lex, Token};
@@ -46,25 +54,35 @@ pub fn parse(sql: &str) -> Result<Statement> {
     Ok(stmt)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
     /// Parentheses, NOTs and EXPLAINs open around the current token: the
     /// parser's own recursion, bounded before it descends.
     nesting: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<&Token<'a>> {
         self.tokens.get(self.pos)
     }
 
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
+    fn next(&mut self) -> Option<&Token<'a>> {
+        let t = self.tokens.get(self.pos);
         if t.is_some() {
             self.pos += 1;
         }
         t
+    }
+
+    /// Consume the next token if it is a string literal, moving its text
+    /// out: a borrowed body is copied once, an unescaped one not at all.
+    /// Consumed tokens are never read again.
+    fn eat_str(&mut self) -> Option<String> {
+        let Some(Token::Str(s)) = self.tokens.get_mut(self.pos) else { return None };
+        let s = std::mem::take(s).into_owned();
+        self.pos += 1;
+        Some(s)
     }
 
     /// Consume the next token if it is the given keyword (case-insensitive).
@@ -86,7 +104,7 @@ impl Parser {
         }
     }
 
-    fn eat_tok(&mut self, tok: &Token) -> bool {
+    fn eat_tok(&mut self, tok: &Token<'_>) -> bool {
         if self.peek() == Some(tok) {
             self.pos += 1;
             true
@@ -95,7 +113,7 @@ impl Parser {
         }
     }
 
-    fn expect_tok(&mut self, tok: Token) -> Result<()> {
+    fn expect_tok(&mut self, tok: Token<'_>) -> Result<()> {
         if self.eat_tok(&tok) {
             Ok(())
         } else {
@@ -203,7 +221,13 @@ impl Parser {
         let mut rows = Vec::new();
         loop {
             self.expect_tok(Token::LParen)?;
-            let mut row = Vec::new();
+            // Sized once: a row holds one literal more than it has commas.
+            let width = self.tokens[self.pos..]
+                .iter()
+                .take_while(|t| !matches!(t, Token::RParen))
+                .filter(|t| matches!(t, Token::Comma))
+                .count();
+            let mut row = Vec::with_capacity(width + 1);
             loop {
                 row.push(self.literal()?);
                 if !self.eat_tok(&Token::Comma) {
@@ -220,9 +244,11 @@ impl Parser {
     }
 
     fn literal(&mut self) -> Result<Value> {
+        if let Some(s) = self.eat_str() {
+            return Ok(Value::Text(s));
+        }
         match self.next() {
-            Some(Token::Int(n)) => Ok(Value::Int(n)),
-            Some(Token::Str(s)) => Ok(Value::Text(s)),
+            Some(&Token::Int(n)) => Ok(Value::Int(n)),
             Some(Token::Word(w)) if w.eq_ignore_ascii_case("null") => Ok(Value::Null),
             other => Err(SqlError::Parse(format!("expected a literal, found {other:?}"))),
         }
@@ -274,7 +300,7 @@ impl Parser {
         }
         let limit = if self.eat_kw("limit") {
             match self.next() {
-                Some(Token::Int(n)) if n >= 0 => Some(n as usize),
+                Some(&Token::Int(n)) if n >= 0 => Some(n as usize),
                 other => {
                     return Err(SqlError::Parse(format!("expected LIMIT count, found {other:?}")))
                 }
@@ -290,21 +316,19 @@ impl Parser {
             return Ok(SelectItem::Wildcard);
         }
         // Aggregates: COUNT(*), MIN(col), MAX(col).
-        if let Some(Token::Word(w)) = self.peek() {
-            let kw = w.to_ascii_lowercase();
-            if matches!(kw.as_str(), "count" | "min" | "max" | "sum")
-                && self.tokens.get(self.pos + 1) == Some(&Token::LParen)
-            {
+        if let Some(&Token::Word(w)) = self.peek() {
+            let agg =
+                ["count", "min", "max", "sum"].into_iter().find(|k| w.eq_ignore_ascii_case(k));
+            if let (Some(agg), Some(Token::LParen)) = (agg, self.tokens.get(self.pos + 1)) {
                 self.pos += 2; // word + lparen
-                let item = match kw.as_str() {
+                let item = match agg {
                     "count" => {
                         self.expect_tok(Token::Star)?;
                         SelectItem::CountStar
                     }
                     "min" => SelectItem::Min(self.column_ref()?),
                     "max" => SelectItem::Max(self.column_ref()?),
-                    "sum" => SelectItem::Sum(self.column_ref()?),
-                    _ => unreachable!(),
+                    _ => SelectItem::Sum(self.column_ref()?),
                 };
                 self.expect_tok(Token::RParen)?;
                 return Ok(item);
@@ -427,16 +451,13 @@ impl Parser {
         };
 
         if self.eat_kw("like") {
-            match self.next() {
-                Some(Token::Str(pattern)) => {
-                    return node(Expr::Like { expr: Box::new(lhs), pattern, negated }, depth + 1)
-                }
-                other => {
-                    return Err(SqlError::Parse(format!(
-                        "expected string pattern after LIKE, found {other:?}"
-                    )))
-                }
-            }
+            let Some(pattern) = self.eat_str() else {
+                return Err(SqlError::Parse(format!(
+                    "expected string pattern after LIKE, found {:?}",
+                    self.next()
+                )));
+            };
+            return node(Expr::Like { expr: Box::new(lhs), pattern, negated }, depth + 1);
         }
         if self.eat_kw("in") {
             self.expect_tok(Token::LParen)?;

@@ -14,6 +14,12 @@
 //! crc   := crc32(kind ‖ len ‖ payload)
 //! ```
 //!
+//! The CRC is computed in place: [`encode_frame`] writes header and
+//! payload into the one buffer it returns and checksums `kind ‖ len`,
+//! then the payload, through the chained form of `crc32`; [`scan_bytes`]
+//! checks each frame the same way, without copying it. Chaining yields
+//! the CRC of the concatenation, so the format is unchanged.
+//!
 //! Kinds: `1` Begin `{seq}`, `2` Stmt `{sql}`, `3` Commit
 //! `{seq, revision, schema_gen}`. A transaction is durable iff its
 //! Commit frame is fully on disk with a valid CRC *and* the log was
@@ -21,7 +27,7 @@
 //! frame.
 
 use crate::codec::{self, Reader};
-use crate::disk::{crc32, DiskFile, DiskResult};
+use crate::disk::{crc32, crc32_extend, DiskFile, DiskResult};
 use crate::recovery::RecoveryError;
 
 const FRAME_MAGIC: u8 = 0xA7;
@@ -31,9 +37,9 @@ const KIND_BEGIN: u8 = 1;
 const KIND_STMT: u8 = 2;
 const KIND_COMMIT: u8 = 3;
 
-/// One journal record.
+/// One journal record, borrowing what it logs.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalRecord {
+pub enum WalRecord<'a> {
     /// A transaction opened.
     Begin {
         /// Its commit sequence number (assigned at begin time).
@@ -42,7 +48,7 @@ pub enum WalRecord {
     /// One successfully executed statement.
     Stmt {
         /// The SQL text, exactly as executed.
-        sql: String,
+        sql: &'a str,
     },
     /// The transaction's durability point.
     Commit {
@@ -55,41 +61,36 @@ pub enum WalRecord {
     },
 }
 
-/// Encode one frame.
-pub fn encode_frame(rec: &WalRecord) -> Vec<u8> {
-    let (kind, payload) = match rec {
-        WalRecord::Begin { seq } => {
-            let mut p = Vec::with_capacity(8);
-            codec::put_u64(&mut p, *seq);
-            (KIND_BEGIN, p)
-        }
-        WalRecord::Stmt { sql } => {
-            let mut p = Vec::with_capacity(4 + sql.len());
-            codec::put_str(&mut p, sql);
-            (KIND_STMT, p)
-        }
-        WalRecord::Commit { seq, revision, schema_gen } => {
-            let mut p = Vec::with_capacity(24);
-            codec::put_u64(&mut p, *seq);
-            codec::put_u64(&mut p, *revision);
-            codec::put_u64(&mut p, *schema_gen);
-            (KIND_COMMIT, p)
-        }
+/// Encode one frame into one buffer.
+pub fn encode_frame(rec: &WalRecord<'_>) -> Vec<u8> {
+    let (kind, len) = match rec {
+        WalRecord::Begin { .. } => (KIND_BEGIN, 8),
+        WalRecord::Stmt { sql } => (KIND_STMT, 4 + sql.len()),
+        WalRecord::Commit { .. } => (KIND_COMMIT, 24),
     };
-    let len = payload.len() as u32;
-    let mut crc_input = Vec::with_capacity(5 + payload.len());
-    crc_input.push(kind);
-    crc_input.extend_from_slice(&len.to_le_bytes());
-    crc_input.extend_from_slice(&payload);
-    let crc = crc32(&crc_input);
-
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.push(FRAME_MAGIC);
-    out.push(kind);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&crc.to_le_bytes());
-    out.extend_from_slice(&payload);
+    let mut out = Vec::with_capacity(FRAME_HEADER + len);
+    out.extend_from_slice(&[FRAME_MAGIC, kind]);
+    codec::put_u32(&mut out, len as u32);
+    codec::put_u32(&mut out, 0); // the CRC, once the payload is in
+    match *rec {
+        WalRecord::Begin { seq } => codec::put_u64(&mut out, seq),
+        WalRecord::Stmt { sql } => codec::put_str(&mut out, sql),
+        WalRecord::Commit { seq, revision, schema_gen } => {
+            codec::put_u64(&mut out, seq);
+            codec::put_u64(&mut out, revision);
+            codec::put_u64(&mut out, schema_gen);
+        }
+    }
+    debug_assert_eq!(out.len(), FRAME_HEADER + len);
+    let crc = frame_crc(&out);
+    out[6..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
     out
+}
+
+/// `crc32(kind ‖ len ‖ payload)` of a whole frame, read where it holds
+/// them: the CRC field between `len` and the payload is skipped.
+fn frame_crc(frame: &[u8]) -> u32 {
+    crc32_extend(crc32(&frame[1..6]), &frame[FRAME_HEADER..])
 }
 
 /// Appends frames to the log file. Nothing is durable until
@@ -123,7 +124,7 @@ impl WalWriter {
     }
 
     /// Append one frame (buffered). Returns the encoded size.
-    pub fn append(&mut self, rec: &WalRecord) -> DiskResult<u64> {
+    pub fn append(&mut self, rec: &WalRecord<'_>) -> DiskResult<u64> {
         let frame = encode_frame(rec);
         self.file.write_at(self.len, &frame)?;
         self.len += frame.len() as u64;
@@ -221,19 +222,14 @@ pub fn scan_bytes(bytes: &[u8]) -> WalScan {
             )));
             break;
         }
-        let payload = &bytes[pos + FRAME_HEADER..pos + FRAME_HEADER + plen];
-        let mut crc_input = Vec::with_capacity(5 + plen);
-        crc_input.push(kind);
-        crc_input.extend_from_slice(&(plen as u32).to_le_bytes());
-        crc_input.extend_from_slice(payload);
-        if crc32(&crc_input) != crc {
+        let frame_end = pos + FRAME_HEADER + plen;
+        if frame_crc(&bytes[pos..frame_end]) != crc {
             out.anomalies.push(RecoveryError::ChecksumMismatch(format!(
                 "frame at offset {pos} fails its CRC"
             )));
             break;
         }
-        let frame_end = pos + FRAME_HEADER + plen;
-        let mut r = Reader::new(payload);
+        let mut r = Reader::new(&bytes[pos + FRAME_HEADER..frame_end]);
         match kind {
             KIND_BEGIN => {
                 let Ok(seq) = r.u64() else {
@@ -320,10 +316,33 @@ mod tests {
         let mut bytes = Vec::new();
         bytes.extend(encode_frame(&WalRecord::Begin { seq }));
         bytes.extend(encode_frame(&WalRecord::Stmt {
-            sql: format!("insert into t values ({seq})"),
+            sql: &format!("insert into t values ({seq})"),
         }));
         bytes.extend(encode_frame(&WalRecord::Commit { seq, revision: seq * 10, schema_gen: 1 }));
         bytes
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// One frame of each kind, byte for byte as the engine wrote them
+    /// when the CRC input was still copied into a buffer of its own.
+    #[test]
+    fn frame_bytes_are_pinned() {
+        let begin = encode_frame(&WalRecord::Begin { seq: 7 });
+        assert_eq!(hex(&begin), "a70108000000e0e02bde0700000000000000");
+        let sql = "insert into nodes values (1, 'compute-0-0', 'it''s', 'köln')";
+        assert_eq!(
+            hex(&encode_frame(&WalRecord::Stmt { sql })),
+            "a70241000000d1fbdd263d000000696e7365727420696e746f206e6f6465732076616c7565732028\
+             312c2027636f6d707574652d302d30272c20276974272773272c20276bc3b66c6e2729"
+        );
+        let commit = encode_frame(&WalRecord::Commit { seq: 7, revision: 42, schema_gen: 3 });
+        assert_eq!(
+            hex(&commit),
+            "a70318000000b766b7e407000000000000002a000000000000000300000000000000"
+        );
     }
 
     #[test]
@@ -369,7 +388,7 @@ mod tests {
     fn uncommitted_tail_is_a_partial_commit() {
         let mut bytes = full_txn(1);
         bytes.extend(encode_frame(&WalRecord::Begin { seq: 2 }));
-        bytes.extend(encode_frame(&WalRecord::Stmt { sql: "delete from t".into() }));
+        bytes.extend(encode_frame(&WalRecord::Stmt { sql: "delete from t" }));
         let scan = scan_bytes(&bytes);
         assert_eq!(scan.txns.len(), 1);
         assert_eq!(scan.committed_len, full_txn(1).len() as u64);
