@@ -18,7 +18,7 @@
 //! reproduce serve [--quick]    # kickstart serving frontend at saturation (writes BENCH_serve.json)
 //! ```
 
-use rocks_bench::*;
+use rocks_bench::{bringup_summary, chaos, rollout, serve, PAPER};
 
 type Sweep = (&'static str, fn(quick: bool) -> String);
 

@@ -2,14 +2,13 @@
 
 use rocks_db::{ClusterDb, Ipv4, Membership, NodeRecord};
 use rocks_kickstart::profiles;
-use rocks_netsim::cluster::{
+use rocks_netsim::{
     max_full_speed_concurrency, serial_download_benchmark, table1_sweep, ClusterSim,
+    NetsimInstallBackend, SimConfig, TierConfig,
 };
-use rocks_netsim::{NetsimInstallBackend, SimConfig, TierConfig};
-use rocks_pbs::rollout::run_rollout_sweep;
-use rocks_pbs::scheduler::schedule;
 use rocks_pbs::{
-    run_rollout, standard_rollout_invariants, JobArrival, NodeState, PbsServer, RolloutConfig,
+    run_rollout, run_rollout_sweep, schedule, standard_rollout_invariants, JobArrival, NodeState,
+    PbsServer, RolloutConfig,
 };
 use rocks_rpm::{synth, Repository, UpdateStream};
 use rocks_serve::{
@@ -18,17 +17,17 @@ use rocks_serve::{
 };
 
 /// Paper values for Table I: (nodes, minutes).
-pub const PAPER_TABLE1: &[(usize, f64)] =
+pub(crate) const PAPER_TABLE1: &[(usize, f64)] =
     &[(1, 10.3), (2, 9.8), (4, 10.1), (8, 10.4), (16, 11.1), (32, 13.7)];
 
 /// Table I: total reinstall time vs. concurrent node count.
-pub fn table1_data(seed: u64) -> Vec<(usize, f64)> {
+pub(crate) fn table1_data(seed: u64) -> Vec<(usize, f64)> {
     let ns: Vec<usize> = PAPER_TABLE1.iter().map(|(n, _)| *n).collect();
     table1_sweep(&ns, seed)
 }
 
 /// Render Table I with the paper's numbers side-by-side.
-pub fn table1() -> String {
+pub(crate) fn table1() -> String {
     let measured = table1_data(1);
     let mut out = String::new();
     out.push_str("Table I. Reinstallation performance (minutes)\n");
@@ -43,7 +42,7 @@ pub fn table1() -> String {
 /// Build the exact database shown in Table II (plus its two extra
 /// memberships, NFS and Web Server, which Table III's default six do not
 /// include).
-pub fn table2_db() -> ClusterDb {
+pub(crate) fn table2_db() -> ClusterDb {
     let mut db = ClusterDb::new();
     db.add_membership(&Membership {
         id: 7,
@@ -119,7 +118,7 @@ pub fn table2_db() -> ClusterDb {
 }
 
 /// Table II rendered as the MySQL client would.
-pub fn table2() -> String {
+pub(crate) fn table2() -> String {
     let db = table2_db();
     let result = db
         .sql_ref()
@@ -131,7 +130,7 @@ pub fn table2() -> String {
 }
 
 /// Table III rendered from the seeded default memberships.
-pub fn table3() -> String {
+pub(crate) fn table3() -> String {
     let db = ClusterDb::new();
     let result = db
         .sql_ref()
@@ -142,7 +141,7 @@ pub fn table3() -> String {
 
 /// Figure 1: the Rocks hardware architecture, rendered from the Table II
 /// cluster's database content.
-pub fn fig1() -> String {
+pub(crate) fn fig1() -> String {
     let db = table2_db();
     let nodes = db.nodes().expect("nodes");
     let computes: Vec<&NodeRecord> = nodes.iter().filter(|n| n.membership == 2).collect();
@@ -173,7 +172,7 @@ pub fn fig1() -> String {
 
 /// Figure 2: the DHCP-server node file, parsed from the paper's XML and
 /// re-emitted through the framework.
-pub fn fig2() -> String {
+pub(crate) fn fig2() -> String {
     let set = profiles::default_profiles();
     let dhcp = &set.nodes["dhcp-server"];
     let mut out = String::new();
@@ -192,7 +191,7 @@ pub fn fig2() -> String {
 }
 
 /// Figure 3: the graph-file excerpt.
-pub fn fig3() -> String {
+pub(crate) fn fig3() -> String {
     let set = profiles::default_profiles();
     let mut out = String::new();
     out.push_str("Figure 3. An excerpt from the XML graph file\n\n");
@@ -206,24 +205,24 @@ pub fn fig3() -> String {
 
 /// Figure 4: the graph visualization (DOT) plus the paper's example
 /// traversal.
-pub fn fig4() -> String {
+pub(crate) fn fig4() -> String {
     let set = profiles::default_profiles();
     let traversal =
         set.graph.traverse("compute", rocks_rpm::Arch::I686).expect("compute is a root");
     format!(
         "Figure 4. Visualization of the XML graph description\n\n{}\n\
          compute-appliance traversal: {}\n",
-        rocks_kickstart::dot::to_dot(&set.graph),
+        rocks_kickstart::to_dot(&set.graph),
         traversal.join(" -> "),
     )
 }
 
 /// Figure 5: the rocks-dist build pipeline report.
-pub fn fig5() -> String {
+pub(crate) fn fig5() -> String {
     let stock = rocks_dist::Distribution::stock("redhat-7.2", synth::redhat72(1));
     let community = synth::community();
     let local = synth::rocks_local();
-    let (_dist, report) = rocks_dist::builder::build(rocks_dist::BuildConfig {
+    let (_dist, report) = rocks_dist::build(rocks_dist::BuildConfig {
         name: "rocks-2.2.1".into(),
         parent: Some(&stock),
         contrib: vec![&community],
@@ -238,8 +237,8 @@ pub fn fig5() -> String {
 }
 
 /// Figure 6: the object-oriented distribution hierarchy.
-pub fn fig6() -> String {
-    use rocks_dist::hierarchy::{build_chain, Level};
+pub(crate) fn fig6() -> String {
+    use rocks_dist::{build_chain, Level};
     let redhat = rocks_dist::Distribution::stock("redhat-7.2", synth::redhat72(1));
     let mut campus = Repository::new("campus");
     campus.insert(rocks_rpm::Package::builder("campus-tools", "1.0-1").size(1 << 20).build());
@@ -284,7 +283,7 @@ pub fn fig6() -> String {
 
 /// Figure 7: the eKV screen, reconstructed at the paper's snapshot
 /// (38 of 162 packages complete).
-pub fn fig7() -> String {
+pub(crate) fn fig7() -> String {
     let cfg = SimConfig::paper_testbed(1);
     let mut sim = ClusterSim::new(cfg.clone(), 1);
     sim.run_reinstall();
@@ -320,7 +319,7 @@ pub fn fig7() -> String {
 }
 
 /// §6.3 micro-benchmark: serial download throughput.
-pub fn micro_benchmark() -> String {
+pub(crate) fn micro_benchmark() -> String {
     let cfg = SimConfig::paper_testbed(1);
     let mbps = serial_download_benchmark(&cfg);
     format!(
@@ -332,7 +331,7 @@ pub fn micro_benchmark() -> String {
 
 /// §6.3: Gigabit Ethernet supports 7.0–9.5× the concurrent full-speed
 /// reinstalls of Fast Ethernet.
-pub fn gige_scaling() -> String {
+pub(crate) fn gige_scaling() -> String {
     let fast =
         max_full_speed_concurrency(&|seed| SimConfig::paper_testbed(seed).bundled(12), 0.05, 256);
     let gige = max_full_speed_concurrency(&|seed| SimConfig::gige(seed).bundled(12), 0.05, 256);
@@ -346,7 +345,7 @@ pub fn gige_scaling() -> String {
 }
 
 /// §6.3: N replicated web servers support N× the concurrency.
-pub fn replica_scaling() -> String {
+pub(crate) fn replica_scaling() -> String {
     let mut out = String::new();
     out.push_str("Replication scaling (Section 6.3): full-speed concurrency vs servers\n");
     out.push_str("servers | full-speed nodes | vs 1 server\n");
@@ -370,7 +369,7 @@ pub fn replica_scaling() -> String {
 /// and 10 minutes. The upper bound is for compute nodes with a Myrinet
 /// card, which rebuild the driver from source." Sweep the two factors
 /// that set the range: the Myrinet rebuild and the size of the appliance.
-pub fn reinstall_range() -> String {
+pub(crate) fn reinstall_range() -> String {
     let mut out = String::new();
     out.push_str("Reinstall-time range (Section 6.3): paper claims 5-10 minutes\n");
     out.push_str("appliance profile                  | Myrinet | minutes\n");
@@ -406,7 +405,7 @@ pub fn reinstall_range() -> String {
 /// on Gigabit, the per-cabinet Fast-Ethernet uplink becomes the shared
 /// bottleneck — quantifying the paper's observation that "yet another
 /// network increases ... the management burden" has a performance twin.
-pub fn cabinet_topology() -> String {
+pub(crate) fn cabinet_topology() -> String {
     let mut out = String::new();
     out.push_str("Cabinet topology (Figure 1 extension): 32 nodes, GigE frontend\n");
     out.push_str("wiring                                | total minutes\n");
@@ -430,7 +429,7 @@ pub fn cabinet_topology() -> String {
 /// Server-utilization timeline during concurrent reinstalls: the visual
 /// behind Table I's knee. Below saturation the server idles between
 /// bursts; at 32 nodes it pins at 100 % for the whole download window.
-pub fn utilization_timeline() -> String {
+pub(crate) fn utilization_timeline() -> String {
     let mut out = String::new();
     out.push_str("Server utilization during a concurrent reinstall (30 s buckets)\n");
     let bars = [" ", ".", ":", "-", "=", "#"];
@@ -458,7 +457,7 @@ pub fn utilization_timeline() -> String {
 ///   Hat ships it, so do we" plus reinstall-as-primitive),
 /// * **manual quarterly** — an administrator folds updates in every 90
 ///   days, the pre-Rocks status quo.
-pub fn update_tracking() -> String {
+pub(crate) fn update_tracking() -> String {
     let base = synth::redhat72(1);
     let stream = UpdateStream::paper_stream(&base, 42);
     let security_days: Vec<u32> = stream
@@ -499,8 +498,8 @@ pub fn update_tracking() -> String {
 }
 
 /// §1/§3 ablation: reinstall vs cfengine-style verify-and-repair.
-pub fn ablation() -> String {
-    use rocks_core::consistency::*;
+pub(crate) fn ablation() -> String {
+    use rocks_core::{bring_to_known_state, synth_drift, Strategy, VerifyModel};
     let model = VerifyModel::default();
     let mut out = String::new();
     out.push_str("Ablation (Sections 1, 3): reinstall vs verify-and-repair\n");
@@ -568,7 +567,7 @@ fn write_snapshot(file: &str, json: &str) -> String {
 
 /// Everything one chaos sweep measured, renderable as `BENCH_chaos.json`.
 #[derive(Debug, Clone)]
-pub struct ChaosSnapshot {
+pub(crate) struct ChaosSnapshot {
     /// First seed of the contiguous sweep.
     pub first_seed: u64,
     /// Seeded scenarios executed.
@@ -591,7 +590,7 @@ pub struct ChaosSnapshot {
 
 impl ChaosSnapshot {
     /// Render as the `BENCH_chaos.json` document.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         format!(
             "{{\n  \"experiment\": \"chaos\",\n  \"first_seed\": {},\n  \"seeds_run\": {},\n  \"invariant_violations\": {},\n  \"total_faults\": {},\n  \"completed_nodes\": {},\n  \"unrecoverable_nodes\": {},\n  \"total_attempts\": {},\n  \"total_failovers\": {},\n  \"diff_checked\": {}\n}}\n",
             self.first_seed,
@@ -612,8 +611,8 @@ impl ChaosSnapshot {
 /// schedule, checked against the standard invariant set (byte
 /// conservation, eventual completion, monotone phases) with every
 /// seventh small plan replayed on the reference engine.
-pub fn measure_chaos(first_seed: u64, count: usize) -> ChaosSnapshot {
-    let report = rocks_netsim::chaos::run_chaos(first_seed, count);
+pub(crate) fn measure_chaos(first_seed: u64, count: usize) -> ChaosSnapshot {
+    let report = rocks_netsim::run_chaos(first_seed, count);
     ChaosSnapshot {
         first_seed,
         seeds_run: report.seeds_run,
@@ -665,7 +664,7 @@ pub fn chaos(quick: bool) -> String {
 /// per-node install cost at that width, and how much batch throughput
 /// the cluster retained while the wave rolled through.
 #[derive(Debug, Clone)]
-pub struct RolloutRun {
+pub(crate) struct RolloutRun {
     /// Concurrent-install cap this run used (`n` for the naive mass path).
     pub capacity: usize,
     /// Wall time from first drain to last re-admit, minutes.
@@ -681,7 +680,7 @@ pub struct RolloutRun {
 
 impl RolloutRun {
     /// Fraction of batch throughput lost to the rollout.
-    pub fn throughput_loss(&self) -> f64 {
+    pub(crate) fn throughput_loss(&self) -> f64 {
         (1.0 - self.throughput_retention).max(0.0)
     }
 
@@ -702,7 +701,7 @@ impl RolloutRun {
 
 /// What one rollout benchmark measured, renderable as `BENCH_rollout.json`.
 #[derive(Debug, Clone)]
-pub struct RolloutSnapshot {
+pub(crate) struct RolloutSnapshot {
     /// Quick (CI) scale or full scale.
     pub quick: bool,
     /// Cluster size.
@@ -728,12 +727,12 @@ pub struct RolloutSnapshot {
 impl RolloutSnapshot {
     /// How much better the rolling policy retains batch throughput than
     /// the naive mass reinstall. The release gate holds this at >= 1.5.
-    pub fn retention_ratio(&self) -> f64 {
+    pub(crate) fn retention_ratio(&self) -> f64 {
         self.rolling.throughput_retention / self.naive.throughput_retention.max(1e-9)
     }
 
     /// Render as the `BENCH_rollout.json` document.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let sweep = self
             .capacity_sweep
             .iter()
@@ -868,7 +867,7 @@ fn measure_rollout_run(
 
 /// Measure the rolling-vs-naive comparison, the 1/4/7/16 capacity sweep,
 /// the tiered-engine variant, and the invariant sweep at one scale.
-pub fn measure_rollout(quick: bool) -> RolloutSnapshot {
+pub(crate) fn measure_rollout(quick: bool) -> RolloutSnapshot {
     let n = if quick || cfg!(debug_assertions) { 32 } else { 128 };
     let horizon = n as f64 * 700.0 + 3600.0;
     let (initial, arrivals) = rollout_workload(n, horizon);
@@ -983,17 +982,17 @@ pub fn rollout(quick: bool) -> String {
 
 /// The p99 ceiling the serving SLO gate enforces at saturation, µs of
 /// virtual time.
-pub const SERVE_SLO_P99_US: u64 = 1_000;
+pub(crate) const SERVE_SLO_P99_US: u64 = 1_000;
 
 /// Minimum completed-request throughput the 8-shard frontend must
 /// sustain at saturation, requests per simulated second.
-pub const SERVE_SLO_MIN_RPS: f64 = 100_000.0;
+pub(crate) const SERVE_SLO_MIN_RPS: f64 = 100_000.0;
 
 /// One frontend configuration measured at saturation: offered load far
 /// past capacity, a tight admission queue, and the completed-request
 /// throughput plus tail latency that survive it.
 #[derive(Debug, Clone)]
-pub struct ServeRun {
+pub(crate) struct ServeRun {
     /// Worker shards.
     pub shards: usize,
     /// Workers per shard.
@@ -1045,7 +1044,7 @@ impl ServeRun {
 
 /// What one serving benchmark measured, renderable as `BENCH_serve.json`.
 #[derive(Debug, Clone)]
-pub struct ServeSnapshot {
+pub(crate) struct ServeSnapshot {
     /// Quick (CI) scale or full scale.
     pub quick: bool,
     /// Saturation throughput at 1/2/4/8 shards, 4 workers each.
@@ -1081,12 +1080,12 @@ pub struct ServeSnapshot {
 
 impl ServeSnapshot {
     /// The headline 8-shard saturation run.
-    pub fn headline(&self) -> &ServeRun {
+    pub(crate) fn headline(&self) -> &ServeRun {
         self.shard_sweep.last().expect("sweep is non-empty")
     }
 
     /// Render as the `BENCH_serve.json` document.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let sweep = self
             .shard_sweep
             .iter()
@@ -1163,16 +1162,6 @@ fn serve_measure(cfg: &ServeConfig, wl: &Workload, backend: &mut ModelBackend) -
     report
 }
 
-/// The saturation run the SLO gate reads: 8 shards × 4 workers, offered
-/// load far past capacity. Virtual-time measurement — debug and release
-/// builds produce bit-identical numbers.
-pub fn serve_slo_run(horizon_us: u64) -> ServeRun {
-    let cfg = serve_saturation_cfg(8);
-    let wl = serve_saturation_workload(horizon_us);
-    let report = serve_measure(&cfg, &wl, &mut ModelBackend::new(64, 4, 6));
-    ServeRun::from_report(&cfg, &report)
-}
-
 /// A frontend-plus-database cluster for the end-to-end sections: one
 /// frontend and `computes` compute nodes, integrated the insert-ethers
 /// way (no distribution build — the serving path never reads it).
@@ -1199,7 +1188,7 @@ fn serve_generation_service() -> rocks_kickstart::GenerationService {
 
 /// Measure the shard sweep, the burst/priority/storm scenarios, the
 /// end-to-end real-backend run, and the folded-in invariant sweep.
-pub fn measure_serve(quick: bool) -> ServeSnapshot {
+pub(crate) fn measure_serve(quick: bool) -> ServeSnapshot {
     let horizon = if quick { 50_000 } else { 500_000 };
 
     // Saturation capacity at 1/2/4/8 shards, 4 workers each.
@@ -1597,7 +1586,11 @@ mod tests {
     /// gate runs at every tier.
     #[test]
     fn serve_slo_floor() {
-        let run = serve_slo_run(50_000);
+        // 8 shards × 4 workers, offered load far past capacity.
+        let cfg = serve_saturation_cfg(8);
+        let wl = serve_saturation_workload(50_000);
+        let report = serve_measure(&cfg, &wl, &mut ModelBackend::new(64, 4, 6));
+        let run = ServeRun::from_report(&cfg, &report);
         assert!(
             run.rps >= SERVE_SLO_MIN_RPS,
             "8-shard frontend sustained only {:.0} rps (floor {:.0})",

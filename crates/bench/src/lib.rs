@@ -7,9 +7,14 @@
 //! can print the same rows the paper reports (see EXPERIMENTS.md for the
 //! side-by-side).
 
-pub mod experiments;
+mod experiments;
 
-pub use experiments::*;
+use experiments::{
+    ablation, cabinet_topology, fig1, fig2, fig3, fig4, fig5, fig6, fig7, gige_scaling,
+    micro_benchmark, reinstall_range, replica_scaling, table1, table2, table3, update_tracking,
+    utilization_timeline,
+};
+pub use experiments::{bringup_summary, chaos, rollout, serve};
 
 /// A named experiment and the function that renders it.
 pub type Experiment = (&'static str, fn() -> String);

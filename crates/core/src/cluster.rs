@@ -3,7 +3,7 @@
 use crate::{Result, RocksError};
 use rocks_db::insert_ethers::{register_frontend, DhcpRequest, InsertEthers};
 use rocks_db::{reports, ClusterDb, NodeRecord};
-use rocks_dist::{builder, BuildConfig, Distribution};
+use rocks_dist::{build_traced, BuildConfig, Distribution};
 use rocks_kickstart::{profiles, GeneratedProfile, GenerationService, KickstartGenerator};
 use rocks_netsim::{ClusterSim, SimConfig};
 use rocks_rexec::NodeAgent;
@@ -83,7 +83,7 @@ impl Cluster {
         let stock = Distribution::stock("redhat-7.2", synth::redhat72(sim_seed));
         let community = synth::community();
         let local = synth::rocks_local();
-        let (distribution, _report) = builder::build_traced(
+        let (distribution, _report) = build_traced(
             BuildConfig {
                 name: "rocks-2.2.1".into(),
                 parent: Some(&stock),
@@ -434,7 +434,7 @@ impl Cluster {
     /// wins (§6.2.1).
     pub fn rebuild_distribution(&mut self, updates: &[&Repository]) -> Result<()> {
         let parent = self.distribution.clone();
-        let (dist, _report) = builder::build_traced(
+        let (dist, _report) = build_traced(
             BuildConfig {
                 name: parent.name.clone(),
                 parent: Some(&parent),

@@ -12,24 +12,29 @@
 //!   the insert-ethers flow ([`Cluster::integrate_rack`]),
 //! * **reinstallation as the management primitive** (§6.3):
 //!   [`Cluster::shoot_nodes`] / [`Cluster::reinstall_all`],
-//! * **SQL-directed administration** (§6.4): [`tools::cluster_fork`] /
-//!   [`tools::cluster_kill`] with raw `--query` strings,
-//! * **continuous upgrades** (§5): [`upgrade::upgrade_cluster`] — mirror
+//! * **SQL-directed administration** (§6.4): [`cluster_fork`] /
+//!   [`cluster_kill`] with raw `--query` strings,
+//! * **continuous upgrades** (§5): [`upgrade_cluster`] — mirror
 //!   vendor updates, rebuild the distribution, validate on a test node,
 //!   then submit the "reinstall cluster" job — one
 //!   [`rocks_pbs::run_rollout`] in [`rocks_pbs::RolloutConfig::mass`] —
 //!   so the production cluster rolls through PBS without disturbing
 //!   running jobs,
-//! * **the consistency ablation** ([`consistency`]): reinstall versus
-//!   cfengine-style verify-and-repair.
+//! * **the consistency ablation** ([`bring_to_known_state`] under a
+//!   [`VerifyModel`]): reinstall versus cfengine-style verify-and-repair.
+//!
+//! Everything above is named here, in `lib.rs`; the modules behind it are
+//! private.
 
-pub mod cluster;
-pub mod consistency;
-pub mod tools;
-pub mod upgrade;
+mod cluster;
+mod consistency;
+mod tools;
+mod upgrade;
 
 pub use cluster::{Cluster, NodeImage, ReinstallReport};
-pub use consistency::{Drift, DriftKind, RepairOutcome, Strategy, VerifyModel};
+pub use consistency::{
+    bring_to_known_state, synth_drift, Drift, DriftKind, RepairOutcome, Strategy, VerifyModel,
+};
 pub use tools::{cluster_fork, cluster_kill, cluster_status};
 pub use upgrade::{upgrade_cluster, UpgradeReport};
 

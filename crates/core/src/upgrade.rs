@@ -77,7 +77,7 @@ pub fn upgrade_cluster(
         pbs.qsub(job_name, *nodes, *walltime)?;
         // A job that cannot start right away stays queued and starts on
         // reinstalled nodes as the roll returns them.
-        rocks_pbs::scheduler::schedule(&mut pbs);
+        rocks_pbs::schedule(&mut pbs);
     }
     // Reinstall duration per node from the validation measurement. A
     // cluster whose only compute node was the test node has nothing left

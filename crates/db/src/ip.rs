@@ -72,26 +72,6 @@ impl fmt::Display for Ipv4 {
     }
 }
 
-/// Allocate the highest free address at or below `top`, avoiding `used`,
-/// staying inside the cluster network. This matches insert-ethers'
-/// "determines the next *free* IP address" with the descending convention
-/// visible in Table II.
-///
-/// The rule over a plain list, kept as the oracle tests hold
-/// [`ClusterDb::next_identity`](crate::ClusterDb::next_identity) to.
-pub fn alloc_descending(top: Ipv4, used: &[Ipv4]) -> Option<Ipv4> {
-    let mut candidate = top;
-    loop {
-        if !candidate.in_network(Ipv4::NETWORK, Ipv4::PREFIX_LEN) {
-            return None;
-        }
-        if !used.contains(&candidate) && candidate != Ipv4::FRONTEND {
-            return Some(candidate);
-        }
-        candidate = candidate.prev();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,35 +106,5 @@ mod tests {
         assert!(!Ipv4::new(11, 0, 0, 1).in_network(Ipv4::NETWORK, 8));
         assert!(Ipv4::new(192, 168, 1, 5).in_network(Ipv4::new(192, 168, 1, 0), 24));
         assert!(!Ipv4::new(192, 168, 2, 5).in_network(Ipv4::new(192, 168, 1, 0), 24));
-    }
-
-    #[test]
-    fn descending_allocation_skips_used() {
-        let used = vec![
-            Ipv4::new(10, 255, 255, 254),
-            Ipv4::new(10, 255, 255, 253),
-            Ipv4::new(10, 255, 255, 251),
-        ];
-        assert_eq!(alloc_descending(Ipv4::ALLOC_TOP, &used), Some(Ipv4::new(10, 255, 255, 252)));
-        assert_eq!(alloc_descending(Ipv4::ALLOC_TOP, &[]), Some(Ipv4::ALLOC_TOP));
-    }
-
-    #[test]
-    fn allocation_never_hands_out_frontend_ip() {
-        // Exhaustively walking down to the frontend address would take a
-        // while; start just above it instead.
-        let top = Ipv4::FRONTEND.next();
-        let got = alloc_descending(top, &[top]);
-        assert_eq!(got, Some(Ipv4::FRONTEND.prev()));
-        assert_ne!(got, Some(Ipv4::FRONTEND));
-    }
-
-    #[test]
-    fn allocation_exhaustion_returns_none() {
-        // A /31-equivalent scenario: everything from top down to the
-        // network edge used. Use a tiny custom walk by filling all of
-        // 10.0.0.0..=10.0.0.1 and starting at 10.0.0.1.
-        let used: Vec<Ipv4> = vec![Ipv4::new(10, 0, 0, 0), Ipv4::new(10, 0, 0, 1)];
-        assert_eq!(alloc_descending(Ipv4::new(10, 0, 0, 1), &used), None);
     }
 }

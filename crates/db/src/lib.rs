@@ -13,24 +13,28 @@
 //! [`ClusterDb::open_durable`] with one, and transactions, statement
 //! execution and the revision counter are the engine's in both.
 //!
-//! * [`schema`] — creates and seeds the `nodes`, `memberships`,
-//!   `appliances`, and `app_globals` tables (Tables II and III),
 //! * [`ClusterDb`] — a typed facade over the SQL tables, while still
-//!   accepting raw SQL for the `--query` interface,
+//!   accepting raw SQL for the `--query` interface; it creates and seeds
+//!   the `nodes`, `memberships`, `appliances`, and `app_globals` tables
+//!   (Tables II and III), whose rows are [`NodeRecord`] and
+//!   [`Membership`],
 //! * [`insert_ethers`] — the discovery tool that watches DHCP requests,
 //!   names new nodes, allocates addresses, and refreshes reports,
 //! * [`reports`] — the generated service configuration files
 //!   (`/etc/hosts`, `/etc/dhcpd.conf`, the PBS nodes file),
-//! * [`ip`] — small IPv4 helpers for address allocation.
+//! * [`Ipv4`] — small IPv4 helpers for address allocation.
+//!
+//! `insert_ethers` and `reports` are namespaces callers spell out; every
+//! other item is named here, in `lib.rs`, and its module is private.
 
 pub mod insert_ethers;
-pub mod ip;
+mod ip;
 pub mod reports;
-pub mod schema;
+mod schema;
 
 pub use insert_ethers::{DhcpRequest, InsertEthers};
 pub use ip::Ipv4;
-pub use schema::{Membership, NodeRecord, DEFAULT_MEMBERSHIPS};
+pub use schema::{Membership, NodeRecord};
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -605,7 +609,7 @@ mod tests {
     fn schema_seeds_table_iii_memberships() {
         let db = ClusterDb::new();
         let ms = db.memberships().unwrap();
-        assert_eq!(ms.len(), DEFAULT_MEMBERSHIPS.len());
+        assert_eq!(ms.len(), schema::DEFAULT_MEMBERSHIPS.len());
         let compute = db.membership_by_name("Compute").unwrap();
         assert_eq!(compute.id, 2);
         assert!(compute.compute);

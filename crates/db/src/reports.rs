@@ -74,7 +74,7 @@ impl GeneratedReports {
 
 /// All three reports from the rows alone, nodes in id order: the whole
 /// rebuild behind [`ClusterDb::reports`].
-pub fn build(db: &ClusterDb) -> Result<GeneratedReports> {
+pub(crate) fn build(db: &ClusterDb) -> Result<GeneratedReports> {
     // The first row of an id decides, as in `ClusterDb::membership`.
     let mut compute = HashMap::new();
     for m in db.memberships()? {

@@ -102,7 +102,7 @@ impl NodeRecord {
 /// The default memberships exactly as listed in Table III, with the
 /// hostname basenames the rest of the paper shows (Table II uses
 /// `network-` for Ethernet switch entries).
-pub const DEFAULT_MEMBERSHIPS: &[(i64, &str, i64, bool, &str)] = &[
+pub(crate) const DEFAULT_MEMBERSHIPS: &[(i64, &str, i64, bool, &str)] = &[
     (1, "Frontend", 1, false, "frontend"),
     (2, "Compute", 2, true, "compute"),
     (3, "External", 1, false, "external"),
@@ -115,7 +115,7 @@ pub const DEFAULT_MEMBERSHIPS: &[(i64, &str, i64, bool, &str)] = &[
 /// execution order. Shared by the in-memory and durable open paths (the
 /// durable path journals them like any other transaction, so a replayed
 /// frontend rebuilds the identical schema).
-pub fn schema_statements() -> Vec<String> {
+pub(crate) fn schema_statements() -> Vec<String> {
     let mut stmts = vec![
         "create table nodes (id int, mac text, name text, membership int, \
          rack int, rank int, ip text, comment text)"
@@ -150,7 +150,7 @@ pub fn schema_statements() -> Vec<String> {
 }
 
 /// Create the Rocks tables and seed Table III's memberships.
-pub fn create_schema(db: &mut Database) {
+pub(crate) fn create_schema(db: &mut Database) {
     for stmt in schema_statements() {
         db.execute(&stmt).expect("schema statement");
     }

@@ -7,7 +7,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rocks_db::insert_ethers::{register_frontend, replace_node};
-use rocks_db::ip::alloc_descending;
 use rocks_db::reports::GeneratedReports;
 use rocks_db::{ClusterDb, DbError, DhcpRequest, InsertEthers, Ipv4, NodeRecord};
 use rocks_sql::MemVfs;
@@ -37,6 +36,26 @@ fn reports_from_rows(db: &ClusterDb) -> GeneratedReports {
     let pbs_nodes =
         db.compute_nodes().unwrap().iter().map(|n| format!("{} np=2\n", n.name)).collect();
     GeneratedReports { hosts, dhcpd_conf, pbs_nodes }
+}
+
+/// Allocate the highest free address at or below `top`, avoiding `used`,
+/// staying inside the cluster network. This matches insert-ethers'
+/// "determines the next *free* IP address" with the descending convention
+/// visible in Table II.
+///
+/// The rule over a plain list: the oracle this file holds
+/// `ClusterDb::next_identity` to.
+fn alloc_descending(top: Ipv4, used: &[Ipv4]) -> Option<Ipv4> {
+    let mut candidate = top;
+    loop {
+        if !candidate.in_network(Ipv4::NETWORK, Ipv4::PREFIX_LEN) {
+            return None;
+        }
+        if !used.contains(&candidate) && candidate != Ipv4::FRONTEND {
+            return Some(candidate);
+        }
+        candidate = candidate.prev();
+    }
 }
 
 /// What the database hands out must be what a scan of its rows gives.
@@ -263,4 +282,34 @@ fn observe_costs_the_change_not_the_table() {
     });
     assert_eq!(counts[0], counts[1], "[rows examined, lookups] of one observe, by room size");
     assert!(counts[0][1] > 0, "the counters are bound: an observe probes the MAC index");
+}
+
+#[test]
+fn descending_allocation_skips_used() {
+    let used = vec![
+        Ipv4::new(10, 255, 255, 254),
+        Ipv4::new(10, 255, 255, 253),
+        Ipv4::new(10, 255, 255, 251),
+    ];
+    assert_eq!(alloc_descending(Ipv4::ALLOC_TOP, &used), Some(Ipv4::new(10, 255, 255, 252)));
+    assert_eq!(alloc_descending(Ipv4::ALLOC_TOP, &[]), Some(Ipv4::ALLOC_TOP));
+}
+
+#[test]
+fn allocation_never_hands_out_frontend_ip() {
+    // Exhaustively walking down to the frontend address would take a
+    // while; start just above it instead.
+    let top = Ipv4::FRONTEND.next();
+    let got = alloc_descending(top, &[top]);
+    assert_eq!(got, Some(Ipv4::FRONTEND.prev()));
+    assert_ne!(got, Some(Ipv4::FRONTEND));
+}
+
+#[test]
+fn allocation_exhaustion_returns_none() {
+    // A /31-equivalent scenario: everything from top down to the
+    // network edge used. Use a tiny custom walk by filling all of
+    // 10.0.0.0..=10.0.0.1 and starting at 10.0.0.1.
+    let used: Vec<Ipv4> = vec![Ipv4::new(10, 0, 0, 0), Ipv4::new(10, 0, 0, 1)];
+    assert_eq!(alloc_descending(Ipv4::new(10, 0, 0, 1), &used), None);
 }

@@ -10,21 +10,25 @@
 //! Rocks distribution can be run through the identical process to produce
 //! an enhanced Rocks distribution" (Figures 5 and 6).
 //!
-//! * [`tree::DistTree`] — the distribution's file tree, virtualized so
+//! * [`DistTree`] — the distribution's file tree, virtualized so
 //!   tests are hermetic and the §6.2.3 "mostly symbolic links, ~25 MB,
 //!   built in under a minute" claims are measurable,
-//! * [`distribution::Distribution`] — a named tree + package repository +
+//! * [`Distribution`] — a named tree + package repository +
 //!   the XML `build/` profile directory,
-//! * [`builder`] — the `rocks-dist build` pipeline: mirror → resolve
+//! * [`build`] — the `rocks-dist build` pipeline: mirror → resolve
 //!   versions → link tree → graft profiles → report,
-//! * [`hierarchy`] — chained parent/child distributions (Figure 6's
+//! * [`build_chain`] — chained parent/child distributions (Figure 6's
 //!   object-oriented model).
+//!
+//! Everything above is named here, in `lib.rs`; the modules behind it are
+//! private.
 
-pub mod builder;
-pub mod distribution;
-pub mod hierarchy;
-pub mod tree;
+mod builder;
+mod distribution;
+mod hierarchy;
+mod tree;
 
-pub use builder::{BuildConfig, BuildReport, DistError};
+pub use builder::{build, build_traced, BuildConfig, BuildReport, DistError};
 pub use distribution::Distribution;
+pub use hierarchy::{build_chain, Level};
 pub use tree::{DistTree, Entry};

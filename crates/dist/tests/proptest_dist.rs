@@ -3,7 +3,7 @@
 //! the §6.2.1 "only include the most recent software" promise breaks.
 
 use proptest::prelude::*;
-use rocks_dist::{builder, BuildConfig, Distribution};
+use rocks_dist::{build, BuildConfig, Distribution};
 use rocks_rpm::{Package, Repository};
 
 /// A small universe of package names so collisions actually happen.
@@ -84,7 +84,7 @@ proptest! {
             r.insert(Package::builder("zeta", "9.9-9").size(10).build());
             r
         });
-        let (dist, report) = builder::build(BuildConfig {
+        let (dist, report) = build(BuildConfig {
             name: "child".into(),
             parent: Some(&stock),
             contrib: vec![&contrib],
@@ -115,13 +115,13 @@ proptest! {
             r.insert(Package::builder("alpha", "0.1-1").size(10).build());
             r
         });
-        let (level1, _) = builder::build(BuildConfig {
+        let (level1, _) = build(BuildConfig {
             name: "l1".into(),
             parent: Some(&stock),
             contrib: vec![&a],
             ..Default::default()
         }).unwrap();
-        let (level2, _) = builder::build(BuildConfig {
+        let (level2, _) = build(BuildConfig {
             name: "l2".into(),
             parent: Some(&level1),
             contrib: vec![&b],

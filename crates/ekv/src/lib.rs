@@ -10,18 +10,21 @@
 //!
 //! This crate implements the wire path for real:
 //!
-//! * [`server::EkvServer`] — the installing node's side: a TCP listener
+//! * [`EkvServer`] — the installing node's side: a TCP listener
 //!   on a telnet-compatible port that broadcasts captured installer
 //!   output to every connected watcher,
-//! * [`client`] — the shoot-node side: connect and stream lines,
-//! * [`screen`] — renders the Figure 7 status panel from install
+//! * [`watch_lines`] — the shoot-node side: connect and stream lines,
+//! * [`InstallScreen`] — renders the Figure 7 status panel from install
 //!   progress,
-//! * an in-process [`server::LocalFeed`] transport for deterministic
+//! * an in-process [`LocalFeed`] transport for deterministic
 //!   tests and simulator integration.
+//!
+//! Everything above is named here, in `lib.rs`; the modules behind it are
+//! private.
 
-pub mod client;
-pub mod screen;
-pub mod server;
+mod client;
+mod screen;
+mod server;
 
 pub use client::watch_lines;
 pub use screen::{InstallScreen, PanelState};

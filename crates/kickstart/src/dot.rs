@@ -1,7 +1,7 @@
 //! Graphviz DOT export of the configuration graph — the tooling behind
 //! the paper's Figure 4 ("A visualization of the XML graph description").
 
-use crate::graph::{Graph, ProfileSet};
+use crate::graph::Graph;
 
 /// Render a graph in DOT format. Appliance roots draw as boxes (the way
 /// Figure 4 highlights `compute` and `frontend`), ordinary modules as
@@ -29,27 +29,6 @@ pub fn to_dot(graph: &Graph) -> String {
     out
 }
 
-/// Render a profile set with node descriptions as tooltips.
-pub fn profile_set_to_dot(set: &ProfileSet) -> String {
-    let mut out = String::new();
-    out.push_str("digraph rocks_profiles {\n");
-    out.push_str("  rankdir=TB;\n");
-    out.push_str("  node [shape=ellipse, fontname=\"Helvetica\"];\n");
-    let roots = set.graph.roots();
-    for (name, node) in &set.nodes {
-        let shape = if roots.contains(&name.as_str()) { "box" } else { "ellipse" };
-        out.push_str(&format!(
-            "  \"{name}\" [shape={shape}, tooltip=\"{}\"];\n",
-            node.description.replace('"', "'")
-        ));
-    }
-    for edge in &set.graph.edges {
-        out.push_str(&format!("  \"{}\" -> \"{}\";\n", edge.from, edge.to));
-    }
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,13 +49,6 @@ mod tests {
         let set = default_profiles();
         let dot = to_dot(&set.graph);
         assert!(dot.contains("\"compute\" -> \"myrinet\" [label=\"i386,i686,athlon\""));
-    }
-
-    #[test]
-    fn profile_dot_has_tooltips() {
-        let set = default_profiles();
-        let dot = profile_set_to_dot(&set);
-        assert!(dot.contains("tooltip=\"Setup the DHCP server for the cluster\""));
     }
 
     #[test]

@@ -372,7 +372,11 @@ impl Kickstart {
 /// method"), wiped system partitions (§6.3: reinstallation forces the
 /// root partition to a known state while "all non-root partitions are
 /// preserved"), and non-interactive settings.
-pub fn base_commands(frontend_ip: &str, dist_path: &str, arch: Arch) -> Vec<(String, String)> {
+pub(crate) fn base_commands(
+    frontend_ip: &str,
+    dist_path: &str,
+    arch: Arch,
+) -> Vec<(String, String)> {
     let mut cmds = vec![
         ("url".to_string(), format!("--url http://{frontend_ip}/{dist_path}/{}", arch.as_str())),
         ("lang".to_string(), "en_US".to_string()),

@@ -6,45 +6,49 @@
 //! disk images or hand-maintaining monolithic Kickstart files, every node
 //! behaviour is *described* by a framework of XML files —
 //!
-//! * **node files** ([`nodefile::NodeFile`]): small single-purpose modules
+//! * **node files** ([`NodeFile`]): small single-purpose modules
 //!   listing packages and post-configuration scripts for one service
 //!   (Figure 2 shows the DHCP server module),
-//! * a **graph file** ([`graph::Graph`]): directed edges composing modules
+//! * a **graph file** ([`Graph`]): directed edges composing modules
 //!   into *appliances* (`compute`, `frontend`, ... — Figures 3 and 4),
 //!
-//! and a generator ([`generator::KickstartGenerator`]) plays the role of
+//! and a generator ([`KickstartGenerator`]) plays the role of
 //! the CGI script: given a requesting node's IP address it queries the
 //! cluster database for the appliance type and localization, traverses the
 //! graph, and emits a Red Hat–compliant text Kickstart file
-//! ([`kickstart::KickstartFile`]).
+//! ([`KickstartFile`]).
 //!
-//! The default Rocks graph and node files ship in [`profiles`], [`dot`]
-//! renders the graph in Graphviz format (Figure 4), and [`form`]
+//! The default Rocks graph and node files ship in [`profiles`], [`to_dot`]
+//! renders the graph in Graphviz format (Figure 4), and [`FrontendForm`]
 //! implements the §7 web form that builds the frontend's own Kickstart.
 //!
-//! For mass reinstalls, [`service::GenerationService`] wraps the
+//! For mass reinstalls, [`GenerationService`] wraps the
 //! generator in a thread-safe memoizing layer: each appliance skeleton is
 //! rendered once into a template, cached per `(graph root, arch)` against
 //! the rocks-dist epoch (database writes leave it warm: it reads nothing
 //! from the database), and every request splices its node's fields into
-//! that template ([`kickstart::Kickstart`] is the result);
-//! [`service::GenerationService::generate_all`] fans per-node generation
+//! that template ([`Kickstart`] is the result);
+//! [`GenerationService::generate_all`] fans per-node generation
 //! out across a worker pool.
+//!
+//! `profiles` is a namespace callers spell out; every other item is named
+//! here, in `lib.rs`, and its module is private.
 
-pub mod dot;
-pub mod form;
-pub mod generator;
-pub mod graph;
-pub mod kickstart;
-pub mod nodefile;
+mod dot;
+mod form;
+mod generator;
+mod graph;
+mod kickstart;
+mod nodefile;
 pub mod profiles;
-pub mod service;
+mod service;
 
+pub use dot::to_dot;
 pub use form::FrontendForm;
 pub use generator::KickstartGenerator;
 pub use graph::{Edge, Graph, ProfileSet};
 pub use kickstart::{Kickstart, KickstartFile, PostScript};
-pub use nodefile::NodeFile;
+pub use nodefile::{FileEntry, FileMode, MainDirective, NodeFile, PackageEntry, PostEntry};
 pub use service::{GeneratedProfile, GenerationService, Stats};
 
 /// Errors from profile parsing, graph traversal, or generation.

@@ -243,7 +243,7 @@ mod tests {
 
     /// The paper's Figure 2, transcribed (awk quoting normalized; the
     /// figure's OCR mangled the single quotes).
-    pub const FIG2_DHCP_SERVER: &str = r#"<?XML VERSION="1.0" STANDALONE="no"?>
+    const FIG2_DHCP_SERVER: &str = r#"<?XML VERSION="1.0" STANDALONE="no"?>
 <KICKSTART>
         <DESCRIPTION>Setup the DHCP server for the cluster</DESCRIPTION>
         <PACKAGE>dhcp</PACKAGE>

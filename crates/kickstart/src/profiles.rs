@@ -38,7 +38,7 @@ pub const DHCP_SERVER_XML: &str = r#"<?XML VERSION="1.0" STANDALONE="no"?>
 /// compose shared modules. The Myrinet edge is IA-32-only, matching the
 /// Meteor cluster where "most compute nodes have Myrinet adapters, but
 /// not all" and IA-64 boxes did not.
-pub const DEFAULT_GRAPH_XML: &str = r#"<?xml version="1.0" standalone="no"?>
+pub(crate) const DEFAULT_GRAPH_XML: &str = r#"<?xml version="1.0" standalone="no"?>
 <graph>
   <description>NPACI Rocks default appliance graph</description>
   <edge from="compute" to="base"/>

@@ -29,7 +29,7 @@
 //! entry point: it shards the cluster's kickstartable nodes across a
 //! worker pool of OS threads. Every worker performs read-only SQL lookups
 //! against the *shared* `&ClusterDb` concurrently (see
-//! [`rocks_sql::Database::query_ref`]) and splices each node into its
+//! `rocks_sql::Database::query_ref`) and splices each node into its
 //! appliance's template. Output is byte-identical to the sequential cold
 //! path.
 //!

@@ -3,9 +3,7 @@
 //! the pinned numbers in `tests/chaos_corpus.rs` were selected from.
 //! Re-run it after an intentional behaviour change to regenerate them.
 
-use rocks_netsim::chaos::{run_plan, standard_invariants, ChaosPlan};
-use rocks_netsim::cluster::{ClusterSim, Fault};
-use rocks_netsim::config::RetryPolicy;
+use rocks_netsim::{run_plan, standard_invariants, ChaosPlan, ClusterSim, Fault, RetryPolicy};
 use rocks_netsim::{EngineMode, SimConfig};
 
 fn scenario_policy() -> RetryPolicy {

@@ -272,7 +272,7 @@ pub trait Invariant {
 
 /// A node's install phase never regresses within one power-on life.
 #[derive(Debug, Default)]
-pub struct MonotonePhases {
+pub(crate) struct MonotonePhases {
     /// Last observed `(lives, phase rank)` per node.
     last: Vec<(u32, u32)>,
 }
@@ -306,7 +306,7 @@ impl Invariant for MonotonePhases {
 /// full image, no link beat its capacity integral, and a fault-free run
 /// delivered exactly the demanded bytes.
 #[derive(Debug, Default)]
-pub struct ByteConservation;
+pub(crate) struct ByteConservation;
 
 impl ByteConservation {
     /// Upper bound on what `link` can have delivered by `end` seconds:
@@ -384,7 +384,7 @@ impl Invariant for ByteConservation {
 /// Every recoverable node completes, inside the analytic worst-case
 /// bound, and the retry protocol never gives up on one.
 #[derive(Debug, Default)]
-pub struct EventualCompletion;
+pub(crate) struct EventualCompletion;
 
 impl Invariant for EventualCompletion {
     fn name(&self) -> &'static str {

@@ -79,7 +79,7 @@ pub(crate) struct ClassTable {
 impl ClassTable {
     /// Add a flow to its (route, demand) class, creating the class on
     /// first use. Returns the class id and the flow's finish mark.
-    pub fn join(
+    pub(crate) fn join(
         &mut self,
         route: &[usize],
         demand_bps: f64,
@@ -120,7 +120,7 @@ impl ClassTable {
 
     /// Remove one member. When the class empties, its service clock and
     /// stale marks are reset so a later re-join starts from zero.
-    pub fn leave(&mut self, cid: ClassId) {
+    pub(crate) fn leave(&mut self, cid: ClassId) {
         let class = &mut self.slots[cid];
         class.members -= 1;
         if class.members == 0 {
@@ -132,7 +132,7 @@ impl ClassTable {
 
     /// Advance every active class by `dt_s` seconds, crediting delivered
     /// bytes to every link on each class route.
-    pub fn advance(&mut self, dt_s: f64, link_bytes: &mut [f64]) {
+    pub(crate) fn advance(&mut self, dt_s: f64, link_bytes: &mut [f64]) {
         for class in &mut self.slots {
             if class.members == 0 || class.rate_bps <= 0.0 {
                 continue;
@@ -147,25 +147,25 @@ impl ClassTable {
     }
 
     /// Head completion mark of a class, if any (may be stale).
-    pub fn head(&self, cid: ClassId) -> Option<Mark> {
+    pub(crate) fn head(&self, cid: ClassId) -> Option<Mark> {
         self.slots[cid].marks.peek().map(|r| r.0)
     }
 
     /// Pop the head completion mark of a class.
-    pub fn pop_head(&mut self, cid: ClassId) -> Option<Mark> {
+    pub(crate) fn pop_head(&mut self, cid: ClassId) -> Option<Mark> {
         self.slots[cid].marks.pop().map(|r| r.0)
     }
 
-    pub fn get(&self, cid: ClassId) -> &Class {
+    pub(crate) fn get(&self, cid: ClassId) -> &Class {
         &self.slots[cid]
     }
 
-    pub fn get_mut(&mut self, cid: ClassId) -> &mut Class {
+    pub(crate) fn get_mut(&mut self, cid: ClassId) -> &mut Class {
         &mut self.slots[cid]
     }
 
     /// Number of class slots ever created (including currently empty ones).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slots.len()
     }
 
@@ -173,12 +173,12 @@ impl ClassTable {
     /// debug builds that this tracks its flow map exactly — the
     /// invariant the federated shard engines lean on when they treat
     /// class membership as the count of in-flight transfers.
-    pub fn live_members(&self) -> usize {
+    pub(crate) fn live_members(&self) -> usize {
         self.slots.iter().map(|c| c.members).sum()
     }
 
     /// Class ids in deterministic (route, demand-bits) key order.
-    pub fn ordered_ids(&self) -> impl Iterator<Item = ClassId> + '_ {
+    pub(crate) fn ordered_ids(&self) -> impl Iterator<Item = ClassId> + '_ {
         self.index.values().copied()
     }
 }

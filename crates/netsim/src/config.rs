@@ -159,13 +159,13 @@ pub struct SimConfig {
 /// × 225 MB in 13.7 min ≈ 8.8 MB/s average over the *whole* run,
 /// including boot and reboot phases), while a single serial stream
 /// measured only 7–8 MB/s.
-pub const FAST_ETHERNET_SERVER_BPS: f64 = 11.0e6;
+pub(crate) const FAST_ETHERNET_SERVER_BPS: f64 = 11.0e6;
 /// Single HTTP stream on Fast Ethernet (the serial micro-benchmark's
 /// 7–8 MB/s).
-pub const FAST_ETHERNET_STREAM_BPS: f64 = 8.0e6;
+pub(crate) const FAST_ETHERNET_STREAM_BPS: f64 = 8.0e6;
 /// Gigabit Ethernet server uplink: the paper's footnote says GigE yields
 /// 7.0–9.5× the concurrent full-speed reinstalls of Fast Ethernet (paper ref 26).
-pub const GIGE_SERVER_BPS: f64 = 72.0e6;
+pub(crate) const GIGE_SERVER_BPS: f64 = 72.0e6;
 
 impl SimConfig {
     /// The Table I testbed: one dual-PIII Fast Ethernet server, Myrinet

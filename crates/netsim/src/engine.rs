@@ -52,7 +52,7 @@ pub fn seconds(t: SimTime) -> f64 {
 }
 
 /// Handle to an active flow.
-pub type FlowId = u64;
+pub(crate) type FlowId = u64;
 
 /// Which scheduler the engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,7 +102,7 @@ impl std::error::Error for SimError {}
 
 /// An active bulk transfer.
 #[derive(Debug, Clone)]
-pub struct Flow {
+pub(crate) struct Flow {
     /// Bytes still to move. Maintained by the reference path; the fast
     /// path derives progress from class service instead and leaves this
     /// at the starting size.

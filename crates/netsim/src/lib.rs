@@ -10,51 +10,56 @@
 //! comfortably feeds ~8 concurrent reinstalls and degrades gracefully
 //! beyond that. This crate models exactly those mechanics:
 //!
-//! * [`engine`] — virtual time, timer events, and a fluid max-min fair
+//! * [`Engine`] — virtual time, timer events, and a fluid max-min fair
 //!   bandwidth allocator over server uplinks with per-flow demand caps,
-//! * [`node`] — the installing node's state machine (POST → DHCP →
+//! * [`NodeState`] — the installing node's state machine (POST → DHCP →
 //!   kickstart fetch → format → per-RPM fetch/install loop → post-config
 //!   → Myrinet driver rebuild → reboot), emitting the eKV progress lines
 //!   of Figure 7,
-//! * [`config`] — calibration constants derived from the paper's own
+//! * [`SimConfig`] — calibration constants derived from the paper's own
 //!   numbers (225 MB per node, 223 s download+install, 7–8 MB/s serial
 //!   HTTP throughput, 20–30 % Myrinet rebuild penalty),
-//! * [`cluster`] — the experiment driver: concurrent reinstallations,
+//! * [`ClusterSim`] — the experiment driver: concurrent reinstallations,
 //!   serial-download micro-benchmark, server replication, Gigabit uplink,
 //!   power-distribution-unit control, and failure injection,
-//! * [`shard`] — the one cabinet simulator both drivers step, and the
-//!   federated driver that runs one per cabinet under the caching
-//!   [`tier`]s, in conservative windows across worker threads,
-//! * [`chaos`] — the seeded chaos harness: randomized fault schedules
+//! * [`FederatedSim`] — the federated driver: one cabinet simulator (the
+//!   same one [`ClusterSim`] steps) per cabinet under a tier of caching
+//!   proxies ([`TierReport`]), in conservative windows across worker
+//!   threads,
+//! * [`run_chaos`] — the seeded chaos harness: randomized fault schedules
 //!   over randomized topologies, checked against pluggable invariants
 //!   (byte conservation, eventual completion, monotone phases,
 //!   fast/reference engine agreement).
 //!
 //! Virtual time is `u64` microseconds; experiments over 32 nodes and ~160
 //! packages each run in well under a millisecond of real time.
+//!
+//! Everything above is named here, in `lib.rs`; the modules behind it are
+//! private.
 
-pub mod chaos;
+mod chaos;
 mod classes;
-pub mod cluster;
-pub mod config;
-pub mod engine;
+mod cluster;
+mod config;
+mod engine;
 mod hash;
-pub mod node;
+mod node;
 mod queue;
-pub mod rollout_backend;
-pub mod shard;
-pub mod tier;
+mod rollout_backend;
+mod shard;
+mod tier;
 
 pub use chaos::{
     run_chaos, run_plan, standard_invariants, ChaosPlan, ChaosRecord, ChaosReport, Invariant,
     Violation,
 };
-pub use cluster::{ClusterSim, ReinstallError, ReinstallResult};
-pub use config::{PackageWork, RetryPolicy, SimConfig, TierConfig};
-pub use engine::{micros, seconds, EngineMode, SimError, SimTime};
-pub use node::{
-    DirectFetch, FetchBackend, FetchStart, FetchTarget, NodeEvent, NodeLogLine, NodeState,
+pub use cluster::{
+    max_full_speed_concurrency, serial_download_benchmark, table1_sweep, ClusterSim, Fault,
+    ReinstallError, ReinstallResult,
 };
+pub use config::{PackageWork, RetryPolicy, SimConfig, TierConfig};
+pub use engine::{micros, seconds, Engine, EngineMode, SimError, SimTime, Wakeup};
+pub use node::{FetchBackend, FetchStart, FetchTarget, NodeEvent, NodeLogLine, NodeState, SimNode};
 pub use rollout_backend::NetsimInstallBackend;
 pub use shard::FederatedSim;
-pub use tier::{FillDone, MissRequest, ProxyCache, TierNet, TierReport};
+pub use tier::TierReport;

@@ -93,7 +93,8 @@ pub enum NodeEvent {
 }
 
 /// What an HTTP fetch is asking for. Public so fetch backends (the
-/// cabinet proxy in [`crate::shard`]) can key their caches on it.
+/// cabinet proxy of a [`FederatedSim`](crate::FederatedSim)) can key their
+/// caches on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FetchTarget {
     /// The per-node generated Kickstart file (frontend CGI; never
@@ -115,7 +116,7 @@ pub enum FetchStart {
     Parked,
 }
 
-/// Where a node's HTTP fetches are served from. [`DirectFetch`] starts
+/// Where a node's HTTP fetches are served from. The flat backend starts
 /// a flow straight to the install server (the flat topology);
 /// the federated path substitutes a cabinet caching proxy that may park
 /// the request on a cache miss.
@@ -140,7 +141,7 @@ pub trait FetchBackend {
 /// The flat backend: every fetch is a flow straight over the node's
 /// route. Byte-identical to the pre-federation behavior.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct DirectFetch;
+pub(crate) struct DirectFetch;
 
 impl FetchBackend for DirectFetch {
     fn start_fetch(
@@ -336,8 +337,8 @@ impl SimNode {
         }
     }
 
-    /// Advance the FSM after a wakeup, fetching through [`DirectFetch`]
-    /// (the flat topology). See [`SimNode::on_wakeup_with`].
+    /// Advance the FSM after a wakeup, fetching straight from the install
+    /// server (the flat topology). See [`SimNode::on_wakeup_with`].
     pub fn on_wakeup(&mut self, engine: &mut Engine, cfg: &SimConfig, event: NodeEvent) {
         self.on_wakeup_with(engine, cfg, event, &mut DirectFetch);
     }

@@ -56,7 +56,7 @@ pub(crate) struct TimerQueue {
 
 impl TimerQueue {
     /// Arm a timer firing at absolute time `at`.
-    pub fn arm(&mut self, tag: usize, at: SimTime) {
+    pub(crate) fn arm(&mut self, tag: usize, at: SimTime) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let st = self.tags.entry(tag).or_default();
@@ -67,7 +67,7 @@ impl TimerQueue {
 
     /// Cancel every live timer with `tag`. The heap entries stay behind
     /// as stale markers and are discarded when they reach the top.
-    pub fn cancel_tag(&mut self, tag: usize) {
+    pub(crate) fn cancel_tag(&mut self, tag: usize) {
         if let Some(st) = self.tags.get_mut(&tag) {
             self.live_count -= st.live as usize;
             st.live = 0;
@@ -84,7 +84,7 @@ impl TimerQueue {
     /// or [`earliest_scan`](Self::earliest_scan)), so after discarding
     /// stale heads it is the top of the heap; firing anything else is a
     /// tolerated no-op, matching a timer cancelled in between.
-    pub fn fire(&mut self, seq: u64) {
+    pub(crate) fn fire(&mut self, seq: u64) {
         while let Some(&Reverse((_, s, tag, epoch))) = self.heap.peek() {
             if !self.is_live(tag, epoch) {
                 self.heap.pop();
@@ -102,7 +102,7 @@ impl TimerQueue {
 
     /// Fast path: the earliest live timer via the heap, popping stale
     /// (cancelled) entries encountered on the way up.
-    pub fn peek_earliest(&mut self) -> Option<(SimTime, u64, usize)> {
+    pub(crate) fn peek_earliest(&mut self) -> Option<(SimTime, u64, usize)> {
         while let Some(&Reverse((at, seq, tag, epoch))) = self.heap.peek() {
             if self.is_live(tag, epoch) {
                 return Some((at, seq, tag));
@@ -115,7 +115,7 @@ impl TimerQueue {
     /// Reference path: the earliest live timer by linear scan. Same
     /// (fire time, arm sequence) order as the heap, so both paths agree
     /// on ties.
-    pub fn earliest_scan(&self) -> Option<(SimTime, u64, usize)> {
+    pub(crate) fn earliest_scan(&self) -> Option<(SimTime, u64, usize)> {
         self.heap
             .iter()
             .filter(|&&Reverse((_, _, tag, epoch))| self.is_live(tag, epoch))
@@ -124,14 +124,14 @@ impl TimerQueue {
     }
 
     /// Number of live (armed, unfired, uncancelled) timers.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.live_count
     }
 
     /// True when no live timers are armed. Cheaper than `len() == 0`
     /// for the federated driver's has-work probe, which runs per shard
     /// per window.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.live_count == 0
     }
 }

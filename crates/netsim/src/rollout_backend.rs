@@ -17,7 +17,7 @@
 use crate::cluster::ClusterSim;
 use crate::config::{SimConfig, TierConfig};
 use crate::shard::FederatedSim;
-use rocks_pbs::rollout::{InstallBackend, InstallLeg};
+use rocks_pbs::{InstallBackend, InstallLeg};
 use std::collections::BTreeMap;
 
 /// Which engine calibrates install legs.

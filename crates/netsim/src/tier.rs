@@ -32,7 +32,7 @@ use std::collections::VecDeque;
 
 /// A cache miss escalated from a cabinet proxy to its campus server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MissRequest {
+pub(crate) struct MissRequest {
     /// Virtual time the node's request reached the proxy.
     pub at: SimTime,
     /// Cabinet (shard) the request came from.
@@ -44,7 +44,7 @@ pub struct MissRequest {
 /// A completed cabinet fill, ready for delivery to its shard after the
 /// store-and-forward latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FillDone {
+pub(crate) struct FillDone {
     /// Virtual time the fill finished arriving at the cabinet proxy.
     pub at: SimTime,
     /// Destination cabinet.
@@ -57,7 +57,7 @@ pub struct FillDone {
 /// shard (it is written on the shard's thread); the tier network only
 /// sees the [`MissRequest`]s it emits.
 #[derive(Debug)]
-pub struct ProxyCache {
+pub(crate) struct ProxyCache {
     /// Whether each target's bytes are held locally. The kickstart slot
     /// stays `false` forever — per-node CGI output is uncacheable.
     cached: Vec<bool>,
@@ -84,7 +84,7 @@ pub struct ProxyCache {
 
 impl ProxyCache {
     /// A cold cache over `n_targets` targets (packages + kickstart).
-    pub fn new(n_targets: usize) -> ProxyCache {
+    pub(crate) fn new(n_targets: usize) -> ProxyCache {
         ProxyCache {
             cached: vec![false; n_targets],
             requested: vec![false; n_targets],
@@ -100,29 +100,29 @@ impl ProxyCache {
     }
 
     /// Whether `target`'s bytes are in the cache.
-    pub fn is_cached(&self, target: usize) -> bool {
+    pub(crate) fn is_cached(&self, target: usize) -> bool {
         self.cached[target]
     }
 
     /// Whether a fill for `target` is already in flight.
-    pub fn is_requested(&self, target: usize) -> bool {
+    pub(crate) fn is_requested(&self, target: usize) -> bool {
         self.requested[target]
     }
 
     /// Mark a fill in flight for `target`.
-    pub fn mark_requested(&mut self, target: usize) {
+    pub(crate) fn mark_requested(&mut self, target: usize) {
         self.requested[target] = true;
     }
 
     /// Park node `tag` until `target`'s fill lands.
-    pub fn park(&mut self, tag: usize, target: usize) {
+    pub(crate) fn park(&mut self, tag: usize, target: usize) {
         self.waiters[target].push_back(tag);
         self.waiting_of.insert(tag, target);
     }
 
     /// Drop `tag`'s parked wait, if any (power cycle, hang, or watchdog
     /// timeout while waiting on a fill).
-    pub fn unpark(&mut self, tag: usize) {
+    pub(crate) fn unpark(&mut self, tag: usize) {
         if let Some(target) = self.waiting_of.remove(&tag) {
             if let Some(pos) = self.waiters[target].iter().position(|&t| t == tag) {
                 self.waiters[target].remove(pos);
@@ -134,7 +134,7 @@ impl ProxyCache {
     /// holds the bytes and every waiter is released; for the kickstart
     /// only the *first* waiter is released (each request was its own
     /// fill). Returns the released tags in FIFO order.
-    pub fn fill_landed(&mut self, target: usize, kickstart: usize) -> Vec<usize> {
+    pub(crate) fn fill_landed(&mut self, target: usize, kickstart: usize) -> Vec<usize> {
         let released: Vec<usize> = if target == kickstart {
             self.waiters[target].pop_front().into_iter().collect()
         } else {
@@ -149,7 +149,7 @@ impl ProxyCache {
     }
 
     /// How many node requests are parked on fills.
-    pub fn parked(&self) -> usize {
+    pub(crate) fn parked(&self) -> usize {
         self.waiting_of.len()
     }
 }
@@ -198,7 +198,7 @@ type PendingFill = (SimTime, usize);
 /// The root + campus tiers: one engine per serving entity, coupled to
 /// the cabinets through miss requests and fill completions.
 #[derive(Debug)]
-pub struct TierNet {
+pub(crate) struct TierNet {
     tiers: TierConfig,
     /// Bytes per target (`0..P` packages, `P` kickstart).
     target_bytes: Vec<u64>,
@@ -241,7 +241,7 @@ pub struct TierNet {
 
 impl TierNet {
     /// Build the fabric for `n_cabinets` cabinets under `tiers`.
-    pub fn new(cfg: &SimConfig, tiers: TierConfig, n_cabinets: usize) -> TierNet {
+    pub(crate) fn new(cfg: &SimConfig, tiers: TierConfig, n_cabinets: usize) -> TierNet {
         let mut target_bytes: Vec<u64> = cfg.packages.iter().map(|p| p.transfer_bytes).collect();
         let kick_id = target_bytes.len();
         target_bytes.push(cfg.kickstart_bytes);
@@ -280,41 +280,31 @@ impl TierNet {
         }
     }
 
-    /// The kickstart's target index.
-    pub fn kick_id(&self) -> usize {
-        self.kick_id
-    }
-
     /// Campus distribution servers in the fabric.
-    pub fn n_campuses(&self) -> usize {
+    pub(crate) fn n_campuses(&self) -> usize {
         self.n_campuses
-    }
-
-    /// Bytes carried by `target`.
-    pub fn bytes_of(&self, target: usize) -> u64 {
-        self.target_bytes[target]
     }
 
     /// Bytes the root mirror has delivered (the only traffic that
     /// leaves the top of the hierarchy).
-    pub fn root_fill_bytes(&self) -> f64 {
+    pub(crate) fn root_fill_bytes(&self) -> f64 {
         self.root.link_bytes()[0]
     }
 
     /// Bytes delivered campus → cabinet, summed over campus servers.
-    pub fn cabinet_fill_bytes(&self) -> f64 {
+    pub(crate) fn cabinet_fill_bytes(&self) -> f64 {
         self.campus.iter().map(|e| e.link_bytes()[0]).sum()
     }
 
     /// Earliest pending event across the tier engines, if any.
-    pub fn next_event_at(&mut self) -> Option<SimTime> {
+    pub(crate) fn next_event_at(&mut self) -> Option<SimTime> {
         self.refresh_caches();
         self.next_cache.iter().flatten().min().copied()
     }
 
     /// Whether any tier engine still holds flows, timers, or queued
     /// fills — used for the end-of-run stall check.
-    pub fn busy(&self) -> bool {
+    pub(crate) fn busy(&self) -> bool {
         self.root.has_work()
             || self.campus.iter().any(Engine::has_work)
             || self.cab_queue.iter().any(|q| !q.is_empty())
@@ -342,7 +332,7 @@ impl TierNet {
     /// cabinet)` for determinism). Kickstarts and campus-cached targets
     /// become cabinet fills; anything else parks the cabinet behind a
     /// (possibly already in-flight) campus fill from the root.
-    pub fn inject(&mut self, requests: &[MissRequest]) {
+    pub(crate) fn inject(&mut self, requests: &[MissRequest]) {
         for req in requests {
             let m = self.campus_of(req.cabinet);
             let t = req.target;
@@ -444,7 +434,7 @@ impl TierNet {
     /// in global time order — ties go to the lowest engine index (root
     /// first), deterministically. Completed cabinet fills are appended
     /// to `out`.
-    pub fn advance_to(&mut self, until: SimTime, out: &mut Vec<FillDone>) {
+    pub(crate) fn advance_to(&mut self, until: SimTime, out: &mut Vec<FillDone>) {
         loop {
             self.refresh_caches();
             let mut best: Option<(SimTime, usize)> = None;
@@ -525,7 +515,7 @@ mod tests {
         assert_eq!(fills.len(), 1);
         assert_eq!((fills[0].cabinet, fills[0].target), (0, 0));
         assert_eq!(net.campus_misses, 1);
-        let pkg = net.bytes_of(0) as f64;
+        let pkg = net.target_bytes[0] as f64;
         assert!((net.root_fill_bytes() - pkg).abs() < 16.0);
 
         // Cabinet 1 (same campus) now hits the campus cache: no new
@@ -542,7 +532,7 @@ mod tests {
     fn kickstarts_never_touch_the_root() {
         let cfg = tiny_cfg();
         let mut net = TierNet::new(&cfg, tiny_tiers(), 2);
-        let kick = net.kick_id();
+        let kick = net.kick_id;
         net.inject(&[
             MissRequest { at: 0, cabinet: 0, target: kick },
             MissRequest { at: 0, cabinet: 0, target: kick },
@@ -566,7 +556,7 @@ mod tests {
         let fills = drain(&mut net);
         assert_eq!(fills.len(), 2, "both cabinets get the fill");
         assert_eq!(net.campus_misses, 2);
-        let pkg = net.bytes_of(1) as f64;
+        let pkg = net.target_bytes[1] as f64;
         assert!((net.root_fill_bytes() - pkg).abs() < 16.0, "one root crossing");
         assert!((net.cabinet_fill_bytes() - 2.0 * pkg).abs() < 32.0);
     }
@@ -575,7 +565,7 @@ mod tests {
     fn fills_per_cabinet_are_serialized_fifo() {
         let cfg = tiny_cfg();
         let mut net = TierNet::new(&cfg, tiny_tiers(), 1);
-        let kick = net.kick_id();
+        let kick = net.kick_id;
         net.inject(&[
             MissRequest { at: 0, cabinet: 0, target: kick },
             MissRequest { at: 1, cabinet: 0, target: 0 },

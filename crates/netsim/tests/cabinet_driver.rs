@@ -4,7 +4,7 @@
 //! host time by — is pinned to the numbers it had before `ClusterSim`
 //! and `FederatedSim` shared a `Shard`.
 
-use rocks_netsim::cluster::Fault;
+use rocks_netsim::Fault;
 use rocks_netsim::{ClusterSim, FederatedSim, NodeState, SimConfig, TierConfig};
 
 fn small_cfg(seed: u64) -> SimConfig {

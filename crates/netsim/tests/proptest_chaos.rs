@@ -5,9 +5,7 @@
 //! runs must be bit-for-bit deterministic.
 
 use proptest::prelude::*;
-use rocks_netsim::chaos::{run_plan, standard_invariants, ChaosPlan};
-use rocks_netsim::cluster::{ClusterSim, Fault};
-use rocks_netsim::config::RetryPolicy;
+use rocks_netsim::{run_plan, standard_invariants, ChaosPlan, ClusterSim, Fault, RetryPolicy};
 use rocks_netsim::{EngineMode, SimConfig};
 
 proptest! {

@@ -7,9 +7,7 @@
 //! and mid-flight server failures.
 
 use proptest::prelude::*;
-use rocks_netsim::cluster::{ClusterSim, Fault};
-use rocks_netsim::engine::{Engine, EngineMode, Wakeup};
-use rocks_netsim::shard::FederatedSim;
+use rocks_netsim::{ClusterSim, Engine, EngineMode, Fault, FederatedSim, Wakeup};
 use rocks_netsim::{SimConfig, TierConfig};
 
 const MB: f64 = 1e6;

@@ -3,8 +3,8 @@
 //! Table I reproduction trustworthy.
 
 use proptest::prelude::*;
-use rocks_netsim::engine::{Engine, Wakeup};
 use rocks_netsim::{ClusterSim, SimConfig};
+use rocks_netsim::{Engine, Wakeup};
 
 fn tiny_cfg(seed: u64) -> SimConfig {
     SimConfig::paper_testbed(seed).bundled(6)

@@ -3,7 +3,7 @@
 //! reuse. Every scenario runs under both schedulers — the heap must be
 //! observably identical to the reference scan.
 
-use rocks_netsim::engine::{micros, seconds, Engine, EngineMode, Wakeup};
+use rocks_netsim::{micros, seconds, Engine, EngineMode, Wakeup};
 
 const MB: f64 = 1e6;
 

@@ -11,10 +11,10 @@
 //!
 //! This crate provides exactly the behaviours the paper exercises:
 //!
-//! * queues, jobs, and node states ([`server::PbsServer`]),
+//! * queues, jobs, and node states ([`PbsServer`]),
 //! * FIFO-with-backfill scheduling and head-of-queue reservations
-//!   ([`scheduler`]),
-//! * the drain-and-reinstall system job ([`rollout::run_rollout`]) that
+//!   ([`schedule`], [`run_to_completion`]),
+//! * the drain-and-reinstall system job ([`run_rollout`]) that
 //!   rolls a cluster onto a new distribution without killing running
 //!   work; [`RolloutConfig::mass`] is the paper's job as written, a
 //!   smaller capacity rolls in waves while the batch system keeps
@@ -22,16 +22,20 @@
 //!
 //! Time is a caller-advanced `f64` seconds clock so the workload manager
 //! composes with the `rocks-netsim` virtual clock.
+//!
+//! Everything above is named here, in `lib.rs`; the modules behind it are
+//! private.
 
-pub mod rollout;
-pub mod scheduler;
-pub mod server;
+mod rollout;
+mod scheduler;
+mod server;
 
 pub use rollout::{
-    run_rollout, standard_rollout_invariants, FixedInstall, InstallBackend, InstallLeg, JobArrival,
-    RolloutConfig, RolloutFault, RolloutInvariant, RolloutOutcome, RolloutPlan, RolloutRecord,
-    RolloutReport, RolloutView, RolloutViolation,
+    run_rollout, run_rollout_sweep, standard_rollout_invariants, FixedInstall, InstallBackend,
+    InstallLeg, JobArrival, RolloutConfig, RolloutFault, RolloutInvariant, RolloutOutcome,
+    RolloutPlan, RolloutRecord, RolloutReport, RolloutView, RolloutViolation, SeededViolation,
 };
+pub use scheduler::{run_to_completion, schedule};
 pub use server::{Job, JobId, JobState, NodeState, PbsServer};
 
 /// Errors from workload-manager operations.

@@ -211,7 +211,7 @@ pub struct RolloutViolation {
 /// running job's nodes are only ever `Busy` or `Offline` (a `Down` or
 /// `Free` node under a running job means a drain yanked it).
 #[derive(Debug, Default)]
-pub struct NoJobKilled;
+pub(crate) struct NoJobKilled;
 
 impl RolloutInvariant for NoJobKilled {
     fn name(&self) -> &'static str {
@@ -257,7 +257,7 @@ impl RolloutInvariant for NoJobKilled {
 
 /// Every node is reinstalled exactly once.
 #[derive(Debug, Default)]
-pub struct ExactlyOnce;
+pub(crate) struct ExactlyOnce;
 
 impl RolloutInvariant for ExactlyOnce {
     fn name(&self) -> &'static str {
@@ -291,7 +291,7 @@ impl RolloutInvariant for ExactlyOnce {
 
 /// Concurrent install legs never exceed the configured capacity.
 #[derive(Debug, Default)]
-pub struct CapRespected;
+pub(crate) struct CapRespected;
 
 impl RolloutInvariant for CapRespected {
     fn name(&self) -> &'static str {
@@ -314,7 +314,7 @@ impl RolloutInvariant for CapRespected {
 /// [`RolloutPlan::worst_case_seconds`]) — a runaway event loop or a
 /// starved wave shows up here.
 #[derive(Debug)]
-pub struct Termination {
+pub(crate) struct Termination {
     /// Upper bound on the makespan, in seconds.
     pub bound_seconds: f64,
 }
@@ -780,7 +780,7 @@ const PLAN_MAX_WALLTIME: f64 = 600.0;
 
 impl RolloutPlan {
     /// Generate a plan from a seed. All randomness is bounded so every
-    /// plan converges: walltimes ≤ [`PLAN_MAX_WALLTIME`], flaps are
+    /// plan converges: walltimes ≤ 600 s, flaps are
     /// finite and non-overlapping, stragglers add bounded penalties.
     pub fn generate(seed: u64) -> RolloutPlan {
         let mut rng = StdRng::seed_from_u64(seed);

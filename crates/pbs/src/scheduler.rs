@@ -95,7 +95,7 @@ fn reservation_time(server: &PbsServer, wanted: usize) -> Option<f64> {
 /// selection is deterministic. This is the rollout orchestrator's
 /// drain-target policy: it minimizes the time reinstall capacity sits
 /// idle waiting for jobs to finish.
-pub fn drain_candidates(server: &PbsServer, among: &[String], k: usize) -> Vec<String> {
+pub(crate) fn drain_candidates(server: &PbsServer, among: &[String], k: usize) -> Vec<String> {
     let mut ranked: Vec<(f64, String)> = among
         .iter()
         .filter_map(|name| {

@@ -5,11 +5,9 @@
 //! anchors CI; proptests push deeper into the seed space.
 
 use proptest::prelude::*;
-use rocks_pbs::rollout::{run_rollout_sweep, RolloutPlan};
-use rocks_pbs::scheduler::schedule;
 use rocks_pbs::{
-    run_rollout, standard_rollout_invariants, FixedInstall, JobArrival, JobState, NodeState,
-    PbsServer, RolloutConfig, RolloutFault,
+    run_rollout, run_rollout_sweep, schedule, standard_rollout_invariants, FixedInstall,
+    JobArrival, JobState, NodeState, PbsServer, RolloutConfig, RolloutFault, RolloutPlan,
 };
 use rocks_trace::Tracer;
 
@@ -117,7 +115,7 @@ proptest! {
             &Tracer::disabled(),
         ).expect("plan rollouts complete");
         prop_assert!(outcome.violations.is_empty(), "{:#?}", outcome.violations);
-        rocks_pbs::scheduler::run_to_completion(&mut server);
+        rocks_pbs::run_to_completion(&mut server);
         for job in server.jobs() {
             prop_assert!(
                 !matches!(job.state, JobState::Cancelled),

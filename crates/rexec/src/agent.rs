@@ -19,17 +19,6 @@ pub enum Signal {
     Kill,
 }
 
-/// What one command execution produced on one node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AgentCommandOutcome {
-    /// Stdout lines in order.
-    pub stdout: Vec<String>,
-    /// Stderr lines in order.
-    pub stderr: Vec<String>,
-    /// Exit status (0 success; 130 signal-interrupted, like a shell).
-    pub exit: i32,
-}
-
 /// A request sent to the agent thread.
 pub(crate) struct ExecRequest {
     pub command: String,
@@ -218,6 +207,17 @@ fn interpret(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What one command execution produced on one node.
+    #[derive(Debug)]
+    struct AgentCommandOutcome {
+        /// Stdout lines in order.
+        stdout: Vec<String>,
+        /// Stderr lines in order.
+        stderr: Vec<String>,
+        /// Exit status (0 success; 130 signal-interrupted, like a shell).
+        exit: i32,
+    }
 
     fn run(agent: &NodeAgent, command: &str) -> AgentCommandOutcome {
         run_env(agent, command, BTreeMap::new())

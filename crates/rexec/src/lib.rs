@@ -16,8 +16,8 @@
 //! environment propagation, and live signal forwarding. This is also the
 //! substrate `cluster-fork` and `cluster-kill` (§6.4) run on.
 
-pub mod agent;
-pub mod exec;
+mod agent;
+mod exec;
 
-pub use agent::{AgentCommandOutcome, NodeAgent, Signal};
+pub use agent::{NodeAgent, Signal};
 pub use exec::{ExecEnv, NodeOutput, ParallelResult, Rexec, RunningJob, Stream};

@@ -6,29 +6,32 @@
 //! Rocks clusters are in RPMs" (paper §5). This crate models everything the
 //! management layer observes about an RPM:
 //!
-//! * [`evr::Evr`] — the `epoch:version-release` triple with the genuine
+//! * [`Evr`] — the `epoch:version-release` triple with the genuine
 //!   `rpmvercmp` ordering algorithm, which `rocks-dist` relies on to
 //!   "resolve version numbers of RPMs and only include the most recent
 //!   software" (§6.2.1),
-//! * [`package::Package`] — name, architecture, sizes, dependencies, and a
+//! * [`Package`] — name, architecture, sizes, dependencies, and a
 //!   synthetic file manifest,
-//! * [`repo::Repository`] — a collection of packages with merge and
+//! * [`Repository`] — a collection of packages with merge and
 //!   dependency-closure operations,
 //! * [`synth`] — synthetic Red Hat–like base distributions matching the
 //!   magnitudes measured in the paper (162 packages and ~225 MB transferred
 //!   per compute-node install; Figure 7 and §6.3),
-//! * [`updates`] — a synthetic update stream reproducing the §6.2.1
+//! * [`UpdateStream`] — a synthetic update stream reproducing the §6.2.1
 //!   observation that Red Hat 6.2 received 124 updates in under a year
 //!   ("one update every three days"), several of them security fixes.
 //!
 //! Payload *bits* are never modelled — only names, versions, sizes, and
 //! relationships, which is the entirety of what the paper's tools consume.
+//!
+//! `synth` is a namespace callers spell out; every other item is named
+//! here, in `lib.rs`, and its module is private.
 
-pub mod evr;
-pub mod package;
-pub mod repo;
+mod evr;
+mod package;
+mod repo;
 pub mod synth;
-pub mod updates;
+mod updates;
 
 pub use evr::{rpmvercmp, Evr};
 pub use package::{Arch, Package, PackageBuilder, PackageKind};

@@ -21,9 +21,7 @@ use rand::{Rng, SeedableRng};
 /// Number of packages a compute node installs (Figure 7: "Total: 162").
 pub const COMPUTE_PACKAGE_COUNT: usize = 162;
 /// Bytes a compute node transfers during reinstallation (§6.3: "approximately 225 MB").
-pub const COMPUTE_TRANSFER_BYTES: u64 = 225 * 1024 * 1024;
-/// Bytes a compute node's install occupies (Figure 7: "386M").
-pub const COMPUTE_INSTALLED_BYTES: u64 = 386 * 1024 * 1024;
+pub(crate) const COMPUTE_TRANSFER_BYTES: u64 = 225 * 1024 * 1024;
 
 /// Named, real packages that the paper mentions and that the rest of the
 /// reproduction refers to by name. `(name, evr, arch, kind, megabytes)`.
@@ -132,7 +130,7 @@ fn compute_fixed_set() -> Vec<(String, u64)> {
 }
 
 /// Number of generated filler packages in the base set.
-pub fn filler_count() -> usize {
+pub(crate) fn filler_count() -> usize {
     COMPUTE_PACKAGE_COUNT - compute_fixed_set().len()
 }
 
@@ -141,7 +139,7 @@ pub fn filler_count() -> usize {
 /// Contains the named packages above, per-arch kernels, the Myrinet source
 /// RPM, and enough filler packages that (a) a compute node's install set
 /// has exactly [`COMPUTE_PACKAGE_COUNT`] packages totalling
-/// [`COMPUTE_TRANSFER_BYTES`], and (b) the distribution as a whole is much
+/// about 225 MB, and (b) the distribution as a whole is much
 /// larger than one node's set. Deterministic for a given `seed`.
 pub fn redhat72(seed: u64) -> Repository {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -317,6 +315,9 @@ mod tests {
         let ratio = total as f64 / target;
         assert!((0.97..1.03).contains(&ratio), "total {total} vs target {target}");
     }
+
+    /// Bytes a compute node's install occupies (Figure 7: "386M").
+    const COMPUTE_INSTALLED_BYTES: u64 = 386 * 1024 * 1024;
 
     #[test]
     fn compute_set_installs_roughly_386mb() {

@@ -43,13 +43,13 @@ pub struct UpdateStream {
 }
 
 /// Parameters matching the paper's Red Hat 6.2 measurement.
-pub const PAPER_WINDOW_DAYS: u32 = 365;
+pub(crate) const PAPER_WINDOW_DAYS: u32 = 365;
 /// "124 updated packages" in under a year.
-pub const PAPER_UPDATE_COUNT: usize = 124;
+pub(crate) const PAPER_UPDATE_COUNT: usize = 124;
 /// "74 security vulnerabilities ... for which several of the updated
 /// packages were targeted" — we mark a matching fraction of updates as
 /// security-driven.
-pub const PAPER_SECURITY_COUNT: usize = 74;
+pub(crate) const PAPER_SECURITY_COUNT: usize = 74;
 
 impl UpdateStream {
     /// Generate `count` updates over `window_days` against packages of

@@ -42,13 +42,14 @@ use std::collections::{BinaryHeap, VecDeque};
 
 /// Latency-histogram upper bounds, µs. Shared by every per-shard
 /// registry so merges are exact bucket-wise adds.
-pub const LATENCY_BOUNDS_US: &[u64] = &[
+pub(crate) const LATENCY_BOUNDS_US: &[u64] = &[
     50, 75, 100, 150, 200, 300, 400, 600, 800, 1_000, 1_500, 2_000, 3_000, 4_000, 6_000, 8_000,
     12_000, 20_000, 50_000, 100_000, 300_000, 1_000_000,
 ];
 
 /// Queue-depth histogram upper bounds (entries at admission time).
-pub const QUEUE_BOUNDS: &[u64] = &[0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1_024, 2_048, 4_096];
+pub(crate) const QUEUE_BOUNDS: &[u64] =
+    &[0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1_024, 2_048, 4_096];
 
 /// Terminal state of one request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

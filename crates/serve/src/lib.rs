@@ -7,7 +7,7 @@
 //! reproduction's [`GenerationService`] and SQL report path behind a
 //! simulated-time serving frontend and measures it:
 //!
-//! - **Admission** ([`frontend`]): one bounded accept queue feeding a
+//! - **Admission** ([`run_serve`]): one bounded accept queue feeding a
 //!   pool of worker shards. Past a high-water mark new arrivals are shed
 //!   with a `retry-after` hint (backpressure); the queue's hard capacity
 //!   is never exceeded, by construction.
@@ -21,12 +21,12 @@
 //!   run is a pure function of `(config, workload, seed)` — bit-for-bit
 //!   repeatable, and *invariant under how workers are arranged into
 //!   shards* when the total pool size is held constant.
-//! - **Real responses** ([`backend::RealBackend`]): dispatched requests
+//! - **Real responses** ([`RealBackend`]): dispatched requests
 //!   drive the actual [`GenerationService::generate_for_request`] and
 //!   [`Database::query_ref`] paths, so the frontend's responses are
 //!   byte-identical to direct calls (checked by the differential suite)
 //!   and the skeleton / plan caches see realistic churn.
-//! - **Load generation** ([`loadgen`]): open-loop (Poisson arrivals at a
+//! - **Load generation** ([`Workload`], [`ServePlan`]): open-loop (Poisson arrivals at a
 //!   target rate) and closed-loop (N clients with think time) models,
 //!   plus seeded fault schedules reusing the chaos-harness vocabulary:
 //!   arrival bursts, worker-shard stalls, cache-invalidation storms.
@@ -41,10 +41,10 @@
 //! [`GenerationService::generate_for_request`]: rocks_kickstart::GenerationService::generate_for_request
 //! [`Database::query_ref`]: rocks_sql::Database::query_ref
 
-pub mod backend;
-pub mod config;
-pub mod frontend;
-pub mod loadgen;
+mod backend;
+mod config;
+mod frontend;
+mod loadgen;
 
 pub use backend::{default_report_queries, BackendResult, ModelBackend, RealBackend, ServeBackend};
 pub use config::{CostModel, ServeConfig};

@@ -10,17 +10,17 @@
 //! Network Information Service (NIS). We have employed one unscalable
 //! service, the Network File System (NFS)."
 //!
-//! * [`dhcp`] — the frontend DHCP service: fixed MAC→IP bindings from
+//! * [`DhcpService`] — the frontend DHCP service: fixed MAC→IP bindings from
 //!   the cluster database, plus the syslog stream `insert-ethers`
 //!   consumes to discover new hardware,
-//! * [`nis`] — versioned account-map synchronization,
-//! * [`nfs`] — the exported home-directory service, including the
+//! * [`NisDomain`] — versioned account-map synchronization,
+//! * [`NfsServer`] — the exported home-directory service, including the
 //!   common-mode failure behaviour §4 describes (when NFS dies, nodes
 //!   appear dead; fix the service and power cycle).
 
-pub mod dhcp;
-pub mod nfs;
-pub mod nis;
+mod dhcp;
+mod nfs;
+mod nis;
 
 pub use dhcp::{DhcpAnswer, DhcpService, SyslogLine};
 pub use nfs::{MountError, NfsServer};

@@ -8,7 +8,7 @@
 //! live snapshot holds and what has changed since, writes only the
 //! leaves whose rows changed and the internal pages above them, naming
 //! every other page where it already lies (see [`TreeImage::repack`]).
-//! Reads descend the on-disk pages directly.
+//! Recovery walks the pages (see [`load`]); nothing else reads them.
 //!
 //! # Page layout (within a page's CRC-checked payload)
 //!
@@ -20,7 +20,7 @@
 //! In an internal node, `child0` holds keys `< key[0]`; `child[i+1]`
 //! holds keys `>= key[i]`.
 
-use crate::pager::{Pager, PAGE_PAYLOAD};
+use crate::pager::PAGE_PAYLOAD;
 use crate::recovery::RecoveryError;
 use std::collections::BTreeSet;
 
@@ -303,11 +303,12 @@ fn pack_leaf<E>(
     Ok(row)
 }
 
-/// Decoded page view used by the read path; keys and values are slices
-/// of the page's payload.
+/// Decoded page view used by the recovery walk; keys and values are
+/// slices of the page's payload. An internal page's separator keys are
+/// bounds-checked and dropped: the walk takes the children in order.
 enum PageView<'p> {
     Leaf(Vec<(&'p [u8], &'p [u8])>),
-    Internal { keys: Vec<&'p [u8]>, children: Vec<u32> },
+    Internal { children: Vec<u32> },
 }
 
 fn decode_page(payload: &[u8], page: u32) -> Result<PageView<'_>, RecoveryError> {
@@ -344,14 +345,13 @@ fn decode_page(payload: &[u8], page: u32) -> Result<PageView<'_>, RecoveryError>
         KIND_INTERNAL => {
             let mut children = Vec::with_capacity(n + 1);
             children.push(u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")));
-            let mut keys = Vec::with_capacity(n);
             for _ in 0..n {
                 let klen =
                     u16::from_le_bytes(take(&mut pos, 2)?.try_into().expect("2 bytes")) as usize;
-                keys.push(take(&mut pos, klen)?);
+                take(&mut pos, klen)?;
                 children.push(u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")));
             }
-            Ok(PageView::Internal { keys, children })
+            Ok(PageView::Internal { children })
         }
         _ => Err(corrupt("unknown kind")),
     }
@@ -424,7 +424,7 @@ impl Loader<'_, '_> {
                     self.rows += 1;
                 }
             }
-            PageView::Internal { children, .. } => {
+            PageView::Internal { children } => {
                 if self.widths[depth] != FANOUT || children.len() > FANOUT {
                     return corrupt(format!(
                         "{} children, after a page of {} at the same depth",
@@ -442,44 +442,9 @@ impl Loader<'_, '_> {
     }
 }
 
-/// A read-only B-tree rooted at a page of the live snapshot.
-pub struct DiskBTree<'a> {
-    pager: &'a Pager,
-    root: u32,
-}
-
-impl<'a> DiskBTree<'a> {
-    /// View the tree rooted at `root`.
-    pub fn new(pager: &'a Pager, root: u32) -> Self {
-        DiskBTree { pager, root }
-    }
-
-    /// Point lookup: the value stored under `key`, if any.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, RecoveryError> {
-        let mut page = self.root;
-        let mut depth = 0;
-        loop {
-            depth += 1;
-            if depth > 64 {
-                return Err(RecoveryError::Corrupt("b-tree deeper than 64 levels".into()));
-            }
-            match decode_page(&self.pager.read_page(page)?, page)? {
-                PageView::Leaf(cells) => {
-                    return Ok(cells.into_iter().find(|(k, _)| *k == key).map(|(_, v)| v.to_vec()));
-                }
-                PageView::Internal { keys, children } => {
-                    let slot = keys.partition_point(|k| *k <= key);
-                    page = children[slot];
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::{MemVfs, Vfs};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -717,30 +682,9 @@ mod tests {
         let second = store.0[image.levels[0][1] as usize].clone();
         assert!(matches!(load_with(image.levels[0][2], &second), RecoveryError::Corrupt(_)));
         assert!(matches!(load_with(image.levels[0][0], &second), RecoveryError::Corrupt(_)));
-    }
-
-    #[test]
-    fn point_lookups_descend_the_pages() {
-        let vfs = MemVfs::new();
-        let mut pager = Pager::open(vfs.open("data").unwrap()).unwrap();
-        let mut heap = pager.writer();
-        let repacked = TreeImage::default()
-            .repack(
-                700,
-                &mut |rowid, buf| {
-                    buf.extend_from_slice(&vec![rowid as u8; 1900]);
-                    Ok(())
-                },
-                &mut |page| heap.put(page),
-            )
-            .unwrap()
-            .unwrap();
-        let catalog = heap.put_chain(&[]).unwrap();
-        heap.flip(vec![], catalog[0], 0, 1, 1, 1).unwrap();
-        let tree = DiskBTree::new(&pager, repacked.root);
-        for rowid in [0u64, 1, 291, 292, 583, 584, 699] {
-            assert_eq!(tree.get(&rowid.to_be_bytes()).unwrap().unwrap(), vec![rowid as u8; 1900]);
-        }
-        assert_eq!(tree.get(&700u64.to_be_bytes()).unwrap(), None);
+        // A separator key that runs past the payload.
+        let mut overrun = internal(&image.levels[0][..2]);
+        overrun[7..9].copy_from_slice(&u16::MAX.to_le_bytes());
+        assert!(matches!(load_with(root, &overrun), RecoveryError::Corrupt(_)));
     }
 }

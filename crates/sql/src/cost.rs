@@ -31,27 +31,27 @@
 use crate::table::ColumnType;
 
 /// Enumerate one row sequentially (the scan baseline).
-pub const SCAN_ROW: f64 = 1.0;
+pub(crate) const SCAN_ROW: f64 = 1.0;
 /// Evaluate one pushed-down filter conjunct against one row.
-pub const FILTER_EVAL: f64 = 1.0;
+pub(crate) const FILTER_EVAL: f64 = 1.0;
 /// One hash-index probe (hash + bucket lookup).
-pub const PROBE: f64 = 3.0;
+pub(crate) const PROBE: f64 = 3.0;
 /// Fetch one index candidate and re-verify it with `sql_cmp`.
-pub const CANDIDATE: f64 = 1.5;
+pub(crate) const CANDIDATE: f64 = 1.5;
 /// Extend/allocate one intermediate tuple.
-pub const TUPLE: f64 = 0.8;
+pub(crate) const TUPLE: f64 = 0.8;
 /// Insert one int cell into a cold hash index.
-pub const HASH_BUILD_INT: f64 = 1.5;
+pub(crate) const HASH_BUILD_INT: f64 = 1.5;
 /// Insert one text cell into a cold hash index (clone + up to two
 /// bucket inserts).
-pub const HASH_BUILD_TEXT: f64 = 6.0;
+pub(crate) const HASH_BUILD_TEXT: f64 = 6.0;
 /// Expected executions sharing one cold build (indexes are cached on
 /// the table, plans in the statement cache).
-pub const BUILD_AMORTIZE: f64 = 32.0;
+pub(crate) const BUILD_AMORTIZE: f64 = 32.0;
 
 /// Amortized cost of building a hash index over `rows` cells of
 /// declared type `ty`, or 0 when it is already built.
-pub fn index_build_cost(rows: f64, ty: ColumnType, warm: bool) -> f64 {
+pub(crate) fn index_build_cost(rows: f64, ty: ColumnType, warm: bool) -> f64 {
     if warm {
         return 0.0;
     }
@@ -63,26 +63,31 @@ pub fn index_build_cost(rows: f64, ty: ColumnType, warm: bool) -> f64 {
 
 /// Cost of scanning a table: enumerate every row, evaluate every pushed
 /// filter against it.
-pub fn scan_access_cost(rows: f64, filters: usize) -> f64 {
+pub(crate) fn scan_access_cost(rows: f64, filters: usize) -> f64 {
     rows * (SCAN_ROW + filters as f64 * FILTER_EVAL)
 }
 
 /// Cost of an index point access: one probe, then verify each candidate
 /// and run the pushed filters over it (the probing conjunct itself stays
 /// in the filters — candidates are supersets).
-pub fn index_access_cost(candidates: f64, filters: usize, build: f64) -> f64 {
+pub(crate) fn index_access_cost(candidates: f64, filters: usize, build: f64) -> f64 {
     build + PROBE + candidates * (CANDIDATE + filters as f64 * FILTER_EVAL)
 }
 
 /// Cost of hash-joining `left_tuples` accumulated tuples against a
 /// table, probing its (possibly cold) index: one probe per tuple, then
 /// verification + filters per raw candidate.
-pub fn hash_join_cost(left_tuples: f64, candidates_total: f64, filters: usize, build: f64) -> f64 {
+pub(crate) fn hash_join_cost(
+    left_tuples: f64,
+    candidates_total: f64,
+    filters: usize,
+    build: f64,
+) -> f64 {
     build + left_tuples * PROBE + candidates_total * (CANDIDATE + filters as f64 * FILTER_EVAL)
 }
 
 /// Cost of producing `n` output tuples from any operator.
-pub fn emit_cost(n: f64) -> f64 {
+pub(crate) fn emit_cost(n: f64) -> f64 {
     n * TUPLE
 }
 

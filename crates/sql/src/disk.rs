@@ -70,7 +70,7 @@ impl std::fmt::Display for DiskError {
 impl std::error::Error for DiskError {}
 
 /// Result alias for disk operations.
-pub type DiskResult<T> = std::result::Result<T, DiskError>;
+pub(crate) type DiskResult<T> = std::result::Result<T, DiskError>;
 
 /// Positional file I/O, the only interface the storage engine uses.
 /// Durability contract: `write_at`/`truncate` are buffered and may be

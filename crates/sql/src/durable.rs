@@ -12,15 +12,15 @@
 //! appending a frame, the commit fsync, truncating the log on rollback,
 //! `checkpoint` — look at whether there is one. Opening an existing
 //! directory replays: live snapshot first, then every committed WAL
-//! transaction beyond it (see [`crate::recovery`]).
+//! transaction beyond it (see [`RecoveryReport`]).
 //!
 //! A checkpoint costs what changed since the one before. The memory
 //! engine of a journaled database carries, per table, the image of the
-//! B-tree the live snapshot holds ([`crate::btree`]) and flags on it the
+//! B-tree the live snapshot holds (`btree.rs`) and flags on it the
 //! rows each write changes; `checkpoint` re-packs from those flags —
 //! the changed leaves, the internal pages above them — into pages the
 //! live header cannot reach, writes the catalog, and flips the header
-//! ([`crate::pager`]). A first checkpoint is the same code with no
+//! (`pager.rs`). A first checkpoint is the same code with no
 //! images to reuse.
 //!
 //! Commit protocol (auto-commit shown; explicit transactions just spread
@@ -98,7 +98,7 @@ impl From<RecoveryError> for DurableError {
 }
 
 /// Result alias for durable-engine operations.
-pub type DurableResult<T> = std::result::Result<T, DurableError>;
+pub(crate) type DurableResult<T> = std::result::Result<T, DurableError>;
 
 /// Storage-engine telemetry, [`Registry`]-backed like
 /// [`crate::QueryStats`] so one cluster-wide ledger holds everything.

@@ -139,7 +139,7 @@ pub enum ExecOutcome {
 }
 
 /// Execute a parsed statement.
-pub fn execute(db: &mut Database, stmt: Statement) -> Result<ExecOutcome> {
+pub(crate) fn execute(db: &mut Database, stmt: Statement) -> Result<ExecOutcome> {
     match stmt {
         Statement::CreateTable { name, columns } => {
             db.add_table(Table::new(name, columns))?;

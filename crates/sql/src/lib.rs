@@ -38,32 +38,33 @@
 //! assert_eq!(rows.rows[0][0].as_text(), Some("compute-0-0"));
 //! ```
 
-pub mod ast;
-pub mod btree;
+mod ast;
+mod btree;
 pub(crate) mod codec;
-pub mod cost;
-pub mod crashtest;
-pub mod disk;
+mod cost;
+mod disk;
 pub mod durable;
-pub mod exec;
-pub mod index;
-pub mod lexer;
-pub mod pager;
-pub mod parser;
-pub mod plan;
-pub mod recovery;
-pub mod stats;
-pub mod table;
+mod exec;
+mod index;
+mod lexer;
+mod pager;
+mod parser;
+mod plan;
+mod recovery;
+mod stats;
+mod table;
 mod undo;
-pub mod value;
+mod value;
 pub mod wal;
 
-pub use ast::Statement;
-pub use disk::{CrashPlan, DiskError, DiskFile, FileVfs, MemVfs, Vfs};
+pub use ast::{BinOp, ColumnRef, Expr, OrderKey, SelectItem, Statement};
+pub use disk::{crc32, CrashPlan, DiskError, DiskFile, FileVfs, MemVfs, Vfs};
 pub use durable::{DurableDatabase, DurableError};
 pub use exec::{ExecOutcome, QueryResult};
 pub use index::HashIndex;
-pub use plan::SelectPlan;
+pub use lexer::{lex, Token};
+pub use pager::{PAGE_PAYLOAD, PAGE_SIZE};
+pub use parser::parse;
 pub use recovery::{RecoveryError, RecoveryReport};
 pub use stats::TableStats;
 pub use table::{Column, ColumnType, Table};
@@ -135,7 +136,7 @@ struct Prepared {
     /// planning declined (the executor then uses the scan path), which
     /// stays correct until the schema changes — and schema changes flush
     /// the whole cache via the generation check.
-    plan: Option<SelectPlan>,
+    plan: Option<plan::SelectPlan>,
 }
 
 /// A statement prepared with the cache at this size first sweeps it:
@@ -367,8 +368,8 @@ impl Database {
     /// Statements are parsed and planned once, then cached by SQL text:
     /// repeated queries (the per-node lookups of a mass reinstall) skip
     /// straight to execution against hash indexes. The cache is flushed
-    /// whenever the schema generation changes and is capped at
-    /// [`PLAN_CACHE_CAP`] entries.
+    /// whenever the schema generation changes and is capped at 512
+    /// entries.
     pub fn query_ref(&self, sql: &str) -> Result<QueryResult> {
         self.read_ref(sql)
     }
@@ -540,9 +541,9 @@ impl Database {
 
     /// Mutable table lookup. The public surface of `&mut Table` can only
     /// append, so under a [`Savepoint`] noting the length here is enough
-    /// to take back whatever the caller does with it. Like [`table`]
-    /// (Self::table), it copies the name only when it has uppercase: the
-    /// parser's names never do.
+    /// to take back whatever the caller does with it. Like
+    /// [`table`](Self::table), it copies the name only when it has
+    /// uppercase: the parser's names never do.
     pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
         let key = table_key(name);
         self.log_append_point(&key);

@@ -48,7 +48,7 @@ const REGION_FORMAT_MAGIC: u64 = 0x524F_434B_5344_4231; // "ROCKSDB1"
 /// A decoded header slot: everything needed to locate and interpret the
 /// live snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SnapshotMeta {
+pub(crate) struct SnapshotMeta {
     /// Monotone flip counter; the valid slot with the higher value wins.
     pub generation: u64,
     /// Every page the snapshot reaches has an id below this.
@@ -112,7 +112,7 @@ fn page_offset(page: u32) -> u64 {
 }
 
 /// The pager: owns the data file, the live header and the free set.
-pub struct Pager {
+pub(crate) struct Pager {
     file: Box<dyn DiskFile>,
     live: Option<SnapshotMeta>,
     /// Which slot the live header occupies (the next flip targets the
@@ -146,7 +146,7 @@ impl Pager {
     /// flip — the WAL still has everything) or fatal (a once-valid
     /// snapshot was destroyed) is decided by the recovery layer, which
     /// can see the log.
-    pub fn open(file: Box<dyn DiskFile>) -> Result<Pager, RecoveryError> {
+    pub(crate) fn open(file: Box<dyn DiskFile>) -> Result<Pager, RecoveryError> {
         let len = file.len().map_err(RecoveryError::from_disk)?;
         let mut slots = [None, None];
         for (i, slot) in slots.iter_mut().enumerate() {
@@ -187,20 +187,20 @@ impl Pager {
     }
 
     /// The live snapshot's metadata, if a checkpoint has ever completed.
-    pub fn live(&self) -> Option<&SnapshotMeta> {
+    pub(crate) fn live(&self) -> Option<&SnapshotMeta> {
         self.live.as_ref()
     }
 
     /// True when the file was non-empty but held no valid header (see
     /// [`open`](Self::open)).
-    pub fn headerless_damage(&self) -> bool {
+    pub(crate) fn headerless_damage(&self) -> bool {
         self.headerless
     }
 
     /// Repair a headerless file by erasing it back to emptiness, making
     /// recovery idempotent: once the decision to rebuild from the log is
     /// made, the damaged half-checkpoint must not greet the next open.
-    pub fn reset_damaged(&mut self) -> DiskResult<()> {
+    pub(crate) fn reset_damaged(&mut self) -> DiskResult<()> {
         self.file.truncate(0)?;
         self.file.sync()?;
         self.headerless = false;
@@ -212,7 +212,7 @@ impl Pager {
     }
 
     /// Read and verify one page of the live snapshot.
-    pub fn read_page(&self, page: u32) -> Result<Vec<u8>, RecoveryError> {
+    pub(crate) fn read_page(&self, page: u32) -> Result<Vec<u8>, RecoveryError> {
         if page >= self.live_pages() {
             return Err(RecoveryError::Corrupt(format!(
                 "page {page} out of range ({} pages)",
@@ -235,13 +235,13 @@ impl Pager {
     /// Recovery's report after reading everything the live header
     /// reaches: `reached[p]` says whether it came to page `p`. The rest,
     /// below the live page count, is free from here on.
-    pub fn free_unreached(&mut self, reached: &[bool]) {
+    pub(crate) fn free_unreached(&mut self, reached: &[bool]) {
         self.free = (0..self.live_pages()).filter(|&p| !reached[p as usize]).collect();
     }
 
     /// Write one page. Refused for a page the live header reaches: a
     /// snapshot changes by a header flip and in no other way.
-    pub fn write_page(&mut self, page: u32, payload: &[u8]) -> DiskResult<()> {
+    pub(crate) fn write_page(&mut self, page: u32, payload: &[u8]) -> DiskResult<()> {
         if page < self.live_pages() && !self.free.contains(&page) {
             return Err(DiskError::LivePage(page));
         }
@@ -256,14 +256,14 @@ impl Pager {
     /// Start a checkpoint's worth of page writes. Dropping the writer
     /// without a [`flip`](PageWriter::flip) abandons them: the pages it
     /// wrote are still free.
-    pub fn writer(&mut self) -> PageWriter<'_> {
+    pub(crate) fn writer(&mut self) -> PageWriter<'_> {
         PageWriter { pager: self, next: 0, taken: Vec::new() }
     }
 
     /// Compaction: cut off the file whatever lies past the live page
     /// count — pages the last flip freed, or a crashed checkpoint's.
     /// Returns whether there was anything to cut (and sync).
-    pub fn trim(&mut self) -> DiskResult<bool> {
+    pub(crate) fn trim(&mut self) -> DiskResult<bool> {
         let end = page_offset(self.live_pages());
         let cut = self.file.len()? > end;
         if cut {
@@ -272,16 +272,11 @@ impl Pager {
         }
         Ok(cut)
     }
-
-    /// Total data-file length (telemetry).
-    pub fn file_len(&self) -> DiskResult<u64> {
-        self.file.len()
-    }
 }
 
 /// The pages of one checkpoint: written where the live header cannot
 /// see them, made the live snapshot by [`flip`](Self::flip).
-pub struct PageWriter<'p> {
+pub(crate) struct PageWriter<'p> {
     pager: &'p mut Pager,
     /// No page id below this is still to be had.
     next: u32,
@@ -303,7 +298,7 @@ impl PageWriter<'_> {
 
     /// Write `payload` (at most [`PAGE_PAYLOAD`] bytes, padded with
     /// zeroes) to a free page; returns the page's id.
-    pub fn put(&mut self, payload: &[u8]) -> DiskResult<u32> {
+    pub(crate) fn put(&mut self, payload: &[u8]) -> DiskResult<u32> {
         let page = self.alloc();
         self.pager.write_page(page, payload)?;
         Ok(page)
@@ -312,7 +307,7 @@ impl PageWriter<'_> {
     /// Write `bytes` across as many pages as it takes, each naming the
     /// next; returns those pages, first one first (at least one, even
     /// for no bytes). [`read_chain`] reads it back.
-    pub fn put_chain(&mut self, bytes: &[u8]) -> DiskResult<Vec<u32>> {
+    pub(crate) fn put_chain(&mut self, bytes: &[u8]) -> DiskResult<Vec<u32>> {
         let pages: Vec<u32> =
             (0..bytes.len().div_ceil(CHAIN_PAYLOAD).max(1)).map(|_| self.alloc()).collect();
         let mut chunks = bytes.chunks(CHAIN_PAYLOAD);
@@ -327,7 +322,7 @@ impl PageWriter<'_> {
     }
 
     /// Pages written so far.
-    pub fn written(&self) -> u64 {
+    pub(crate) fn written(&self) -> u64 {
         self.taken.len() as u64
     }
 
@@ -336,7 +331,7 @@ impl PageWriter<'_> {
     /// durable and the released pages are free; on a crash anywhere
     /// inside, the previous snapshot (or fresh emptiness) is still
     /// intact, and on an error the pager still stands on the old header.
-    pub fn flip(
+    pub(crate) fn flip(
         self,
         mut released: Vec<u32>,
         catalog_page: u32,
@@ -390,7 +385,7 @@ impl PageWriter<'_> {
 /// Read back the bytes [`PageWriter::put_chain`] spread over pages,
 /// through `read` (which is where a page reached twice, or one out of
 /// range, is refused). Returns the bytes and the pages that held them.
-pub fn read_chain(
+pub(crate) fn read_chain(
     read: &mut dyn FnMut(u32) -> Result<Vec<u8>, RecoveryError>,
     first: u32,
     len: usize,
@@ -534,7 +529,7 @@ mod tests {
         let (mut lens, mut chain) = (Vec::new(), Vec::new());
         for seq in 0..8 {
             chain = checkpoint(&mut pager, &payload, &chain, seq);
-            lens.push(pager.file_len().unwrap());
+            lens.push(pager.file.len().unwrap());
         }
         // Every page replaced every time: the new ones take the pages
         // the checkpoint before freed, so the file never holds more than

@@ -52,11 +52,11 @@ use std::sync::Arc;
 
 /// Exact DP join-order enumeration up to this many FROM tables; greedy
 /// beyond (2^n states stop being cheap).
-pub const DP_TABLE_LIMIT: usize = 6;
+pub(crate) const DP_TABLE_LIMIT: usize = 6;
 
 /// How one FROM table's rows are enumerated.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Access {
+pub(crate) enum Access {
     /// Enumerate every row.
     Scan,
     /// Probe the table's hash index with a literal. Candidates are a
@@ -73,7 +73,7 @@ pub enum Access {
 /// step and a column of this step's table, whose hash index each
 /// accumulated tuple probes.
 #[derive(Debug, Clone, PartialEq)]
-pub struct JoinKey {
+pub(crate) struct JoinKey {
     /// Execution-step index of the earlier step supplying probe values.
     pub left_step: usize,
     /// Column index within that step's table.
@@ -84,7 +84,7 @@ pub struct JoinKey {
 
 /// One per-table step of the pipeline, in execution order.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Step {
+pub(crate) struct Step {
     /// FROM position of the table this step enumerates.
     pub table: usize,
     /// Row enumeration strategy (ignored for joins, which probe).
@@ -105,7 +105,7 @@ pub struct Step {
 /// cached per statement (invalidated when the schema generation or the
 /// stats epoch bumps — see `Database::query_ref`).
 #[derive(Debug, Clone, PartialEq)]
-pub struct SelectPlan {
+pub(crate) struct SelectPlan {
     /// Steps in execution order (a permutation of the FROM tables).
     pub steps: Vec<Step>,
     /// Conjuncts not consumed above: `(ready_after, expr)` — evaluated on
@@ -126,14 +126,14 @@ impl SelectPlan {
     /// Whether executing this plan touches a hash index anywhere — a
     /// point lookup or a join. Telemetry classifies executions as
     /// "indexed" vs "scan" with this.
-    pub fn uses_index(&self) -> bool {
+    pub(crate) fn uses_index(&self) -> bool {
         self.steps.iter().any(|s| matches!(s.access, Access::IndexEq { .. }) || s.join.is_some())
     }
 }
 
 /// What planning did — telemetry inputs for `QueryStats`.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PlanInfo {
+pub(crate) struct PlanInfo {
     /// Table-statistics (re)builds triggered by this planning pass.
     pub stats_builds: u64,
 }
@@ -375,7 +375,7 @@ struct TableFacts {
 /// then join-order enumeration — also reporting what planning did (for
 /// telemetry). `None` when any column reference fails unique resolution
 /// or there are more than 32 tables; the executor then scans.
-pub fn plan_select(
+pub(crate) fn plan_select(
     tables: &[(&str, &Table)],
     where_clause: &Expr,
 ) -> Option<(SelectPlan, PlanInfo)> {
@@ -778,7 +778,7 @@ pub(crate) fn execute_plan(
 /// Render a plan (or the scan fallback) as EXPLAIN output lines, in
 /// execution order. A plan annotates each step with estimated rows and
 /// cumulative cost.
-pub fn render_plan(
+pub(crate) fn render_plan(
     tables: &[(&str, &Table)],
     plan: Option<&SelectPlan>,
     where_clause: Option<&Expr>,

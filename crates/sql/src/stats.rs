@@ -35,11 +35,11 @@ use std::cmp::Ordering;
 
 /// Histogram width: enough resolution to see skew, small enough that a
 /// rebuild clones at most this many boundary keys.
-pub const HIST_BUCKETS: usize = 16;
+pub(crate) const HIST_BUCKETS: usize = 16;
 
 /// Statistics builds over larger tables sample a deterministic stride of
 /// at most this many rows.
-pub const SAMPLE_CAP: usize = 4096;
+pub(crate) const SAMPLE_CAP: usize = 4096;
 
 /// Rebuild statistics once appended-row drift exceeds this fraction of
 /// the row count they were built over (folds track totals exactly but
@@ -48,7 +48,7 @@ const DRIFT_REBUILD_FRACTION: f64 = 0.5;
 
 /// Owned normalized key: the total order statistics run on. Integer-shaped text collapses onto its numeric value.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum StatKey {
+pub(crate) enum StatKey {
     /// `Int` cells and text that parses as `i64`.
     Num(i64),
     /// Text with no numeric interpretation.
@@ -56,12 +56,6 @@ pub enum StatKey {
 }
 
 impl StatKey {
-    /// Normalize a value; `None` for NULL (NULL equals nothing and is
-    /// tracked by the null count, not the histogram).
-    pub fn of(v: &Value) -> Option<StatKey> {
-        KeyRef::of(v).map(|k| k.to_owned_key())
-    }
-
     pub(crate) fn as_ref(&self) -> KeyRef<'_> {
         match self {
             StatKey::Num(n) => KeyRef::Num(*n),
@@ -79,6 +73,8 @@ pub(crate) enum KeyRef<'a> {
 }
 
 impl<'a> KeyRef<'a> {
+    /// Normalize a value; `None` for NULL (NULL equals nothing and is
+    /// tracked by the null count, not the histogram).
     pub(crate) fn of(v: &'a Value) -> Option<KeyRef<'a>> {
         match v {
             Value::Null => None,
@@ -101,7 +97,7 @@ impl<'a> KeyRef<'a> {
 /// One equi-depth bucket. Counts are in *sample units*; multiply by the
 /// column's `scale` for estimated rows.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Bucket {
+pub(crate) struct Bucket {
     /// Inclusive upper bound of the bucket's key range.
     pub upper: StatKey,
     /// Sampled rows that landed in the bucket.
@@ -112,7 +108,7 @@ pub struct Bucket {
 
 /// Statistics for one column.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ColumnStats {
+pub(crate) struct ColumnStats {
     /// Estimated NULL cells (exact when the build was unsampled).
     pub nulls: f64,
     /// Estimated distinct non-null keys in the whole table.
@@ -270,12 +266,12 @@ pub struct TableStats {
     /// The table's stats-generation counter value these stats describe.
     pub generation: u64,
     /// Per-column statistics, indexed by column position.
-    pub columns: Vec<ColumnStats>,
+    pub(crate) columns: Vec<ColumnStats>,
 }
 
 impl TableStats {
     /// Build statistics over `rows` (deterministic stride sample above
-    /// [`SAMPLE_CAP`] rows). `ncols` covers the empty-table case.
+    /// 4,096 rows). `ncols` covers the empty-table case.
     pub fn build(rows: &[Vec<Value>], ncols: usize, generation: u64) -> TableStats {
         let n = rows.len();
         let stride = n.div_ceil(SAMPLE_CAP).max(1);
@@ -411,11 +407,11 @@ mod tests {
         for a in &tricky {
             for b in &tricky {
                 if a.sql_cmp(b) == Some(Ordering::Equal) {
-                    assert_eq!(StatKey::of(a), StatKey::of(b), "{a:?} vs {b:?}");
+                    assert_eq!(KeyRef::of(a), KeyRef::of(b), "{a:?} vs {b:?}");
                 }
             }
         }
-        assert_eq!(StatKey::of(&Value::Null), None);
+        assert_eq!(KeyRef::of(&Value::Null), None);
     }
 
     #[test]

@@ -103,19 +103,31 @@ impl Value {
 }
 
 fn like_match(text: &[u8], pat: &[u8]) -> bool {
-    // Classic two-pointer wildcard match with backtracking on `%`.
+    // Classic two-pointer wildcard match with backtracking on `%`. Both
+    // are UTF-8: `_` and each backtrack step take one whole character of
+    // the text, so a literal byte of the pattern always meets the text at
+    // a character boundary.
+    let char_len = |t: usize| match text[t] {
+        0..0xC0 => 1,
+        0xC0..0xE0 => 2,
+        0xE0..0xF0 => 3,
+        _ => 4,
+    };
     let (mut t, mut p) = (0usize, 0usize);
     let (mut star_p, mut star_t) = (usize::MAX, 0usize);
     while t < text.len() {
-        if p < pat.len() && (pat[p] == b'_' || pat[p] == text[t]) {
-            t += 1;
-            p += 1;
-        } else if p < pat.len() && pat[p] == b'%' {
+        if p < pat.len() && pat[p] == b'%' {
             star_p = p;
             star_t = t;
             p += 1;
+        } else if p < pat.len() && pat[p] == b'_' {
+            t += char_len(t);
+            p += 1;
+        } else if p < pat.len() && pat[p] == text[t] {
+            t += 1;
+            p += 1;
         } else if star_p != usize::MAX {
-            star_t += 1;
+            star_t += char_len(star_t);
             t = star_t;
             p = star_p + 1;
         } else {
@@ -179,6 +191,12 @@ mod tests {
         assert!(v.like("COMPUTE-%")); // case-insensitive
         assert!(!v.like("compute-1-%"));
         assert!(!v.like("compute-0-_"));
+        // `_` is one character, however many bytes it takes.
+        assert!(Value::from("café").like("caf_"));
+        assert!(!Value::from("é").like("__"));
+        assert!(!Value::from("é").like("%__"));
+        // A `%` in the pattern is a wildcard even where the text has one.
+        assert!(Value::from("a%b").like("a%"));
         assert!(!Value::Null.like("%"));
         assert!(Value::Text("".into()).like("%"));
         assert!(!Value::Text("".into()).like("_"));

@@ -95,7 +95,7 @@ fn frame_crc(frame: &[u8]) -> u32 {
 
 /// Appends frames to the log file. Nothing is durable until
 /// [`sync`](Self::sync).
-pub struct WalWriter {
+pub(crate) struct WalWriter {
     file: Box<dyn DiskFile>,
     len: u64,
 }
@@ -109,22 +109,17 @@ impl std::fmt::Debug for WalWriter {
 impl WalWriter {
     /// Wrap an open log file whose valid length is `len` (recovery
     /// truncates the file to the committed prefix before handing it over).
-    pub fn new(file: Box<dyn DiskFile>, len: u64) -> Self {
+    pub(crate) fn new(file: Box<dyn DiskFile>, len: u64) -> Self {
         WalWriter { file, len }
     }
 
     /// Current log length in bytes.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.len
     }
 
-    /// True when the log holds no frames.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Append one frame (buffered). Returns the encoded size.
-    pub fn append(&mut self, rec: &WalRecord<'_>) -> DiskResult<u64> {
+    pub(crate) fn append(&mut self, rec: &WalRecord<'_>) -> DiskResult<u64> {
         let frame = encode_frame(rec);
         self.file.write_at(self.len, &frame)?;
         self.len += frame.len() as u64;
@@ -132,20 +127,20 @@ impl WalWriter {
     }
 
     /// Make everything appended so far durable.
-    pub fn sync(&mut self) -> DiskResult<()> {
+    pub(crate) fn sync(&mut self) -> DiskResult<()> {
         self.file.sync()
     }
 
     /// Discard the log tail beyond `len` (rollback and post-checkpoint
     /// truncation).
-    pub fn truncate_to(&mut self, len: u64) -> DiskResult<()> {
+    pub(crate) fn truncate_to(&mut self, len: u64) -> DiskResult<()> {
         self.file.truncate(len)?;
         self.len = len;
         Ok(())
     }
 }
 
-/// One committed transaction as reconstructed by [`scan`].
+/// One committed transaction as reconstructed by [`scan_bytes`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommittedTxn {
     /// Commit sequence number.
@@ -179,7 +174,7 @@ pub struct WalScan {
 /// looked like. The scan never fails on tail damage — damage is *data*
 /// (the recovered state is simply the committed prefix); it only errors
 /// on I/O problems reading the file.
-pub fn scan(file: &dyn DiskFile) -> DiskResult<WalScan> {
+pub(crate) fn scan(file: &dyn DiskFile) -> DiskResult<WalScan> {
     let len = file.len()? as usize;
     let mut bytes = vec![0u8; len];
     if len > 0 {
@@ -188,8 +183,8 @@ pub fn scan(file: &dyn DiskFile) -> DiskResult<WalScan> {
     Ok(scan_bytes(&bytes))
 }
 
-/// [`scan`] over an in-memory image (exposed for the edge-case tests,
-/// which hand-craft log bytes).
+/// Scan an in-memory log image (public for the edge-case tests, which
+/// hand-craft log bytes).
 pub fn scan_bytes(bytes: &[u8]) -> WalScan {
     let mut out = WalScan::default();
     let mut pos = 0usize;

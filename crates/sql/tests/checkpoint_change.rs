@@ -7,10 +7,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rocks_sql::disk::{crc32, CrashPlan};
 use rocks_sql::durable::{fingerprint_database, DurableDatabase};
-use rocks_sql::pager::{PAGE_PAYLOAD, PAGE_SIZE};
-use rocks_sql::{DurableError, MemVfs, RecoveryError, SqlError, Value, Vfs};
+use rocks_sql::{
+    crc32, CrashPlan, DurableError, MemVfs, RecoveryError, SqlError, Value, Vfs, PAGE_PAYLOAD,
+    PAGE_SIZE,
+};
 
 const TABLES: [&str; 2] = ["nodes", "aux"];
 

@@ -3,12 +3,19 @@
 //! each survivor, and hold the recovery invariants (recovered state is a
 //! committed prefix; replay is idempotent). The sweep must cover at
 //! least a thousand distinct kill points and report zero violations.
+//! The harness, with its own unit tests, is the `crashtest` module beside
+//! this file; it drives the engine through the public API only.
 
-use rocks_sql::crashtest;
+mod crashtest;
 
 #[test]
 fn thousand_crash_points_zero_violations() {
     let report = crashtest::sweep(0xC1A5_5E5D, 10);
+    println!(
+        "crash sweep: {} kill points, {} violations",
+        report.crash_points,
+        report.violations.len()
+    );
 
     assert!(
         report.crash_points >= 1000,

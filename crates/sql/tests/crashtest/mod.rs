@@ -23,14 +23,13 @@
 //! Every violation is recorded as a human-readable string rather than
 //! panicking, so one sweep reports all damage at once.
 
-use crate::disk::{CrashPlan, DiskError, MemVfs};
-use crate::durable::{DurableDatabase, DurableError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rocks_sql::{CrashPlan, DiskError, DurableDatabase, DurableError, MemVfs};
 
 /// One scripted action against the engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Step {
+pub(crate) enum Step {
     /// Auto-commit statement (or in-txn statement when one is open).
     Stmt(String),
     /// Open an explicit transaction.
@@ -51,7 +50,7 @@ pub enum Step {
 /// a tree of many leaves: rows that outgrow their leaf, DELETEs in the
 /// middle and at the tail. Their checkpoints rewrite a few leaves of a
 /// dozen and land on pages an earlier checkpoint freed.
-pub fn workload(seed: u64) -> Vec<Step> {
+pub(crate) fn workload(seed: u64) -> Vec<Step> {
     let mut rng = StdRng::seed_from_u64(seed);
     let padded = seed % 2 == 1;
     // Even seeds draw nothing for it: their workloads are what they
@@ -166,10 +165,9 @@ struct GoldenCommit {
     ops_after: u64,
 }
 
-/// Aggregate result of a sweep, suitable for both test assertions and
-/// the benchmark report.
+/// Aggregate result of a sweep.
 #[derive(Debug, Clone, Default)]
-pub struct CrashSweepReport {
+pub(crate) struct CrashSweepReport {
     /// Seeds swept.
     pub seeds: u64,
     /// Individual crash points exercised (one per mutation op per seed).
@@ -202,7 +200,7 @@ impl CrashSweepReport {
 }
 
 /// Sweep every crash point of one seed's workload.
-pub fn sweep_seed(seed: u64) -> CrashSweepReport {
+pub(crate) fn sweep_seed(seed: u64) -> CrashSweepReport {
     let steps = workload(seed);
     let mut report = CrashSweepReport { seeds: 1, ..Default::default() };
 
@@ -350,9 +348,8 @@ fn check_survivor(
     }
 }
 
-/// Sweep a batch of seeds. `0..n` with a base offset keeps pinned suites
-/// and the benchmark on disjoint but reproducible seed ranges.
-pub fn sweep(base_seed: u64, seeds: u64) -> CrashSweepReport {
+/// Sweep a batch of seeds: `base_seed..base_seed + seeds`.
+pub(crate) fn sweep(base_seed: u64, seeds: u64) -> CrashSweepReport {
     let mut total = CrashSweepReport::default();
     for s in 0..seeds {
         total.absorb(sweep_seed(base_seed + s));
@@ -393,7 +390,7 @@ mod tests {
     /// many leaves and into freed pages; hold them to it.
     #[test]
     fn padded_workloads_span_leaves_and_reuse_freed_pages() {
-        use crate::pager::PAGE_SIZE;
+        use rocks_sql::PAGE_SIZE;
         for seed in (1..16).step_by(2) {
             let vfs = MemVfs::new();
             let mut db = DurableDatabase::open(&vfs).unwrap();

@@ -7,8 +7,7 @@
 
 use proptest::collection;
 use proptest::prelude::*;
-use rocks_sql::lexer::{lex, Token};
-use rocks_sql::{Database, DurableDatabase, MemVfs, SqlError, Value};
+use rocks_sql::{lex, Database, DurableDatabase, MemVfs, SqlError, Token, Value};
 use std::borrow::Cow;
 
 /// `s` as a literal in `quote`, each quote inside doubled.
@@ -96,6 +95,13 @@ fn check_reads(db: &Database, stage: &str) {
     assert_eq!(names(&format!("select name from t where name = '{TEXT}'")), want, "{stage}: =");
     assert_eq!(names("select name from t where name like 'café%'"), want, "{stage}: LIKE");
     assert_eq!(names("select name from t where name like '%ü ☀ 𝄞'"), want, "{stage}: LIKE");
+    // `_` is one character, however many bytes it takes, and so is each
+    // step a `%` backs off.
+    assert_eq!(names("select name from t where name like 'caf_-_ _ _'"), want, "{stage}: LIKE _");
+    assert_eq!(names("select name from t where name like '%-_ ☀ %'"), want, "{stage}: LIKE %_");
+    assert_eq!(names("select name from t where name like '%_ _'"), want, "{stage}: LIKE %_");
+    let none = names("select name from t where name like '%-__ ☀ 𝄞' or name like 'caf__-%'");
+    assert!(none.is_empty(), "{stage}: `_` took a byte, not a character: {none:?}");
     let sql = format!("select name from t where name in ('x', '{TEXT}')");
     assert_eq!(names(&sql), want, "{stage}: IN");
     assert_eq!(

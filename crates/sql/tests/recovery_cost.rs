@@ -20,10 +20,7 @@
 //! costs 10 (see [`INSERT_ALLOCATIONS`]), and replaying it from the log
 //! costs no more.
 
-use rocks_sql::lexer::lex;
-use rocks_sql::pager::PAGE_SIZE;
-use rocks_sql::parser::parse;
-use rocks_sql::{DurableDatabase, MemVfs, Statement, Value};
+use rocks_sql::{lex, parse, DurableDatabase, MemVfs, Statement, Value, PAGE_SIZE};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

@@ -5,9 +5,10 @@
 //! statistics were warm — and what the planner saves, as the rows each
 //! plan examines.
 
-use rocks_sql::disk::{CrashPlan, DiskError, MemVfs};
 use rocks_sql::durable::{DurableDatabase, DurableError};
-use rocks_sql::{ColumnType, Database, ExecOutcome, QueryResult, Table, Value};
+use rocks_sql::{
+    ColumnType, CrashPlan, Database, DiskError, ExecOutcome, MemVfs, QueryResult, Table, Value,
+};
 
 /// The plan text, through `execute`: the EXPLAIN stays out of the
 /// statement cache, so it moves no plan-cache count.

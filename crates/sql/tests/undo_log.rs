@@ -5,8 +5,7 @@
 //! checked against the scan path afterwards.
 
 use proptest::prelude::*;
-use rocks_sql::disk::CrashPlan;
-use rocks_sql::{DiskError, DurableDatabase, DurableError, MemVfs, Value};
+use rocks_sql::{CrashPlan, DiskError, DurableDatabase, DurableError, MemVfs, Value};
 
 /// A durable `nodes` table of `rows` rows (ids `0..rows`, eight to a
 /// rack), loaded in one transaction.

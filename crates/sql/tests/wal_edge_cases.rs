@@ -3,10 +3,9 @@
 //! mid-write, recovery idempotence — and the plan-cache regression
 //! guard (a cached plan must never serve rolled-back rows).
 
-use rocks_sql::disk::CrashPlan;
 use rocks_sql::durable::DurableDatabase;
 use rocks_sql::wal::{self, WalRecord};
-use rocks_sql::{DurableError, MemVfs};
+use rocks_sql::{CrashPlan, DurableError, MemVfs};
 
 const SETUP: &[&str] = &[
     "create table nodes (id int, name text, rack int)",

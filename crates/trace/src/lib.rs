@@ -20,8 +20,8 @@
 //!   tracer ([`Tracer::disabled`]) whose every operation inlines to an
 //!   early return on a `None` — the zero-cost-when-off configuration.
 
-pub mod metrics;
-pub mod sink;
+mod metrics;
+mod sink;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot};
 pub use sink::TraceDump;

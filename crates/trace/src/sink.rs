@@ -1,6 +1,6 @@
 //! Trace sinks and dump rendering.
 //!
-//! A [`TraceDump`](crate::TraceDump) is a frozen copy of everything a
+//! A [`TraceDump`] is a frozen copy of everything a
 //! tracer captured: the ordered event stream from the ring buffer plus
 //! a metrics snapshot. Two renderings exist:
 //!

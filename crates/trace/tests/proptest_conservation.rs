@@ -11,9 +11,8 @@ use proptest::prelude::*;
 use rocks_db::insert_ethers::{register_frontend, DhcpRequest, InsertEthers};
 use rocks_db::ClusterDb;
 use rocks_kickstart::{GenerationService, KickstartGenerator};
-use rocks_netsim::chaos::ChaosPlan;
-use rocks_netsim::cluster::ClusterSim;
 use rocks_netsim::SimConfig;
+use rocks_netsim::{ChaosPlan, ClusterSim};
 use rocks_trace::{EventKind, Tracer};
 
 fn provision(n: usize) -> ClusterDb {

@@ -5,7 +5,7 @@
 /// Only `&`, `<`, and `>` need escaping in character data (`>` strictly
 /// only inside `]]>`, but escaping it unconditionally is always valid and
 /// keeps the output unambiguous).
-pub fn escape_text(s: &str) -> String {
+pub(crate) fn escape_text(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -19,7 +19,7 @@ pub fn escape_text(s: &str) -> String {
 }
 
 /// Escape text for use inside a double-quoted attribute value.
-pub fn escape_attr(s: &str) -> String {
+pub(crate) fn escape_attr(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -37,7 +37,7 @@ pub fn escape_attr(s: &str) -> String {
 /// Resolve a single entity name (the text between `&` and `;`) to its
 /// character, handling the five predefined entities plus decimal and
 /// hexadecimal character references. Returns `None` for unknown entities.
-pub fn resolve_entity(name: &str) -> Option<char> {
+pub(crate) fn resolve_entity(name: &str) -> Option<char> {
     match name {
         "amp" => Some('&'),
         "lt" => Some('<'),

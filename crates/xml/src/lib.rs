@@ -7,10 +7,10 @@
 //! behaviour with a framework of small XML files. This crate provides the
 //! three layers that framework needs:
 //!
-//! * [`pull`] — a streaming pull parser producing [`pull::Event`]s,
-//! * [`dom`] — a tree representation ([`Document`], [`Element`], [`Node`])
+//! * [`Parser`] — a streaming pull parser producing [`Event`]s,
+//! * a tree representation ([`Document`], [`Element`], [`Node`])
 //!   built on top of the pull parser,
-//! * [`writer`] — serialization back to text with correct escaping.
+//! * [`write_document`] — serialization back to text with correct escaping.
 //!
 //! The parser handles the subset of XML 1.0 that configuration files use:
 //! elements, attributes, character data, comments, CDATA sections, the XML
@@ -31,10 +31,10 @@
 //! assert_eq!(root.child("package").unwrap().text(), "dhcp");
 //! ```
 
-pub mod dom;
-pub mod escape;
-pub mod pull;
-pub mod writer;
+mod dom;
+mod escape;
+mod pull;
+mod writer;
 
 pub use dom::{Document, Element, Node, MAX_DEPTH};
 pub use pull::{Event, Parser};

@@ -4,8 +4,8 @@
 //!
 //! Run with: `cargo run --example campus_distro`
 
-use rocks::dist::hierarchy::{build_chain, Level};
 use rocks::dist::Distribution;
+use rocks::dist::{build_chain, Level};
 use rocks::rpm::{synth, Arch, Package, Repository, UpdateStream};
 
 fn main() {

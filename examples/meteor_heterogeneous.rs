@@ -67,5 +67,5 @@ fn main() {
 
     // The graph itself is inspectable — Figure 4's visualization.
     println!("\nGraphviz source for the (customized) configuration graph:");
-    println!("{}", rocks::kickstart::dot::to_dot(&generator.profiles().graph));
+    println!("{}", rocks::kickstart::to_dot(&generator.profiles().graph));
 }

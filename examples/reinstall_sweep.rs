@@ -4,8 +4,8 @@
 //!
 //! Run with: `cargo run --release --example reinstall_sweep`
 
-use rocks::netsim::cluster::{max_full_speed_concurrency, serial_download_benchmark, ClusterSim};
 use rocks::netsim::SimConfig;
+use rocks::netsim::{max_full_speed_concurrency, serial_download_benchmark, ClusterSim};
 
 const PAPER: &[(usize, f64)] = &[(1, 10.3), (2, 9.8), (4, 10.1), (8, 10.4), (16, 11.1), (32, 13.7)];
 

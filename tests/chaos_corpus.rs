@@ -13,12 +13,10 @@
 use rocks::db::insert_ethers::{register_frontend, DhcpRequest, InsertEthers};
 use rocks::db::{reports, ClusterDb, DbError};
 use rocks::kickstart::{profiles, GenerationService, KickstartGenerator};
-use rocks::netsim::chaos::{run_plan, standard_invariants, ChaosPlan};
-use rocks::netsim::cluster::{ClusterSim, Fault};
-use rocks::netsim::config::RetryPolicy;
+use rocks::netsim::{run_plan, standard_invariants, ChaosPlan, ClusterSim, Fault, RetryPolicy};
 use rocks::netsim::{EngineMode, SimConfig};
 use rocks::rpm::Arch;
-use rocks::sql::disk::CrashPlan;
+use rocks::sql::CrashPlan;
 use rocks::sql::{DiskError, DurableError, MemVfs};
 
 /// `(seed, nodes, completed, unrecoverable, total attempts, failovers)`.
@@ -333,7 +331,7 @@ fn rollout_server_flap_mid_wave_pauses_exactly_the_outage() {
     for i in 0..6 {
         s.qsub(&format!("j{i}"), 2, 400.0).unwrap();
     }
-    rocks::pbs::scheduler::schedule(&mut s);
+    rocks::pbs::schedule(&mut s);
     let mut backend = rocks::pbs::FixedInstall { seconds: 600.0, bytes: 5_000 };
     let out = run_rollout_scenario(
         &mut s,
@@ -359,7 +357,7 @@ fn rollout_job_burst_during_drain_keeps_flowing() {
     for i in 0..4 {
         s.qsub(&format!("pre{i}"), 2, 500.0).unwrap();
     }
-    rocks::pbs::scheduler::schedule(&mut s);
+    rocks::pbs::schedule(&mut s);
     let mut backend = rocks::pbs::FixedInstall { seconds: 600.0, bytes: 5_000 };
     let out = run_rollout_scenario(
         &mut s,
@@ -386,7 +384,7 @@ fn rollout_straggler_hits_watchdog_failover_once() {
     // untouched.
     let mut s = rollout_server(8);
     s.qsub("w", 4, 300.0).unwrap();
-    rocks::pbs::scheduler::schedule(&mut s);
+    rocks::pbs::schedule(&mut s);
     let mut backend = rocks::pbs::FixedInstall { seconds: 600.0, bytes: 5_000 };
     let out = run_rollout_scenario(
         &mut s,
@@ -411,7 +409,7 @@ fn rollout_netsim_backed_flap_plus_burst_replays_exactly() {
     for i in 0..4 {
         s.qsub(&format!("pre{i}"), 3, 600.0).unwrap();
     }
-    rocks::pbs::scheduler::schedule(&mut s);
+    rocks::pbs::schedule(&mut s);
     let mut backend = rocks::netsim::NetsimInstallBackend::new(
         rocks::netsim::SimConfig::paper_testbed(7).bundled(6),
     );

@@ -2,7 +2,7 @@
 //! recovered by the PDU, and the NFS common-mode failure — plus the
 //! retrying install protocol riding out outages that never end.
 
-use rocks::netsim::cluster::Fault;
+use rocks::netsim::Fault;
 use rocks::netsim::{ClusterSim, NodeState, ReinstallError, RetryPolicy, SimConfig};
 use rocks::services::{MountError, NfsServer};
 

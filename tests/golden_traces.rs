@@ -14,8 +14,7 @@
 //! ```
 
 use rocks::core::Cluster;
-use rocks::netsim::chaos::ChaosPlan;
-use rocks::netsim::cluster::ClusterSim;
+use rocks::netsim::{ChaosPlan, ClusterSim};
 use rocks::netsim::{EngineMode, SimConfig};
 use rocks::trace::Tracer;
 use std::path::PathBuf;

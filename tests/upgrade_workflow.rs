@@ -75,8 +75,8 @@ fn hierarchy_rebuild_reaches_department_clusters() {
     // A security fix lands at the vendor; a campus and a department both
     // rebuild; a cluster running the department distro picks it up on
     // reinstall.
-    use rocks::dist::hierarchy::{build_chain, Level};
     use rocks::dist::Distribution;
+    use rocks::dist::{build_chain, Level};
 
     let vendor = Distribution::stock("redhat-7.2", synth::redhat72(13));
     let mut fix = Repository::new("rhsa");
