@@ -55,7 +55,7 @@ pub struct Cluster {
     pub nis: NisDomain,
     /// NFS home-directory server.
     pub nfs: NfsServer,
-    agents: BTreeMap<String, NodeAgent>,
+    pub(crate) agents: BTreeMap<String, NodeAgent>,
     images: BTreeMap<String, NodeImage>,
     /// Seed for simulated installs (deterministic experiments).
     pub sim_seed: u64,
@@ -213,14 +213,6 @@ impl Cluster {
     /// The node's execution agent (tests and tools use this).
     pub fn agent(&self, node: &str) -> Option<&NodeAgent> {
         self.agents.get(node)
-    }
-
-    /// All agents for a set of node names, failing on unknowns.
-    pub(crate) fn agents_for(&self, names: &[String]) -> Result<Vec<&NodeAgent>> {
-        names
-            .iter()
-            .map(|n| self.agents.get(n).ok_or_else(|| RocksError::NoSuchNode(n.clone())))
-            .collect()
     }
 
     /// Simulation configuration for installs from the *current*

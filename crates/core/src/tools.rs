@@ -7,8 +7,8 @@
 //! cluster-kill."
 
 use crate::cluster::Cluster;
-use crate::Result;
-use rocks_rexec::{ExecEnv, ParallelResult, Rexec};
+use crate::{Result, RocksError};
+use rocks_rexec::{ExecEnv, ParallelResult};
 
 /// Run `command` on the nodes a SQL query selects (first column = node
 /// names). With `query = None`, all compute nodes are targeted — the
@@ -22,9 +22,8 @@ pub fn cluster_fork(
         Some(q) => cluster.db.query_names(q)?,
         None => cluster.compute_node_names()?,
     };
-    let agents = cluster.agents_for(&names)?;
-    let rexec = Rexec::new(agents);
-    Ok(rexec.run(command, &ExecEnv::default()))
+    rocks_rexec::run(&mut cluster.agents, &names, command, &ExecEnv::default())
+        .map_err(RocksError::NoSuchNode)
 }
 
 /// A cluster status summary straight from the database: node counts per
@@ -61,6 +60,7 @@ pub fn cluster_kill(
 mod tests {
     use super::*;
     use crate::cluster::Cluster;
+    use rocks_rexec::{Signal, Stream};
 
     fn cluster_with_nodes() -> Cluster {
         let mut cluster = Cluster::install_frontend("00:30:c1:d8:ac:80", 1).unwrap();
@@ -91,13 +91,35 @@ mod tests {
     }
 
     #[test]
+    fn signal_interrupts_every_selected_node() {
+        // §4.1's "remote forwarding of signals", over cluster-fork's
+        // default selection.
+        let mut cluster = cluster_with_nodes();
+        let names = cluster.compute_node_names().unwrap();
+        let mut job =
+            rocks_rexec::dispatch(&mut cluster.agents, &names, "sleep 30000", &ExecEnv::default())
+                .unwrap();
+        job.signal(Signal::Int);
+        let result = job.wait();
+        assert_eq!(result.exits.len(), 4);
+        for (node, exit) in &result.exits {
+            assert_eq!(*exit, 130, "{node}");
+            let stderr: Vec<&str> = result
+                .output
+                .iter()
+                .filter(|o| o.node == *node && o.stream == Stream::Stderr)
+                .map(|o| o.line.as_str())
+                .collect();
+            assert_eq!(stderr, vec![format!("{node}: interrupted")]);
+        }
+    }
+
+    #[test]
     fn paper_example_kill_by_rack() {
         // §6.4: "cluster-kill --query=\"select name from nodes where
         // rack=1\" bad-job"
         let mut cluster = cluster_with_nodes();
-        for name in cluster.compute_node_names().unwrap() {
-            cluster.agent(&name).unwrap().spawn_process("bad-job");
-        }
+        cluster_fork(&mut cluster, None, "start bad-job").unwrap();
         let result =
             cluster_kill(&mut cluster, Some("select name from nodes where rack=1"), "bad-job")
                 .unwrap();
@@ -112,9 +134,7 @@ mod tests {
     fn paper_example_kill_by_membership_join() {
         // §6.4's multi-table join, verbatim.
         let mut cluster = cluster_with_nodes();
-        for name in cluster.compute_node_names().unwrap() {
-            cluster.agent(&name).unwrap().spawn_process("bad-job");
-        }
+        cluster_fork(&mut cluster, None, "start bad-job").unwrap();
         let result = cluster_kill(
             &mut cluster,
             Some(

@@ -328,7 +328,8 @@ mod tests {
         for pkg in dist.repo().iter() {
             if updates.get(&pkg.name, pkg.arch).map(|u| u.evr == pkg.evr).unwrap_or(false) {
                 let path = Distribution::rpm_path(&dist.name, pkg);
-                assert!(matches!(dist.tree.get(&path), Some(Entry::File { .. })));
+                let entry = dist.tree.under(&path).next();
+                assert!(matches!(entry, Some((p, Entry::File { .. })) if p == path));
             }
         }
     }

@@ -61,11 +61,6 @@ impl DistTree {
         self.insert(path, Entry::Link { target: target.to_string() });
     }
 
-    /// Look up an entry.
-    pub fn get(&self, path: &str) -> Option<&Entry> {
-        self.entries.get(path)
-    }
-
     /// Whether the path exists (as any entry type).
     pub fn contains(&self, path: &str) -> bool {
         self.entries.contains_key(path)
@@ -115,42 +110,6 @@ impl DistTree {
             })
             .sum()
     }
-
-    /// Total logical bytes when links are chased into `parent_sizes`
-    /// (a map from parent path → size).
-    pub fn logical_bytes(&self, parent_sizes: &BTreeMap<String, u64>) -> u64 {
-        self.entries
-            .values()
-            .map(|e| match e {
-                Entry::File { bytes } => *bytes,
-                Entry::Link { target } => parent_sizes.get(target).copied().unwrap_or(0),
-                Entry::Dir => 0,
-            })
-            .sum()
-    }
-
-    /// Render an `ls -R`-style listing (used by `reproduce fig5`).
-    pub fn render_listing(&self) -> String {
-        let mut out = String::new();
-        for (path, entry) in &self.entries {
-            match entry {
-                Entry::Dir => out.push_str(&format!("{path}/\n")),
-                Entry::File { bytes } => out.push_str(&format!("{path} ({bytes} bytes)\n")),
-                Entry::Link { target } => out.push_str(&format!("{path} -> {target}\n")),
-            }
-        }
-        out
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -161,8 +120,17 @@ mod tests {
     fn implicit_parent_directories() {
         let mut tree = DistTree::new();
         tree.add_file("rocks-dist/i386/RedHat/RPMS/glibc-2.2.4-19.i386.rpm", 100);
-        assert_eq!(tree.get("rocks-dist"), Some(&Entry::Dir));
-        assert_eq!(tree.get("rocks-dist/i386/RedHat"), Some(&Entry::Dir));
+        let dirs: Vec<&str> =
+            tree.under("").filter(|(_, e)| **e == Entry::Dir).map(|(p, _)| p).collect();
+        assert_eq!(
+            dirs,
+            [
+                "rocks-dist",
+                "rocks-dist/i386",
+                "rocks-dist/i386/RedHat",
+                "rocks-dist/i386/RedHat/RPMS"
+            ]
+        );
         assert_eq!(tree.counts(), (4, 1, 0));
     }
 
@@ -172,9 +140,6 @@ mod tests {
         tree.add_file("d/build/graph.xml", 1000);
         tree.add_link("d/RPMS/big.rpm", "parent/RPMS/big.rpm");
         assert_eq!(tree.materialized_bytes(), 1000);
-        let mut parent_sizes = BTreeMap::new();
-        parent_sizes.insert("parent/RPMS/big.rpm".to_string(), 50_000u64);
-        assert_eq!(tree.logical_bytes(&parent_sizes), 51_000);
     }
 
     #[test]
@@ -195,16 +160,5 @@ mod tests {
         tree.add_file("d/ia64/c.rpm", 3);
         let i386: Vec<&str> = tree.under("d/i386/").map(|(p, _)| p).collect();
         assert_eq!(i386, vec!["d/i386/a.rpm", "d/i386/b.rpm"]);
-    }
-
-    #[test]
-    fn listing_is_sorted_and_complete() {
-        let mut tree = DistTree::new();
-        tree.add_file("z/file", 9);
-        tree.add_link("a/link", "elsewhere");
-        let listing = tree.render_listing();
-        let a_pos = listing.find("a/link -> elsewhere").unwrap();
-        let z_pos = listing.find("z/file (9 bytes)").unwrap();
-        assert!(a_pos < z_pos);
     }
 }

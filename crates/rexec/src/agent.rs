@@ -1,11 +1,7 @@
-//! Per-node agents: a thread with a small command interpreter and a
-//! process table.
+//! Per-node agents: a process table and a small command interpreter.
 
+use crate::exec::Stream;
 use std::collections::BTreeMap;
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Signals forwardable to remote processes (the REXEC feature the paper
 /// calls out).
@@ -19,43 +15,21 @@ pub enum Signal {
     Kill,
 }
 
-/// A request sent to the agent thread.
-pub(crate) struct ExecRequest {
-    pub command: String,
-    pub env: BTreeMap<String, String>,
-    pub stdout: Sender<String>,
-    pub stderr: Sender<String>,
-    pub signals: Receiver<Signal>,
-    pub done: Sender<i32>,
-}
-
-/// A simulated cluster node: hostname, environment, process table, and a
-/// worker thread interpreting commands.
+/// A simulated cluster node: its hostname and process table. Commands run
+/// on the caller's thread, one at a time, through the node's interpreter.
+#[derive(Debug)]
 pub struct NodeAgent {
     name: String,
-    tx: Sender<ExecRequest>,
     /// Long-lived "processes" on the node — what cluster-kill targets.
-    procs: Arc<Mutex<BTreeMap<u32, String>>>,
-    next_pid: Arc<Mutex<u32>>,
-    worker: Option<JoinHandle<()>>,
+    procs: BTreeMap<u32, String>,
+    next_pid: u32,
 }
 
 impl NodeAgent {
-    /// Start an agent named `name` (the node's hostname).
+    /// A freshly booted node named `name` (its hostname), with an empty
+    /// process table.
     pub fn start(name: &str) -> NodeAgent {
-        let (tx, rx) = channel::<ExecRequest>();
-        let procs: Arc<Mutex<BTreeMap<u32, String>>> = Arc::new(Mutex::new(BTreeMap::new()));
-        let next_pid = Arc::new(Mutex::new(1000u32));
-        let worker_name = name.to_string();
-        let worker_procs = Arc::clone(&procs);
-        let worker_next_pid = Arc::clone(&next_pid);
-        let worker = std::thread::spawn(move || {
-            while let Ok(request) = rx.recv() {
-                let exit = interpret(&worker_name, &worker_procs, &worker_next_pid, &request);
-                let _ = request.done.send(exit);
-            }
-        });
-        NodeAgent { name: name.to_string(), tx, procs, next_pid, worker: Some(worker) }
+        NodeAgent { name: name.to_string(), procs: BTreeMap::new(), next_pid: 1000 }
     }
 
     /// The node's hostname.
@@ -63,259 +37,218 @@ impl NodeAgent {
         &self.name
     }
 
-    /// Submit a command (used by [`crate::exec::Rexec`]).
-    pub(crate) fn submit(&self, request: ExecRequest) {
-        let _ = self.tx.send(request);
-    }
-
-    /// Directly spawn a background "process" (test setup for
-    /// cluster-kill scenarios).
-    pub fn spawn_process(&self, name: &str) -> u32 {
-        let mut pid_slot = self.next_pid.lock().expect("pid lock");
-        *pid_slot += 1;
-        let pid = *pid_slot;
-        self.procs.lock().expect("process table lock").insert(pid, name.to_string());
-        pid
-    }
-
     /// Names of processes currently on the node.
     pub fn process_names(&self) -> Vec<String> {
-        self.procs.lock().expect("process table lock").values().cloned().collect()
+        self.procs.values().cloned().collect()
     }
-}
 
-impl Drop for NodeAgent {
-    fn drop(&mut self) {
-        // Close the request channel, then join the worker.
-        let (tx, _rx) = channel();
-        self.tx = tx;
-        if let Some(handle) = self.worker.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// The command interpreter. Commands mirror the small utilities Rocks
-/// administrators run across nodes:
-///
-/// * `hostname` — print the node name,
-/// * `echo ...` — print arguments,
-/// * `printenv [VAR]` — show the propagated environment,
-/// * `ps` — list the process table,
-/// * `start <name>` — register a long-running process,
-/// * `pkill <name>` — kill matching processes, print the count,
-/// * `sleep <ms>` — sleep, interruptible by a forwarded signal,
-/// * `false` — exit 1,
-/// * anything else — exit 127 with an error on stderr.
-fn interpret(
-    node: &str,
-    procs: &Arc<Mutex<BTreeMap<u32, String>>>,
-    next_pid: &Arc<Mutex<u32>>,
-    request: &ExecRequest,
-) -> i32 {
-    let mut parts = request.command.split_whitespace();
-    let program = parts.next().unwrap_or("");
-    let args: Vec<&str> = parts.collect();
-    match program {
-        "hostname" => {
-            let _ = request.stdout.send(node.to_string());
-            0
-        }
-        "echo" => {
-            let _ = request.stdout.send(args.join(" "));
-            0
-        }
-        "printenv" => match args.first() {
-            Some(var) => match request.env.get(*var) {
-                Some(value) => {
-                    let _ = request.stdout.send(value.clone());
-                    0
-                }
-                None => 1,
-            },
-            None => {
-                for (k, v) in &request.env {
-                    let _ = request.stdout.send(format!("{k}={v}"));
-                }
-                0
+    /// The command interpreter. Commands mirror the small utilities Rocks
+    /// administrators run across nodes:
+    ///
+    /// * `hostname` — print the node name,
+    /// * `echo ...` — print arguments,
+    /// * `printenv [VAR]` — show the propagated environment,
+    /// * `ps` — list the process table,
+    /// * `start <name>` — register a long-running process, print its pid,
+    /// * `pkill <name>` — kill matching processes, print the count,
+    /// * `sleep <ms>` — sleep until the job is waited on or signalled,
+    /// * `false` — exit 1,
+    /// * anything else — exit 127 with an error on stderr.
+    ///
+    /// Returns the lines the command wrote, in order, and its exit code:
+    /// `None` while a `sleep` is still running. A sleep's length is
+    /// virtual, so nothing here waits.
+    pub(crate) fn interpret(
+        &mut self,
+        command: &str,
+        env: &BTreeMap<String, String>,
+    ) -> (Vec<(Stream, String)>, Option<i32>) {
+        use Stream::{Stderr, Stdout};
+        let mut parts = command.split_whitespace();
+        let program = parts.next().unwrap_or("");
+        let args: Vec<&str> = parts.collect();
+        let mut lines = Vec::new();
+        let exit = match program {
+            "hostname" => {
+                lines.push((Stdout, self.name.clone()));
+                Some(0)
             }
-        },
-        "ps" => {
-            for (pid, name) in procs.lock().expect("process table lock").iter() {
-                let _ = request.stdout.send(format!("{pid} {name}"));
+            "echo" => {
+                lines.push((Stdout, args.join(" ")));
+                Some(0)
             }
-            0
-        }
-        "start" => match args.first() {
-            Some(name) => {
-                let mut pid_slot = next_pid.lock().expect("pid lock");
-                *pid_slot += 1;
-                let pid = *pid_slot;
-                procs.lock().expect("process table lock").insert(pid, name.to_string());
-                let _ = request.stdout.send(format!("{pid}"));
-                0
-            }
-            None => {
-                let _ = request.stderr.send("start: missing process name".into());
-                2
-            }
-        },
-        "pkill" => match args.first() {
-            Some(name) => {
-                let mut table = procs.lock().expect("process table lock");
-                let victims: Vec<u32> =
-                    table.iter().filter(|(_, n)| n == name).map(|(pid, _)| *pid).collect();
-                for pid in &victims {
-                    table.remove(pid);
-                }
-                let _ = request.stdout.send(format!("killed {}", victims.len()));
-                if victims.is_empty() {
-                    1
-                } else {
-                    0
-                }
-            }
-            None => {
-                let _ = request.stderr.send("pkill: missing pattern".into());
-                2
-            }
-        },
-        "sleep" => {
-            let ms: u64 = args.first().and_then(|a| a.parse().ok()).unwrap_or(0);
-            let deadline = std::time::Instant::now() + Duration::from_millis(ms);
-            while std::time::Instant::now() < deadline {
-                match request.signals.try_recv() {
-                    Ok(_signal) => {
-                        let _ = request.stderr.send(format!("{node}: interrupted"));
-                        return 130;
+            "printenv" => match args.first() {
+                Some(var) => match env.get(*var) {
+                    Some(value) => {
+                        lines.push((Stdout, value.clone()));
+                        Some(0)
                     }
-                    Err(TryRecvError::Empty) => std::thread::sleep(Duration::from_millis(1)),
-                    Err(TryRecvError::Disconnected) => break,
+                    None => Some(1),
+                },
+                None => {
+                    lines.extend(env.iter().map(|(k, v)| (Stdout, format!("{k}={v}"))));
+                    Some(0)
                 }
+            },
+            "ps" => {
+                lines
+                    .extend(self.procs.iter().map(|(pid, name)| (Stdout, format!("{pid} {name}"))));
+                Some(0)
             }
-            0
-        }
-        "false" => 1,
-        "" => 0,
-        other => {
-            let _ = request.stderr.send(format!("{node}: {other}: command not found"));
-            127
-        }
+            "start" => match args.first() {
+                Some(name) => {
+                    self.next_pid += 1;
+                    self.procs.insert(self.next_pid, name.to_string());
+                    lines.push((Stdout, self.next_pid.to_string()));
+                    Some(0)
+                }
+                None => {
+                    lines.push((Stderr, "start: missing process name".into()));
+                    Some(2)
+                }
+            },
+            "pkill" => match args.first() {
+                Some(name) => {
+                    let before = self.procs.len();
+                    self.procs.retain(|_, n| n != name);
+                    let killed = before - self.procs.len();
+                    lines.push((Stdout, format!("killed {killed}")));
+                    Some(if killed == 0 { 1 } else { 0 })
+                }
+                None => {
+                    lines.push((Stderr, "pkill: missing pattern".into()));
+                    Some(2)
+                }
+            },
+            "sleep" => match args.first().map(|ms| ms.parse::<u64>()) {
+                Some(Ok(0)) => Some(0),
+                Some(Ok(_)) => None,
+                _ => {
+                    lines.push((Stderr, "sleep: expected a duration in ms".into()));
+                    Some(2)
+                }
+            },
+            "false" => Some(1),
+            "" => Some(0),
+            other => {
+                lines.push((Stderr, format!("{}: {other}: command not found", self.name)));
+                Some(127)
+            }
+        };
+        (lines, exit)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{dispatch, ExecEnv, NodeOutput, RunningJob};
 
-    /// What one command execution produced on one node.
-    #[derive(Debug)]
-    struct AgentCommandOutcome {
-        /// Stdout lines in order.
-        stdout: Vec<String>,
-        /// Stderr lines in order.
-        stderr: Vec<String>,
-        /// Exit status (0 success; 130 signal-interrupted, like a shell).
-        exit: i32,
+    /// Lines of one stream, in order.
+    fn stream(lines: &[(Stream, String)], which: Stream) -> Vec<&str> {
+        lines.iter().filter(|(s, _)| *s == which).map(|(_, l)| l.as_str()).collect()
     }
 
-    fn run(agent: &NodeAgent, command: &str) -> AgentCommandOutcome {
-        run_env(agent, command, BTreeMap::new())
+    fn run(agent: &mut NodeAgent, command: &str) -> (Vec<(Stream, String)>, Option<i32>) {
+        agent.interpret(command, &BTreeMap::new())
     }
 
-    fn run_env(
-        agent: &NodeAgent,
-        command: &str,
-        env: BTreeMap<String, String>,
-    ) -> AgentCommandOutcome {
-        let (out_tx, out_rx) = channel();
-        let (err_tx, err_rx) = channel();
-        let (_sig_tx, sig_rx) = channel();
-        let (done_tx, done_rx) = channel();
-        agent.submit(ExecRequest {
-            command: command.to_string(),
-            env,
-            stdout: out_tx,
-            stderr: err_tx,
-            signals: sig_rx,
-            done: done_tx,
-        });
-        let exit = done_rx.recv_timeout(Duration::from_secs(5)).expect("command finishes");
-        AgentCommandOutcome {
-            stdout: out_rx.try_iter().collect(),
-            stderr: err_rx.try_iter().collect(),
-            exit,
-        }
+    /// `command` started on a one-node cluster named `n`.
+    fn job_on_one_node(command: &str) -> RunningJob {
+        let mut agents = BTreeMap::from([("n".to_string(), NodeAgent::start("n"))]);
+        dispatch(&mut agents, &["n".to_string()], command, &ExecEnv::default()).unwrap()
     }
 
     #[test]
     fn hostname_and_echo() {
-        let agent = NodeAgent::start("compute-0-3");
-        assert_eq!(run(&agent, "hostname").stdout, vec!["compute-0-3"]);
-        assert_eq!(run(&agent, "echo a b  c").stdout, vec!["a b c"]);
+        let mut agent = NodeAgent::start("compute-0-3");
+        assert_eq!(
+            run(&mut agent, "hostname"),
+            (vec![(Stream::Stdout, "compute-0-3".into())], Some(0))
+        );
+        assert_eq!(
+            run(&mut agent, "echo a b  c"),
+            (vec![(Stream::Stdout, "a b c".into())], Some(0))
+        );
     }
 
     #[test]
     fn env_propagation() {
-        let agent = NodeAgent::start("n");
+        let mut agent = NodeAgent::start("n");
         let mut env = BTreeMap::new();
         env.insert("USER".to_string(), "bruno".to_string());
         env.insert("PWD".to_string(), "/home/bruno".to_string());
-        let outcome = run_env(&agent, "printenv USER", env.clone());
-        assert_eq!(outcome.stdout, vec!["bruno"]);
-        let outcome = run_env(&agent, "printenv", env);
-        assert_eq!(outcome.stdout, vec!["PWD=/home/bruno", "USER=bruno"]);
-        assert_eq!(run(&agent, "printenv MISSING").exit, 1);
+        let (lines, exit) = agent.interpret("printenv USER", &env);
+        assert_eq!((stream(&lines, Stream::Stdout), exit), (vec!["bruno"], Some(0)));
+        let (lines, _) = agent.interpret("printenv", &env);
+        assert_eq!(stream(&lines, Stream::Stdout), vec!["PWD=/home/bruno", "USER=bruno"]);
+        assert_eq!(agent.interpret("printenv MISSING", &env), (vec![], Some(1)));
     }
 
     #[test]
     fn process_table_start_ps_pkill() {
-        let agent = NodeAgent::start("n");
-        run(&agent, "start bad-job");
-        run(&agent, "start bad-job");
-        run(&agent, "start good-job");
+        let mut agent = NodeAgent::start("n");
+        let (lines, _) = run(&mut agent, "start bad-job");
+        assert_eq!(stream(&lines, Stream::Stdout), vec!["1001"]);
+        run(&mut agent, "start bad-job");
+        run(&mut agent, "start good-job");
         assert_eq!(agent.process_names(), vec!["bad-job", "bad-job", "good-job"]);
-        let outcome = run(&agent, "pkill bad-job");
-        assert_eq!(outcome.stdout, vec!["killed 2"]);
-        assert_eq!(outcome.exit, 0);
+        let (lines, _) = run(&mut agent, "ps");
+        assert_eq!(
+            stream(&lines, Stream::Stdout),
+            vec!["1001 bad-job", "1002 bad-job", "1003 good-job"]
+        );
+        let (lines, exit) = run(&mut agent, "pkill bad-job");
+        assert_eq!((stream(&lines, Stream::Stdout), exit), (vec!["killed 2"], Some(0)));
         assert_eq!(agent.process_names(), vec!["good-job"]);
-        assert_eq!(run(&agent, "pkill bad-job").exit, 1); // nothing left
+        assert_eq!(run(&mut agent, "pkill bad-job").1, Some(1)); // nothing left
+    }
+
+    #[test]
+    fn missing_or_bad_arguments_exit_2() {
+        let mut agent = NodeAgent::start("n");
+        for command in ["start", "pkill", "sleep", "sleep abc", "sleep -5"] {
+            let (lines, exit) = run(&mut agent, command);
+            assert_eq!(exit, Some(2), "{command}");
+            let errors = stream(&lines, Stream::Stderr);
+            let program = command.split(' ').next().unwrap();
+            assert!(
+                errors.len() == 1 && errors[0].starts_with(&format!("{program}: ")),
+                "{command}: {errors:?}"
+            );
+        }
+        assert!(agent.process_names().is_empty());
     }
 
     #[test]
     fn unknown_command_exits_127() {
-        let agent = NodeAgent::start("n");
-        let outcome = run(&agent, "frobnicate --now");
-        assert_eq!(outcome.exit, 127);
-        assert!(outcome.stderr[0].contains("command not found"));
+        let mut agent = NodeAgent::start("n");
+        let (lines, exit) = run(&mut agent, "frobnicate --now");
+        assert_eq!(exit, Some(127));
+        assert_eq!(stream(&lines, Stream::Stderr), vec!["n: frobnicate: command not found"]);
     }
 
     #[test]
     fn sleep_completes_without_signal() {
-        let agent = NodeAgent::start("n");
-        assert_eq!(run(&agent, "sleep 5").exit, 0);
+        // The interpreter leaves the sleep running; `wait` completes it.
+        assert_eq!(run(&mut NodeAgent::start("n"), "sleep 10000"), (vec![], None));
+        let result = job_on_one_node("sleep 10000").wait();
+        assert_eq!(result.exits, vec![("n".to_string(), 0)]);
+        assert!(result.output.is_empty());
     }
 
     #[test]
     fn sleep_interrupted_by_signal() {
-        let agent = NodeAgent::start("n");
-        let (out_tx, _out_rx) = channel();
-        let (err_tx, err_rx) = channel();
-        let (sig_tx, sig_rx) = channel();
-        let (done_tx, done_rx) = channel();
-        agent.submit(ExecRequest {
-            command: "sleep 10000".into(),
-            env: BTreeMap::new(),
-            stdout: out_tx,
-            stderr: err_tx,
-            signals: sig_rx,
-            done: done_tx,
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        sig_tx.send(Signal::Int).unwrap();
-        let exit = done_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(exit, 130);
-        let errs: Vec<String> = err_rx.try_iter().collect();
-        assert!(errs[0].contains("interrupted"));
+        let mut job = job_on_one_node("sleep 10000");
+        job.signal(Signal::Int);
+        let result = job.wait();
+        assert_eq!(result.exits, vec![("n".to_string(), 130)]);
+        let interrupted =
+            NodeOutput { node: "n".into(), stream: Stream::Stderr, line: "n: interrupted".into() };
+        assert_eq!(result.output, vec![interrupted]);
+        // A command that already finished is unaffected.
+        let mut job = job_on_one_node("sleep 0");
+        job.signal(Signal::Int);
+        assert_eq!(job.wait().exits, vec![("n".to_string(), 0)]);
     }
 }

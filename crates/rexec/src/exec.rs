@@ -1,10 +1,8 @@
-//! The rexec client: parallel fan-out with multiplexed I/O and signal
-//! forwarding.
+//! The rexec client: fan-out in node order with per-node-labelled I/O and
+//! signal forwarding.
 
-use crate::agent::{ExecRequest, NodeAgent, Signal};
+use crate::agent::{NodeAgent, Signal};
 use std::collections::BTreeMap;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::time::Duration;
 
 /// Which stream a line came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +60,8 @@ impl ExecEnv {
 /// Per-node exit status.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParallelResult {
-    /// Multiplexed output in arrival order (per-node order preserved).
+    /// Output grouped by node, in the order the nodes were given; within
+    /// a node, in the order its command wrote it.
     pub output: Vec<NodeOutput>,
     /// Exit status per node, in the order the nodes were given.
     pub exits: Vec<(String, i32)>,
@@ -85,183 +84,169 @@ impl ParallelResult {
 }
 
 /// A dispatched parallel job: signal it, then collect.
+#[derive(Debug)]
 pub struct RunningJob {
-    signal_txs: Vec<Sender<Signal>>,
-    done_rxs: Vec<(String, Receiver<i32>)>,
-    output_rx: Receiver<NodeOutput>,
+    /// One started command per node, in dispatch order: its node, what it
+    /// has written, and its exit code (`None` while it sleeps).
+    commands: Vec<(String, Vec<NodeOutput>, Option<i32>)>,
 }
 
 impl RunningJob {
     /// Forward a signal to every node's process (paper: "remote
-    /// forwarding of signals").
-    pub fn signal(&self, signal: Signal) {
-        for tx in &self.signal_txs {
-            let _ = tx.send(signal);
-        }
-    }
-
-    /// Wait for every node to finish and collect multiplexed output.
-    pub fn wait(self, timeout: Duration) -> ParallelResult {
-        let mut exits = Vec::new();
-        for (node, rx) in &self.done_rxs {
-            let code = rx.recv_timeout(timeout).unwrap_or(-1);
-            exits.push((node.clone(), code));
-        }
-        // All nodes are done, but the multiplexer threads may still be
-        // forwarding; read until every one has closed (the channel
-        // disconnects) or the stream goes quiet.
-        drop(self.signal_txs);
-        let mut output = Vec::new();
-        // Read until disconnected or quiet: everything flushed by then.
-        while let Ok(line) = self.output_rx.recv_timeout(Duration::from_millis(500)) {
-            output.push(line);
-        }
-        ParallelResult { output, exits }
-    }
-}
-
-/// The rexec client over a set of node agents.
-pub struct Rexec<'a> {
-    nodes: Vec<&'a NodeAgent>,
-}
-
-impl<'a> Rexec<'a> {
-    /// Target a node set (usually selected via the cluster database).
-    pub fn new(nodes: Vec<&'a NodeAgent>) -> Rexec<'a> {
-        Rexec { nodes }
-    }
-
-    /// Dispatch `command` on every node, propagating `env`. Returns a
-    /// handle for signalling and collection.
-    pub fn dispatch(&self, command: &str, env: &ExecEnv) -> RunningJob {
-        let (output_tx, output_rx) = channel::<NodeOutput>();
-        let mut signal_txs = Vec::new();
-        let mut done_rxs = Vec::new();
-        for agent in &self.nodes {
-            let (sig_tx, sig_rx) = channel();
-            let (done_tx, done_rx) = channel();
-            // Adapter channels that label lines with the node name.
-            let (out_tx, out_rx) = channel::<String>();
-            let (err_tx, err_rx) = channel::<String>();
-            let node = agent.name().to_string();
-            // One forwarder thread per stream; each drains its channel
-            // until the agent closes it. Per-stream line order is
-            // preserved, which is all the multiplexer guarantees anyway.
-            for (rx, stream) in [(out_rx, Stream::Stdout), (err_rx, Stream::Stderr)] {
-                let mux = output_tx.clone();
-                let mux_node = node.clone();
-                std::thread::spawn(move || {
-                    for line in rx.iter() {
-                        let _ = mux.send(NodeOutput { node: mux_node.clone(), stream, line });
-                    }
-                });
+    /// forwarding of signals"). A still-sleeping command ends with exit
+    /// 130 and says so on stderr; a finished one is unaffected.
+    pub fn signal(&mut self, _signal: Signal) {
+        for (node, output, exit) in &mut self.commands {
+            if exit.is_none() {
+                let line = format!("{node}: interrupted");
+                output.push(NodeOutput { node: node.clone(), stream: Stream::Stderr, line });
+                *exit = Some(130);
             }
-            agent.submit(ExecRequest {
-                command: command.to_string(),
-                env: env.to_agent_env(),
-                stdout: out_tx,
-                stderr: err_tx,
-                signals: sig_rx,
-                done: done_tx,
-            });
-            signal_txs.push(sig_tx);
-            done_rxs.push((node, done_rx));
         }
-        drop(output_tx);
-        RunningJob { signal_txs, done_rxs, output_rx }
     }
 
-    /// Run to completion with a default timeout.
-    pub fn run(&self, command: &str, env: &ExecEnv) -> ParallelResult {
-        self.dispatch(command, env).wait(Duration::from_secs(10))
+    /// Let every still-sleeping command run out (exit 0) and collect the
+    /// output.
+    pub fn wait(self) -> ParallelResult {
+        let mut result = ParallelResult { output: Vec::new(), exits: Vec::new() };
+        for (node, output, exit) in self.commands {
+            result.output.extend(output);
+            result.exits.push((node, exit.unwrap_or(0)));
+        }
+        result
     }
+}
+
+/// Start `command` on each of `nodes`, in the order given, propagating
+/// `env`; a name given twice runs twice. Every name is checked before any
+/// node runs anything: `Err` carries the first one `agents` lacks.
+pub fn dispatch(
+    agents: &mut BTreeMap<String, NodeAgent>,
+    nodes: &[String],
+    command: &str,
+    env: &ExecEnv,
+) -> Result<RunningJob, String> {
+    if let Some(unknown) = nodes.iter().find(|n| !agents.contains_key(*n)) {
+        return Err(unknown.clone());
+    }
+    let env = env.to_agent_env();
+    let commands = nodes
+        .iter()
+        .map(|node| {
+            let agent = agents.get_mut(node).expect("every name was checked");
+            let (lines, exit) = agent.interpret(command, &env);
+            let output = lines
+                .into_iter()
+                .map(|(stream, line)| NodeOutput { node: node.clone(), stream, line })
+                .collect();
+            (node.clone(), output, exit)
+        })
+        .collect();
+    Ok(RunningJob { commands })
+}
+
+/// Run `command` to completion on each of `nodes`: [`dispatch`], then
+/// [`RunningJob::wait`].
+pub fn run(
+    agents: &mut BTreeMap<String, NodeAgent>,
+    nodes: &[String],
+    command: &str,
+    env: &ExecEnv,
+) -> Result<ParallelResult, String> {
+    Ok(dispatch(agents, nodes, command, env)?.wait())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn agents(n: usize) -> Vec<NodeAgent> {
-        (0..n).map(|i| NodeAgent::start(&format!("compute-0-{i}"))).collect()
+    /// `n` fresh agents and their names, in order.
+    fn agents(n: usize) -> (BTreeMap<String, NodeAgent>, Vec<String>) {
+        let names: Vec<String> = (0..n).map(|i| format!("compute-0-{i}")).collect();
+        (names.iter().map(|name| (name.clone(), NodeAgent::start(name))).collect(), names)
     }
 
     #[test]
     fn parallel_hostname_reaches_all_nodes() {
-        let agents = agents(4);
-        let rexec = Rexec::new(agents.iter().collect());
-        let result = rexec.run("hostname", &ExecEnv::default());
+        let (mut agents, names) = agents(4);
+        let result = run(&mut agents, &names, "hostname", &ExecEnv::default()).unwrap();
         assert!(result.all_ok());
         assert_eq!(result.exits.len(), 4);
-        for agent in &agents {
-            assert_eq!(result.stdout_of(agent.name()), vec![agent.name()]);
+        for name in &names {
+            assert_eq!(result.stdout_of(name), vec![name.as_str()]);
         }
     }
 
     #[test]
     fn environment_is_propagated_to_every_node() {
-        let agents = agents(2);
-        let rexec = Rexec::new(agents.iter().collect());
+        let (mut agents, names) = agents(2);
         let mut env = ExecEnv { uid: 1234, ..Default::default() };
         env.vars.insert("JOB".to_string(), "namd".to_string());
         env.cwd = "/export/home/science".to_string();
-        let result = rexec.run("printenv JOB", &env);
+        let result = run(&mut agents, &names, "printenv JOB", &env).unwrap();
         assert!(result.all_ok());
         assert_eq!(result.stdout_of("compute-0-0"), vec!["namd"]);
-        let result = rexec.run("printenv PWD", &env);
+        let result = run(&mut agents, &names, "printenv PWD", &env).unwrap();
         assert_eq!(result.stdout_of("compute-0-1"), vec!["/export/home/science"]);
-        let result = rexec.run("printenv UID", &env);
+        let result = run(&mut agents, &names, "printenv UID", &env).unwrap();
         assert_eq!(result.stdout_of("compute-0-0"), vec!["1234"]);
     }
 
     #[test]
     fn exit_codes_are_per_node() {
-        let agents = agents(2);
-        agents[0].spawn_process("bad-job"); // only node 0 has the job
-        let rexec = Rexec::new(agents.iter().collect());
-        let result = rexec.run("pkill bad-job", &ExecEnv::default());
+        let (mut agents, names) = agents(2);
+        // Only node 0 has the job.
+        run(&mut agents, &names[..1], "start bad-job", &ExecEnv::default()).unwrap();
+        let result = run(&mut agents, &names, "pkill bad-job", &ExecEnv::default()).unwrap();
         assert!(!result.all_ok());
-        let codes: BTreeMap<&str, i32> =
-            result.exits.iter().map(|(n, c)| (n.as_str(), *c)).collect();
-        assert_eq!(codes["compute-0-0"], 0);
-        assert_eq!(codes["compute-0-1"], 1);
+        assert_eq!(result.exits, vec![("compute-0-0".into(), 0), ("compute-0-1".into(), 1)]);
     }
 
     #[test]
     fn signal_forwarding_interrupts_all_nodes() {
-        let agents = agents(3);
-        let rexec = Rexec::new(agents.iter().collect());
-        let job = rexec.dispatch("sleep 30000", &ExecEnv::default());
-        std::thread::sleep(Duration::from_millis(30));
+        let (mut agents, names) = agents(3);
+        let mut job = dispatch(&mut agents, &names, "sleep 30000", &ExecEnv::default()).unwrap();
         job.signal(Signal::Int);
-        let result = job.wait(Duration::from_secs(5));
-        assert_eq!(result.exits.len(), 3);
-        assert!(result.exits.iter().all(|(_, code)| *code == 130), "{:?}", result.exits);
-        // Each node reported the interruption on stderr.
-        let interrupted = result
-            .output
-            .iter()
-            .filter(|o| o.stream == Stream::Stderr && o.line.contains("interrupted"))
-            .count();
-        assert_eq!(interrupted, 3);
+        let result = job.wait();
+        let interrupted: Vec<(String, i32)> = names.iter().map(|n| (n.clone(), 130)).collect();
+        assert_eq!(result.exits, interrupted);
+        // Each node reported the interruption on stderr, in node order.
+        let stderr: Vec<String> = names.iter().map(|n| format!("{n}: interrupted")).collect();
+        let lines: Vec<&String> = result.output.iter().map(|o| &o.line).collect();
+        assert_eq!(lines, stderr.iter().collect::<Vec<_>>());
+        assert!(result.output.iter().all(|o| o.stream == Stream::Stderr));
+        // The other signals interrupt the same way.
+        for signal in [Signal::Term, Signal::Kill] {
+            let mut job = dispatch(&mut agents, &names, "sleep 5", &ExecEnv::default()).unwrap();
+            job.signal(signal);
+            assert_eq!(job.wait().exits, interrupted);
+        }
     }
 
     #[test]
     fn per_node_output_order_is_preserved() {
-        let agents = agents(1);
-        let rexec = Rexec::new(agents.iter().collect());
-        let result = rexec.run("printenv", &ExecEnv::default());
-        let lines = result.stdout_of("compute-0-0");
-        // BTreeMap order: GID, PWD, UID.
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("GID="));
-        assert!(lines[1].starts_with("PWD="));
-        assert!(lines[2].starts_with("UID="));
+        let (mut agents, names) = agents(2);
+        let result = run(&mut agents, &names, "printenv", &ExecEnv::default()).unwrap();
+        // Grouped by node in the order given; BTreeMap order within a node.
+        let lines: Vec<(&str, &str)> =
+            result.output.iter().map(|o| (o.node.as_str(), &o.line[..4])).collect();
+        assert_eq!(
+            lines,
+            vec![
+                ("compute-0-0", "GID="),
+                ("compute-0-0", "PWD="),
+                ("compute-0-0", "UID="),
+                ("compute-0-1", "GID="),
+                ("compute-0-1", "PWD="),
+                ("compute-0-1", "UID="),
+            ]
+        );
     }
 
     #[test]
     fn empty_node_set_is_a_noop() {
-        let rexec = Rexec::new(vec![]);
-        let result = rexec.run("hostname", &ExecEnv::default());
+        let (mut agents, _) = agents(1);
+        let result = run(&mut agents, &[], "hostname", &ExecEnv::default()).unwrap();
         assert!(result.all_ok());
         assert!(result.output.is_empty());
     }

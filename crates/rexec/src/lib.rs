@@ -9,15 +9,17 @@
 //! environment including environment variables, user ID, group ID and
 //! current working directory."
 //!
-//! Since the reproduction's "nodes" are in-process, each node runs a
-//! [`agent::NodeAgent`] — a real thread with a command interpreter and a
-//! per-node process table — and [`exec::Rexec`] provides the client:
-//! parallel fan-out, per-node-labelled stdout/stderr multiplexing,
-//! environment propagation, and live signal forwarding. This is also the
+//! Since the reproduction's "nodes" are in-process, each node is a
+//! [`NodeAgent`] — a hostname, a process table and a command interpreter —
+//! and [`dispatch`] / [`run`] are the client: fan-out over the nodes in
+//! the order given, per-node-labelled stdout/stderr, environment
+//! propagation, and signal forwarding through [`RunningJob::signal`].
+//! Nothing runs on another thread and `sleep` is a virtual duration, so
+//! the same job gives the same output every run. This is also the
 //! substrate `cluster-fork` and `cluster-kill` (§6.4) run on.
 
 mod agent;
 mod exec;
 
 pub use agent::{NodeAgent, Signal};
-pub use exec::{ExecEnv, NodeOutput, ParallelResult, Rexec, RunningJob, Stream};
+pub use exec::{dispatch, run, ExecEnv, NodeOutput, ParallelResult, RunningJob, Stream};

@@ -14,9 +14,7 @@ fn main() {
     }
 
     // A runaway job lands on every node.
-    for name in cluster.compute_node_names().expect("names") {
-        cluster.agent(&name).expect("agent").spawn_process("bad-job");
-    }
+    cluster_fork(&mut cluster, None, "start bad-job").expect("cluster-fork");
     println!("bad-job running on all {} nodes", cluster.compute_node_names().unwrap().len());
 
     // §6.4, example 1: target one cabinet.

@@ -48,9 +48,7 @@ fn section_3_2_questions() {
 #[test]
 fn section_6_4_cluster_kill_examples() {
     let mut cluster = cluster_two_racks();
-    for name in cluster.compute_node_names().unwrap() {
-        cluster.agent(&name).unwrap().spawn_process("bad-job");
-    }
+    cluster_fork(&mut cluster, None, "start bad-job").unwrap();
 
     cluster_kill(&mut cluster, Some("select name from nodes where rack=1"), "bad-job").unwrap();
     assert_eq!(cluster.agent("compute-0-0").unwrap().process_names(), vec!["bad-job"]);
@@ -115,6 +113,49 @@ fn rexec_environment_propagation() {
     for (node, _) in &result.exits {
         assert_eq!(result.stdout_of(node), vec!["/home/user"]);
     }
+}
+
+/// §6.4: `cluster-fork` prints the same bytes every run, grouped by node
+/// in the order the selection lists them.
+#[test]
+fn cluster_fork_output_is_the_same_every_run() {
+    let mut cluster = Cluster::install_frontend("00:30:c1:d8:ac:80", 31).unwrap();
+    let macs: Vec<String> = (0..16).map(|i| format!("00:50:8b:00:0f:{i:02x}")).collect();
+    cluster.integrate_rack("Compute", 0, &macs).unwrap();
+    let names = cluster.compute_node_names().unwrap();
+    assert_eq!(names.len(), 16);
+    let first = cluster_fork(&mut cluster, None, "hostname").unwrap();
+    let order: Vec<&str> = first.output.iter().map(|o| o.node.as_str()).collect();
+    assert_eq!(order, names);
+    for _ in 1..100 {
+        assert_eq!(cluster_fork(&mut cluster, None, "hostname").unwrap(), first);
+    }
+}
+
+/// §6.4: the fan-out follows the `--query=` result row by row, and a
+/// selection naming a node without an agent runs nothing anywhere.
+#[test]
+fn cluster_fork_follows_the_query() {
+    let mut cluster = cluster_two_racks();
+    // A cross join repeats each rack-1 name once per membership.
+    let repeated = "select nodes.name from nodes, memberships where nodes.rack = 1";
+    let selected = cluster.db.query_names(repeated).unwrap();
+    assert!(selected.len() > 2, "{selected:?}");
+    let result = cluster_fork(&mut cluster, Some(repeated), "hostname").unwrap();
+    let nodes: Vec<&String> = result.exits.iter().map(|(node, _)| node).collect();
+    assert_eq!(nodes, selected.iter().collect::<Vec<_>>());
+
+    cluster_fork(&mut cluster, None, "start bad-job").unwrap();
+    let processes = |cluster: &mut Cluster| -> Vec<Vec<String>> {
+        let names = cluster.compute_node_names().unwrap();
+        names.iter().map(|name| cluster.agent(name).unwrap().process_names()).collect()
+    };
+    let before = processes(&mut cluster);
+    // frontend-0 sorts last, after every compute node.
+    let with_frontend = "select name from nodes order by name";
+    assert_eq!(cluster.db.query_names(with_frontend).unwrap().last().unwrap(), "frontend-0");
+    assert!(cluster_fork(&mut cluster, Some(with_frontend), "start x").is_err());
+    assert_eq!(processes(&mut cluster), before);
 }
 
 /// §5: "any number of compute nodes can be restored to a known good
