@@ -133,7 +133,7 @@ impl Cluster {
     ) -> Result<Vec<NodeRecord>> {
         // Boot order is integration order (§6.4's sequential procedure).
         for mac in macs {
-            self.dhcp.discover(&mut self.db, mac);
+            self.dhcp.discover(&self.db, mac);
         }
         let unknown = self.dhcp.unknown_macs();
         let mut session = InsertEthers::start(&mut self.db, membership, rack)?;

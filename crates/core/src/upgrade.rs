@@ -58,9 +58,7 @@ pub fn upgrade_cluster(
         .cloned()
         .ok_or_else(|| RocksError::ValidationFailed("cluster has no compute nodes".into()))?;
     let validation = cluster.shoot_nodes(std::slice::from_ref(&test_node))?;
-    if !cluster.inconsistent_nodes()?.is_empty()
-        && cluster.inconsistent_nodes()?.contains(&test_node)
-    {
+    if cluster.inconsistent_nodes()?.contains(&test_node) {
         return Err(RocksError::ValidationFailed(format!(
             "{test_node} still inconsistent after reinstall"
         )));

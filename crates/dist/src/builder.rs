@@ -139,7 +139,7 @@ pub fn build_traced(
                 repo.insert(pkg.clone());
                 from_parent.insert(pkg.key());
             }
-            report.mirrored = repo.len();
+            report.mirrored = repo.iter().len();
         }
     }
 
@@ -269,7 +269,6 @@ pub fn build_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::Entry;
     use rocks_rpm::{synth, Package, UpdateStream};
 
     fn stock() -> Distribution {
@@ -291,8 +290,8 @@ mod tests {
         })
         .unwrap();
         assert!(report.links > 10 * report.files, "{report:?}");
-        assert_eq!(report.contrib_added, community.len());
-        assert_eq!(report.local_added, local.len());
+        assert_eq!(report.contrib_added, community.iter().len());
+        assert_eq!(report.local_added, local.iter().len());
         // The child materializes only contrib+local bytes — "lightweight".
         assert_eq!(
             report.materialized_bytes,
@@ -309,7 +308,7 @@ mod tests {
         for u in stream.updates() {
             updates.insert(u.package.clone());
         }
-        let update_slots = updates.len();
+        let update_slots = updates.iter().len();
         let (dist, report) = build(BuildConfig {
             name: "rocks-updated".into(),
             parent: Some(&parent),
@@ -324,12 +323,12 @@ mod tests {
             let child_evr = dist.repo().get(&pkg.name, pkg.arch).unwrap().evr.clone();
             assert!(child_evr >= pkg.evr);
         }
-        // Updated packages are real files (the mirror pulled them down).
+        // Updated packages are real files, not links into the parent (the
+        // mirror pulled them down).
         for pkg in dist.repo().iter() {
             if updates.get(&pkg.name, pkg.arch).map(|u| u.evr == pkg.evr).unwrap_or(false) {
                 let path = Distribution::rpm_path(&dist.name, pkg);
-                let entry = dist.tree.under(&path).next();
-                assert!(matches!(entry, Some((p, Entry::File { .. })) if p == path));
+                assert_eq!(dist.tree.resolve(&path), Some(path.as_str()));
             }
         }
     }
@@ -424,7 +423,7 @@ mod tests {
         let tracer = Tracer::ring(256);
         let (traced_dist, traced_report) = build_traced(config(), &tracer).unwrap();
         assert_eq!(plain_report, traced_report, "telemetry must not change the build");
-        assert_eq!(plain_dist.repo().len(), traced_dist.repo().len());
+        assert_eq!(plain_dist.repo().iter().len(), traced_dist.repo().iter().len());
 
         let snap = tracer.registry().unwrap().snapshot();
         assert_eq!(snap.counter("dist.builds"), 1);

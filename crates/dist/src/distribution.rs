@@ -78,7 +78,7 @@ mod tests {
     #[test]
     fn stock_distribution_materializes_everything() {
         let repo = synth::redhat72(1);
-        let package_count = repo.len();
+        let package_count = repo.iter().len();
         let total = repo.total_size_bytes();
         let dist = Distribution::stock("redhat-7.2", repo);
         let (_, files, links) = dist.tree.counts();

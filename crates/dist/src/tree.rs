@@ -76,14 +76,6 @@ impl DistTree {
         }
     }
 
-    /// All paths under a prefix, in sorted order.
-    pub fn under<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = (&'a str, &'a Entry)> {
-        self.entries
-            .range(prefix.to_string()..)
-            .take_while(move |(p, _)| p.starts_with(prefix))
-            .map(|(p, e)| (p.as_str(), e))
-    }
-
     /// Count of entries by kind: `(dirs, files, links)`.
     pub fn counts(&self) -> (usize, usize, usize) {
         let mut dirs = 0;
@@ -120,17 +112,14 @@ mod tests {
     fn implicit_parent_directories() {
         let mut tree = DistTree::new();
         tree.add_file("rocks-dist/i386/RedHat/RPMS/glibc-2.2.4-19.i386.rpm", 100);
-        let dirs: Vec<&str> =
-            tree.under("").filter(|(_, e)| **e == Entry::Dir).map(|(p, _)| p).collect();
-        assert_eq!(
-            dirs,
-            [
-                "rocks-dist",
-                "rocks-dist/i386",
-                "rocks-dist/i386/RedHat",
-                "rocks-dist/i386/RedHat/RPMS"
-            ]
-        );
+        for dir in [
+            "rocks-dist",
+            "rocks-dist/i386",
+            "rocks-dist/i386/RedHat",
+            "rocks-dist/i386/RedHat/RPMS",
+        ] {
+            assert_eq!(tree.resolve(dir), Some(dir));
+        }
         assert_eq!(tree.counts(), (4, 1, 0));
     }
 
@@ -150,15 +139,5 @@ mod tests {
         assert_eq!(tree.resolve("a/x.rpm"), Some("parent/x.rpm"));
         assert_eq!(tree.resolve("a/y.rpm"), Some("a/y.rpm"));
         assert_eq!(tree.resolve("a/missing.rpm"), None);
-    }
-
-    #[test]
-    fn under_prefix_iteration() {
-        let mut tree = DistTree::new();
-        tree.add_file("d/i386/a.rpm", 1);
-        tree.add_file("d/i386/b.rpm", 2);
-        tree.add_file("d/ia64/c.rpm", 3);
-        let i386: Vec<&str> = tree.under("d/i386/").map(|(p, _)| p).collect();
-        assert_eq!(i386, vec!["d/i386/a.rpm", "d/i386/b.rpm"]);
     }
 }

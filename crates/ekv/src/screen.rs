@@ -61,11 +61,6 @@ impl InstallScreen {
         self.state.elapsed_seconds = elapsed_seconds;
     }
 
-    /// Current state.
-    pub fn state(&self) -> &PanelState {
-        &self.state
-    }
-
     /// Render the Figure 7 panel as fixed-width text.
     pub fn render(&self) -> String {
         let s = &self.state;
@@ -170,7 +165,7 @@ mod tests {
         let mut screen = InstallScreen::new(2, 10 * 1024 * 1024);
         screen.begin_package("a-1-1", 4 * 1024 * 1024, "a", 0.0);
         screen.finish_package(4.0);
-        let s = screen.state();
+        let s = &screen.state;
         assert_eq!(s.completed_bytes, 4 * 1024 * 1024);
         assert_eq!(s.completed_packages, 1);
         let text = screen.render();

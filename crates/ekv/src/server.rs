@@ -12,7 +12,7 @@ use std::thread::JoinHandle;
 /// (the installer must never block on a dead watcher).
 ///
 /// The channel is bidirectional: lines a watcher types come back through
-/// [`EkvServer::read_input`] — the paper's "we've also inserted code that
+/// [`EkvServer::wait_input`] — the paper's "we've also inserted code that
 /// allows users to interact with the installation through the same xterm
 /// window" (§6.3).
 pub struct EkvServer {
@@ -99,13 +99,8 @@ impl EkvServer {
         })
     }
 
-    /// One line of watcher input, if any arrived (non-blocking) — the
-    /// installer polls this between screens.
-    pub fn read_input(&self) -> Option<String> {
-        self.input_rx.try_recv().ok()
-    }
-
-    /// Block up to `timeout` for one line of watcher input.
+    /// Block up to `timeout` for one line of watcher input;
+    /// `Duration::ZERO` polls without blocking.
     pub fn wait_input(&self, timeout: std::time::Duration) -> Option<String> {
         self.input_rx.recv_timeout(timeout).ok()
     }
@@ -121,11 +116,6 @@ impl EkvServer {
         let mut clients = self.clients.lock().expect("clients lock");
         clients
             .retain_mut(|stream| writeln!(stream, "{line}").and_then(|_| stream.flush()).is_ok());
-    }
-
-    /// Number of currently-connected watchers.
-    pub fn watcher_count(&self) -> usize {
-        self.clients.lock().expect("clients lock").len()
     }
 
     /// Stop accepting and drop all watchers.
@@ -202,7 +192,7 @@ mod tests {
 
     fn wait_for_watchers(server: &EkvServer, n: usize) {
         for _ in 0..500 {
-            if server.watcher_count() >= n {
+            if server.clients.lock().unwrap().len() >= n {
                 return;
             }
             std::thread::sleep(Duration::from_millis(2));
@@ -260,7 +250,7 @@ mod tests {
         server.publish("a");
         server.publish("b");
         server.publish("c");
-        assert_eq!(server.watcher_count(), 0);
+        assert_eq!(server.clients.lock().unwrap().len(), 0);
     }
 
     #[test]
@@ -286,7 +276,7 @@ mod tests {
         write_half.flush().unwrap();
         assert_eq!(server.wait_input(Duration::from_secs(5)).as_deref(), Some("ok"));
         assert_eq!(server.wait_input(Duration::from_secs(5)).as_deref(), Some("format-disk yes"));
-        assert_eq!(server.read_input(), None);
+        assert_eq!(server.wait_input(Duration::ZERO), None);
     }
 
     #[test]

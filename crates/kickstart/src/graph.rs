@@ -167,44 +167,6 @@ impl Graph {
         }
         Ok(order)
     }
-
-    /// Whether the graph contains a directed cycle (legal for traversal —
-    /// the visited set breaks loops — but worth reporting to users).
-    pub fn has_cycle(&self) -> bool {
-        let mut adjacency: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-        for edge in &self.edges {
-            adjacency.entry(edge.from.as_str()).or_default().push(edge.to.as_str());
-        }
-        #[derive(Clone, Copy, PartialEq)]
-        enum Mark {
-            InProgress,
-            Done,
-        }
-        let mut marks: BTreeMap<&str, Mark> = BTreeMap::new();
-        fn visit<'a>(
-            node: &'a str,
-            adjacency: &BTreeMap<&'a str, Vec<&'a str>>,
-            marks: &mut BTreeMap<&'a str, Mark>,
-        ) -> bool {
-            match marks.get(node) {
-                Some(Mark::Done) => return false,
-                Some(Mark::InProgress) => return true,
-                None => {}
-            }
-            marks.insert(node, Mark::InProgress);
-            if let Some(next) = adjacency.get(node) {
-                for n in next {
-                    if visit(n, adjacency, marks) {
-                        return true;
-                    }
-                }
-            }
-            marks.insert(node, Mark::Done);
-            false
-        }
-        let nodes: Vec<&str> = self.mentioned().into_iter().collect();
-        nodes.iter().any(|n| visit(n, &adjacency, &mut marks))
-    }
 }
 
 /// A complete profile set: the graph plus the node files it composes.
@@ -342,10 +304,8 @@ mod tests {
                </graph>"#,
         )
         .unwrap();
-        assert!(graph.has_cycle());
         let order = graph.traverse("a", Arch::I386).unwrap();
         assert_eq!(order, vec!["a", "b"]);
-        assert!(!paper_graph().has_cycle());
     }
 
     #[test]

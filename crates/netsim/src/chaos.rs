@@ -437,8 +437,6 @@ pub fn standard_invariants() -> Vec<Box<dyn Invariant>> {
 /// Outcome of one chaos scenario.
 #[derive(Debug)]
 pub struct ChaosRecord {
-    /// The plan's seed.
-    pub seed: u64,
     /// Invariant violations (empty on a healthy run).
     pub violations: Vec<Violation>,
     /// Full per-node accounting.
@@ -490,13 +488,7 @@ pub fn run_plan(
         }
     }
     let unrecoverable = (0..plan.n_nodes).filter(|&i| !plan.recoverable(i)).count();
-    ChaosRecord {
-        seed: plan.seed,
-        violations,
-        completed: result.completed(),
-        unrecoverable,
-        result,
-    }
+    ChaosRecord { violations, completed: result.completed(), unrecoverable, result }
 }
 
 /// Aggregate outcome of a seed sweep.

@@ -328,11 +328,6 @@ impl TierConfig {
         n_nodes.div_ceil(self.cabinet_size)
     }
 
-    /// Number of campus servers needed for `n` nodes.
-    pub fn n_campuses(&self, n_nodes: usize) -> usize {
-        self.n_cabinets(n_nodes).div_ceil(self.cabinets_per_campus)
-    }
-
     /// Campus index of a cabinet.
     pub fn campus_of(&self, cabinet: usize) -> usize {
         cabinet / self.cabinets_per_campus
@@ -348,13 +343,13 @@ mod tier_tests {
         let t = TierConfig::standard();
         assert!(t.fill_latency_s > 0.0);
         assert_eq!(t.n_cabinets(1_048_576), 16_384);
-        assert_eq!(t.n_campuses(1_048_576), 256);
+        assert_eq!(t.campus_of(16_383), 255, "256 campuses");
         assert_eq!(t.campus_of(0), 0);
         assert_eq!(t.campus_of(63), 0);
         assert_eq!(t.campus_of(64), 1);
         // A partial last cabinet still gets its own shard.
         assert_eq!(t.n_cabinets(65), 2);
-        assert_eq!(t.n_campuses(65), 1);
+        assert_eq!(t.campus_of(1), 0, "one campus");
     }
 }
 

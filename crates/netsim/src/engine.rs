@@ -198,11 +198,6 @@ impl Engine {
         }
     }
 
-    /// The scheduler this engine runs.
-    pub fn mode(&self) -> EngineMode {
-        self.mode
-    }
-
     /// Append a link; returns its id. Used by topologies that add
     /// cabinet uplinks after the server links.
     pub fn add_link(&mut self, capacity_bps: f64) -> usize {
@@ -291,18 +286,6 @@ impl Engine {
         }
     }
 
-    /// Cancel a flow (node powered off mid-download).
-    pub fn cancel_flow(&mut self, id: FlowId) -> bool {
-        let Some(flow) = self.flows.remove(&id) else {
-            return false;
-        };
-        self.detach_tag(id, flow.tag);
-        self.settle_cancelled(&flow);
-        self.classes.leave(flow.class);
-        self.dirty = true;
-        true
-    }
-
     /// Cancel all flows tagged `tag`. O(k) in the number of flows with
     /// that tag, via the per-tag index.
     pub fn cancel_flows_tagged(&mut self, tag: usize) {
@@ -336,12 +319,6 @@ impl Engine {
     /// Number of live (armed, unfired, uncancelled) timers.
     pub fn live_timers(&self) -> usize {
         self.timers.len()
-    }
-
-    /// Number of flow equivalence classes materialized so far (fast-path
-    /// introspection for tests and benchmarks).
-    pub fn flow_classes(&self) -> usize {
-        self.classes.len()
     }
 
     /// Max-min fair allocation with demand caps over multi-link routes —
@@ -820,19 +797,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_flow_removes_it() {
-        both_modes(vec![10.0 * MB], |engine| {
-            let a = engine.start_flow(0, 1, 1_000_000, 10.0 * MB);
-            let b = engine.start_flow(0, 2, 1_000_000, 10.0 * MB);
-            assert!(engine.cancel_flow(a));
-            assert!(!engine.cancel_flow(a));
-            // b now gets full capacity.
-            assert!((rate(engine, b, "survivor after cancel_flow") - 10.0 * MB).abs() < 1.0);
-            assert_eq!(engine.active_flows(), 1);
-        });
-    }
-
-    #[test]
     fn idle_when_empty() {
         both_modes(vec![1.0], |engine| {
             assert_eq!(engine.step(), Wakeup::Idle);
@@ -931,9 +895,9 @@ mod tests {
         for i in 0..100 {
             engine.start_flow(0, i, 1_000_000, 8.0 * MB);
         }
-        assert_eq!(engine.flow_classes(), 1);
+        assert_eq!(engine.classes.len(), 1);
         engine.start_flow(0, 100, 1_000_000, 2.0 * MB); // different demand
-        assert_eq!(engine.flow_classes(), 2);
+        assert_eq!(engine.classes.len(), 2);
     }
 
     #[test]

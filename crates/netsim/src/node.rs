@@ -236,15 +236,6 @@ pub struct SimNode {
 }
 
 impl SimNode {
-    /// Create a node whose downloads traverse `route` (server uplink
-    /// first). The single server in the route is the only failover
-    /// candidate.
-    pub fn new(id: usize, name: &str, route: Vec<usize>, seed: u64) -> SimNode {
-        let servers = vec![route[0]];
-        let extra = route[1..].to_vec();
-        SimNode::with_failover(id, name, servers, extra, seed)
-    }
-
     /// Create a node with an explicit failover list: `servers` are the
     /// candidate first-hop links in rotation order (the node starts on
     /// `servers[0]`), and `extra_route` is the shared tail of the path
@@ -616,7 +607,7 @@ mod tests {
     fn full_install_reaches_up() {
         let cfg = tiny_config();
         let mut engine = Engine::new(vec![cfg.server_capacity_bps]);
-        let mut node = SimNode::new(0, "compute-0-0", vec![0], 42);
+        let mut node = SimNode::with_failover(0, "compute-0-0", vec![0], vec![], 42);
         run_to_up(&mut node, &mut engine, &cfg);
         assert_eq!(node.state, NodeState::Up);
         assert_eq!(node.installs_completed, 1);
@@ -627,7 +618,7 @@ mod tests {
     fn log_shows_figure7_style_progress() {
         let cfg = tiny_config();
         let mut engine = Engine::new(vec![cfg.server_capacity_bps]);
-        let mut node = SimNode::new(0, "compute-0-0", vec![0], 42);
+        let mut node = SimNode::with_failover(0, "compute-0-0", vec![0], vec![], 42);
         run_to_up(&mut node, &mut engine, &cfg);
         let text: Vec<&str> = node.log.iter().map(|l| l.text.as_str()).collect();
         assert!(text.iter().any(|l| l.contains("POST")));
@@ -645,7 +636,7 @@ mod tests {
         let mut cfg = tiny_config();
         cfg.with_myrinet = false;
         let mut engine = Engine::new(vec![cfg.server_capacity_bps]);
-        let mut node = SimNode::new(0, "compute-0-0", vec![0], 42);
+        let mut node = SimNode::with_failover(0, "compute-0-0", vec![0], vec![], 42);
         run_to_up(&mut node, &mut engine, &cfg);
         assert!(node.log.iter().all(|l| !l.text.contains("Myrinet")));
     }
@@ -656,7 +647,7 @@ mod tests {
             let mut cfg = tiny_config();
             cfg.with_myrinet = with;
             let mut engine = Engine::new(vec![cfg.server_capacity_bps]);
-            let mut node = SimNode::new(0, "n", vec![0], 42);
+            let mut node = SimNode::with_failover(0, "n", vec![0], vec![], 42);
             run_to_up(&mut node, &mut engine, &cfg);
             node.last_install_seconds().unwrap()
         };
@@ -669,7 +660,7 @@ mod tests {
     fn hang_stops_all_events() {
         let cfg = tiny_config();
         let mut engine = Engine::new(vec![cfg.server_capacity_bps]);
-        let mut node = SimNode::new(0, "n", vec![0], 42);
+        let mut node = SimNode::with_failover(0, "n", vec![0], vec![], 42);
         node.power_on(&mut engine, &cfg);
         node.hang(&mut engine);
         assert_eq!(engine.step(), Wakeup::Idle);
@@ -680,7 +671,7 @@ mod tests {
     fn power_cycle_restarts_install() {
         let cfg = tiny_config();
         let mut engine = Engine::new(vec![cfg.server_capacity_bps]);
-        let mut node = SimNode::new(0, "n", vec![0], 42);
+        let mut node = SimNode::with_failover(0, "n", vec![0], vec![], 42);
         node.power_on(&mut engine, &cfg);
         // Step a few events, then hard power cycle mid-install.
         for _ in 0..4 {
@@ -730,7 +721,7 @@ mod tests {
     fn healthy_node_never_retries() {
         let cfg = retry_cfg();
         let mut engine = Engine::new(vec![cfg.server_capacity_bps]);
-        let mut node = SimNode::new(0, "n", vec![0], 42);
+        let mut node = SimNode::with_failover(0, "n", vec![0], vec![], 42);
         run_to_terminal(&mut node, &mut engine, &cfg);
         assert_eq!(node.state, NodeState::Up);
         // One attempt per target, zero failovers, zero backoff.
@@ -746,7 +737,7 @@ mod tests {
         // A dead (zero-capacity) server: every fetch stalls until the
         // watchdog kills it.
         let mut engine = Engine::new(vec![0.0]);
-        let mut node = SimNode::new(0, "n", vec![0], 42);
+        let mut node = SimNode::with_failover(0, "n", vec![0], vec![], 42);
         run_to_terminal(&mut node, &mut engine, &cfg);
         assert_eq!(node.state, NodeState::Failed);
         let budget = cfg.retry.unwrap().max_attempts(1);
@@ -799,7 +790,7 @@ mod tests {
     fn phase_rank_is_monotone_through_a_clean_install() {
         let cfg = tiny_config();
         let mut engine = Engine::new(vec![cfg.server_capacity_bps]);
-        let mut node = SimNode::new(0, "n", vec![0], 42);
+        let mut node = SimNode::with_failover(0, "n", vec![0], vec![], 42);
         node.power_on(&mut engine, &cfg);
         let mut last = node.state.phase_rank();
         loop {
@@ -825,7 +816,7 @@ mod tests {
         let cfg = tiny_config();
         let run = |seed| {
             let mut engine = Engine::new(vec![cfg.server_capacity_bps]);
-            let mut node = SimNode::new(0, "n", vec![0], seed);
+            let mut node = SimNode::with_failover(0, "n", vec![0], vec![], seed);
             run_to_up(&mut node, &mut engine, &cfg);
             node.last_install_seconds().unwrap()
         };

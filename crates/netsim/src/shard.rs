@@ -573,20 +573,9 @@ impl FederatedSim {
         }
     }
 
-    /// Total nodes across all shards.
-    pub fn n_nodes(&self) -> usize {
-        self.shards.iter().map(|s| s.nodes.len()).sum()
-    }
-
     /// Events processed across shard engines and tier engines.
     pub fn events(&self) -> u64 {
         self.shards.iter().map(|s| s.flow_events + s.timer_events).sum::<u64>() + self.tier.events
-    }
-
-    /// A node by global id.
-    pub fn node(&self, id: usize) -> &SimNode {
-        let shard = &self.shards[id / self.tiers.cabinet_size];
-        &shard.nodes[id - shard.base]
     }
 
     /// All nodes in global id order.
@@ -870,8 +859,8 @@ mod tests {
             other => panic!("expected a shard stall, got {other:?}"),
         }
         // The healthy cabinet still finished.
-        assert!(sim.node(0).state == NodeState::Up);
-        assert!(sim.node(4).state != NodeState::Up);
+        assert!(sim.nodes().next().unwrap().state == NodeState::Up);
+        assert!(sim.nodes().nth(4).unwrap().state != NodeState::Up);
     }
 
     #[test]
@@ -912,10 +901,10 @@ mod tests {
         assert_eq!(result.completed(), 8);
         // Node 5 (cabinet 1) restarted and reinstalled; its neighbours
         // in cabinet 0 kept their single life.
-        assert_eq!(sim.node(5).lives, 2);
-        assert_eq!(sim.node(0).lives, 1);
+        assert_eq!(sim.nodes().nth(5).unwrap().lives, 2);
+        assert_eq!(sim.nodes().next().unwrap().lives, 1);
         assert!(
-            sim.node(5).install_finished.unwrap() > micros(200.0),
+            sim.nodes().nth(5).unwrap().install_finished.unwrap() > micros(200.0),
             "the restarted node finishes after the fault"
         );
     }

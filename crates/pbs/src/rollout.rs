@@ -163,8 +163,6 @@ pub enum RolloutFault {
 /// Read-only orchestrator state handed to invariants at every event.
 #[derive(Debug)]
 pub struct RolloutView<'a> {
-    /// Current virtual time.
-    pub now: f64,
     /// Install legs in flight.
     pub installing: usize,
     /// The configured capacity cap.
@@ -642,7 +640,6 @@ pub fn run_rollout(
 
         // 8. Invariants see every event boundary.
         let view = RolloutView {
-            now,
             installing: installing.len(),
             capacity: cfg.capacity,
             install_counts: &report.install_counts,
@@ -738,8 +735,6 @@ pub struct SeededViolation {
 /// Outcome of running one generated plan.
 #[derive(Debug)]
 pub struct RolloutRecord {
-    /// The plan seed.
-    pub seed: u64,
     /// The report, if the rollout ran to completion.
     pub report: Option<RolloutReport>,
     /// Every violation observed (errors count as `"no-error"`).
@@ -933,10 +928,9 @@ impl RolloutPlan {
                         detail: v.detail,
                     })
                     .collect();
-                RolloutRecord { seed: self.seed, report: Some(outcome.report), violations }
+                RolloutRecord { report: Some(outcome.report), violations }
             }
             Err(e) => RolloutRecord {
-                seed: self.seed,
                 report: None,
                 violations: vec![SeededViolation {
                     seed: self.seed,

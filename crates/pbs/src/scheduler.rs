@@ -190,7 +190,7 @@ mod tests {
         }
         let end = run_to_completion(&mut s);
         assert!(s.queued().is_empty());
-        assert!(s.running().is_empty());
+        assert!(s.jobs().all(|j| matches!(j.state, JobState::Done { .. })));
         // 5 jobs on 2 nodes, ~10-14 s each → ends around 34-38 s.
         assert!((30.0..45.0).contains(&end), "end {end}");
     }

@@ -84,18 +84,6 @@ impl PbsServer {
         PbsServer { next_id: 1, ..Default::default() }
     }
 
-    /// Create a server from the cluster database's generated PBS nodes
-    /// file (paper §6.4: the nodes file is a database report).
-    pub fn from_nodes_file(content: &str) -> PbsServer {
-        let mut server = PbsServer::new();
-        for line in content.lines() {
-            if let Some(name) = line.split_whitespace().next() {
-                server.add_node(name);
-            }
-        }
-        server
-    }
-
     /// Register a node (initially free).
     pub fn add_node(&mut self, name: &str) {
         self.nodes.insert(name.to_string(), NodeState::Free);
@@ -174,32 +162,6 @@ impl PbsServer {
                 .then(a.id.cmp(&b.id))
         });
         queued.iter().map(|j| j.id).collect()
-    }
-
-    /// Running jobs.
-    pub fn running(&self) -> Vec<JobId> {
-        self.jobs
-            .values()
-            .filter(|j| matches!(j.state, JobState::Running { .. }))
-            .map(|j| j.id)
-            .collect()
-    }
-
-    /// Cancel a queued or running job (`qdel`).
-    pub fn qdel(&mut self, id: JobId) -> Result<()> {
-        // Collect node names first to appease the borrow checker.
-        let nodes = match &self.jobs.get(&id).ok_or(PbsError::NoSuchJob(id))?.state {
-            JobState::Running { nodes, .. } => nodes.clone(),
-            JobState::Queued => Vec::new(),
-            _ => return Err(PbsError::BadState("job already finished")),
-        };
-        for node in nodes {
-            if self.nodes.get(&node) == Some(&NodeState::Busy) {
-                self.nodes.insert(node, NodeState::Free);
-            }
-        }
-        self.jobs.get_mut(&id).expect("checked").state = JobState::Cancelled;
-        Ok(())
     }
 
     /// Start a queued job on specific nodes (the scheduler calls this).
@@ -293,12 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn from_generated_nodes_file() {
-        let s = PbsServer::from_nodes_file("compute-0-0 np=2\ncompute-0-1 np=2\n");
-        assert_eq!(s.node_names(), vec!["compute-0-0", "compute-0-1"]);
-    }
-
-    #[test]
     fn qsub_qstat_lifecycle() {
         let mut s = server(4);
         let id = s.qsub("namd-run", 2, 100.0).unwrap();
@@ -318,17 +274,6 @@ mod tests {
             s.qsub("big", 3, 10.0),
             Err(PbsError::TooLarge { requested: 3, cluster: 2 })
         ));
-    }
-
-    #[test]
-    fn qdel_releases_nodes() {
-        let mut s = server(2);
-        let id = s.qsub("j", 2, 1000.0).unwrap();
-        s.start_job(id, vec!["compute-0-0".into(), "compute-0-1".into()]).unwrap();
-        s.qdel(id).unwrap();
-        assert!(matches!(s.job(id).unwrap().state, JobState::Cancelled));
-        assert_eq!(s.nodes_in_state(NodeState::Free).len(), 2);
-        assert!(matches!(s.qdel(id), Err(PbsError::BadState(_))));
     }
 
     #[test]

@@ -32,11 +32,6 @@ impl NodeAgent {
         NodeAgent { name: name.to_string(), procs: BTreeMap::new(), next_pid: 1000 }
     }
 
-    /// The node's hostname.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Names of processes currently on the node.
     pub fn process_names(&self) -> Vec<String> {
         self.procs.values().cloned().collect()

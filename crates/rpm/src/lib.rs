@@ -10,10 +10,9 @@
 //!   `rpmvercmp` ordering algorithm, which `rocks-dist` relies on to
 //!   "resolve version numbers of RPMs and only include the most recent
 //!   software" (§6.2.1),
-//! * [`Package`] — name, architecture, sizes, dependencies, and a
+//! * [`Package`] — name, architecture, sizes, obsoleted names, and a
 //!   synthetic file manifest,
-//! * [`Repository`] — a collection of packages with merge and
-//!   dependency-closure operations,
+//! * [`Repository`] — a collection of packages with newest-wins merge,
 //! * [`synth`] — synthetic Red Hat–like base distributions matching the
 //!   magnitudes measured in the paper (162 packages and ~225 MB transferred
 //!   per compute-node install; Figure 7 and §6.3),
@@ -35,5 +34,5 @@ mod updates;
 
 pub use evr::{rpmvercmp, Evr};
 pub use package::{Arch, Package, PackageBuilder, PackageKind};
-pub use repo::{Repository, ResolveError};
+pub use repo::Repository;
 pub use updates::{Update, UpdateKind, UpdateStream};

@@ -102,10 +102,6 @@ pub struct Package {
     pub installed_bytes: u64,
     /// Functional classification.
     pub kind: PackageKind,
-    /// Capabilities this package provides (its own name is implicit).
-    pub provides: Vec<String>,
-    /// Capabilities required at install time.
-    pub requires: Vec<String>,
     /// Package names this build replaces (RPM `Obsoletes:`) — how vendors
     /// rename packages across releases without stranding the old name.
     pub obsoletes: Vec<String>,
@@ -135,11 +131,6 @@ impl Package {
     pub fn key(&self) -> (String, Arch) {
         (self.name.clone(), self.arch)
     }
-
-    /// Whether this package satisfies a required capability.
-    pub fn provides_cap(&self, cap: &str) -> bool {
-        self.name == cap || self.provides.iter().any(|p| p == cap)
-    }
 }
 
 /// Builder for [`Package`], keeping construction sites readable.
@@ -149,10 +140,7 @@ pub struct PackageBuilder {
     evr: Evr,
     arch: Arch,
     size_bytes: u64,
-    installed_bytes: Option<u64>,
     kind: PackageKind,
-    provides: Vec<String>,
-    requires: Vec<String>,
     obsoletes: Vec<String>,
     files: Vec<String>,
 }
@@ -166,10 +154,7 @@ impl PackageBuilder {
             evr: Evr::parse(evr).unwrap_or_else(|| panic!("invalid EVR literal: {evr:?}")),
             arch: Arch::I386,
             size_bytes: 1 << 20,
-            installed_bytes: None,
             kind: PackageKind::Base,
-            provides: Vec::new(),
-            requires: Vec::new(),
             obsoletes: Vec::new(),
             files: Vec::new(),
         }
@@ -181,34 +166,17 @@ impl PackageBuilder {
         self
     }
 
-    /// Set the compressed (transfer) size in bytes (default 1 MiB).
+    /// Set the compressed (transfer) size in bytes (default 1 MiB). The
+    /// installed size is 1.7× it, the paper's 225 MB transferred / 386 MB
+    /// installed ratio.
     pub fn size(mut self, bytes: u64) -> Self {
         self.size_bytes = bytes;
-        self
-    }
-
-    /// Set the installed size (default: 1.7× transfer size, matching the
-    /// paper's 225 MB transferred / 386 MB installed ratio).
-    pub fn installed(mut self, bytes: u64) -> Self {
-        self.installed_bytes = Some(bytes);
         self
     }
 
     /// Set the functional classification (default `Base`).
     pub fn kind(mut self, kind: PackageKind) -> Self {
         self.kind = kind;
-        self
-    }
-
-    /// Add a provided capability.
-    pub fn provides(mut self, cap: impl Into<String>) -> Self {
-        self.provides.push(cap.into());
-        self
-    }
-
-    /// Add a required capability.
-    pub fn requires(mut self, cap: impl Into<String>) -> Self {
-        self.requires.push(cap.into());
         self
     }
 
@@ -226,16 +194,13 @@ impl PackageBuilder {
 
     /// Finish building.
     pub fn build(self) -> Package {
-        let installed = self.installed_bytes.unwrap_or(self.size_bytes * 17 / 10);
         Package {
             name: self.name,
             evr: self.evr,
             arch: self.arch,
             size_bytes: self.size_bytes,
-            installed_bytes: installed,
+            installed_bytes: self.size_bytes * 17 / 10,
             kind: self.kind,
-            provides: self.provides,
-            requires: self.requires,
             obsoletes: self.obsoletes,
             files: self.files,
         }
@@ -284,14 +249,6 @@ mod tests {
         // 225 MB transferred → ~386 MB installed (Figure 7): ratio 1.7.
         let p = Package::builder("x", "1-1").size(1000).build();
         assert_eq!(p.installed_bytes, 1700);
-    }
-
-    #[test]
-    fn provides_includes_own_name() {
-        let p = Package::builder("mpich", "1.2.1-1").provides("mpi").build();
-        assert!(p.provides_cap("mpich"));
-        assert!(p.provides_cap("mpi"));
-        assert!(!p.provides_cap("lam"));
     }
 
     #[test]

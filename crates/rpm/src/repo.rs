@@ -6,9 +6,8 @@
 //! "resolv\[ing\] version numbers of RPMs and only includ\[ing\] the most
 //! recent software" (§6.2.1). `Repository` is that collection type.
 
-use crate::evr::Evr;
 use crate::package::{Arch, Package};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 
 /// A named collection of packages, keyed by (name, arch) with at most one
 /// version per key. Insertion applies newest-wins resolution.
@@ -16,57 +15,17 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 pub struct Repository {
     name: String,
     packages: BTreeMap<(String, Arch), Package>,
-    /// Older versions displaced by newest-wins inserts; retained so update
-    /// statistics (§6.2.1) can be computed.
-    superseded: Vec<Package>,
 }
-
-/// Failures from dependency closure resolution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ResolveError {
-    /// A requested root package is not in the repository.
-    UnknownPackage(String),
-    /// A required capability has no provider.
-    MissingCapability {
-        /// Package whose requirement failed.
-        requirer: String,
-        /// The unsatisfied capability.
-        capability: String,
-    },
-}
-
-impl std::fmt::Display for ResolveError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ResolveError::UnknownPackage(p) => write!(f, "package not in repository: {p}"),
-            ResolveError::MissingCapability { requirer, capability } => {
-                write!(f, "{requirer} requires {capability}, which nothing provides")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ResolveError {}
 
 impl Repository {
     /// Create an empty repository.
     pub fn new(name: impl Into<String>) -> Self {
-        Repository { name: name.into(), packages: BTreeMap::new(), superseded: Vec::new() }
+        Repository { name: name.into(), packages: BTreeMap::new() }
     }
 
     /// The repository's name (e.g. `redhat-7.2`, `rocks-2.2.1`).
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Number of distinct (name, arch) slots.
-    pub fn len(&self) -> usize {
-        self.packages.len()
-    }
-
-    /// True when no packages are present.
-    pub fn is_empty(&self) -> bool {
-        self.packages.is_empty()
     }
 
     /// Insert with newest-wins semantics. Returns `true` when the package
@@ -75,16 +34,12 @@ impl Repository {
     ///
     /// A stored package's `Obsoletes:` list is honoured the way RPM does
     /// during an upgrade: any slot whose *name* it obsoletes is removed
-    /// (every architecture), landing in [`Self::superseded`].
+    /// (every architecture).
     pub fn insert(&mut self, pkg: Package) -> bool {
         let stored = match self.packages.get_mut(&pkg.key()) {
-            Some(existing) if existing.evr >= pkg.evr => {
-                self.superseded.push(pkg);
-                return false;
-            }
+            Some(existing) if existing.evr >= pkg.evr => return false,
             Some(existing) => {
-                let old = std::mem::replace(existing, pkg.clone());
-                self.superseded.push(old);
+                *existing = pkg.clone();
                 true
             }
             None => {
@@ -100,9 +55,7 @@ impl Repository {
                 .cloned()
                 .collect();
             for key in victims {
-                if let Some(old) = self.packages.remove(&key) {
-                    self.superseded.push(old);
-                }
+                self.packages.remove(&key);
             }
         }
         stored
@@ -114,8 +67,9 @@ impl Repository {
         other.iter().filter(|p| self.insert((*p).clone())).count()
     }
 
-    /// Packages in deterministic (name, arch) order.
-    pub fn iter(&self) -> impl Iterator<Item = &Package> {
+    /// Packages in deterministic (name, arch) order; `iter().len()` is
+    /// the number of distinct (name, arch) slots.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &Package> {
         self.packages.values()
     }
 
@@ -144,74 +98,9 @@ impl Repository {
         best
     }
 
-    /// Current EVR for `name` on any architecture (highest across arches).
-    pub fn newest_evr(&self, name: &str) -> Option<&Evr> {
-        self.packages.values().filter(|p| p.name == name).map(|p| &p.evr).max()
-    }
-
-    /// Versions displaced by newest-wins inserts since construction.
-    pub fn superseded(&self) -> &[Package] {
-        &self.superseded
-    }
-
     /// Total compressed bytes across all packages.
     pub fn total_size_bytes(&self) -> u64 {
         self.packages.values().map(|p| p.size_bytes).sum()
-    }
-
-    /// Compute the dependency closure of `roots` for a node of
-    /// architecture `node_arch`: the set of packages that must be
-    /// installed so every `requires` is satisfied. This is what turns a
-    /// Kickstart `%packages` list into the actual transfer set.
-    pub fn closure(
-        &self,
-        roots: &[String],
-        node_arch: Arch,
-    ) -> Result<Vec<&Package>, ResolveError> {
-        // Build a capability index once.
-        let mut providers: BTreeMap<&str, Vec<&Package>> = BTreeMap::new();
-        for p in self.iter_for_arch(node_arch) {
-            providers.entry(p.name.as_str()).or_default().push(p);
-            for cap in &p.provides {
-                providers.entry(cap.as_str()).or_default().push(p);
-            }
-        }
-
-        let mut selected: BTreeSet<(String, Arch)> = BTreeSet::new();
-        let mut order: Vec<&Package> = Vec::new();
-        let mut queue: VecDeque<&Package> = VecDeque::new();
-
-        for root in roots {
-            let pkg = self
-                .best_for(root, node_arch)
-                .ok_or_else(|| ResolveError::UnknownPackage(root.clone()))?;
-            if selected.insert(pkg.key()) {
-                order.push(pkg);
-                queue.push_back(pkg);
-            }
-        }
-
-        while let Some(pkg) = queue.pop_front() {
-            for cap in &pkg.requires {
-                // Already satisfied by something selected?
-                let satisfied = order.iter().any(|p| p.provides_cap(cap));
-                if satisfied {
-                    continue;
-                }
-                let candidates =
-                    providers.get(cap.as_str()).ok_or_else(|| ResolveError::MissingCapability {
-                        requirer: pkg.ident(),
-                        capability: cap.clone(),
-                    })?;
-                // Deterministic choice: first provider in (name, arch) order.
-                let choice = candidates[0];
-                if selected.insert(choice.key()) {
-                    order.push(choice);
-                    queue.push_back(choice);
-                }
-            }
-        }
-        Ok(order)
     }
 }
 
@@ -226,7 +115,6 @@ impl<'a> IntoIterator for &'a Repository {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::package::PackageKind;
 
     fn pkg(name: &str, evr: &str) -> Package {
         Package::builder(name, evr).build()
@@ -238,9 +126,8 @@ mod tests {
         assert!(repo.insert(pkg("glibc", "2.2.4-13")));
         assert!(repo.insert(pkg("glibc", "2.2.4-19"))); // update wins
         assert!(!repo.insert(pkg("glibc", "2.2.4-13"))); // stale loses
-        assert_eq!(repo.len(), 1);
-        assert_eq!(repo.newest_evr("glibc").unwrap(), &Evr::parse("2.2.4-19").unwrap());
-        assert_eq!(repo.superseded().len(), 2);
+        assert_eq!(repo.iter().len(), 1);
+        assert_eq!(repo.get("glibc", Arch::I386).unwrap().evr.to_string(), "2.2.4-19");
     }
 
     #[test]
@@ -253,7 +140,7 @@ mod tests {
         updates.insert(pkg("openssh", "2.9p2-12"));
         let changed = base.merge(&updates);
         assert_eq!(changed, 2); // one update + one new package
-        assert_eq!(base.len(), 3);
+        assert_eq!(base.iter().len(), 3);
     }
 
     #[test]
@@ -261,7 +148,7 @@ mod tests {
         let mut repo = Repository::new("test");
         repo.insert(Package::builder("kernel", "2.4.9-31").arch(Arch::I686).build());
         repo.insert(Package::builder("kernel", "2.4.9-31").arch(Arch::Athlon).build());
-        assert_eq!(repo.len(), 2);
+        assert_eq!(repo.iter().len(), 2);
     }
 
     #[test]
@@ -276,55 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn closure_pulls_requirements_transitively() {
-        let mut repo = Repository::new("test");
-        repo.insert(
-            Package::builder("mpich", "1.2.1-1")
-                .requires("libc")
-                .kind(PackageKind::Library)
-                .build(),
-        );
-        repo.insert(Package::builder("glibc", "2.2.4-19").provides("libc").build());
-        repo.insert(Package::builder("gcc", "2.96-98").requires("binutils").build());
-        repo.insert(pkg("binutils", "2.11.90-1"));
-        repo.insert(pkg("unrelated", "1-1"));
-        let closure = repo.closure(&["mpich".into(), "gcc".into()], Arch::I386).unwrap();
-        let names: Vec<_> = closure.iter().map(|p| p.name.as_str()).collect();
-        assert_eq!(names, ["mpich", "gcc", "glibc", "binutils"]);
-    }
-
-    #[test]
-    fn closure_reports_missing_capability() {
-        let mut repo = Repository::new("test");
-        repo.insert(Package::builder("pbs", "2.3.12-1").requires("tcl").build());
-        let err = repo.closure(&["pbs".into()], Arch::I386).unwrap_err();
-        assert!(
-            matches!(err, ResolveError::MissingCapability { capability, .. } if capability == "tcl")
-        );
-    }
-
-    #[test]
-    fn closure_reports_unknown_root() {
-        let repo = Repository::new("test");
-        let err = repo.closure(&["ghost".into()], Arch::I386).unwrap_err();
-        assert_eq!(err, ResolveError::UnknownPackage("ghost".into()));
-    }
-
-    #[test]
-    fn closure_is_deterministic() {
-        let mut repo = Repository::new("test");
-        for n in ["a", "b", "c", "d"] {
-            repo.insert(Package::builder(n, "1-1").provides("cap").build());
-        }
-        repo.insert(Package::builder("root", "1-1").requires("cap").build());
-        let c1: Vec<_> =
-            repo.closure(&["root".into()], Arch::I386).unwrap().iter().map(|p| p.ident()).collect();
-        let c2: Vec<_> =
-            repo.closure(&["root".into()], Arch::I386).unwrap().iter().map(|p| p.ident()).collect();
-        assert_eq!(c1, c2);
-    }
-
-    #[test]
     fn obsoletes_removes_replaced_slot() {
         // Red Hat renamed `dhcpd` to `dhcp`; the new package obsoletes
         // the old so upgrades drop it.
@@ -333,8 +171,7 @@ mod tests {
         repo.insert(Package::builder("dhcp", "2.0pl5-1").obsoletes("dhcpd").build());
         assert!(repo.get("dhcpd", Arch::I386).is_none());
         assert!(repo.get("dhcp", Arch::I386).is_some());
-        assert!(repo.superseded().iter().any(|p| p.name == "dhcpd"));
-        assert_eq!(repo.len(), 1);
+        assert_eq!(repo.iter().len(), 1);
     }
 
     #[test]

@@ -331,7 +331,7 @@ mod tests {
     #[test]
     fn distribution_is_much_larger_than_one_node() {
         let repo = redhat72(42);
-        assert!(repo.len() > 3 * COMPUTE_PACKAGE_COUNT);
+        assert!(repo.iter().len() > 3 * COMPUTE_PACKAGE_COUNT);
     }
 
     #[test]

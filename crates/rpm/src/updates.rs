@@ -133,19 +133,6 @@ impl UpdateStream {
         let last = self.updates.last().unwrap().day as f64;
         (last - first) / (self.updates.len() - 1) as f64
     }
-
-    /// Fold updates issued on or before `day` into a repository the way a
-    /// vendor "updates" directory would be mirrored. Returns the count of
-    /// packages whose version actually advanced.
-    pub fn apply_through(&self, repo: &mut Repository, day: u32) -> usize {
-        let mut changed = 0;
-        for update in self.up_to_day(day) {
-            if repo.insert(update.package.clone()) {
-                changed += 1;
-            }
-        }
-        changed
-    }
 }
 
 /// Bump a release string by appending/incrementing a vendor suffix:
@@ -218,18 +205,6 @@ mod tests {
             }
             seen.insert(update.package.name.clone(), update.package.evr.clone());
         }
-    }
-
-    #[test]
-    fn apply_through_respects_days() {
-        let mut repo = base();
-        let stream = UpdateStream::paper_stream(&repo, 99);
-        let early = stream.up_to_day(30).count();
-        let applied = stream.apply_through(&mut repo, 30);
-        assert!(applied <= early);
-        // Applying the rest brings the total to all distinct final versions.
-        let more = stream.apply_through(&mut repo, 365);
-        assert!(more > 0);
     }
 
     #[test]

@@ -43,21 +43,17 @@ impl DhcpService {
     }
 
     /// Handle a DISCOVER. Known MACs get their fixed binding; unknown
-    /// MACs get no answer but do get logged (insert-ethers' cue).
-    pub fn discover(&mut self, db: &mut ClusterDb, mac: &str) -> Option<DhcpAnswer> {
-        let node = db.nodes().ok()?.into_iter().find(|n| n.mac == mac);
-        match node {
+    /// MACs get no answer but do get logged (insert-ethers' cue). One
+    /// indexed lookup of the MAC, whatever the size of the cluster.
+    pub fn discover(&mut self, db: &ClusterDb, mac: &str) -> Option<DhcpAnswer> {
+        match db.node_by_mac(mac).ok()? {
             Some(node) => {
                 self.syslog.push(SyslogLine {
                     text: format!("dhcpd: DHCPACK on {} to {mac} ({})", node.ip, node.name),
                     mac: mac.to_string(),
                     known: true,
                 });
-                Some(DhcpAnswer {
-                    ip: node.ip,
-                    hostname: node.name.clone(),
-                    next_server: Ipv4::FRONTEND,
-                })
+                Some(DhcpAnswer { ip: node.ip, hostname: node.name, next_server: Ipv4::FRONTEND })
             }
             None => {
                 self.syslog.push(SyslogLine {
@@ -68,11 +64,6 @@ impl DhcpService {
                 None
             }
         }
-    }
-
-    /// The syslog stream.
-    pub fn syslog(&self) -> &[SyslogLine] {
-        &self.syslog
     }
 
     /// MACs of unknown hosts seen so far, in first-seen order without
@@ -98,31 +89,31 @@ mod tests {
         let mut db = ClusterDb::new();
         register_frontend(&mut db, "00:30:c1:d8:ac:80", "frontend-0").unwrap();
         let mut dhcp = DhcpService::new();
-        let answer = dhcp.discover(&mut db, "00:30:c1:d8:ac:80").unwrap();
+        let answer = dhcp.discover(&db, "00:30:c1:d8:ac:80").unwrap();
         assert_eq!(answer.ip, Ipv4::FRONTEND);
         assert_eq!(answer.hostname, "frontend-0");
         assert_eq!(answer.next_server, Ipv4::FRONTEND);
-        assert!(dhcp.syslog()[0].known);
+        assert!(dhcp.syslog[0].known);
     }
 
     #[test]
     fn unknown_mac_logged_not_answered() {
-        let mut db = ClusterDb::new();
+        let db = ClusterDb::new();
         let mut dhcp = DhcpService::new();
-        assert!(dhcp.discover(&mut db, "00:50:8b:aa:bb:cc").is_none());
+        assert!(dhcp.discover(&db, "00:50:8b:aa:bb:cc").is_none());
         assert_eq!(dhcp.unknown_macs(), vec!["00:50:8b:aa:bb:cc"]);
-        assert!(dhcp.syslog()[0].text.contains("DHCPDISCOVER"));
+        assert!(dhcp.syslog[0].text.contains("DHCPDISCOVER"));
     }
 
     #[test]
     fn discovery_queue_deduplicates_retries() {
-        let mut db = ClusterDb::new();
+        let db = ClusterDb::new();
         let mut dhcp = DhcpService::new();
         // PXE clients retry aggressively.
         for _ in 0..5 {
-            dhcp.discover(&mut db, "00:50:8b:aa:bb:01");
+            dhcp.discover(&db, "00:50:8b:aa:bb:01");
         }
-        dhcp.discover(&mut db, "00:50:8b:aa:bb:02");
+        dhcp.discover(&db, "00:50:8b:aa:bb:02");
         assert_eq!(dhcp.unknown_macs(), vec!["00:50:8b:aa:bb:01", "00:50:8b:aa:bb:02"]);
     }
 
@@ -133,14 +124,14 @@ mod tests {
         let mut db = ClusterDb::new();
         let mut dhcp = DhcpService::new();
         let mac = "00:50:8b:e0:44:5e";
-        assert!(dhcp.discover(&mut db, mac).is_none());
+        assert!(dhcp.discover(&db, mac).is_none());
 
         let mut session = InsertEthers::start(&mut db, "Compute", 0).unwrap();
         for unknown in dhcp.unknown_macs() {
             session.observe(&DhcpRequest { mac: unknown }).unwrap();
         }
 
-        let answer = dhcp.discover(&mut db, mac).unwrap();
+        let answer = dhcp.discover(&db, mac).unwrap();
         assert_eq!(answer.hostname, "compute-0-0");
         assert_eq!(answer.ip, Ipv4::new(10, 255, 255, 254));
     }

@@ -32,28 +32,9 @@ impl AccountMap {
         self.version += 1;
     }
 
-    /// Remove a user; bumps the version when present.
-    pub fn remove(&mut self, user: &str) -> bool {
-        let removed = self.entries.remove(user).is_some();
-        if removed {
-            self.version += 1;
-        }
-        removed
-    }
-
     /// Look up a user.
     pub fn get(&self, user: &str) -> Option<&PasswdEntry> {
         self.entries.get(user)
-    }
-
-    /// Number of accounts.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no accounts exist.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -94,12 +75,6 @@ impl NisDomain {
         }
     }
 
-    /// Push to everyone (`make -C /var/yp` on the frontend).
-    pub fn sync_all(&mut self) -> usize {
-        let names: Vec<String> = self.clients.keys().cloned().collect();
-        names.iter().filter(|n| self.sync_client(n)).count()
-    }
-
     /// Nodes whose maps are behind the master.
     pub fn stale_clients(&self) -> Vec<&str> {
         self.clients
@@ -126,10 +101,7 @@ mod tests {
         assert_eq!(map.version, 1);
         map.upsert(user("bruno", 501)); // replacement also bumps
         assert_eq!(map.version, 2);
-        assert!(map.remove("bruno"));
-        assert_eq!(map.version, 3);
-        assert!(!map.remove("bruno"));
-        assert_eq!(map.version, 3);
+        assert_eq!(map.get("bruno").unwrap().uid, 501);
     }
 
     #[test]
@@ -139,11 +111,12 @@ mod tests {
         domain.bind_client("compute-0-1");
         domain.master.upsert(user("mjk", 501));
         assert_eq!(domain.stale_clients().len(), 2);
-        assert_eq!(domain.sync_all(), 2);
+        assert!(domain.sync_client("compute-0-0"));
+        assert!(domain.sync_client("compute-0-1"));
         assert!(domain.stale_clients().is_empty());
         assert_eq!(domain.client("compute-0-0").unwrap().get("mjk").unwrap().uid, 501);
         // Second sync is a no-op.
-        assert_eq!(domain.sync_all(), 0);
+        assert!(!domain.sync_client("compute-0-0"));
     }
 
     #[test]
@@ -166,8 +139,8 @@ mod tests {
         let mut domain = NisDomain::new();
         domain.master.upsert(user("pi", 600));
         domain.bind_client("compute-0-5");
-        assert!(domain.client("compute-0-5").unwrap().is_empty());
+        assert_eq!(domain.client("compute-0-5").unwrap(), &AccountMap::default());
         domain.sync_client("compute-0-5");
-        assert_eq!(domain.client("compute-0-5").unwrap().len(), 1);
+        assert_eq!(domain.client("compute-0-5").unwrap(), &domain.master);
     }
 }

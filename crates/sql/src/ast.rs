@@ -12,18 +12,6 @@ pub struct ColumnRef {
     pub column: String,
 }
 
-impl ColumnRef {
-    /// Unqualified reference.
-    pub fn bare(column: &str) -> Self {
-        ColumnRef { table: None, column: column.to_ascii_lowercase() }
-    }
-
-    /// Qualified reference.
-    pub fn qualified(table: &str, column: &str) -> Self {
-        ColumnRef { table: Some(table.to_ascii_lowercase()), column: column.to_ascii_lowercase() }
-    }
-}
-
 impl std::fmt::Display for ColumnRef {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.table {

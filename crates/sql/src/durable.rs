@@ -154,11 +154,6 @@ impl DurableStats {
         self.fsyncs.get()
     }
 
-    /// Transactions committed.
-    pub fn commits(&self) -> u64 {
-        self.commits.get()
-    }
-
     /// Checkpoints completed.
     pub fn checkpoints(&self) -> u64 {
         self.checkpoints.get()
@@ -173,16 +168,6 @@ impl DurableStats {
     /// the commits that triggered them stood, on the log.
     pub fn checkpoints_refused(&self) -> u64 {
         self.checkpoints_refused.get()
-    }
-
-    /// Commits replayed by the open-time recovery.
-    pub fn recovery_replayed(&self) -> u64 {
-        self.recovery_replayed.get()
-    }
-
-    /// Tail anomalies found by the open-time recovery.
-    pub fn recovery_anomalies(&self) -> u64 {
-        self.recovery_anomalies.get()
     }
 
     /// Rows that finished transactions (committed or rolled back) had

@@ -98,11 +98,6 @@ impl HashIndex {
             }
         }
     }
-
-    /// Number of distinct keys (for tests and EXPLAIN sizing).
-    pub fn keys(&self) -> usize {
-        self.num.len() + self.text.len()
-    }
 }
 
 /// Pop `row` off the end of `key`'s bucket, and the bucket with it if

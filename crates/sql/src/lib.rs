@@ -177,7 +177,6 @@ struct PlanCache {
 /// truth: the registry handle this struct holds a clone of.
 #[derive(Debug, Clone)]
 pub struct QueryStats {
-    registry: Registry,
     plan_cache_hits: Counter,
     plan_cache_misses: Counter,
     indexed_exec: Counter,
@@ -211,14 +210,7 @@ impl QueryStats {
             stats_builds: registry.counter("sql.opt.stats_builds"),
             join_reorders: registry.counter("sql.opt.join_reorders"),
             est_actual_pct: registry.histogram("sql.opt.est_actual_pct", EST_ACTUAL_BOUNDS),
-            registry,
         }
-    }
-
-    /// The registry the counters live in (for merging into a
-    /// cluster-wide view).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 
     /// Cached-plan lookups that hit (`Database::query_ref`).
@@ -243,11 +235,6 @@ impl QueryStats {
         self.scan_exec.get()
     }
 
-    /// Calls to the SQL-free [`Database::lookup_eq`] fast path.
-    pub fn lookups(&self) -> u64 {
-        self.lookups.get()
-    }
-
     /// Rows enumerated/probed while producing results.
     pub fn rows_examined(&self) -> u64 {
         self.rows_examined.get()
@@ -256,27 +243,6 @@ impl QueryStats {
     /// Rows returned to callers.
     pub fn rows_returned(&self) -> u64 {
         self.rows_returned.get()
-    }
-
-    /// SELECT plans priced by the cost-based planner.
-    pub fn plans_costed(&self) -> u64 {
-        self.plans_costed.get()
-    }
-
-    /// Table-statistics builds/rebuilds triggered by planning.
-    pub fn stats_builds(&self) -> u64 {
-        self.stats_builds.get()
-    }
-
-    /// Costed plans whose join order differs from the FROM order.
-    pub fn join_reorders(&self) -> u64 {
-        self.join_reorders.get()
-    }
-
-    /// The estimated-vs-actual joined-row ratio histogram (percent; 100
-    /// means the estimate was exact).
-    pub fn estimate_ratio(&self) -> &Histogram {
-        &self.est_actual_pct
     }
 
     pub(crate) fn record_select(&self, examined: u64, returned: u64, used_index: bool) {
@@ -777,7 +743,9 @@ mod tests {
 
     #[test]
     fn query_stats_track_cache_decisions_and_rows() {
-        let db = two_table_db();
+        let mut db = two_table_db();
+        let registry = Registry::new();
+        db.bind_stats_registry(&registry);
         let sql = "select name from nodes where ip = '10.1.1.2'";
         db.query_ref(sql).unwrap();
         db.query_ref(sql).unwrap();
@@ -787,19 +755,24 @@ mod tests {
         // On a 3-row table the cost model keeps the point lookup on the
         // scan path — a cold index build cannot pay off at that size.
         assert_eq!(s.scan_executions(), 2);
-        assert_eq!(s.plans_costed(), 1, "the miss costed a plan; the hit reused it");
+        let snap = registry.snapshot();
+        assert_eq!(
+            snap.counter("sql.opt.plans_costed"),
+            1,
+            "the miss costed a plan; the hit reused it"
+        );
         assert_eq!(s.rows_returned(), 2);
         assert!(s.rows_examined() >= 2);
         // Estimate telemetry saw both executions of the costed plan.
-        assert_eq!(s.estimate_ratio().count(), 2);
+        assert_eq!(snap.histograms["sql.opt.est_actual_pct"].count, 2);
         // The scan baseline records a scan execution too.
         db.query_ref_scan(sql).unwrap();
         assert_eq!(s.scan_executions(), 3);
         // And the SQL-free fast path counts as a lookup.
         db.lookup_eq("nodes", "ip", &Value::Text("10.1.1.2".into())).unwrap();
-        assert_eq!(s.lookups(), 1);
         // Registry view agrees with the typed getters: one source of truth.
-        let snap = s.registry().snapshot();
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("sql.lookup_eq"), 1);
         assert_eq!(snap.counter("sql.plan.cache_hits"), s.plan_cache_hits());
         assert_eq!(snap.counter("sql.rows.examined"), s.rows_examined());
     }
@@ -871,7 +844,9 @@ mod tests {
     /// none of the three.
     #[test]
     fn lookup_eq_counters_over_a_fixed_probe_list() {
-        let db = coercion_db();
+        let mut db = coercion_db();
+        let registry = Registry::new();
+        db.bind_stats_registry(&registry);
         let probes = [
             ("nodes", "ip", Value::Text("10.1.1.2".into())),
             ("nodes", "membership", Value::Int(2)),
@@ -884,13 +859,12 @@ mod tests {
             ("ghost", "x", Value::Int(1)),
             ("t", "ghost", Value::Int(1)),
         ];
-        let s = db.stats();
-        let before = [s.lookups(), s.rows_examined(), s.rows_returned()];
         for (table, column, value) in &probes {
             let _ = db.lookup_eq(table, column, value);
         }
-        let after = [s.lookups(), s.rows_examined(), s.rows_returned()];
-        let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
-        assert_eq!(delta, [8, 18, 13], "[lookups, rows examined, rows returned]");
+        let snap = registry.snapshot();
+        let counts = ["sql.lookup_eq", "sql.rows.examined", "sql.rows.returned"]
+            .map(|name| snap.counter(name));
+        assert_eq!(counts, [8, 18, 13], "[lookups, rows examined, rows returned]");
     }
 }

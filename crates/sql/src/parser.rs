@@ -546,7 +546,13 @@ mod tests {
         .unwrap();
         match stmt {
             Statement::Select { items, from, where_clause, .. } => {
-                assert_eq!(items, vec![SelectItem::Column(ColumnRef::qualified("nodes", "name"))]);
+                assert_eq!(
+                    items,
+                    vec![SelectItem::Column(ColumnRef {
+                        table: Some("nodes".into()),
+                        column: "name".into()
+                    })]
+                );
                 assert_eq!(from, vec!["nodes".to_string(), "memberships".to_string()]);
                 // Top-level operator must be AND over the two equalities.
                 match where_clause.unwrap() {
@@ -597,8 +603,9 @@ mod tests {
         if let Statement::Select { items, .. } = stmt {
             assert_eq!(items.len(), 3);
             assert_eq!(items[0], SelectItem::CountStar);
-            assert_eq!(items[1], SelectItem::Min(ColumnRef::bare("rank")));
-            assert_eq!(items[2], SelectItem::Max(ColumnRef::bare("rank")));
+            let rank = ColumnRef { table: None, column: "rank".into() };
+            assert_eq!(items[1], SelectItem::Min(rank.clone()));
+            assert_eq!(items[2], SelectItem::Max(rank));
         } else {
             panic!("bad parse");
         }
@@ -626,7 +633,7 @@ mod tests {
                 sets: vec![("rack".into(), Expr::Literal(Value::Int(2)))],
                 where_clause: Some(Expr::Binary {
                     op: BinOp::Eq,
-                    lhs: Box::new(Expr::Column(ColumnRef::bare("name"))),
+                    lhs: Box::new(Expr::Column(ColumnRef { table: None, column: "name".into() })),
                     rhs: Box::new(Expr::Literal(Value::Text("compute-0-0".into()))),
                 }),
             }

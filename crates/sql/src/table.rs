@@ -377,14 +377,6 @@ impl Table {
         Ok(())
     }
 
-    /// Append a row given a subset of named columns; unnamed columns get
-    /// NULL.
-    pub fn insert_named(&mut self, names: &[String], values: Vec<Value>) -> Result<()> {
-        let row = self.stage_named(names, values)?;
-        self.append_staged(row);
-        Ok(())
-    }
-
     /// Column positions currently carrying a built hash index, sorted.
     /// The durable engine's checkpoint lists them in the catalog so a
     /// recovered process starts with the same columns warmed.
@@ -447,16 +439,17 @@ mod tests {
     }
 
     #[test]
-    fn insert_named_fills_nulls() {
+    fn stage_named_fills_nulls() {
         let mut table = t();
-        table.insert_named(&["name".into()], vec![Value::Text("compute-0-0".into())]).unwrap();
+        let row = table.stage_named(&["name".into()], vec![Value::Text("compute-0-0".into())]);
+        table.append_staged(row.unwrap());
         assert_eq!(table.rows()[0], vec![Value::Null, Value::Text("compute-0-0".into())]);
     }
 
     #[test]
-    fn insert_named_unknown_column() {
-        let mut table = t();
-        let err = table.insert_named(&["bogus".into()], vec![Value::Int(1)]).unwrap_err();
+    fn stage_named_unknown_column() {
+        let table = t();
+        let err = table.stage_named(&["bogus".into()], vec![Value::Int(1)]).unwrap_err();
         assert!(matches!(err, SqlError::NoSuchColumn(_)));
     }
 

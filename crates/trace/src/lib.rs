@@ -14,11 +14,11 @@
 //!   fixed-bucket histograms shared by handle. Subsystem `Stats`
 //!   structs are thin views over registry handles, so every number has
 //!   exactly one source of truth.
-//! - **Sinks**: a bounded ring buffer ([`Tracer::ring`] /
-//!   [`Tracer::ring_sim`]), a discard-everything sink
-//!   ([`Tracer::noop`]) for overhead measurement, and the disabled
-//!   tracer ([`Tracer::disabled`]) whose every operation inlines to an
-//!   early return on a `None` — the zero-cost-when-off configuration.
+//! - **One sink**: a bounded ring buffer ([`Tracer::ring`] /
+//!   [`Tracer::ring_sim`]) that counts what it evicts
+//!   ([`TraceDump::dropped`]). The disabled tracer
+//!   ([`Tracer::disabled`]) has no sink: its every operation inlines to
+//!   an early return on a `None` — the zero-cost-when-off configuration.
 
 mod metrics;
 mod sink;
@@ -70,22 +70,12 @@ pub struct TraceEvent {
 }
 
 #[derive(Debug)]
-enum Sink {
-    Noop,
-    Ring(Mutex<Ring>),
-}
-
-#[derive(Debug)]
 struct TracerInner {
-    sink: Sink,
+    ring: Mutex<Ring>,
     /// Virtual clock. Under logical mode every emitted event ticks it;
     /// under sim mode the instrumented code drives it via `set_time`.
     clock: AtomicU64,
     auto_tick: bool,
-    /// False for the no-op sink: events are discarded anyway, so the
-    /// event path (clock stamping, span stack, ring push) is skipped
-    /// entirely and only the metrics registry stays live.
-    record: bool,
     next_span: AtomicU64,
     registry: Registry,
 }
@@ -114,54 +104,38 @@ impl Tracer {
         Tracer { inner: None }
     }
 
-    /// Enabled but discarding: events are stamped and dropped, metrics
-    /// still accumulate: the enabled pipeline's overhead without the
-    /// cost of storage.
-    pub fn noop() -> Tracer {
-        Tracer::build(Sink::Noop, false)
-    }
-
     /// Ring-buffer collector with a *logical* clock: each emitted event
     /// gets the next tick. For code with no simulation clock
     /// (kickstart generation, dist builds, SQL).
     pub fn ring(cap: usize) -> Tracer {
-        Tracer::build(Sink::Ring(Mutex::new(Ring::new(cap))), true)
+        Tracer::build(cap, true)
     }
 
     /// Ring-buffer collector with a *virtual-time* clock: timestamps
     /// are whatever the simulator last fed via [`Tracer::set_time`]
     /// (µs). For netsim-driven scenarios.
     pub fn ring_sim(cap: usize) -> Tracer {
-        Tracer::build(Sink::Ring(Mutex::new(Ring::new(cap))), false)
+        Tracer::build(cap, false)
     }
 
-    fn build(sink: Sink, auto_tick: bool) -> Tracer {
-        let record = !matches!(sink, Sink::Noop);
+    fn build(cap: usize, auto_tick: bool) -> Tracer {
         Tracer {
             inner: Some(Arc::new(TracerInner {
-                sink,
+                ring: Mutex::new(Ring::new(cap)),
                 clock: AtomicU64::new(0),
                 auto_tick,
-                record,
                 next_span: AtomicU64::new(1),
                 registry: Registry::new(),
             })),
         }
     }
 
-    /// Whether any pipeline is attached.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Whether events (spans/marks/timestamps) are actually captured —
-    /// false for the disabled tracer *and* the no-op sink. Hot loops can
-    /// cache this to skip event bookkeeping entirely when nothing will
-    /// be recorded; metric counters stay live regardless.
+    /// Whether events (spans/marks/timestamps) are captured — false only
+    /// for the disabled tracer. Hot loops can cache this to skip event
+    /// bookkeeping entirely when nothing will be recorded.
     #[inline]
     pub fn records_events(&self) -> bool {
-        self.inner.as_deref().is_some_and(|i| i.record)
+        self.inner.is_some()
     }
 
     /// The tracer's metrics registry, if enabled.
@@ -174,7 +148,7 @@ impl Tracer {
     #[inline]
     pub fn set_time(&self, t: u64) {
         if let Some(inner) = &self.inner {
-            if !inner.auto_tick && inner.record {
+            if !inner.auto_tick {
                 inner.clock.store(t, Ordering::Relaxed);
             }
         }
@@ -192,12 +166,7 @@ impl Tracer {
         } else {
             inner.clock.load(Ordering::Relaxed)
         };
-        match &inner.sink {
-            Sink::Noop => {}
-            Sink::Ring(ring) => {
-                ring.lock().expect("trace ring lock poisoned").push(TraceEvent { at, kind });
-            }
-        }
+        inner.ring.lock().expect("trace ring lock poisoned").push(TraceEvent { at, kind });
     }
 
     /// Open a span. The returned guard emits the matching `Exit` on
@@ -209,9 +178,6 @@ impl Tracer {
         let Some(inner) = &self.inner else {
             return SpanGuard { tracer: Tracer::disabled(), span: 0, name };
         };
-        if !inner.record {
-            return SpanGuard { tracer: Tracer::disabled(), span: 0, name };
-        }
         let span = inner.next_span.fetch_add(1, Ordering::Relaxed);
         let key = self.identity();
         let parent = SPAN_STACK.with(|stack| {
@@ -227,21 +193,15 @@ impl Tracer {
     /// Emit a point event with an integer payload.
     #[inline]
     pub fn mark(&self, name: &'static str, value: u64) {
-        if let Some(inner) = &self.inner {
-            if inner.record {
-                self.emit(EventKind::Mark { name, value });
-            }
-        }
+        self.emit(EventKind::Mark { name, value });
     }
 
     /// Freeze everything captured so far: ring events (in order) plus a
-    /// metrics snapshot. Disabled and no-op tracers dump no events.
+    /// metrics snapshot. The disabled tracer dumps nothing.
     pub fn dump(&self) -> TraceDump {
         let Some(inner) = &self.inner else { return TraceDump::default() };
-        let (events, dropped) = match &inner.sink {
-            Sink::Noop => (Vec::new(), 0),
-            Sink::Ring(ring) => ring.lock().expect("trace ring lock poisoned").drain_in_order(),
-        };
+        let (events, dropped) =
+            inner.ring.lock().expect("trace ring lock poisoned").drain_in_order();
         TraceDump { events, metrics: inner.registry.snapshot(), dropped }
     }
 }
@@ -278,7 +238,7 @@ mod tests {
     #[test]
     fn disabled_tracer_does_nothing() {
         let t = Tracer::disabled();
-        assert!(!t.is_enabled());
+        assert!(!t.records_events());
         let _g = t.span("root");
         t.mark("m", 1);
         t.set_time(99);
@@ -289,17 +249,23 @@ mod tests {
     }
 
     #[test]
-    fn noop_tracer_keeps_metrics_but_no_events() {
-        let t = Tracer::noop();
-        assert!(t.is_enabled());
-        {
-            let _g = t.span("root");
-            t.mark("m", 1);
+    fn a_full_ring_keeps_the_newest_events_and_counts_the_rest() {
+        let t = Tracer::ring(4);
+        for i in 0..10 {
+            t.mark("m", i);
         }
-        t.registry().unwrap().counter("c").add(7);
         let dump = t.dump();
-        assert!(dump.events.is_empty());
-        assert_eq!(dump.metrics.counter("c"), 7);
+        assert_eq!(dump.events.len(), 4);
+        assert_eq!(dump.dropped, 6);
+        let values: Vec<u64> = dump
+            .events
+            .iter()
+            .map(|e| match e.kind {
+                EventKind::Mark { value, .. } => value,
+                _ => panic!("only marks were emitted"),
+            })
+            .collect();
+        assert_eq!(values, [6, 7, 8, 9]);
     }
 
     #[test]

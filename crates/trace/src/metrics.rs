@@ -97,11 +97,6 @@ impl Gauge {
     pub fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
     }
-
-    /// Reset to zero.
-    pub fn reset(&self) {
-        self.0.store(0f64.to_bits(), Ordering::Relaxed);
-    }
 }
 
 #[derive(Debug)]
@@ -437,53 +432,6 @@ impl Snapshot {
     pub fn gauge(&self, name: &str) -> f64 {
         self.gauges.get(name).copied().unwrap_or(0.0)
     }
-
-    /// Render as a stable, human-greppable JSON object.
-    pub fn to_json(&self) -> String {
-        fn opt(v: Option<u64>) -> String {
-            v.map_or_else(|| "null".to_string(), |x| x.to_string())
-        }
-        let mut out = String::from("{\n  \"counters\": {");
-        let mut first = true;
-        for (k, v) in &self.counters {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\n    \"{k}\": {v}"));
-        }
-        out.push_str("\n  },\n  \"gauges\": {");
-        first = true;
-        for (k, v) in &self.gauges {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\n    \"{k}\": {v:.3}"));
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
-        first = true;
-        for (k, h) in &self.histograms {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\n    \"{k}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-                 \"p50\": {}, \"p95\": {}, \"p99\": {}, \"overflow\": {}}}",
-                h.count,
-                h.sum,
-                opt(h.min),
-                opt(h.max),
-                opt(h.p50),
-                opt(h.p95),
-                opt(h.p99),
-                h.overflow
-            ));
-        }
-        out.push_str("\n  }\n}\n");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -716,21 +664,5 @@ mod tests {
         r.counter("x").add(5);
         r.merge(&r.clone());
         assert_eq!(r.counter("x").get(), 5);
-    }
-
-    #[test]
-    fn snapshot_json_is_stable_and_greppable() {
-        let r = Registry::new();
-        r.counter("b.second").add(2);
-        r.counter("a.first").add(1);
-        r.gauge("g").set(3.5);
-        r.histogram("h", &[10]).record(4);
-        let json = r.snapshot().to_json();
-        let a = json.find("a.first").unwrap();
-        let b = json.find("b.second").unwrap();
-        assert!(a < b, "keys must render sorted");
-        assert!(json.contains("\"g\": 3.500"));
-        assert!(json.contains("\"count\": 1"));
-        assert_eq!(json, r.snapshot().to_json());
     }
 }

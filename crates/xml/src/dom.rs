@@ -59,12 +59,6 @@ impl Element {
         self
     }
 
-    /// Builder-style: append a child element.
-    pub fn with_child(mut self, child: Element) -> Self {
-        self.children.push(Node::Element(child));
-        self
-    }
-
     /// Element name as written.
     pub fn name(&self) -> &str {
         &self.name
@@ -222,11 +216,6 @@ impl Document {
     pub fn root(&self) -> &Element {
         &self.root
     }
-
-    /// Mutable root element.
-    pub fn root_mut(&mut self) -> &mut Element {
-        &mut self.root
-    }
 }
 
 fn attach(stack: &mut [Element], root: &mut Option<Element>, el: Element) {
@@ -289,12 +278,13 @@ mod tests {
 
     #[test]
     fn attr_lookup_and_mutation() {
-        let mut doc = Document::parse(r#"<edge from="a" to="b"/>"#).unwrap();
+        let doc = Document::parse(r#"<edge from="a" to="b"/>"#).unwrap();
         assert_eq!(doc.root().attr("FROM"), Some("a"));
-        doc.root_mut().set_attr("to", "c");
-        assert_eq!(doc.root().attr("to"), Some("c"));
-        doc.root_mut().set_attr("arch", "x86");
-        assert_eq!(doc.root().attr("arch"), Some("x86"));
+        let mut edge = doc.root().clone();
+        edge.set_attr("to", "c");
+        assert_eq!(edge.attr("to"), Some("c"));
+        edge.set_attr("arch", "x86");
+        assert_eq!(edge.attr("arch"), Some("x86"));
     }
 
     #[test]
@@ -312,9 +302,9 @@ mod tests {
 
     #[test]
     fn builder_api() {
-        let el = Element::new("kickstart")
-            .with_child(Element::new("package").with_text("dhcp"))
-            .with_child(Element::new("package").with_attr("type", "meta").with_text("base"));
+        let mut el = Element::new("kickstart");
+        el.push(Node::Element(Element::new("package").with_text("dhcp")));
+        el.push(Node::Element(Element::new("package").with_attr("type", "meta").with_text("base")));
         assert_eq!(el.elements("package").count(), 2);
         assert_eq!(el.elements("package").nth(1).unwrap().attr("type"), Some("meta"));
     }

@@ -71,11 +71,6 @@ impl<'a> Parser<'a> {
         Pos { offset: self.pos, line: self.line, col: self.col }
     }
 
-    /// Depth of the open-element stack.
-    pub fn depth(&self) -> usize {
-        self.stack.len()
-    }
-
     fn peek(&self) -> Option<u8> {
         self.src.get(self.pos).copied()
     }

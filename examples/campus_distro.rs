@@ -13,7 +13,7 @@ fn main() {
     let redhat = Distribution::stock("redhat-7.2", synth::redhat72(3));
     println!(
         "redhat-7.2: {} packages, {:.0} MB on the mirror",
-        redhat.repo().len(),
+        redhat.repo().iter().len(),
         redhat.tree.materialized_bytes() as f64 / (1024.0 * 1024.0)
     );
 
@@ -82,6 +82,6 @@ fn main() {
     println!(
         "\nafter the advisory rebuild, {}/{} security updates visible at the campus level",
         patched,
-        security.len()
+        security.iter().len()
     );
 }

@@ -19,7 +19,7 @@ fn main() {
     println!("frontend installed; distribution = {}", cluster.distribution.name);
     println!(
         "distribution carries {} packages ({:.1} MB for an i686 compute node)\n",
-        cluster.distribution.repo().len(),
+        cluster.distribution.repo().iter().len(),
         cluster.distribution.bytes_for_arch(Arch::I686) as f64 / (1024.0 * 1024.0),
     );
 

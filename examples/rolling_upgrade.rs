@@ -21,7 +21,7 @@ fn main() {
     for update in stream.up_to_day(30) {
         updates.insert(update.package.clone());
     }
-    println!("vendor shipped {} updates in the last 30 days", updates.len());
+    println!("vendor shipped {} updates in the last 30 days", updates.iter().len());
 
     // Production is busy: a 4-node simulation has 2 hours left.
     let running = [("namd-production", 4usize, 7200.0)];

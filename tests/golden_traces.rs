@@ -42,6 +42,15 @@ fn check_golden(name: &str, trace: &str) {
     );
 }
 
+/// The tracer's normalized dump, once the ring is known to have kept
+/// every event: a truncated trace would otherwise be compared with a
+/// truncated golden.
+fn normalized(tracer: &Tracer, quantum: u64) -> String {
+    let dump = tracer.dump();
+    assert_eq!(dump.dropped, 0, "the trace ring overflowed; give it more capacity");
+    dump.normalized(quantum)
+}
+
 /// Fig-4 workload: frontend install, one integrated rack, then every
 /// profile generated through the caching service. Generation runs on one
 /// thread so cache hit/miss interleaving is pinned; the tracer's logical
@@ -52,7 +61,7 @@ fn bringup_trace() -> String {
     let macs: Vec<String> = (0..4).map(|i| format!("00:50:8b:00:00:{i:02x}")).collect();
     cluster.integrate_rack("Compute", 0, &macs).unwrap();
     cluster.generate_kickstarts(1).unwrap();
-    cluster.tracer().dump().normalized(1)
+    normalized(cluster.tracer(), 1)
 }
 
 /// A 16-node mass reinstall under `mode`, timestamps quantized to
@@ -62,7 +71,7 @@ fn mass_reinstall_trace(mode: EngineMode) -> String {
     let mut sim = ClusterSim::new_with_mode(cfg, 16, mode);
     sim.set_tracer(Tracer::ring_sim(1 << 18));
     sim.run_reinstall();
-    sim.tracer().dump().normalized(1000)
+    normalized(sim.tracer(), 1000)
 }
 
 /// Chaos corpus seed 7 (the flapping-server scenario: 11 nodes, four
@@ -72,7 +81,7 @@ fn chaos_trace(mode: EngineMode) -> String {
     let mut sim = plan.build(mode);
     sim.set_tracer(Tracer::ring_sim(1 << 18));
     sim.run_reinstall();
-    sim.tracer().dump().normalized(1000)
+    normalized(sim.tracer(), 1000)
 }
 
 /// A 64-client closed-loop serve run against the timing-model backend,
@@ -97,7 +106,7 @@ fn serve_64_clients_trace() -> String {
     let mut backend = ModelBackend::new(64, 4, 6);
     let (report, _) = run_serve(&cfg, &wl, &mut backend, &tracer);
     assert!(report.violations.is_empty(), "violations: {:?}", report.violations);
-    tracer.dump().normalized(1)
+    normalized(&tracer, 1)
 }
 
 #[test]
