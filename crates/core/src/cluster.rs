@@ -4,7 +4,7 @@ use crate::{Result, RocksError};
 use rocks_db::insert_ethers::{register_frontend, DhcpRequest, InsertEthers};
 use rocks_db::{reports, ClusterDb, NodeRecord};
 use rocks_dist::{build_traced, BuildConfig, Distribution};
-use rocks_kickstart::{profiles, GeneratedProfile, GenerationService, KickstartGenerator};
+use rocks_kickstart::{profiles, GeneratedProfile, GenerationService, KickstartGenerator, KsError};
 use rocks_netsim::{ClusterSim, SimConfig};
 use rocks_rexec::NodeAgent;
 use rocks_rpm::{synth, Arch, Repository};
@@ -122,8 +122,8 @@ impl Cluster {
     }
 
     /// Integrate a rack of new nodes: boot each (simulated) machine,
-    /// watch the DHCP syslog, and run insert-ethers over the unknown
-    /// MACs. Installs each integrated node immediately, as booting a
+    /// take the MACs DHCP could not answer, and run insert-ethers over
+    /// them. Installs each integrated node immediately, as booting a
     /// Rocks CD does. Returns the new database records.
     pub fn integrate_rack(
         &mut self,
@@ -135,12 +135,12 @@ impl Cluster {
         for mac in macs {
             self.dhcp.discover(&self.db, mac);
         }
-        let unknown = self.dhcp.unknown_macs();
+        let unknown = self.dhcp.drain_unknown();
         let mut session = InsertEthers::start(&mut self.db, membership, rack)?;
         let mut records = Vec::new();
         for mac in unknown {
             if !macs.contains(&mac) {
-                continue; // an earlier rack's leftovers
+                continue; // not this rack's: queued again at its next DISCOVER
             }
             if let Some(record) = session.observe(&DhcpRequest { mac })? {
                 records.push(record);
@@ -322,7 +322,7 @@ impl Cluster {
 
         let mut feeds = Vec::new();
         for (i, name) in names.iter().enumerate() {
-            let feed = rocks_ekv::LocalFeed::new();
+            let mut feed = rocks_ekv::LocalFeed::default();
             for line in &sim.node(i).log {
                 feed.publish(&format!(
                     "[{:>7.1}s] {}",
@@ -338,10 +338,11 @@ impl Cluster {
     }
 
     /// Define a new appliance class end-to-end (§6.1's extensibility):
-    /// register a membership that kickstarts from `graph_root`, add the
-    /// root's node file and edges to the profile set if the caller has
-    /// not already, and return the membership id. Nodes integrated under
-    /// `membership_name` then install the new appliance.
+    /// register a membership that kickstarts from `graph_root` and return
+    /// its id. Nodes integrated under `membership_name` then install the
+    /// new appliance. A name already in use (case-insensitively, as
+    /// insert-ethers looks it up) or a root the profile graph does not
+    /// mention is refused before any row is written.
     pub fn add_appliance(
         &mut self,
         membership_name: &str,
@@ -349,22 +350,26 @@ impl Cluster {
         graph_root: &str,
         compute: bool,
     ) -> Result<i64> {
-        // Appliance row: next free id in the appliances table.
-        let next_appliance = self.db.sql_ref().query_ref("select max(id) from appliances")?.rows[0]
-            [0]
-        .as_int()
-        .unwrap_or(0)
-            + 1;
+        match self.db.membership_by_name(membership_name) {
+            Ok(_) => return Err(RocksError::DuplicateMembership(membership_name.to_string())),
+            Err(rocks_db::DbError::NoSuchMembership(_)) => {}
+            Err(e) => return Err(e.into()),
+        }
+        if !self.generator().profiles().graph.mentioned().contains(graph_root) {
+            return Err(KsError::UnknownRoot(graph_root.to_string()).into());
+        }
+        // The next free id of a table: one past its largest.
+        let next_id = |db: &ClusterDb, table: &str| -> Result<i64> {
+            let max = db.sql_ref().query_ref(&format!("select max(id) from {table}"))?;
+            Ok(max.rows[0][0].as_int().unwrap_or(0) + 1)
+        };
+        let next_appliance = next_id(&self.db, "appliances")?;
         self.db.execute_raw(&format!(
             "insert into appliances values ({next_appliance}, '{}', '{}')",
             rocks_db::sql_escape(membership_name),
             rocks_db::sql_escape(graph_root),
         ))?;
-        let next_membership = self.db.sql_ref().query_ref("select max(id) from memberships")?.rows
-            [0][0]
-            .as_int()
-            .unwrap_or(0)
-            + 1;
+        let next_membership = next_id(&self.db, "memberships")?;
         self.db.add_membership(&rocks_db::Membership {
             id: next_membership,
             name: membership_name.to_string(),
@@ -567,15 +572,14 @@ mod tests {
         assert_eq!(report.nodes.len(), 2);
         assert_eq!(feeds.len(), 2);
         for (name, feed) in &feeds {
-            let backlog = feed.backlog();
+            let backlog: Vec<&str> = feed.backlog().collect();
             assert!(backlog.iter().any(|l| l.contains("requesting kickstart")), "{name}");
             assert!(
                 backlog.iter().any(|l| l.contains(&format!("{name}: up"))),
                 "{name}: {backlog:?}"
             );
-            // Late subscribers still see the whole install.
-            let rx = feed.subscribe();
-            assert_eq!(rx.try_iter().count(), backlog.len());
+            // Late readers still see the whole install: cursor 0 replays it.
+            assert_eq!(feed.since(0).iter().filter(|&&b| b == b'\n').count(), backlog.len());
         }
         // Monitored shoot updates state exactly like the plain one.
         assert_eq!(cluster.image("compute-0-0").unwrap().install_count, 2);
@@ -649,6 +653,29 @@ mod tests {
     }
 
     #[test]
+    fn add_appliance_refuses_what_it_cannot_honour() {
+        let mut cluster = small_cluster(1);
+        cluster.add_appliance("Storage", "storage", "nfs-server", false).unwrap();
+        let rows = |cluster: &Cluster| {
+            ["appliances", "memberships"].map(|table| {
+                let sql = format!("select count(*) from {table}");
+                cluster.db.sql_ref().query_ref(&sql).unwrap().rows[0][0].as_int()
+            })
+        };
+        let (before, revision) = (rows(&cluster), cluster.db.revision());
+        assert!(matches!(
+            cluster.add_appliance("storage", "nfs", "nfs-server", false),
+            Err(RocksError::DuplicateMembership(name)) if name == "storage"
+        ));
+        assert!(matches!(
+            cluster.add_appliance("Ghost", "ghost", "no-such-root", true),
+            Err(RocksError::Kickstart(KsError::UnknownRoot(root))) if root == "no-such-root"
+        ));
+        assert_eq!(rows(&cluster), before);
+        assert_eq!(cluster.db.revision(), revision);
+    }
+
+    #[test]
     fn replace_node_rebinds_and_reinstalls() {
         let mut cluster = small_cluster(2);
         let before = cluster.db.node_by_name("compute-0-1").unwrap();
@@ -659,6 +686,18 @@ mod tests {
         assert_eq!(after.mac, "00:50:8b:ff:ff:01");
         assert_eq!(cluster.image("compute-0-1").unwrap().install_count, 2);
         assert!(cluster.inconsistent_nodes().unwrap().is_empty());
+    }
+
+    #[test]
+    fn integrated_racks_leave_no_mac_queued() {
+        let mut cluster = Cluster::install_frontend("00:30:c1:d8:ac:80", 1).unwrap();
+        for rack in 0..64 {
+            let macs: Vec<String> =
+                (0..32).map(|i| format!("00:50:8b:{rack:02x}:01:{i:02x}")).collect();
+            assert_eq!(cluster.integrate_rack("Compute", rack, &macs).unwrap().len(), 32);
+        }
+        assert_eq!(cluster.compute_node_names().unwrap().len(), 64 * 32);
+        assert!(cluster.dhcp.drain_unknown().is_empty());
     }
 
     #[test]

@@ -53,6 +53,8 @@ pub enum RocksError {
     Pbs(rocks_pbs::PbsError),
     /// A named node does not exist.
     NoSuchNode(String),
+    /// A membership of that name already exists.
+    DuplicateMembership(String),
     /// Upgrade validation failed on the test node.
     ValidationFailed(String),
     /// The reinstall simulation could not finish (e.g. it stalled with
@@ -69,6 +71,7 @@ impl std::fmt::Display for RocksError {
             RocksError::Dist(e) => write!(f, "distribution: {e}"),
             RocksError::Pbs(e) => write!(f, "batch system: {e}"),
             RocksError::NoSuchNode(n) => write!(f, "no such node: {n}"),
+            RocksError::DuplicateMembership(m) => write!(f, "membership already exists: {m}"),
             RocksError::ValidationFailed(m) => write!(f, "upgrade validation failed: {m}"),
             RocksError::Simulation(m) => write!(f, "simulation: {m}"),
         }

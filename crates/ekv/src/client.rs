@@ -41,38 +41,3 @@ pub fn watch_lines(
     }
     Ok(count)
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::server::EkvServer;
-
-    #[test]
-    fn watch_until_completion_marker() {
-        let server = EkvServer::start().unwrap();
-        server.publish("formatting /");
-        server.publish("installing glibc [1/3]");
-        server.publish("install complete");
-        server.publish("after-marker noise");
-
-        let mut seen = Vec::new();
-        let count = watch_lines(
-            server.addr(),
-            Duration::from_secs(5),
-            |line| seen.push(line.to_string()),
-            |line| line.contains("install complete"),
-        )
-        .unwrap();
-        assert_eq!(count, 3);
-        assert_eq!(seen.last().unwrap(), "install complete");
-    }
-
-    #[test]
-    fn timeout_returns_cleanly_when_quiet() {
-        let server = EkvServer::start().unwrap();
-        server.publish("only line");
-        let count =
-            watch_lines(server.addr(), Duration::from_millis(100), |_| {}, |_| false).unwrap();
-        assert_eq!(count, 1);
-    }
-}

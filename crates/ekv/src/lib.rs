@@ -10,14 +10,16 @@
 //!
 //! This crate implements the wire path for real:
 //!
-//! * [`EkvServer`] — the installing node's side: a TCP listener
-//!   on a telnet-compatible port that broadcasts captured installer
-//!   output to every connected watcher,
+//! * [`LocalFeed`] — the sans-IO core: the transcript as one buffer, each
+//!   watcher a cursor into it; publishing appends and does no I/O, and a
+//!   late reader replays everything,
+//! * [`EkvServer`] — the installing node's side: that feed on a
+//!   telnet-compatible TCP port. It starts no thread; the installer's own
+//!   loop drives the nonblocking sockets each time it publishes or waits
+//!   for input, so a watcher that stops reading never stalls the install,
 //! * [`watch_lines`] — the shoot-node side: connect and stream lines,
 //! * [`InstallScreen`] — renders the Figure 7 status panel from install
-//!   progress,
-//! * an in-process [`LocalFeed`] transport for deterministic
-//!   tests and simulator integration.
+//!   progress.
 //!
 //! Everything above is named here, in `lib.rs`; the modules behind it are
 //! private.

@@ -1,108 +1,91 @@
-//! The node-side eKV broadcaster.
+//! The node-side eKV port: a sans-IO feed, and the TCP server that
+//! drives it from the installer's own loop.
 
-use std::io::{BufRead, BufReader, Write};
+use std::collections::VecDeque;
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-/// A telnet-compatible broadcaster: every line published is written to
-/// every connected client. Clients that disconnect are dropped silently
-/// (the installer must never block on a dead watcher).
+/// The installer's transcript: every published line, in order, held as
+/// one newline-terminated buffer. Publishing appends and does no I/O.
 ///
-/// The channel is bidirectional: lines a watcher types come back through
+/// A watcher is a byte offset into that buffer (a cursor), and
+/// [`since`](Self::since) is what it has not seen yet. A watcher that
+/// joins late starts at 0 and replays the whole install; one that falls
+/// behind costs only its cursor. [`EkvServer`] is this feed plus sockets,
+/// driven by the installer's loop; on its own it is the in-process
+/// transport, e.g. the per-node transcripts of a monitored `shoot-node`.
+#[derive(Debug, Default)]
+pub struct LocalFeed {
+    transcript: String,
+}
+
+impl LocalFeed {
+    /// Append one line of installer output.
+    pub fn publish(&mut self, line: &str) {
+        self.transcript.push_str(line);
+        self.transcript.push('\n');
+    }
+
+    /// The transcript after byte `cursor`. A reader that has taken `n`
+    /// bytes of it advances its cursor by `n`.
+    pub fn since(&self, cursor: usize) -> &[u8] {
+        &self.transcript.as_bytes()[cursor..]
+    }
+
+    /// Lines published so far. A published line that held a newline
+    /// reads back as two, as it does on the wire.
+    pub fn backlog(&self) -> std::str::Lines<'_> {
+        self.transcript.lines()
+    }
+}
+
+/// A telnet-compatible eKV port: every published line goes to every
+/// connected watcher, and lines a watcher types come back through
 /// [`EkvServer::wait_input`] — the paper's "we've also inserted code that
 /// allows users to interact with the installation through the same xterm
 /// window" (§6.3).
+///
+/// The server starts no thread: the installer's own loop drives the I/O.
+/// Every socket is nonblocking, and [`publish`](Self::publish) and
+/// [`wait_input`](Self::wait_input) run poll steps that accept pending
+/// watchers at cursor 0 (replaying the backlog, so `shoot-node` never
+/// misses early boot output), write each watcher whatever its socket will
+/// take from its cursor, and read typed input. So the installer never
+/// blocks on a watcher: one that stops reading just falls behind, and gets
+/// everything if it reads again. A watcher that closes or errors is
+/// dropped. Sockets close when the server is dropped.
 pub struct EkvServer {
+    listener: TcpListener,
     addr: SocketAddr,
-    clients: Arc<Mutex<Vec<TcpStream>>>,
-    /// Lines published before any client connects are replayed to new
-    /// connections, so `shoot-node` never misses early boot output.
-    backlog: Arc<Mutex<Vec<String>>>,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    input_rx: Receiver<String>,
+    feed: LocalFeed,
+    watchers: Vec<Watcher>,
+    /// Typed lines not yet returned by `wait_input`, oldest first.
+    input: VecDeque<String>,
+}
+
+/// One connected watcher.
+struct Watcher {
+    stream: BufReader<TcpStream>,
+    /// Transcript bytes already written to `stream`.
+    cursor: usize,
+    /// Typed bytes since the last newline.
+    partial: Vec<u8>,
 }
 
 impl EkvServer {
-    /// Bind on an ephemeral localhost port and start accepting watchers.
+    /// Bind on an ephemeral localhost port. Watchers are accepted by the
+    /// next [`publish`](Self::publish) or [`wait_input`](Self::wait_input).
     pub fn start() -> std::io::Result<EkvServer> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let clients: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        let backlog: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let (input_tx, input_rx) = channel::<String>();
-
-        let accept_clients = Arc::clone(&clients);
-        let accept_backlog = Arc::clone(&backlog);
-        let accept_shutdown = Arc::clone(&shutdown);
-        let accept_thread = std::thread::spawn(move || {
-            while !accept_shutdown.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((mut stream, _)) => {
-                        // Replay the backlog so late watchers see history.
-                        // Hold the backlog lock until the client is
-                        // registered: publish() takes the same lock first,
-                        // so no line can land in the gap between replay
-                        // and registration (it would otherwise be lost to
-                        // this watcher).
-                        let history = accept_backlog.lock().expect("backlog lock");
-                        let mut ok = true;
-                        for line in history.iter() {
-                            if writeln!(stream, "{line}").is_err() {
-                                ok = false;
-                                break;
-                            }
-                        }
-                        if ok {
-                            let _ = stream.flush();
-                            // A reader thread per watcher forwards typed
-                            // input back to the installer.
-                            if let Ok(read_half) = stream.try_clone() {
-                                let tx = input_tx.clone();
-                                std::thread::spawn(move || {
-                                    let reader = BufReader::new(read_half);
-                                    for line in reader.lines() {
-                                        match line {
-                                            Ok(text) => {
-                                                if tx.send(text).is_err() {
-                                                    break;
-                                                }
-                                            }
-                                            Err(_) => break,
-                                        }
-                                    }
-                                });
-                            }
-                            accept_clients.lock().expect("clients lock").push(stream);
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(2));
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-
         Ok(EkvServer {
-            addr,
-            clients,
-            backlog,
-            shutdown,
-            accept_thread: Some(accept_thread),
-            input_rx,
+            addr: listener.local_addr()?,
+            listener,
+            feed: LocalFeed::default(),
+            watchers: Vec::new(),
+            input: VecDeque::new(),
         })
-    }
-
-    /// Block up to `timeout` for one line of watcher input;
-    /// `Duration::ZERO` polls without blocking.
-    pub fn wait_input(&self, timeout: std::time::Duration) -> Option<String> {
-        self.input_rx.recv_timeout(timeout).ok()
     }
 
     /// The address watchers connect to.
@@ -110,79 +93,81 @@ impl EkvServer {
         self.addr
     }
 
-    /// Publish one line of installer output to all watchers.
-    pub fn publish(&self, line: &str) {
-        self.backlog.lock().expect("backlog lock").push(line.to_string());
-        let mut clients = self.clients.lock().expect("clients lock");
-        clients
-            .retain_mut(|stream| writeln!(stream, "{line}").and_then(|_| stream.flush()).is_ok());
+    /// Publish one line of installer output and send each watcher what
+    /// its socket will take now; never waits for a watcher.
+    pub fn publish(&mut self, line: &str) {
+        self.feed.publish(line);
+        self.poll();
     }
 
-    /// Stop accepting and drop all watchers.
-    pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
+    /// Drive the I/O until a watcher has typed a line or `timeout` has
+    /// passed, and return that line; `Duration::ZERO` polls once.
+    pub fn wait_input(&mut self, timeout: Duration) -> Option<String> {
+        let start = Instant::now();
+        loop {
+            self.poll();
+            match self.input.pop_front() {
+                Some(line) => return Some(line),
+                None if start.elapsed() >= timeout => return None,
+                // Let the watchers' side of the sockets move.
+                None => std::thread::sleep(Duration::from_millis(1)),
+            }
         }
-        self.clients.lock().expect("clients lock").clear();
-    }
-}
-
-impl Drop for EkvServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// An in-process feed with identical semantics (publish/subscribe with
-/// backlog replay) for tests and for wiring the simulator's node logs to
-/// a monitor without sockets.
-#[derive(Clone, Default)]
-pub struct LocalFeed {
-    inner: Arc<Mutex<LocalFeedInner>>,
-}
-
-#[derive(Default)]
-struct LocalFeedInner {
-    backlog: Vec<String>,
-    subscribers: Vec<Sender<String>>,
-}
-
-impl LocalFeed {
-    /// New empty feed.
-    pub fn new() -> LocalFeed {
-        LocalFeed::default()
     }
 
-    /// Publish a line to all subscribers (and the backlog).
-    pub fn publish(&self, line: &str) {
-        let mut inner = self.inner.lock().expect("feed lock");
-        inner.backlog.push(line.to_string());
-        inner.subscribers.retain(|tx| tx.send(line.to_string()).is_ok());
-    }
-
-    /// Subscribe; the returned receiver first sees the whole backlog.
-    pub fn subscribe(&self) -> Receiver<String> {
-        let (tx, rx) = channel();
-        let mut inner = self.inner.lock().expect("feed lock");
-        for line in &inner.backlog {
-            let _ = tx.send(line.clone());
+    /// One nonblocking step: accept, read typed input, write from each
+    /// cursor, and drop the watchers that are gone.
+    fn poll(&mut self) {
+        while let Ok((stream, _)) = self.listener.accept() {
+            // An accepted socket does not inherit the listener's mode.
+            if stream.set_nonblocking(true).is_ok() {
+                let stream = BufReader::new(stream);
+                self.watchers.push(Watcher { stream, cursor: 0, partial: Vec::new() });
+            }
         }
-        inner.subscribers.push(tx);
-        rx
+        let (feed, input) = (&self.feed, &mut self.input);
+        // Read first, so a line typed just before a close still arrives.
+        self.watchers.retain_mut(|w| w.read_into(input) && w.write_from(feed));
+    }
+}
+
+impl Watcher {
+    /// Queue every line typed so far (a line counts once its newline
+    /// arrives); false once the watcher has closed or failed.
+    fn read_into(&mut self, input: &mut VecDeque<String>) -> bool {
+        loop {
+            // On `WouldBlock` the bytes read so far stay in `partial`.
+            match self.stream.read_until(b'\n', &mut self.partial) {
+                Ok(_) if self.partial.ends_with(b"\n") => {
+                    // As `BufRead::lines` gives it: no `\n` or `\r\n`.
+                    let line = &self.partial[..self.partial.len() - 1];
+                    let line = line.strip_suffix(b"\r").unwrap_or(line);
+                    input.push_back(String::from_utf8_lossy(line).into_owned());
+                    self.partial.clear();
+                }
+                Ok(_) => return false,
+                Err(e) => return e.kind() == ErrorKind::WouldBlock,
+            }
+        }
     }
 
-    /// Lines published so far.
-    pub fn backlog(&self) -> Vec<String> {
-        self.inner.lock().expect("feed lock").backlog.clone()
+    /// Write from the cursor until the socket takes no more; false once
+    /// the watcher is gone.
+    fn write_from(&mut self, feed: &LocalFeed) -> bool {
+        while !feed.since(self.cursor).is_empty() {
+            match self.stream.get_mut().write(feed.since(self.cursor)) {
+                Ok(0) => return false,
+                Ok(n) => self.cursor += n,
+                Err(e) => return e.kind() == ErrorKind::WouldBlock,
+            }
+        }
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{BufRead, BufReader};
-    use std::time::Duration;
 
     fn connect(addr: SocketAddr) -> BufReader<TcpStream> {
         let stream = TcpStream::connect(addr).expect("connect");
@@ -190,21 +175,23 @@ mod tests {
         BufReader::new(stream)
     }
 
-    fn wait_for_watchers(server: &EkvServer, n: usize) {
-        for _ in 0..500 {
-            if server.clients.lock().unwrap().len() >= n {
+    /// Drive the server until it holds `n` watchers.
+    fn settle(server: &mut EkvServer, n: usize) {
+        for _ in 0..2_500 {
+            server.poll();
+            if server.watchers.len() == n {
                 return;
             }
             std::thread::sleep(Duration::from_millis(2));
         }
-        panic!("watcher never registered");
+        panic!("the server holds {} watchers, not {n}", server.watchers.len());
     }
 
     #[test]
     fn tcp_watcher_receives_published_lines() {
-        let server = EkvServer::start().unwrap();
+        let mut server = EkvServer::start().unwrap();
         let mut reader = connect(server.addr());
-        wait_for_watchers(&server, 1);
+        settle(&mut server, 1);
         server.publish("Installing dev-3.0.6-5 (340k) [38/162]");
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
@@ -213,10 +200,11 @@ mod tests {
 
     #[test]
     fn late_watcher_gets_backlog_replay() {
-        let server = EkvServer::start().unwrap();
+        let mut server = EkvServer::start().unwrap();
         server.publish("line one");
         server.publish("line two");
         let mut reader = connect(server.addr());
+        settle(&mut server, 1);
         let mut a = String::new();
         let mut b = String::new();
         reader.read_line(&mut a).unwrap();
@@ -227,10 +215,10 @@ mod tests {
 
     #[test]
     fn multiple_watchers_all_receive() {
-        let server = EkvServer::start().unwrap();
+        let mut server = EkvServer::start().unwrap();
         let mut r1 = connect(server.addr());
         let mut r2 = connect(server.addr());
-        wait_for_watchers(&server, 2);
+        settle(&mut server, 2);
         server.publish("broadcast");
         for reader in [&mut r1, &mut r2] {
             let mut line = String::new();
@@ -241,49 +229,54 @@ mod tests {
 
     #[test]
     fn disconnected_watcher_is_dropped() {
-        let server = EkvServer::start().unwrap();
+        let mut server = EkvServer::start().unwrap();
         {
             let _reader = connect(server.addr());
-            wait_for_watchers(&server, 1);
+            settle(&mut server, 1);
         } // reader dropped: TCP closed
-          // Publishing twice flushes out the dead client.
         server.publish("a");
         server.publish("b");
         server.publish("c");
-        assert_eq!(server.clients.lock().unwrap().len(), 0);
+        settle(&mut server, 0);
     }
 
     #[test]
     fn local_feed_replays_and_streams() {
-        let feed = LocalFeed::new();
+        let mut feed = LocalFeed::default();
         feed.publish("early");
-        let rx = feed.subscribe();
+        // A reader that joins now starts at cursor 0 and replays the backlog.
+        let mut cursor = 0;
+        assert_eq!(feed.since(cursor), b"early\n");
+        cursor += feed.since(cursor).len();
         feed.publish("late");
-        assert_eq!(rx.recv().unwrap(), "early");
-        assert_eq!(rx.recv().unwrap(), "late");
-        assert_eq!(feed.backlog().len(), 2);
+        assert_eq!(feed.since(cursor), b"late\n");
+        assert_eq!(feed.backlog().collect::<Vec<_>>(), ["early", "late"]);
     }
 
     #[test]
     fn watcher_input_reaches_installer() {
         // §6.3: interaction flows back through the same connection.
-        let server = EkvServer::start().unwrap();
-        let stream = TcpStream::connect(server.addr()).unwrap();
-        wait_for_watchers(&server, 1);
-        let mut write_half = stream.try_clone().unwrap();
-        writeln!(write_half, "ok").unwrap();
-        writeln!(write_half, "format-disk yes").unwrap();
-        write_half.flush().unwrap();
+        let mut server = EkvServer::start().unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        settle(&mut server, 1);
+        writeln!(stream, "ok").unwrap();
+        write!(stream, "format-disk yes\r\n").unwrap();
+        stream.flush().unwrap();
         assert_eq!(server.wait_input(Duration::from_secs(5)).as_deref(), Some("ok"));
         assert_eq!(server.wait_input(Duration::from_secs(5)).as_deref(), Some("format-disk yes"));
         assert_eq!(server.wait_input(Duration::ZERO), None);
     }
 
     #[test]
-    fn shutdown_is_idempotent() {
+    fn dropping_the_server_closes_every_watcher() {
         let mut server = EkvServer::start().unwrap();
         server.publish("x");
-        server.shutdown();
-        server.shutdown();
+        let mut reader = connect(server.addr());
+        settle(&mut server, 1);
+        drop(server);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(line, "x\n");
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "EOF after the backlog");
     }
 }

@@ -205,9 +205,9 @@ pub struct RolloutViolation {
     pub detail: String,
 }
 
-/// No job is ever killed by the rollout: nothing gets cancelled, and a
-/// running job's nodes are only ever `Busy` or `Offline` (a `Down` or
-/// `Free` node under a running job means a drain yanked it).
+/// No job is ever killed by the rollout: a running job's nodes are only
+/// ever `Busy` or `Offline` (a `Down` or `Free` node under a running job
+/// means a drain yanked it).
 #[derive(Debug, Default)]
 pub(crate) struct NoJobKilled;
 
@@ -221,35 +221,19 @@ impl RolloutInvariant for NoJobKilled {
         _view: &RolloutView<'_>,
     ) -> std::result::Result<(), String> {
         for job in server.jobs() {
-            match &job.state {
-                JobState::Cancelled => {
-                    return Err(format!("job {} ({}) was cancelled", job.id, job.name));
-                }
-                JobState::Running { nodes, .. } => {
-                    for n in nodes {
-                        let state = server.node_state(n).map_err(|e| e.to_string())?;
-                        if !matches!(state, NodeState::Busy | NodeState::Offline) {
-                            return Err(format!(
-                                "job {} is running on node {n} in state {state:?}",
-                                job.id
-                            ));
-                        }
+            if let JobState::Running { nodes, .. } = &job.state {
+                for n in nodes {
+                    let state = server.node_state(n).map_err(|e| e.to_string())?;
+                    if !matches!(state, NodeState::Busy | NodeState::Offline) {
+                        return Err(format!(
+                            "job {} ({}) is running on node {n} in state {state:?}",
+                            job.id, job.name
+                        ));
                     }
                 }
-                _ => {}
             }
         }
         Ok(())
-    }
-    fn at_end(
-        &mut self,
-        server: &PbsServer,
-        _report: &RolloutReport,
-    ) -> std::result::Result<(), String> {
-        match server.jobs().find(|j| matches!(j.state, JobState::Cancelled)) {
-            Some(j) => Err(format!("job {} ({}) ended cancelled", j.id, j.name)),
-            None => Ok(()),
-        }
     }
 }
 

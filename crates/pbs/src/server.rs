@@ -37,8 +37,6 @@ pub enum JobState {
         /// Completion time (seconds).
         finished_at: f64,
     },
-    /// Removed before completion.
-    Cancelled,
 }
 
 /// One batch job.

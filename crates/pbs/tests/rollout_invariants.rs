@@ -84,9 +84,9 @@ proptest! {
         prop_assert_eq!(ra.busy_node_seconds.to_bits(), rb.busy_node_seconds.to_bits());
     }
 
-    /// No job submitted before or during the rollout ends cancelled, and
-    /// every one that got nodes runs to completion once the queue
-    /// settles — the "never disturb running applications" promise.
+    /// Every job submitted before or during the rollout runs to
+    /// completion once the queue settles — the "never disturb running
+    /// applications" promise.
     #[test]
     fn no_job_is_ever_lost(seed in 0u64..1_000_000) {
         let plan = RolloutPlan::generate(seed);
@@ -118,9 +118,10 @@ proptest! {
         rocks_pbs::run_to_completion(&mut server);
         for job in server.jobs() {
             prop_assert!(
-                !matches!(job.state, JobState::Cancelled),
-                "job {} cancelled",
-                job.id
+                matches!(job.state, JobState::Done { .. }),
+                "job {} ended {:?}",
+                job.id,
+                job.state
             );
         }
         // The cluster came back whole: every node schedulable again.

@@ -1,23 +1,11 @@
 //! The frontend DHCP service.
 //!
 //! Serves fixed-address answers for MACs recorded in the cluster
-//! database, and logs every request to a syslog-like stream — which is
-//! exactly where `insert-ethers` watches for unknown hardware (paper
-//! §6.4: "Insert-ethers monitors syslog messages for DHCP requests from
-//! new hosts").
+//! database, and notes every MAC it could not answer — which is exactly
+//! what `insert-ethers` watches for (paper §6.4: "Insert-ethers monitors
+//! syslog messages for DHCP requests from new hosts").
 
 use rocks_db::{ClusterDb, Ipv4};
-
-/// One syslog line produced by the service.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SyslogLine {
-    /// Raw text, `dhcpd: DHCPDISCOVER from <mac>` style.
-    pub text: String,
-    /// The MAC that triggered it.
-    pub mac: String,
-    /// Whether the MAC was known when the request arrived.
-    pub known: bool,
-}
 
 /// A DHCP answer for a known host.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,52 +18,43 @@ pub struct DhcpAnswer {
     pub next_server: Ipv4,
 }
 
-/// The service: a view over the cluster database plus a syslog buffer.
+/// The service: a view over the cluster database plus the queue of
+/// unanswered MACs.
 #[derive(Debug, Default)]
 pub struct DhcpService {
-    syslog: Vec<SyslogLine>,
+    /// MACs with no answer yet, in first-seen order without duplicates.
+    unknown: Vec<String>,
 }
 
 impl DhcpService {
-    /// New service with an empty log.
+    /// New service with an empty queue.
     pub fn new() -> DhcpService {
         DhcpService::default()
     }
 
     /// Handle a DISCOVER. Known MACs get their fixed binding; unknown
-    /// MACs get no answer but do get logged (insert-ethers' cue). One
+    /// MACs get no answer but join the queue (insert-ethers' cue). One
     /// indexed lookup of the MAC, whatever the size of the cluster.
     pub fn discover(&mut self, db: &ClusterDb, mac: &str) -> Option<DhcpAnswer> {
         match db.node_by_mac(mac).ok()? {
             Some(node) => {
-                self.syslog.push(SyslogLine {
-                    text: format!("dhcpd: DHCPACK on {} to {mac} ({})", node.ip, node.name),
-                    mac: mac.to_string(),
-                    known: true,
-                });
                 Some(DhcpAnswer { ip: node.ip, hostname: node.name, next_server: Ipv4::FRONTEND })
             }
             None => {
-                self.syslog.push(SyslogLine {
-                    text: format!("dhcpd: DHCPDISCOVER from {mac} via eth0: network 10.0.0.0/8: no free leases"),
-                    mac: mac.to_string(),
-                    known: false,
-                });
+                // PXE clients retry aggressively: a retry keeps its place.
+                if !self.unknown.iter().any(|m| m == mac) {
+                    self.unknown.push(mac.to_string());
+                }
                 None
             }
         }
     }
 
-    /// MACs of unknown hosts seen so far, in first-seen order without
-    /// duplicates — the queue insert-ethers works through.
-    pub fn unknown_macs(&self) -> Vec<String> {
-        let mut seen = std::collections::BTreeSet::new();
-        self.syslog
-            .iter()
-            .filter(|l| !l.known)
-            .filter(|l| seen.insert(l.mac.clone()))
-            .map(|l| l.mac.clone())
-            .collect()
+    /// Take the MACs of unknown hosts seen since the last call, in
+    /// first-seen order without duplicates — the queue insert-ethers
+    /// works through.
+    pub fn drain_unknown(&mut self) -> Vec<String> {
+        std::mem::take(&mut self.unknown)
     }
 }
 
@@ -93,7 +72,7 @@ mod tests {
         assert_eq!(answer.ip, Ipv4::FRONTEND);
         assert_eq!(answer.hostname, "frontend-0");
         assert_eq!(answer.next_server, Ipv4::FRONTEND);
-        assert!(dhcp.syslog[0].known);
+        assert!(dhcp.drain_unknown().is_empty(), "a known MAC is not queued");
     }
 
     #[test]
@@ -101,8 +80,7 @@ mod tests {
         let db = ClusterDb::new();
         let mut dhcp = DhcpService::new();
         assert!(dhcp.discover(&db, "00:50:8b:aa:bb:cc").is_none());
-        assert_eq!(dhcp.unknown_macs(), vec!["00:50:8b:aa:bb:cc"]);
-        assert!(dhcp.syslog[0].text.contains("DHCPDISCOVER"));
+        assert_eq!(dhcp.drain_unknown(), ["00:50:8b:aa:bb:cc"]);
     }
 
     #[test]
@@ -114,12 +92,12 @@ mod tests {
             dhcp.discover(&db, "00:50:8b:aa:bb:01");
         }
         dhcp.discover(&db, "00:50:8b:aa:bb:02");
-        assert_eq!(dhcp.unknown_macs(), vec!["00:50:8b:aa:bb:01", "00:50:8b:aa:bb:02"]);
+        assert_eq!(dhcp.drain_unknown(), ["00:50:8b:aa:bb:01", "00:50:8b:aa:bb:02"]);
     }
 
     #[test]
     fn full_discovery_to_integration_loop() {
-        // The §6.4 flow end-to-end: unknown boot → syslog → insert-ethers
+        // The §6.4 flow end-to-end: unknown boot → queue → insert-ethers
         // → database row → next boot answered.
         let mut db = ClusterDb::new();
         let mut dhcp = DhcpService::new();
@@ -127,9 +105,10 @@ mod tests {
         assert!(dhcp.discover(&db, mac).is_none());
 
         let mut session = InsertEthers::start(&mut db, "Compute", 0).unwrap();
-        for unknown in dhcp.unknown_macs() {
+        for unknown in dhcp.drain_unknown() {
             session.observe(&DhcpRequest { mac: unknown }).unwrap();
         }
+        assert!(dhcp.drain_unknown().is_empty());
 
         let answer = dhcp.discover(&db, mac).unwrap();
         assert_eq!(answer.hostname, "compute-0-0");

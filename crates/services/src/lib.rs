@@ -11,8 +11,8 @@
 //! service, the Network File System (NFS)."
 //!
 //! * [`DhcpService`] — the frontend DHCP service: fixed MAC→IP bindings from
-//!   the cluster database, plus the syslog stream `insert-ethers`
-//!   consumes to discover new hardware,
+//!   the cluster database, plus the queue of unanswered MACs
+//!   `insert-ethers` consumes to discover new hardware,
 //! * [`NisDomain`] — versioned account-map synchronization,
 //! * [`NfsServer`] — the exported home-directory service, including the
 //!   common-mode failure behaviour §4 describes (when NFS dies, nodes
@@ -22,6 +22,6 @@ mod dhcp;
 mod nfs;
 mod nis;
 
-pub use dhcp::{DhcpAnswer, DhcpService, SyslogLine};
+pub use dhcp::{DhcpAnswer, DhcpService};
 pub use nfs::{MountError, NfsServer};
 pub use nis::{AccountMap, NisDomain, PasswdEntry};

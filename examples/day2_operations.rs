@@ -40,11 +40,10 @@ fn main() {
         cluster.shoot_nodes_monitored(&["compute-0-0".to_string()]).expect("monitored shoot");
     let (node, feed) = &feeds[0];
     println!("\neKV transcript for {node} ({:.1} min):", report.per_node_minutes[0]);
-    let backlog = feed.backlog();
-    for line in backlog.iter().take(6) {
+    for line in feed.backlog().take(6) {
         println!("  {line}");
     }
-    println!("  ... ({} more lines)", backlog.len().saturating_sub(6));
+    println!("  ... ({} more lines)", feed.backlog().count().saturating_sub(6));
 
     // Everything is provably consistent at the end of the day.
     println!("\ninconsistent nodes: {:?}", cluster.inconsistent_nodes().expect("check"));

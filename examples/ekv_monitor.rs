@@ -24,39 +24,42 @@ fn main() {
         .map(|l| format!("[{:>7.1}s] {}", l.at as f64 / 1e6, l.text))
         .collect();
 
-    // Node side: the eKV broadcaster on a telnet-compatible port.
-    let server = EkvServer::start().expect("bind eKV port");
+    // Node side: the eKV port. It runs no thread of its own; this loop
+    // drives it.
+    let mut server = EkvServer::start().expect("bind eKV port");
     let addr = server.addr();
     println!("eKV listening on {addr} (a real TCP socket; telnet-compatible)\n");
 
-    // Publisher thread: replay the install transcript over the wire.
-    let publisher = std::thread::spawn(move || {
-        for line in &transcript {
-            server.publish(line);
-        }
-        server.publish("install complete");
-        // Keep the listener alive until the watcher drains everything.
-        std::thread::sleep(Duration::from_millis(300));
-        drop(server);
+    // Watcher side (shoot-node's xterm, its own process in Rocks):
+    // connect and stream. The backlog replay guarantees no early lines
+    // are missed.
+    let watcher = std::thread::spawn(move || {
+        let mut shown = 0usize;
+        watch_lines(
+            addr,
+            Duration::from_secs(5),
+            |line| {
+                // Print an excerpt: the first lines and every 40th.
+                if shown < 8 || shown.is_multiple_of(40) || line.contains("complete") {
+                    println!("{line}");
+                }
+                shown += 1;
+            },
+            |line| line.contains("install complete"),
+        )
+        .expect("watch over TCP")
     });
 
-    // Watcher side (shoot-node's xterm): connect and stream. The backlog
-    // replay guarantees no early lines are missed.
-    let mut shown = 0usize;
-    let count = watch_lines(
-        addr,
-        Duration::from_secs(5),
-        |line| {
-            // Print an excerpt: the first lines and every 40th.
-            if shown < 8 || shown.is_multiple_of(40) || line.contains("complete") {
-                println!("{line}");
-            }
-            shown += 1;
-        },
-        |line| line.contains("install complete"),
-    )
-    .expect("watch over TCP");
-    publisher.join().expect("publisher");
+    // The installer replays its transcript over the wire, then keeps
+    // driving the port until the watcher has drained everything.
+    for line in &transcript {
+        server.publish(line);
+    }
+    server.publish("install complete");
+    while !watcher.is_finished() {
+        server.wait_input(Duration::from_millis(1));
+    }
+    let count = watcher.join().expect("watcher");
     println!("\n... watched {count} lines over TCP\n");
 
     // And the Figure 7 panel, rendered from the same progress data.

@@ -52,7 +52,7 @@ fn a_discover_costs_one_lookup_whatever_the_cluster_size() {
         dhcp.discover(&db, &mac(0));
         let known = discover_cost(&db, &registry, &mut dhcp, &mac(nodes / 2));
         let unknown = discover_cost(&db, &registry, &mut dhcp, &mac(0x10_0000));
-        assert_eq!(dhcp.unknown_macs(), [mac(0x10_0000)], "{nodes} nodes");
+        assert_eq!(dhcp.drain_unknown(), [mac(0x10_0000)], "{nodes} nodes");
         [known, unknown]
     });
     assert_eq!(costs[0], costs[1], "[known, unknown] x [rows examined, lookups], by cluster size");
