@@ -44,7 +44,7 @@ pub struct Cluster {
     /// The cluster database (§6.4).
     pub db: ClusterDb,
     /// The Kickstart generation service (§6.1): the CGI generator behind
-    /// a thread-safe skeleton cache that database writes leave warm and
+    /// a skeleton cache that database writes leave warm and
     /// [`Self::rebuild_distribution`] invalidates.
     pub kickstart: GenerationService,
     /// The current distribution (§6.2).
@@ -182,10 +182,10 @@ impl Cluster {
     }
 
     /// Generate every registered node's Kickstart profile through the
-    /// shared service, fanning out over `threads` workers — the mass
-    /// pre-generation a frontend performs ahead of a reinstall wave.
-    pub fn generate_kickstarts(&self, threads: usize) -> Result<Vec<GeneratedProfile>> {
-        Ok(self.kickstart.generate_all(&self.db, Arch::I686, threads)?)
+    /// shared service — the mass pre-generation a frontend performs
+    /// ahead of a reinstall wave.
+    pub fn generate_kickstarts(&self) -> Result<Vec<GeneratedProfile>> {
+        Ok(self.kickstart.generate_all(&self.db, Arch::I686, 1)?)
     }
 
     /// The package identities a compute node of `arch` installs from the
@@ -599,7 +599,7 @@ mod tests {
     #[test]
     fn mass_generation_matches_per_request_cgi() {
         let cluster = small_cluster(4);
-        let profiles = cluster.generate_kickstarts(4).unwrap();
+        let profiles = cluster.generate_kickstarts().unwrap();
         assert_eq!(profiles.len(), 5); // 4 computes + frontend
         for profile in &profiles {
             let cold = cluster
@@ -613,7 +613,7 @@ mod tests {
     #[test]
     fn dist_rebuild_flushes_kickstart_cache() {
         let mut cluster = small_cluster(1);
-        cluster.generate_kickstarts(1).unwrap();
+        cluster.generate_kickstarts().unwrap();
         let misses_before = cluster.kickstart.stats().misses();
         let mut updates = Repository::new("updates");
         updates.insert(
@@ -623,7 +623,7 @@ mod tests {
                 .build(),
         );
         cluster.rebuild_distribution(&[&updates]).unwrap();
-        cluster.generate_kickstarts(1).unwrap();
+        cluster.generate_kickstarts().unwrap();
         assert!(
             cluster.kickstart.stats().misses() > misses_before,
             "stale skeletons must be rebuilt after a dist rebuild"

@@ -263,7 +263,7 @@ impl ClusterDb {
 
     /// Shared read-only SQL access: `SELECT` only, callable from any
     /// number of threads at once, never bumps the revision. This is the
-    /// read path the parallel Kickstart generation workers use.
+    /// read path the serving frontend's report queries use.
     pub fn sql_ref(&self) -> &Database {
         self.db.reader()
     }
@@ -452,10 +452,10 @@ impl ClusterDb {
 
     /// A node by its cluster-internal IP address — the lookup that keys
     /// the §6.1 CGI flow ("uses the requesting node's IP address").
-    /// Read-only: generation workers resolve requesters concurrently, and
-    /// the hash index on `nodes.ip` makes each probe O(1) instead of a
-    /// table scan per request. The kickstart request path itself reads
-    /// its three names through [`requester`](Self::requester) instead.
+    /// Read-only (it takes `&self`), and the hash index on `nodes.ip`
+    /// makes each probe O(1) instead of a table scan per request. The
+    /// kickstart request path itself reads its three names through
+    /// [`requester`](Self::requester) instead.
     pub fn node_by_ip(&self, ip: &str) -> Result<NodeRecord> {
         self.node_row_by_ip(ip).map(NodeRecord::from_row)
     }

@@ -84,9 +84,7 @@ impl KickstartGenerator {
     /// against.
     ///
     /// Takes `&ClusterDb` — the lookups are pure reads, so any number of
-    /// requests may be served concurrently against one shared database
-    /// (this is what lets [`crate::service::GenerationService`] fan out
-    /// across worker threads).
+    /// requests may be served against one shared database.
     pub fn generate_for_request(
         &self,
         db: &ClusterDb,

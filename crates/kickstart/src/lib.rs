@@ -23,13 +23,13 @@
 //! implements the §7 web form that builds the frontend's own Kickstart.
 //!
 //! For mass reinstalls, [`GenerationService`] wraps the
-//! generator in a thread-safe memoizing layer: each appliance skeleton is
+//! generator in a memoizing layer: each appliance skeleton is
 //! rendered once into a template, cached per `(graph root, arch)` against
 //! the rocks-dist epoch (database writes leave it warm: it reads nothing
 //! from the database), and every request splices its node's fields into
 //! that template ([`Kickstart`] is the result);
-//! [`GenerationService::generate_all`] fans per-node generation
-//! out across a worker pool.
+//! [`GenerationService::generate_all`] generates every node's profile in
+//! one loop on the calling thread.
 //!
 //! `profiles` is a namespace callers spell out; every other item is named
 //! here, in `lib.rs`, and its module is private.

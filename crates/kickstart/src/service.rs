@@ -1,4 +1,4 @@
-//! A shared, thread-safe Kickstart generation service.
+//! A shared Kickstart generation service.
 //!
 //! The paper's CGI script (§6.1) regenerates every Kickstart file from
 //! scratch on each HTTP request. That is correct but wasteful: within one
@@ -26,12 +26,11 @@
 //! observable through [`Stats`].
 //!
 //! [`generate_all`](GenerationService::generate_all) is the mass-reinstall
-//! entry point: it shards the cluster's kickstartable nodes across a
-//! worker pool of OS threads. Every worker performs read-only SQL lookups
-//! against the *shared* `&ClusterDb` concurrently (see
-//! `rocks_sql::Database::query_ref`) and splices each node into its
-//! appliance's template. Output is byte-identical to the sequential cold
-//! path.
+//! entry point: one bulk SQL resolution of every kickstartable node, one
+//! skeleton lookup per distinct appliance, then one splice per node, all
+//! on the calling thread. A mass reinstall is bound by the install
+//! server's network (Table I), not by this loop. Output is byte-identical
+//! to the sequential cold path.
 //!
 //! [`generator_mut`]: GenerationService::generator_mut
 //! [`notify_dist_rebuilt`]: GenerationService::notify_dist_rebuilt
@@ -39,9 +38,10 @@
 use crate::generator::{graph_root, public_hostname, KickstartGenerator};
 use crate::kickstart::{Kickstart, KickstartFile, Template};
 use crate::Result;
-use rocks_db::{ClusterDb, KickstartTarget};
+use rocks_db::ClusterDb;
 use rocks_rpm::Arch;
 use rocks_trace::{Counter, Histogram, Registry, Tracer};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -79,9 +79,8 @@ impl Slot {
 
 /// Monotonic counters describing the service's behaviour since creation
 /// (or the last [`Stats::reset`]). Each counter is a [`rocks_trace`]
-/// registry handle (a clone of an atomic), so workers update them
-/// lock-free from inside the pool *and* the same numbers appear in the
-/// cluster-wide metrics view — one source of truth per fact.
+/// registry handle, so the same numbers appear in the cluster-wide
+/// metrics view — one source of truth per fact.
 #[derive(Debug, Clone)]
 pub struct Stats {
     /// Requests served from a cached skeleton.
@@ -155,9 +154,9 @@ impl Stats {
         self.localize_ns.get()
     }
 
-    fn record_hit(&self) {
-        self.hits.incr();
-        self.requests.incr();
+    fn record_hits(&self, n: u64) {
+        self.hits.add(n);
+        self.requests.add(n);
     }
 
     fn record_miss(&self) {
@@ -223,9 +222,9 @@ pub struct GeneratedProfile {
     pub kickstart: Kickstart,
 }
 
-/// The shared generation service. `&GenerationService` is all a worker
-/// thread needs: the profile set is immutable, the skeleton cache sits
-/// behind a mutex, and [`Stats`] is atomic.
+/// The shared generation service. Every request path takes
+/// `&GenerationService`: the profile set is immutable, the skeleton cache
+/// sits behind a mutex, and [`Stats`] is atomic, so the service is `Sync`.
 #[derive(Debug)]
 pub struct GenerationService {
     generator: KickstartGenerator,
@@ -278,7 +277,7 @@ impl GenerationService {
     }
 
     /// Mutable access to the generator, for site customization (§6.2.3:
-    /// editing the XML profiles). Requires `&mut self` — no worker can be
+    /// editing the XML profiles). Requires `&mut self` — no request can be
     /// in flight — and conservatively drops every cached skeleton, since
     /// any profile edit may change any appliance's output.
     pub fn generator_mut(&mut self) -> &mut KickstartGenerator {
@@ -358,7 +357,7 @@ impl GenerationService {
             let mut cache = self.cache.lock().unwrap();
             if let Some(at) = cache.iter().position(|slot| slot.holds(root, arch)) {
                 if cache[at].is_current(dist_epoch) {
-                    self.stats.record_hit();
+                    self.stats.record_hits(1);
                     return Ok(Arc::clone(&cache[at].skeleton));
                 }
                 // Left behind by an older epoch: it can never hit again,
@@ -369,10 +368,10 @@ impl GenerationService {
             }
         }
 
-        // Miss: build outside the lock so other appliances' workers are
-        // not serialized behind this traversal. Two threads may race to
-        // build the same skeleton; both produce identical bytes and the
-        // second insert is a harmless overwrite.
+        // Miss: build outside the lock so a request for another
+        // appliance is not serialized behind this traversal. Two callers
+        // may race to build the same skeleton; both produce identical
+        // bytes and the second insert is a harmless overwrite.
         self.stats.record_miss();
         let t = Instant::now();
         let profile = self.generator.generate_for_appliance(root, arch)?;
@@ -394,21 +393,24 @@ impl GenerationService {
     /// kickstart request). Results are sorted by node name and
     /// byte-identical to calling the cold generator per node.
     ///
-    /// `threads = 1` degenerates to a sequential loop on the calling
-    /// thread; larger values shard the node list across a worker pool of
-    /// scoped OS threads, every worker reading the shared `db` through
-    /// the lock-free `query_ref` path.
+    /// Each profile counts as one request: the first node of each graph
+    /// root takes that root's skeleton lookup (a hit or a miss), every
+    /// other node is a hit on it.
+    ///
+    /// `_threads` is accepted and ignored: generation runs on the calling
+    /// thread. The parameter stays for the benchmark ledger's callers and
+    /// goes with ROADMAP item 1.
     pub fn generate_all(
         &self,
         db: &ClusterDb,
         arch: Arch,
-        threads: usize,
+        _threads: usize,
     ) -> Result<Vec<GeneratedProfile>> {
         let _span = self.tracer.span("kickstart.generate_all");
         // Bulk SQL resolution through the database's indexed lookup path:
         // `kickstart_targets` resolves every node's graph root and
         // membership name up front (point lookups against the lazily
-        // built hash indexes), so the fan-out loop touches no SQL.
+        // built hash indexes), so the per-node loop touches no SQL.
         let resolve_span = self.tracer.span("kickstart.resolve_targets");
         let t = Instant::now();
         let targets = db.kickstart_targets()?;
@@ -417,65 +419,33 @@ impl GenerationService {
         drop(resolve_span);
 
         // Resolve each distinct appliance skeleton once through the
-        // shared cache, then hand the Arcs straight to the workers: the
-        // per-node loop touches no lock at all.
+        // shared cache; the per-node loop touches no lock at all.
         let skeleton_span = self.tracer.span("kickstart.skeletons");
         let mut skeletons: HashMap<&str, Arc<Skeleton>> = HashMap::new();
+        let mut repeats = 0;
         for target in &targets {
-            if !skeletons.contains_key(target.root.as_str()) {
-                skeletons.insert(&target.root, self.skeleton(&target.root, arch)?);
+            match skeletons.entry(&target.root) {
+                Entry::Occupied(_) => repeats += 1,
+                Entry::Vacant(slot) => {
+                    slot.insert(self.skeleton(&target.root, arch)?);
+                }
             }
         }
+        self.stats.record_hits(repeats);
         drop(skeleton_span);
 
-        let generate_one = |target: &KickstartTarget| -> Result<GeneratedProfile> {
-            // Present by construction; logically a cache hit per node.
-            let skeleton = &skeletons[target.root.as_str()];
-            self.stats.record_hit();
-            let t = Instant::now();
-            let ks = skeleton.template.fill(&target.name, &target.membership, public.as_deref());
-            self.stats.record_localize(t);
-            Ok(GeneratedProfile { node: target.name.clone(), ip: target.ip.clone(), kickstart: ks })
-        };
-
-        // Span covers the fan-out phase; worker threads themselves only
-        // touch atomic counters (spans stay on the calling thread so the
-        // trace is deterministic regardless of scheduling).
         let _localize_span = self.tracer.span("kickstart.localize");
-        let threads = threads.max(1).min(targets.len().max(1));
-        if threads == 1 {
-            return targets.iter().map(generate_one).collect();
-        }
-
-        // Shard round-robin so a rack of identical compute nodes spreads
-        // evenly. Each worker returns (original index, profile) and the
-        // final sort restores node-name order deterministically.
-        let mut results: Vec<Result<Vec<(usize, GeneratedProfile)>>> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for worker in 0..threads {
-                let targets = &targets;
-                let generate_one = &generate_one;
-                let handle = scope.spawn(move || -> Result<Vec<(usize, GeneratedProfile)>> {
-                    let mut local = Vec::new();
-                    for (idx, target) in targets.iter().enumerate().skip(worker).step_by(threads) {
-                        local.push((idx, generate_one(target)?));
-                    }
-                    Ok(local)
-                });
-                handles.push(handle);
-            }
-            for handle in handles {
-                results.push(handle.join().expect("generation worker panicked"));
-            }
-        });
-
-        let mut indexed = Vec::with_capacity(targets.len());
-        for shard in results {
-            indexed.extend(shard?);
-        }
-        indexed.sort_by_key(|(idx, _)| *idx);
-        Ok(indexed.into_iter().map(|(_, profile)| profile).collect())
+        Ok(targets
+            .iter()
+            .map(|target| {
+                let skeleton = &skeletons[target.root.as_str()];
+                let t = Instant::now();
+                let ks =
+                    skeleton.template.fill(&target.name, &target.membership, public.as_deref());
+                self.stats.record_localize(t);
+                GeneratedProfile { node: target.name.clone(), ip: target.ip.clone(), kickstart: ks }
+            })
+            .collect())
     }
 }
 
@@ -620,7 +590,7 @@ mod tests {
         ))
         .unwrap();
         let svc = service();
-        let profiles = svc.generate_all(&db, Arch::I686, 4).unwrap();
+        let profiles = svc.generate_all(&db, Arch::I686, 1).unwrap();
         let names: Vec<&str> = profiles.iter().map(|p| p.node.as_str()).collect();
         assert_eq!(names, vec!["compute-0-0", "compute-0-1", "compute-0-2", "frontend-0"]);
     }
@@ -632,7 +602,7 @@ mod tests {
             KickstartGenerator::new(default_profiles(), "10.1.1.1", "install/rocks-dist"),
             Tracer::ring(1024),
         );
-        svc.generate_all(&db, Arch::I686, 2).unwrap();
+        svc.generate_all(&db, Arch::I686, 1).unwrap();
         svc.generate_for_request(&db, "10.255.255.254", Arch::I686).unwrap();
         let s = svc.stats();
         assert_eq!(s.requests(), s.hits() + s.misses());
@@ -642,9 +612,9 @@ mod tests {
         assert_eq!(snap.counter("kickstart.requests"), s.requests());
         assert_eq!(snap.counter("kickstart.cache.hits"), s.hits());
         assert_eq!(snap.counter("kickstart.cache.misses"), s.misses());
-        // And the latency histogram saw one sample per localization
-        // (every hit localizes; misses only build skeletons).
-        assert_eq!(snap.histograms["kickstart.localize_latency_ns"].count, s.hits());
+        // And the latency histogram saw one sample per localization:
+        // every request, hit or miss, localizes its node once.
+        assert_eq!(snap.histograms["kickstart.localize_latency_ns"].count, s.requests());
         // Phase spans were captured, balanced.
         let dump = svc.tracer().dump();
         let enters = dump
@@ -659,19 +629,6 @@ mod tests {
             .count();
         assert_eq!(enters, exits);
         assert!(enters >= 4, "generate_all phases + request span expected, got {enters}");
-    }
-
-    #[test]
-    fn parallel_equals_sequential() {
-        let db = cluster(8);
-        let svc = service();
-        let seq = svc.generate_all(&db, Arch::I686, 1).unwrap();
-        let par = service().generate_all(&db, Arch::I686, 4).unwrap();
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(par.iter()) {
-            assert_eq!(a.node, b.node);
-            assert_eq!(a.kickstart.render(), b.kickstart.render());
-        }
     }
 
     /// Regression: a request served while a transaction is open must not

@@ -24,8 +24,8 @@
 //!   power-distribution-unit control, and failure injection,
 //! * [`FederatedSim`] — the federated driver: one cabinet simulator (the
 //!   same one [`ClusterSim`] steps) per cabinet under a tier of caching
-//!   proxies ([`TierReport`]), in conservative windows across worker
-//!   threads,
+//!   proxies ([`TierReport`]), in conservative time windows on the
+//!   calling thread,
 //! * [`run_chaos`] — the seeded chaos harness: randomized fault schedules
 //!   over randomized topologies, checked against pluggable invariants
 //!   (byte conservation, eventual completion, monotone phases,

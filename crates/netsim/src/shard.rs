@@ -6,10 +6,10 @@
 //! — a node wakeup, a fault, or a proxy fill — and says which. Two
 //! drivers step it: [`ClusterSim`](crate::cluster::ClusterSim) holds one
 //! proxy-less shard over the flat topology; [`FederatedSim`] holds one
-//! shard per cabinet, because past ~10⁴ nodes a single event loop (and
-//! the single thread driving it) is the bottleneck. Its shards couple to
-//! the campus/root tiers of [`crate::tier`] only through cache-miss
-//! requests flowing up and fill completions flowing down.
+//! shard per cabinet behind that cabinet's caching proxy, so each engine
+//! only ever allocates bandwidth among its own cabinet's flows. Its
+//! shards couple to the campus/root tiers of [`crate::tier`] only through
+//! cache-miss requests flowing up and fill completions flowing down.
 //!
 //! Synchronization is conservative windowing. Every upward request is
 //! answered no earlier than one store-and-forward latency `W`
@@ -20,12 +20,11 @@
 //! (t_all / W + 1) · W` where `t_all` is the earliest pending event
 //! anywhere (shards, tiers, undelivered fills); deliver completed fills
 //! into shards as timers at `fill time + W` and run every shard to
-//! `end` ([`Chunk::run_window`]); inject the batched miss requests into
-//! the tier and advance it to `end`. That loop is [`run_windows`], used
-//! by the serial and the threaded driver alike, and the window sequence
-//! — hence every engine's event sequence — is a pure function of the
-//! configuration, so runs are bit-identical regardless of worker thread
-//! count.
+//! `end`; inject the batched miss requests into the tier and advance it
+//! to `end`. That loop is [`FederatedSim::run_windows`], on the calling
+//! thread, and the window sequence — hence every engine's event sequence
+//! — is a pure function of the configuration, so two runs are
+//! bit-identical.
 
 use crate::cluster::{check_none_failed, Fault, ReinstallError, ReinstallResult, CONTROL_TAG_BASE};
 use crate::config::{SimConfig, TierConfig};
@@ -33,7 +32,6 @@ use crate::engine::{micros, Engine, EngineMode, SimError, SimTime, Wakeup};
 use crate::node::{FetchBackend, FetchStart, FetchTarget, NodeEvent, NodeState, SimNode};
 use crate::tier::{FillDone, MissRequest, ProxyCache, TierNet, TierReport};
 use rocks_trace::{Counter, Gauge, Tracer};
-use std::sync::mpsc;
 
 /// Engine tags at or above this value are fill-delivery timers; the
 /// target index is `tag - FILL_TAG_BASE`. Sits above
@@ -378,99 +376,6 @@ impl Shard {
     }
 }
 
-/// A contiguous run of shards stepped by one thread, with dense mirrors
-/// of each shard's earliest pending event and run-ahead eligibility: the
-/// per-window scans touch these cache-resident arrays instead of 16k
-/// scattered shard structs.
-struct Chunk<'a> {
-    shards: &'a mut [Shard],
-    next: Vec<Option<SimTime>>,
-    ahead: Vec<bool>,
-}
-
-impl<'a> Chunk<'a> {
-    fn new(shards: &'a mut [Shard]) -> Chunk<'a> {
-        let next = shards.iter_mut().map(|s| s.engine.peek_next_at()).collect();
-        let ahead = shards.iter().map(Shard::can_run_ahead).collect();
-        Chunk { shards, next, ahead }
-    }
-
-    /// Earliest pending event in any of the shards.
-    fn next_at(&self) -> Option<SimTime> {
-        self.next.iter().copied().flatten().min()
-    }
-
-    /// The shard half of one window: deliver the `fills` the tier
-    /// completed last window to their cabinets (all in this chunk),
-    /// then run every shard with an event before `end` up to `end` — a
-    /// shard with nothing parked runs ahead until it emits a miss —
-    /// and return the earliest event left. Delivering now rather than
-    /// when the fill completed is equivalent: a delivery timer never
-    /// lands inside a window that already ran.
-    fn run_window(
-        &mut self,
-        cfg: &SimConfig,
-        window: SimTime,
-        end: SimTime,
-        fills: &[FillDone],
-        out: &mut Vec<MissRequest>,
-    ) -> Option<SimTime> {
-        let first = self.shards.first().map_or(0, |s| s.id);
-        for fill in fills {
-            let (i, at) = (fill.cabinet - first, fill.at + window);
-            self.shards[i].deliver_fill(fill.target, at);
-            self.next[i] = Some(self.next[i].map_or(at, |t| t.min(at)));
-        }
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            let (next, ahead) = (self.next[i], self.ahead[i]);
-            let run = if ahead { next.is_some() } else { next.is_some_and(|at| at < end) };
-            if run {
-                let horizon = if ahead { SimTime::MAX } else { end };
-                self.next[i] = shard.run_window(cfg, horizon, out);
-                self.ahead[i] = shard.can_run_ahead();
-            }
-        }
-        self.next_at()
-    }
-}
-
-/// The window loop, written once for both drivers. Each round picks
-/// `end`, the first window boundary past the earliest pending event
-/// anywhere (shards, pooled requests, tier, undelivered fills); has
-/// `run_shards(end, fills, pool)` run the shard half — every chunk's
-/// [`Chunk::run_window`], misses appended to the pool in shard order,
-/// earliest shard event left returned; then injects the pooled requests
-/// below `end` into the tier and advances it to `end`. Requests from
-/// run-ahead shards beyond `end` stay pooled: the tier must ingest
-/// misses in global time order. The sort is stable, so ingestion order
-/// does not depend on how shards were spread over threads.
-fn run_windows(
-    tier: &mut TierNet,
-    window: SimTime,
-    mut shards_next: Option<SimTime>,
-    mut run_shards: impl FnMut(SimTime, &[FillDone], &mut Vec<MissRequest>) -> Option<SimTime>,
-) {
-    let mut pool: Vec<MissRequest> = Vec::new();
-    let mut fills: Vec<FillDone> = Vec::new();
-    loop {
-        let t_all = shards_next
-            .into_iter()
-            .chain(pool.first().map(|r| r.at))
-            .chain(tier.next_event_at())
-            .chain(fills.iter().map(|fill| fill.at + window))
-            .min();
-        let Some(t) = t_all else { break };
-        let end = (t / window + 1) * window;
-        shards_next = run_shards(end, &fills, &mut pool);
-        pool.sort_by_key(|r| (r.at, r.cabinet));
-        let cut = pool.partition_point(|r| r.at < end);
-        tier.inject(&pool[..cut]);
-        pool.drain(..cut);
-        fills.clear();
-        tier.advance_to(end, &mut fills);
-    }
-}
-
 /// Pre-resolved tier metric handles (see `NetsimTelemetry` in
 /// [`crate::cluster`] for the flush-once pattern).
 #[derive(Debug)]
@@ -491,7 +396,7 @@ struct FederatedTelemetry {
 
 /// The federated cluster simulation: per-cabinet shards under the
 /// multi-tier distribution fabric, driven in conservative time windows
-/// across a configurable worker-thread pool.
+/// on the calling thread.
 #[derive(Debug)]
 pub struct FederatedSim {
     cfg: SimConfig,
@@ -500,7 +405,6 @@ pub struct FederatedSim {
     tier: TierNet,
     /// Conservative lookahead window, µs (= the tier fill latency).
     window: SimTime,
-    threads: usize,
     trace: Tracer,
     telemetry: Option<FederatedTelemetry>,
 }
@@ -525,18 +429,15 @@ impl FederatedSim {
             shards,
             tier,
             window,
-            threads: 1,
             trace: Tracer::disabled(),
             telemetry: None,
         }
     }
 
-    /// Worker threads for the shard loop (default 1 = serial). The
-    /// result is bit-identical for every value — threads only change
-    /// wall-clock time.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
+    /// Accepted and ignored: the shard loop runs on the calling thread.
+    /// The method stays for the benchmark ledger's `sim-reinstall`
+    /// workload and goes with ROADMAP item 1.
+    pub fn set_threads(&mut self, _threads: usize) {}
 
     /// Route tier counters through `tracer`'s registry (see
     /// [`ClusterSim::set_tracer`](crate::cluster::ClusterSim::set_tracer)).
@@ -601,12 +502,7 @@ impl FederatedSim {
                 node.power_on(&mut shard.engine, &self.cfg);
             }
         }
-        let threads = self.threads.min(self.shards.len());
-        if threads <= 1 {
-            self.run_serial();
-        } else {
-            self.run_parallel(threads);
-        }
+        self.run_windows();
         // The loop only exits when no engine holds a runnable event, so
         // leftover work is wedged forever: starved flows or parked
         // cache waits inside a shard, or an inconsistent tier.
@@ -629,70 +525,60 @@ impl FederatedSim {
         self.try_run_reinstall().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// The window loop on the calling thread: every shard in one chunk,
-    /// no channel traffic.
-    fn run_serial(&mut self) {
-        let (cfg, window) = (&self.cfg, self.window);
-        let mut chunk = Chunk::new(&mut self.shards);
-        run_windows(&mut self.tier, window, chunk.next_at(), |end, fills, pool| {
-            chunk.run_window(cfg, window, end, fills, pool)
-        });
-    }
-
-    /// The same window loop with shards partitioned into contiguous
-    /// chunks across persistent worker threads. The coordinator owns
-    /// the tier; fills complete on its side of the barrier and are
-    /// delivered by the owning worker at the start of the next window.
-    /// On stall the global event horizon simply empties — workers are
-    /// released by dropping their command channels, never blocked on a
-    /// barrier — so the error surfaces through
-    /// [`try_run_reinstall`](Self::try_run_reinstall) like any other.
-    fn run_parallel(&mut self, threads: usize) {
-        let (cfg, window) = (&self.cfg, self.window);
-        let chunk_size = self.shards.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let (res_tx, res_rx) = mpsc::channel::<(usize, Vec<MissRequest>, Option<SimTime>)>();
-            let mut cmd_txs = Vec::new();
-            let mut worker_next: Vec<Option<SimTime>> = Vec::new();
-            for (w, shards) in self.shards.chunks_mut(chunk_size).enumerate() {
-                let (cmd_tx, cmd_rx) = mpsc::channel::<(SimTime, Vec<FillDone>)>();
-                cmd_txs.push(cmd_tx);
-                let res_tx = res_tx.clone();
-                let mut chunk = Chunk::new(shards);
-                worker_next.push(chunk.next_at());
-                scope.spawn(move || {
-                    while let Ok((end, fills)) = cmd_rx.recv() {
-                        let mut requests = Vec::new();
-                        let next = chunk.run_window(cfg, window, end, &fills, &mut requests);
-                        if res_tx.send((w, requests, next)).is_err() {
-                            break;
-                        }
-                    }
-                });
+    /// The window loop. Each round picks `end`, the first window
+    /// boundary past the earliest pending event anywhere (shards, pooled
+    /// requests, tier, undelivered fills); delivers the fills the tier
+    /// completed last round to their cabinets; runs every shard with an
+    /// event before `end` up to `end` — a shard with nothing parked runs
+    /// ahead until it emits a miss — pooling its misses; then injects the
+    /// pooled requests below `end` into the tier and advances it to
+    /// `end`. Delivering a fill a round late is equivalent to delivering
+    /// it when it completed: its timer never lands inside a window that
+    /// already ran. Requests from run-ahead shards beyond `end` stay
+    /// pooled, because the tier must ingest misses in global time order.
+    fn run_windows(&mut self) {
+        let (cfg, window, shards, tier) =
+            (&self.cfg, self.window, &mut self.shards, &mut self.tier);
+        // Dense mirrors of each shard's earliest pending event and
+        // run-ahead eligibility: the per-window scans touch these
+        // cache-resident arrays instead of 16k scattered shard structs.
+        let mut next: Vec<Option<SimTime>> =
+            shards.iter_mut().map(|s| s.engine.peek_next_at()).collect();
+        let mut ahead: Vec<bool> = shards.iter().map(Shard::can_run_ahead).collect();
+        let mut pool: Vec<MissRequest> = Vec::new();
+        let mut fills: Vec<FillDone> = Vec::new();
+        loop {
+            let t_all = next
+                .iter()
+                .copied()
+                .flatten()
+                .chain(pool.first().map(|r| r.at))
+                .chain(tier.next_event_at())
+                .chain(fills.iter().map(|fill| fill.at + window))
+                .min();
+            let Some(t) = t_all else { break };
+            let end = (t / window + 1) * window;
+            for fill in &fills {
+                let (i, at) = (fill.cabinet, fill.at + window);
+                shards[i].deliver_fill(fill.target, at);
+                next[i] = Some(next[i].map_or(at, |t| t.min(at)));
             }
-            drop(res_tx);
-            let first = worker_next.iter().copied().flatten().min();
-            run_windows(&mut self.tier, window, first, |end, fills, pool| {
-                let mut inbox: Vec<Vec<FillDone>> = vec![Vec::new(); cmd_txs.len()];
-                for fill in fills {
-                    inbox[fill.cabinet / chunk_size].push(*fill);
+            for (i, shard) in shards.iter_mut().enumerate() {
+                let run =
+                    if ahead[i] { next[i].is_some() } else { next[i].is_some_and(|at| at < end) };
+                if run {
+                    let horizon = if ahead[i] { SimTime::MAX } else { end };
+                    next[i] = shard.run_window(cfg, horizon, &mut pool);
+                    ahead[i] = shard.can_run_ahead();
                 }
-                for (cmd_tx, fills) in cmd_txs.iter().zip(inbox) {
-                    let _ = cmd_tx.send((end, fills));
-                }
-                let mut gathered: Vec<Vec<MissRequest>> = vec![Vec::new(); cmd_txs.len()];
-                for _ in 0..cmd_txs.len() {
-                    let (w, requests, next) = res_rx.recv().expect("a shard worker exited mid-run");
-                    gathered[w] = requests;
-                    worker_next[w] = next;
-                }
-                // Concatenating in worker order is shard order (chunks
-                // are contiguous), exactly what the serial path pools.
-                pool.extend(gathered.into_iter().flatten());
-                worker_next.iter().copied().flatten().min()
-            });
-            drop(cmd_txs); // releases the workers; scope joins them
-        });
+            }
+            pool.sort_by_key(|r| (r.at, r.cabinet));
+            let cut = pool.partition_point(|r| r.at < end);
+            tier.inject(&pool[..cut]);
+            pool.drain(..cut);
+            fills.clear();
+            tier.advance_to(end, &mut fills);
+        }
     }
 
     /// Aggregate cache behaviour across the tiers. Always `Some`; the
@@ -751,10 +637,6 @@ mod tests {
 
     fn tiny_tiers() -> TierConfig {
         TierConfig { cabinet_size: 4, cabinets_per_campus: 2, ..TierConfig::standard() }
-    }
-
-    fn logs_of<'a>(nodes: impl Iterator<Item = &'a SimNode>) -> Vec<(SimTime, String)> {
-        nodes.flat_map(|n| n.log.iter().map(|l| (l.at, l.text.clone()))).collect()
     }
 
     #[test]
@@ -826,26 +708,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_results() {
-        let run = |threads: usize| {
-            let mut sim = FederatedSim::new_tiered(small_cfg(7), tiny_tiers(), 16);
-            sim.set_threads(threads);
-            let result = sim.run_reinstall();
-            let report = sim.tier_report().unwrap();
-            (
-                result.per_node_seconds.clone(),
-                result.total_seconds.to_bits(),
-                sim.shard_link_bytes().into_iter().flatten().map(f64::to_bits).collect::<Vec<_>>(),
-                (report.proxy_hits, report.proxy_misses, report.campus_hits, report.campus_misses),
-                logs_of(sim.nodes()),
-            )
-        };
-        let serial = run(1);
-        assert_eq!(run(2), serial, "2 workers must match serial bit for bit");
-        assert_eq!(run(8), serial, "8 workers must match serial bit for bit");
-    }
-
-    #[test]
     fn dead_cabinet_serve_link_stalls_with_shard_id() {
         let mut sim = FederatedSim::new_tiered(small_cfg(1), tiny_tiers(), 8);
         // Cabinet 1's proxy serve link dies early: its nodes' transfers
@@ -861,17 +723,6 @@ mod tests {
         // The healthy cabinet still finished.
         assert!(sim.nodes().next().unwrap().state == NodeState::Up);
         assert!(sim.nodes().nth(4).unwrap().state != NodeState::Up);
-    }
-
-    #[test]
-    fn stall_error_is_reported_identically_across_thread_counts() {
-        let run = |threads: usize| {
-            let mut sim = FederatedSim::new_tiered(small_cfg(1), tiny_tiers(), 8);
-            sim.set_threads(threads);
-            sim.inject_fault_at(50.0, Fault::LinkDegrade { link: 1, factor: 0.0 });
-            format!("{:?}", sim.try_run_reinstall().unwrap_err())
-        };
-        assert_eq!(run(1), run(4));
     }
 
     #[test]

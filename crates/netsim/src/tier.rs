@@ -54,8 +54,8 @@ pub(crate) struct FillDone {
 }
 
 /// Per-cabinet proxy cache state and counters. Owned by the cabinet's
-/// shard (it is written on the shard's thread); the tier network only
-/// sees the [`MissRequest`]s it emits.
+/// shard (only the shard writes it); the tier network only sees the
+/// [`MissRequest`]s it emits.
 #[derive(Debug)]
 pub(crate) struct ProxyCache {
     /// Whether each target's bytes are held locally. The kickstart slot

@@ -14,6 +14,7 @@ use rocks_kickstart::{GenerationService, KickstartGenerator};
 use rocks_netsim::SimConfig;
 use rocks_netsim::{ChaosPlan, ClusterSim};
 use rocks_trace::{EventKind, Tracer};
+use std::collections::BTreeSet;
 
 fn provision(n: usize) -> ClusterDb {
     let mut db = ClusterDb::new();
@@ -51,11 +52,13 @@ proptest! {
         prop_assert_eq!(snap.gauge("netsim.backoff_seconds").to_bits(), backoff.to_bits());
     }
 
-    /// Cache accounting conserves: `hits + misses` equals total skeleton
-    /// requests for any cluster size and worker count, and the Stats
-    /// getters are views of the same registry counters.
+    /// Cache accounting conserves: on a fresh service, one mass
+    /// generation counts each profile as exactly one request — one miss
+    /// per distinct graph root, a hit for every other node — and a second
+    /// call hits for every profile. The Stats getters are views of the
+    /// same registry counters.
     #[test]
-    fn kickstart_requests_conserve(n in 1usize..12, threads in 1usize..5) {
+    fn kickstart_requests_conserve(n in 1usize..12) {
         let tracer = Tracer::ring(1 << 16);
         let svc = GenerationService::with_tracer(
             KickstartGenerator::new(
@@ -66,7 +69,9 @@ proptest! {
             tracer.clone(),
         );
         let db = provision(n);
-        let profiles = svc.generate_all(&db, rocks_rpm::Arch::I686, threads).unwrap();
+        let roots: BTreeSet<String> =
+            db.kickstart_targets().unwrap().into_iter().map(|t| t.root).collect();
+        let profiles = svc.generate_all(&db, rocks_rpm::Arch::I686, 1).unwrap();
         prop_assert!(!profiles.is_empty());
         let snap = tracer.registry().unwrap().snapshot();
         let hits = snap.counter("kickstart.cache.hits");
@@ -75,8 +80,13 @@ proptest! {
         prop_assert_eq!(hits, svc.stats().hits());
         prop_assert_eq!(misses, svc.stats().misses());
         prop_assert_eq!(hits + misses, svc.stats().requests());
-        // Every profile required at least one skeleton resolution.
-        prop_assert!(hits + misses >= profiles.len() as u64);
+        prop_assert_eq!(hits + misses, profiles.len() as u64);
+        prop_assert_eq!(misses, roots.len() as u64);
+
+        let (hits_before, misses_before) = (svc.stats().hits(), svc.stats().misses());
+        let again = svc.generate_all(&db, rocks_rpm::Arch::I686, 1).unwrap();
+        prop_assert_eq!(svc.stats().hits() - hits_before, again.len() as u64);
+        prop_assert_eq!(svc.stats().misses(), misses_before);
     }
 
     /// Span events are strictly balanced and properly nested for any

@@ -43,8 +43,8 @@
 //! assert!(report.total_minutes < 15.0);
 //!
 //! // Mass Kickstart generation runs through a shared caching service:
-//! // one graph traversal per appliance, fanned out over worker threads.
-//! let profiles = cluster.generate_kickstarts(4).unwrap();
+//! // one graph traversal per appliance, one splice per node.
+//! let profiles = cluster.generate_kickstarts().unwrap();
 //! assert_eq!(profiles.len(), 5);
 //! assert!(cluster.kickstart.stats().hits() > 0);
 //! ```

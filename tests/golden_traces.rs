@@ -52,15 +52,15 @@ fn normalized(tracer: &Tracer, quantum: u64) -> String {
 }
 
 /// Fig-4 workload: frontend install, one integrated rack, then every
-/// profile generated through the caching service. Generation runs on one
-/// thread so cache hit/miss interleaving is pinned; the tracer's logical
-/// clock makes the event order itself the timestamp.
+/// profile generated through the caching service. Generation runs on the
+/// calling thread, so cache hit/miss interleaving is pinned; the tracer's
+/// logical clock makes the event order itself the timestamp.
 fn bringup_trace() -> String {
     let mut cluster =
         Cluster::install_frontend_traced("00:30:c1:d8:ac:80", 21, Tracer::ring(1 << 16)).unwrap();
     let macs: Vec<String> = (0..4).map(|i| format!("00:50:8b:00:00:{i:02x}")).collect();
     cluster.integrate_rack("Compute", 0, &macs).unwrap();
-    cluster.generate_kickstarts(1).unwrap();
+    cluster.generate_kickstarts().unwrap();
     normalized(cluster.tracer(), 1)
 }
 

@@ -61,8 +61,7 @@ fn cold(svc: &GenerationService, db: &ClusterDb, ip: &str, arch: Arch) -> String
 }
 
 /// Every profile the service can serve now — per request, and from
-/// `generate_all` at 1 and 2 threads, on two architectures — equals the
-/// cold generator's.
+/// `generate_all`, on two architectures — equals the cold generator's.
 fn assert_warm_equals_cold(svc: &GenerationService, db: &ClusterDb, at: &str) {
     let targets = db.kickstart_targets().unwrap();
     for arch in [Arch::I686, Arch::Ia64] {
@@ -71,18 +70,16 @@ fn assert_warm_equals_cold(svc: &GenerationService, db: &ClusterDb, at: &str) {
             let warm = svc.generate_for_request(db, &target.ip, arch).unwrap();
             assert_eq!(warm.as_str(), cold, "{at}: stale {arch:?} request for {}", target.name);
         }
-        for threads in [1, 2] {
-            let profiles = svc.generate_all(db, arch, threads).unwrap();
-            assert_eq!(profiles.len(), targets.len(), "{at}");
-            for ((profile, target), cold) in profiles.iter().zip(&targets).zip(&cold) {
-                assert_eq!(profile.node, target.name, "{at}: {threads}-thread ordering");
-                assert_eq!(
-                    profile.kickstart.as_str(),
-                    cold,
-                    "{at}: stale {arch:?} {threads}-thread profile for {}",
-                    target.name
-                );
-            }
+        let profiles = svc.generate_all(db, arch, 1).unwrap();
+        assert_eq!(profiles.len(), targets.len(), "{at}");
+        for ((profile, target), cold) in profiles.iter().zip(&targets).zip(&cold) {
+            assert_eq!(profile.node, target.name, "{at}: ordering");
+            assert_eq!(
+                profile.kickstart.as_str(),
+                cold,
+                "{at}: stale {arch:?} profile for {}",
+                target.name
+            );
         }
     }
 }
@@ -118,14 +115,12 @@ fn cold_cached_and_parallel_generation_are_byte_identical() {
     }
     assert!(svc.stats().hits() > 0, "second pass must hit the cache");
 
-    // Mass generation, sequential and with an 8-thread worker pool.
-    for threads in [1usize, 8] {
-        let profiles = svc.generate_all(&db, Arch::I686, threads).unwrap();
-        assert_eq!(profiles.len(), cold.len());
-        for (profile, (name, reference)) in profiles.iter().zip(cold.iter()) {
-            assert_eq!(&profile.node, name, "{threads}-thread ordering");
-            assert_eq!(&profile.kickstart.render(), reference, "{threads}-thread bytes");
-        }
+    // Mass generation.
+    let profiles = svc.generate_all(&db, Arch::I686, 1).unwrap();
+    assert_eq!(profiles.len(), cold.len());
+    for (profile, (name, reference)) in profiles.iter().zip(cold.iter()) {
+        assert_eq!(&profile.node, name, "ordering");
+        assert_eq!(&profile.kickstart.render(), reference, "bytes of {name}");
     }
 }
 
@@ -133,7 +128,7 @@ fn cold_cached_and_parallel_generation_are_byte_identical() {
 fn membership_and_node_writes_leave_skeletons_warm() {
     let mut db = cluster(2);
     let svc = service();
-    svc.generate_all(&db, Arch::I686, 2).unwrap();
+    svc.generate_all(&db, Arch::I686, 1).unwrap();
     let built = svc.stats().misses();
 
     // A new membership of the NFS appliance, then a node in it: the
@@ -161,7 +156,7 @@ fn membership_and_node_writes_leave_skeletons_warm() {
     let storage = svc.generate_for_request(&db, "10.254.0.2", Arch::I686).unwrap();
     assert!(storage.as_str().contains("\nexport NODE_MEMBERSHIP='Storage'\n"));
     assert_eq!(storage.as_str(), cold(&svc, &db, "10.254.0.2", Arch::I686));
-    let profiles = svc.generate_all(&db, Arch::I686, 2).unwrap();
+    let profiles = svc.generate_all(&db, Arch::I686, 1).unwrap();
     assert!(profiles.iter().any(|p| p.node == "storage-0-0"), "new node gets a profile");
     assert_warm_equals_cold(&svc, &db, "after the nodes write");
 
@@ -175,11 +170,11 @@ fn membership_and_node_writes_leave_skeletons_warm() {
 fn dist_rebuild_regenerates_profiles() {
     let db = cluster(2);
     let svc = service();
-    svc.generate_all(&db, Arch::I686, 2).unwrap();
+    svc.generate_all(&db, Arch::I686, 1).unwrap();
     let misses_cold = svc.stats().misses();
 
     svc.notify_dist_rebuilt();
-    svc.generate_all(&db, Arch::I686, 2).unwrap();
+    svc.generate_all(&db, Arch::I686, 1).unwrap();
     assert!(svc.stats().misses() > misses_cold, "dist rebuild must force regeneration");
     assert!(svc.stats().invalidations() > 0);
 }
