@@ -18,9 +18,9 @@
 //! reproduce serve [--quick]    # kickstart serving frontend at saturation (writes BENCH_serve.json)
 //! ```
 
-use rocks_bench::{bringup_summary, chaos, rollout, serve, PAPER};
+use rocks_bench::{bringup_summary, chaos, rollout, serve, SweepRun, PAPER};
 
-type Sweep = (&'static str, fn(quick: bool) -> String);
+type Sweep = (&'static str, fn(quick: bool) -> SweepRun);
 
 /// The seeded sweeps, after the paper's experiments ([`PAPER`]): virtual
 /// time, so each snapshot they write is a function of code and seed. They
@@ -47,7 +47,7 @@ fn main() {
             }
             for (name, f) in SWEEPS {
                 println!("==== {name} ====");
-                println!("{}", f(false));
+                println!("{}", write_snapshot(f(false)));
             }
             println!("==== bring-up ====");
             println!("{}", bringup_summary());
@@ -61,11 +61,21 @@ fn main() {
             if let Some((_, f)) = PAPER.iter().find(|(name, _)| *name == other) {
                 println!("{}", f());
             } else if let Some((_, f)) = SWEEPS.iter().find(|(name, _)| *name == other) {
-                println!("{}", f(quick));
+                println!("{}", write_snapshot(f(quick)));
             } else {
                 eprintln!("unknown experiment {other:?}; try `reproduce list`");
                 std::process::exit(2);
             }
         }
     }
+}
+
+/// Write a sweep's `BENCH_*.json` into the working directory and return
+/// its tally with a last line that says whether that worked.
+fn write_snapshot(run: SweepRun) -> String {
+    let written = match std::fs::write(run.file, &run.json) {
+        Ok(()) => format!("snapshot written to {}", run.file),
+        Err(e) => format!("snapshot NOT written: {e}"),
+    };
+    format!("{}{written}\n", run.report)
 }

@@ -552,13 +552,17 @@ fn require_clean<T: PartialEq + std::fmt::Debug>(experiment: &str, field: &str, 
     );
 }
 
-/// Write a `BENCH_*.json` snapshot into the working directory and say
-/// whether that worked.
-fn write_snapshot(file: &str, json: &str) -> String {
-    match std::fs::write(file, json) {
-        Ok(()) => format!("snapshot written to {file}"),
-        Err(e) => format!("snapshot NOT written: {e}"),
-    }
+/// What one seeded sweep measured: the `BENCH_*.json` document and the
+/// tally `reproduce` prints. `reproduce` writes the document to `file`;
+/// `tests/snapshot_golden.rs` compares it with the committed one.
+#[derive(Debug)]
+pub struct SweepRun {
+    /// The snapshot's file name (`BENCH_chaos.json`, ...).
+    pub file: &'static str,
+    /// The snapshot document.
+    pub json: String,
+    /// The human-readable tally, one line per fact.
+    pub report: String,
 }
 
 // ---------------------------------------------------------------------
@@ -627,21 +631,19 @@ pub(crate) fn measure_chaos(first_seed: u64, count: usize) -> ChaosSnapshot {
 }
 
 /// Chaos experiment for `reproduce`: sweeps 200 seeds under `--quick`
-/// (1000 otherwise), writes `BENCH_chaos.json`, and reports the tally.
+/// (1000 otherwise) and renders `BENCH_chaos.json` and the tally.
 /// A non-zero violation count panics instead — it means some seed broke
 /// a global correctness property and can be replayed exactly.
-pub fn chaos(quick: bool) -> String {
+pub fn chaos(quick: bool) -> SweepRun {
     let count = if quick { 200 } else { 1000 };
     let snap = measure_chaos(0, count);
     require_clean("chaos", "invariant_violations", snap.invariant_violations, 0);
-    let written = write_snapshot("BENCH_chaos.json", &snap.to_json());
-    format!(
+    let report = format!(
         "chaos harness: seeded fault schedules vs the retrying install protocol\n\
          scenarios: {} (seeds {}..{}), {} faults scheduled — all invariants held\n\
          nodes: {} completed, {} unrecoverable by schedule (hung, never cycled)\n\
          protocol: {} fetch attempts, {} failovers across the sweep\n\
-         engines: {} plans replayed on the reference scheduler, all agreeing\n\
-         {}\n",
+         engines: {} plans replayed on the reference scheduler, all agreeing\n",
         snap.seeds_run,
         snap.first_seed,
         snap.first_seed + snap.seeds_run as u64,
@@ -651,8 +653,8 @@ pub fn chaos(quick: bool) -> String {
         snap.total_attempts,
         snap.total_failovers,
         snap.diff_checked,
-        written,
-    )
+    );
+    SweepRun { file: "BENCH_chaos.json", json: snap.to_json(), report }
 }
 
 // ---------------------------------------------------------------------
@@ -931,12 +933,11 @@ pub(crate) fn measure_rollout(quick: bool) -> RolloutSnapshot {
 }
 
 /// The rolling-reinstall benchmark: drain/reinstall/re-admit a live
-/// cluster at the Table I knee capacity vs the naive mass path, writing
+/// cluster at the Table I knee capacity vs the naive mass path, rendering
 /// `BENCH_rollout.json`.
-pub fn rollout(quick: bool) -> String {
+pub fn rollout(quick: bool) -> SweepRun {
     let snap = measure_rollout(quick);
     require_clean("rollout", "invariant_violations", snap.invariant_violations, 0);
-    let written = write_snapshot("BENCH_rollout.json", &snap.to_json());
     let sweep = snap
         .capacity_sweep
         .iter()
@@ -951,15 +952,14 @@ pub fn rollout(quick: bool) -> String {
         })
         .collect::<Vec<_>>()
         .join("\n");
-    format!(
+    let report = format!(
         "rolling reinstall under live batch load ({} nodes)\n\
          rolling (cap 7): {:.1} min makespan, {:.1}% throughput retained, {} jobs finished\n\
          naive (mass):    {:.1} min makespan, {:.1}% throughput retained, {} jobs finished\n\
          retention ratio rolling/naive: {:.2}x (release gate: >= 1.5x)\n\
          tiered engine (cap 7): {:.1} min makespan\n\
          capacity sweep (knee at {}):\n{}\n\
-         invariant sweep: {} seeds — all invariants held\n\
-         {}\n",
+         invariant sweep: {} seeds — all invariants held\n",
         snap.nodes,
         snap.rolling.makespan_minutes,
         snap.rolling.throughput_retention * 100.0,
@@ -972,8 +972,8 @@ pub fn rollout(quick: bool) -> String {
         snap.knee_capacity,
         sweep,
         snap.invariant_seeds,
-        written,
-    )
+    );
+    SweepRun { file: "BENCH_rollout.json", json: snap.to_json(), report }
 }
 
 // ---------------------------------------------------------------------
@@ -1304,11 +1304,10 @@ pub(crate) fn measure_serve(quick: bool) -> ServeSnapshot {
 
 /// The serving benchmark: shard-sweep saturation throughput, burst and
 /// storm chaos scenarios, priority behaviour, the real-backend
-/// end-to-end run, and the invariant sweep, writing `BENCH_serve.json`.
-pub fn serve(quick: bool) -> String {
+/// end-to-end run, and the invariant sweep, rendering `BENCH_serve.json`.
+pub fn serve(quick: bool) -> SweepRun {
     let snap = measure_serve(quick);
     require_clean("serve", "violations", snap.sweep_violations, 0);
-    let written = write_snapshot("BENCH_serve.json", &snap.to_json());
     let sweep = snap
         .shard_sweep
         .iter()
@@ -1328,7 +1327,7 @@ pub fn serve(quick: bool) -> String {
         .collect::<Vec<_>>()
         .join("\n");
     let h = snap.headline();
-    format!(
+    let report = format!(
         "kickstart serving frontend at saturation\n\
          headline (8 shards): {:.0} rps, p99 {} µs (SLO: >= {:.0} rps, p99 <= {} µs)\n\
          shard sweep:\n{}\n\
@@ -1337,8 +1336,7 @@ pub fn serve(quick: bool) -> String {
          longest install run {} (aging window {})\n\
          cache storm: {} misses vs {} calm, p99 {} µs vs {} µs\n\
          real backend end-to-end: {:.0} rps (schedule matches the timing model)\n\
-         invariant sweep: {} seeds — all invariants held\n\
-         {}\n",
+         invariant sweep: {} seeds — all invariants held\n",
         h.rps,
         h.p99_us,
         SERVE_SLO_MIN_RPS,
@@ -1358,8 +1356,8 @@ pub fn serve(quick: bool) -> String {
         snap.calm_p99_us,
         snap.real_rps,
         snap.sweep_seeds,
-        written,
-    )
+    );
+    SweepRun { file: "BENCH_serve.json", json: snap.to_json(), report }
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use experiments::{
     micro_benchmark, reinstall_range, replica_scaling, table1, table2, table3, update_tracking,
     utilization_timeline,
 };
-pub use experiments::{bringup_summary, chaos, rollout, serve};
+pub use experiments::{bringup_summary, chaos, rollout, serve, SweepRun};
 
 /// A named experiment and the function that renders it.
 pub type Experiment = (&'static str, fn() -> String);

@@ -37,7 +37,7 @@ pub use ip::Ipv4;
 pub use schema::{Membership, NodeRecord};
 
 use std::borrow::Cow;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use reports::GeneratedReports;
 use rocks_sql::{Database, DurableDatabase, DurableError, RecoveryReport, SqlError, Value, Vfs};
@@ -123,7 +123,7 @@ pub struct ClusterDb {
 struct Derived {
     revision: u64,
     /// Shared between clones until one of them folds.
-    reports: Arc<GeneratedReports>,
+    reports: Rc<GeneratedReports>,
     /// Highest node id, 0 without nodes.
     last_id: i64,
     /// Highest free address at or below [`Ipv4::ALLOC_TOP`].
@@ -385,7 +385,7 @@ impl ClusterDb {
         ))?;
         if let Some(mut d) = fold {
             let compute = self.membership(node.membership).is_ok_and(|m| m.compute);
-            Arc::make_mut(&mut d.reports).push_node(node, compute);
+            Rc::make_mut(&mut d.reports).push_node(node, compute);
             d.last_id = node.id;
             d.free_ip = self.free_ip_from(d.free_ip)?;
             d.revision = self.revision();
@@ -401,7 +401,7 @@ impl ClusterDb {
         if self.derived.as_ref().is_none_or(|d| d.revision != revision) {
             self.derived = Some(Derived {
                 revision,
-                reports: Arc::new(reports::build(self)?),
+                reports: Rc::new(reports::build(self)?),
                 last_id: self.next_node_id()? - 1,
                 free_ip: self.free_ip_from(Some(Ipv4::ALLOC_TOP))?,
             });

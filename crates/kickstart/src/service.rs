@@ -41,10 +41,10 @@ use crate::Result;
 use rocks_db::ClusterDb;
 use rocks_rpm::Arch;
 use rocks_trace::{Counter, Histogram, Registry, Tracer};
+use std::cell::{Cell, RefCell};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 use std::time::Instant;
 
 /// Per-node localize latency buckets, in nanoseconds (1µs .. 100ms).
@@ -54,7 +54,7 @@ const LOCALIZE_LATENCY_BOUNDS: &[u64] =
 /// An appliance skeleton and its localized body as a template.
 #[derive(Debug)]
 struct Skeleton {
-    profile: Arc<KickstartFile>,
+    profile: Rc<KickstartFile>,
     template: Template,
 }
 
@@ -64,7 +64,7 @@ struct Slot {
     root: String,
     arch: Arch,
     dist_epoch: u64,
-    skeleton: Arc<Skeleton>,
+    skeleton: Rc<Skeleton>,
 }
 
 impl Slot {
@@ -222,16 +222,16 @@ pub struct GeneratedProfile {
     pub kickstart: Kickstart,
 }
 
-/// The shared generation service. Every request path takes
-/// `&GenerationService`: the profile set is immutable, the skeleton cache
-/// sits behind a mutex, and [`Stats`] is atomic, so the service is `Sync`.
+/// The generation service. Every request path takes `&GenerationService`:
+/// the profile set is immutable, and the skeleton cache and [`Stats`] are
+/// cells that the one thread holding the service updates in place.
 #[derive(Debug)]
 pub struct GenerationService {
     generator: KickstartGenerator,
     /// Skeleton cache: at most one slot per `(root, arch)`. There are a
     /// handful of appliances, so a lookup scans it by borrowed key.
-    cache: Mutex<Vec<Slot>>,
-    dist_epoch: AtomicU64,
+    cache: RefCell<Vec<Slot>>,
+    dist_epoch: Cell<u64>,
     tracer: Tracer,
     registry: Registry,
     stats: Stats,
@@ -252,8 +252,8 @@ impl GenerationService {
         let stats = Stats::bound_to(&registry);
         GenerationService {
             generator,
-            cache: Mutex::new(Vec::new()),
-            dist_epoch: AtomicU64::new(0),
+            cache: RefCell::new(Vec::new()),
+            dist_epoch: Cell::new(0),
             tracer,
             registry,
             stats,
@@ -288,8 +288,8 @@ impl GenerationService {
     /// The cached appliance skeleton for `(root, arch)` — the profile
     /// *before* per-node localization, which is what consistency checks
     /// and install-image computations want. Shares the request cache.
-    pub fn appliance_profile(&self, root: &str, arch: Arch) -> Result<Arc<KickstartFile>> {
-        Ok(Arc::clone(&self.skeleton(root, arch)?.profile))
+    pub fn appliance_profile(&self, root: &str, arch: Arch) -> Result<Rc<KickstartFile>> {
+        Ok(Rc::clone(&self.skeleton(root, arch)?.profile))
     }
 
     /// Cache and timing counters.
@@ -301,12 +301,12 @@ impl GenerationService {
     /// distribution tree (§6.2). Bumps the epoch so every cached skeleton
     /// — whose `%packages` section may now be stale — misses on next use.
     pub fn notify_dist_rebuilt(&self) {
-        self.dist_epoch.fetch_add(1, Ordering::Relaxed);
+        self.dist_epoch.set(self.dist_epoch.get() + 1);
     }
 
     /// Drop every cached skeleton immediately, counting the evictions.
     pub fn invalidate_all(&self) {
-        let mut cache = self.cache.lock().unwrap();
+        let mut cache = self.cache.borrow_mut();
         self.stats.invalidations.add(cache.len() as u64);
         cache.clear();
     }
@@ -316,9 +316,9 @@ impl GenerationService {
     /// evicted, the generator is never invoked. The serving frontend
     /// uses this to price a request before executing it.
     pub fn probe_cached(&self, root: &str, arch: Arch) -> bool {
-        let dist_epoch = self.dist_epoch.load(Ordering::Relaxed);
-        let cache = self.cache.lock().unwrap();
-        cache
+        let dist_epoch = self.dist_epoch.get();
+        self.cache
+            .borrow()
             .iter()
             .find(|slot| slot.holds(root, arch))
             .is_some_and(|slot| slot.is_current(dist_epoch))
@@ -351,39 +351,32 @@ impl GenerationService {
 
     /// Fetch or build the cached skeleton for `(root, arch)` under the
     /// current dist epoch.
-    fn skeleton(&self, root: &str, arch: Arch) -> Result<Arc<Skeleton>> {
-        let dist_epoch = self.dist_epoch.load(Ordering::Relaxed);
-        {
-            let mut cache = self.cache.lock().unwrap();
-            if let Some(at) = cache.iter().position(|slot| slot.holds(root, arch)) {
-                if cache[at].is_current(dist_epoch) {
-                    self.stats.record_hits(1);
-                    return Ok(Arc::clone(&cache[at].skeleton));
-                }
-                // Left behind by an older epoch: it can never hit again,
-                // and counting it here is what makes invalidation
-                // observable through `Stats`.
-                cache.swap_remove(at);
-                self.stats.invalidations.incr();
+    fn skeleton(&self, root: &str, arch: Arch) -> Result<Rc<Skeleton>> {
+        let dist_epoch = self.dist_epoch.get();
+        let mut cache = self.cache.borrow_mut();
+        if let Some(at) = cache.iter().position(|slot| slot.holds(root, arch)) {
+            if cache[at].is_current(dist_epoch) {
+                self.stats.record_hits(1);
+                return Ok(Rc::clone(&cache[at].skeleton));
             }
+            // Left behind by an older epoch: it can never hit again, and
+            // counting it here is what makes invalidation observable
+            // through `Stats`.
+            cache.swap_remove(at);
+            self.stats.invalidations.incr();
         }
+        drop(cache);
 
-        // Miss: build outside the lock so a request for another
-        // appliance is not serialized behind this traversal. Two callers
-        // may race to build the same skeleton; both produce identical
-        // bytes and the second insert is a harmless overwrite.
+        // Miss: the slot for `(root, arch)` is gone or was never there,
+        // so the built skeleton takes a new one.
         self.stats.record_miss();
         let t = Instant::now();
         let profile = self.generator.generate_for_appliance(root, arch)?;
-        let built = Arc::new(Skeleton { template: profile.template(), profile: Arc::new(profile) });
+        let built = Rc::new(Skeleton { template: profile.template(), profile: Rc::new(profile) });
         Stats::add_ns(&self.stats.skeleton_ns, t);
 
-        let slot = Slot { root: root.to_string(), arch, dist_epoch, skeleton: Arc::clone(&built) };
-        let mut cache = self.cache.lock().unwrap();
-        match cache.iter_mut().find(|slot| slot.holds(root, arch)) {
-            Some(raced) => *raced = slot,
-            None => cache.push(slot),
-        }
+        let slot = Slot { root: root.to_string(), arch, dist_epoch, skeleton: Rc::clone(&built) };
+        self.cache.borrow_mut().push(slot);
         Ok(built)
     }
 
@@ -419,9 +412,9 @@ impl GenerationService {
         drop(resolve_span);
 
         // Resolve each distinct appliance skeleton once through the
-        // shared cache; the per-node loop touches no lock at all.
+        // cache; the per-node loop touches the cache no more.
         let skeleton_span = self.tracer.span("kickstart.skeletons");
-        let mut skeletons: HashMap<&str, Arc<Skeleton>> = HashMap::new();
+        let mut skeletons: HashMap<&str, Rc<Skeleton>> = HashMap::new();
         let mut repeats = 0;
         for target in &targets {
             match skeletons.entry(&target.root) {
@@ -552,11 +545,7 @@ mod tests {
         svc.notify_dist_rebuilt();
         assert!(!svc.probe_cached(&target.root, Arch::I686), "dist epoch cools the probe");
         assert_eq!(svc.stats().invalidations(), 0, "probe must not evict");
-        assert_eq!(
-            svc.cache.lock().unwrap().len(),
-            1,
-            "stale entry still present until a real lookup"
-        );
+        assert_eq!(svc.cache.borrow().len(), 1, "stale entry still present until a real lookup");
 
         svc.generate_for_request(&db, &target.ip, Arch::I686).unwrap();
         assert_eq!(svc.stats().invalidations(), 1, "real lookup still counts the eviction");
@@ -569,9 +558,9 @@ mod tests {
         let svc = service();
         svc.generate_for_request(&db, "10.255.255.254", Arch::I686).unwrap();
         svc.generate_for_request(&db, "10.1.1.1", Arch::I686).unwrap(); // frontend appliance
-        assert_eq!(svc.cache.lock().unwrap().len(), 2);
+        assert_eq!(svc.cache.borrow().len(), 2);
         svc.invalidate_all();
-        assert_eq!(svc.cache.lock().unwrap().len(), 0);
+        assert_eq!(svc.cache.borrow().len(), 0);
         assert_eq!(svc.stats().invalidations(), 2, "both slots counted");
     }
 

@@ -25,10 +25,12 @@
 //! allocator for a buffer the size of a file.
 
 use crate::codec::fnv1a;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// Errors from the disk layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,7 +78,7 @@ pub(crate) type DiskResult<T> = std::result::Result<T, DiskError>;
 /// Durability contract: `write_at`/`truncate` are buffered and may be
 /// lost, reordered only by truncation, or torn on crash; `sync` makes
 /// everything issued so far survive.
-pub trait DiskFile: Send {
+pub trait DiskFile {
     /// Current file length in bytes (as the process sees it).
     fn len(&self) -> DiskResult<u64>;
     /// True when the file holds no bytes.
@@ -124,7 +126,7 @@ const BLOCK: usize = 4096;
 /// block copies it first. Bytes of the last block past `len` are zero.
 #[derive(Debug, Clone, Default)]
 struct Image {
-    blocks: Vec<Arc<[u8; BLOCK]>>,
+    blocks: Vec<Rc<[u8; BLOCK]>>,
     len: usize,
 }
 
@@ -135,10 +137,10 @@ impl Image {
         if len < self.len {
             self.blocks.truncate(blocks);
             if !len.is_multiple_of(BLOCK) {
-                Arc::make_mut(&mut self.blocks[blocks - 1])[len % BLOCK..].fill(0);
+                Rc::make_mut(&mut self.blocks[blocks - 1])[len % BLOCK..].fill(0);
             }
         } else {
-            self.blocks.resize_with(blocks, || Arc::new([0; BLOCK]));
+            self.blocks.resize_with(blocks, || Rc::new([0; BLOCK]));
         }
         self.len = len;
     }
@@ -151,7 +153,7 @@ impl Image {
         while !data.is_empty() {
             let start = at % BLOCK;
             let (head, rest) = data.split_at(data.len().min(BLOCK - start));
-            Arc::make_mut(&mut self.blocks[at / BLOCK])[start..start + head.len()]
+            Rc::make_mut(&mut self.blocks[at / BLOCK])[start..start + head.len()]
                 .copy_from_slice(head);
             at += head.len();
             data = rest;
@@ -192,7 +194,7 @@ impl Image {
             if let PendingOp::Write { offset, data } = op {
                 let end = (*offset as usize + data.len()).div_ceil(BLOCK);
                 for block in *offset as usize / BLOCK..end.min(low) {
-                    self.blocks[block] = Arc::clone(&view.blocks[block]);
+                    self.blocks[block] = Rc::clone(&view.blocks[block]);
                 }
             }
         }
@@ -303,7 +305,7 @@ impl VfsState {
 /// are open on it).
 #[derive(Debug, Clone, Default)]
 pub struct MemVfs {
-    state: Arc<Mutex<VfsState>>,
+    state: Rc<RefCell<VfsState>>,
 }
 
 impl MemVfs {
@@ -315,7 +317,7 @@ impl MemVfs {
     /// Arm a crash plan: mutating-op counting restarts at zero and the
     /// `plan.at_op`-th op from now will not complete.
     pub fn arm(&self, plan: CrashPlan) {
-        let mut s = self.state.lock().expect("vfs lock");
+        let mut s = self.state.borrow_mut();
         s.ops = 0;
         s.plan = Some(plan);
     }
@@ -324,28 +326,28 @@ impl MemVfs {
     /// creation). A fault-free golden run uses this to learn how many
     /// crash points a workload exposes.
     pub fn ops(&self) -> u64 {
-        self.state.lock().expect("vfs lock").ops
+        self.state.borrow().ops
     }
 
     /// True once the armed crash has fired.
     pub fn crashed(&self) -> bool {
-        self.state.lock().expect("vfs lock").crashed
+        self.state.borrow().crashed
     }
 
     /// Lifetime `sync` count (telemetry).
     pub fn sync_count(&self) -> u64 {
-        self.state.lock().expect("vfs lock").total_syncs
+        self.state.borrow().total_syncs
     }
 
     /// Lifetime `write_at`/`truncate` count (telemetry).
     pub fn write_count(&self) -> u64 {
-        self.state.lock().expect("vfs lock").total_writes
+        self.state.borrow().total_writes
     }
 
     /// The disk a rebooted machine finds: every file reduced to its
     /// post-crash stable image, fault-free, counters reset.
     pub fn survivor(&self) -> MemVfs {
-        let s = self.state.lock().expect("vfs lock");
+        let s = self.state.borrow();
         let files = s
             .files
             .iter()
@@ -360,34 +362,34 @@ impl MemVfs {
                 )
             })
             .collect();
-        MemVfs { state: Arc::new(Mutex::new(VfsState { files, ..VfsState::default() })) }
+        MemVfs { state: Rc::new(RefCell::new(VfsState { files, ..VfsState::default() })) }
     }
 
     /// Raw stable bytes of a file (test introspection).
     pub fn stable_bytes(&self, name: &str) -> Option<Vec<u8>> {
-        self.state.lock().expect("vfs lock").files.get(name).map(|f| f.stable.to_vec())
+        self.state.borrow().files.get(name).map(|f| f.stable.to_vec())
     }
 }
 
 impl Vfs for MemVfs {
     fn open(&self, name: &str) -> DiskResult<Box<dyn DiskFile>> {
-        let mut s = self.state.lock().expect("vfs lock");
+        let mut s = self.state.borrow_mut();
         if s.crashed {
             return Err(DiskError::Crashed);
         }
         s.files.entry(name.to_string()).or_default();
-        Ok(Box::new(MemFile { state: Arc::clone(&self.state), name: name.to_string() }))
+        Ok(Box::new(MemFile { state: Rc::clone(&self.state), name: name.to_string() }))
     }
 }
 
 struct MemFile {
-    state: Arc<Mutex<VfsState>>,
+    state: Rc<RefCell<VfsState>>,
     name: String,
 }
 
 impl DiskFile for MemFile {
     fn len(&self) -> DiskResult<u64> {
-        let s = self.state.lock().expect("vfs lock");
+        let s = self.state.borrow();
         if s.crashed {
             return Err(DiskError::Crashed);
         }
@@ -395,7 +397,7 @@ impl DiskFile for MemFile {
     }
 
     fn read_exact_at(&self, offset: u64, buf: &mut [u8]) -> DiskResult<()> {
-        let s = self.state.lock().expect("vfs lock");
+        let s = self.state.borrow();
         if s.crashed {
             return Err(DiskError::Crashed);
         }
@@ -413,7 +415,7 @@ impl DiskFile for MemFile {
     }
 
     fn write_at(&mut self, offset: u64, data: &[u8]) -> DiskResult<()> {
-        let mut s = self.state.lock().expect("vfs lock");
+        let mut s = self.state.borrow_mut();
         s.total_writes += 1;
         // Record the op *before* the tick so the in-flight write is
         // visible to the crash (it may be the one that tears).
@@ -426,7 +428,7 @@ impl DiskFile for MemFile {
     }
 
     fn truncate(&mut self, len: u64) -> DiskResult<()> {
-        let mut s = self.state.lock().expect("vfs lock");
+        let mut s = self.state.borrow_mut();
         s.total_writes += 1;
         let op = PendingOp::Truncate { len };
         s.files.get_mut(&self.name).expect("open file").pending.push(op);
@@ -437,7 +439,7 @@ impl DiskFile for MemFile {
     }
 
     fn sync(&mut self) -> DiskResult<()> {
-        let mut s = self.state.lock().expect("vfs lock");
+        let mut s = self.state.borrow_mut();
         s.total_syncs += 1;
         // A sync that crashes has NOT flushed: tick first.
         s.tick()?;
@@ -473,14 +475,14 @@ impl Vfs for FileVfs {
             .truncate(false)
             .open(self.root.join(name))
             .map_err(|e| DiskError::Io(e.to_string()))?;
-        Ok(Box::new(OsFile { file: Mutex::new(file) }))
+        Ok(Box::new(OsFile { file }))
     }
 }
 
 struct OsFile {
-    // Seek-based positional I/O needs `&mut File`; the mutex keeps the
-    // `&self` read path of the trait workable without unix-only FileExt.
-    file: Mutex<std::fs::File>,
+    // `&File` implements `Read`, `Write` and `Seek`, so the `&self` read
+    // path of the trait seeks without unix-only `FileExt`.
+    file: File,
 }
 
 impl OsFile {
@@ -491,12 +493,11 @@ impl OsFile {
 
 impl DiskFile for OsFile {
     fn len(&self) -> DiskResult<u64> {
-        let f = self.file.lock().expect("file lock");
-        Ok(Self::io(f.metadata())?.len())
+        Ok(Self::io(self.file.metadata())?.len())
     }
 
     fn read_exact_at(&self, offset: u64, buf: &mut [u8]) -> DiskResult<()> {
-        let mut f = self.file.lock().expect("file lock");
+        let mut f = &self.file;
         let file_len = Self::io(f.metadata())?.len();
         if offset + buf.len() as u64 > file_len {
             return Err(DiskError::OutOfBounds { offset, len: buf.len() as u64, file_len });
@@ -506,19 +507,16 @@ impl DiskFile for OsFile {
     }
 
     fn write_at(&mut self, offset: u64, data: &[u8]) -> DiskResult<()> {
-        let mut f = self.file.lock().expect("file lock");
-        Self::io(f.seek(SeekFrom::Start(offset)))?;
-        Self::io(f.write_all(data))
+        Self::io(self.file.seek(SeekFrom::Start(offset)))?;
+        Self::io(self.file.write_all(data))
     }
 
     fn truncate(&mut self, len: u64) -> DiskResult<()> {
-        let f = self.file.lock().expect("file lock");
-        Self::io(f.set_len(len))
+        Self::io(self.file.set_len(len))
     }
 
     fn sync(&mut self) -> DiskResult<()> {
-        let f = self.file.lock().expect("file lock");
-        Self::io(f.sync_all())
+        Self::io(self.file.sync_all())
     }
 }
 

@@ -187,10 +187,8 @@ pub(crate) fn execute(db: &mut Database, stmt: Statement) -> Result<ExecOutcome>
 /// Execute a parsed statement against a shared (read-only) database
 /// reference with an explicit planning mode, into the sink `S`. Only
 /// `SELECT` is possible without mutation; write statements are
-/// rejected. This is the entry
-/// point for the concurrent Kickstart-generation read path, where many
-/// worker threads query one database snapshot without locking each other
-/// out. `Prepared` carries a plan built at prepare time
+/// rejected. This is the entry point for the Kickstart-generation read
+/// path. `Prepared` carries a plan built at prepare time
 /// (`Database::query_ref`'s statement cache); `ForceScan` is the
 /// differential baseline behind `Database::query_ref_scan`.
 pub(crate) fn execute_readonly_with<S: Sink>(

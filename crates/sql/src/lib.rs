@@ -73,9 +73,10 @@ pub use value::Value;
 
 use rocks_trace::{Counter, Histogram, Registry};
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// Errors from any stage of statement processing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,14 +150,14 @@ const PLAN_CACHE_CAP: usize = 512;
 /// One statement-cache entry.
 #[derive(Debug)]
 struct Cached {
-    prepared: Arc<Prepared>,
+    prepared: Rc<Prepared>,
     /// Looked up since the last sweep.
     hit: bool,
 }
 
-/// Interior-mutable statement cache. Lives behind a `Mutex` so the
-/// read-only [`Database::query_ref`] path can fill it concurrently; the
-/// lock is held only for lookup/insert, never during parse or execution.
+/// Interior-mutable statement cache. Lives in a `RefCell` so the
+/// read-only [`Database::query_ref`] path can fill it; it is borrowed
+/// only for lookup/insert, never during parse, planning or execution.
 #[derive(Debug, Default)]
 struct PlanCache {
     /// Schema generation the entries were prepared under.
@@ -285,7 +286,7 @@ pub struct Database {
     /// generation are discarded (their resolved column indices and plans
     /// may no longer match the schema).
     schema_gen: u64,
-    cache: Mutex<PlanCache>,
+    cache: RefCell<PlanCache>,
     stats: QueryStats,
     /// What reverses the open transaction's statements; `None` outside
     /// a [`Savepoint`].
@@ -306,7 +307,7 @@ impl Clone for Database {
         Database {
             tables: self.tables.clone(),
             schema_gen: self.schema_gen,
-            cache: Mutex::new(PlanCache::default()),
+            cache: RefCell::new(PlanCache::default()),
             stats: QueryStats::default(),
             undo: None,
             images: None,
@@ -326,10 +327,8 @@ impl Database {
         exec::execute(self, stmt)
     }
 
-    /// Run a `SELECT` against a shared reference. Because nothing is
-    /// mutated, any number of threads may call this concurrently on one
-    /// database — the read path of the parallel Kickstart generation
-    /// service. Write statements are rejected.
+    /// Run a `SELECT` against a shared reference: the read path of the
+    /// Kickstart generation service. Write statements are rejected.
     ///
     /// Statements are parsed and planned once, then cached by SQL text:
     /// repeated queries (the per-node lookups of a mass reinstall) skip
@@ -380,10 +379,10 @@ impl Database {
     }
 
     /// Fetch (or create) the cached parse+plan for `sql`.
-    fn prepare(&self, sql: &str) -> Result<Arc<Prepared>> {
+    fn prepare(&self, sql: &str) -> Result<Rc<Prepared>> {
         let stats_epoch = self.stats_epoch();
         {
-            let mut cache = self.cache.lock().expect("plan cache lock");
+            let mut cache = self.cache.borrow_mut();
             if cache.schema_gen != self.schema_gen || cache.stats_epoch != stats_epoch {
                 cache.entries.clear();
                 cache.schema_gen = self.schema_gen;
@@ -392,12 +391,13 @@ impl Database {
             if let Some(entry) = cache.entries.get_mut(sql) {
                 entry.hit = true;
                 self.stats.plan_cache_hits.incr();
-                return Ok(Arc::clone(&entry.prepared));
+                return Ok(Rc::clone(&entry.prepared));
             }
         }
         self.stats.plan_cache_misses.incr();
-        // Parse and plan outside the lock; a racing thread preparing the
-        // same text produces an identical entry.
+        // Parse and plan with the cache released. Through `&self`
+        // neither the schema generation nor a table's size band can move
+        // before the insert, so the cache is still the one checked above.
         let stmt = parser::parse(sql)?;
         let plan = match &stmt {
             Statement::Select { from, where_clause: Some(w), .. } => {
@@ -415,24 +415,22 @@ impl Database {
             }
             _ => None,
         };
-        let prepared = Arc::new(Prepared { stmt, plan });
-        let mut cache = self.cache.lock().expect("plan cache lock");
-        if cache.schema_gen == self.schema_gen && cache.stats_epoch == stats_epoch {
+        let prepared = Rc::new(Prepared { stmt, plan });
+        let mut cache = self.cache.borrow_mut();
+        if cache.entries.len() >= PLAN_CACHE_CAP {
+            cache.entries.retain(|_, entry| std::mem::take(&mut entry.hit));
             if cache.entries.len() >= PLAN_CACHE_CAP {
-                cache.entries.retain(|_, entry| std::mem::take(&mut entry.hit));
-                if cache.entries.len() >= PLAN_CACHE_CAP {
-                    cache.entries.clear();
-                }
+                cache.entries.clear();
             }
-            let entry = Cached { prepared: Arc::clone(&prepared), hit: false };
-            cache.entries.insert(sql.to_string(), entry);
         }
+        let entry = Cached { prepared: Rc::clone(&prepared), hit: false };
+        cache.entries.insert(sql.to_string(), entry);
         Ok(prepared)
     }
 
     /// Number of statements currently prepared (introspection for tests).
     pub fn prepared_statements(&self) -> usize {
-        self.cache.lock().expect("plan cache lock").entries.len()
+        self.cache.borrow().entries.len()
     }
 
     /// Would [`query_ref`](Self::query_ref) for this exact SQL text skip
@@ -444,7 +442,7 @@ impl Database {
     /// executing it.
     pub fn plan_cached(&self, sql: &str) -> bool {
         let stats_epoch = self.stats_epoch();
-        let cache = self.cache.lock().expect("plan cache lock");
+        let cache = self.cache.borrow();
         cache.schema_gen == self.schema_gen
             && cache.stats_epoch == stats_epoch
             && cache.entries.contains_key(sql)

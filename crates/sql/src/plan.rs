@@ -48,7 +48,7 @@ use crate::table::Table;
 use crate::value::Value;
 use crate::Result;
 use std::cmp::Ordering;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Exact DP join-order enumeration up to this many FROM tables; greedy
 /// beyond (2^n states stop being cheap).
@@ -363,7 +363,7 @@ struct Extension {
 
 /// Per-table planning facts gathered once.
 struct TableFacts {
-    stats: Arc<TableStats>,
+    stats: Rc<TableStats>,
     /// Estimated rows surviving this table's pushed filters.
     base_est: f64,
     /// Cheapest standalone access and its cost.

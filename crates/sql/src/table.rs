@@ -5,15 +5,16 @@
 //! are appended (and as a rollback takes appended rows away again), and
 //! dropped wholesale whenever rows are mutated in place (UPDATE/DELETE)
 //! — the next probe rebuilds. They are pure acceleration state: `Clone`
-//! shares them copy-on-write via `Arc`, and `PartialEq`/`Debug` ignore
+//! shares them copy-on-write via `Rc`, and `PartialEq`/`Debug` ignore
 //! them.
 
 use crate::index::HashIndex;
 use crate::stats::TableStats;
 use crate::value::Value;
 use crate::{Result, SqlError};
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
+use std::rc::Rc;
 
 /// Declared column types. Storage is dynamically typed (every cell is a
 /// [`Value`]), but INSERT/UPDATE coerce or reject against the declaration.
@@ -40,16 +41,15 @@ pub struct Table {
     columns: Vec<Column>,
     rows: Vec<Vec<Value>>,
     /// Lazily built per-column hash indexes. Interior mutability lets the
-    /// read-only query path build an index on first use; `RwLock` (not
-    /// `RefCell`) keeps the table `Sync` for the concurrent Kickstart
-    /// generation workers. `Arc` makes probes lock-free after a cheap
-    /// handle clone and makes `Table::clone` copy-on-write.
-    indexes: RwLock<HashMap<usize, Arc<HashIndex>>>,
+    /// read-only query path build an index on first use. `Rc` lets a
+    /// probe hold an index with the map released and makes
+    /// `Table::clone` copy-on-write.
+    indexes: RefCell<HashMap<usize, Rc<HashIndex>>>,
     /// Lazily built optimizer statistics — same acceleration-state
     /// pattern as `indexes`: built on first use by the read-only planner
     /// path, folded incrementally on append, dropped wholesale by
     /// in-place mutation, shared copy-on-write across clones.
-    stats: RwLock<Option<Arc<TableStats>>>,
+    stats: RefCell<Option<Rc<TableStats>>>,
     /// Bumped on every row change (append *and* in-place mutation); the
     /// generation recorded inside [`TableStats`] must match for the
     /// cached statistics to be trusted.
@@ -63,9 +63,9 @@ impl Clone for Table {
             columns: self.columns.clone(),
             rows: self.rows.clone(),
             // Share built indexes; a later insert_row on either copy
-            // updates via Arc::make_mut (copy-on-write).
-            indexes: RwLock::new(self.indexes.read().expect("index lock").clone()),
-            stats: RwLock::new(self.stats.read().expect("stats lock").clone()),
+            // updates via Rc::make_mut (copy-on-write).
+            indexes: self.indexes.clone(),
+            stats: self.stats.clone(),
             stats_gen: self.stats_gen,
         }
     }
@@ -84,7 +84,7 @@ impl std::fmt::Debug for Table {
             .field("name", &self.name)
             .field("columns", &self.columns)
             .field("rows", &self.rows)
-            .field("indexed_columns", &self.indexes.read().expect("index lock").len())
+            .field("indexed_columns", &self.indexes.borrow().len())
             .finish()
     }
 }
@@ -101,8 +101,8 @@ impl Table {
                 .map(|(name, ty)| Column { name: name.to_ascii_lowercase(), ty })
                 .collect(),
             rows: Vec::new(),
-            indexes: RwLock::new(HashMap::new()),
-            stats: RwLock::new(None),
+            indexes: RefCell::default(),
+            stats: RefCell::default(),
             stats_gen: 0,
         }
     }
@@ -131,8 +131,8 @@ impl Table {
     /// invalidates every index and the statistics; the next probe or
     /// plan rebuilds lazily.
     fn rows_mut(&mut self) -> &mut Vec<Vec<Value>> {
-        self.indexes.get_mut().expect("index lock").clear();
-        *self.stats.get_mut().expect("stats lock") = None;
+        self.indexes.get_mut().clear();
+        *self.stats.get_mut() = None;
         self.stats_gen += 1;
         &mut self.rows
     }
@@ -188,72 +188,67 @@ impl Table {
         if len >= self.rows.len() {
             return;
         }
-        let indexes = self.indexes.get_mut().expect("index lock");
-        for (&column, index) in indexes.iter_mut() {
-            let index = Arc::make_mut(index);
+        for (&column, index) in self.indexes.get_mut().iter_mut() {
+            let index = Rc::make_mut(index);
             for row in (len..self.rows.len()).rev() {
                 index.remove_last(&self.rows[row][column], row as u32);
             }
         }
         self.rows.truncate(len);
-        *self.stats.get_mut().expect("stats lock") = None;
+        *self.stats.get_mut() = None;
         self.stats_gen += 1;
     }
 
     /// Hash index for `column`, building it on first use. Returns a cheap
-    /// `Arc` handle so callers probe without holding the table's lock.
+    /// `Rc` handle, so the index map is not borrowed while callers probe.
     /// Panics if `column` is out of range (callers resolve columns first).
-    pub fn eq_index(&self, column: usize) -> Arc<HashIndex> {
+    pub fn eq_index(&self, column: usize) -> Rc<HashIndex> {
         assert!(column < self.columns.len(), "eq_index: column out of range");
-        if let Some(ix) = self.indexes.read().expect("index lock").get(&column) {
-            return Arc::clone(ix);
+        if let Some(index) = self.indexes.borrow().get(&column) {
+            return Rc::clone(index);
         }
-        let built = Arc::new(HashIndex::build(self.rows.iter().map(|r| &r[column])));
-        let mut map = self.indexes.write().expect("index lock");
-        // Two threads may race to build the same index from the same
-        // rows; both products are identical, keep whichever landed first.
-        Arc::clone(map.entry(column).or_insert(built))
+        let built = Rc::new(HashIndex::build(self.rows.iter().map(|r| &r[column])));
+        self.indexes.borrow_mut().insert(column, Rc::clone(&built));
+        built
     }
 
     /// Number of columns currently carrying a built index (introspection
     /// for tests and EXPLAIN).
     pub fn indexed_columns(&self) -> usize {
-        self.indexes.read().expect("index lock").len()
+        self.indexes.borrow().len()
     }
 
     /// Whether `column` already carries a built hash index. The cost
     /// model charges a full build for cold indexes and nothing for warm
     /// ones.
     pub fn has_eq_index(&self, column: usize) -> bool {
-        self.indexes.read().expect("index lock").contains_key(&column)
+        self.indexes.borrow().contains_key(&column)
     }
 
     /// Optimizer statistics for this table, building them on first use.
-    /// Returns a cheap `Arc` handle.
-    pub fn stats(&self) -> Arc<TableStats> {
+    /// Returns a cheap `Rc` handle.
+    pub fn stats(&self) -> Rc<TableStats> {
         self.stats_with_info().0
     }
 
     /// [`stats`](Self::stats) plus whether this call performed a (re)build
     /// — the `sql.opt.stats_builds` telemetry signal.
-    pub fn stats_with_info(&self) -> (Arc<TableStats>, bool) {
-        if let Some(ts) = self.stats.read().expect("stats lock").as_ref() {
+    pub fn stats_with_info(&self) -> (Rc<TableStats>, bool) {
+        if let Some(ts) = self.stats.borrow().as_ref() {
             if ts.generation == self.stats_gen && !ts.needs_rebuild() {
-                return (Arc::clone(ts), false);
+                return (Rc::clone(ts), false);
             }
         }
-        let built = Arc::new(TableStats::build(&self.rows, self.columns.len(), self.stats_gen));
-        // Two threads may race to build from the same rows; both products
-        // are identical (the build is deterministic), keep the newest.
-        *self.stats.write().expect("stats lock") = Some(Arc::clone(&built));
+        let built = Rc::new(TableStats::build(&self.rows, self.columns.len(), self.stats_gen));
+        *self.stats.borrow_mut() = Some(Rc::clone(&built));
         (built, true)
     }
 
     /// Statistics if already built *and* current, without building.
-    pub fn stats_if_warm(&self) -> Option<Arc<TableStats>> {
-        let guard = self.stats.read().expect("stats lock");
-        let ts = guard.as_ref()?;
-        (ts.generation == self.stats_gen).then(|| Arc::clone(ts))
+    pub fn stats_if_warm(&self) -> Option<Rc<TableStats>> {
+        let slot = self.stats.borrow();
+        let ts = slot.as_ref()?;
+        (ts.generation == self.stats_gen).then(|| Rc::clone(ts))
     }
 
     /// Size band for plan-cache hysteresis: `floor(log2(rows)) + 1` (0
@@ -268,9 +263,8 @@ impl Table {
     /// built index.
     fn index_appended_row(&mut self) {
         let row = self.rows.len() - 1;
-        let map = self.indexes.get_mut().expect("index lock");
-        for (&column, index) in map.iter_mut() {
-            Arc::make_mut(index).add(&self.rows[row][column], row as u32);
+        for (&column, index) in self.indexes.get_mut().iter_mut() {
+            Rc::make_mut(index).add(&self.rows[row][column], row as u32);
         }
     }
 
@@ -360,10 +354,10 @@ impl Table {
     /// gap means they were already stale).
     fn fold_appended_into_stats(&mut self) {
         let row = self.rows.last().expect("just pushed");
-        let slot = self.stats.get_mut().expect("stats lock");
+        let slot = self.stats.get_mut();
         if let Some(ts) = slot {
             if ts.generation + 1 == self.stats_gen {
-                Arc::make_mut(ts).fold_appended(row, self.stats_gen);
+                Rc::make_mut(ts).fold_appended(row, self.stats_gen);
             } else {
                 *slot = None;
             }
@@ -381,8 +375,7 @@ impl Table {
     /// The durable engine's checkpoint lists them in the catalog so a
     /// recovered process starts with the same columns warmed.
     pub fn indexed_column_ids(&self) -> Vec<usize> {
-        let mut ids: Vec<usize> =
-            self.indexes.read().expect("index lock").keys().copied().collect();
+        let mut ids: Vec<usize> = self.indexes.borrow().keys().copied().collect();
         ids.sort_unstable();
         ids
     }

@@ -114,7 +114,7 @@ impl Database {
             live(&mut self.tables, table).truncate_rows(len);
         }
         self.schema_gen = sp.schema_gen;
-        self.cache.get_mut().expect("plan cache lock").entries.clear();
+        self.cache.get_mut().entries.clear();
         if sp.outermost {
             self.undo = None;
         }

@@ -27,9 +27,8 @@ pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapsh
 pub use sink::TraceDump;
 
 use sink::Ring;
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 /// What happened, inside a [`TraceEvent`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,7 +37,7 @@ pub enum EventKind {
     Enter {
         /// This span's id (unique per tracer).
         span: u64,
-        /// The enclosing span on the same thread, if any.
+        /// The innermost span of the same tracer still open, if any.
         parent: Option<u64>,
         /// Static span name (taxonomy in DESIGN.md).
         name: &'static str,
@@ -71,30 +70,26 @@ pub struct TraceEvent {
 
 #[derive(Debug)]
 struct TracerInner {
-    ring: Mutex<Ring>,
+    ring: RefCell<Ring>,
     /// Virtual clock. Under logical mode every emitted event ticks it;
     /// under sim mode the instrumented code drives it via `set_time`.
-    clock: AtomicU64,
+    clock: Cell<u64>,
     auto_tick: bool,
-    next_span: AtomicU64,
+    next_span: Cell<u64>,
+    /// Ids of the open spans, innermost last: the parent of the next.
+    stack: RefCell<Vec<u64>>,
     registry: Registry,
 }
 
-/// Handle to one telemetry pipeline. Cloning shares the pipeline.
+/// Handle to one telemetry pipeline. Cloning shares the pipeline, span
+/// stack included; the handle lives on one thread.
 ///
 /// `Tracer::disabled()` is the default everywhere: its `inner` is
 /// `None`, so `span`/`mark`/`set_time` inline to a single branch and
 /// the compiler deletes the rest — telemetry off costs nothing.
 #[derive(Clone, Debug, Default)]
 pub struct Tracer {
-    inner: Option<Arc<TracerInner>>,
-}
-
-thread_local! {
-    /// Per-thread span stack: (tracer identity, span id). Keyed by the
-    /// tracer's `Arc` address so independent tracers on one thread
-    /// don't see each other's parents.
-    static SPAN_STACK: RefCell<Vec<(usize, u64)>> = const { RefCell::new(Vec::new()) };
+    inner: Option<Rc<TracerInner>>,
 }
 
 impl Tracer {
@@ -120,11 +115,12 @@ impl Tracer {
 
     fn build(cap: usize, auto_tick: bool) -> Tracer {
         Tracer {
-            inner: Some(Arc::new(TracerInner {
-                ring: Mutex::new(Ring::new(cap)),
-                clock: AtomicU64::new(0),
+            inner: Some(Rc::new(TracerInner {
+                ring: RefCell::new(Ring::new(cap)),
+                clock: Cell::new(0),
                 auto_tick,
-                next_span: AtomicU64::new(1),
+                next_span: Cell::new(1),
+                stack: RefCell::new(Vec::new()),
                 registry: Registry::new(),
             })),
         }
@@ -149,43 +145,33 @@ impl Tracer {
     pub fn set_time(&self, t: u64) {
         if let Some(inner) = &self.inner {
             if !inner.auto_tick {
-                inner.clock.store(t, Ordering::Relaxed);
+                inner.clock.set(t);
             }
         }
-    }
-
-    fn identity(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| Arc::as_ptr(i) as usize)
     }
 
     #[inline]
     fn emit(&self, kind: EventKind) {
         let Some(inner) = &self.inner else { return };
-        let at = if inner.auto_tick {
-            inner.clock.fetch_add(1, Ordering::Relaxed) + 1
-        } else {
-            inner.clock.load(Ordering::Relaxed)
-        };
-        inner.ring.lock().expect("trace ring lock poisoned").push(TraceEvent { at, kind });
+        if inner.auto_tick {
+            inner.clock.set(inner.clock.get() + 1);
+        }
+        inner.ring.borrow_mut().push(TraceEvent { at: inner.clock.get(), kind });
     }
 
     /// Open a span. The returned guard emits the matching `Exit` on
     /// drop, so enter/exit balance is guaranteed by construction.
-    /// Parentage is tracked per thread: spans opened on worker threads
-    /// don't nest under the main thread's.
+    /// Its parent is the innermost span of this tracer still open; the
+    /// one thread that holds the tracer opens and closes them all.
     #[inline]
     pub fn span(&self, name: &'static str) -> SpanGuard {
         let Some(inner) = &self.inner else {
             return SpanGuard { tracer: Tracer::disabled(), span: 0, name };
         };
-        let span = inner.next_span.fetch_add(1, Ordering::Relaxed);
-        let key = self.identity();
-        let parent = SPAN_STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let parent = stack.iter().rev().find(|(k, _)| *k == key).map(|(_, id)| *id);
-            stack.push((key, span));
-            parent
-        });
+        let span = inner.next_span.get();
+        inner.next_span.set(span + 1);
+        let parent = inner.stack.borrow().last().copied();
+        inner.stack.borrow_mut().push(span);
         self.emit(EventKind::Enter { span, parent, name });
         SpanGuard { tracer: self.clone(), span, name }
     }
@@ -200,14 +186,13 @@ impl Tracer {
     /// metrics snapshot. The disabled tracer dumps nothing.
     pub fn dump(&self) -> TraceDump {
         let Some(inner) = &self.inner else { return TraceDump::default() };
-        let (events, dropped) =
-            inner.ring.lock().expect("trace ring lock poisoned").drain_in_order();
+        let (events, dropped) = inner.ring.borrow().drain_in_order();
         TraceDump { events, metrics: inner.registry.snapshot(), dropped }
     }
 }
 
-/// RAII guard for an open span; emits `Exit` and pops the thread's span
-/// stack when dropped.
+/// RAII guard for an open span; emits `Exit` and takes the span off its
+/// tracer's stack when dropped.
 #[must_use = "dropping the guard immediately closes the span"]
 pub struct SpanGuard {
     tracer: Tracer,
@@ -217,16 +202,12 @@ pub struct SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if self.tracer.inner.is_none() {
-            return;
+        let Some(inner) = &self.tracer.inner else { return };
+        let mut stack = inner.stack.borrow_mut();
+        if let Some(pos) = stack.iter().rposition(|id| *id == self.span) {
+            stack.remove(pos);
         }
-        let key = self.tracer.identity();
-        SPAN_STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            if let Some(pos) = stack.iter().rposition(|(k, id)| *k == key && *id == self.span) {
-                stack.remove(pos);
-            }
-        });
+        drop(stack);
         self.tracer.emit(EventKind::Exit { span: self.span, name: self.name });
     }
 }

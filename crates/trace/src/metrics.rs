@@ -1,10 +1,10 @@
 //! Typed metrics: counters, gauges, fixed-bucket histograms, and the
 //! registry that names them.
 //!
-//! Every handle is a cheap `Arc` clone around atomics, so subsystems
-//! resolve their counters once (at construction) and bump them from any
-//! thread without locks. The registry itself is only locked to *create*
-//! or *enumerate* metrics, never on the hot path.
+//! Every handle is a cheap `Rc` clone around cells, so subsystems
+//! resolve their counters once (at construction) and bump them from the
+//! one thread that owns the registry. The registry's map is only
+//! borrowed to *create* or *enumerate* metrics, never on the hot path.
 //!
 //! Determinism rules (see DESIGN.md "Observability"):
 //! - counters and histograms only ever record integers derived from
@@ -15,9 +15,9 @@
 //!   dependence for idempotent `set`), so byte-conservation tests can
 //!   compare them with `==`.
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// A monotonically increasing integer metric.
 ///
@@ -25,25 +25,13 @@ use std::sync::{Arc, Mutex};
 /// overflows pins at the ceiling rather than silently restarting from a
 /// small number (the "counter wrap guard").
 #[derive(Clone, Debug, Default)]
-pub struct Counter(Arc<AtomicU64>);
+pub struct Counter(Rc<Cell<u64>>);
 
 impl Counter {
     /// Add `n`, saturating at `u64::MAX`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        // fetch_add would wrap; saturate via CAS instead. Contention is
-        // negligible (a few counters per subsystem).
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_add(n);
-            match self.0.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
+        self.0.set(self.0.get().saturating_add(n));
     }
 
     /// Add one.
@@ -55,47 +43,40 @@ impl Counter {
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.get()
     }
 
     /// Reset to zero.
     pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
+        self.0.set(0);
     }
 }
 
 /// A last-write-wins floating-point metric (also supports `add` for
 /// accumulating quantities like backoff seconds).
 ///
-/// The value is stored as raw `f64` bits in an `AtomicU64`, so a `set`
-/// followed by `get` round-trips the exact bit pattern — conservation
-/// tests can use exact equality against the simulator's own numbers.
+/// A `set` followed by `get` round-trips the exact `f64` bit pattern —
+/// conservation tests can use exact equality against the simulator's
+/// own numbers.
 #[derive(Clone, Debug, Default)]
-pub struct Gauge(Arc<AtomicU64>);
+pub struct Gauge(Rc<Cell<f64>>);
 
 impl Gauge {
     /// Overwrite the value.
     #[inline]
     pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
+        self.0.set(v);
     }
 
-    /// Add `v` to the current value (CAS loop).
+    /// Add `v` to the current value.
     pub fn add(&self, v: f64) {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self.0.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
+        self.0.set(self.0.get() + v);
     }
 
     /// Current value.
     #[inline]
     pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
+        self.0.get()
     }
 }
 
@@ -103,11 +84,27 @@ impl Gauge {
 struct HistState {
     /// One slot per upper bound, plus a final overflow slot for samples
     /// above every bound (the "clamp bucket").
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
+    buckets: Vec<Cell<u64>>,
+    count: Cell<u64>,
+    sum: Cell<u64>,
+    min: Cell<u64>,
+    max: Cell<u64>,
+}
+
+impl HistState {
+    /// Fold `n` samples whose sum is `sum` into every scalar; the sum
+    /// saturates, the same wrap guard as [`Counter`].
+    fn add_scalars(&self, n: u64, sum: u64, min: u64, max: u64) {
+        self.count.set(self.count.get() + n);
+        self.sum.set(self.sum.get().saturating_add(sum));
+        self.min.set(self.min.get().min(min));
+        self.max.set(self.max.get().max(max));
+    }
+
+    fn add_to_bucket(&self, idx: usize, n: u64) {
+        let bucket = &self.buckets[idx];
+        bucket.set(bucket.get() + n);
+    }
 }
 
 /// A fixed-bucket histogram: samples land in the first bucket whose
@@ -116,8 +113,8 @@ struct HistState {
 /// are conservative (never under-report) and fully deterministic.
 #[derive(Clone, Debug)]
 pub struct Histogram {
-    bounds: Arc<Vec<u64>>,
-    state: Arc<HistState>,
+    bounds: Rc<[u64]>,
+    state: Rc<HistState>,
 }
 
 impl Histogram {
@@ -126,46 +123,29 @@ impl Histogram {
         sorted.sort_unstable();
         sorted.dedup();
         let state = HistState {
-            buckets: (0..=sorted.len()).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
+            buckets: vec![Cell::new(0); sorted.len() + 1],
+            count: Cell::new(0),
+            sum: Cell::new(0),
+            min: Cell::new(u64::MAX),
+            max: Cell::new(0),
         };
-        Histogram { bounds: Arc::new(sorted), state: Arc::new(state) }
+        Histogram { bounds: sorted.into(), state: Rc::new(state) }
     }
 
     /// Record one sample.
     pub fn record(&self, v: u64) {
-        let idx = self.bounds.partition_point(|b| *b < v);
-        self.state.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.state.count.fetch_add(1, Ordering::Relaxed);
-        // Saturating sum: same wrap guard as Counter.
-        let mut cur = self.state.sum.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_add(v);
-            match self.state.sum.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-        self.state.min.fetch_min(v, Ordering::Relaxed);
-        self.state.max.fetch_max(v, Ordering::Relaxed);
+        self.state.add_to_bucket(self.bounds.partition_point(|b| *b < v), 1);
+        self.state.add_scalars(1, v, v, v);
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.state.count.load(Ordering::Relaxed)
+        self.state.count.get()
     }
 
     /// Sum of recorded samples (saturating).
     pub fn sum(&self) -> u64 {
-        self.state.sum.load(Ordering::Relaxed)
+        self.state.sum.get()
     }
 
     /// Smallest recorded sample, or `None` when empty.
@@ -173,7 +153,7 @@ impl Histogram {
         if self.count() == 0 {
             None
         } else {
-            Some(self.state.min.load(Ordering::Relaxed))
+            Some(self.state.min.get())
         }
     }
 
@@ -182,7 +162,7 @@ impl Histogram {
         if self.count() == 0 {
             None
         } else {
-            Some(self.state.max.load(Ordering::Relaxed))
+            Some(self.state.max.get())
         }
     }
 
@@ -197,18 +177,18 @@ impl Histogram {
         let target = ((q * total as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
         for (i, slot) in self.state.buckets.iter().enumerate() {
-            seen += slot.load(Ordering::Relaxed);
+            seen += slot.get();
             if seen >= target {
                 return Some(if i < self.bounds.len() {
                     self.bounds[i]
                 } else {
                     // Overflow bucket: report the true max rather than a
                     // fictitious "infinity" bound.
-                    self.state.max.load(Ordering::Relaxed)
+                    self.state.max.get()
                 });
             }
         }
-        Some(self.state.max.load(Ordering::Relaxed))
+        Some(self.state.max.get())
     }
 
     /// Median.
@@ -228,7 +208,7 @@ impl Histogram {
 
     /// Samples recorded above the last bound (the clamp bucket).
     pub fn overflow(&self) -> u64 {
-        self.state.buckets[self.bounds.len()].load(Ordering::Relaxed)
+        self.state.buckets[self.bounds.len()].get()
     }
 
     /// The configured (sorted, deduplicated) upper bounds.
@@ -237,7 +217,7 @@ impl Histogram {
     }
 
     fn bucket_counts(&self) -> Vec<u64> {
-        self.state.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect()
+        self.state.buckets.iter().map(Cell::get).collect()
     }
 
     fn absorb(&self, other: &Histogram) {
@@ -253,8 +233,8 @@ impl Histogram {
         // views. Only bucket *placement* may lose precision, never the
         // scalars.
         if self.bounds == other.bounds {
-            for (dst, n) in self.state.buckets.iter().zip(other.bucket_counts()) {
-                dst.fetch_add(n, Ordering::Relaxed);
+            for (idx, n) in other.bucket_counts().into_iter().enumerate() {
+                self.state.add_to_bucket(idx, n);
             }
         } else {
             for (i, n) in other.bucket_counts().iter().enumerate() {
@@ -266,30 +246,13 @@ impl Histogram {
                 } else {
                     other.max().unwrap_or(u64::MAX)
                 };
-                let idx = self.bounds.partition_point(|b| *b < value);
-                self.state.buckets[idx].fetch_add(*n, Ordering::Relaxed);
+                self.state.add_to_bucket(self.bounds.partition_point(|b| *b < value), *n);
             }
         }
-        self.state.count.fetch_add(other.count(), Ordering::Relaxed);
-        let mut cur = self.state.sum.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_add(other.sum());
-            match self.state.sum.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-        if let Some(m) = other.min() {
-            self.state.min.fetch_min(m, Ordering::Relaxed);
-        }
-        if let Some(m) = other.max() {
-            self.state.max.fetch_max(m, Ordering::Relaxed);
-        }
+        // An empty `other` holds min = u64::MAX and max = 0, which leave
+        // both unchanged.
+        let theirs = &other.state;
+        self.state.add_scalars(other.count(), other.sum(), theirs.min.get(), theirs.max.get());
     }
 }
 
@@ -304,7 +267,7 @@ struct RegistryInner {
 /// `get-or-create` accessors make wiring idempotent.
 #[derive(Clone, Debug, Default)]
 pub struct Registry {
-    inner: Arc<Mutex<RegistryInner>>,
+    inner: Rc<RefCell<RegistryInner>>,
 }
 
 impl Registry {
@@ -315,13 +278,13 @@ impl Registry {
 
     /// Get or create the counter named `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut inner = self.inner.lock().expect("registry lock poisoned");
+        let mut inner = self.inner.borrow_mut();
         inner.counters.entry(name.to_string()).or_default().clone()
     }
 
     /// Get or create the gauge named `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut inner = self.inner.lock().expect("registry lock poisoned");
+        let mut inner = self.inner.borrow_mut();
         inner.gauges.entry(name.to_string()).or_default().clone()
     }
 
@@ -329,15 +292,15 @@ impl Registry {
     /// bounds. If it already exists the existing histogram is returned
     /// (its original bounds win).
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
-        let mut inner = self.inner.lock().expect("registry lock poisoned");
+        let mut inner = self.inner.borrow_mut();
         inner.histograms.entry(name.to_string()).or_insert_with(|| Histogram::new(bounds)).clone()
     }
 
     /// Fold `other`'s metrics into `self`: counters and histograms add,
-    /// gauges sum. Used to aggregate per-worker or per-subsystem
+    /// gauges sum. Used to aggregate per-shard or per-subsystem
     /// registries into one view.
     pub fn merge(&self, other: &Registry) {
-        if Arc::ptr_eq(&self.inner, &other.inner) {
+        if Rc::ptr_eq(&self.inner, &other.inner) {
             return;
         }
         let snapshot = other.handles();
@@ -354,7 +317,7 @@ impl Registry {
 
     #[allow(clippy::type_complexity)]
     fn handles(&self) -> (Vec<(String, Counter)>, Vec<(String, Gauge)>, Vec<(String, Histogram)>) {
-        let inner = self.inner.lock().expect("registry lock poisoned");
+        let inner = self.inner.borrow();
         (
             inner.counters.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
             inner.gauges.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
@@ -542,8 +505,8 @@ mod tests {
 
     #[test]
     fn registry_merge_aggregates_workers() {
-        // Worker-pool aggregation: two per-worker registries fold into
-        // one view with counters added, gauges summed, histograms
+        // Per-shard aggregation: two shard registries fold into one
+        // view with counters added, gauges summed, histograms
         // bucket-merged.
         let w1 = Registry::new();
         let w2 = Registry::new();

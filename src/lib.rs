@@ -48,6 +48,44 @@
 //! assert_eq!(profiles.len(), 5);
 //! assert!(cluster.kickstart.stats().hits() > 0);
 //! ```
+//!
+//! # One thread
+//!
+//! No library crate starts a thread, and the types say so: caches,
+//! counters and the trace ring live in `Cell`s and `RefCell`s behind
+//! `Rc`s, so the handles that own them are not `Sync`, and sharing one
+//! between threads does not compile. The four types exist:
+//!
+//! ```
+//! fn on_one_thread<T>() {}
+//! on_one_thread::<rocks::core::Cluster>();
+//! on_one_thread::<rocks::kickstart::GenerationService>();
+//! on_one_thread::<rocks::sql::Database>();
+//! on_one_thread::<rocks::trace::Tracer>();
+//! ```
+//!
+//! and each of the blocks below, which name one of them, fails only on
+//! its `Sync` bound:
+//!
+//! ```compile_fail,E0277
+//! fn shared_between_threads<T: Sync>() {}
+//! shared_between_threads::<rocks::core::Cluster>();
+//! ```
+//!
+//! ```compile_fail,E0277
+//! fn shared_between_threads<T: Sync>() {}
+//! shared_between_threads::<rocks::kickstart::GenerationService>();
+//! ```
+//!
+//! ```compile_fail,E0277
+//! fn shared_between_threads<T: Sync>() {}
+//! shared_between_threads::<rocks::sql::Database>();
+//! ```
+//!
+//! ```compile_fail,E0277
+//! fn shared_between_threads<T: Sync>() {}
+//! shared_between_threads::<rocks::trace::Tracer>();
+//! ```
 
 pub use rocks_core as core;
 pub use rocks_db as db;
