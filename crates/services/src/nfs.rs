@@ -37,8 +37,10 @@ impl std::fmt::Display for MountError {
 pub struct NfsServer {
     /// Export path → allowed client prefix (e.g. `10.` for the cluster).
     exports: BTreeMap<String, String>,
-    /// (client, path) active mounts.
-    mounts: Vec<(String, String)>,
+    /// Active mounts by client: the paths each has mounted, a path
+    /// mounted twice listed twice. Keyed so that a client's reinstall
+    /// and accesses cost what that client holds, not the cluster.
+    mounts: BTreeMap<String, Vec<String>>,
     /// Whether the daemon is answering.
     up: bool,
 }
@@ -73,7 +75,7 @@ impl NfsServer {
         }
         match self.exports.get(path) {
             Some(prefix) if client_ip.starts_with(prefix.as_str()) => {
-                self.mounts.push((client_ip.to_string(), path.to_string()));
+                self.mounts.entry(client_ip.to_string()).or_default().push(path.to_string());
                 Ok(())
             }
             _ => Err(MountError::NotExported {
@@ -89,7 +91,7 @@ impl NfsServer {
         if !self.up {
             return Err(MountError::ServerDown);
         }
-        if self.mounts.iter().any(|(c, p)| c == client_ip && p == path) {
+        if self.mounts.get(client_ip).is_some_and(|paths| paths.iter().any(|p| p == path)) {
             Ok(())
         } else {
             Err(MountError::NotExported { path: path.to_string(), client: client_ip.to_string() })
@@ -98,12 +100,12 @@ impl NfsServer {
 
     /// Active mount count.
     pub fn mount_count(&self) -> usize {
-        self.mounts.len()
+        self.mounts.values().map(Vec::len).sum()
     }
 
     /// Drop all mounts from a client (what its reinstall does).
     pub fn unmount_client(&mut self, client_ip: &str) {
-        self.mounts.retain(|(c, _)| c != client_ip);
+        self.mounts.remove(client_ip);
     }
 }
 
@@ -163,8 +165,9 @@ mod tests {
         let mut server = exported();
         server.mount("10.255.255.254", "/export/home").unwrap();
         server.mount("10.255.255.253", "/export/home").unwrap();
+        server.mount("10.255.255.253", "/export/home").unwrap();
         server.unmount_client("10.255.255.254");
-        assert_eq!(server.mount_count(), 1);
+        assert_eq!(server.mount_count(), 2, "a mount made twice counts twice");
         assert!(server.access("10.255.255.254", "/export/home").is_err());
         assert!(server.access("10.255.255.253", "/export/home").is_ok());
     }

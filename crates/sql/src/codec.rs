@@ -1,4 +1,4 @@
-//! Byte-level encoding shared by the WAL, the pager, and the B-tree.
+//! Byte-level encoding shared by the WAL, the pager, and the leaf lists.
 //!
 //! Everything on disk is little-endian and length-prefixed; decoding is
 //! bounds-checked and returns an error instead of panicking, because the
@@ -72,7 +72,7 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> CodecResult<&'a [u8]> {
+    pub(crate) fn take(&mut self, n: usize) -> CodecResult<&'a [u8]> {
         if self.remaining() < n {
             return Err(CodecError(format!(
                 "need {n} bytes at offset {} but only {} remain",
@@ -87,6 +87,10 @@ impl<'a> Reader<'a> {
 
     pub(crate) fn u8(&mut self) -> CodecResult<u8> {
         Ok(self.take(1)?[0])
+    }
+
+    pub(crate) fn u16(&mut self) -> CodecResult<u16> {
+        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
     }
 
     pub(crate) fn u32(&mut self) -> CodecResult<u32> {

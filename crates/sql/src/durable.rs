@@ -7,7 +7,7 @@
 //! statement runs against `mem`; with a journal
 //! ([`DurableDatabase::open`]) the statement text of each successful
 //! write is also logged and the whole state is periodically folded into
-//! a B-tree snapshot, without one ([`DurableDatabase::in_memory`]) those
+//! a snapshot of leaf lists, without one ([`DurableDatabase::in_memory`]) those
 //! steps are skipped and nothing else differs. Only the journal steps —
 //! appending a frame, the commit fsync, truncating the log on rollback,
 //! `checkpoint` — look at whether there is one. Opening an existing
@@ -16,9 +16,9 @@
 //!
 //! A checkpoint costs what changed since the one before. The memory
 //! engine of a journaled database carries, per table, the image of the
-//! B-tree the live snapshot holds (`btree.rs`) and flags on it the
-//! rows each write changes; `checkpoint` re-packs from those flags —
-//! the changed leaves, the internal pages above them — into pages the
+//! leaves and list pages the live snapshot holds (`leaves.rs`) and flags
+//! on it the rows each write changes; `checkpoint` re-packs from those
+//! flags — the changed leaves, the list pages naming them — into pages the
 //! live header cannot reach, writes the catalog, and flips the header
 //! (`pager.rs`). A first checkpoint is the same code with no
 //! images to reuse.
@@ -38,10 +38,10 @@
 //! first — leaving a cold plan cache, so a statement cached during the
 //! transaction can never serve rolled-back rows.
 
-use crate::btree::{self, TreeImage};
 use crate::codec;
 use crate::disk::{DiskError, Vfs};
 use crate::exec::ExecOutcome;
+use crate::leaves::{self, TableImage};
 use crate::pager::Pager;
 use crate::recovery::{self, CatalogTable, RecoveryError, RecoveryReport};
 use crate::wal::{self, WalRecord, WalWriter};
@@ -505,17 +505,17 @@ impl DurableDatabase {
             }
         }
         let (mut catalog, mut repacked) = (Vec::new(), Vec::new());
-        let unwritten = TreeImage::default();
+        let unwritten = TableImage::default();
         // `table_names` is sorted; the catalog inherits that order.
         for name in self.mem.table_names() {
             let table = self.mem.table(name).expect("listed table");
             let image = images.get(name).unwrap_or(&unwritten);
-            // Tree: rowid (current position) → encoded row.
-            let tree = image.repack(
+            // Leaves: the encoded rows in rowid (current position) order.
+            let repack = image.repack(
                 table.len() as u64,
                 &mut |rowid, value| {
                     codec::put_row(value, &table.rows()[rowid as usize]);
-                    if value.len() > btree::MAX_VALUE {
+                    if value.len() > leaves::MAX_VALUE {
                         return Err(DurableError::Sql(SqlError::Unsupported(format!(
                             "row of {} bytes in table {name} exceeds the one-page checkpoint limit",
                             value.len()
@@ -529,12 +529,12 @@ impl DurableDatabase {
                 name: name.to_string(),
                 columns: table.columns().iter().map(|c| (c.name.clone(), c.ty)).collect(),
                 rows: table.len() as u64,
-                root: tree.as_ref().map_or_else(|| image.root(), |tree| tree.root),
+                lists: repack.as_ref().map_or(image.lists(), |repack| &repack.lists[..]).to_vec(),
                 warm_indexes: table.indexed_column_ids().into_iter().map(|c| c as u32).collect(),
                 stats_warm: table.stats_if_warm().is_some(),
             });
-            released.extend(tree.iter().flat_map(|tree| &tree.released));
-            repacked.push((name.to_string(), tree));
+            released.extend(repack.iter().flat_map(|repack| &repack.released));
+            repacked.push((name.to_string(), repack));
         }
         // The catalog always encodes at least its table count, so even a
         // zero-table database gets a page and the header points at
@@ -556,9 +556,9 @@ impl DurableDatabase {
         journal.catalog_pages = catalog_pages;
         let images = self.mem.images.as_mut().expect("a journaled engine keeps images");
         let mut old = std::mem::take(images);
-        images.extend(repacked.into_iter().map(|(name, tree)| {
+        images.extend(repacked.into_iter().map(|(name, repack)| {
             let mut image = old.remove(&name).unwrap_or_default();
-            image.apply(tree);
+            image.apply(repack);
             (name, image)
         }));
         if journal.pager.trim()? {

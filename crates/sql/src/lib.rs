@@ -39,13 +39,13 @@
 //! ```
 
 mod ast;
-mod btree;
 pub(crate) mod codec;
 mod cost;
 mod disk;
 pub mod durable;
 mod exec;
 mod index;
+mod leaves;
 mod lexer;
 mod pager;
 mod parser;
@@ -295,7 +295,7 @@ pub struct Database {
     /// rows have changed since, so that a checkpoint writes those alone;
     /// `None` without a journal. A table the snapshot does not hold has
     /// no entry.
-    pub(crate) images: Option<BTreeMap<String, btree::TreeImage>>,
+    pub(crate) images: Option<BTreeMap<String, leaves::TableImage>>,
 }
 
 impl Clone for Database {

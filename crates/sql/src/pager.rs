@@ -41,9 +41,11 @@ const CHAIN_END: u32 = u32::MAX;
 
 const HEADER_SLOT_SIZE: u64 = 2048;
 const HEAP_START: u64 = 2 * HEADER_SLOT_SIZE;
-const HEADER_MAGIC: u64 = 0x524F_434B_5344_4232; // "ROCKSDB2"
-/// The format whose snapshot was one contiguous region at a byte offset.
-const REGION_FORMAT_MAGIC: u64 = 0x524F_434B_5344_4231; // "ROCKSDB1"
+const HEADER_MAGIC: u64 = u64::from_be_bytes(*b"ROCKSDB3");
+/// Formats of older engines, by the magic their header opens with and
+/// the bytes its checksum follows: the snapshot as one contiguous region
+/// at a byte offset, then as packed B-trees.
+const RETIRED_FORMATS: [(&str, usize); 2] = [("ROCKSDB1", 60), ("ROCKSDB2", 52)];
 
 /// A decoded header slot: everything needed to locate and interpret the
 /// live snapshot.
@@ -107,6 +109,15 @@ fn decode_header(bytes: &[u8]) -> Option<SnapshotMeta> {
     })
 }
 
+/// The retired format whose header, checksum intact, `slot` holds.
+fn retired_format(slot: &[u8]) -> Option<&'static str> {
+    RETIRED_FORMATS.iter().find_map(|&(format, body)| {
+        let crc = u32::from_le_bytes(slot[body..body + 4].try_into().expect("4 bytes"));
+        let magic = slot[..8].iter().rev().eq(format.as_bytes());
+        (magic && crc32(&slot[..body]) == crc).then_some(format)
+    })
+}
+
 fn page_offset(page: u32) -> u64 {
     HEAP_START + page as u64 * PAGE_SIZE as u64
 }
@@ -154,14 +165,14 @@ impl Pager {
             if len >= off + HEADER_SLOT_SIZE {
                 let mut buf = vec![0u8; HEADER_SLOT_SIZE as usize];
                 file.read_exact_at(off, &mut buf).map_err(RecoveryError::from_disk)?;
-                // No torn or flipped write turns the magic into this one:
-                // an older engine wrote the file, and a snapshot may not
-                // be taken for absent.
-                if buf[..8] == REGION_FORMAT_MAGIC.to_le_bytes() {
-                    return Err(RecoveryError::Corrupt(
-                        "data file is in the ROCKSDB1 format, which this engine does not read"
-                            .into(),
-                    ));
+                // A flipped bit can turn our magic into an older one, but
+                // not a whole header under its checksum: an older engine
+                // wrote the file, and a snapshot may not be taken for
+                // absent.
+                if let Some(format) = retired_format(&buf) {
+                    return Err(RecoveryError::Corrupt(format!(
+                        "data file is in the {format} format, which this engine does not read"
+                    )));
                 }
                 *slot = decode_header(&buf);
             }

@@ -3,7 +3,7 @@
 //!
 //! Recovery is a pure function of the bytes on disk: open the data
 //! file, pick the live snapshot (highest valid header generation),
-//! rebuild the in-memory tables from its B-trees — noting where every
+//! rebuild the in-memory tables from its leaf lists — noting where every
 //! page of them lies, which is what the next checkpoint reuses and what
 //! tells the pager which pages are free — then re-execute every WAL
 //! transaction with `seq > checkpoint_seq`. Damage in the WAL tail
@@ -12,8 +12,8 @@
 //! replay divergence is a hard error, because it means the committed
 //! prefix itself cannot be reconstructed.
 
-use crate::btree;
 use crate::codec::{self, Reader};
+use crate::leaves;
 use crate::pager::{self, Pager};
 use crate::table::{ColumnType, Table};
 use crate::wal::WalScan;
@@ -90,7 +90,8 @@ pub(crate) struct CatalogTable {
     pub name: String,
     pub columns: Vec<(String, ColumnType)>,
     pub rows: u64,
-    pub root: u32,
+    /// The table's list pages, in order.
+    pub lists: Vec<u32>,
     /// Columns that had a warm hash index at checkpoint time, and
     /// whether the table had warm planner statistics. Both are derived
     /// state — rebuilt from the recovered rows — so only that they were
@@ -118,7 +119,10 @@ pub(crate) fn encode_catalog(tables: &[CatalogTable]) -> Vec<u8> {
             );
         }
         codec::put_u64(&mut out, t.rows);
-        codec::put_u32(&mut out, t.root);
+        codec::put_u32(&mut out, t.lists.len() as u32);
+        for list in &t.lists {
+            codec::put_u32(&mut out, *list);
+        }
         codec::put_u32(&mut out, t.warm_indexes.len() as u32);
         for col in &t.warm_indexes {
             codec::put_u32(&mut out, *col);
@@ -147,7 +151,11 @@ fn decode_catalog(bytes: &[u8]) -> Result<Vec<CatalogTable>, RecoveryError> {
             columns.push((cname, ty));
         }
         let rows = r.u64().map_err(|e| bad(e.0))?;
-        let root = r.u32().map_err(|e| bad(e.0))?;
+        let nlists = r.u32().map_err(|e| bad(e.0))?;
+        let mut lists = Vec::new();
+        for _ in 0..nlists {
+            lists.push(r.u32().map_err(|e| bad(e.0))?);
+        }
         let nix = r.u32().map_err(|e| bad(e.0))?;
         let mut warm_indexes = Vec::new();
         for _ in 0..nix {
@@ -158,13 +166,13 @@ fn decode_catalog(bytes: &[u8]) -> Result<Vec<CatalogTable>, RecoveryError> {
             1 => true,
             v => return Err(bad(format!("bad stats-warm flag {v}"))),
         };
-        tables.push(CatalogTable { name, columns, rows, root, warm_indexes, stats_warm });
+        tables.push(CatalogTable { name, columns, rows, lists, warm_indexes, stats_warm });
     }
     Ok(tables)
 }
 
 /// Rebuild the in-memory database from the live snapshot: the tables,
-/// the image of each one's tree (the database tracks changes against
+/// the image of each one's pages (the database tracks changes against
 /// them from here on) and the schema generation the header recorded.
 /// Every page reached is read exactly once — one reached twice, or one
 /// past the header's page count, is corruption — and the pager learns
@@ -187,7 +195,7 @@ pub(crate) fn load_snapshot(pager: &mut Pager) -> Result<(Database, Vec<u32>), R
     let mut images = std::collections::BTreeMap::new();
     for entry in decode_catalog(&catalog)? {
         let mut table = Table::new(entry.name.clone(), entry.columns.clone());
-        let image = btree::load(&mut read, entry.root, &mut |rowid, value| {
+        let image = leaves::load(&mut read, &entry.lists, &mut |rowid, value| {
             let row = Reader::new(value).row().map_err(|e| {
                 RecoveryError::Corrupt(format!("table {} row {rowid}: {}", entry.name, e.0))
             })?;
@@ -202,7 +210,7 @@ pub(crate) fn load_snapshot(pager: &mut Pager) -> Result<(Database, Vec<u32>), R
         })?;
         if table.len() as u64 != entry.rows {
             return Err(RecoveryError::Corrupt(format!(
-                "table {}: catalog claims {} rows, tree held {}",
+                "table {}: catalog claims {} rows, its leaves held {}",
                 entry.name,
                 entry.rows,
                 table.len()

@@ -10,7 +10,7 @@
 //! holds. Rolling back pops the log newest first.
 //!
 //! The same entry points are where a journaled database notes which rows
-//! no longer match the snapshot on disk ([`TreeImage`]): the position a
+//! no longer match the snapshot on disk ([`TableImage`]): the position a
 //! DELETE or a dropped table changes rows from, the rows an UPDATE
 //! overwrites. An append needs no note — rows past the snapshot's count
 //! are new by position. A rollback notes nothing and clears nothing: what
@@ -23,7 +23,7 @@
 //! the schema generation it restores can be reached again by different
 //! DDL.
 
-use crate::btree::TreeImage;
+use crate::leaves::TableImage;
 use crate::table::Table;
 use crate::value::Value;
 use crate::Database;
@@ -195,9 +195,9 @@ fn live<'a>(tables: &'a mut BTreeMap<String, Table>, key: &str) -> &'a mut Table
 /// The snapshot's image of the table under `key`, where there is a
 /// journal and its snapshot holds one.
 fn image<'a>(
-    images: &'a mut Option<BTreeMap<String, TreeImage>>,
+    images: &'a mut Option<BTreeMap<String, TableImage>>,
     key: &str,
-) -> Option<&'a mut TreeImage> {
+) -> Option<&'a mut TableImage> {
     images.as_mut()?.get_mut(key)
 }
 

@@ -151,25 +151,17 @@ fn incremental_checkpoints_match_a_fresh_store() {
     assert!(checkpoints > 100, "only {checkpoints} checkpoints compared");
 }
 
-/// Levels of a packed tree over at most `pages` leaves (292 children to
-/// an internal page).
-fn height_over(pages: u64) -> u64 {
-    let (mut height, mut nodes) = (1, pages);
-    while nodes > 1 {
-        nodes = nodes.div_ceil(292);
-        height += 1;
-    }
-    height
-}
-
 /// The O(change) gate. Pages written by a checkpoint follow what changed
 /// since the last one, not what the table holds: the same count (give or
-/// take the tree's height) at every table size, within a bound computed
-/// from the bytes appended — with two hash indexes warm, which cost a
+/// take a list page) at every table size, within a bound computed from
+/// the bytes appended — with two hash indexes warm, which cost a
 /// checkpoint nothing.
 #[test]
 fn checkpoint_pages_follow_the_change_not_the_table() {
     const CATALOG: u64 = 1;
+    // The list page naming the changed leaves: at every size here they
+    // fall on one.
+    const LIST: u64 = 1;
     let sizes: &[usize] =
         if cfg!(debug_assertions) { &[2_000, 20_000] } else { &[2_000, 20_000, 200_000] };
     let row = |id: usize| {
@@ -182,10 +174,10 @@ fn checkpoint_pages_follow_the_change_not_the_table() {
         )
     };
     // An encoded row: its cell count, two ints, two length-prefixed
-    // texts; and the leaf cell around it.
+    // texts; and its length in the leaf.
     let cell_bytes = |id: usize| {
         let texts = row(id).split('\'').skip(1).step_by(2).map(|t| 5 + t.len()).sum::<usize>();
-        (14 + 4 + 2 * 9 + texts) as u64
+        (2 + 4 + 2 * 9 + texts) as u64
     };
     let mut appended_pages = Vec::new();
     let mut commit_bytes = Vec::new();
@@ -206,8 +198,6 @@ fn checkpoint_pages_follow_the_change_not_the_table() {
         };
         warm(&db);
         db.checkpoint().unwrap();
-        let data_pages = vfs.stable_bytes("data").unwrap().len() as u64 / PAGE_SIZE as u64;
-        let height = height_over(data_pages);
         // (pages, disk writes) of one more checkpoint.
         let checkpoint = |db: &mut DurableDatabase| {
             let before = (db.stats().checkpoint_pages(), vfs.write_count());
@@ -239,18 +229,18 @@ fn checkpoint_pages_follow_the_change_not_the_table() {
         let appended: u64 = (rows..rows + 128).map(cell_bytes).sum();
         let (pages, writes) = checkpoint(&mut db);
         // The leaf the rows were appended to was part full, hence the 1.
-        let bound = appended.div_ceil(PAGE_PAYLOAD as u64) + height + CATALOG + 1;
+        let bound = appended.div_ceil(PAGE_PAYLOAD as u64) + LIST + CATALOG + 1;
         assert!(pages <= bound, "{rows} rows: {pages} pages for 128 appended rows, bound {bound}");
         // Besides the pages: the header, the log's truncation, and the
         // data file's when its last pages fell free.
         assert!((pages + 2..=pages + 3).contains(&writes), "{rows} rows: {writes} writes");
-        appended_pages.push((pages, height));
+        appended_pages.push(pages);
 
         // One row overwritten in place, same size.
         db.execute("update nodes set rack = 3 where id = 0").unwrap();
         warm(&db);
         let (pages, writes) = checkpoint(&mut db);
-        assert!(pages <= height + CATALOG + 1, "{rows} rows: {pages} pages for one update");
+        assert!(pages <= 1 + LIST + CATALOG, "{rows} rows: {pages} pages for one update");
         assert!((pages + 2..=pages + 3).contains(&writes), "{rows} rows: {writes} writes");
 
         // Nothing changed: the catalog, the header, the log's truncation.
@@ -271,11 +261,7 @@ fn checkpoint_pages_follow_the_change_not_the_table() {
     }
     let (least, most) =
         (appended_pages.iter().min().unwrap(), appended_pages.iter().max().unwrap());
-    let tallest = appended_pages.iter().map(|p| p.1).max().unwrap();
-    assert!(
-        most.0 - least.0 <= tallest,
-        "pages for the same 128 rows by table size: {appended_pages:?}"
-    );
+    assert!(most - least <= LIST, "pages for the same 128 rows by table size: {appended_pages:?}");
     // The transaction's log bytes: its 16 statements framed, plus a begin
     // and a commit frame. They move with the table only by the digits of
     // the ids and the addresses derived from them.
@@ -370,17 +356,25 @@ fn fsync_counter_matches_the_disk() {
     assert!(repairs > 0, "no crash left a torn tail to repair");
 }
 
-/// A data file of one table over `leaves` leaves under one internal
-/// page, plus the catalog.
-fn valid_data_file() -> Vec<u8> {
+/// A data file of one table, `rows` rows of `pad` bytes, checkpointed
+/// twice: both header slots valid, the second one live.
+fn data_file(rows: usize, pad: usize) -> Vec<u8> {
     let vfs = MemVfs::new();
     let mut db = DurableDatabase::open(&vfs).unwrap();
     db.execute("create table nodes (id int, pad text)").unwrap();
-    for id in 0..60 {
-        db.execute(&format!("insert into nodes values ({id}, '{}')", "p".repeat(900))).unwrap();
+    db.begin().unwrap();
+    for id in 0..rows {
+        db.execute(&format!("insert into nodes values ({id}, '{}')", "p".repeat(pad))).unwrap();
     }
+    db.commit().unwrap();
+    db.checkpoint().unwrap();
     db.checkpoint().unwrap();
     vfs.stable_bytes("data").unwrap()
+}
+
+/// Fifteen leaves of four rows on one list page, plus the catalog.
+fn valid_data_file() -> Vec<u8> {
+    data_file(60, 900)
 }
 
 fn open_data(data: &[u8]) -> Result<DurableDatabase, DurableError> {
@@ -403,80 +397,107 @@ fn reseal(data: &mut [u8], page: usize) {
     data[payload(page).start - 4..payload(page).start].copy_from_slice(&crc.to_le_bytes());
 }
 
+fn u32_at(data: &[u8], at: usize) -> usize {
+    u32::from_le_bytes(data[at..at + 4].try_into().unwrap()) as usize
+}
+
+/// The header slots this engine wrote, by their magic.
+fn our_slots(data: &[u8]) -> impl Iterator<Item = usize> + '_ {
+    [0, 2048].into_iter().filter(|&slot| data[slot..slot + 8] == *b"3BDSKCOR")
+}
+
 /// Rewrite the u32 at `at` of every valid header slot, checksum included.
 fn set_header_u32(data: &mut [u8], at: usize, value: u32) {
-    for slot in [0, 2048] {
-        if data[slot..slot + 8] == *b"2BDSKCOR" {
-            data[slot + at..slot + at + 4].copy_from_slice(&value.to_le_bytes());
-            let crc = crc32(&data[slot..slot + 52]);
-            data[slot + 52..slot + 56].copy_from_slice(&crc.to_le_bytes());
-        }
+    for slot in our_slots(data).collect::<Vec<_>>() {
+        data[slot + at..slot + at + 4].copy_from_slice(&value.to_le_bytes());
+        let crc = crc32(&data[slot..slot + 52]);
+        data[slot + 52..slot + 56].copy_from_slice(&crc.to_le_bytes());
     }
+}
+
+/// The catalog's first page, as the live header names it.
+fn catalog_page(data: &[u8]) -> usize {
+    let generation =
+        |slot: usize| u64::from_le_bytes(data[slot + 8..slot + 16].try_into().unwrap());
+    u32_at(data, our_slots(data).max_by_key(|&slot| generation(slot)).unwrap() + 20)
+}
+
+/// The list pages the catalog names for the table of `rows` rows: the
+/// count and ids after the row count (the catalog fits one page).
+fn list_pages(data: &[u8], rows: u64) -> Vec<usize> {
+    let catalog = &data[payload(catalog_page(data))];
+    let at = catalog.windows(8).position(|w| w == rows.to_le_bytes()).unwrap() + 8;
+    (0..u32_at(catalog, at)).map(|i| u32_at(catalog, at + 4 + 4 * i)).collect()
 }
 
 /// Snapshot bytes that lie, under valid checksums, are
 /// `RecoveryError::Corrupt` — never a panic, a loop or a quietly
-/// different table: a page reached twice, a child or a catalog page past
-/// the header's page count, leaves that repeat or skip rowids, a row
-/// claiming more cells than it has bytes, a cell its column refuses, a
-/// header an older engine wrote.
+/// different table: a page reached twice, a leaf or a catalog page past
+/// the header's page count, leaves that repeat or skip rowids, a leaf or
+/// a row claiming more than it has bytes, a cell its column refuses, a
+/// list page short of full before the last, a header an older engine
+/// wrote.
 #[test]
 fn hostile_snapshot_bytes_are_corrupt_never_a_panic() {
     let valid = valid_data_file();
     let pages = (valid.len() - PAGE_SIZE) / PAGE_SIZE;
     let intact = open_data(&valid).unwrap();
     assert_eq!(intact.reader().table("nodes").unwrap().len(), 60);
-    // The one internal page, and where in its payload each child id is.
-    let root = (0..pages).find(|&p| valid[payload(p)][0] == 2).expect("an internal page");
-    let children =
-        1 + u16::from_le_bytes([valid[payload(root)][1], valid[payload(root)][2]]) as usize;
-    assert!(children >= 8, "only {children} leaves");
-    let child_at = |i: usize| payload(root).start + if i == 0 { 3 } else { 7 + (i - 1) * 14 + 10 };
-    let child = |data: &[u8], i: usize| {
-        u32::from_le_bytes(data[child_at(i)..child_at(i) + 4].try_into().unwrap()) as usize
-    };
+    // The one list page, and where in its payload each leaf id is.
+    let [list] = list_pages(&valid, 60)[..] else { panic!("not one list page") };
+    let leaves = u16::from_le_bytes([valid[payload(list)][0], valid[payload(list)][1]]) as usize;
+    assert!(leaves >= 8, "only {leaves} leaves");
+    let catalog = catalog_page(&valid);
+    let leaf_at = |i: usize| payload(list).start + 2 + 4 * i;
+    let leaf = |data: &[u8], i: usize| u32_at(data, leaf_at(i));
     let corrupt = |data: &[u8], what: &str| match open_data(data) {
         Err(DurableError::Recovery(RecoveryError::Corrupt(_))) => {}
         Err(other) => panic!("{what}: {other:?}, not Corrupt"),
         Ok(_) => panic!("{what}: opened"),
     };
+    let name = |data: &mut Vec<u8>, i: usize, page: usize| {
+        data[leaf_at(i)..leaf_at(i) + 4].copy_from_slice(&(page as u32).to_le_bytes());
+        reseal(data, list);
+    };
 
     let mut rng = StdRng::seed_from_u64(0xBAD_B17E5);
     for round in 0..40 {
-        let (i, j) = (rng.gen_range(0..children), rng.gen_range(0..children - 1));
+        let (i, j) = (rng.gen_range(0..leaves), rng.gen_range(0..leaves - 1));
         let j = if j >= i { j + 1 } else { j };
-        let past = (pages + rng.gen_range(0usize..1000)) as u32;
+        let past = pages + rng.gen_range(0usize..1000);
 
-        // A leaf named twice: reached twice.
+        // A page reached twice: the list page names itself, or the
+        // catalog, where a leaf belongs.
         let mut data = valid.clone();
-        let twin = data[child_at(j)..child_at(j) + 4].to_vec();
-        data[child_at(i)..child_at(i) + 4].copy_from_slice(&twin);
-        reseal(&mut data, root);
-        corrupt(&data, &format!("round {round}: child {i} names child {j}'s page"));
+        let twice = if round % 2 == 0 { list } else { catalog };
+        name(&mut data, i, twice);
+        corrupt(&data, &format!("round {round}: leaf {i} is page {twice}"));
 
-        // A child past the header's page count.
+        // A list page that names one leaf twice.
         let mut data = valid.clone();
-        data[child_at(i)..child_at(i) + 4].copy_from_slice(&past.to_le_bytes());
-        reseal(&mut data, root);
-        corrupt(&data, &format!("round {round}: child {i} is page {past}"));
+        name(&mut data, i, leaf(&valid, j));
+        corrupt(&data, &format!("round {round}: leaf {i} names leaf {j}'s page"));
+
+        // A list page that names a page past the header's page count.
+        let mut data = valid.clone();
+        name(&mut data, i, past);
+        corrupt(&data, &format!("round {round}: leaf {i} is page {past}"));
 
         // The catalog past it, and the catalog's next page.
         let mut data = valid.clone();
-        set_header_u32(&mut data, 20, past);
+        set_header_u32(&mut data, 20, past as u32);
         corrupt(&data, &format!("round {round}: catalog at page {past}"));
         let mut data = valid.clone();
-        let catalog = u32::from_le_bytes(valid[20..24].try_into().unwrap()) as usize;
-        data[payload(catalog)][..4].copy_from_slice(&past.to_le_bytes());
+        data[payload(catalog)][..4].copy_from_slice(&(past as u32).to_le_bytes());
         reseal(&mut data, catalog);
         set_header_u32(&mut data, 24, PAGE_PAYLOAD as u32);
         corrupt(&data, &format!("round {round}: catalog continues at page {past}"));
 
         // Two leaves trade places: rowids skip ahead, then fall back.
         let mut data = valid.clone();
-        let (a, b) = (child(&valid, i), child(&valid, j));
-        data[child_at(i)..child_at(i) + 4].copy_from_slice(&(b as u32).to_le_bytes());
-        data[child_at(j)..child_at(j) + 4].copy_from_slice(&(a as u32).to_le_bytes());
-        reseal(&mut data, root);
+        let (a, b) = (leaf(&valid, i), leaf(&valid, j));
+        name(&mut data, i, b);
+        name(&mut data, j, a);
         corrupt(&data, &format!("round {round}: leaves {i} and {j} swapped"));
 
         // One leaf holds another's rows: a run repeated, or skipped.
@@ -484,10 +505,18 @@ fn hostile_snapshot_bytes_are_corrupt_never_a_panic() {
         data.copy_within(payload(b).start - 4..payload(b).end, payload(a).start - 4);
         corrupt(&data, &format!("round {round}: leaf {i} is a copy of leaf {j}"));
 
-        // Anything at all, resealed: an error or a database, not a panic,
-        // and a database that opens can be written and checkpointed.
+        // A short leaf: its row count runs past its bytes.
         let mut data = valid.clone();
-        let page = rng.gen_range(0..pages);
+        let count = payload(a).start + 8;
+        data[count..count + 2].copy_from_slice(&rng.gen_range(300u16..=u16::MAX).to_le_bytes());
+        reseal(&mut data, a);
+        corrupt(&data, &format!("round {round}: leaf {i} claims more rows than it holds"));
+
+        // Anything at all, resealed, on the list page, the catalog or any
+        // page: an error or a database, not a panic, and a database that
+        // opens can be written and checkpointed.
+        let mut data = valid.clone();
+        let page = [list, catalog, rng.gen_range(0..pages)][round % 3];
         for _ in 0..rng.gen_range(1usize..4) {
             let at = payload(page).start + rng.gen_range(0usize..200);
             data[at] = rng.gen_range(0u32..256) as u8;
@@ -495,8 +524,9 @@ fn hostile_snapshot_bytes_are_corrupt_never_a_panic() {
         reseal(&mut data, page);
         match open_data(&data) {
             Ok(mut db) => {
+                // The bytes may have renamed the table or retyped a column.
                 let _ = db.execute("insert into nodes values (99, 'x')");
-                let _ = db.checkpoint();
+                db.checkpoint().unwrap_or_else(|e| panic!("round {round}: {e:?}"));
             }
             Err(DurableError::Recovery(_)) => {}
             Err(other) => panic!("round {round}: {other:?}"),
@@ -504,10 +534,9 @@ fn hostile_snapshot_bytes_are_corrupt_never_a_panic() {
     }
 
     // The first row of the first leaf, resealed, so what refuses it is the
-    // row's decode. Its cell count sits past the leaf header (kind, count)
-    // and the cell's key length, value length and key; then the INT id,
-    // tag and 8 bytes.
-    let first_row = payload(child(&valid, 0)).start + 3 + 2 + 4 + 8;
+    // row's decode. Its cell count sits past the leaf header (first rowid,
+    // row count) and the row's length; then the INT id, tag and 8 bytes.
+    let first_row = payload(leaf(&valid, 0)).start + 8 + 2 + 2;
     let refused = |data: &[u8], what: &str, reason: &str| match open_data(data) {
         Err(DurableError::Recovery(RecoveryError::Corrupt(e))) if e.contains(reason) => {}
         Err(other) => panic!("{what}: {other:?}, not Corrupt for {reason:?}"),
@@ -517,7 +546,7 @@ fn hostile_snapshot_bytes_are_corrupt_never_a_panic() {
     // is sized by it.
     let mut data = valid.clone();
     data[first_row..first_row + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-    reseal(&mut data, child(&valid, 0));
+    reseal(&mut data, leaf(&valid, 0));
     refused(&data, "a row of u32::MAX cells", "row claims");
     // The INT id as a TEXT cell of the same 9 bytes: it decodes, and the
     // insert path the row is staged through still refuses it.
@@ -525,7 +554,7 @@ fn hostile_snapshot_bytes_are_corrupt_never_a_panic() {
     let id = first_row + 4;
     assert_eq!(data[id], 1, "the first cell is an INT");
     data[id..id + 9].copy_from_slice(&[2, 4, 0, 0, 0, b'a', b'b', b'c', b'd']);
-    reseal(&mut data, child(&valid, 0));
+    reseal(&mut data, leaf(&valid, 0));
     refused(&data, "a TEXT cell in the INT column", "rejected on reload");
 
     // A header count past the end of the file.
@@ -533,13 +562,50 @@ fn hostile_snapshot_bytes_are_corrupt_never_a_panic() {
     set_header_u32(&mut data, 16, pages as u32 + 1);
     corrupt(&data, "more pages counted than the file holds");
 
-    // The format before this one, recognisable by its magic.
-    let mut data = valid.clone();
-    for slot in [0, 2048] {
-        data[slot..slot + 8].copy_from_slice(b"1BDSKCOR");
+    // The formats before this one, recognisable by their magic under
+    // their header's checksum (60 and 52 bytes of header before it).
+    for (format, body) in [("ROCKSDB1", 60), ("ROCKSDB2", 52)] {
+        let retire = |data: &mut [u8], slot: usize| {
+            let magic: Vec<u8> = format.bytes().rev().collect();
+            data[slot..slot + 8].copy_from_slice(&magic);
+            let crc = crc32(&data[slot..slot + body]);
+            data[slot + body..slot + body + 4].copy_from_slice(&crc.to_le_bytes());
+        };
+        let mut data = valid.clone();
+        retire(&mut data, 0);
+        retire(&mut data, 2048);
+        refused(&data, &format!("{format} headers"), format);
+        let mut data = valid.clone();
+        retire(&mut data, 0);
+        refused(&data, &format!("one {format} header beside a valid one"), format);
+        // Our magic with a bit flipped to theirs is a damaged header, not
+        // an older engine's: the other slot stands.
+        let mut data = valid.clone();
+        data[0] = format.as_bytes()[7];
+        open_data(&data).unwrap_or_else(|e| panic!("{format} by a flipped bit: {e:?}"));
     }
-    corrupt(&data, "ROCKSDB1 headers");
-    let mut data = valid;
-    data[..8].copy_from_slice(b"1BDSKCOR");
-    corrupt(&data, "one ROCKSDB1 header beside a valid one");
+
+    // Two list pages, the first short of full by the id that moved to the
+    // front of the second: every leaf is still read once and in order,
+    // and the next checkpoint would take the second list for the leaves
+    // from 1,022 on.
+    let rows = 1_030;
+    let long = data_file(rows, 2_100);
+    let [first, second] = list_pages(&long, rows as u64)[..] else { panic!("not two lists") };
+    let count = |data: &[u8], list: usize| {
+        u16::from_le_bytes([data[payload(list)][0], data[payload(list)][1]]) as usize
+    };
+    let (full, rest) = (count(&long, first), count(&long, second));
+    assert_eq!((full, rest), (1_022, rows - 1_022), "one row to a leaf");
+    assert_eq!(open_data(&long).unwrap().reader().table("nodes").unwrap().len(), rows);
+    let mut data = long.clone();
+    let moved = data[payload(first).start + 2 + 4 * (full - 1)..][..4].to_vec();
+    data[payload(first)][..2].copy_from_slice(&(full as u16 - 1).to_le_bytes());
+    let ids = payload(second).start + 2..payload(second).start + 2 + 4 * rest;
+    data.copy_within(ids.clone(), ids.start + 4);
+    data[ids.start..ids.start + 4].copy_from_slice(&moved);
+    data[payload(second)][..2].copy_from_slice(&(rest as u16 + 1).to_le_bytes());
+    reseal(&mut data, first);
+    reseal(&mut data, second);
+    refused(&data, "a first list page one id short", "leaves in list 0 of 2");
 }

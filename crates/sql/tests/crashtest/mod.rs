@@ -47,7 +47,7 @@ pub(crate) enum Step {
 ///
 /// Odd seeds pad every `nodes` row to about a kilobyte, insert three at
 /// a time, checkpoint every few transactions and add what only shows on
-/// a tree of many leaves: rows that outgrow their leaf, DELETEs in the
+/// a table of many leaves: rows that outgrow their leaf, DELETEs in the
 /// middle and at the tail. Their checkpoints rewrite a few leaves of a
 /// dozen and land on pages an earlier checkpoint freed.
 pub(crate) fn workload(seed: u64) -> Vec<Step> {
@@ -386,7 +386,7 @@ mod tests {
         }
     }
 
-    /// The padded workloads are there to put checkpoints on trees of
+    /// The padded workloads are there to put checkpoints on tables of
     /// many leaves and into freed pages; hold them to it.
     #[test]
     fn padded_workloads_span_leaves_and_reuse_freed_pages() {

@@ -61,8 +61,8 @@ fn statements(nodes: &[NodeRow], mutations: &[String]) -> Vec<String> {
 }
 
 /// Queries diffed after the streams finish. Includes index-friendly
-/// point lookups (the recovered engine warms hash indexes from its
-/// secondary trees) and order-sensitive shapes.
+/// point lookups (the recovered engine warms the hash indexes the
+/// catalog lists from its rows) and order-sensitive shapes.
 const PROBES: &[&str] = &[
     "select * from nodes",
     "select * from nodes where id = 5",

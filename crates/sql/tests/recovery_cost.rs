@@ -5,8 +5,10 @@
 //! Reopening a checkpointed `nodes` table (8 columns, 4 of them TEXT)
 //! must cost 5 allocations per row beyond its page reads: the row's one
 //! `Vec` and one `String` per TEXT cell. Between 1,024 and 16,384 rows
-//! that is 77,751 allocations for 15,360 rows on 468 pages (5.06 a row
-//! all in, about 2 a page). Before rows decoded into a `Vec` sized by
+//! that is 77,235 allocations for 15,360 rows on 422 pages (5.03 a row
+//! all in, about 1 a page: the page's buffer; 77,751 on 468 pages while
+//! each leaf's cells were first collected into a list of their own, and
+//! rows carried a rowid key). Before rows decoded into a `Vec` sized by
 //! their cell count and were coerced within it, the same open cost
 //! 123,831 (8.06 a row): the decoded `Vec` grew 4 → 8 through `collect`
 //! (one allocation more), and staging collected it into a second one
@@ -106,9 +108,8 @@ fn checkpointed(rows: usize) -> MemVfs {
 const ROW_ALLOCATIONS: u64 = 1 + 4;
 
 /// Allocations of one page read beyond its rows, at most: the page's
-/// buffer, the leaf's cell list (an internal page's key and child
-/// lists), and the growth of the lists the loader keeps per page.
-const PAGE_ALLOCATIONS: u64 = 3;
+/// buffer and the growth of the lists the loader keeps per page.
+const PAGE_ALLOCATIONS: u64 = 2;
 
 /// Text cells of a `nodes` row.
 const TEXT_CELLS: u64 = 4;

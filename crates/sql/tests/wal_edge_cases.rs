@@ -175,7 +175,7 @@ fn sequence_gap_is_corruption() {
 }
 
 /// Kill the engine at every disk operation inside checkpoint(): a first
-/// checkpoint of a small table, and one that folds changes into a tree
+/// checkpoint of a small table, and one that folds changes into a table
 /// of many leaves through pages earlier checkpoints freed. Whatever the
 /// kill point, the survivor must recover the full pre-checkpoint state,
 /// and a second recovery must be a no-op.
