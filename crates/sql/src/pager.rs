@@ -43,8 +43,10 @@ const HEADER_SLOT_SIZE: u64 = 2048;
 const HEAP_START: u64 = 2 * HEADER_SLOT_SIZE;
 const HEADER_MAGIC: u64 = u64::from_be_bytes(*b"ROCKSDB3");
 /// Formats of older engines, by the magic their header opens with and
-/// the bytes its checksum follows: the snapshot as one contiguous region
-/// at a byte offset, then as packed B-trees.
+/// the bytes its checksum follows. ROCKSDB1 kept the snapshot as one
+/// contiguous region at a byte offset, and its header held that offset
+/// as a u64 after the generation: 60 bytes. ROCKSDB2 kept packed B-trees
+/// under this format's 52-byte header.
 const RETIRED_FORMATS: [(&str, usize); 2] = [("ROCKSDB1", 60), ("ROCKSDB2", 52)];
 
 /// A decoded header slot: everything needed to locate and interpret the
@@ -109,13 +111,13 @@ fn decode_header(bytes: &[u8]) -> Option<SnapshotMeta> {
     })
 }
 
-/// The retired format whose header, checksum intact, `slot` holds.
-fn retired_format(slot: &[u8]) -> Option<&'static str> {
-    RETIRED_FORMATS.iter().find_map(|&(format, body)| {
-        let crc = u32::from_le_bytes(slot[body..body + 4].try_into().expect("4 bytes"));
-        let magic = slot[..8].iter().rev().eq(format.as_bytes());
-        (magic && crc32(&slot[..body]) == crc).then_some(format)
-    })
+/// The retired format whose magic `slot` opens with, and whether that
+/// format's header checksum holds over the slot.
+fn retired_format(slot: &[u8]) -> Option<(&'static str, bool)> {
+    let &(format, body) =
+        RETIRED_FORMATS.iter().find(|(format, _)| slot[..8].iter().rev().eq(format.as_bytes()))?;
+    let crc = u32::from_le_bytes(slot[body..body + 4].try_into().expect("4 bytes"));
+    Some((format, crc32(&slot[..body]) == crc))
 }
 
 fn page_offset(page: u32) -> u64 {
@@ -159,23 +161,28 @@ impl Pager {
     /// can see the log.
     pub(crate) fn open(file: Box<dyn DiskFile>) -> Result<Pager, RecoveryError> {
         let len = file.len().map_err(RecoveryError::from_disk)?;
-        let mut slots = [None, None];
-        for (i, slot) in slots.iter_mut().enumerate() {
+        let (mut slots, mut retired) = ([None, None], [None, None]);
+        for i in 0..2 {
             let off = i as u64 * HEADER_SLOT_SIZE;
             if len >= off + HEADER_SLOT_SIZE {
                 let mut buf = vec![0u8; HEADER_SLOT_SIZE as usize];
                 file.read_exact_at(off, &mut buf).map_err(RecoveryError::from_disk)?;
-                // A flipped bit can turn our magic into an older one, but
-                // not a whole header under its checksum: an older engine
-                // wrote the file, and a snapshot may not be taken for
-                // absent.
-                if let Some(format) = retired_format(&buf) {
-                    return Err(RecoveryError::Corrupt(format!(
-                        "data file is in the {format} format, which this engine does not read"
-                    )));
-                }
-                *slot = decode_header(&buf);
+                slots[i] = decode_header(&buf);
+                retired[i] = retired_format(&buf);
             }
+        }
+        // An older engine's magic may not make the file headerless: its
+        // snapshot would be taken for absent and erased. Beside a header
+        // of ours, one bit turns our magic into an older one, so there
+        // only the older format's own checksum says an older engine wrote
+        // the slot.
+        let ours = slots.iter().any(Option::is_some);
+        if let Some((format, _)) =
+            retired.into_iter().flatten().find(|&(_, sealed)| sealed || !ours)
+        {
+            return Err(RecoveryError::Corrupt(format!(
+                "data file is in the {format} format, which this engine does not read"
+            )));
         }
         let (live_slot, live) = match (slots[0], slots[1]) {
             (Some(a), Some(b)) if a.generation >= b.generation => (0, Some(a)),

@@ -562,21 +562,29 @@ fn hostile_snapshot_bytes_are_corrupt_never_a_panic() {
     set_header_u32(&mut data, 16, pages as u32 + 1);
     corrupt(&data, "more pages counted than the file holds");
 
-    // The formats before this one, recognisable by their magic under
-    // their header's checksum (60 and 52 bytes of header before it).
-    for (format, body) in [("ROCKSDB1", 60), ("ROCKSDB2", 52)] {
-        let retire = |data: &mut [u8], slot: usize| {
-            let magic: Vec<u8> = format.bytes().rev().collect();
+    // The formats before this one, recognisable by their magic: with no
+    // header of ours beside it, the file is refused, never taken for
+    // headerless and erased.
+    for format in ["ROCKSDB1", "ROCKSDB2"] {
+        let magic: Vec<u8> = format.bytes().rev().collect();
+        let mut data = valid.clone();
+        for slot in [0, 2048] {
             data[slot..slot + 8].copy_from_slice(&magic);
-            let crc = crc32(&data[slot..slot + body]);
-            data[slot + body..slot + body + 4].copy_from_slice(&crc.to_le_bytes());
-        };
-        let mut data = valid.clone();
-        retire(&mut data, 0);
-        retire(&mut data, 2048);
+        }
         refused(&data, &format!("{format} headers"), format);
+        // One header as that engine wrote it, beside a valid one: ROCKSDB2's
+        // is this format's under its own magic, ROCKSDB1's held the
+        // region's byte offset after the generation.
+        let mut older = magic.clone();
+        older.extend_from_slice(&valid[8..16]);
+        if format == "ROCKSDB1" {
+            older.extend_from_slice(&4096u64.to_le_bytes());
+        }
+        older.extend_from_slice(&valid[16..52]);
+        let crc = crc32(&older);
+        older.extend_from_slice(&crc.to_le_bytes());
         let mut data = valid.clone();
-        retire(&mut data, 0);
+        data[..older.len()].copy_from_slice(&older);
         refused(&data, &format!("one {format} header beside a valid one"), format);
         // Our magic with a bit flipped to theirs is a damaged header, not
         // an older engine's: the other slot stands.

@@ -6,9 +6,7 @@
 //! must cost 5 allocations per row beyond its page reads: the row's one
 //! `Vec` and one `String` per TEXT cell. Between 1,024 and 16,384 rows
 //! that is 77,235 allocations for 15,360 rows on 422 pages (5.03 a row
-//! all in, about 1 a page: the page's buffer; 77,751 on 468 pages while
-//! each leaf's cells were first collected into a list of their own, and
-//! rows carried a rowid key). Before rows decoded into a `Vec` sized by
+//! all in, about 1 a page: the page's buffer). Before rows decoded into a `Vec` sized by
 //! their cell count and were coerced within it, the same open cost
 //! 123,831 (8.06 a row): the decoded `Vec` grew 4 → 8 through `collect`
 //! (one allocation more), and staging collected it into a second one
