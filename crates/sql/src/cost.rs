@@ -68,8 +68,11 @@ pub(crate) fn scan_access_cost(rows: f64, filters: usize) -> f64 {
 }
 
 /// Cost of an index point access: one probe, then verify each candidate
-/// and run the pushed filters over it (the probing conjunct itself stays
-/// in the filters — candidates are supersets).
+/// and run the pushed filters over it. The probing conjunct stays in the
+/// filters and is charged here even though the executor skips it when
+/// the probe is exact (anything but integer-shaped text). The model keeps
+/// that charge on purpose, so no plan choice moves, until its constants
+/// are calibrated from measurements (ROADMAP item 2).
 pub(crate) fn index_access_cost(candidates: f64, filters: usize, build: f64) -> f64 {
     build + PROBE + candidates * (CANDIDATE + filters as f64 * FILTER_EVAL)
 }

@@ -442,14 +442,14 @@ fn select<S: Sink>(
         if rows == 1 {
             sink.row(iter::once(Cow::Owned(Value::Int(tables[0].1.len() as i64))));
         }
-        db.stats().record_select(0, rows as u64, false);
+        db.stats().record_select(&plan::RowTally::default(), rows as u64, false);
         return Ok(sink);
     }
 
     // Produce the surviving tuples — through the planner when a WHERE
     // clause planned successfully, through the scan path otherwise.
-    // `examined` and `used_index` feed the database's QueryStats.
-    let mut examined = 0u64;
+    // `tally` and `used_index` feed the database's QueryStats.
+    let mut tally = plan::RowTally::default();
     let mut used_index = false;
     let mut est_rows: Option<f64> = None;
     let mut tuples: Vec<u32> = match (where_clause, mode) {
@@ -458,16 +458,16 @@ fn select<S: Sink>(
                 db.stats().record_planning(&info, p.reordered);
                 used_index = p.uses_index();
                 est_rows = Some(p.est_rows);
-                plan::execute_plan(&p, &tables, &mut examined)?
+                plan::execute_plan(&p, &tables, &mut tally)?
             }
-            None => scan_rows(&tables, where_clause, &mut examined)?,
+            None => scan_rows(&tables, where_clause, &mut tally.examined)?,
         },
         (Some(_), PlanChoice::Prepared(Some(p))) => {
             used_index = p.uses_index();
             est_rows = Some(p.est_rows);
-            plan::execute_plan(p, &tables, &mut examined)?
+            plan::execute_plan(p, &tables, &mut tally)?
         }
-        _ => scan_rows(&tables, where_clause, &mut examined)?,
+        _ => scan_rows(&tables, where_clause, &mut tally.examined)?,
     };
     let count = tuples.len() / width;
     // Feed the estimated-vs-actual ratio histogram on the pre-projection
@@ -520,7 +520,7 @@ fn select<S: Sink>(
     // Grouped / aggregate path.
     if has_aggregate || !group_by.is_empty() {
         let (sink, rows) = grouped_select(items, group_by, &tables, &tuples, limit)?;
-        db.stats().record_select(examined, rows as u64, used_index);
+        db.stats().record_select(&tally, rows as u64, used_index);
         return Ok(sink);
     }
 
@@ -562,7 +562,7 @@ fn select<S: Sink>(
     for tuple in tuples.chunks_exact(width) {
         sink.row(cols.iter().map(|&col| Cow::Borrowed(cell(&tables, tuple, col))));
     }
-    db.stats().record_select(examined, rows as u64, used_index);
+    db.stats().record_select(&tally, rows as u64, used_index);
     Ok(sink)
 }
 

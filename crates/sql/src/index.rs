@@ -3,11 +3,12 @@
 //! A [`HashIndex`] maps every non-NULL cell of one column to the
 //! (ascending) row numbers holding it, so `WHERE col = literal` and
 //! equi-join probes touch only candidate rows instead of scanning the
-//! table. Indexes are *candidate* structures: because the engine's
-//! equality ([`Value::sql_cmp`]) coerces between integers and
-//! integer-shaped text, a probe returns a **superset** of the truly
-//! equal rows and the caller re-verifies each candidate. That keeps the
-//! index simple while guaranteeing results byte-identical to a scan.
+//! table. Because the engine's equality ([`Value::sql_cmp`]) coerces
+//! between integers and integer-shaped text, a probe's candidates are
+//! **exact unless the probe is integer-shaped text**: probing `'5'` also
+//! returns the `'05'` rows of its numeric bucket, and only then does the
+//! caller re-verify each candidate. Every other probe returns exactly the
+//! equal rows, so results stay byte-identical to a scan either way.
 //!
 //! Coercion handling: a stored `Text` value that parses as an integer
 //! (`'5'`, `' 5'`, `'05'`) is entered under **both** its exact text and
@@ -73,28 +74,35 @@ impl HashIndex {
         }
     }
 
-    /// Candidate rows whose value *may* equal `value`, ascending. The
-    /// result is complete (every truly equal row is present) but may
-    /// contain false positives — e.g. probing `'5'` returns rows storing
-    /// `'05'` — so callers must re-check with [`Value::sql_cmp`].
-    /// `scratch` is a reusable buffer for the (rare) case where two
-    /// buckets must be merged.
-    pub fn probe<'s>(&'s self, value: &Value, scratch: &'s mut Vec<u32>) -> &'s [u32] {
+    /// Candidate rows whose value *may* equal `value`, ascending, and
+    /// whether they are exact — every candidate truly equal under
+    /// [`Value::sql_cmp`]. The candidates are always complete. They are
+    /// exact unless `value` is `Text` that parses as an `i64`: such a
+    /// probe reads its exact-text bucket and its numeric bucket, and the
+    /// latter may hold other spellings (probing `'5'` returns rows storing
+    /// `'05'`), so the caller must re-check those with `sql_cmp`. An `Int`
+    /// probe reads only its numeric bucket, whose `Int` cells and
+    /// integer-shaped text all equal it; other text reads only its exact
+    /// bucket; `NULL` returns nothing. `scratch` is a reusable buffer for
+    /// the case where two buckets must be merged.
+    pub fn probe<'s>(&'s self, value: &Value, scratch: &'s mut Vec<u32>) -> (&'s [u32], bool) {
         match value {
-            Value::Null => &[],
-            Value::Int(n) => self.num.get(n).map(Vec::as_slice).unwrap_or(&[]),
+            Value::Null => (&[], true),
+            Value::Int(n) => (self.num.get(n).map(Vec::as_slice).unwrap_or(&[]), true),
             Value::Text(s) => {
                 let exact = self.text.get(s.as_str()).map(Vec::as_slice);
-                let numeric =
-                    s.trim().parse::<i64>().ok().and_then(|n| self.num.get(&n)).map(Vec::as_slice);
-                match (exact, numeric) {
+                let Ok(n) = s.trim().parse::<i64>() else {
+                    return (exact.unwrap_or(&[]), true);
+                };
+                let rows = match (exact, self.num.get(&n).map(Vec::as_slice)) {
                     (None, None) => &[],
                     (Some(one), None) | (None, Some(one)) => one,
                     (Some(a), Some(b)) => {
                         merge_unique(a, b, scratch);
                         scratch.as_slice()
                     }
-                }
+                };
+                (rows, false)
             }
         }
     }
@@ -152,10 +160,11 @@ fn merge_unique(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Ordering;
 
     fn probe_vec(ix: &HashIndex, v: &Value) -> Vec<u32> {
         let mut scratch = Vec::new();
-        ix.probe(v, &mut scratch).to_vec()
+        ix.probe(v, &mut scratch).0.to_vec()
     }
 
     #[test]
@@ -179,6 +188,33 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(got, sorted, "candidates must be ascending and unique");
+    }
+
+    /// Every probe is complete; one flagged exact holds only equal rows,
+    /// and only integer-shaped text probes are flagged inexact.
+    #[test]
+    fn exact_unless_integer_shaped_text() {
+        let domain: Vec<Value> = ["5", "05", " 5", "x", "-3", "5x", ""]
+            .into_iter()
+            .map(|s| Value::Text(s.into()))
+            .chain([Value::Int(5), Value::Int(-3), Value::Int(7), Value::Null])
+            .collect();
+        let ix = HashIndex::build(domain.iter());
+        let mut scratch = Vec::new();
+        for probe in &domain {
+            let (rows, exact) = ix.probe(probe, &mut scratch);
+            let equal: Vec<u32> = (0..domain.len() as u32)
+                .filter(|&r| domain[r as usize].sql_cmp(probe) == Some(Ordering::Equal))
+                .collect();
+            assert!(equal.iter().all(|r| rows.contains(r)), "{probe:?} misses a row");
+            let shaped = matches!(probe, Value::Text(s) if s.trim().parse::<i64>().is_ok());
+            assert_eq!(exact, !shaped, "{probe:?}");
+            if exact {
+                assert_eq!(rows, equal.as_slice(), "{probe:?}");
+            }
+        }
+        // '5' reads '05' and ' 5' through the numeric bucket: inexact.
+        assert_eq!(probe_vec(&ix, &Value::Text("5".into())), vec![0, 1, 2, 7]);
     }
 
     #[test]

@@ -184,6 +184,7 @@ pub struct QueryStats {
     scan_exec: Counter,
     lookups: Counter,
     rows_examined: Counter,
+    rows_rechecked: Counter,
     rows_returned: Counter,
     plans_costed: Counter,
     stats_builds: Counter,
@@ -206,6 +207,7 @@ impl QueryStats {
             scan_exec: registry.counter("sql.plan.scan"),
             lookups: registry.counter("sql.lookup_eq"),
             rows_examined: registry.counter("sql.rows.examined"),
+            rows_rechecked: registry.counter("sql.rows.rechecked"),
             rows_returned: registry.counter("sql.rows.returned"),
             plans_costed: registry.counter("sql.opt.plans_costed"),
             stats_builds: registry.counter("sql.opt.stats_builds"),
@@ -241,13 +243,20 @@ impl QueryStats {
         self.rows_examined.get()
     }
 
+    /// Index candidates re-verified against the equality probed: those
+    /// of inexact probes (integer-shaped text), added once per probe.
+    pub fn rows_rechecked(&self) -> u64 {
+        self.rows_rechecked.get()
+    }
+
     /// Rows returned to callers.
     pub fn rows_returned(&self) -> u64 {
         self.rows_returned.get()
     }
 
-    pub(crate) fn record_select(&self, examined: u64, returned: u64, used_index: bool) {
-        self.rows_examined.add(examined);
+    pub(crate) fn record_select(&self, tally: &plan::RowTally, returned: u64, used_index: bool) {
+        self.rows_examined.add(tally.examined);
+        self.rows_rechecked.add(tally.rechecked);
         self.rows_returned.add(returned);
         if used_index {
             self.indexed_exec.incr();
@@ -475,15 +484,18 @@ impl Database {
             .ok_or_else(|| SqlError::NoSuchColumn(format!("{}.{column}", t.name())))?;
         let index = t.eq_index(col);
         let mut scratch = Vec::new();
-        let candidates = index.probe(value, &mut scratch);
+        let (candidates, exact) = index.probe(value, &mut scratch);
         self.stats.lookups.incr();
         self.stats.rows_examined.add(candidates.len() as u64);
-        let rows: Vec<&[Value]> = candidates
-            .iter()
-            .map(|&r| t.rows()[r as usize].as_slice())
-            // Candidates are a superset; keep only true equality.
-            .filter(|row| row[col].sql_cmp(value) == Some(Ordering::Equal))
-            .collect();
+        let rows = candidates.iter().map(|&r| t.rows()[r as usize].as_slice());
+        let rows: Vec<&[Value]> = if exact {
+            rows.collect()
+        } else {
+            // Integer-shaped text: its numeric bucket may hold other
+            // spellings, so keep only true equality.
+            self.stats.rows_rechecked.add(candidates.len() as u64);
+            rows.filter(|row| row[col].sql_cmp(value) == Some(Ordering::Equal)).collect()
+        };
         self.stats.rows_returned.add(rows.len() as u64);
         Ok(rows)
     }

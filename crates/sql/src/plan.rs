@@ -19,10 +19,12 @@
 //! Byte-identical-to-scan guarantees (checked by the differential
 //! proptest in `tests/proptest_plan.rs`):
 //!
-//! * **candidates are supersets** — index probes may return rows not
-//!   equal under [`Value::sql_cmp`]'s Int↔Text coercion, so the
-//!   originating conjunct stays in the step filter and every join
-//!   candidate is re-verified with `sql_cmp`;
+//! * **candidates are exact unless integer-shaped text** — an index
+//!   probe returns exactly the rows equal under [`Value::sql_cmp`],
+//!   except that a probe with integer-shaped text (`'5'`) may also return
+//!   other spellings (`'05'`) through the Int↔Text coercion. The
+//!   originating conjunct stays in the step filter and a join keeps its
+//!   `sql_cmp`, but both are evaluated only when the probe was inexact;
 //! * **order is preserved** — the scan path enumerates the cross product
 //!   lexicographically in FROM order. A plan that executes in FROM order
 //!   reproduces that order for free (ascending candidates,
@@ -59,13 +61,17 @@ pub(crate) const DP_TABLE_LIMIT: usize = 6;
 pub(crate) enum Access {
     /// Enumerate every row.
     Scan,
-    /// Probe the table's hash index with a literal. Candidates are a
-    /// superset; the originating conjunct stays in the step filter.
+    /// Probe the table's hash index with a literal. The originating
+    /// conjunct stays in the step filter, and is evaluated only when the
+    /// probe is inexact (integer-shaped text); an exact probe's
+    /// candidates already satisfy it.
     IndexEq {
         /// Column index within the table.
         column: usize,
         /// The literal probed for.
         literal: Value,
+        /// Position in the step filter of the conjunct probed.
+        conjunct: usize,
     },
 }
 
@@ -207,8 +213,9 @@ type EquiConjunct = ((usize, usize), (usize, usize), Expr);
 struct Analysis {
     /// Pushed-down single-table conjuncts, per FROM position.
     filters: Vec<Vec<Expr>>,
-    /// `col = literal` conjuncts per FROM position (conjunct order).
-    literal_eqs: Vec<Vec<(usize, Value)>>,
+    /// `col = literal` conjuncts per FROM position (conjunct order), as
+    /// `(column, literal, position in filters)`.
+    literal_eqs: Vec<Vec<(usize, Value, usize)>>,
     /// Cross-table equality conjuncts, see [`EquiConjunct`].
     equis: Vec<EquiConjunct>,
     /// Everything else: `(touched FROM positions, expr)`.
@@ -251,10 +258,10 @@ fn analyze(tables: &[(&str, &Table)], where_clause: &Expr) -> Option<Analysis> {
                 let t = touched[0];
                 if let Some((pos, idx, lit)) = literal_eq(&conj, tables) {
                     debug_assert_eq!(pos, t);
-                    a.literal_eqs[t].push((idx, lit));
+                    a.literal_eqs[t].push((idx, lit, a.filters[t].len()));
                 }
-                // The conjunct itself always remains a filter: index
-                // candidates are supersets and must be re-checked.
+                // The conjunct itself always remains a filter: a probe
+                // with integer-shaped text is inexact and re-checks it.
                 a.filters[t].push(conj);
             }
             2 => match column_eq(&conj, tables) {
@@ -403,7 +410,7 @@ pub(crate) fn plan_select(
             // Candidate accesses: a scan, or a probe on any literal-eq.
             let mut access = Access::Scan;
             let mut access_cost = cost::scan_access_cost(rows, nf);
-            for (col, lit) in &analysis.literal_eqs[t] {
+            for (col, lit, conjunct) in &analysis.literal_eqs[t] {
                 let cand = stats.est_eq_rows(*col, lit);
                 let build = cost::index_build_cost(
                     rows,
@@ -413,7 +420,8 @@ pub(crate) fn plan_select(
                 let c = cost::index_access_cost(cand, nf, build);
                 if c < access_cost {
                     access_cost = c;
-                    access = Access::IndexEq { column: *col, literal: lit.clone() };
+                    access =
+                        Access::IndexEq { column: *col, literal: lit.clone(), conjunct: *conjunct };
                 }
             }
             TableFacts { stats, base_est, access, access_cost }
@@ -612,25 +620,40 @@ pub(crate) fn plan_select(
     Some((plan, info))
 }
 
-/// Do a step's pushed-down filters pass one row of its table?
-fn step_filter(filters: &[Expr], single: &[(&str, &Table)], row: u32) -> Result<bool> {
+/// Do a step's pushed-down filters, but for the one at `skip`, pass one
+/// row of its table?
+fn step_filter(
+    filters: &[Expr],
+    skip: Option<usize>,
+    single: &[(&str, &Table)],
+    row: u32,
+) -> Result<bool> {
     let env = RowEnv { tables: single, rows: &[&single[0].1.rows()[row as usize]] };
-    for f in filters {
-        if !eval(f, &env)?.is_truthy() {
+    for (i, f) in filters.iter().enumerate() {
+        if Some(i) != skip && !eval(f, &env)?.is_truthy() {
             return Ok(false);
         }
     }
     Ok(true)
 }
 
+/// Row counts of one execution, for `QueryStats`.
+#[derive(Debug, Default)]
+pub(crate) struct RowTally {
+    /// Rows enumerated or index candidates probed (`sql.rows.examined`).
+    pub examined: u64,
+    /// Candidates of inexact probes, re-verified against the equality
+    /// probed (`sql.rows.rechecked`).
+    pub rechecked: u64,
+}
+
 /// Execute a plan, returning the surviving tuples — one row id per FROM
 /// table, in FROM order — identical (ids and order) to the scan path's
-/// filtered cross product. `examined` tallies every row enumerated or
-/// index candidate probed (the telemetry behind `sql.rows.examined`).
+/// filtered cross product, and tallying its rows into `tally`.
 pub(crate) fn execute_plan(
     plan: &SelectPlan,
     tables: &[(&str, &Table)],
-    examined: &mut u64,
+    tally: &mut RowTally,
 ) -> Result<Vec<u32>> {
     let n = tables.len();
     debug_assert_eq!(plan.steps.len(), n);
@@ -655,21 +678,32 @@ pub(crate) fn execute_plan(
                 let mut right: Vec<u32> = Vec::new();
                 match &step.access {
                     Access::Scan => {
-                        *examined += t.len() as u64;
+                        tally.examined += t.len() as u64;
                         for row in 0..t.len() as u32 {
-                            if step_filter(&step.filter, &single, row)? {
+                            if step_filter(&step.filter, None, &single, row)? {
                                 right.push(row);
                             }
                         }
                     }
-                    Access::IndexEq { column, literal } => {
+                    Access::IndexEq { column, literal, conjunct } => {
                         let index = t.eq_index(*column);
-                        let candidates = index.probe(literal, &mut probe_scratch);
-                        *examined += candidates.len() as u64;
-                        right.reserve_exact(candidates.len());
-                        for &row in candidates {
-                            if step_filter(&step.filter, &single, row)? {
-                                right.push(row);
+                        let (candidates, exact) = index.probe(literal, &mut probe_scratch);
+                        tally.examined += candidates.len() as u64;
+                        // An exact probe has answered its conjunct already.
+                        let skip = if exact {
+                            Some(*conjunct)
+                        } else {
+                            tally.rechecked += candidates.len() as u64;
+                            None
+                        };
+                        if skip.is_some() && step.filter.len() == 1 {
+                            right.extend_from_slice(candidates);
+                        } else {
+                            right.reserve_exact(candidates.len());
+                            for &row in candidates {
+                                if step_filter(&step.filter, skip, &single, row)? {
+                                    right.push(row);
+                                }
                             }
                         }
                     }
@@ -704,18 +738,23 @@ pub(crate) fn execute_plan(
                     if lval.is_null() {
                         continue; // NULL joins nothing
                     }
-                    let candidates = index.probe(lval, &mut probe_scratch);
-                    *examined += candidates.len() as u64;
+                    let (candidates, exact) = index.probe(lval, &mut probe_scratch);
+                    tally.examined += candidates.len() as u64;
+                    if !exact {
+                        tally.rechecked += candidates.len() as u64;
+                    }
                     for &r in candidates {
-                        let rval = &t.rows()[r as usize][key.right_col];
-                        if lval.sql_cmp(rval) != Some(Ordering::Equal) {
-                            continue; // candidate false positive
+                        if !exact
+                            && lval.sql_cmp(&t.rows()[r as usize][key.right_col])
+                                != Some(Ordering::Equal)
+                        {
+                            continue; // another spelling of the probed integer
                         }
                         if !step.filter.is_empty() {
                             let verdict = &mut memo[r as usize];
                             if *verdict == 0 {
-                                *verdict =
-                                    if step_filter(&step.filter, &single, r)? { 1 } else { 2 };
+                                let pass = step_filter(&step.filter, None, &single, r)?;
+                                *verdict = if pass { 1 } else { 2 };
                             }
                             if *verdict == 2 {
                                 continue;
@@ -806,7 +845,7 @@ pub(crate) fn render_plan(
                 }
                 match &step.access {
                     Access::Scan => line.push_str("scan"),
-                    Access::IndexEq { column, literal } => {
+                    Access::IndexEq { column, literal, .. } => {
                         line.push_str(&format!(
                             "index({} = {})",
                             t.columns()[*column].name,

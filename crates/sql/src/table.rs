@@ -449,7 +449,7 @@ mod tests {
     fn probe_all(table: &Table, col: usize, v: &Value) -> Vec<u32> {
         let ix = table.eq_index(col);
         let mut scratch = Vec::new();
-        ix.probe(v, &mut scratch).to_vec()
+        ix.probe(v, &mut scratch).0.to_vec()
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! Value domains are deliberately tiny and collision-heavy, and the text
 //! column mixes integer-shaped spellings (`'5'`, `'05'`, `' 5'`) with
 //! plain text and NULLs, to stress the Int↔Text coercion corners of
-//! `Value::sql_cmp` that make index probes supersets.
+//! `Value::sql_cmp` that make a probe with integer-shaped text inexact:
+//! its candidates are re-checked, every other probe's are not.
 
 use proptest::prelude::*;
-use rocks_sql::Database;
+use rocks_sql::{Database, Value};
 
 /// Rows: (id, name-ish tag, membership, rack, tricky text tag).
 type NodeRow = (i64, String, i64, i64, &'static str);
@@ -126,7 +127,8 @@ fn query_strategy() -> impl Strategy<Value = String> {
                 .to_string()
         ),
         // Text equi-joins: histogram keys and index buckets group
-        // '5'/'05'/' 5'/5 together and must re-verify with sql_cmp.
+        // '5'/'05'/' 5'/5 together, so a probe with integer-shaped text
+        // must re-verify with sql_cmp.
         Just("select nodes.id, apps.aid from nodes, apps where nodes.tag = apps.tag".to_string()),
         Just(
             "select nodes.id from nodes, apps where \
@@ -222,6 +224,70 @@ fn greedy_join_orders_and_the_table_limit_match_the_scan() {
             assert_eq!(plan[1], "  t33: scan", "{plan:?}");
             assert!(plan[2..34].iter().all(|l| l.ends_with(": nested loop, scan")), "{plan:?}");
             assert!(plan[34].ends_with("(evaluated on the cross product)"), "{plan:?}");
+        }
+    }
+}
+
+/// `nodes` of 240 rows and `apps` of 48 whose `tag` holds integer-shaped
+/// text in several spellings (`'5'`, `'05'`, `' 5'`, `'6'`, `'06'`)
+/// beside distinct names, so an equality on `tag` is selective enough
+/// that the planner probes its index.
+fn coercion_db() -> Database {
+    let mut db = Database::new();
+    db.execute("create table nodes (id int, tag text)").unwrap();
+    db.execute("create table apps (aid int, tag text)").unwrap();
+    let spellings = ["'5'", "'05'", "' 5'", "'6'", "'06'", "5", "NULL"];
+    let nodes: Vec<String> = (0..240)
+        .map(|i| match spellings.get(i % 12) {
+            Some(tag) => format!("({i}, {tag})"),
+            None => format!("({i}, 'n{i}')"),
+        })
+        .collect();
+    db.execute(&format!("insert into nodes values {}", nodes.join(", "))).unwrap();
+    let apps: Vec<String> = (0..48)
+        .map(|i| match spellings.get(i % 8) {
+            Some(tag) => format!("({i}, {tag})"),
+            None => format!("({i}, 'a{i}')"),
+        })
+        .collect();
+    db.execute(&format!("insert into apps values {}", apps.join(", "))).unwrap();
+    db
+}
+
+/// The Int↔Text coercion corners at each of the three probe sites,
+/// written out rather than drawn: an integer-shaped text literal (the
+/// one inexact probe), an `Int` literal against integer-shaped text
+/// cells, and a hash join keyed on integer-shaped text on both sides.
+/// Planned reads equal the scan; `lookup_eq` equals the SQL read.
+#[test]
+fn coercion_corners_match_the_scan_at_every_probe_site() {
+    let db = coercion_db();
+    for literal in ["'5'", "'05'", "' 5'", "'6'", "5", "6", "'n19'", "7"] {
+        let sql = format!("select id, tag from nodes where tag = {literal}");
+        assert_differential(&db, &sql);
+        let plan = db.query_column_ref(&format!("explain {sql}")).unwrap();
+        assert!(plan[1].contains(&format!("index(tag = {literal})")), "{plan:?}");
+    }
+    let join = "select nodes.id, apps.aid from nodes, apps where nodes.tag = apps.tag";
+    assert_differential(&db, join);
+    assert_differential(&db, &format!("{join} and apps.aid < 20"));
+    let plan = db.query_column_ref(&format!("explain {join}")).unwrap();
+    assert!(plan.iter().any(|l| l.contains("hash join(")), "{plan:?}");
+    let joined = db.query_ref(join).unwrap().rows.len();
+    assert!(joined > 0, "the join meets equal spellings");
+
+    for (value, literal) in [
+        (Value::Text("5".into()), "'5'"),
+        (Value::Text("05".into()), "'05'"),
+        (Value::Text(" 5".into()), "' 5'"),
+        (Value::Int(5), "5"),
+        (Value::Int(6), "6"),
+        (Value::Text("n19".into()), "'n19'"),
+    ] {
+        let direct = db.lookup_eq("nodes", "tag", &value).unwrap();
+        let sql = format!("select * from nodes where tag = {literal}");
+        for read in [db.query_ref(&sql).unwrap(), db.query_ref_scan(&sql).unwrap()] {
+            assert_eq!(direct, read.rows.iter().map(Vec::as_slice).collect::<Vec<_>>(), "{sql}");
         }
     }
 }

@@ -9,8 +9,14 @@
 //! table's length. When every planned step zeroed a table-sized filter
 //! memo, the rack lookup's bytes grew with the table; when `count(*)`
 //! enumerated row ids, its bytes and `rows_examined` did.
+//!
+//! An index probe re-verifies its candidates only when it is inexact: a
+//! probe with integer-shaped text, whose numeric bucket also holds other
+//! spellings. `sql.rows.rechecked` counts those candidates, so the rack
+//! lookup, the `order by` read and the broad join recheck none, and
+//! `tag = '5'` rechecks every candidate, at either size.
 
-use rocks_sql::Database;
+use rocks_sql::{Database, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -125,4 +131,101 @@ fn a_read_costs_its_result_not_the_table() {
         costs.push((rack, count_cost));
     }
     assert_eq!(costs[0], costs[1], "[1,024 nodes, 16,384 nodes]: (rack lookup, count(*))");
+}
+
+/// What one call added to the row counters.
+#[derive(Debug, PartialEq)]
+struct Rows {
+    examined: u64,
+    rechecked: u64,
+    returned: u64,
+}
+
+fn rows<R>(db: &Database, f: impl FnOnce() -> R) -> Rows {
+    let s = db.stats();
+    let before = (s.rows_examined(), s.rows_rechecked(), s.rows_returned());
+    f();
+    Rows {
+        examined: s.rows_examined() - before.0,
+        rechecked: s.rows_rechecked() - before.1,
+        returned: s.rows_returned() - before.2,
+    }
+}
+
+/// [`cluster`] plus three memberships, two of them compute, and a `tags`
+/// table whose `tag` holds `'5'`, `'05'`, `' 5'` and `5` (stored as
+/// `'5'`) for four nodes in 32 and a distinct name for the rest.
+fn tagged_cluster(nodes: usize) -> Database {
+    let mut db = cluster(nodes);
+    db.execute("create table memberships (id int, name text, compute text)").unwrap();
+    db.execute(
+        "insert into memberships values (2, 'Compute', 'yes'), (3, 'Storage', 'yes'), \
+         (4, 'Login', 'no')",
+    )
+    .unwrap();
+    db.execute("create table tags (node int, tag text)").unwrap();
+    let ids: Vec<usize> = (0..nodes).collect();
+    for chunk in ids.chunks(512) {
+        let rows: Vec<String> = chunk
+            .iter()
+            .map(|i| match i % 32 {
+                0 => format!("({i}, '5')"),
+                1 => format!("({i}, '05')"),
+                2 => format!("({i}, ' 5')"),
+                3 => format!("({i}, 5)"),
+                _ => format!("({i}, 'n{i}')"),
+            })
+            .collect();
+        db.execute(&format!("insert into tags values {}", rows.join(", "))).unwrap();
+    }
+    db
+}
+
+const ORDER_BY: &str = "select rack from nodes where rank = 0 order by rack";
+const BROAD_JOIN: &str = "select nodes.name from nodes, memberships where \
+                          nodes.membership = memberships.id and memberships.compute = 'yes'";
+const TAG: &str = "select node from tags where tag = '5'";
+
+#[test]
+fn exact_probes_recheck_no_candidate() {
+    for nodes in [1_024, 16_384] {
+        let db = tagged_cluster(nodes);
+        for sql in [RACK, ORDER_BY, BROAD_JOIN, TAG] {
+            db.query_column_ref(sql).unwrap(); // warm: plan, build indexes
+        }
+        let n = nodes as u64;
+        let rack = rows(&db, || db.query_column_ref(RACK).unwrap());
+        assert_eq!(rack, Rows { examined: 32, rechecked: 0, returned: 32 }, "{nodes} nodes: rack");
+        let order_by = rows(&db, || db.query_column_ref(ORDER_BY).unwrap());
+        let racks = n / 32;
+        assert_eq!(
+            order_by,
+            Rows { examined: racks, rechecked: 0, returned: racks },
+            "{nodes} nodes: order by"
+        );
+        let join = rows(&db, || db.query_column_ref(BROAD_JOIN).unwrap());
+        assert_eq!(join.rechecked, 0, "{nodes} nodes: broad join {join:?}");
+        assert_eq!(join.returned, (0..n).filter(|i| i % 3 != 2).count() as u64);
+        // '5' reads the four spellings of five, and keeps '5' and 5.
+        let tag = rows(&db, || db.query_column_ref(TAG).unwrap());
+        let (candidates, equal) = (n / 8, n / 16);
+        assert_eq!(
+            tag,
+            Rows { examined: candidates, rechecked: candidates, returned: equal },
+            "{nodes} nodes: tag = '5'"
+        );
+        let five = Value::Text("5".into());
+        let lookup = rows(&db, || db.lookup_eq("tags", "tag", &five).unwrap());
+        assert_eq!(
+            lookup,
+            Rows { examined: candidates, rechecked: candidates, returned: equal },
+            "{nodes} nodes: lookup_eq(tag, '5')"
+        );
+        let lookup = rows(&db, || db.lookup_eq("tags", "tag", &Value::Int(5)).unwrap());
+        assert_eq!(
+            lookup,
+            Rows { examined: candidates, rechecked: 0, returned: candidates },
+            "{nodes} nodes: lookup_eq(tag, 5)"
+        );
+    }
 }
